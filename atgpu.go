@@ -250,35 +250,29 @@ func (s *System) predict(a *core.Analysis) (*Prediction, error) {
 	}, nil
 }
 
-// AnalyzeVecAdd predicts vector addition of length n (paper §IV-A).
-func (s *System) AnalyzeVecAdd(n int) (*Prediction, error) {
-	alg := algorithms.VecAdd{N: n}
-	a, err := alg.Analyze(s.ModelParams(alg.Blocks(s.opts.Device.WarpWidth)))
+// AnalyzeWorkload predicts a registered workload (any name
+// experiments.Names lists) at size n, with the launch geometry its
+// observed runs use.
+func (s *System) AnalyzeWorkload(name string, n int) (*Prediction, error) {
+	w, err := experiments.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	a, err := w.Analyze(n, s.opts.Device)
 	if err != nil {
 		return nil, err
 	}
 	return s.predict(a)
 }
+
+// AnalyzeVecAdd predicts vector addition of length n (paper §IV-A).
+func (s *System) AnalyzeVecAdd(n int) (*Prediction, error) { return s.AnalyzeWorkload("vecadd", n) }
 
 // AnalyzeReduce predicts reduction of length n (paper §IV-B).
-func (s *System) AnalyzeReduce(n int) (*Prediction, error) {
-	b := s.opts.Device.WarpWidth
-	a, err := algorithms.Reduce{N: n}.Analyze(s.ModelParams((n + b - 1) / b))
-	if err != nil {
-		return nil, err
-	}
-	return s.predict(a)
-}
+func (s *System) AnalyzeReduce(n int) (*Prediction, error) { return s.AnalyzeWorkload("reduce", n) }
 
 // AnalyzeMatMul predicts n×n matrix multiplication (paper §IV-C).
-func (s *System) AnalyzeMatMul(n int) (*Prediction, error) {
-	alg := algorithms.MatMul{N: n}
-	a, err := alg.Analyze(s.ModelParams(alg.Blocks(s.opts.Device.WarpWidth)))
-	if err != nil {
-		return nil, err
-	}
-	return s.predict(a)
-}
+func (s *System) AnalyzeMatMul(n int) (*Prediction, error) { return s.AnalyzeWorkload("matmul", n) }
 
 // Analyze prices a caller-supplied analysis, for algorithms designed
 // directly against the model.
@@ -474,54 +468,36 @@ func (o Options) chunks() int {
 	return 4
 }
 
-// AnalyzeVecAddPipelined prices chunked vector addition with the
-// overlapped-cost model (Expression 2 with per-round pipelining).
-func (s *System) AnalyzeVecAddPipelined(n int) (core.PipelinedCost, error) {
-	chunks := s.opts.chunks()
-	b := s.opts.Device.WarpWidth
-	alg := algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: pipelineStreams}
-	chunkLen := (n + chunks - 1) / chunks
-	a, err := alg.Analyze(s.ModelParams((chunkLen + b - 1) / b))
+// analyzePipelined prices a registered workload's chunked variant with
+// the overlapped-cost model (Expression 2 with per-round pipelining).
+func (s *System) analyzePipelined(name string, n int) (core.PipelinedCost, error) {
+	w, err := experiments.Lookup(name)
+	if err != nil {
+		return core.PipelinedCost{}, err
+	}
+	a, err := w.AnalyzePipelined(n, s.opts.chunks(), s.opts.Device)
 	if err != nil {
 		return core.PipelinedCost{}, err
 	}
 	return core.GPUCostPipelined(a, s.params)
+}
+
+// AnalyzeVecAddPipelined prices chunked vector addition with the
+// overlapped-cost model.
+func (s *System) AnalyzeVecAddPipelined(n int) (core.PipelinedCost, error) {
+	return s.analyzePipelined("vecadd", n)
 }
 
 // AnalyzeReducePipelined prices the chunked reduction with the
 // overlapped-cost model.
 func (s *System) AnalyzeReducePipelined(n int) (core.PipelinedCost, error) {
-	chunks := s.opts.chunks()
-	b := s.opts.Device.WarpWidth
-	alg := algorithms.PipelinedReduce{N: n, Chunks: chunks, Streams: pipelineStreams}
-	chunkLen := (n + chunks - 1) / chunks
-	a, err := alg.Analyze(s.ModelParams((chunkLen + b - 1) / b))
-	if err != nil {
-		return core.PipelinedCost{}, err
-	}
-	return core.GPUCostPipelined(a, s.params)
+	return s.analyzePipelined("reduce", n)
 }
 
 // AnalyzeMatMulPipelined prices row-banded matrix multiplication with the
 // overlapped-cost model.
 func (s *System) AnalyzeMatMulPipelined(n int) (core.PipelinedCost, error) {
-	chunks := s.opts.chunks()
-	b := s.opts.Device.WarpWidth
-	alg := algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: pipelineStreams}
-	tiles := n / b
-	bands := chunks
-	if tiles > 0 && bands > tiles {
-		bands = tiles
-	}
-	bandTiles := tiles
-	if bands > 0 {
-		bandTiles = (tiles + bands - 1) / bands
-	}
-	a, err := alg.Analyze(s.ModelParams(bandTiles * tiles))
-	if err != nil {
-		return core.PipelinedCost{}, err
-	}
-	return core.GPUCostPipelined(a, s.params)
+	return s.analyzePipelined("matmul", n)
 }
 
 // PipelineRun compares one workload's sequential-chunked schedule against

@@ -200,10 +200,8 @@ func BenchmarkFig6TransferProportions(b *testing.B) {
 	var gapSum float64
 	for i := 0; i < b.N; i++ {
 		gapSum = 0
-		for _, run := range []func() (*experiments.WorkloadData, error){
-			runner.RunVecAdd, runner.RunReduce, runner.RunMatMul,
-		} {
-			data, err := run()
+		for _, w := range []string{"vecadd", "reduce", "matmul"} {
+			data, err := runner.Sweep(w)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -254,7 +252,7 @@ func BenchmarkExtScanObserved(b *testing.B) {
 	}
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		data, err := runner.RunScan()
+		data, err := runner.Sweep("scan")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"atgpu/internal/experiments"
@@ -78,17 +79,6 @@ func run(fig string, full bool, outDir, recordsDir, runLabel string, summary boo
 	fmt.Printf("calibrated cost params: γ=%.3g op/s  λ=%.3g cy  σ=%.3g s  α=%.3g s  β=%.3g s/word  k'=%d  H=%d\n\n",
 		cp.Gamma, cp.Lambda, cp.Sigma, cp.Alpha, cp.Beta, cp.KPrime, cp.H)
 
-	type sweep struct {
-		name string
-		run  func() (*experiments.WorkloadData, error)
-		figs []string // which -fig selections include this sweep
-	}
-	sweeps := []sweep{
-		{"vecadd", runner.RunVecAdd, []string{"3", "6", "all"}},
-		{"reduce", runner.RunReduce, []string{"4", "6", "all"}},
-		{"matmul", runner.RunMatMul, []string{"5", "6", "all"}},
-	}
-
 	if fig == "all" || fig == "1" {
 		fmt.Println("Table I — comparison of GPU abstract models")
 		fmt.Println(models.TableI())
@@ -100,27 +90,29 @@ func run(fig string, full bool, outDir, recordsDir, runLabel string, summary boo
 		}
 	}
 
-	for _, sw := range sweeps {
-		if !contains(sw.figs, fig) {
+	// Every registry entry with a panel in the selection is swept.
+	inSelection := func(id string) bool { return fig == "all" || figMatches(id, fig) }
+	for _, w := range experiments.Workloads() {
+		if !slices.ContainsFunc(w.Panels(), inSelection) {
 			continue
 		}
 		start := time.Now()
-		data, err := sw.run()
+		data, err := runner.Sweep(w.Name)
 		if err != nil {
-			return fmt.Errorf("%s: %w", sw.name, err)
+			return fmt.Errorf("%s: %w", w.Name, err)
 		}
 		wall := time.Since(start)
 		// Wall time goes to stderr: stdout (charts, CSVs, summaries) is
 		// deterministic and byte-identical for any -workers value.
 		fmt.Fprintf(os.Stderr, "atgpu-figures: %s sweep: %.1fs wall\n",
-			sw.name, wall.Seconds())
+			w.Name, wall.Seconds())
 		if err := persistRecords(recordsDir, runLabel, data.Records, workers, wall); err != nil {
 			return err
 		}
-		fmt.Printf("== %s sweep (%d sizes) ==\n", sw.name, len(data.Points))
+		fmt.Printf("== %s sweep (%d sizes) ==\n", w.Name, len(data.Points))
 
 		for _, f := range experiments.Figures(data) {
-			if fig != "all" && !figMatches(f.ID, fig) {
+			if !inSelection(f.ID) {
 				continue
 			}
 			fmt.Println(plot.ASCII(fmt.Sprintf("%s — %s", f.ID, f.Title), 60, 12, f.Series...))
@@ -147,7 +139,7 @@ func run(fig string, full bool, outDir, recordsDir, runLabel string, summary boo
 func runExtensions(runner *experiments.Runner, full bool) error {
 	fmt.Println("== future-work extensions (§V) ==")
 
-	scan, err := runner.RunScan()
+	scan, err := runner.Sweep("scan")
 	if err != nil {
 		return fmt.Errorf("scan: %w", err)
 	}
@@ -214,15 +206,6 @@ func runExtensions(runner *experiments.Runner, full bool) error {
 	}
 	fmt.Println()
 	return nil
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // figMatches reports whether a figure ID like "fig3a" belongs to the

@@ -43,9 +43,11 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
+	"atgpu/internal/experiments"
 	"atgpu/internal/obs"
 	"atgpu/internal/service"
 )
@@ -56,7 +58,7 @@ func main() {
 	n := flag.Int("n", 100, "total requests per level")
 	c := flag.Int("c", 4, "concurrent clients (max level in concurrency mode)")
 	kind := flag.String("kind", "run", "job kind: run, sweep, pipeline, analyze or lint")
-	workload := flag.String("workload", "vecadd", "workload: vecadd, reduce or matmul")
+	workload := flag.String("workload", "vecadd", "workload: "+strings.Join(experiments.Names(), ", "))
 	size := flag.Int("size", 256, "input size n for run/analyze/lint kinds")
 	device := flag.String("device", "tiny", "device preset: gtx650, gtx1080, k40 or tiny")
 	timeoutMs := flag.Int("timeout-ms", 30_000, "per-job deadline sent with each request")

@@ -6,8 +6,8 @@ import (
 	"os"
 
 	"atgpu"
-	"atgpu/internal/algorithms"
 	"atgpu/internal/analyze"
+	"atgpu/internal/experiments"
 	"atgpu/internal/pseudocode"
 )
 
@@ -29,11 +29,11 @@ func lintCmd(files []string, alg string, n, blocksFlag int, jsonOut bool, outPat
 	var names []string
 	var reports []*analyze.Report
 	if len(files) == 0 {
-		prog, blocks, err := algorithms.BuiltinKernel(alg, n, opts.Device.WarpWidth)
+		w, err := experiments.Lookup(alg)
 		if err != nil {
 			return err
 		}
-		rep, err := sys.Lint(prog, blocks)
+		rep, err := w.Lint(n, opts.Device, cp)
 		if err != nil {
 			return err
 		}

@@ -6,17 +6,19 @@
 //
 //	atgpu table1
 //	atgpu calibrate
-//	atgpu analyze -alg vecadd|reduce|matmul -n N
+//	atgpu analyze -alg WORKLOAD -n N
 //	atgpu lint    [-alg WORKLOAD -n N] [-blocks B] [-json] [-o out] [file.pseudo ...]
 //	atgpu run     -alg vecadd|reduce|matmul -n N [--lint warn|error] [--fault-rate R --fault-seed S --max-retries K]
-//	atgpu sweep   -alg WORKLOAD [-full] [--workers W] [--lint warn|error] [fault flags] [-o dir -run label]
+//	atgpu sweep   -alg WORKLOAD [-pipeline] [-full] [--workers W] [--lint warn|error] [fault flags] [-o dir -run label]
 //
-// WORKLOAD for lint and sweep is any built-in kernel: the three paper
-// workloads (vecadd, reduce, matmul) or the atomic workloads (histogram,
-// histogram-priv, compact, topk, montecarlo — plus scan for lint). The
-// atomic sweeps report the contention-priced cost estimate next to the
-// simulated timing, so histogram vs histogram-priv shows the predicted
-// and observed price of shared-counter serialisation side by side.
+// WORKLOAD for analyze, lint and sweep is any entry of the experiments
+// workload registry: the three paper workloads (vecadd, reduce, matmul),
+// scan, and the atomic workloads (histogram, histogram-priv, compact,
+// topk, montecarlo). sweep -pipeline takes the entries with a pipelined
+// variant (vecadd, reduce, matmul). The atomic sweeps report the
+// contention-priced cost estimate next to the simulated timing, so
+// histogram vs histogram-priv shows the predicted and observed price of
+// shared-counter serialisation side by side.
 //
 //	atgpu ooc     -n N -chunk C
 //	atgpu results list|diff|compare|gate [-store results.jsonl] [flags]
@@ -48,6 +50,7 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -72,7 +75,7 @@ func main() {
 		return
 	}
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	alg := fs.String("alg", "vecadd", "algorithm: vecadd, reduce, matmul; lint/sweep also take histogram, histogram-priv, compact, topk, montecarlo")
+	alg := fs.String("alg", "vecadd", "workload: "+strings.Join(experiments.Names(), ", ")+" (run takes vecadd, reduce, matmul)")
 	n := fs.Int("n", 1_000_000, "input size (vector length / matrix side)")
 	chunk := fs.Int("chunk", 1<<18, "out-of-core chunk size in words")
 	full := fs.Bool("full", false, "sweep: use the paper's exact input sizes (minutes)")
@@ -173,17 +176,18 @@ func usage() {
 commands:
   table1      print the paper's Table I model comparison
   calibrate   print the calibrated cost parameters for the default device
-  analyze     price an algorithm on the abstract model   (-alg, -n)
+  analyze     price a workload on the abstract model     (-alg, -n)
   lint        static analysis: races, barrier divergence, bounds,
               memory-performance and cost prediction      (-alg -n | file.pseudo ..., -blocks, -json, -o)
   run         predicted-vs-observed on the simulated GPU (-alg, -n)
   sweep       predicted-vs-observed size sweep           (-alg, -full, -workers, -o dir, -run label)
-              workloads: vecadd reduce matmul histogram histogram-priv
-              compact topk montecarlo (atomics carry contention pricing)
   ooc         out-of-core reduction, serial vs overlapped (-n, -chunk)
   results     query the canonical result store:
               list | diff -a runA -b runB | compare -a devA -b devB |
               gate trajectory-vs-fresh-BENCH regression check
+
+workloads (analyze, lint, sweep): `+strings.Join(experiments.Names(), " ")+`
+(run takes vecadd, reduce and matmul; the atomics carry contention pricing)
 
 static pre-flight (run, sweep): --lint warn reports findings for every
 launched kernel to stderr; --lint error also refuses launches with
@@ -241,24 +245,12 @@ func dispatch(ctx context.Context, cmd, alg string, n, chunk int, full, pipeline
 	}
 }
 
-func predictionFor(sys *atgpu.System, alg string, n int) (*atgpu.Prediction, error) {
-	switch alg {
-	case "vecadd":
-		return sys.AnalyzeVecAdd(n)
-	case "reduce":
-		return sys.AnalyzeReduce(n)
-	case "matmul":
-		return sys.AnalyzeMatMul(n)
-	}
-	return nil, fmt.Errorf("unknown algorithm %q", alg)
-}
-
 func analyzeCmd(alg string, n int, opts atgpu.Options) error {
 	sys, err := atgpu.NewSystem(opts)
 	if err != nil {
 		return err
 	}
-	pred, err := predictionFor(sys, alg, n)
+	pred, err := sys.AnalyzeWorkload(alg, n)
 	if err != nil {
 		return err
 	}
@@ -287,7 +279,7 @@ func run(alg string, n int, opts atgpu.Options, traceOut, metricsOut string) err
 	if err != nil {
 		return err
 	}
-	pred, err := predictionFor(sys, alg, n)
+	pred, err := sys.AnalyzeWorkload(alg, n)
 	if err != nil {
 		return err
 	}
@@ -445,25 +437,12 @@ func runPipelined(alg string, n int, opts atgpu.Options, traceOut, metricsOut st
 // completed points, trace and metrics are still flushed before the
 // cancellation error propagates.
 func sweepPipelined(ctx context.Context, alg string, full bool, opts atgpu.Options, traceOut, metricsOut, outDir, runLabel string) error {
-	cfg := opts.ExperimentConfig()
-	cfg.Full = full
-	cfg.Context = ctx
-	r, err := experiments.NewRunner(cfg)
+	r, err := sweepRunner(ctx, full, opts)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	var data *experiments.PipelineData
-	switch alg {
-	case "vecadd":
-		data, err = r.RunVecAddPipelined()
-	case "reduce":
-		data, err = r.RunReducePipelined()
-	case "matmul":
-		data, err = r.RunMatMulPipelined()
-	default:
-		return fmt.Errorf("unknown algorithm %q", alg)
-	}
+	data, err := r.SweepPipelined(alg)
 	cancelled := errors.Is(err, experiments.ErrCancelled)
 	if err != nil && !cancelled {
 		return err
@@ -508,35 +487,12 @@ func sweepPipelined(ctx context.Context, alg string, full bool, opts atgpu.Optio
 // summary is skipped — it would describe a truncated sweep) before the
 // cancellation error propagates.
 func sweep(ctx context.Context, alg string, full bool, opts atgpu.Options, traceOut, metricsOut, outDir, runLabel string) error {
-	cfg := opts.ExperimentConfig()
-	cfg.Full = full
-	cfg.Context = ctx
-	r, err := experiments.NewRunner(cfg)
+	r, err := sweepRunner(ctx, full, opts)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	var data *experiments.WorkloadData
-	switch alg {
-	case "vecadd":
-		data, err = r.RunVecAdd()
-	case "reduce":
-		data, err = r.RunReduce()
-	case "matmul":
-		data, err = r.RunMatMul()
-	case "histogram":
-		data, err = r.RunHistogram(false)
-	case "histogram-priv":
-		data, err = r.RunHistogram(true)
-	case "compact":
-		data, err = r.RunCompact()
-	case "topk":
-		data, err = r.RunTopK()
-	case "montecarlo":
-		data, err = r.RunMonteCarlo()
-	default:
-		return fmt.Errorf("unknown algorithm %q", alg)
-	}
+	data, err := r.Sweep(alg)
 	cancelled := errors.Is(err, experiments.ErrCancelled)
 	if err != nil && !cancelled {
 		return err
@@ -575,6 +531,15 @@ func sweep(ctx context.Context, alg string, full bool, opts atgpu.Options, trace
 		return sweepInterrupted(data.Points, func(i int) bool { return data.Points[i].Failed })
 	}
 	return nil
+}
+
+// sweepRunner builds the runner the sweep subcommands drive: the CLI's
+// options at the chosen scale, cancelled by ctx.
+func sweepRunner(ctx context.Context, full bool, opts atgpu.Options) (*experiments.Runner, error) {
+	cfg := opts.ExperimentConfig()
+	cfg.Full = full
+	cfg.Context = ctx
+	return experiments.NewRunner(cfg)
 }
 
 // sweepInterrupted builds the nonzero-exit error for a cancelled sweep,

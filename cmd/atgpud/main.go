@@ -11,11 +11,10 @@
 //
 // Telemetry: the daemon logs every job transition and HTTP request as
 // JSON (log/slog) on stderr, serves wall-clock operational metrics at
-// GET /metrics (Prometheus text; /metrics.json and /metrics.otlp for
-// JSON and OTLP-shaped export), an aggregate service timeline at
-// GET /tracez (Perfetto), and per-job artifacts at
-// GET /v1/jobs/{id}/trace and /v1/jobs/{id}/metrics for jobs submitted
-// with "trace"/"metrics" set. -pprof-addr exposes net/http/pprof on a
+// GET /metrics (Prometheus text; /metrics.json for JSON export), an
+// aggregate service timeline at GET /tracez (Perfetto), and per-job
+// artifacts at GET /v1/jobs/{id}/trace and /v1/jobs/{id}/metrics for jobs
+// submitted with "trace"/"metrics" set. -pprof-addr exposes net/http/pprof on a
 // separate listener (off by default, never on the API address).
 //
 // Jobs are tracked in a manifest with an explicit state machine

@@ -105,18 +105,9 @@ func run(ctx context.Context, kname string, n int, device string, disasm bool, t
 	if traceMaxEvents < 0 {
 		return fmt.Errorf("negative trace-max-events %d", traceMaxEvents)
 	}
-	var cfg simgpu.Config
-	switch device {
-	case "gtx650":
-		cfg = simgpu.GTX650()
-	case "gtx1080":
-		cfg = simgpu.GTX1080()
-	case "k40":
-		cfg = simgpu.TeslaK40()
-	case "tiny":
-		cfg = simgpu.Tiny()
-	default:
-		return fmt.Errorf("unknown device %q", device)
+	cfg, err := simgpu.Preset(device)
+	if err != nil {
+		return err
 	}
 
 	// Size global memory to the problem. Pipelined variants allocate

@@ -62,6 +62,14 @@ func TestCmdAtgpu(t *testing.T) {
 		}
 	}
 
+	// analyze takes every registry entry, the atomic workloads included.
+	out = runTool(t, bin, "analyze", "-alg", "histogram", "-n", "4096")
+	for _, want := range []string{"histogram on", "GPU-cost", "SWGPU", "ΔT"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("analyze -alg histogram output missing %q:\n%s", want, out)
+		}
+	}
+
 	out = runTool(t, bin, "run", "-alg", "vecadd", "-n", "50000")
 	for _, want := range []string{"verified against CPU reference", "observed:", "predicted:", "ΔE"} {
 		if !strings.Contains(out, want) {

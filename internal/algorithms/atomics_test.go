@@ -252,15 +252,3 @@ func TestAtomicWorkloadAnalyses(t *testing.T) {
 		}
 	}
 }
-
-func TestBuiltinKernelAtomics(t *testing.T) {
-	for _, alg := range []string{"histogram", "histogram-priv", "compact", "topk", "montecarlo"} {
-		prog, blocks, err := BuiltinKernel(alg, 32, 4)
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
-		if prog == nil || blocks <= 0 {
-			t.Fatalf("%s: prog=%v blocks=%d", alg, prog, blocks)
-		}
-	}
-}

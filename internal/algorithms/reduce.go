@@ -40,6 +40,9 @@ func (r Reduce) RoundSizes(b int) []int {
 // Rounds returns R = ⌈log_b n⌉ (at least 1).
 func (r Reduce) Rounds(b int) int { return len(r.RoundSizes(b)) }
 
+// Blocks returns the first — widest — round's launch width.
+func (r Reduce) Blocks(b int) int { return ceilDiv(r.N, b) }
+
 // GlobalWords returns the footprint: the input buffer plus a ping-pong
 // partials buffer of ⌈n/b⌉ words.
 func (r Reduce) GlobalWords(b int) int { return r.N + ceilDiv(r.N, b) }

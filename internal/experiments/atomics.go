@@ -2,234 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"atgpu/internal/algorithms"
 	"atgpu/internal/analyze"
 	"atgpu/internal/mem"
-	"atgpu/internal/simgpu"
 )
-
-// Fixed shape parameters of the atomic-workload sweeps. They are part of
-// each sweep's identity (the cache key hashes the kernel they produce), so
-// changing them is a results-format change.
-const (
-	// HistogramSweepBins is the bucket count of the histogram sweeps.
-	HistogramSweepBins = 32
-	// TopKSweepK is the slot count of the top-k sweep.
-	TopKSweepK = 8
-	// MonteCarloTrials is the per-thread draw count of the Monte Carlo
-	// sweep.
-	MonteCarloTrials = 64
-)
-
-// HistogramSizes returns the effective histogram sweep sizes.
-func (r *Runner) HistogramSizes() []int { return r.cfg.mustSweepSizes("histogram") }
-
-// CompactSizes returns the effective compaction sweep sizes.
-func (r *Runner) CompactSizes() []int { return r.cfg.mustSweepSizes("compact") }
-
-// TopKSizes returns the effective top-k sweep sizes.
-func (r *Runner) TopKSizes() []int { return r.cfg.mustSweepSizes("topk") }
-
-// MonteCarloSizes returns the effective Monte Carlo sweep sizes.
-func (r *Runner) MonteCarloSizes() []int { return r.cfg.mustSweepSizes("montecarlo") }
-
-// randNonNeg draws n words uniformly from [0, 2000], the histogram input
-// domain (bins index by value mod Bins, so values must be non-negative).
-func randNonNeg(rng *rand.Rand, n int) []mem.Word {
-	w := make([]mem.Word, n)
-	for i := range w {
-		w[i] = mem.Word(rng.Intn(2001))
-	}
-	return w
-}
-
-// RunHistogram sweeps the contended histogram (privatized=false selects the
-// shared-counter kernel whose atomic serialisation the contention model
-// prices; see RunHistogramContention for the predicted-versus-observed
-// factor study).
-func (r *Runner) RunHistogram(privatized bool) (*WorkloadData, error) {
-	name := "histogram"
-	if privatized {
-		name = "histogram-priv"
-	}
-	return r.runSweep(name, r.HistogramSizes(), func(idx, n int) (WorkloadPoint, error) {
-		alg := algorithms.Histogram{N: n, Bins: HistogramSweepBins, Privatized: privatized}
-
-		analysis, err := alg.Analyze(r.modelParams(alg.Blocks(r.cfg.Device.WarpWidth)))
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("%s n=%d: analyze: %w", name, n, err)
-		}
-		pt, err := r.predict(analysis)
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("%s n=%d: predict: %w", name, n, err)
-		}
-		pt.N = n
-
-		err = r.observePoint(&pt, func() (*simgpu.Host, error) {
-			h, err := r.newHost(alg.GlobalWords(), name, n, idx)
-			if err != nil {
-				return nil, err
-			}
-			in := randNonNeg(r.inputRNG(name, n, idx), n)
-			got, err := alg.Run(h, in)
-			if err != nil {
-				return h, fmt.Errorf("%s n=%d: run: %w", name, n, err)
-			}
-			want, err := algorithms.HistogramReference(in, HistogramSweepBins)
-			if err != nil {
-				return h, err
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					return h, fmt.Errorf("%s n=%d: %w: bin %d got %d want %d",
-						name, n, algorithms.ErrVerifyFail, i, got[i], want[i])
-				}
-			}
-			return h, nil
-		})
-		return pt, err
-	})
-}
-
-// RunCompact sweeps stream compaction. The survivor order is
-// schedule-dependent, so verification compares sorted multisets.
-func (r *Runner) RunCompact() (*WorkloadData, error) {
-	return r.runSweep("compact", r.CompactSizes(), func(idx, n int) (WorkloadPoint, error) {
-		alg := algorithms.Compact{N: n}
-
-		analysis, err := alg.Analyze(r.modelParams(alg.Blocks(r.cfg.Device.WarpWidth)))
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("compact n=%d: analyze: %w", n, err)
-		}
-		pt, err := r.predict(analysis)
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("compact n=%d: predict: %w", n, err)
-		}
-		pt.N = n
-
-		err = r.observePoint(&pt, func() (*simgpu.Host, error) {
-			h, err := r.newHost(alg.GlobalWords(), "compact", n, idx)
-			if err != nil {
-				return nil, err
-			}
-			// Roughly half the elements survive: draw from [-1000,1000] and
-			// zero every third, as the smoke tests do.
-			in := randWords(r.inputRNG("compact", n, idx), n)
-			for i := 0; i < n; i += 3 {
-				in[i] = 0
-			}
-			got, err := alg.Run(h, in)
-			if err != nil {
-				return h, fmt.Errorf("compact n=%d: run: %w", n, err)
-			}
-			want := algorithms.CompactReference(in)
-			if !equalMultiset(got, want) {
-				return h, fmt.Errorf("compact n=%d: %w: %d survivors, want %d",
-					n, algorithms.ErrVerifyFail, len(got), len(want))
-			}
-			return h, nil
-		})
-		return pt, err
-	})
-}
-
-// RunTopK sweeps the atomic-max top-k cascade.
-func (r *Runner) RunTopK() (*WorkloadData, error) {
-	return r.runSweep("topk", r.TopKSizes(), func(idx, n int) (WorkloadPoint, error) {
-		alg := algorithms.TopK{N: n, K: TopKSweepK}
-
-		analysis, err := alg.Analyze(r.modelParams(alg.Blocks(r.cfg.Device.WarpWidth)))
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("topk n=%d: analyze: %w", n, err)
-		}
-		pt, err := r.predict(analysis)
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("topk n=%d: predict: %w", n, err)
-		}
-		pt.N = n
-
-		err = r.observePoint(&pt, func() (*simgpu.Host, error) {
-			h, err := r.newHost(alg.GlobalWords(), "topk", n, idx)
-			if err != nil {
-				return nil, err
-			}
-			in := randWords(r.inputRNG("topk", n, idx), n)
-			got, err := alg.Run(h, in)
-			if err != nil {
-				return h, fmt.Errorf("topk n=%d: run: %w", n, err)
-			}
-			want, err := algorithms.TopKReference(in, TopKSweepK)
-			if err != nil {
-				return h, err
-			}
-			if !equalMultiset(got, want) {
-				return h, fmt.Errorf("topk n=%d: %w: slots %v want %v",
-					n, algorithms.ErrVerifyFail, got, want)
-			}
-			return h, nil
-		})
-		return pt, err
-	})
-}
-
-// RunMonteCarlo sweeps the warp-replicated Monte Carlo estimator over
-// thread counts; each thread runs MonteCarloTrials draws.
-func (r *Runner) RunMonteCarlo() (*WorkloadData, error) {
-	return r.runSweep("montecarlo", r.MonteCarloSizes(), func(idx, n int) (WorkloadPoint, error) {
-		alg := algorithms.MonteCarlo{N: n, Trials: MonteCarloTrials}
-
-		analysis, err := alg.Analyze(r.modelParams(alg.Blocks(r.cfg.Device.WarpWidth)))
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("montecarlo n=%d: analyze: %w", n, err)
-		}
-		pt, err := r.predict(analysis)
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("montecarlo n=%d: predict: %w", n, err)
-		}
-		pt.N = n
-
-		err = r.observePoint(&pt, func() (*simgpu.Host, error) {
-			h, err := r.newHost(alg.GlobalWords(), "montecarlo", n, idx)
-			if err != nil {
-				return nil, err
-			}
-			got, err := alg.Run(h)
-			if err != nil {
-				return h, fmt.Errorf("montecarlo n=%d: run: %w", n, err)
-			}
-			want, err := alg.MonteCarloReference()
-			if err != nil {
-				return h, err
-			}
-			if got != want {
-				return h, fmt.Errorf("montecarlo n=%d: %w: hits %d want %d",
-					n, algorithms.ErrVerifyFail, got, want)
-			}
-			return h, nil
-		})
-		return pt, err
-	})
-}
-
-// equalMultiset compares two word slices as multisets.
-func equalMultiset(a, b []mem.Word) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	counts := make(map[mem.Word]int, len(a))
-	for _, v := range a {
-		counts[v]++
-	}
-	for _, v := range b {
-		if counts[v] == 0 {
-			return false
-		}
-		counts[v]--
-	}
-	return true
-}
 
 // ContentionPoint is one skew level's predicted-versus-observed contention
 // outcome for the histogram study.

@@ -49,13 +49,13 @@ func TestAtomicSweeps(t *testing.T) {
 		name string
 		fn   func() (*WorkloadData, error)
 	}{
-		{"histogram", func() (*WorkloadData, error) { return r.RunHistogram(false) }},
-		{"histogram-priv", func() (*WorkloadData, error) { return r.RunHistogram(true) }},
-		{"compact", r.RunCompact},
-		{"topk", r.RunTopK},
-		{"montecarlo", r.RunMonteCarlo},
+		{"histogram", nil},
+		{"histogram-priv", nil},
+		{"compact", nil},
+		{"topk", nil},
+		{"montecarlo", nil},
 	} {
-		data, err := run.fn()
+		data, err := r.Sweep(run.name)
 		checkSweep(t, data, err)
 		if data.Workload != run.name {
 			t.Errorf("workload name %q, want %q", data.Workload, run.name)
@@ -68,10 +68,10 @@ func TestAtomicSweepSizeDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.HistogramSizes(); got[0] != 1<<10 || got[len(got)-1] != 1<<16 {
+	if got := mustSweepSizes(t, r.Config(), "histogram"); got[0] != 1<<10 || got[len(got)-1] != 1<<16 {
 		t.Fatalf("default histogram sizes = %v", got)
 	}
-	if got := r.MonteCarloSizes(); got[0] != 1<<8 {
+	if got := mustSweepSizes(t, r.Config(), "montecarlo"); got[0] != 1<<8 {
 		t.Fatalf("default montecarlo sizes = %v", got)
 	}
 	for _, w := range []string{"histogram", "histogram-priv", "compact", "topk", "montecarlo"} {

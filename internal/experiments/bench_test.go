@@ -30,7 +30,7 @@ func BenchmarkPipelineOverlap(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				data, err := r.RunVecAddPipelined()
+				data, err := r.SweepPipelined("vecadd")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -57,9 +57,9 @@ func BenchmarkAtomics(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	checked := func(fn func() (*WorkloadData, error)) func() error {
+	checked := func(workload string) func() error {
 		return func() error {
-			data, err := fn()
+			data, err := r.Sweep(workload)
 			if err != nil {
 				return err
 			}
@@ -73,11 +73,11 @@ func BenchmarkAtomics(b *testing.B) {
 		name string
 		fn   func() error
 	}{
-		{"histogram", checked(func() (*WorkloadData, error) { return r.RunHistogram(false) })},
-		{"histogram-priv", checked(func() (*WorkloadData, error) { return r.RunHistogram(true) })},
-		{"compact", checked(r.RunCompact)},
-		{"topk", checked(r.RunTopK)},
-		{"montecarlo", checked(r.RunMonteCarlo)},
+		{"histogram", checked("histogram")},
+		{"histogram-priv", checked("histogram-priv")},
+		{"compact", checked("compact")},
+		{"topk", checked("topk")},
+		{"montecarlo", checked("montecarlo")},
 		{"contention-study", func() error {
 			study, err := r.RunHistogramContention(1<<12, nil)
 			if err != nil {

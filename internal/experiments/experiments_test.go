@@ -48,33 +48,26 @@ func TestRunnerCostParams(t *testing.T) {
 }
 
 func TestSizeDefaults(t *testing.T) {
-	r, err := NewRunner(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.VecAddSizes(); len(got) != 10 || got[0] != 100_000 || got[9] != 1_000_000 {
+	cfg := DefaultConfig()
+	if got := mustSweepSizes(t, cfg, "vecadd"); len(got) != 10 || got[0] != 100_000 || got[9] != 1_000_000 {
 		t.Fatalf("default vecadd sizes = %v", got)
 	}
-	if got := r.ReduceSizes(); got[0] != 1<<16 || got[len(got)-1] != 1<<22 {
+	if got := mustSweepSizes(t, cfg, "reduce"); got[0] != 1<<16 || got[len(got)-1] != 1<<22 {
 		t.Fatalf("default reduce sizes = %v", got)
 	}
-	if got := r.MatMulSizes(); got[0] != 32 || got[len(got)-1] != 256 {
+	if got := mustSweepSizes(t, cfg, "matmul"); got[0] != 32 || got[len(got)-1] != 256 {
 		t.Fatalf("default matmul sizes = %v", got)
 	}
 
 	full := DefaultConfig()
 	full.Full = true
-	rf, err := NewRunner(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rf.VecAddSizes(); got[9] != 10_000_000 {
+	if got := mustSweepSizes(t, full, "vecadd"); got[9] != 10_000_000 {
 		t.Fatalf("full vecadd max = %d, want 1e7 (paper)", got[9])
 	}
-	if got := rf.ReduceSizes(); got[len(got)-1] != 1<<26 {
+	if got := mustSweepSizes(t, full, "reduce"); got[len(got)-1] != 1<<26 {
 		t.Fatalf("full reduce max = %d, want 2^26 (paper)", got[len(got)-1])
 	}
-	if got := rf.MatMulSizes(); got[len(got)-1] != 1024 {
+	if got := mustSweepSizes(t, full, "matmul"); got[len(got)-1] != 1024 {
 		t.Fatalf("full matmul max = %d, want 1024 (paper)", got[len(got)-1])
 	}
 }
@@ -127,7 +120,7 @@ func TestReduceSweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := r.RunReduce()
+	red, err := r.Sweep("reduce")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,4 +271,14 @@ func TestSchemeAffectsObservedOnly(t *testing.T) {
 				ds.Points[i].KernelTime, df.Points[i].KernelTime)
 		}
 	}
+}
+
+// mustSweepSizes resolves a registered workload's sizes under cfg.
+func mustSweepSizes(t *testing.T, cfg Config, workload string) []int {
+	t.Helper()
+	sizes, err := cfg.SweepSizes(workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sizes
 }

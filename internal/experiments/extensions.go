@@ -4,77 +4,21 @@ import (
 	"fmt"
 
 	"atgpu/internal/algorithms"
-	"atgpu/internal/calibrate"
 	"atgpu/internal/simgpu"
 	"atgpu/internal/transfer"
 )
 
 // This file implements the paper's future-work experiments (§V):
 //
-//   - RunScan: "further experiments on other computational problems to
-//     verify our model" — the prefix-sum sweep, same predicted-vs-observed
-//     methodology as §IV.
+//   - the "scan" registry entry (workloads.go): "further experiments on
+//     other computational problems to verify our model" — the prefix-sum
+//     sweep, same predicted-vs-observed methodology as §IV.
 //   - RunTransposeContrast: the coalescing study; the model's qᵢ metric
 //     must order the naive and tiled variants the way the device does.
 //   - RunOutOfCore: "approaches where the data does not fit on the global
 //     memory" — serial vs overlapped chunked reduction.
 //   - RunDeviceSweep: "verify the model using other GPUs" — the same
 //     workload calibrated and checked on several device presets.
-
-// ScanSizes returns the scan sweep sizes.
-func (r *Runner) ScanSizes() []int {
-	if r.cfg.SizesReduce != nil {
-		return r.cfg.SizesReduce
-	}
-	hi := 20
-	if r.cfg.Full {
-		hi = 24
-	}
-	var sizes []int
-	for e := 14; e <= hi; e += 2 {
-		sizes = append(sizes, 1<<e)
-	}
-	return sizes
-}
-
-// RunScan sweeps the prefix-sum workload with the §IV methodology. Its
-// inputs are deterministic (no RNG), so it parallelises through runSweep
-// like the §IV workloads.
-func (r *Runner) RunScan() (*WorkloadData, error) {
-	b := r.cfg.Device.WarpWidth
-	return r.runSweep("scan", r.ScanSizes(), func(idx, n int) (WorkloadPoint, error) {
-		alg := algorithms.Scan{N: n}
-
-		analysis, err := alg.Analyze(r.modelParams((n + b - 1) / b))
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("scan n=%d: analyze: %w", n, err)
-		}
-		pt, err := r.predict(analysis)
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("scan n=%d: predict: %w", n, err)
-		}
-		pt.N = n
-
-		h, err := r.newHost(alg.GlobalWords(b), "scan", n, idx)
-		if err != nil {
-			return WorkloadPoint{}, err
-		}
-		in := make([]algorithms.Word, n)
-		for i := range in {
-			in[i] = algorithms.Word(i%3 - 1)
-		}
-		got, err := alg.Run(h, in)
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("scan n=%d: run: %w", n, err)
-		}
-		// Spot-check the tail against the reference reduction.
-		if got[n-1] != algorithms.ReduceReference(in) {
-			return WorkloadPoint{}, fmt.Errorf("scan n=%d: %w", n, algorithms.ErrVerifyFail)
-		}
-		pt.observe(h.Report())
-		return pt, nil
-	})
-}
 
 // TransposeContrast reports the coalescing study at one size.
 type TransposeContrast struct {
@@ -96,7 +40,7 @@ func (r *Runner) RunTransposeContrast(n int) (*TransposeContrast, error) {
 
 	for _, tiled := range []bool{false, true} {
 		alg := algorithms.Transpose{N: n, Tiled: tiled}
-		analysis, err := alg.Analyze(r.modelParams(alg.Blocks(b)))
+		analysis, err := alg.Analyze(modelParams(r.cfg.Device, alg.Blocks(b)))
 		if err != nil {
 			return nil, fmt.Errorf("%s: analyze: %w", alg.Name(), err)
 		}
@@ -193,51 +137,25 @@ type DevicePoint struct {
 // work. Each device gets its own calibration, exactly as a practitioner
 // would instantiate γ, λ, α, β per machine.
 func RunDeviceSweep(n int, scheme transfer.Scheme, syncCost int64) ([]DevicePoint, error) {
+	vecadd, err := Lookup("vecadd")
+	if err != nil {
+		return nil, err
+	}
 	var out []DevicePoint
-	link := transfer.PCIeGen3x8Link()
 	for _, preset := range simgpu.Presets() {
-		calCfg := preset
-		calCfg.GlobalWords = 1 << 22
-		dev, err := simgpu.New(calCfg)
+		r, err := NewRunner(Config{Device: preset, Scheme: scheme, Seed: 1})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", preset.Name, err)
 		}
-		eng, err := transfer.NewEngine(link, scheme)
+		pt, err := r.sweepPoint(vecadd, 0, n)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", preset.Name, err)
 		}
-		cal, err := calibrate.Run(dev, eng, 0)
-		if err != nil {
-			return nil, fmt.Errorf("%s: calibrate: %w", preset.Name, err)
-		}
-
-		cfg := Config{Device: preset, Scheme: scheme, Seed: 1}
-		r := &Runner{cfg: cfg, link: link, params: cal.Params, calib: cal}
-
-		alg := algorithms.VecAdd{N: n}
-		analysis, err := alg.Analyze(r.modelParams(alg.Blocks(preset.WarpWidth)))
-		if err != nil {
-			return nil, fmt.Errorf("%s: analyze: %w", preset.Name, err)
-		}
-		pt, err := r.predict(analysis)
-		if err != nil {
-			return nil, err
-		}
-		h, err := r.newHost(alg.GlobalWords(), "device-sweep", n, 0)
-		if err != nil {
-			return nil, err
-		}
-		a := make([]algorithms.Word, n)
-		bv := make([]algorithms.Word, n)
-		if _, err := alg.Run(h, a, bv); err != nil {
-			return nil, fmt.Errorf("%s: run: %w", preset.Name, err)
-		}
-		rep := h.Report()
 		out = append(out, DevicePoint{
 			Device:         preset.Name,
 			DeltaPredicted: pt.DeltaPredicted,
-			DeltaObserved:  rep.TransferFraction(),
-			CostCoverage:   pt.ATGPUCost / rep.Total.Seconds(),
+			DeltaObserved:  pt.DeltaObserved,
+			CostCoverage:   pt.ATGPUCost / pt.TotalTime,
 		})
 	}
 	return out, nil

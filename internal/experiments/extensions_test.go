@@ -8,12 +8,12 @@ import (
 
 func TestRunScanSweep(t *testing.T) {
 	cfg := testConfig()
-	cfg.SizesReduce = []int{1 << 10, 1 << 12} // ScanSizes reuses this override
+	cfg.SizesReduce = []int{1 << 10, 1 << 12} // scan reuses this override
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := r.RunScan()
+	data, err := r.Sweep("scan")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +37,7 @@ func TestRunScanSweep(t *testing.T) {
 }
 
 func TestScanSizesDefaults(t *testing.T) {
-	r, err := NewRunner(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := r.ScanSizes()
+	sizes := mustSweepSizes(t, DefaultConfig(), "scan")
 	if len(sizes) == 0 || sizes[0] != 1<<14 {
 		t.Fatalf("scan sizes = %v", sizes)
 	}

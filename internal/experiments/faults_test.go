@@ -109,7 +109,7 @@ func TestFaultedSweepDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := r.RunReduce()
+		d, err := r.Sweep("reduce")
 		if err != nil {
 			t.Fatal(err)
 		}

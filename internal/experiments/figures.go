@@ -77,102 +77,69 @@ func colDeltaObserved(r results.Record) float64 {
 	return r.Observed.Delta
 }
 
+// column is one named series of a panel: a record column over the sweep.
+type column struct {
+	name string
+	get  func(results.Record) float64
+}
+
+// panelFigure builds a panel of cols against input size; title is
+// formatted with the workload name.
+func panelFigure(id, title string, d *WorkloadData, cols ...column) Figure {
+	recs := d.records()
+	x := results.Sizes(recs)
+	f := Figure{ID: id, Title: fmt.Sprintf(title, d.Workload), XLabel: "n"}
+	for _, c := range cols {
+		f.Series = append(f.Series, mustSeries(c.name, x, results.Column(recs, c.get)))
+	}
+	return f
+}
+
 // PredictedFigure builds the "(a) Predicted results" panel: ATGPU vs SWGPU
 // cost against input size (Figures 3a, 4a, 5a).
 func PredictedFigure(id string, d *WorkloadData) Figure {
-	recs := d.records()
-	x := results.Sizes(recs)
-	return Figure{
-		ID:     id,
-		Title:  fmt.Sprintf("%s: predicted cost (s)", d.Workload),
-		XLabel: "n",
-		Series: []stats.Series{
-			mustSeries("ATGPU", x, results.Column(recs, colATGPUCost)),
-			mustSeries("SWGPU", x, results.Column(recs, colSWGPUCost)),
-		},
-	}
+	return panelFigure(id, "%s: predicted cost (s)", d,
+		column{"ATGPU", colATGPUCost}, column{"SWGPU", colSWGPUCost})
 }
 
 // ObservedFigure builds the "(b) Observed results" panel: total vs kernel
 // simulated time (Figures 3b, 4b, 5b).
 func ObservedFigure(id string, d *WorkloadData) Figure {
-	recs := d.records()
-	x := results.Sizes(recs)
-	return Figure{
-		ID:     id,
-		Title:  fmt.Sprintf("%s: observed time (s)", d.Workload),
-		XLabel: "n",
-		Series: []stats.Series{
-			mustSeries("Total", x, results.Column(recs, colTotalTime)),
-			mustSeries("Kernel", x, results.Column(recs, colKernelTime)),
-		},
-	}
+	return panelFigure(id, "%s: observed time (s)", d,
+		column{"Total", colTotalTime}, column{"Kernel", colKernelTime})
 }
 
 // NormalisedFigure builds the "(c) Normalised results" panel: all four
 // series rescaled to [0,1] (Figures 3c, 4c).
 func NormalisedFigure(id string, d *WorkloadData) Figure {
-	recs := d.records()
-	x := results.Sizes(recs)
-	raw := []stats.Series{
-		mustSeries("ATGPU", x, results.Column(recs, colATGPUCost)),
-		mustSeries("SWGPU", x, results.Column(recs, colSWGPUCost)),
-		mustSeries("Total", x, results.Column(recs, colTotalTime)),
-		mustSeries("Kernel", x, results.Column(recs, colKernelTime)),
+	f := panelFigure(id, "%s: normalised cost/time (0→1)", d,
+		column{"ATGPU", colATGPUCost}, column{"SWGPU", colSWGPUCost},
+		column{"Total", colTotalTime}, column{"Kernel", colKernelTime})
+	for i, s := range f.Series {
+		f.Series[i] = s.Normalise()
 	}
-	norm := make([]stats.Series, len(raw))
-	for i, s := range raw {
-		norm[i] = s.Normalise()
-	}
-	return Figure{
-		ID:     id,
-		Title:  fmt.Sprintf("%s: normalised cost/time (0→1)", d.Workload),
-		XLabel: "n",
-		Series: norm,
-	}
+	return f
 }
 
 // DeltaFigure builds one Figure 6 panel: the predicted (Δ_T) and observed
 // (Δ_E) proportions of time/cost allocated to data transfer.
 func DeltaFigure(id string, d *WorkloadData) Figure {
-	recs := d.records()
-	x := results.Sizes(recs)
-	return Figure{
-		ID:     id,
-		Title:  fmt.Sprintf("%s: transfer proportion Δ", d.Workload),
-		XLabel: "n",
-		Series: []stats.Series{
-			mustSeries("ΔE (Observed)", x, results.Column(recs, colDeltaObserved)),
-			mustSeries("ΔT (Predicted)", x, results.Column(recs, colDeltaPredicted)),
-		},
-	}
+	return panelFigure(id, "%s: transfer proportion Δ", d,
+		column{"ΔE (Observed)", colDeltaObserved}, column{"ΔT (Predicted)", colDeltaPredicted})
 }
 
-// Figures expands a workload sweep into its paper panels. VecAdd yields
-// 3a/3b/3c and 6a; reduce 4a/4b/4c and 6b; matmul 5a/5b and 6c (the paper
-// has no normalised matmul panel).
+// Figures expands a workload sweep into its paper panels, as its registry
+// entry lists them: vecadd yields 3a/3b/3c and 6a; reduce 4a/4b/4c and 6b;
+// matmul 5a/5b and 6c (the paper has no normalised matmul panel). Other
+// workloads have none.
 func Figures(d *WorkloadData) []Figure {
-	switch d.Workload {
-	case "vecadd":
-		return []Figure{
-			PredictedFigure("fig3a", d),
-			ObservedFigure("fig3b", d),
-			NormalisedFigure("fig3c", d),
-			DeltaFigure("fig6a", d),
-		}
-	case "reduce":
-		return []Figure{
-			PredictedFigure("fig4a", d),
-			ObservedFigure("fig4b", d),
-			NormalisedFigure("fig4c", d),
-			DeltaFigure("fig6b", d),
-		}
-	case "matmul":
-		return []Figure{
-			PredictedFigure("fig5a", d),
-			ObservedFigure("fig5b", d),
-			DeltaFigure("fig6c", d),
-		}
+	w, err := Lookup(d.Workload)
+	if err != nil {
+		return nil
 	}
-	return nil
+	var figs []Figure
+	for _, p := range w.panels {
+		figs = append(figs, p.build(p.id, d))
+	}
+	return figs
 }

@@ -90,7 +90,7 @@ func TestObsPipelineSweepTagsSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := r.RunReducePipelined()
+	data, err := r.SweepPipelined("reduce")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,10 +21,8 @@ func runAll(t *testing.T, cfg Config) []*WorkloadData {
 		t.Fatal(err)
 	}
 	var out []*WorkloadData
-	for _, run := range []func() (*WorkloadData, error){
-		r.RunVecAdd, r.RunReduce, r.RunMatMul, r.RunScan,
-	} {
-		d, err := run()
+	for _, w := range []string{"vecadd", "reduce", "matmul", "scan"} {
+		d, err := r.Sweep(w)
 		if err != nil {
 			t.Fatal(err)
 		}

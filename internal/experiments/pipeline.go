@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"atgpu/internal/algorithms"
 	"atgpu/internal/core"
 	"atgpu/internal/obs"
 	"atgpu/internal/results"
 	"atgpu/internal/sched"
-	"atgpu/internal/simgpu"
 )
 
 // Pipelined sweeps compare the sequential-chunked schedule against the
@@ -125,14 +123,6 @@ func PipelinePointRecord(workload string, pt PipelinePoint) results.Record {
 	return rec
 }
 
-// PipelineRecord converts one pipeline point into the canonical record
-// stamped with this runner's run identity.
-func (r *Runner) PipelineRecord(workload string, pt PipelinePoint) results.Record {
-	rec := PipelinePointRecord(workload, pt)
-	r.stampIdentity(&rec)
-	return rec
-}
-
 // runPipelineSweep mirrors runSweep for pipeline points: points are
 // self-contained, so the assembly is byte-identical for any worker count.
 // Panicking points are recorded as Failed with the stack in Err;
@@ -157,189 +147,78 @@ func (r *Runner) runPipelineSweep(workload string, sizes []int, point func(idx, 
 	}
 	data.Records = make([]results.Record, len(data.Points))
 	for i := range data.Points {
-		data.Records[i] = r.PipelineRecord(workload, data.Points[i])
+		data.Records[i] = PipelinePointRecord(workload, data.Points[i])
+		r.stampIdentity(&data.Records[i])
 	}
-	if err := r.foldPipelineObs(workload, data); err != nil {
-		return nil, err
-	}
+	data.Obs = r.foldObs(workload, len(data.Points), func(i int) (*obs.Report, int) {
+		return data.Points[i].Obs, data.Points[i].N
+	})
 	if cancelled {
 		return data, ErrCancelled
 	}
 	return data, nil
 }
 
-// foldPipelineObs merges per-point reports in point order (no-op with
-// observability off). Always returns nil; the error slot keeps the
-// call sites single-line.
-func (r *Runner) foldPipelineObs(workload string, data *PipelineData) error {
-	if !r.cfg.Obs.Enabled() {
-		return nil
+// SweepPipelined sweeps the named workload's chunked variant, sequential
+// versus overlapped, over the workload's sweep sizes. Records are tagged
+// "<workload>-pipelined".
+func (r *Runner) SweepPipelined(workload string) (*PipelineData, error) {
+	w, err := Lookup(workload)
+	if err != nil {
+		return nil, err
 	}
-	data.Obs = r.newSweepReport()
-	for i := range data.Points {
-		data.Obs.Merge(data.Points[i].Obs, fmt.Sprintf("%s n=%d", workload, data.Points[i].N))
+	pv := w.pipelined
+	if pv == nil {
+		return nil, fmt.Errorf("experiments: %s has no pipelined variant", w.Name)
 	}
-	return nil
-}
+	name := w.Name + "-pipelined"
+	chunks := r.cfg.chunks()
+	return r.runPipelineSweep(name, w.sweepSizes(r.cfg), func(idx, n int) (PipelinePoint, error) {
+		pt := PipelinePoint{N: n, Chunks: chunks, Streams: pipelineStreams}
+		analysis, err := w.AnalyzePipelined(n, chunks, r.cfg.Device)
+		if err != nil {
+			return pt, fmt.Errorf("%s n=%d: analyze: %w", name, n, err)
+		}
+		pc, err := core.GPUCostPipelined(analysis, r.params)
+		if err != nil {
+			return pt, fmt.Errorf("%s n=%d: predict: %w", name, n, err)
+		}
+		pt.PredictedSequential = pc.Sequential
+		pt.PredictedPipelined = pc.Pipelined
+		pt.PredictedSaving = pc.Saving()
 
-// observePipeline runs both schedules and fills the observed fields.
-// footprint sizes each host; run drives the workload on a host built with
-// the given stream count.
-func (r *Runner) observePipeline(pt *PipelinePoint, workload string, n, idx int,
-	footprint func(streams int) (int, error),
-	run func(h *simgpu.Host, streams int) error) error {
-	observe := func(streams int, tag string) (float64, error) {
-		words, err := footprint(streams)
-		if err != nil {
-			return 0, err
-		}
-		h, err := r.newHost(words, workload, n, idx)
-		if err != nil {
-			return 0, err
-		}
-		if err := run(h, streams); err != nil {
-			return 0, err
-		}
-		if rep := h.SnapshotObs(); rep != nil {
-			if pt.Obs == nil {
-				pt.Obs = r.newSweepReport()
+		run := pv.prepare(n, r.inputRNG(name, n, idx))
+		observe := func(streams int, tag string) (float64, error) {
+			words, err := pv.plan(n, chunks, streams).GlobalWords(r.cfg.Device.WarpWidth)
+			if err != nil {
+				return 0, err
 			}
-			pt.Obs.Merge(rep, tag)
-		}
-		return h.Report().Total.Seconds(), nil
-	}
-	seq, err := observe(1, "seq")
-	if err != nil {
-		return fmt.Errorf("%s n=%d sequential: %w", workload, n, err)
-	}
-	pipe, err := observe(pt.Streams, "pipe")
-	if err != nil {
-		return fmt.Errorf("%s n=%d pipelined: %w", workload, n, err)
-	}
-	pt.SequentialTime = seq
-	pt.PipelinedTime = pipe
-	pt.ObservedSaving = seq - pipe
-	return nil
-}
-
-// predictPipeline fills the model-side fields from a chunked analysis.
-func (r *Runner) predictPipeline(pt *PipelinePoint, a *core.Analysis) error {
-	pc, err := core.GPUCostPipelined(a, r.params)
-	if err != nil {
-		return err
-	}
-	pt.PredictedSequential = pc.Sequential
-	pt.PredictedPipelined = pc.Pipelined
-	pt.PredictedSaving = pc.Saving()
-	return nil
-}
-
-// RunVecAddPipelined sweeps chunked vector addition, sequential versus
-// overlapped.
-func (r *Runner) RunVecAddPipelined() (*PipelineData, error) {
-	chunks := r.cfg.chunks()
-	b := r.cfg.Device.WarpWidth
-	return r.runPipelineSweep("vecadd-pipelined", r.VecAddSizes(), func(idx, n int) (PipelinePoint, error) {
-		pt := PipelinePoint{N: n, Chunks: chunks, Streams: pipelineStreams}
-		alg := algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: pipelineStreams}
-
-		chunkLen := (n + chunks - 1) / chunks
-		analysis, err := alg.Analyze(r.modelParams((chunkLen + b - 1) / b))
-		if err != nil {
-			return pt, fmt.Errorf("vecadd-pipelined n=%d: analyze: %w", n, err)
-		}
-		if err := r.predictPipeline(&pt, analysis); err != nil {
-			return pt, fmt.Errorf("vecadd-pipelined n=%d: predict: %w", n, err)
-		}
-
-		rng := r.inputRNG("vecadd-pipelined", n, idx)
-		a := randWords(rng, n)
-		bb := randWords(rng, n)
-		err = r.observePipeline(&pt, "vecadd-pipelined", n, idx,
-			func(streams int) (int, error) {
-				return algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: streams}.GlobalWords(r.cfg.Device.WarpWidth)
-			},
-			func(h *simgpu.Host, streams int) error {
-				_, err := algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: streams}.Run(h, a, bb)
-				return err
-			})
-		return pt, err
-	})
-}
-
-// RunReducePipelined sweeps chunked reduction, sequential versus
-// overlapped.
-func (r *Runner) RunReducePipelined() (*PipelineData, error) {
-	chunks := r.cfg.chunks()
-	b := r.cfg.Device.WarpWidth
-	return r.runPipelineSweep("reduce-pipelined", r.ReduceSizes(), func(idx, n int) (PipelinePoint, error) {
-		pt := PipelinePoint{N: n, Chunks: chunks, Streams: pipelineStreams}
-		alg := algorithms.PipelinedReduce{N: n, Chunks: chunks, Streams: pipelineStreams}
-
-		chunkLen := (n + chunks - 1) / chunks
-		analysis, err := alg.Analyze(r.modelParams((chunkLen + b - 1) / b))
-		if err != nil {
-			return pt, fmt.Errorf("reduce-pipelined n=%d: analyze: %w", n, err)
-		}
-		if err := r.predictPipeline(&pt, analysis); err != nil {
-			return pt, fmt.Errorf("reduce-pipelined n=%d: predict: %w", n, err)
-		}
-
-		in := randBits(r.inputRNG("reduce-pipelined", n, idx), n)
-		want := algorithms.ReduceReference(in)
-		err = r.observePipeline(&pt, "reduce-pipelined", n, idx,
-			func(streams int) (int, error) {
-				return algorithms.PipelinedReduce{N: n, Chunks: chunks, Streams: streams}.GlobalWords(b)
-			},
-			func(h *simgpu.Host, streams int) error {
-				got, err := algorithms.PipelinedReduce{N: n, Chunks: chunks, Streams: streams}.Run(h, in)
-				if err != nil {
-					return err
+			h, err := r.newHost(words, name, n, idx)
+			if err != nil {
+				return 0, err
+			}
+			if err := run(h, chunks, streams); err != nil {
+				return 0, err
+			}
+			if rep := h.SnapshotObs(); rep != nil {
+				if pt.Obs == nil {
+					pt.Obs = r.newSweepReport()
 				}
-				if got != want {
-					return fmt.Errorf("%w: got %d want %d", algorithms.ErrVerifyFail, got, want)
-				}
-				return nil
-			})
-		return pt, err
-	})
-}
-
-// RunMatMulPipelined sweeps row-banded matrix multiplication, sequential
-// versus overlapped.
-func (r *Runner) RunMatMulPipelined() (*PipelineData, error) {
-	chunks := r.cfg.chunks()
-	b := r.cfg.Device.WarpWidth
-	return r.runPipelineSweep("matmul-pipelined", r.MatMulSizes(), func(idx, n int) (PipelinePoint, error) {
-		pt := PipelinePoint{N: n, Chunks: chunks, Streams: pipelineStreams}
-		alg := algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: pipelineStreams}
-
-		// The widest band launches bandTiles·(n/b) blocks.
-		tiles := n / b
-		bands := chunks
-		if bands > tiles {
-			bands = tiles
+				pt.Obs.Merge(rep, tag)
+			}
+			return h.Report().Total.Seconds(), nil
 		}
-		bandTiles := (tiles + bands - 1) / bands
-		analysis, err := alg.Analyze(r.modelParams(bandTiles * tiles))
+		seq, err := observe(1, "seq")
 		if err != nil {
-			return pt, fmt.Errorf("matmul-pipelined n=%d: analyze: %w", n, err)
+			return pt, fmt.Errorf("%s n=%d sequential: %w", name, n, err)
 		}
-		if err := r.predictPipeline(&pt, analysis); err != nil {
-			return pt, fmt.Errorf("matmul-pipelined n=%d: predict: %w", n, err)
+		pipe, err := observe(pt.Streams, "pipe")
+		if err != nil {
+			return pt, fmt.Errorf("%s n=%d pipelined: %w", name, n, err)
 		}
-
-		rng := r.inputRNG("matmul-pipelined", n, idx)
-		a := randWords(rng, n*n)
-		bm := randWords(rng, n*n)
-		err = r.observePipeline(&pt, "matmul-pipelined", n, idx,
-			func(streams int) (int, error) {
-				return algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: streams}.GlobalWords(b)
-			},
-			func(h *simgpu.Host, streams int) error {
-				_, err := algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: streams}.Run(h, a, bm)
-				return err
-			})
-		return pt, err
+		pt.SequentialTime = seq
+		pt.PipelinedTime = pipe
+		pt.ObservedSaving = seq - pipe
+		return pt, nil
 	})
 }

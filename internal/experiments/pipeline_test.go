@@ -13,10 +13,8 @@ func runAllPipelined(t *testing.T, cfg Config) []*PipelineData {
 		t.Fatal(err)
 	}
 	var out []*PipelineData
-	for _, run := range []func() (*PipelineData, error){
-		r.RunVecAddPipelined, r.RunReducePipelined, r.RunMatMulPipelined,
-	} {
-		d, err := run()
+	for _, w := range []string{"vecadd", "reduce", "matmul"} {
+		d, err := r.SweepPipelined(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +34,7 @@ func TestPipelineSweepSavings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := r.RunVecAddPipelined()
+	data, err := r.SweepPipelined("vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +88,7 @@ func TestPipelineSweepChunksConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := r.RunVecAddPipelined()
+	data, err := r.SweepPipelined("vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}

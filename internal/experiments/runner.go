@@ -39,7 +39,6 @@ import (
 	"atgpu/internal/calibrate"
 	"atgpu/internal/core"
 	"atgpu/internal/faults"
-	"atgpu/internal/mem"
 	"atgpu/internal/models"
 	"atgpu/internal/obs"
 	"atgpu/internal/results"
@@ -69,7 +68,7 @@ type Config struct {
 	Seed int64
 	// SizesVecAdd, SizesReduce and SizesMatMul override the sweep sizes
 	// when non-nil (used by tests and custom studies); Full is then
-	// ignored for that workload.
+	// ignored for that workload. Scan reads SizesReduce.
 	SizesVecAdd []int
 	SizesReduce []int
 	SizesMatMul []int
@@ -291,12 +290,11 @@ func (r *Runner) Calibration() calibrate.Result { return r.calib }
 // Config returns the runner configuration.
 func (r *Runner) Config() Config { return r.cfg }
 
-// modelParams builds the abstract machine instance for a launch of k
-// blocks: the perfect GPU has one multiprocessor per block; M and G follow
-// the concrete device so feasibility checks bind.
-func (r *Runner) modelParams(blocks int) core.Params {
-	return core.ForProblem(blocks, r.cfg.Device.WarpWidth,
-		r.cfg.Device.SharedWords, r.cfg.Device.GlobalWords)
+// modelParams builds the abstract machine instance for a launch of
+// blocks thread blocks: the perfect GPU has one multiprocessor per block;
+// M and G follow the concrete device so feasibility checks bind.
+func modelParams(dev simgpu.Config, blocks int) core.Params {
+	return core.ForProblem(blocks, dev.WarpWidth, dev.SharedWords, dev.GlobalWords)
 }
 
 // derivedSeed hashes (base, domain, workload, n, idx) into a deterministic
@@ -604,12 +602,9 @@ func (r *Runner) runSweep(workload string, sizes []int, point func(idx, n int) (
 	agg := results.Fold(data.Records)
 	data.Transfers = agg.Transfers
 	data.Resilience = agg.Resilience
-	if r.cfg.Obs.Enabled() {
-		data.Obs = r.newSweepReport()
-		for i := range data.Points {
-			data.Obs.Merge(data.Points[i].Obs, fmt.Sprintf("%s n=%d", workload, data.Points[i].N))
-		}
-	}
+	data.Obs = r.foldObs(workload, len(data.Points), func(i int) (*obs.Report, int) {
+		return data.Points[i].Obs, data.Points[i].N
+	})
 	if cancelled {
 		return data, ErrCancelled
 	}
@@ -643,6 +638,21 @@ func absorbSweepErrs(errs []error, record func(i int, failed WorkloadPoint)) (ca
 	return cancelled, nil
 }
 
+// foldObs merges count per-point reports in point order, each tagged
+// "<workload> n=<N>" (nil with observability off), so the merged report
+// is byte-identical for any worker count.
+func (r *Runner) foldObs(workload string, count int, point func(i int) (*obs.Report, int)) *obs.Report {
+	if !r.cfg.Obs.Enabled() {
+		return nil
+	}
+	rep := r.newSweepReport()
+	for i := 0; i < count; i++ {
+		pr, n := point(i)
+		rep.Merge(pr, fmt.Sprintf("%s n=%d", workload, n))
+	}
+	return rep
+}
+
 // newSweepReport builds the empty fold target for per-point reports,
 // with a recorder attached when tracing is on so MergeTagged has a
 // destination.
@@ -654,271 +664,49 @@ func (r *Runner) newSweepReport() *obs.Report {
 	return rep
 }
 
-// randWords draws n words uniformly from [-1000, 1000].
-func randWords(rng *rand.Rand, n int) []mem.Word {
-	w := make([]mem.Word, n)
-	for i := range w {
-		w[i] = mem.Word(rng.Intn(2001) - 1000)
-	}
-	return w
-}
-
-// randBits draws n words from {0,1}, the paper's reduction inputs
-// ("randomly generated vectors of 0/1 values").
-func randBits(rng *rand.Rand, n int) []mem.Word {
-	w := make([]mem.Word, n)
-	for i := range w {
-		w[i] = mem.Word(rng.Intn(2))
-	}
-	return w
-}
-
-// SweepSizes returns the effective sweep sizes for a workload under this
-// config: the explicit override when set, otherwise the paper's exact
-// sizes in Full mode or the scaled-down defaults. The atgpud service uses
-// this to pin a request's sizes before computing its cache key.
-func (c Config) SweepSizes(workload string) ([]int, error) {
-	switch workload {
-	case "vecadd":
-		// Paper: n = 1e6 … 1e7 ("from n = 1,000,000 → 10,000,000");
-		// scaled 10× down otherwise.
-		if c.SizesVecAdd != nil {
-			return c.SizesVecAdd, nil
-		}
-		step := 100_000
-		if c.Full {
-			step = 1_000_000
-		}
-		sizes := make([]int, 10)
-		for i := range sizes {
-			sizes[i] = (i + 1) * step
-		}
-		return sizes, nil
-	case "reduce":
-		// Paper: n = 2^16 … 2^26 in Full mode, 2^16 … 2^22 otherwise.
-		if c.SizesReduce != nil {
-			return c.SizesReduce, nil
-		}
-		hi := 22
-		if c.Full {
-			hi = 26
-		}
-		var sizes []int
-		for e := 16; e <= hi; e++ {
-			sizes = append(sizes, 1<<e)
-		}
-		return sizes, nil
-	case "matmul":
-		// Paper: n = 32, 64, …, 1024 doublings in Full mode, up to 256
-		// otherwise.
-		if c.SizesMatMul != nil {
-			return c.SizesMatMul, nil
-		}
-		hi := 256
-		if c.Full {
-			hi = 1024
-		}
-		var sizes []int
-		for n := 32; n <= hi; n *= 2 {
-			sizes = append(sizes, n)
-		}
-		return sizes, nil
-	case "histogram", "histogram-priv":
-		if c.SizesHistogram != nil {
-			return c.SizesHistogram, nil
-		}
-		return atomicSweepSizes(c.Full), nil
-	case "compact":
-		if c.SizesCompact != nil {
-			return c.SizesCompact, nil
-		}
-		return atomicSweepSizes(c.Full), nil
-	case "topk":
-		if c.SizesTopK != nil {
-			return c.SizesTopK, nil
-		}
-		return atomicSweepSizes(c.Full), nil
-	case "montecarlo":
-		if c.SizesMonteCarlo != nil {
-			return c.SizesMonteCarlo, nil
-		}
-		// Thread counts; each thread runs MonteCarloTrials draws, so the
-		// sweep is an order smaller than the memory-bound workloads.
-		if c.Full {
-			return []int{1 << 12, 1 << 14, 1 << 16, 1 << 18}, nil
-		}
-		return []int{1 << 8, 1 << 10, 1 << 12}, nil
-	}
-	return nil, fmt.Errorf("experiments: unknown workload %q", workload)
-}
-
-// atomicSweepSizes is the shared default ladder of the atomic workloads:
-// doublings from 2^10, three octaves further in Full mode.
-func atomicSweepSizes(full bool) []int {
-	hi := 16
-	if full {
-		hi = 22
-	}
-	var sizes []int
-	for e := 10; e <= hi; e += 2 {
-		sizes = append(sizes, 1<<e)
-	}
-	return sizes
-}
-
-// mustSweepSizes resolves sizes for a workload known to be valid.
-func (c Config) mustSweepSizes(workload string) []int {
-	sizes, err := c.SweepSizes(workload)
+// Sweep runs the named workload's predicted-versus-observed sweep over
+// Config.SweepSizes: every point prices Expression (2) and SWGPU on the
+// workload's analysis, then runs and verifies it on a fresh host sized to
+// its footprint (paper §IV).
+func (r *Runner) Sweep(workload string) (*WorkloadData, error) {
+	w, err := Lookup(workload)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return sizes
+	return r.runSweep(w.Name, w.sweepSizes(r.cfg), func(idx, n int) (WorkloadPoint, error) {
+		return r.sweepPoint(w, idx, n)
+	})
 }
-
-// VecAddSizes returns the effective vecadd sweep sizes.
-func (r *Runner) VecAddSizes() []int { return r.cfg.mustSweepSizes("vecadd") }
-
-// ReduceSizes returns the effective reduce sweep sizes.
-func (r *Runner) ReduceSizes() []int { return r.cfg.mustSweepSizes("reduce") }
-
-// MatMulSizes returns the effective matmul sweep sizes.
-func (r *Runner) MatMulSizes() []int { return r.cfg.mustSweepSizes("matmul") }
 
 // RunVecAdd sweeps vector addition (paper §IV-A).
-func (r *Runner) RunVecAdd() (*WorkloadData, error) {
-	return r.runSweep("vecadd", r.VecAddSizes(), func(idx, n int) (WorkloadPoint, error) {
-		alg := algorithms.VecAdd{N: n}
-
-		analysis, err := alg.Analyze(r.modelParams(alg.Blocks(r.cfg.Device.WarpWidth)))
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("vecadd n=%d: analyze: %w", n, err)
-		}
-		pt, err := r.predict(analysis)
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("vecadd n=%d: predict: %w", n, err)
-		}
-		pt.N = n
-
-		err = r.observePoint(&pt, func() (*simgpu.Host, error) {
-			h, err := r.newHost(alg.GlobalWords(), "vecadd", n, idx)
-			if err != nil {
-				return nil, err
-			}
-			rng := r.inputRNG("vecadd", n, idx)
-			a := randWords(rng, n)
-			b := randWords(rng, n)
-			if _, err := alg.Run(h, a, b); err != nil {
-				return h, fmt.Errorf("vecadd n=%d: run: %w", n, err)
-			}
-			return h, nil
-		})
-		return pt, err
-	})
-}
-
-// RunReduce sweeps reduction (paper §IV-B).
-func (r *Runner) RunReduce() (*WorkloadData, error) {
-	b := r.cfg.Device.WarpWidth
-	return r.runSweep("reduce", r.ReduceSizes(), func(idx, n int) (WorkloadPoint, error) {
-		alg := algorithms.Reduce{N: n}
-
-		// The perfect-GPU instance needs a multiprocessor per block of
-		// the largest round.
-		analysis, err := alg.Analyze(r.modelParams((n + b - 1) / b))
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("reduce n=%d: analyze: %w", n, err)
-		}
-		pt, err := r.predict(analysis)
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("reduce n=%d: predict: %w", n, err)
-		}
-		pt.N = n
-
-		err = r.observePoint(&pt, func() (*simgpu.Host, error) {
-			h, err := r.newHost(alg.GlobalWords(b), "reduce", n, idx)
-			if err != nil {
-				return nil, err
-			}
-			in := randBits(r.inputRNG("reduce", n, idx), n)
-			got, err := alg.Run(h, in)
-			if err != nil {
-				return h, fmt.Errorf("reduce n=%d: run: %w", n, err)
-			}
-			if want := algorithms.ReduceReference(in); got != want {
-				return h, fmt.Errorf("reduce n=%d: %w: got %d want %d",
-					n, algorithms.ErrVerifyFail, got, want)
-			}
-			return h, nil
-		})
-		return pt, err
-	})
-}
+func (r *Runner) RunVecAdd() (*WorkloadData, error) { return r.Sweep("vecadd") }
 
 // RunMatMul sweeps matrix multiplication (paper §IV-C).
-func (r *Runner) RunMatMul() (*WorkloadData, error) {
-	return r.runSweep("matmul", r.MatMulSizes(), func(idx, n int) (WorkloadPoint, error) {
-		alg := algorithms.MatMul{N: n}
+func (r *Runner) RunMatMul() (*WorkloadData, error) { return r.Sweep("matmul") }
 
-		analysis, err := alg.Analyze(r.modelParams(alg.Blocks(r.cfg.Device.WarpWidth)))
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("matmul n=%d: analyze: %w", n, err)
-		}
-		pt, err := r.predict(analysis)
-		if err != nil {
-			return WorkloadPoint{}, fmt.Errorf("matmul n=%d: predict: %w", n, err)
-		}
-		pt.N = n
+// sweepPoint is one sweep point of w: analyse, predict, then observe
+// inside observePoint so fault casualties are recorded, not fatal.
+func (r *Runner) sweepPoint(w *Workload, idx, n int) (WorkloadPoint, error) {
+	analysis, err := w.Analyze(n, r.cfg.Device)
+	if err != nil {
+		return WorkloadPoint{}, fmt.Errorf("%s n=%d: analyze: %w", w.Name, n, err)
+	}
+	pt, err := r.predict(analysis, n)
+	if err != nil {
+		return WorkloadPoint{}, fmt.Errorf("%s n=%d: predict: %w", w.Name, n, err)
+	}
 
-		err = r.observePoint(&pt, func() (*simgpu.Host, error) {
-			h, err := r.newHost(alg.GlobalWords(), "matmul", n, idx)
-			if err != nil {
-				return nil, err
-			}
-			rng := r.inputRNG("matmul", n, idx)
-			a := randWords(rng, n*n)
-			b := randWords(rng, n*n)
-			if _, err := alg.Run(h, a, b); err != nil {
-				return h, fmt.Errorf("matmul n=%d: run: %w", n, err)
-			}
-			return h, nil
-		})
-		return pt, err
+	err = r.observePoint(&pt, func() (*simgpu.Host, error) {
+		h, err := r.newHost(w.footprint(n, r.cfg.Device.WarpWidth), w.Name, n, idx)
+		if err != nil {
+			return nil, err
+		}
+		if err := w.observe(h, n, r.inputRNG(w.Name, n, idx)); err != nil {
+			return h, fmt.Errorf("%s n=%d: %w", w.Name, n, err)
+		}
+		return h, nil
 	})
-}
-
-// analysisFor builds one workload size's per-round model analysis, with
-// the same launch geometry the observed runs use.
-func (r *Runner) analysisFor(workload string, n int) (*core.Analysis, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("experiments: %s: non-positive size %d", workload, n)
-	}
-	b := r.cfg.Device.WarpWidth
-	switch workload {
-	case "vecadd":
-		alg := algorithms.VecAdd{N: n}
-		return alg.Analyze(r.modelParams(alg.Blocks(b)))
-	case "reduce":
-		return algorithms.Reduce{N: n}.Analyze(r.modelParams((n + b - 1) / b))
-	case "matmul":
-		alg := algorithms.MatMul{N: n}
-		return alg.Analyze(r.modelParams(alg.Blocks(b)))
-	case "histogram":
-		alg := algorithms.Histogram{N: n, Bins: HistogramSweepBins}
-		return alg.Analyze(r.modelParams(alg.Blocks(b)))
-	case "histogram-priv":
-		alg := algorithms.Histogram{N: n, Bins: HistogramSweepBins, Privatized: true}
-		return alg.Analyze(r.modelParams(alg.Blocks(b)))
-	case "compact":
-		alg := algorithms.Compact{N: n}
-		return alg.Analyze(r.modelParams(alg.Blocks(b)))
-	case "topk":
-		alg := algorithms.TopK{N: n, K: TopKSweepK}
-		return alg.Analyze(r.modelParams(alg.Blocks(b)))
-	case "montecarlo":
-		alg := algorithms.MonteCarlo{N: n, Trials: MonteCarloTrials}
-		return alg.Analyze(r.modelParams(alg.Blocks(b)))
-	}
-	return nil, fmt.Errorf("experiments: unknown workload %q", workload)
+	return pt, err
 }
 
 // PredictPoint prices one workload size on the abstract model without
@@ -926,21 +714,21 @@ func (r *Runner) analysisFor(workload string, n int) (*core.Analysis, error) {
 // (ATGPUCost, SWGPUCost, DeltaPredicted) and N filled — the "analyze"
 // half of a sweep point. atgpud serves its analyze jobs through this.
 func (r *Runner) PredictPoint(workload string, n int) (WorkloadPoint, error) {
-	a, err := r.analysisFor(workload, n)
+	w, err := Lookup(workload)
 	if err != nil {
 		return WorkloadPoint{}, err
 	}
-	pt, err := r.predict(a)
+	a, err := w.Analyze(n, r.cfg.Device)
 	if err != nil {
 		return WorkloadPoint{}, err
 	}
-	pt.N = n
-	return pt, nil
+	return r.predict(a, n)
 }
 
-// predict fills the model-side fields of a point from an analysis.
-func (r *Runner) predict(a *core.Analysis) (WorkloadPoint, error) {
-	var pt WorkloadPoint
+// predict fills the model-side fields of a size-n point from its
+// analysis.
+func (r *Runner) predict(a *core.Analysis, n int) (WorkloadPoint, error) {
+	pt := WorkloadPoint{N: n}
 	bd, err := core.GPUCostBreakdown(a, r.params)
 	if err != nil {
 		return pt, err
@@ -976,26 +764,22 @@ func faultInduced(err error) bool {
 func (r *Runner) observePoint(pt *WorkloadPoint, body func() (*simgpu.Host, error)) error {
 	h, err := body()
 	if err != nil {
-		if r.cfg.FaultRate > 0 && faultInduced(err) {
-			pt.Failed = true
-			pt.Err = err.Error()
-			if h != nil {
-				pt.observe(h.Report())
-				pt.recordFaults(h)
-				pt.Obs = h.SnapshotObs()
-			}
-			return nil
+		if r.cfg.FaultRate == 0 || !faultInduced(err) {
+			return err
 		}
-		return err
+		pt.Failed = true
+		pt.Err = err.Error()
 	}
-	pt.observe(h.Report())
-	pt.recordFaults(h)
-	pt.Obs = h.SnapshotObs()
+	if h != nil {
+		pt.observe(h)
+	}
 	return nil
 }
 
-// observe fills the simulator-side fields from a host report.
-func (pt *WorkloadPoint) observe(rep simgpu.RunReport) {
+// observe fills the simulator-side fields from the host the point ran
+// on: its report, fault log (empty without an injector) and obs snapshot.
+func (pt *WorkloadPoint) observe(h *simgpu.Host) {
+	rep := h.Report()
 	pt.TotalTime = rep.Total.Seconds()
 	pt.KernelTime = rep.Kernel.Seconds()
 	pt.TransferTime = rep.Transfer.Seconds()
@@ -1004,12 +788,8 @@ func (pt *WorkloadPoint) observe(rep simgpu.RunReport) {
 
 	pt.Transfers = rep.Transfers
 	pt.Resilience = rep.Resilience
-}
-
-// recordFaults copies the host's fault log onto the point (no-op without
-// an injector).
-func (pt *WorkloadPoint) recordFaults(h *simgpu.Host) {
 	for _, ev := range h.FaultEvents() {
 		pt.FaultLog = append(pt.FaultLog, ev.String())
 	}
+	pt.Obs = h.SnapshotObs()
 }

@@ -37,7 +37,7 @@ func (r *Runner) RunReduceStrategies(n int) ([]StrategyPoint, error) {
 
 	for _, strat := range algorithms.ReduceStrategies() {
 		alg := algorithms.ReduceVariant{N: n, Strategy: strat}
-		analysis, err := alg.Analyze(r.modelParams((n + b - 1) / b))
+		analysis, err := alg.Analyze(modelParams(r.cfg.Device, (n+b-1)/b))
 		if err != nil {
 			return nil, fmt.Errorf("%s: analyze: %w", strat, err)
 		}

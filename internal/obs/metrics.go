@@ -393,6 +393,13 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
+// Prometheus metric types, as the exposition's TYPE lines spell them.
+const (
+	promCounter   = "counter"
+	promGauge     = "gauge"
+	promHistogram = "histogram"
+)
+
 // promFamily gathers one family's series for exposition: its type and
 // its member series keys in sorted order.
 type promFamily struct {
@@ -421,17 +428,17 @@ func (s Snapshot) families() (map[string]*promFamily, []string, error) {
 		return nil
 	}
 	for _, k := range sortedKeys(s.Counters) {
-		if err := note(k, "counter"); err != nil {
+		if err := note(k, promCounter); err != nil {
 			return nil, nil, err
 		}
 	}
 	for _, k := range sortedKeys(s.Gauges) {
-		if err := note(k, "gauge"); err != nil {
+		if err := note(k, promGauge); err != nil {
 			return nil, nil, err
 		}
 	}
 	for _, k := range sortedKeys(s.Histograms) {
-		if err := note(k, "histogram"); err != nil {
+		if err := note(k, promHistogram); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -476,16 +483,16 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		}
 		for _, k := range f.series {
 			switch f.typ {
-			case "counter":
+			case promCounter:
 				if _, err := fmt.Fprintf(w, "%s %d\n", promSeriesName(k, "", "", ""), s.Counters[k]); err != nil {
 					return err
 				}
-			case "gauge":
+			case promGauge:
 				if _, err := fmt.Fprintf(w, "%s %s\n",
 					promSeriesName(k, "", "", ""), strconv.FormatFloat(s.Gauges[k], 'g', -1, 64)); err != nil {
 					return err
 				}
-			case "histogram":
+			case promHistogram:
 				h := s.Histograms[k]
 				cum := int64(0)
 				for i, c := range h.Buckets {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -200,104 +199,5 @@ func TestRegisterHelpAppearsInExposition(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "# HELP test_custom_total A test metric.\n") {
 		t.Fatalf("help missing or unflattened:\n%s", buf.String())
-	}
-}
-
-func TestWriteOTLP(t *testing.T) {
-	reg := NewRegistry()
-	reg.Add(Name("atgpud_jobs_total", Label{"kind", "run"}, Label{"state", "success"}), 5)
-	reg.Set("atgpud_queue_depth", 3)
-	reg.Observe("atgpu_transfer_in_ns", 100*time.Nanosecond)
-	snap := reg.Snapshot()
-
-	var buf bytes.Buffer
-	if err := snap.WriteOTLP(&buf, "atgpud", 1700000000000000000); err != nil {
-		t.Fatalf("WriteOTLP: %v", err)
-	}
-	var doc struct {
-		ResourceMetrics []struct {
-			Resource struct {
-				Attributes []struct {
-					Key   string
-					Value struct{ StringValue string }
-				}
-			}
-			ScopeMetrics []struct {
-				Metrics []struct {
-					Name string
-					Sum  *struct {
-						DataPoints []struct {
-							Attributes []struct {
-								Key   string
-								Value struct{ StringValue string }
-							}
-							TimeUnixNano string
-							AsInt        string
-						}
-						AggregationTemporality int
-						IsMonotonic            bool
-					}
-					Gauge *struct {
-						DataPoints []struct{ AsDouble *float64 }
-					}
-					Histogram *struct {
-						DataPoints []struct {
-							Count          string
-							BucketCounts   []string
-							ExplicitBounds []float64
-						}
-						AggregationTemporality int
-					}
-				}
-			}
-		}
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	rm := doc.ResourceMetrics[0]
-	if rm.Resource.Attributes[0].Key != "service.name" || rm.Resource.Attributes[0].Value.StringValue != "atgpud" {
-		t.Fatalf("resource attributes: %+v", rm.Resource.Attributes)
-	}
-	byName := map[string]int{}
-	metrics := rm.ScopeMetrics[0].Metrics
-	for i, m := range metrics {
-		byName[m.Name] = i
-	}
-	sum := metrics[byName["atgpud_jobs_total"]].Sum
-	if sum == nil || !sum.IsMonotonic || sum.AggregationTemporality != 2 {
-		t.Fatalf("counter sum shape: %+v", sum)
-	}
-	dp := sum.DataPoints[0]
-	if dp.AsInt != "5" || dp.TimeUnixNano != "1700000000000000000" {
-		t.Fatalf("counter datapoint: %+v", dp)
-	}
-	attrs := map[string]string{}
-	for _, a := range dp.Attributes {
-		attrs[a.Key] = a.Value.StringValue
-	}
-	if attrs["kind"] != "run" || attrs["state"] != "success" {
-		t.Fatalf("counter attributes: %v", attrs)
-	}
-	g := metrics[byName["atgpud_queue_depth"]].Gauge
-	if g == nil || g.DataPoints[0].AsDouble == nil || *g.DataPoints[0].AsDouble != 3 {
-		t.Fatalf("gauge shape: %+v", g)
-	}
-	h := metrics[byName["atgpu_transfer_in_ns"]].Histogram
-	if h == nil || h.AggregationTemporality != 2 {
-		t.Fatalf("histogram shape: %+v", h)
-	}
-	hp := h.DataPoints[0]
-	if hp.Count != "1" || len(hp.BucketCounts) != len(hp.ExplicitBounds)+1 {
-		t.Fatalf("histogram datapoint: count=%s buckets=%d bounds=%d",
-			hp.Count, len(hp.BucketCounts), len(hp.ExplicitBounds))
-	}
-	// Determinism: same snapshot, same timestamp, same bytes.
-	var buf2 bytes.Buffer
-	if err := snap.WriteOTLP(&buf2, "atgpud", 1700000000000000000); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("WriteOTLP is not byte-deterministic")
 	}
 }

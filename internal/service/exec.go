@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"atgpu/internal/algorithms"
 	"atgpu/internal/analyze"
 	"atgpu/internal/calibrate"
 	"atgpu/internal/core"
@@ -35,8 +34,10 @@ type Request struct {
 	// sweep), "analyze" (model-only prediction, no simulation), or
 	// "lint" (static kernel analysis, no simulation).
 	Kind string `json:"kind"`
-	// Workload is the algorithm: vecadd, reduce or matmul ("lint" also
-	// accepts scan).
+	// Workload names an entry of the experiments workload registry:
+	// vecadd, reduce, matmul, scan, histogram, histogram-priv, compact,
+	// topk or montecarlo ("pipeline" takes vecadd, reduce and matmul, the
+	// entries with a pipelined variant).
 	Workload string `json:"workload"`
 	// N is the input size for run/analyze/lint kinds.
 	N int `json:"n,omitempty"`
@@ -93,21 +94,6 @@ const (
 	maxRequestSize = 1 << 26
 )
 
-// devicePreset resolves a device preset name.
-func devicePreset(name string) (simgpu.Config, error) {
-	switch name {
-	case "gtx650":
-		return simgpu.GTX650(), nil
-	case "gtx1080":
-		return simgpu.GTX1080(), nil
-	case "k40":
-		return simgpu.TeslaK40(), nil
-	case "tiny":
-		return simgpu.Tiny(), nil
-	}
-	return simgpu.Config{}, fmt.Errorf("unknown device %q (want gtx650, gtx1080, k40 or tiny)", name)
-}
-
 // schemeByName resolves a transfer scheme name.
 func schemeByName(name string) (transfer.Scheme, error) {
 	switch name {
@@ -139,7 +125,7 @@ func (r Request) Normalize() (Request, error) {
 	} else if r.SyncCostUs < 0 {
 		return r, fmt.Errorf("sync_cost_us %d invalid (use -1 for zero)", r.SyncCostUs)
 	}
-	if _, err := devicePreset(r.Device); err != nil {
+	if _, err := simgpu.Preset(r.Device); err != nil {
 		return r, err
 	}
 	if _, err := schemeByName(r.Scheme); err != nil {
@@ -152,12 +138,12 @@ func (r Request) Normalize() (Request, error) {
 		return r, fmt.Errorf("negative max_retries, watchdog_us, timeout_ms or chunks")
 	}
 
-	workloads := map[string]bool{"vecadd": true, "reduce": true, "matmul": true}
-	if r.Kind == "lint" {
-		workloads["scan"] = true
+	w, err := experiments.Lookup(r.Workload)
+	if err != nil {
+		return r, fmt.Errorf("kind %q: %w", r.Kind, err)
 	}
-	if !workloads[r.Workload] {
-		return r, fmt.Errorf("kind %q: unknown workload %q", r.Kind, r.Workload)
+	if r.Kind == "pipeline" && !w.Pipelined() {
+		return r, fmt.Errorf("kind %q: workload %q has no pipelined variant", r.Kind, r.Workload)
 	}
 
 	switch r.Kind {
@@ -203,7 +189,7 @@ func (r Request) Normalize() (Request, error) {
 // and one goroutine per job keeps point index 0 = request N for "run"
 // jobs, which the cache key relies on.
 func (r Request) config() (experiments.Config, error) {
-	dev, err := devicePreset(r.Device)
+	dev, err := simgpu.Preset(r.Device)
 	if err != nil {
 		return experiments.Config{}, err
 	}
@@ -223,19 +209,15 @@ func (r Request) config() (experiments.Config, error) {
 		MaxRetries: r.MaxRetries,
 		Watchdog:   time.Duration(r.WatchdogUs) * time.Microsecond,
 	}
-	sizes := r.Sizes
-	if len(sizes) == 0 {
-		sizes = []int{r.N}
+	return cfg, cfg.SetSweepSizes(r.Workload, r.sizes())
+}
+
+// sizes is the request's point sizes: Sizes, or the single N.
+func (r Request) sizes() []int {
+	if len(r.Sizes) == 0 {
+		return []int{r.N}
 	}
-	switch r.Workload {
-	case "vecadd", "scan":
-		cfg.SizesVecAdd = sizes
-	case "reduce":
-		cfg.SizesReduce = sizes
-	case "matmul":
-		cfg.SizesMatMul = sizes
-	}
-	return cfg, nil
+	return r.Sizes
 }
 
 // CacheKey hashes everything that determines a normalized request's
@@ -276,17 +258,18 @@ func (r Request) CacheKey() (uint64, error) {
 	num(uint64(r.FaultSeed))
 	num(uint64(r.MaxRetries))
 	num(uint64(r.WatchdogUs))
-	sizes := r.Sizes
-	if len(sizes) == 0 {
-		sizes = []int{r.N}
+	w, err := experiments.Lookup(r.Workload)
+	if err != nil {
+		return 0, err
 	}
+	sizes := r.sizes()
 	num(uint64(len(sizes)))
 	for _, n := range sizes {
 		num(uint64(n))
 		// The kernel component: the disassembly of the kernel this size
 		// launches. Pipelined kernels are chunked variants of the same
 		// bodies; kind+chunks above keep their keys apart.
-		prog, blocks, err := algorithms.BuiltinKernel(r.Workload, n, cfg.Device.WarpWidth)
+		prog, blocks, err := w.Kernel(n, cfg.Device.WarpWidth)
 		if err != nil {
 			return 0, fmt.Errorf("size %d: %w", n, err)
 		}
@@ -474,22 +457,15 @@ func (x *Executor) Execute(ctx context.Context, req Request) (*Artifacts, error)
 		doc.Point = &pt
 		doc.Records = []results.Record{runner.Record("analyze", req.Workload, pt)}
 	case "lint":
-		prog, blocks, err := algorithms.BuiltinKernel(req.Workload, req.N, cfg.Device.WarpWidth)
+		w, err := experiments.Lookup(req.Workload)
 		if err != nil {
 			return nil, err
 		}
-		cp := runner.CostParams()
-		rep, err := analyze.Program(prog, analyze.Options{
-			Machine: analyze.FromConfig(cfg.Device),
-			Blocks:  blocks,
-			Cost:    &cp,
-		})
-		if err != nil {
+		if doc.Lint, err = w.Lint(req.N, cfg.Device, runner.CostParams()); err != nil {
 			return nil, err
 		}
-		doc.Lint = rep
 	case "run", "sweep":
-		data, err := x.sweep(runner, req.Workload)
+		data, err := runner.Sweep(req.Workload)
 		if err != nil {
 			return nil, err
 		}
@@ -505,7 +481,7 @@ func (x *Executor) Execute(ctx context.Context, req Request) (*Artifacts, error)
 			doc.Points = data.Points
 		}
 	case "pipeline":
-		data, err := x.pipeline(runner, req.Workload)
+		data, err := runner.SweepPipelined(req.Workload)
 		if err != nil {
 			return nil, err
 		}
@@ -547,30 +523,4 @@ func (x *Executor) Execute(ctx context.Context, req Request) (*Artifacts, error)
 		art.Metrics = buf.Bytes()
 	}
 	return art, nil
-}
-
-// sweep dispatches to the workload's observed sweep.
-func (x *Executor) sweep(r *experiments.Runner, workload string) (*experiments.WorkloadData, error) {
-	switch workload {
-	case "vecadd":
-		return r.RunVecAdd()
-	case "reduce":
-		return r.RunReduce()
-	case "matmul":
-		return r.RunMatMul()
-	}
-	return nil, fmt.Errorf("unknown workload %q", workload)
-}
-
-// pipeline dispatches to the workload's pipelined sweep.
-func (x *Executor) pipeline(r *experiments.Runner, workload string) (*experiments.PipelineData, error) {
-	switch workload {
-	case "vecadd":
-		return r.RunVecAddPipelined()
-	case "reduce":
-		return r.RunReducePipelined()
-	case "matmul":
-		return r.RunMatMulPipelined()
-	}
-	return nil, fmt.Errorf("unknown workload %q", workload)
 }

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"atgpu/internal/experiments"
 )
 
 func TestNormalizeDefaults(t *testing.T) {
@@ -36,12 +38,13 @@ func TestNormalizeRejections(t *testing.T) {
 	bad := []Request{
 		{Kind: "warp", Workload: "vecadd", N: 8},                      // unknown kind
 		{Kind: "run", Workload: "sort", N: 8},                         // unknown workload
-		{Kind: "run", Workload: "scan", N: 8},                         // scan is lint-only
 		{Kind: "run", Workload: "vecadd"},                             // missing n
 		{Kind: "run", Workload: "vecadd", N: 8, Sizes: []int{1}},      // n and sizes
 		{Kind: "sweep", Workload: "vecadd", N: 8},                     // sizes kind with n
 		{Kind: "sweep", Workload: "vecadd", Sizes: []int{0}},          // bad size
 		{Kind: "run", Workload: "vecadd", N: 8, Device: "rtx9090"},    // unknown device
+		{Kind: "run", Workload: "vecadd", N: 8, Device: "sim-tiny"},   // preset's Config.Name, not its short name
+		{Kind: "pipeline", Workload: "scan"},                          // no pipelined variant
 		{Kind: "run", Workload: "vecadd", N: 8, Scheme: "psychic"},    // unknown scheme
 		{Kind: "run", Workload: "vecadd", N: 8, FaultRate: 1.5},       // rate out of range
 		{Kind: "run", Workload: "vecadd", N: 8, TimeoutMs: -5},        // negative timeout
@@ -53,9 +56,21 @@ func TestNormalizeRejections(t *testing.T) {
 			t.Errorf("request %d accepted: %+v", i, req)
 		}
 	}
-	// Scan is legal for lint.
-	if _, err := (Request{Kind: "lint", Workload: "scan", N: 64}).Normalize(); err != nil {
-		t.Errorf("lint scan rejected: %v", err)
+	// Every registry entry, scan included, takes every kind but pipeline
+	// on every device preset.
+	for _, w := range experiments.Names() {
+		for _, dev := range []string{"gtx650", "gtx1080", "k40", "tiny"} {
+			for _, req := range []Request{
+				{Kind: "run", Workload: w, N: 64, Device: dev},
+				{Kind: "analyze", Workload: w, N: 64, Device: dev},
+				{Kind: "lint", Workload: w, N: 64, Device: dev},
+				{Kind: "sweep", Workload: w, Device: dev},
+			} {
+				if _, err := req.Normalize(); err != nil {
+					t.Errorf("%s %s on %s rejected: %v", req.Kind, w, dev, err)
+				}
+			}
+		}
 	}
 }
 
@@ -212,7 +227,11 @@ func TestExecuteCancellationSurfaces(t *testing.T) {
 }
 
 func TestWarmUnknownDevice(t *testing.T) {
-	if err := NewExecutor().Warm("quantum9000"); err == nil {
-		t.Fatal("unknown preset warmed")
+	// A preset's Config.Name is not a lookup key; only the short names are.
+	for _, name := range []string{"quantum9000", "sim-gtx650"} {
+		err := NewExecutor().Warm(name)
+		if err == nil || !strings.Contains(err.Error(), "want gtx650, gtx1080, k40 or tiny") {
+			t.Fatalf("Warm(%q) = %v, want an unknown-preset error naming the presets", name, err)
+		}
 	}
 }

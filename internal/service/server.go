@@ -525,7 +525,6 @@ func (s *Server) handle(mux *http.ServeMux, pattern string, h http.HandlerFunc) 
 //	GET    /v1/stats             counters
 //	GET    /metrics              operational metrics (Prometheus text exposition)
 //	GET    /metrics.json         the same snapshot as JSON
-//	GET    /metrics.otlp         the same snapshot as OTLP/JSON
 //	GET    /tracez               wall-clock service timeline (Perfetto)
 //	GET    /healthz              process liveness (always 200)
 //	GET    /readyz               load acceptance (503 when overloaded)
@@ -577,12 +576,6 @@ func (s *Server) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		if err := s.MetricsSnapshot().WriteJSON(w); err != nil {
 			s.tel.log.Error("metrics JSON failed", "error", err.Error())
-		}
-	})
-	s.handle(mux, "GET /metrics.otlp", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := s.MetricsSnapshot().WriteOTLP(w, "atgpud", time.Now().UnixNano()); err != nil {
-			s.tel.log.Error("metrics OTLP failed", "error", err.Error())
 		}
 	})
 	s.handle(mux, "GET /tracez", func(w http.ResponseWriter, r *http.Request) {

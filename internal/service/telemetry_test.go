@@ -56,8 +56,8 @@ func postJob(t *testing.T, ts *httptest.Server, req Request) Job {
 
 // TestTelemetryEndpoints drives a little traffic and checks every
 // telemetry surface: /metrics parses under the strict exposition
-// parser and carries the expected families, /metrics.json and
-// /metrics.otlp are valid JSON exports of the same snapshot, /tracez is
+// parser and carries the expected families, /metrics.json is a valid
+// JSON export of the same snapshot, /tracez is
 // a Perfetto document covering the jobs, and every response carries a
 // fresh X-Request-ID.
 func TestTelemetryEndpoints(t *testing.T) {
@@ -103,20 +103,6 @@ func TestTelemetryEndpoints(t *testing.T) {
 	// JSON export: the same snapshot shape internal/obs reads back.
 	if resp, body := tsGet(t, ts, "/metrics.json"); resp.StatusCode != 200 || !json.Valid(body) {
 		t.Errorf("/metrics.json = %d valid=%v", resp.StatusCode, json.Valid(body))
-	}
-	// OTLP export: resourceMetrics → scopeMetrics → metrics.
-	_, otlpBody := tsGet(t, ts, "/metrics.otlp")
-	var otlp struct {
-		ResourceMetrics []struct {
-			ScopeMetrics []struct {
-				Metrics []json.RawMessage `json:"metrics"`
-			} `json:"scopeMetrics"`
-		} `json:"resourceMetrics"`
-	}
-	if err := json.Unmarshal(otlpBody, &otlp); err != nil ||
-		len(otlp.ResourceMetrics) != 1 || len(otlp.ResourceMetrics[0].ScopeMetrics) != 1 ||
-		len(otlp.ResourceMetrics[0].ScopeMetrics[0].Metrics) == 0 {
-		t.Errorf("/metrics.otlp malformed: err=%v %.200s", err, otlpBody)
 	}
 
 	// /tracez: a Perfetto document whose events cover the jobs run above.

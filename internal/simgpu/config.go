@@ -216,6 +216,22 @@ func Presets() []Config {
 	return []Config{GTX650(), GTX1080(), TeslaK40()}
 }
 
+// Preset resolves a device preset by its short name: gtx650, gtx1080, k40
+// or tiny — the names the CLIs' -device flags and atgpud requests take.
+func Preset(name string) (Config, error) {
+	switch name {
+	case "gtx650":
+		return GTX650(), nil
+	case "gtx1080":
+		return GTX1080(), nil
+	case "k40":
+		return TeslaK40(), nil
+	case "tiny":
+		return Tiny(), nil
+	}
+	return Config{}, fmt.Errorf("unknown device %q (want gtx650, gtx1080, k40 or tiny)", name)
+}
+
 // Tiny returns a small device handy for unit tests: 2 SMs, 4-lane warps,
 // 64-word shared memory, 4096-word global memory, H=2.
 func Tiny() Config {
