@@ -6,14 +6,6 @@ import (
 	"testing"
 )
 
-// BenchmarkSweepWorkers measures the wall time of the default scaled
-// vecadd sweep (10 sizes, n = 10⁵ … 10⁶) at increasing worker counts —
-// the tentpole's speedup evidence. Points are embarrassingly parallel
-// (each builds its own device/engine/host), so on a multi-core machine
-// wall time should fall near-linearly until workers exceed cores; CI
-// uploads the numbers as BENCH_sweep.json.
-//
-// Calibration runs once per worker count, outside the timed loop.
 // BenchmarkPipelineOverlap measures the pipelined vecadd sweep — every
 // point simulates both the sequential-chunked and the overlapped
 // two-stream schedule — at increasing chunk counts. CI uploads the numbers
@@ -100,6 +92,17 @@ func BenchmarkAtomics(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepWorkers measures the wall time and allocation of the
+// default scaled vecadd sweep (10 sizes, n = 10⁵ … 10⁶) at increasing
+// worker counts. Points are embarrassingly parallel (each builds its own
+// device/engine/host), so on a multi-core machine wall time should fall
+// near-linearly until workers exceed cores; CI uploads the numbers as
+// BENCH_sweep.json.
+//
+// Calibration and one warm-up sweep run once per worker count, outside
+// the timed loop: the warm-up grows the runner's point scratch sets to the
+// sweep's footprints, so the loop measures the steady-state sweep a
+// long-lived Runner repeats rather than the first sweep's one-off growth.
 func BenchmarkSweepWorkers(b *testing.B) {
 	counts := []int{1, 2, 4}
 	if p := runtime.GOMAXPROCS(0); p > 4 {
@@ -111,6 +114,9 @@ func BenchmarkSweepWorkers(b *testing.B) {
 			cfg.Workers = workers
 			r, err := NewRunner(cfg)
 			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := r.RunVecAdd(); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()

@@ -187,13 +187,15 @@ func (r *Runner) SweepPipelined(workload string) (*PipelineData, error) {
 		pt.PredictedPipelined = pc.Pipelined
 		pt.PredictedSaving = pc.Saving()
 
-		run := pv.prepare(n, r.inputRNG(name, n, idx))
+		s := r.scratch.get()
+		defer r.scratch.put(s)
+		run := pv.prepare(n, r.inputs(s, name, n, idx))
 		observe := func(streams int, tag string) (float64, error) {
 			words, err := pv.plan(n, chunks, streams).GlobalWords(r.cfg.Device.WarpWidth)
 			if err != nil {
 				return 0, err
 			}
-			h, err := r.newHost(words, name, n, idx)
+			h, err := r.newHost(s, words, name, n, idx)
 			if err != nil {
 				return 0, err
 			}

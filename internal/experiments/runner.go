@@ -212,14 +212,16 @@ func DefaultConfig() Config {
 }
 
 // Runner executes workload sweeps with calibrated cost parameters. A
-// Runner is safe for concurrent use: sweeps spawn their own hosts and all
+// Runner is safe for concurrent use: sweeps spawn their own hosts, all
 // shared state (link, calibrated parameters, config) is read-only after
-// construction.
+// construction, and each running point holds its own scratch set.
 type Runner struct {
 	cfg    Config
 	link   *transfer.Link
 	params core.CostParams
 	calib  calibrate.Result
+	// scratch holds the idle point scratch sets (see pointScratch).
+	scratch scratchPool
 }
 
 // NewRunner calibrates cost parameters on a throwaway device and returns a
@@ -323,17 +325,22 @@ func (r *Runner) inputRNG(workload string, n, idx int) *rand.Rand {
 	return rand.New(rand.NewSource(derivedSeed(r.cfg.Seed, "input", workload, n, idx)))
 }
 
+// inputs returns one sweep point's input stream, drawing into s's slots.
+func (r *Runner) inputs(s *pointScratch, workload string, n, idx int) *pointInputs {
+	return &pointInputs{rng: r.inputRNG(workload, n, idx), s: s}
+}
+
 // newHost builds a device+host pair whose global memory holds footprint
 // words (plus alignment slack), so sweeps over large n do not allocate the
-// preset's full G per point. A footprint the preset cannot hold fails here,
-// naming the workload and size, rather than as an opaque Malloc error
-// mid-sweep.
+// preset's full G per point; the memory reuses s's array (nil s allocates
+// a fresh one). A footprint the preset cannot hold fails here, naming the
+// workload and size, rather than as an opaque Malloc error mid-sweep.
 //
 // With FaultRate > 0, the pair is armed with a fresh seeded injector
 // shared between the transfer engine and the host, so one fault log covers
 // the whole point; the injector seed derives from (FaultSeed, workload, n,
 // idx) so sweeps replay exactly at any worker count.
-func (r *Runner) newHost(footprint int, workload string, n, idx int) (*simgpu.Host, error) {
+func (r *Runner) newHost(s *pointScratch, footprint int, workload string, n, idx int) (*simgpu.Host, error) {
 	devCfg := r.cfg.Device
 	slack := 4 * devCfg.WarpWidth
 	need := footprint + slack
@@ -342,7 +349,7 @@ func (r *Runner) newHost(footprint int, workload string, n, idx int) (*simgpu.Ho
 			workload, n, footprint, slack, devCfg.Name, devCfg.GlobalWords)
 	}
 	devCfg.GlobalWords = need
-	dev, err := simgpu.New(devCfg)
+	dev, err := s.device(devCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -685,7 +692,8 @@ func (r *Runner) RunVecAdd() (*WorkloadData, error) { return r.Sweep("vecadd") }
 func (r *Runner) RunMatMul() (*WorkloadData, error) { return r.Sweep("matmul") }
 
 // sweepPoint is one sweep point of w: analyse, predict, then observe
-// inside observePoint so fault casualties are recorded, not fatal.
+// inside observePoint so fault casualties are recorded, not fatal. The
+// observed run works in a scratch set taken from the Runner's pool.
 func (r *Runner) sweepPoint(w *Workload, idx, n int) (WorkloadPoint, error) {
 	analysis, err := w.Analyze(n, r.cfg.Device)
 	if err != nil {
@@ -696,12 +704,14 @@ func (r *Runner) sweepPoint(w *Workload, idx, n int) (WorkloadPoint, error) {
 		return WorkloadPoint{}, fmt.Errorf("%s n=%d: predict: %w", w.Name, n, err)
 	}
 
+	s := r.scratch.get()
+	defer r.scratch.put(s)
 	err = r.observePoint(&pt, func() (*simgpu.Host, error) {
-		h, err := r.newHost(w.footprint(n, r.cfg.Device.WarpWidth), w.Name, n, idx)
+		h, err := r.newHost(s, w.footprint(n, r.cfg.Device.WarpWidth), w.Name, n, idx)
 		if err != nil {
 			return nil, err
 		}
-		if err := w.observe(h, n, r.inputRNG(w.Name, n, idx)); err != nil {
+		if err := w.observe(h, n, r.inputs(s, w.Name, n, idx)); err != nil {
 			return h, fmt.Errorf("%s n=%d: %w", w.Name, n, err)
 		}
 		return h, nil

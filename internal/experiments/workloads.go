@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 
@@ -40,10 +39,10 @@ type Workload struct {
 	model     func(n int) model
 	footprint func(n, b int) int
 
-	// observe draws a point's inputs from rng, runs the workload on h and
+	// observe draws a point's inputs from draw, runs the workload on h and
 	// verifies its output. Errors come back unprefixed; the sweep names
 	// the workload and size.
-	observe func(h *simgpu.Host, n int, rng *rand.Rand) error
+	observe func(h *simgpu.Host, n int, draw *pointInputs) error
 
 	// kernel is the first program a size-n run launches, with the run's
 	// buffer layout, on model(n).Blocks(b) blocks: what `atgpu lint` and
@@ -73,9 +72,9 @@ type pipelinedVariant struct {
 	// split on a stream count, which prices and sizes it.
 	blocks func(n, chunks, b int) int
 	plan   func(n, chunks, streams int) pipelinedPlan
-	// prepare draws a point's inputs from rng once and returns the run
+	// prepare draws a point's inputs from draw once and returns the run
 	// both schedules execute on them, verification included.
-	prepare func(n int, rng *rand.Rand) func(h *simgpu.Host, chunks, streams int) error
+	prepare func(n int, draw *pointInputs) func(h *simgpu.Host, chunks, streams int) error
 }
 
 // pipelinedPlan is a chunked schedule's model and footprint.
@@ -100,9 +99,9 @@ var registry = []*Workload{
 		override:  func(c *Config) *[]int { return &c.SizesVecAdd },
 		model:     func(n int) model { return algorithms.VecAdd{N: n} },
 		footprint: func(n, _ int) int { return algorithms.VecAdd{N: n}.GlobalWords() },
-		observe: func(h *simgpu.Host, n int, rng *rand.Rand) error {
-			a := randWords(rng, n)
-			b := randWords(rng, n)
+		observe: func(h *simgpu.Host, n int, draw *pointInputs) error {
+			a := draw.words(n)
+			b := draw.words(n)
 			return ran(algorithms.VecAdd{N: n}.Run(h, a, b))
 		},
 		kernel: func(n, b int) (*kernel.Program, error) {
@@ -114,9 +113,9 @@ var registry = []*Workload{
 			plan: func(n, chunks, streams int) pipelinedPlan {
 				return algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: streams}
 			},
-			prepare: func(n int, rng *rand.Rand) func(*simgpu.Host, int, int) error {
-				a := randWords(rng, n)
-				b := randWords(rng, n)
+			prepare: func(n int, draw *pointInputs) func(*simgpu.Host, int, int) error {
+				a := draw.words(n)
+				b := draw.words(n)
 				return func(h *simgpu.Host, chunks, streams int) error {
 					_, err := algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: streams}.Run(h, a, b)
 					return err
@@ -136,8 +135,8 @@ var registry = []*Workload{
 		// the largest round.
 		model:     func(n int) model { return algorithms.Reduce{N: n} },
 		footprint: func(n, b int) int { return algorithms.Reduce{N: n}.GlobalWords(b) },
-		observe: func(h *simgpu.Host, n int, rng *rand.Rand) error {
-			in := randBits(rng, n)
+		observe: func(h *simgpu.Host, n int, draw *pointInputs) error {
+			in := draw.bits(n)
 			got, err := algorithms.Reduce{N: n}.Run(h, in)
 			if err != nil {
 				return fmt.Errorf("run: %w", err)
@@ -154,8 +153,8 @@ var registry = []*Workload{
 			plan: func(n, chunks, streams int) pipelinedPlan {
 				return algorithms.PipelinedReduce{N: n, Chunks: chunks, Streams: streams}
 			},
-			prepare: func(n int, rng *rand.Rand) func(*simgpu.Host, int, int) error {
-				in := randBits(rng, n)
+			prepare: func(n int, draw *pointInputs) func(*simgpu.Host, int, int) error {
+				in := draw.bits(n)
 				want := algorithms.ReduceReference(in)
 				return func(h *simgpu.Host, chunks, streams int) error {
 					got, err := algorithms.PipelinedReduce{N: n, Chunks: chunks, Streams: streams}.Run(h, in)
@@ -177,9 +176,9 @@ var registry = []*Workload{
 		override:  func(c *Config) *[]int { return &c.SizesMatMul },
 		model:     func(n int) model { return algorithms.MatMul{N: n} },
 		footprint: func(n, _ int) int { return algorithms.MatMul{N: n}.GlobalWords() },
-		observe: func(h *simgpu.Host, n int, rng *rand.Rand) error {
-			a := randWords(rng, n*n)
-			b := randWords(rng, n*n)
+		observe: func(h *simgpu.Host, n int, draw *pointInputs) error {
+			a := draw.words(n * n)
+			b := draw.words(n * n)
 			return ran(algorithms.MatMul{N: n}.Run(h, a, b))
 		},
 		kernel: func(n, b int) (*kernel.Program, error) {
@@ -198,9 +197,9 @@ var registry = []*Workload{
 			plan: func(n, chunks, streams int) pipelinedPlan {
 				return algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: streams}
 			},
-			prepare: func(n int, rng *rand.Rand) func(*simgpu.Host, int, int) error {
-				a := randWords(rng, n*n)
-				b := randWords(rng, n*n)
+			prepare: func(n int, draw *pointInputs) func(*simgpu.Host, int, int) error {
+				a := draw.words(n * n)
+				b := draw.words(n * n)
 				return func(h *simgpu.Host, chunks, streams int) error {
 					_, err := algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: streams}.Run(h, a, b)
 					return err
@@ -219,7 +218,7 @@ var registry = []*Workload{
 		override:  func(c *Config) *[]int { return &c.SizesReduce },
 		model:     func(n int) model { return algorithms.Scan{N: n} },
 		footprint: func(n, b int) int { return algorithms.Scan{N: n}.GlobalWords(b) },
-		observe: func(h *simgpu.Host, n int, _ *rand.Rand) error {
+		observe: func(h *simgpu.Host, n int, _ *pointInputs) error {
 			in := make([]algorithms.Word, n)
 			for i := range in {
 				in[i] = algorithms.Word(i%3 - 1)
@@ -250,10 +249,10 @@ var registry = []*Workload{
 		override:  func(c *Config) *[]int { return &c.SizesCompact },
 		model:     func(n int) model { return algorithms.Compact{N: n} },
 		footprint: func(n, _ int) int { return algorithms.Compact{N: n}.GlobalWords() },
-		observe: func(h *simgpu.Host, n int, rng *rand.Rand) error {
+		observe: func(h *simgpu.Host, n int, draw *pointInputs) error {
 			// Roughly half the elements survive: draw from [-1000,1000]
 			// and zero every third, as the smoke tests do.
-			in := randWords(rng, n)
+			in := draw.words(n)
 			for i := 0; i < n; i += 3 {
 				in[i] = 0
 			}
@@ -279,8 +278,8 @@ var registry = []*Workload{
 		override:  func(c *Config) *[]int { return &c.SizesTopK },
 		model:     func(n int) model { return algorithms.TopK{N: n, K: TopKSweepK} },
 		footprint: func(n, _ int) int { return algorithms.TopK{N: n, K: TopKSweepK}.GlobalWords() },
-		observe: func(h *simgpu.Host, n int, rng *rand.Rand) error {
-			in := randWords(rng, n)
+		observe: func(h *simgpu.Host, n int, draw *pointInputs) error {
+			in := draw.words(n)
 			got, err := algorithms.TopK{N: n, K: TopKSweepK}.Run(h, in)
 			if err != nil {
 				return fmt.Errorf("run: %w", err)
@@ -308,7 +307,7 @@ var registry = []*Workload{
 		override:  func(c *Config) *[]int { return &c.SizesMonteCarlo },
 		model:     func(n int) model { return algorithms.MonteCarlo{N: n, Trials: MonteCarloTrials} },
 		footprint: func(n, _ int) int { return algorithms.MonteCarlo{N: n, Trials: MonteCarloTrials}.GlobalWords() },
-		observe: func(h *simgpu.Host, n int, _ *rand.Rand) error {
+		observe: func(h *simgpu.Host, n int, _ *pointInputs) error {
 			alg := algorithms.MonteCarlo{N: n, Trials: MonteCarloTrials}
 			got, err := alg.Run(h)
 			if err != nil {
@@ -340,8 +339,8 @@ func histogramWorkload(name string, privatized bool) *Workload {
 		override:  func(c *Config) *[]int { return &c.SizesHistogram },
 		model:     func(n int) model { return alg(n) },
 		footprint: func(n, _ int) int { return alg(n).GlobalWords() },
-		observe: func(h *simgpu.Host, n int, rng *rand.Rand) error {
-			in := randNonNeg(rng, n)
+		observe: func(h *simgpu.Host, n int, draw *pointInputs) error {
+			in := draw.nonNeg(n)
 			got, err := alg(n).Run(h, in)
 			if err != nil {
 				return fmt.Errorf("run: %w", err)
@@ -538,35 +537,6 @@ func sameWord(got, want mem.Word) error {
 		return fmt.Errorf("%w: got %d want %d", algorithms.ErrVerifyFail, got, want)
 	}
 	return nil
-}
-
-// randWords draws n words uniformly from [-1000, 1000].
-func randWords(rng *rand.Rand, n int) []mem.Word {
-	w := make([]mem.Word, n)
-	for i := range w {
-		w[i] = mem.Word(rng.Intn(2001) - 1000)
-	}
-	return w
-}
-
-// randBits draws n words from {0,1}, the paper's reduction inputs
-// ("randomly generated vectors of 0/1 values").
-func randBits(rng *rand.Rand, n int) []mem.Word {
-	w := make([]mem.Word, n)
-	for i := range w {
-		w[i] = mem.Word(rng.Intn(2))
-	}
-	return w
-}
-
-// randNonNeg draws n words uniformly from [0, 2000], the histogram input
-// domain (bins index by value mod Bins, so values must be non-negative).
-func randNonNeg(rng *rand.Rand, n int) []mem.Word {
-	w := make([]mem.Word, n)
-	for i := range w {
-		w[i] = mem.Word(rng.Intn(2001))
-	}
-	return w
 }
 
 // equalMultiset compares two word slices as multisets.

@@ -76,7 +76,7 @@ func TestLintKernelIsLaunchedKernel(t *testing.T) {
 			sizes = append(sizes, sizes[0]-1)
 		}
 		for _, n := range sizes {
-			h, err := r.newHost(w.footprint(n, b), w.Name, n, 0)
+			h, err := r.newHost(nil, w.footprint(n, b), w.Name, n, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestLintKernelIsLaunchedKernel(t *testing.T) {
 				}
 				return nil
 			})
-			if err := w.observe(h, n, r.inputRNG(w.Name, n, 0)); err != nil {
+			if err := w.observe(h, n, r.inputs(nil, w.Name, n, 0)); err != nil {
 				t.Fatalf("%s n=%d: %v", w.Name, n, err)
 			}
 			prog, blocks, err := w.Kernel(n, b)

@@ -48,6 +48,23 @@ func NewGlobal(size, blockSize int) (*Global, error) {
 	return &Global{words: make([]Word, size), blockSize: blockSize}, nil
 }
 
+// NewGlobalReusing is NewGlobal over buf's backing array when it holds
+// size words: the first size words are cleared, so the memory reads zero
+// exactly as a fresh one does, and the Global never sees past them. A buf
+// too small is ignored and a fresh array allocated. Raw returns the array
+// in use, for the caller to hand back on its next request.
+func NewGlobalReusing(buf []Word, size, blockSize int) (*Global, error) {
+	if size < 0 || cap(buf) < size {
+		return NewGlobal(size, blockSize)
+	}
+	if blockSize <= 0 {
+		return nil, ErrBadBlockSize
+	}
+	words := buf[:size:size]
+	clear(words)
+	return &Global{words: words, blockSize: blockSize}, nil
+}
+
 // Size returns G, the capacity in words.
 func (g *Global) Size() int { return len(g.words) }
 

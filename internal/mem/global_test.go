@@ -173,3 +173,43 @@ func TestArenaExactFit(t *testing.T) {
 		t.Errorf("alloc past capacity: %v", err)
 	}
 }
+
+func TestNewGlobalReusing(t *testing.T) {
+	buf := []Word{7, 7, 7, 7, 7, 7, 7, 7}
+	g, err := NewGlobalReusing(buf, 6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := g.Raw()
+	if &raw[0] != &buf[0] {
+		t.Fatal("a large enough buffer was not reused")
+	}
+	if g.Size() != 6 || cap(raw) != 6 {
+		t.Fatalf("size %d cap %d, want the memory capped at 6 words", g.Size(), cap(raw))
+	}
+	for i, v := range raw {
+		if v != 0 {
+			t.Fatalf("reused word %d = %d, want 0", i, v)
+		}
+	}
+	if buf[6] != 7 || buf[7] != 7 {
+		t.Fatal("words past the memory's size were touched")
+	}
+	if err := g.Store(6, 1); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("store past the size: %v", err)
+	}
+
+	grown, err := NewGlobalReusing(buf, 9, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown.Size() != 9 || &grown.Raw()[0] == &buf[0] {
+		t.Fatal("a too-small buffer must be replaced by a fresh array")
+	}
+	if _, err := NewGlobalReusing(buf, 4, 0); !errors.Is(err, ErrBadBlockSize) {
+		t.Fatalf("bad block size: %v", err)
+	}
+	if _, err := NewGlobalReusing(buf, -1, 4); !errors.Is(err, ErrBadSize) {
+		t.Fatalf("negative size: %v", err)
+	}
+}

@@ -188,46 +188,58 @@ func ParseBenchFile(path string) ([]BenchResult, error) {
 	return nil, fmt.Errorf("results: %s: neither a bench2json array nor a load report", path)
 }
 
-// Regression is one benchmark whose fresh measurement exceeded its
-// allowed slowdown over the stored trajectory.
+// Regression is one benchmark measurement that exceeded its allowed
+// growth over the stored trajectory: its time per op or, when both sides
+// carry it, its allocated bytes per op.
 type Regression struct {
-	Name    string  `json:"name"`
-	FreshNs float64 `json:"fresh_ns_per_op"`
-	BaseNs  float64 `json:"base_ns_per_op"`
-	// Ratio is the fractional slowdown; Limit the threshold it broke.
+	Name string `json:"name"`
+	// Unit names the measurement: "ns/op" or "B/op".
+	Unit  string  `json:"unit"`
+	Fresh float64 `json:"fresh"`
+	Base  float64 `json:"base"`
+	// Ratio is the fractional growth; Limit the threshold it broke.
 	Ratio float64 `json:"ratio"`
 	Limit float64 `json:"limit"`
 }
 
 func (r Regression) String() string {
-	return fmt.Sprintf("%s: %.0f ns/op vs trajectory %.0f ns/op (+%.1f%%, limit +%.0f%%)",
-		r.Name, r.FreshNs, r.BaseNs, 100*r.Ratio, 100*r.Limit)
+	return fmt.Sprintf("%s: %.0f %s vs trajectory %.0f %s (+%.1f%%, limit +%.0f%%)",
+		r.Name, r.Fresh, r.Unit, r.Base, r.Unit, 100*r.Ratio, 100*r.Limit)
 }
 
 // Gate compares fresh benchmark results against the store's most
 // recent record per benchmark name and returns the regressions beyond
-// maxRegress (or the stored record's own Allowance when set).
-// Benchmarks with no stored history pass — new benches land before
-// their trajectory does.
+// maxRegress (or the stored record's own Allowance when set). Time per
+// op is always compared; bytes per op only when both the fresh and the
+// stored record carry it (a -benchmem run) and the stored value is
+// positive, since a zero base admits no relative limit. Benchmarks with
+// no stored history pass — new benches land before their trajectory
+// does.
 func Gate(s *Store, fresh []BenchResult, maxRegress float64) []Regression {
 	var regressions []Regression
 	for _, b := range fresh {
 		base, ok := s.Latest(Filter{Kind: "bench", Workload: b.Name})
-		if !ok || base.Record.Bench == nil || base.Record.Bench.NsOp <= 0 {
+		if !ok || base.Record.Bench == nil {
 			continue
 		}
+		stored := base.Record.Bench
 		limit := maxRegress
-		if base.Record.Bench.Allowance > 0 {
-			limit = base.Record.Bench.Allowance
+		if stored.Allowance > 0 {
+			limit = stored.Allowance
 		}
-		if ratio := b.NsOp/base.Record.Bench.NsOp - 1; ratio > limit {
-			regressions = append(regressions, Regression{
-				Name:    b.Name,
-				FreshNs: b.NsOp,
-				BaseNs:  base.Record.Bench.NsOp,
-				Ratio:   ratio,
-				Limit:   limit,
-			})
+		check := func(unit string, got, was float64) {
+			if was <= 0 {
+				return
+			}
+			if ratio := got/was - 1; ratio > limit {
+				regressions = append(regressions, Regression{
+					Name: b.Name, Unit: unit, Fresh: got, Base: was, Ratio: ratio, Limit: limit,
+				})
+			}
+		}
+		check("ns/op", b.NsOp, stored.NsOp)
+		if b.BytesOp != nil && stored.BytesOp != nil {
+			check("B/op", *b.BytesOp, *stored.BytesOp)
 		}
 	}
 	return regressions

@@ -125,7 +125,60 @@ func TestGate(t *testing.T) {
 		t.Fatalf("gate against updated trajectory = %+v", regs)
 	}
 	fresh[0].NsOp = 600
-	if regs = Gate(s, fresh, 0.15); len(regs) != 1 || regs[0].BaseNs != 500 {
+	if regs = Gate(s, fresh, 0.15); len(regs) != 1 || regs[0].Base != 500 {
 		t.Fatalf("gate should compare against the latest entry: %+v", regs)
+	}
+}
+
+// TestGateBytes: bytes per op regress under the same limit as time when
+// both the fresh and the stored record carry them; history without them
+// passes, as for ns/op.
+func TestGateBytes(t *testing.T) {
+	s, err := Open(filepath.Join(t.TempDir(), "trajectory.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	bytes := func(v float64) *float64 { return &v }
+	for _, b := range []BenchResult{
+		{Name: "BenchmarkMem", Runs: 2, NsOp: 1000, BytesOp: bytes(1 << 20)},
+		{Name: "BenchmarkNoMemHistory", Runs: 2, NsOp: 1000},
+		{Name: "BenchmarkZeroAlloc", Runs: 2, NsOp: 1000, BytesOp: bytes(0)},
+	} {
+		if err := s.Append(b.Record("seed", 0), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fresh := []BenchResult{
+		{Name: "BenchmarkMem", Runs: 2, NsOp: 1000, BytesOp: bytes(1.1 * (1 << 20))},
+		{Name: "BenchmarkNoMemHistory", Runs: 2, NsOp: 1000, BytesOp: bytes(1 << 30)},
+		{Name: "BenchmarkZeroAlloc", Runs: 2, NsOp: 1000, BytesOp: bytes(64)},
+	}
+	if regs := Gate(s, fresh, 0.15); len(regs) != 0 {
+		t.Fatalf("clean gate flagged %+v", regs)
+	}
+
+	// Bytes past the limit regress even though time held.
+	fresh[0].BytesOp = bytes(2 << 20)
+	regs := Gate(s, fresh, 0.15)
+	if len(regs) != 1 || regs[0].Name != "BenchmarkMem" || regs[0].Unit != "B/op" ||
+		regs[0].Base != 1<<20 || regs[0].Ratio != 1 {
+		t.Fatalf("gate = %+v, want one BenchmarkMem B/op regression", regs)
+	}
+	if got := regs[0].String(); !strings.Contains(got, "B/op") {
+		t.Fatalf("regression string = %q", got)
+	}
+
+	// A fresh run without -benchmem checks time only.
+	fresh[0].BytesOp = nil
+	if regs := Gate(s, fresh, 0.15); len(regs) != 0 {
+		t.Fatalf("bytes-less fresh run flagged %+v", regs)
+	}
+
+	// Time and bytes both past the limit: two regressions.
+	fresh[0].NsOp, fresh[0].BytesOp = 2000, bytes(2<<20)
+	if regs := Gate(s, fresh, 0.15); len(regs) != 2 || regs[0].Unit != "ns/op" || regs[1].Unit != "B/op" {
+		t.Fatalf("gate = %+v, want ns/op and B/op regressions", regs)
 	}
 }

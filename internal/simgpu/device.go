@@ -116,11 +116,17 @@ var (
 )
 
 // New creates a device with cfg's global memory allocated.
-func New(cfg Config) (*Device, error) {
+func New(cfg Config) (*Device, error) { return NewReusing(cfg, nil) }
+
+// NewReusing creates a device whose global memory reuses buf's backing
+// array when it holds cfg.GlobalWords words (see mem.NewGlobalReusing):
+// the memory is cleared, so the device behaves exactly as one from New.
+// The caller must not touch buf while the device is in use.
+func NewReusing(cfg Config, buf []mem.Word) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g, err := mem.NewGlobal(cfg.GlobalWords, cfg.WarpWidth)
+	g, err := mem.NewGlobalReusing(buf, cfg.GlobalWords, cfg.WarpWidth)
 	if err != nil {
 		return nil, err
 	}

@@ -335,34 +335,62 @@ func (ls *launchState) replayBlock(w *warp) error {
 			a, d := int(in.A), int(in.D)
 			sraw := w.shared.Raw()
 			ssize := w.shared.Size()
-			for l := 0; l < width; l++ {
-				if !w.active[l] {
-					continue
+			if w.activeN == width {
+				ac := regs[a : a+width : a+width]
+				dc := regs[d : d+width : d+width]
+				for l := 0; l < width; l++ {
+					addr := ac[l]
+					if uint64(addr) >= uint64(ssize) {
+						w.pc = pc
+						return fmt.Errorf("%w: shared %s lane %d addr %d (M-alloc=%d)",
+							errAddrRange, in.Op, l, addr, ssize)
+					}
+					dc[l] = sraw[addr]
 				}
-				addr := regs[a+l]
-				if uint64(addr) >= uint64(ssize) {
-					w.pc = pc
-					return fmt.Errorf("%w: shared %s lane %d addr %d (M-alloc=%d)",
-						errAddrRange, in.Op, l, addr, ssize)
+			} else {
+				for l := 0; l < width; l++ {
+					if !w.active[l] {
+						continue
+					}
+					addr := regs[a+l]
+					if uint64(addr) >= uint64(ssize) {
+						w.pc = pc
+						return fmt.Errorf("%w: shared %s lane %d addr %d (M-alloc=%d)",
+							errAddrRange, in.Op, l, addr, ssize)
+					}
+					regs[d+l] = sraw[addr]
 				}
-				regs[d+l] = sraw[addr]
 			}
 
 		case kernel.OpStShared:
 			a, s := int(in.A), int(in.B)
 			sraw := w.shared.Raw()
 			ssize := w.shared.Size()
-			for l := 0; l < width; l++ {
-				if !w.active[l] {
-					continue
+			if w.activeN == width {
+				ac := regs[a : a+width : a+width]
+				sc := regs[s : s+width : s+width]
+				for l := 0; l < width; l++ {
+					addr := ac[l]
+					if uint64(addr) >= uint64(ssize) {
+						w.pc = pc
+						return fmt.Errorf("%w: shared %s lane %d addr %d (M-alloc=%d)",
+							errAddrRange, in.Op, l, addr, ssize)
+					}
+					sraw[addr] = sc[l]
 				}
-				addr := regs[a+l]
-				if uint64(addr) >= uint64(ssize) {
-					w.pc = pc
-					return fmt.Errorf("%w: shared %s lane %d addr %d (M-alloc=%d)",
-						errAddrRange, in.Op, l, addr, ssize)
+			} else {
+				for l := 0; l < width; l++ {
+					if !w.active[l] {
+						continue
+					}
+					addr := regs[a+l]
+					if uint64(addr) >= uint64(ssize) {
+						w.pc = pc
+						return fmt.Errorf("%w: shared %s lane %d addr %d (M-alloc=%d)",
+							errAddrRange, in.Op, l, addr, ssize)
+					}
+					sraw[addr] = regs[s+l]
 				}
-				sraw[addr] = regs[s+l]
 			}
 
 		case kernel.OpBarrier:

@@ -2,6 +2,7 @@ package simgpu
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"atgpu/internal/kernel"
@@ -42,52 +43,172 @@ func memoConfig(n int) Config {
 	return cfg
 }
 
-// launchPair runs the same kernel on a memoizing and a plain device and
-// returns both (result, global memory) pairs for comparison.
-func TestMemoMatchesFullSimulation(t *testing.T) {
-	const b, blocks = 32, 512
-	n := b * blocks
-	prog := uniformKernel(t, b, n)
+// vecaddSharedKernel mirrors the vecadd workload's kernel: stage a and b
+// through shared memory, add there and write c back through shared, with
+// threads past n masked by a single-block if. The buffers sit at 0, n and
+// 2n.
+func vecaddSharedKernel(t *testing.T, b, n int) *kernel.Program {
+	t.Helper()
+	kb := kernel.NewBuilder("memo-vecadd-shared", 3*b)
+	j := kb.Reg("lane")
+	blk := kb.Reg("block")
+	idx := kb.Reg("idx")
+	inRange := kb.Reg("inRange")
+	addr := kb.Reg("addr")
+	val := kb.Reg("val")
+	sOff := kb.Reg("sOff")
+	va := kb.Reg("va")
+	vb := kb.Reg("vb")
+	kb.LaneID(j)
+	kb.BlockID(blk)
+	kb.Mul(idx, blk, kernel.Imm(int64(b)))
+	kb.Add(idx, idx, kernel.R(j))
+	kb.Slt(inRange, idx, kernel.Imm(int64(n)))
+	kb.IfDo(inRange, func() {
+		kb.LdGlobal(val, idx)
+		kb.StShared(j, val)
+		kb.Add(addr, idx, kernel.Imm(int64(n)))
+		kb.LdGlobal(val, addr)
+		kb.Add(sOff, j, kernel.Imm(int64(b)))
+		kb.StShared(sOff, val)
+		kb.LdShared(va, j)
+		kb.LdShared(vb, sOff)
+		kb.Add(va, va, kernel.R(vb))
+		kb.Add(sOff, j, kernel.Imm(int64(2*b)))
+		kb.StShared(sOff, va)
+		kb.LdShared(val, sOff)
+		kb.Add(addr, idx, kernel.Imm(int64(2*n)))
+		kb.StGlobal(addr, val)
+	})
+	prog, err := kb.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return prog
+}
 
-	run := func(withProver bool) (KernelResult, []kernel.Word, int64) {
-		dev, err := New(memoConfig(n))
+// TestMemoMatchesFullSimulation runs each kernel on a memoizing and a
+// plain device and requires memory, KernelStats and time to match
+// exactly. The vecadd cases drive replay through shared loads and stores:
+// all-active in every block, or with the last block's tail masked (n not
+// a multiple of the warp width). A masked tail breaks block uniformity —
+// the last block issues fewer lane ops and transactions than the period
+// memo scales in — so analyze.BlockUniform refuses that kernel and only
+// its memory, which replay's masked path writes, is required to match.
+func TestMemoMatchesFullSimulation(t *testing.T) {
+	const b = 32
+	cases := []struct {
+		name        string
+		blocks      int
+		globalWords int
+		inputs      int
+		prog        *kernel.Program
+		uniform     bool
+	}{
+		{"global", 512, 2 * 512 * b, 512 * b, uniformKernel(t, b, 512*b), true},
+		{"vecadd-shared", 512, 3 * 512 * b, 2 * 512 * b, vecaddSharedKernel(t, b, 512*b), true},
+		// n = 511·32 + 7: 512 blocks, 7 active lanes in the last.
+		{"vecadd-shared-masked-tail", 512, 3 * (511*b + 7), 2 * (511*b + 7),
+			vecaddSharedKernel(t, b, 511*b+7), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(withProver bool) (KernelResult, []kernel.Word, int64) {
+				cfg := GTX650()
+				cfg.GlobalWords = tc.globalWords
+				dev, err := New(cfg)
+				if err != nil {
+					t.Fatalf("New: %v", err)
+				}
+				if withProver {
+					dev.SetUniformProver(alwaysUniform)
+				}
+				raw := dev.Global().Raw()
+				for i := 0; i < tc.inputs; i++ {
+					raw[i] = int64(i * 3)
+				}
+				res, err := dev.Launch(tc.prog, tc.blocks)
+				if err != nil {
+					t.Fatalf("Launch: %v", err)
+				}
+				out := append([]kernel.Word(nil), dev.Global().Raw()...)
+				return res, out, dev.MemoSkips()
+			}
+
+			full, fullMem, fullSkips := run(false)
+			memo, memoMem, memoSkips := run(true)
+
+			if fullSkips != 0 {
+				t.Fatalf("prover-less device memoized %d launches", fullSkips)
+			}
+			if memoSkips != 1 {
+				t.Fatalf("memoizing device engaged %d times, want 1", memoSkips)
+			}
+			if tc.uniform && full.Stats != memo.Stats {
+				t.Errorf("stats diverge:\nfull: %+v\nmemo: %+v", full.Stats, memo.Stats)
+			}
+			if tc.uniform && full.Time != memo.Time {
+				t.Errorf("time diverges: full %v, memo %v", full.Time, memo.Time)
+			}
+			for i := range fullMem {
+				if fullMem[i] != memoMem[i] {
+					t.Fatalf("global[%d] diverges: full %d, memo %d", i, fullMem[i], memoMem[i])
+				}
+			}
+		})
+	}
+}
+
+// TestMemoReplaySharedStoreTrap: a fully active warp storing past its
+// shared allocation traps under memo replay exactly as under full
+// simulation. Only the last block's address is out of range, so full
+// simulation reaches it in the scheduler and memo in replay.
+func TestMemoReplaySharedStoreTrap(t *testing.T) {
+	const b, blocks = 32, 512
+	kb := kernel.NewBuilder("memo-shared-trap", b)
+	j := kb.Reg("lane")
+	blk := kb.Reg("block")
+	addr := kb.Reg("addr")
+	kb.LaneID(j)
+	kb.BlockID(blk)
+	// addr = lane + b·(blk == blocks-1): in range except in the last block.
+	kb.Seq(addr, blk, kernel.Imm(blocks-1))
+	kb.Mul(addr, addr, kernel.Imm(b))
+	kb.Add(addr, addr, kernel.R(j))
+	kb.StShared(addr, j)
+	prog, err := kb.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+
+	launch := func(withProver bool) (int64, error) {
+		cfg := GTX650()
+		cfg.GlobalWords = b
+		dev, err := New(cfg)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
 		if withProver {
 			dev.SetUniformProver(alwaysUniform)
 		}
-		raw := dev.Global().Raw()
-		for i := 0; i < n; i++ {
-			raw[i] = int64(i * 3)
+		_, err = dev.Launch(prog, blocks)
+		return dev.MemoSkips(), err
+	}
+	_, fullErr := launch(false)
+	skips, memoErr := launch(true)
+	if skips != 1 {
+		t.Fatalf("memoization engaged %d times, want 1 (the trap must be reached in replay)", skips)
+	}
+	for name, err := range map[string]error{"full": fullErr, "memo": memoErr} {
+		if !errors.Is(err, ErrKernelTrap) {
+			t.Fatalf("%s: err = %v, want ErrKernelTrap", name, err)
 		}
-		res, err := dev.Launch(prog, blocks)
-		if err != nil {
-			t.Fatalf("Launch: %v", err)
+		if want := "shared st.shared lane 0 addr 32 (M-alloc=32)"; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want it to name %q", name, err, want)
 		}
-		out := append([]kernel.Word(nil), dev.Global().Raw()...)
-		return res, out, dev.MemoSkips()
 	}
-
-	full, fullMem, fullSkips := run(false)
-	memo, memoMem, memoSkips := run(true)
-
-	if fullSkips != 0 {
-		t.Fatalf("prover-less device memoized %d launches", fullSkips)
-	}
-	if memoSkips != 1 {
-		t.Fatalf("memoizing device engaged %d times, want 1", memoSkips)
-	}
-	if full.Stats != memo.Stats {
-		t.Errorf("stats diverge:\nfull: %+v\nmemo: %+v", full.Stats, memo.Stats)
-	}
-	if full.Time != memo.Time {
-		t.Errorf("time diverges: full %v, memo %v", full.Time, memo.Time)
-	}
-	for i := range fullMem {
-		if fullMem[i] != memoMem[i] {
-			t.Fatalf("global[%d] diverges: full %d, memo %d", i, fullMem[i], memoMem[i])
-		}
+	if !strings.Contains(memoErr.Error(), "memo replay") {
+		t.Errorf("memo err = %v, want the trap raised in memo replay", memoErr)
 	}
 }
 
