@@ -66,7 +66,7 @@ func (r *Runner) RunHistogramContention(n int, skews []float64) (*ContentionStud
 		if skew < 0 || skew > 1 {
 			return nil, fmt.Errorf("experiments: contention study: skew %v outside [0,1]", skew)
 		}
-		h, err := r.newHost(nil, alg.GlobalWords(), "histogram-contention", n, idx)
+		h, err := r.newHost(alg.GlobalWords(), "histogram-contention", n, idx)
 		if err != nil {
 			return nil, err
 		}

@@ -99,10 +99,7 @@ func BenchmarkAtomics(b *testing.B) {
 // near-linearly until workers exceed cores; CI uploads the numbers as
 // BENCH_sweep.json.
 //
-// Calibration and one warm-up sweep run once per worker count, outside
-// the timed loop: the warm-up grows the runner's point scratch sets to the
-// sweep's footprints, so the loop measures the steady-state sweep a
-// long-lived Runner repeats rather than the first sweep's one-off growth.
+// Calibration runs once per worker count, outside the timed loop.
 func BenchmarkSweepWorkers(b *testing.B) {
 	counts := []int{1, 2, 4}
 	if p := runtime.GOMAXPROCS(0); p > 4 {
@@ -116,9 +113,6 @@ func BenchmarkSweepWorkers(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := r.RunVecAdd(); err != nil {
-				b.Fatal(err)
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := r.RunVecAdd(); err != nil {
@@ -126,5 +120,29 @@ func BenchmarkSweepWorkers(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSweepCold measures the same vecadd sweep at one worker on a new
+// Runner per op, the way an atgpud job or a one-shot CLI sweep runs it:
+// BenchmarkSweepWorkers repeats sweeps on one Runner, whose point scratch
+// buffers outlive each sweep. Calibration runs once, outside the timed
+// loop, and every op's Runner reuses it.
+func BenchmarkSweepCold(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	r, err := NewRunner(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cold, err := NewRunnerCalibrated(cfg, r.link, r.calib)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cold.RunVecAdd(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -44,7 +44,7 @@ func (r *Runner) RunTransposeContrast(n int) (*TransposeContrast, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: analyze: %w", alg.Name(), err)
 		}
-		h, err := r.newHost(nil, alg.GlobalWords(), alg.Name(), n, 0)
+		h, err := r.newHost(alg.GlobalWords(), alg.Name(), n, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +100,7 @@ func (r *Runner) RunOutOfCore(n int, chunks []int) ([]OutOfCorePoint, error) {
 	want := algorithms.ReduceReference(in)
 	for _, chunk := range chunks {
 		b := r.cfg.Device.WarpWidth
-		h, err := r.newHost(nil, 2*chunk+(chunk+b-1)/b+4*b, "ooc", n, chunk)
+		h, err := r.newHost(2*chunk+(chunk+b-1)/b+4*b, "ooc", n, chunk)
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +147,7 @@ func RunDeviceSweep(n int, scheme transfer.Scheme, syncCost int64) ([]DevicePoin
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", preset.Name, err)
 		}
-		pt, err := r.sweepPoint(vecadd, 0, n)
+		pt, err := r.sweepPoint(vecadd, new(pointScratch), 0, n)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", preset.Name, err)
 		}

@@ -138,7 +138,7 @@ func TestObservePointPropagatesNonFaultError(t *testing.T) {
 func TestNewHostFailsFastOnOversizedFootprint(t *testing.T) {
 	r := newTestRunner(t)
 	g := r.Config().Device.GlobalWords
-	_, err := r.newHost(nil, g+1, "vecadd", 123, 0)
+	_, err := r.newHost(g+1, "vecadd", 123, 0)
 	if err == nil {
 		t.Fatal("oversized footprint accepted")
 	}

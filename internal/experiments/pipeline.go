@@ -173,7 +173,17 @@ func (r *Runner) SweepPipelined(workload string) (*PipelineData, error) {
 	}
 	name := w.Name + "-pipelined"
 	chunks := r.cfg.chunks()
-	return r.runPipelineSweep(name, w.sweepSizes(r.cfg), func(idx, n int) (PipelinePoint, error) {
+	sizes := w.sweepSizes(r.cfg)
+	globalWords := r.sweepGlobalWords(sizes, func(n int) int {
+		most := 0
+		for _, streams := range []int{1, pipelineStreams} {
+			if g, err := pv.plan(n, chunks, streams).GlobalWords(r.cfg.Device.WarpWidth); err == nil {
+				most = max(most, g)
+			}
+		}
+		return most
+	})
+	return r.runPipelineSweep(name, sizes, func(idx, n int) (PipelinePoint, error) {
 		pt := PipelinePoint{N: n, Chunks: chunks, Streams: pipelineStreams}
 		analysis, err := w.AnalyzePipelined(n, chunks, r.cfg.Device)
 		if err != nil {
@@ -187,15 +197,15 @@ func (r *Runner) SweepPipelined(workload string) (*PipelineData, error) {
 		pt.PredictedPipelined = pc.Pipelined
 		pt.PredictedSaving = pc.Saving()
 
-		s := r.scratch.get()
+		s := r.scratch.get(globalWords)
 		defer r.scratch.put(s)
-		run := pv.prepare(n, r.inputs(s, name, n, idx))
+		run := pv.prepare(n, r.inputRNG(name, n, idx))
 		observe := func(streams int, tag string) (float64, error) {
 			words, err := pv.plan(n, chunks, streams).GlobalWords(r.cfg.Device.WarpWidth)
 			if err != nil {
 				return 0, err
 			}
-			h, err := r.newHost(s, words, name, n, idx)
+			h, err := r.newHostIn(s, words, name, n, idx)
 			if err != nil {
 				return 0, err
 			}

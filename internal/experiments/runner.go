@@ -214,13 +214,13 @@ func DefaultConfig() Config {
 // Runner executes workload sweeps with calibrated cost parameters. A
 // Runner is safe for concurrent use: sweeps spawn their own hosts, all
 // shared state (link, calibrated parameters, config) is read-only after
-// construction, and each running point holds its own scratch set.
+// construction, and each running point holds its own scratch buffer.
 type Runner struct {
 	cfg    Config
 	link   *transfer.Link
 	params core.CostParams
 	calib  calibrate.Result
-	// scratch holds the idle point scratch sets (see pointScratch).
+	// scratch holds the idle point scratch buffers (see pointScratch).
 	scratch scratchPool
 }
 
@@ -325,24 +325,27 @@ func (r *Runner) inputRNG(workload string, n, idx int) *rand.Rand {
 	return rand.New(rand.NewSource(derivedSeed(r.cfg.Seed, "input", workload, n, idx)))
 }
 
-// inputs returns one sweep point's input stream, drawing into s's slots.
-func (r *Runner) inputs(s *pointScratch, workload string, n, idx int) *pointInputs {
-	return &pointInputs{rng: r.inputRNG(workload, n, idx), s: s}
-}
+// alignSlack is the words newHost adds to a footprint for alignment.
+func alignSlack(warp int) int { return 4 * warp }
 
 // newHost builds a device+host pair whose global memory holds footprint
 // words (plus alignment slack), so sweeps over large n do not allocate the
-// preset's full G per point; the memory reuses s's array (nil s allocates
-// a fresh one). A footprint the preset cannot hold fails here, naming the
-// workload and size, rather than as an opaque Malloc error mid-sweep.
+// preset's full G per point. A footprint the preset cannot hold fails here,
+// naming the workload and size, rather than as an opaque Malloc error
+// mid-sweep.
 //
 // With FaultRate > 0, the pair is armed with a fresh seeded injector
 // shared between the transfer engine and the host, so one fault log covers
 // the whole point; the injector seed derives from (FaultSeed, workload, n,
 // idx) so sweeps replay exactly at any worker count.
-func (r *Runner) newHost(s *pointScratch, footprint int, workload string, n, idx int) (*simgpu.Host, error) {
+func (r *Runner) newHost(footprint int, workload string, n, idx int) (*simgpu.Host, error) {
+	return r.newHostIn(new(pointScratch), footprint, workload, n, idx)
+}
+
+// newHostIn is newHost with the device's global memory in s's array.
+func (r *Runner) newHostIn(s *pointScratch, footprint int, workload string, n, idx int) (*simgpu.Host, error) {
 	devCfg := r.cfg.Device
-	slack := 4 * devCfg.WarpWidth
+	slack := alignSlack(devCfg.WarpWidth)
 	need := footprint + slack
 	if need > devCfg.GlobalWords {
 		return nil, fmt.Errorf("experiments: %s n=%d: footprint %d words (+%d alignment slack) exceeds device %s global memory G=%d",
@@ -680,9 +683,25 @@ func (r *Runner) Sweep(workload string) (*WorkloadData, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.runSweep(w.Name, w.sweepSizes(r.cfg), func(idx, n int) (WorkloadPoint, error) {
-		return r.sweepPoint(w, idx, n)
+	sizes := w.sweepSizes(r.cfg)
+	globalWords := r.sweepGlobalWords(sizes, func(n int) int { return w.footprint(n, r.cfg.Device.WarpWidth) })
+	return r.runSweep(w.Name, sizes, func(idx, n int) (WorkloadPoint, error) {
+		s := r.scratch.get(globalWords)
+		defer r.scratch.put(s)
+		return r.sweepPoint(w, s, idx, n)
 	})
+}
+
+// sweepGlobalWords is the global memory of the largest device a sweep
+// over sizes builds: the largest footprint(n) plus alignment slack,
+// capped at the preset's G, past which newHostIn fails the point before
+// building a device.
+func (r *Runner) sweepGlobalWords(sizes []int, footprint func(n int) int) int {
+	words := 0
+	for _, n := range sizes {
+		words = max(words, footprint(n)+alignSlack(r.cfg.Device.WarpWidth))
+	}
+	return min(words, r.cfg.Device.GlobalWords)
 }
 
 // RunVecAdd sweeps vector addition (paper §IV-A).
@@ -693,8 +712,8 @@ func (r *Runner) RunMatMul() (*WorkloadData, error) { return r.Sweep("matmul") }
 
 // sweepPoint is one sweep point of w: analyse, predict, then observe
 // inside observePoint so fault casualties are recorded, not fatal. The
-// observed run works in a scratch set taken from the Runner's pool.
-func (r *Runner) sweepPoint(w *Workload, idx, n int) (WorkloadPoint, error) {
+// observed run's device memory lives in s.
+func (r *Runner) sweepPoint(w *Workload, s *pointScratch, idx, n int) (WorkloadPoint, error) {
 	analysis, err := w.Analyze(n, r.cfg.Device)
 	if err != nil {
 		return WorkloadPoint{}, fmt.Errorf("%s n=%d: analyze: %w", w.Name, n, err)
@@ -704,14 +723,12 @@ func (r *Runner) sweepPoint(w *Workload, idx, n int) (WorkloadPoint, error) {
 		return WorkloadPoint{}, fmt.Errorf("%s n=%d: predict: %w", w.Name, n, err)
 	}
 
-	s := r.scratch.get()
-	defer r.scratch.put(s)
 	err = r.observePoint(&pt, func() (*simgpu.Host, error) {
-		h, err := r.newHost(s, w.footprint(n, r.cfg.Device.WarpWidth), w.Name, n, idx)
+		h, err := r.newHostIn(s, w.footprint(n, r.cfg.Device.WarpWidth), w.Name, n, idx)
 		if err != nil {
 			return nil, err
 		}
-		if err := w.observe(h, n, r.inputs(s, w.Name, n, idx)); err != nil {
+		if err := w.observe(h, n, r.inputRNG(w.Name, n, idx)); err != nil {
 			return h, fmt.Errorf("%s n=%d: %w", w.Name, n, err)
 		}
 		return h, nil

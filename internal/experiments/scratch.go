@@ -1,154 +1,68 @@
 package experiments
 
 import (
-	"math/rand"
 	"sync"
 
 	"atgpu/internal/mem"
 	"atgpu/internal/simgpu"
 )
 
-// pointScratch is the big-buffer set one sweep point works in: the
-// backing array of its device's global memory and its input slots. A
-// point takes a set from its Runner's pool and returns it when done, so
-// the next point reuses the arrays instead of allocating and zeroing
-// fresh ones. Each array grows to the largest request it has seen and
-// the set never holds more than one array per role, which bounds a
-// Runner's retained memory by its concurrently running points.
-//
-// A nil *pointScratch is valid and reuses nothing.
+// pointScratch is the big buffer one sweep point works in: the backing
+// array of its device's global memory. A point takes a scratch buffer
+// from its Runner's pool and returns it when done, so the next point
+// reuses the array instead of allocating a fresh one. The array grows to
+// the largest request it has seen and is replaced, never kept alongside,
+// when it grows, which bounds a Runner's retained memory by its
+// concurrently running points.
 type pointScratch struct {
 	global []mem.Word
-	inputs [maxPointInputs][]mem.Word
 }
-
-// maxPointInputs is the most input vectors any workload draws per point.
-const maxPointInputs = 2
 
 // device builds a device for cfg whose global memory reuses the set's
-// array (see simgpu.NewReusing), keeping the new array when it had to
-// grow. The memory reads zero either way.
+// array (see simgpu.NewReusing), so the memory reads zero.
 func (s *pointScratch) device(cfg simgpu.Config) (*simgpu.Device, error) {
-	if s == nil {
-		return simgpu.New(cfg)
-	}
-	dev, err := simgpu.NewReusing(cfg, s.global)
-	if err != nil {
-		return nil, err
-	}
-	if raw := dev.Global().Raw(); cap(raw) > cap(s.global) {
-		s.global = raw
-	}
-	return dev, nil
+	s.growGlobal(cfg.GlobalWords)
+	return simgpu.NewReusing(cfg, s.global)
 }
 
-// input returns input slot i holding n words of stale contents, for the
-// caller to overwrite.
-func (s *pointScratch) input(i, n int) []mem.Word {
-	if s == nil {
-		return make([]mem.Word, n)
+// growGlobal replaces the global array by a words-long one if it is
+// shorter.
+func (s *pointScratch) growGlobal(words int) {
+	if words > cap(s.global) {
+		s.global = make([]mem.Word, words)
 	}
-	if cap(s.inputs[i]) < n {
-		s.inputs[i] = make([]mem.Word, n)
-	}
-	return s.inputs[i][:n]
 }
 
-// scratchPool is a Runner's stack of idle point scratch sets. Each
-// running point holds one set, so at most Workers sets exist per sweep,
-// and concurrent sweeps on one Runner each take their own. The sets live
-// as long as the Runner.
+// scratchPool is a Runner's stack of idle point scratch buffers. Each
+// running point holds one, so at most Workers exist per sweep, and
+// concurrent sweeps on one Runner each take their own. They live as long
+// as the Runner: dropping them when each sweep ends turns them into
+// garbage just as the next sweep allocates its own, which raises peak
+// memory across repeated sweeps.
 type scratchPool struct {
 	mu   sync.Mutex
 	free []*pointScratch
 }
 
-// get takes an idle set, or a new empty one when none is idle.
-func (p *scratchPool) get() *pointScratch {
+// get takes an idle buffer, or a new one when none is idle, holding at
+// least globalWords: the sweep's largest device, so the first sweep on a
+// Runner does not regrow the array point by point along an ascending
+// ladder.
+func (p *scratchPool) get(globalWords int) *pointScratch {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.free)
-	if n == 0 {
-		return new(pointScratch)
+	s := new(pointScratch)
+	if n := len(p.free); n > 0 {
+		s = p.free[n-1]
+		p.free = p.free[:n-1]
 	}
-	s := p.free[n-1]
-	p.free = p.free[:n-1]
+	p.mu.Unlock()
+	s.growGlobal(globalWords)
 	return s
 }
 
-// put returns a set taken with get.
+// put returns a buffer taken with get.
 func (p *scratchPool) put(s *pointScratch) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.free = append(p.free, s)
-}
-
-// pointInputs is a point's input stream: its seeded RNG drawing into its
-// scratch set's input slots, one slot per draw, in draw order.
-type pointInputs struct {
-	rng  *rand.Rand
-	s    *pointScratch
-	next int
-}
-
-// words draws n words uniformly from [-1000, 1000].
-func (in *pointInputs) words(n int) []mem.Word { return randWords(in.rng, in.slot(n)) }
-
-// bits draws n words from {0, 1}.
-func (in *pointInputs) bits(n int) []mem.Word { return randBits(in.rng, in.slot(n)) }
-
-// nonNeg draws n words uniformly from [0, 2000].
-func (in *pointInputs) nonNeg(n int) []mem.Word { return randNonNeg(in.rng, in.slot(n)) }
-
-func (in *pointInputs) slot(n int) []mem.Word {
-	in.next++
-	return in.s.input(in.next-1, n)
-}
-
-// The input draws below reproduce math/rand's Intn stream value for value
-// — Go 1 compatibility freezes it — without its per-call overhead: Intn(n)
-// for n < 2³¹ is Int31n, which masks a power-of-two n and otherwise
-// rejects draws above the largest multiple of n before taking v % n.
-// Hoisting the bound and making the divisor a constant is all that
-// changes.
-
-// span2001Max is Int31n's rejection bound for n = 2001.
-const span2001Max = 1<<31 - 1 - (1<<31)%2001
-
-// int31n2001 returns rng.Intn(2001).
-func int31n2001(rng *rand.Rand) mem.Word {
-	v := int32(rng.Int63() >> 32)
-	for v > span2001Max {
-		v = int32(rng.Int63() >> 32)
-	}
-	return mem.Word(v % 2001)
-}
-
-// randWords fills w uniformly from [-1000, 1000] (rng.Intn(2001)-1000 per
-// word) and returns it.
-func randWords(rng *rand.Rand, w []mem.Word) []mem.Word {
-	for i := range w {
-		w[i] = int31n2001(rng) - 1000
-	}
-	return w
-}
-
-// randBits fills w from {0,1} (rng.Intn(2) per word), the paper's
-// reduction inputs ("randomly generated vectors of 0/1 values"), and
-// returns it.
-func randBits(rng *rand.Rand, w []mem.Word) []mem.Word {
-	for i := range w {
-		w[i] = mem.Word(int32(rng.Int63()>>32) & 1)
-	}
-	return w
-}
-
-// randNonNeg fills w uniformly from [0, 2000] (rng.Intn(2001) per word),
-// the histogram input domain (bins index by value mod Bins, so values
-// must be non-negative), and returns it.
-func randNonNeg(rng *rand.Rand, w []mem.Word) []mem.Word {
-	for i := range w {
-		w[i] = int31n2001(rng)
-	}
-	return w
 }

@@ -1,83 +1,16 @@
 package experiments
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
-
-	"atgpu/internal/mem"
 )
 
-// TestDrawsMatchIntn: the scratch draws reproduce the rng.Intn loops they
-// replaced value for value, so every sweep input — and with it every
-// contention-dependent record — is unchanged.
-func TestDrawsMatchIntn(t *testing.T) {
-	draws := []struct {
-		name string
-		fill func(*rand.Rand, []mem.Word) []mem.Word
-		want func(*rand.Rand) mem.Word
-	}{
-		{"randWords", randWords, func(r *rand.Rand) mem.Word { return mem.Word(r.Intn(2001) - 1000) }},
-		{"randBits", randBits, func(r *rand.Rand) mem.Word { return mem.Word(r.Intn(2)) }},
-		{"randNonNeg", randNonNeg, func(r *rand.Rand) mem.Word { return mem.Word(r.Intn(2001)) }},
-	}
-	for _, d := range draws {
-		for seed := int64(0); seed < 64; seed++ {
-			for _, n := range []int{0, 1, 31, 100_000} {
-				got := d.fill(rand.New(rand.NewSource(seed)), make([]mem.Word, n))
-				ref := rand.New(rand.NewSource(seed))
-				for i, v := range got {
-					if w := d.want(ref); v != w {
-						t.Fatalf("%s seed=%d n=%d: word %d = %d, Intn gives %d", d.name, seed, n, i, v, w)
-					}
-				}
-			}
-		}
-	}
-
-	// Natural streams almost never draw above Int31n's rejection bound,
-	// so force it: the stub's first value rejects, and so does its third.
-	if span2001Max != 2147483204 {
-		t.Fatalf("span2001Max = %d, want 2147483204", span2001Max)
-	}
-	rejected := int64(span2001Max+1) << 32
-	for _, d := range draws {
-		src := func() rand.Source {
-			return &stubSource{vals: []int64{rejected, 5 << 32, rejected | 0xffff, 2100 << 32, 7 << 32}}
-		}
-		got := d.fill(rand.New(src()), make([]mem.Word, 3))
-		ref := rand.New(src())
-		for i, v := range got {
-			if w := d.want(ref); v != w {
-				t.Fatalf("%s stub: word %d = %d, Intn gives %d", d.name, i, v, w)
-			}
-		}
-	}
-}
-
-// stubSource replays vals from Int63, then zeros.
-type stubSource struct {
-	vals []int64
-	next int
-}
-
-func (s *stubSource) Int63() int64 {
-	if s.next >= len(s.vals) {
-		return 0
-	}
-	s.next++
-	return s.vals[s.next-1]
-}
-
-func (s *stubSource) Seed(int64) {}
-
-// TestScratchReuseIsolated: a Runner whose scratch sets serve points that
-// go big → small → big, twice over, gives the records a fresh Runner per
-// point gives — stale memory and inputs never leak between points — at
-// one and two workers, and a device built over a used set reads zero, as
-// one from simgpu.New does. The largest retained arrays are exactly the
-// largest point's footprint plus slack and its input length: a set holds
-// one array per role and grows only to what it was asked for.
+// TestScratchReuseIsolated: a Runner whose scratch buffers serve points
+// that go big → small → big, twice over, gives the records a fresh buffer
+// per point gives — stale memory never leaks between points — at one and
+// two workers, and a device built over a used buffer reads zero, as one
+// from simgpu.New does. Every buffer is the largest footprint plus slack
+// from the sweep's first point on: one array, never regrown.
 func TestScratchReuseIsolated(t *testing.T) {
 	sizes := []int{4096, 1024, 2048}
 	for _, workers := range []int{1, 2} {
@@ -103,44 +36,32 @@ func TestScratchReuseIsolated(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, n := range sizes {
-				// A fresh Runner's first point takes a new, empty set.
-				fresh, err := NewRunnerCalibrated(cfg, r.link, r.calib)
+				pt, err := r.sweepPoint(w, new(pointScratch), i, n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				pt, err := fresh.sweepPoint(w, i, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := fresh.Record("sweep", workload, pt); !reflect.DeepEqual(got.Records[i], want) {
-					t.Errorf("workers=%d %s n=%d: reused-scratch record differs from a fresh runner's:\n%+v\nvs\n%+v",
+				if want := r.Record("sweep", workload, pt); !reflect.DeepEqual(got.Records[i], want) {
+					t.Errorf("workers=%d %s n=%d: reused-scratch record differs from a fresh buffer's:\n%+v\nvs\n%+v",
 						workers, workload, n, got.Records[i], want)
 				}
 			}
 
-			want := w.footprint(sizes[0], cfg.Device.WarpWidth) + 4*cfg.Device.WarpWidth
+			want := w.footprint(sizes[0], cfg.Device.WarpWidth) + alignSlack(cfg.Device.WarpWidth)
 			r.scratch.mu.Lock()
-			sets := r.scratch.free
+			idle := r.scratch.free
 			r.scratch.mu.Unlock()
-			if len(sets) == 0 || len(sets) > workers {
-				t.Fatalf("workers=%d %s: %d idle scratch sets, want 1..%d", workers, workload, len(sets), workers)
+			if len(idle) == 0 || len(idle) > workers {
+				t.Fatalf("workers=%d %s: %d idle scratch buffers, want 1..%d", workers, workload, len(idle), workers)
 			}
-			big, largestIn := sets[0], 0
-			for _, s := range sets {
-				if cap(s.global) > cap(big.global) {
-					big = s
+			for _, s := range idle {
+				if cap(s.global) != want {
+					t.Errorf("workers=%d %s: a buffer retains %d words, want %d", workers, workload, cap(s.global), want)
 				}
-				largestIn = max(largestIn, cap(s.inputs[0]))
-			}
-			largest := cap(big.global)
-			if largest != want || largestIn != sizes[0] {
-				t.Errorf("workers=%d %s: largest retained arrays hold %d global and %d input words, want %d and %d",
-					workers, workload, largest, largestIn, want, sizes[0])
 			}
 
 			dc := cfg.Device
 			dc.GlobalWords = want
-			dev, err := big.device(dc)
+			dev, err := idle[0].device(dc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,6 +70,33 @@ func TestScratchReuseIsolated(t *testing.T) {
 					t.Fatalf("workers=%d %s: reused global word %d = %d, want 0", workers, workload, i, v)
 				}
 			}
+		}
+	}
+
+	// Along an ascending ladder a buffer taken for the sweep's largest
+	// device keeps one array throughout: the first point does not size it.
+	r := newTestRunner(t)
+	w, err := Lookup("vecadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	asc := []int{1024, 2048, 4096}
+	b := r.Config().Device.WarpWidth
+	largest := r.sweepGlobalWords(asc, func(n int) int { return w.footprint(n, b) })
+	if want := w.footprint(asc[2], b) + alignSlack(b); largest != want {
+		t.Fatalf("sweepGlobalWords = %d, want %d", largest, want)
+	}
+	s := r.scratch.get(largest)
+	if cap(s.global) != largest {
+		t.Fatalf("a buffer taken for %d words holds %d", largest, cap(s.global))
+	}
+	array := &s.global[:1][0]
+	for i, n := range asc {
+		if _, err := r.sweepPoint(w, s, i, n); err != nil {
+			t.Fatal(err)
+		}
+		if &s.global[:1][0] != array {
+			t.Fatalf("vecadd n=%d: the buffer regrew along an ascending ladder", n)
 		}
 	}
 }

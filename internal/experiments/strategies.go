@@ -46,7 +46,7 @@ func (r *Runner) RunReduceStrategies(n int) ([]StrategyPoint, error) {
 			return nil, err
 		}
 
-		h, err := r.newHost(nil, alg.GlobalWords(b), "reduce-strategies", n, int(strat))
+		h, err := r.newHost(alg.GlobalWords(b), "reduce-strategies", n, int(strat))
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 
@@ -39,10 +40,10 @@ type Workload struct {
 	model     func(n int) model
 	footprint func(n, b int) int
 
-	// observe draws a point's inputs from draw, runs the workload on h and
+	// observe draws a point's inputs from rng, runs the workload on h and
 	// verifies its output. Errors come back unprefixed; the sweep names
 	// the workload and size.
-	observe func(h *simgpu.Host, n int, draw *pointInputs) error
+	observe func(h *simgpu.Host, n int, rng *rand.Rand) error
 
 	// kernel is the first program a size-n run launches, with the run's
 	// buffer layout, on model(n).Blocks(b) blocks: what `atgpu lint` and
@@ -72,9 +73,9 @@ type pipelinedVariant struct {
 	// split on a stream count, which prices and sizes it.
 	blocks func(n, chunks, b int) int
 	plan   func(n, chunks, streams int) pipelinedPlan
-	// prepare draws a point's inputs from draw once and returns the run
+	// prepare draws a point's inputs from rng once and returns the run
 	// both schedules execute on them, verification included.
-	prepare func(n int, draw *pointInputs) func(h *simgpu.Host, chunks, streams int) error
+	prepare func(n int, rng *rand.Rand) func(h *simgpu.Host, chunks, streams int) error
 }
 
 // pipelinedPlan is a chunked schedule's model and footprint.
@@ -99,9 +100,9 @@ var registry = []*Workload{
 		override:  func(c *Config) *[]int { return &c.SizesVecAdd },
 		model:     func(n int) model { return algorithms.VecAdd{N: n} },
 		footprint: func(n, _ int) int { return algorithms.VecAdd{N: n}.GlobalWords() },
-		observe: func(h *simgpu.Host, n int, draw *pointInputs) error {
-			a := draw.words(n)
-			b := draw.words(n)
+		observe: func(h *simgpu.Host, n int, rng *rand.Rand) error {
+			a := randWords(rng, n)
+			b := randWords(rng, n)
 			return ran(algorithms.VecAdd{N: n}.Run(h, a, b))
 		},
 		kernel: func(n, b int) (*kernel.Program, error) {
@@ -113,9 +114,9 @@ var registry = []*Workload{
 			plan: func(n, chunks, streams int) pipelinedPlan {
 				return algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: streams}
 			},
-			prepare: func(n int, draw *pointInputs) func(*simgpu.Host, int, int) error {
-				a := draw.words(n)
-				b := draw.words(n)
+			prepare: func(n int, rng *rand.Rand) func(*simgpu.Host, int, int) error {
+				a := randWords(rng, n)
+				b := randWords(rng, n)
 				return func(h *simgpu.Host, chunks, streams int) error {
 					_, err := algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: streams}.Run(h, a, b)
 					return err
@@ -135,8 +136,8 @@ var registry = []*Workload{
 		// the largest round.
 		model:     func(n int) model { return algorithms.Reduce{N: n} },
 		footprint: func(n, b int) int { return algorithms.Reduce{N: n}.GlobalWords(b) },
-		observe: func(h *simgpu.Host, n int, draw *pointInputs) error {
-			in := draw.bits(n)
+		observe: func(h *simgpu.Host, n int, rng *rand.Rand) error {
+			in := randBits(rng, n)
 			got, err := algorithms.Reduce{N: n}.Run(h, in)
 			if err != nil {
 				return fmt.Errorf("run: %w", err)
@@ -153,8 +154,8 @@ var registry = []*Workload{
 			plan: func(n, chunks, streams int) pipelinedPlan {
 				return algorithms.PipelinedReduce{N: n, Chunks: chunks, Streams: streams}
 			},
-			prepare: func(n int, draw *pointInputs) func(*simgpu.Host, int, int) error {
-				in := draw.bits(n)
+			prepare: func(n int, rng *rand.Rand) func(*simgpu.Host, int, int) error {
+				in := randBits(rng, n)
 				want := algorithms.ReduceReference(in)
 				return func(h *simgpu.Host, chunks, streams int) error {
 					got, err := algorithms.PipelinedReduce{N: n, Chunks: chunks, Streams: streams}.Run(h, in)
@@ -176,9 +177,9 @@ var registry = []*Workload{
 		override:  func(c *Config) *[]int { return &c.SizesMatMul },
 		model:     func(n int) model { return algorithms.MatMul{N: n} },
 		footprint: func(n, _ int) int { return algorithms.MatMul{N: n}.GlobalWords() },
-		observe: func(h *simgpu.Host, n int, draw *pointInputs) error {
-			a := draw.words(n * n)
-			b := draw.words(n * n)
+		observe: func(h *simgpu.Host, n int, rng *rand.Rand) error {
+			a := randWords(rng, n*n)
+			b := randWords(rng, n*n)
 			return ran(algorithms.MatMul{N: n}.Run(h, a, b))
 		},
 		kernel: func(n, b int) (*kernel.Program, error) {
@@ -197,9 +198,9 @@ var registry = []*Workload{
 			plan: func(n, chunks, streams int) pipelinedPlan {
 				return algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: streams}
 			},
-			prepare: func(n int, draw *pointInputs) func(*simgpu.Host, int, int) error {
-				a := draw.words(n * n)
-				b := draw.words(n * n)
+			prepare: func(n int, rng *rand.Rand) func(*simgpu.Host, int, int) error {
+				a := randWords(rng, n*n)
+				b := randWords(rng, n*n)
 				return func(h *simgpu.Host, chunks, streams int) error {
 					_, err := algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: streams}.Run(h, a, b)
 					return err
@@ -218,7 +219,7 @@ var registry = []*Workload{
 		override:  func(c *Config) *[]int { return &c.SizesReduce },
 		model:     func(n int) model { return algorithms.Scan{N: n} },
 		footprint: func(n, b int) int { return algorithms.Scan{N: n}.GlobalWords(b) },
-		observe: func(h *simgpu.Host, n int, _ *pointInputs) error {
+		observe: func(h *simgpu.Host, n int, _ *rand.Rand) error {
 			in := make([]algorithms.Word, n)
 			for i := range in {
 				in[i] = algorithms.Word(i%3 - 1)
@@ -249,10 +250,10 @@ var registry = []*Workload{
 		override:  func(c *Config) *[]int { return &c.SizesCompact },
 		model:     func(n int) model { return algorithms.Compact{N: n} },
 		footprint: func(n, _ int) int { return algorithms.Compact{N: n}.GlobalWords() },
-		observe: func(h *simgpu.Host, n int, draw *pointInputs) error {
+		observe: func(h *simgpu.Host, n int, rng *rand.Rand) error {
 			// Roughly half the elements survive: draw from [-1000,1000]
 			// and zero every third, as the smoke tests do.
-			in := draw.words(n)
+			in := randWords(rng, n)
 			for i := 0; i < n; i += 3 {
 				in[i] = 0
 			}
@@ -278,8 +279,8 @@ var registry = []*Workload{
 		override:  func(c *Config) *[]int { return &c.SizesTopK },
 		model:     func(n int) model { return algorithms.TopK{N: n, K: TopKSweepK} },
 		footprint: func(n, _ int) int { return algorithms.TopK{N: n, K: TopKSweepK}.GlobalWords() },
-		observe: func(h *simgpu.Host, n int, draw *pointInputs) error {
-			in := draw.words(n)
+		observe: func(h *simgpu.Host, n int, rng *rand.Rand) error {
+			in := randWords(rng, n)
 			got, err := algorithms.TopK{N: n, K: TopKSweepK}.Run(h, in)
 			if err != nil {
 				return fmt.Errorf("run: %w", err)
@@ -307,7 +308,7 @@ var registry = []*Workload{
 		override:  func(c *Config) *[]int { return &c.SizesMonteCarlo },
 		model:     func(n int) model { return algorithms.MonteCarlo{N: n, Trials: MonteCarloTrials} },
 		footprint: func(n, _ int) int { return algorithms.MonteCarlo{N: n, Trials: MonteCarloTrials}.GlobalWords() },
-		observe: func(h *simgpu.Host, n int, _ *pointInputs) error {
+		observe: func(h *simgpu.Host, n int, _ *rand.Rand) error {
 			alg := algorithms.MonteCarlo{N: n, Trials: MonteCarloTrials}
 			got, err := alg.Run(h)
 			if err != nil {
@@ -339,8 +340,8 @@ func histogramWorkload(name string, privatized bool) *Workload {
 		override:  func(c *Config) *[]int { return &c.SizesHistogram },
 		model:     func(n int) model { return alg(n) },
 		footprint: func(n, _ int) int { return alg(n).GlobalWords() },
-		observe: func(h *simgpu.Host, n int, draw *pointInputs) error {
-			in := draw.nonNeg(n)
+		observe: func(h *simgpu.Host, n int, rng *rand.Rand) error {
+			in := randNonNeg(rng, n)
 			got, err := alg(n).Run(h, in)
 			if err != nil {
 				return fmt.Errorf("run: %w", err)
@@ -537,6 +538,56 @@ func sameWord(got, want mem.Word) error {
 		return fmt.Errorf("%w: got %d want %d", algorithms.ErrVerifyFail, got, want)
 	}
 	return nil
+}
+
+// The input draws below reproduce math/rand's Intn stream value for value
+// — Go 1 compatibility freezes it — without its per-call overhead: Intn(n)
+// for n < 2³¹ is Int31n, which masks a power-of-two n and otherwise
+// rejects draws above the largest multiple of n before taking v % n.
+// Hoisting the bound and making the divisor a constant is all that
+// changes.
+
+// span2001Max is Int31n's rejection bound for n = 2001.
+const span2001Max = 1<<31 - 1 - (1<<31)%2001
+
+// int31n2001 returns rng.Intn(2001).
+func int31n2001(rng *rand.Rand) mem.Word {
+	v := int32(rng.Int63() >> 32)
+	for v > span2001Max {
+		v = int32(rng.Int63() >> 32)
+	}
+	return mem.Word(v % 2001)
+}
+
+// randWords draws n words uniformly from [-1000, 1000]
+// (rng.Intn(2001)-1000 per word).
+func randWords(rng *rand.Rand, n int) []mem.Word {
+	w := make([]mem.Word, n)
+	for i := range w {
+		w[i] = int31n2001(rng) - 1000
+	}
+	return w
+}
+
+// randBits draws n words from {0,1} (rng.Intn(2) per word), the paper's
+// reduction inputs ("randomly generated vectors of 0/1 values").
+func randBits(rng *rand.Rand, n int) []mem.Word {
+	w := make([]mem.Word, n)
+	for i := range w {
+		w[i] = mem.Word(int32(rng.Int63()>>32) & 1)
+	}
+	return w
+}
+
+// randNonNeg draws n words uniformly from [0, 2000] (rng.Intn(2001) per
+// word), the histogram input domain (bins index by value mod Bins, so
+// values must be non-negative).
+func randNonNeg(rng *rand.Rand, n int) []mem.Word {
+	w := make([]mem.Word, n)
+	for i := range w {
+		w[i] = int31n2001(rng)
+	}
+	return w
 }
 
 // equalMultiset compares two word slices as multisets.

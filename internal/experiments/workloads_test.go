@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 
 	"atgpu/internal/kernel"
+	"atgpu/internal/mem"
 	"atgpu/internal/obs"
 )
 
@@ -76,7 +78,7 @@ func TestLintKernelIsLaunchedKernel(t *testing.T) {
 			sizes = append(sizes, sizes[0]-1)
 		}
 		for _, n := range sizes {
-			h, err := r.newHost(nil, w.footprint(n, b), w.Name, n, 0)
+			h, err := r.newHost(w.footprint(n, b), w.Name, n, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +90,7 @@ func TestLintKernelIsLaunchedKernel(t *testing.T) {
 				}
 				return nil
 			})
-			if err := w.observe(h, n, r.inputs(nil, w.Name, n, 0)); err != nil {
+			if err := w.observe(h, n, r.inputRNG(w.Name, n, 0)); err != nil {
 				t.Fatalf("%s n=%d: %v", w.Name, n, err)
 			}
 			prog, blocks, err := w.Kernel(n, b)
@@ -143,3 +145,66 @@ func TestScanSweepObservesAndAbsorbsFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestDrawsMatchIntn: the input draws reproduce the rng.Intn loops they
+// replaced value for value, so every sweep input — and with it every
+// contention-dependent record — is unchanged.
+func TestDrawsMatchIntn(t *testing.T) {
+	draws := []struct {
+		name string
+		draw func(*rand.Rand, int) []mem.Word
+		want func(*rand.Rand) mem.Word
+	}{
+		{"randWords", randWords, func(r *rand.Rand) mem.Word { return mem.Word(r.Intn(2001) - 1000) }},
+		{"randBits", randBits, func(r *rand.Rand) mem.Word { return mem.Word(r.Intn(2)) }},
+		{"randNonNeg", randNonNeg, func(r *rand.Rand) mem.Word { return mem.Word(r.Intn(2001)) }},
+	}
+	for _, d := range draws {
+		for seed := int64(0); seed < 64; seed++ {
+			for _, n := range []int{0, 1, 31, 100_000} {
+				got := d.draw(rand.New(rand.NewSource(seed)), n)
+				ref := rand.New(rand.NewSource(seed))
+				for i, v := range got {
+					if w := d.want(ref); v != w {
+						t.Fatalf("%s seed=%d n=%d: word %d = %d, Intn gives %d", d.name, seed, n, i, v, w)
+					}
+				}
+			}
+		}
+	}
+
+	// Natural streams almost never draw above Int31n's rejection bound,
+	// so force it: the stub's first value rejects, and so does its third.
+	if span2001Max != 2147483204 {
+		t.Fatalf("span2001Max = %d, want 2147483204", span2001Max)
+	}
+	rejected := int64(span2001Max+1) << 32
+	for _, d := range draws {
+		src := func() rand.Source {
+			return &stubSource{vals: []int64{rejected, 5 << 32, rejected | 0xffff, 2100 << 32, 7 << 32}}
+		}
+		got := d.draw(rand.New(src()), 3)
+		ref := rand.New(src())
+		for i, v := range got {
+			if w := d.want(ref); v != w {
+				t.Fatalf("%s stub: word %d = %d, Intn gives %d", d.name, i, v, w)
+			}
+		}
+	}
+}
+
+// stubSource replays vals from Int63, then zeros.
+type stubSource struct {
+	vals []int64
+	next int
+}
+
+func (s *stubSource) Int63() int64 {
+	if s.next >= len(s.vals) {
+		return 0
+	}
+	s.next++
+	return s.vals[s.next-1]
+}
+
+func (s *stubSource) Seed(int64) {}

@@ -246,6 +246,12 @@ func (ls *launchState) memoReplay(from, to int) error {
 	return nil
 }
 
+// sharedRangeErr is the trap replayBlock raises when lane l's shared
+// address lies outside the block's M-alloc words, in the interpreter's text.
+func sharedRangeErr(op kernel.Op, l int, addr kernel.Word, size int) error {
+	return fmt.Errorf("%w: shared %s lane %d addr %d (M-alloc=%d)", errAddrRange, op, l, addr, size)
+}
+
 // replayBlock executes one block's decoded trace for data effects only: no
 // statistics, no latencies, no scheduling. Control flow, traps and memory
 // bounds behave exactly as in execDec. The instruction budget is bounded by
@@ -342,8 +348,7 @@ func (ls *launchState) replayBlock(w *warp) error {
 					addr := ac[l]
 					if uint64(addr) >= uint64(ssize) {
 						w.pc = pc
-						return fmt.Errorf("%w: shared %s lane %d addr %d (M-alloc=%d)",
-							errAddrRange, in.Op, l, addr, ssize)
+						return sharedRangeErr(in.Op, l, addr, ssize)
 					}
 					dc[l] = sraw[addr]
 				}
@@ -355,8 +360,7 @@ func (ls *launchState) replayBlock(w *warp) error {
 					addr := regs[a+l]
 					if uint64(addr) >= uint64(ssize) {
 						w.pc = pc
-						return fmt.Errorf("%w: shared %s lane %d addr %d (M-alloc=%d)",
-							errAddrRange, in.Op, l, addr, ssize)
+						return sharedRangeErr(in.Op, l, addr, ssize)
 					}
 					regs[d+l] = sraw[addr]
 				}
@@ -373,8 +377,7 @@ func (ls *launchState) replayBlock(w *warp) error {
 					addr := ac[l]
 					if uint64(addr) >= uint64(ssize) {
 						w.pc = pc
-						return fmt.Errorf("%w: shared %s lane %d addr %d (M-alloc=%d)",
-							errAddrRange, in.Op, l, addr, ssize)
+						return sharedRangeErr(in.Op, l, addr, ssize)
 					}
 					sraw[addr] = sc[l]
 				}
@@ -386,8 +389,7 @@ func (ls *launchState) replayBlock(w *warp) error {
 					addr := regs[a+l]
 					if uint64(addr) >= uint64(ssize) {
 						w.pc = pc
-						return fmt.Errorf("%w: shared %s lane %d addr %d (M-alloc=%d)",
-							errAddrRange, in.Op, l, addr, ssize)
+						return sharedRangeErr(in.Op, l, addr, ssize)
 					}
 					sraw[addr] = regs[s+l]
 				}
