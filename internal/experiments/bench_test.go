@@ -146,3 +146,22 @@ func BenchmarkSweepCold(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSweepMatMul measures the default matmul sweep at one worker.
+// BlockUniform refuses matmul's kernel, so no launch is memoized and the
+// scheduled interpreter — shared-memory tiles, warp pick — runs every
+// block; this is the bench that sees interpreter work.
+func BenchmarkSweepMatMul(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	r, err := NewRunner(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.RunMatMul(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

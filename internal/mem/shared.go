@@ -91,27 +91,3 @@ func (s *Shared) ConflictDegree(addrs []int, active []bool) int {
 	}
 	return max
 }
-
-// ConflictDegreeBroadcast is ConflictDegree with the hardware broadcast
-// optimisation: lanes reading the same word count once. Used by the
-// bank-conflict ablation.
-func (s *Shared) ConflictDegreeBroadcast(addrs []int, active []bool) int {
-	perBank := make(map[int]map[int]bool, s.banks)
-	max := 0
-	for lane, a := range addrs {
-		if lane < len(active) && !active[lane] {
-			continue
-		}
-		bk := a % s.banks
-		words := perBank[bk]
-		if words == nil {
-			words = make(map[int]bool)
-			perBank[bk] = words
-		}
-		words[a] = true
-		if len(words) > max {
-			max = len(words)
-		}
-	}
-	return max
-}

@@ -94,26 +94,8 @@ func TestConflictDegree(t *testing.T) {
 	}
 }
 
-func TestConflictDegreeBroadcast(t *testing.T) {
-	s, _ := NewShared(64, 4)
-	act := allActive(4)
-	// Same word everywhere: broadcast resolves in one step.
-	if d := s.ConflictDegreeBroadcast([]int{5, 5, 5, 5}, act); d != 1 {
-		t.Errorf("broadcast same-word degree = %d, want 1", d)
-	}
-	// Distinct words in one bank still serialise.
-	if d := s.ConflictDegreeBroadcast([]int{0, 4, 8, 12}, act); d != 4 {
-		t.Errorf("broadcast same-bank degree = %d, want 4", d)
-	}
-	// Mixed: two lanes on word 0, two lanes on word 4 (same bank 0):
-	// two distinct words in bank 0 → degree 2.
-	if d := s.ConflictDegreeBroadcast([]int{0, 0, 4, 4}, act); d != 2 {
-		t.Errorf("broadcast mixed degree = %d, want 2", d)
-	}
-}
-
-// Property: broadcast degree never exceeds plain degree, both are bounded
-// by the active lane count, and plain degree of distinct-bank accesses is 1.
+// Property: the degree is bounded by the active lane count and zero only
+// when no lane is active, and degree of distinct-bank accesses is 1.
 func TestConflictDegreeProperties(t *testing.T) {
 	s, _ := NewShared(1024, 8)
 	f := func(raw [8]uint16, mask uint8) bool {
@@ -128,8 +110,7 @@ func TestConflictDegreeProperties(t *testing.T) {
 			}
 		}
 		plain := s.ConflictDegree(addrs, active)
-		bc := s.ConflictDegreeBroadcast(addrs, active)
-		if bc > plain || plain > n || bc < 0 {
+		if plain > n {
 			return false
 		}
 		if (plain == 0) != (n == 0) {

@@ -1,10 +1,6 @@
 package simgpu
 
-import (
-	"fmt"
-
-	"atgpu/internal/kernel"
-)
+import "atgpu/internal/kernel"
 
 // This file implements the atomic read-modify-write instructions for both
 // interpreters (the legacy switch and the decoded fast path both delegate
@@ -47,23 +43,12 @@ func (ls *launchState) execAtomShared(w *warp, op kernel.Op, dBase, aBase, bBase
 	sh := w.shared
 	ssize := sh.Size()
 
-	anyActive := false
-	for l := 0; l < width; l++ {
-		if !w.active[l] {
-			w.addrs[l] = -1
-			continue
-		}
-		anyActive = true
-		addr := regs[aBase+l]
-		if addr < 0 || addr >= kernel.Word(ssize) {
-			return fmt.Errorf("%w: shared %s lane %d addr %d (M-alloc=%d)",
-				errAddrRange, op, l, addr, ssize)
-		}
-		w.addrs[l] = int(addr)
-	}
-	if !anyActive {
+	if w.activeN == 0 {
 		w.pc++
 		return nil
+	}
+	if bad := execGather(w, aBase, ssize); bad >= 0 {
+		return sharedRangeErr(op, bad, regs[aBase+bad], ssize)
 	}
 
 	// Per-bank request counts; no broadcast exemption for atomics.
@@ -129,46 +114,14 @@ func (ls *launchState) execAtomGlobal(w *warp, op kernel.Op, dBase, aBase, bBase
 	g := ls.d.global
 	gsize := g.Size()
 
-	anyActive := false
-	for l := 0; l < width; l++ {
-		if !w.active[l] {
-			w.addrs[l] = -1
-			continue
-		}
-		anyActive = true
-		addr := regs[aBase+l]
-		if addr < 0 || addr >= kernel.Word(gsize) {
-			return fmt.Errorf("%w: global %s lane %d addr %d (G=%d)",
-				errAddrRange, op, l, addr, gsize)
-		}
-		w.addrs[l] = int(addr)
-	}
-	if !anyActive {
+	if w.activeN == 0 {
 		w.pc++
 		return nil
 	}
-
-	// Distinct memory blocks, exactly as execGlobal counts them.
-	bs := width
-	blocks := ls.blockScratch
-	nblocks := 0
-	for l := 0; l < width; l++ {
-		if w.addrs[l] < 0 {
-			continue
-		}
-		blk := w.addrs[l] / bs
-		seen := false
-		for i := 0; i < nblocks; i++ {
-			if blocks[i] == blk {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			blocks[nblocks] = blk
-			nblocks++
-		}
+	if bad := execGather(w, aBase, gsize); bad >= 0 {
+		return globalRangeErr(op, bad, regs[aBase+bad], gsize)
 	}
+	nblocks := ls.execTransactions(w, accessScattered, 0)
 
 	// Serialisation degree: the maximum same-address request count.
 	degree := 0

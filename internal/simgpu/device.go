@@ -509,16 +509,25 @@ func (ls *launchState) recycle(w *warp) {
 
 // pickReady returns the next issuable warp after waking any whose memory
 // request has completed, scanning round-robin from the last issue point.
+// The scan index wraps by comparison rather than modulo: the pick runs
+// once per SM per cycle.
 func (sm *smState) pickReady(cycle int64) *warp {
 	n := len(sm.resident)
+	idx := sm.rr
+	if idx >= n {
+		idx %= n // retire keeps rr < n; this only guards the invariant
+	}
 	for i := 0; i < n; i++ {
-		idx := (sm.rr + i) % n
 		w := sm.resident[idx]
+		idx++
+		if idx == n {
+			idx = 0
+		}
 		if w.state == wWaiting && w.readyAt <= cycle {
 			w.state = wReady
 		}
 		if w.state == wReady {
-			sm.rr = (idx + 1) % n
+			sm.rr = idx
 			return w
 		}
 	}

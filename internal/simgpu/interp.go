@@ -247,58 +247,196 @@ func (w *warp) uniformCond(a int) (taken, uniform, any bool) {
 	return taken, uniform, any
 }
 
-// execGlobal performs a warp-wide global memory access: gathers active
-// lanes' addresses, counts coalesced transactions, moves the data, and puts
-// the warp to sleep for the transaction latency. The register columns are
-// passed as precomputed flat bases so the legacy and decoded interpreters
-// share one implementation.
-func (ls *launchState) execGlobal(w *warp, op kernel.Op, dBase, aBase, sBase int) error {
-	width := ls.width
-	regs := w.regs
-	g := ls.d.global
-	gsize := g.Size()
+// Warp memory accesses
+//
+// A fully active warp's address column is range-checked and classified
+// by execClassify. The two patterns that make up nearly every access of
+// the tiled kernels cost O(1) to price: a contiguous run spans width
+// distinct banks and at most two blocks and loads or stores as one copy;
+// a broadcast hits one bank and one block and loads as one fill. Every
+// other pattern, and every partially masked warp, is gathered into
+// w.addrs (execGather) and priced by the per-lane counters
+// (conflictDegree, execTransactions). Memo replay moves its all-active
+// data through the same execLoad/execStore. All exec* helpers are under
+// the atgpu-vet hotalloc contract: they must not allocate.
 
-	// Gather and range-check addresses.
-	for l := 0; l < width; l++ {
-		if !w.active[l] {
+// accessKind is the pattern of a fully active warp's address column.
+type accessKind uint8
+
+const (
+	// accessScattered is any pattern without an O(1) rule: it is
+	// priced lane by lane.
+	accessScattered accessKind = iota
+	// accessContiguous is addr[l] == addr[0]+l on every lane l.
+	accessContiguous
+	// accessBroadcast is every lane on the word addr[0].
+	accessBroadcast
+)
+
+// execClassify range-checks the fully active address column ac of an
+// access to a memory of size words and classifies its pattern. bad is the
+// first lane out of range, or -1. A run or a broadcast needs only its end
+// lanes checked: lane 0 is the first bad lane when addr[0] is out of
+// range, else a run first leaves memory at lane size−addr[0]. A scattered
+// column is checked lane by lane. A one-lane column is contiguous.
+func execClassify(ac []kernel.Word, size int) (kind accessKind, bad int) {
+	a0 := ac[0]
+	// Each accumulator stays zero only while every lane fits its pattern.
+	var contig, bcast kernel.Word
+	for l, a := range ac {
+		contig |= a - a0 - kernel.Word(l)
+		bcast |= a - a0
+	}
+	switch {
+	case uint64(a0) >= uint64(size) && (contig == 0 || bcast == 0):
+		return accessScattered, 0
+	case contig == 0:
+		if a0+kernel.Word(len(ac)) > kernel.Word(size) {
+			return accessContiguous, size - int(a0)
+		}
+		return accessContiguous, -1
+	case bcast == 0:
+		return accessBroadcast, -1
+	}
+	for l, a := range ac {
+		if uint64(a) >= uint64(size) {
+			return accessScattered, l
+		}
+	}
+	return accessScattered, -1
+}
+
+// execLoad loads the fully active address column ac from mem into the
+// register column dst. A run is one copy and a broadcast one fill, both
+// range-checked by execClassify. A scattered column is range-checked and
+// loaded lane by lane; the first out-of-range lane is returned, with the
+// lanes below it already loaded, or -1. dst may alias ac.
+func execLoad(dst, ac, mem []kernel.Word, kind accessKind) (bad int) {
+	switch kind {
+	case accessContiguous:
+		a0 := ac[0]
+		copy(dst, mem[a0:a0+kernel.Word(len(dst))])
+	case accessBroadcast:
+		v := mem[ac[0]]
+		for l := range dst {
+			dst[l] = v
+		}
+	default:
+		for l, a := range ac {
+			if uint64(a) >= uint64(len(mem)) {
+				return l
+			}
+			dst[l] = mem[a]
+		}
+	}
+	return -1
+}
+
+// execStore stores the register column src to the fully active address
+// column ac of mem, checked as execLoad checks. Lanes land in ascending
+// order, so where lanes share a word the highest lane's value stays: a
+// broadcast is one write of the last lane's value. A scattered store that
+// traps has written the lanes below the bad one; the interpreter, which
+// must not, range-checks the whole column with execClassify first.
+func execStore(mem, ac, src []kernel.Word, kind accessKind) (bad int) {
+	switch kind {
+	case accessContiguous:
+		copy(mem[ac[0]:], src)
+	case accessBroadcast:
+		mem[ac[0]] = src[len(src)-1]
+	default:
+		for l, a := range ac {
+			if uint64(a) >= uint64(len(mem)) {
+				return l
+			}
+			mem[a] = src[l]
+		}
+	}
+	return -1
+}
+
+// execGather range-checks the active lanes' addresses in register column
+// aBase against a memory of size words and gathers them into w.addrs, -1
+// marking an inactive lane. It returns the first out-of-range lane, or -1.
+func execGather(w *warp, aBase, size int) int {
+	for l, on := range w.active {
+		if !on {
 			w.addrs[l] = -1
 			continue
 		}
-		addr := regs[aBase+l]
-		if addr < 0 || addr >= kernel.Word(gsize) {
-			return fmt.Errorf("%w: global %s lane %d addr %d (G=%d)",
-				errAddrRange, op, l, addr, gsize)
+		addr := w.regs[aBase+l]
+		if uint64(addr) >= uint64(size) {
+			return l
 		}
 		w.addrs[l] = int(addr)
 	}
+	return -1
+}
 
-	// Count distinct memory blocks (l transactions). Warps are small;
-	// linear scan over collected blocks avoids allocation. The scratch is
-	// sized from the launch width (a warp touches at most width blocks).
-	bs := ls.width // block size equals warp width in the model
-	blocks := ls.blockScratch
-	nblocks := 0
-	for l := 0; l < width; l++ {
-		if w.addrs[l] < 0 {
+// execMoveGathered moves a gathered access lane by lane in ascending
+// order: each lane with an address in w.addrs loads into register column
+// dBase or stores from column sBase.
+func execMoveGathered(w *warp, mem []kernel.Word, load bool, dBase, sBase int) {
+	for l, a := range w.addrs {
+		if a < 0 {
 			continue
 		}
-		blk := w.addrs[l] / bs
-		seen := false
-		for i := 0; i < nblocks; i++ {
-			if blocks[i] == blk {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			blocks[nblocks] = blk
-			nblocks++
+		if load {
+			w.regs[dBase+l] = mem[a]
+		} else {
+			mem[a] = w.regs[sBase+l]
 		}
 	}
-	if nblocks == 0 {
-		// Fully masked access: costs the issue slot only.
-		w.pc++
-		return nil
+}
+
+// globalRangeErr and sharedRangeErr are the traps for lane l's address
+// lying outside global memory or the block's M-alloc words.
+func globalRangeErr(op kernel.Op, l int, addr kernel.Word, size int) error {
+	return fmt.Errorf("%w: global %s lane %d addr %d (G=%d)", errAddrRange, op, l, addr, size)
+}
+
+func sharedRangeErr(op kernel.Op, l int, addr kernel.Word, size int) error {
+	return fmt.Errorf("%w: shared %s lane %d addr %d (M-alloc=%d)", errAddrRange, op, l, addr, size)
+}
+
+// execGlobal performs a warp-wide global memory access: checks the active
+// lanes' addresses, counts coalesced transactions, moves the data, and
+// puts the warp to sleep for the transaction latency. The register
+// columns are passed as precomputed flat bases so the legacy and decoded
+// interpreters share one implementation.
+func (ls *launchState) execGlobal(w *warp, op kernel.Op, dBase, aBase, sBase int) error {
+	width := ls.width
+	regs := w.regs
+	raw := ls.d.global.Raw()
+	gsize := len(raw)
+
+	var nblocks int
+	if w.activeN == width {
+		ac := regs[aBase : aBase+width : aBase+width]
+		kind, bad := execClassify(ac, gsize)
+		if bad >= 0 {
+			return globalRangeErr(op, bad, ac[bad], gsize)
+		}
+		if kind == accessScattered {
+			execGather(w, aBase, gsize) // execTransactions reads w.addrs
+		}
+		nblocks = ls.execTransactions(w, kind, ac[0])
+		if op == kernel.OpLdGlobal {
+			execLoad(regs[dBase:dBase+width], ac, raw, kind)
+		} else {
+			execStore(raw, ac, regs[sBase:sBase+width], kind)
+		}
+	} else {
+		if bad := execGather(w, aBase, gsize); bad >= 0 {
+			return globalRangeErr(op, bad, regs[aBase+bad], gsize)
+		}
+		nblocks = ls.execTransactions(w, accessScattered, 0)
+		if nblocks == 0 {
+			// Fully masked access: costs the issue slot only.
+			w.pc++
+			return nil
+		}
+		execMoveGathered(w, raw, op == kernel.OpLdGlobal, dBase, sBase)
 	}
 
 	ls.stats.GlobalAccesses++
@@ -319,21 +457,6 @@ func (ls *launchState) execGlobal(w *warp, op kernel.Op, dBase, aBase, sBase int
 	}
 	if ls.tracer != nil {
 		ls.tracer.onMem(w.blockID, w.smIdx, ls.cycle, nblocks, op == kernel.OpStGlobal)
-	}
-
-	raw := g.Raw()
-	if op == kernel.OpLdGlobal {
-		for l := 0; l < width; l++ {
-			if w.addrs[l] >= 0 {
-				regs[dBase+l] = raw[w.addrs[l]]
-			}
-		}
-	} else {
-		for l := 0; l < width; l++ {
-			if w.addrs[l] >= 0 {
-				raw[w.addrs[l]] = regs[sBase+l]
-			}
-		}
 	}
 
 	lat := int64(ls.d.cfg.GlobalLatencyCycles) +
@@ -358,35 +481,97 @@ func (ls *launchState) execGlobal(w *warp, op kernel.Op, dBase, aBase, sBase int
 	return nil
 }
 
+// execTransactions returns l, the distinct width-word memory blocks a
+// warp-wide global access touches; global accesses and global atomics
+// both count through it. A classified access costs O(1): a contiguous
+// run from a0 fills one block when a0 is block-aligned and straddles two
+// otherwise, and a broadcast reads one. Any other access counts the
+// distinct blocks of the gathered addresses in w.addrs; 0 means no lane
+// was active.
+func (ls *launchState) execTransactions(w *warp, kind accessKind, a0 kernel.Word) int {
+	bs := ls.width // block size equals warp width in the model
+	switch kind {
+	case accessContiguous:
+		if a0%kernel.Word(bs) == 0 {
+			return 1
+		}
+		return 2
+	case accessBroadcast:
+		return 1
+	}
+	// Warps are small; a linear scan over the collected blocks avoids
+	// allocation. The scratch is sized from the launch width (a warp
+	// touches at most width blocks).
+	blocks := ls.blockScratch
+	nblocks := 0
+	for _, a := range w.addrs {
+		if a < 0 {
+			continue
+		}
+		blk := a / bs
+		seen := false
+		for i := 0; i < nblocks; i++ {
+			if blocks[i] == blk {
+				seen = true
+				break
+			}
+		}
+		if !seen {
+			blocks[nblocks] = blk
+			nblocks++
+		}
+	}
+	return nblocks
+}
+
 // execShared performs a warp-wide shared memory access with bank-conflict
 // analysis and optional serialisation. Register columns arrive as
 // precomputed flat bases, shared with the decoded interpreter.
 func (ls *launchState) execShared(w *warp, op kernel.Op, dBase, aBase, sBase int) error {
 	width := ls.width
 	regs := w.regs
-	sh := w.shared
-	ssize := sh.Size()
+	raw := w.shared.Raw()
+	ssize := len(raw)
 
-	anyActive := false
-	for l := 0; l < width; l++ {
-		if !w.active[l] {
-			w.addrs[l] = -1
-			continue
+	var degree int
+	if w.activeN == width {
+		ac := regs[aBase : aBase+width : aBase+width]
+		kind, bad := execClassify(ac, ssize)
+		if bad >= 0 {
+			return sharedRangeErr(op, bad, ac[bad], ssize)
 		}
-		anyActive = true
-		addr := regs[aBase+l]
-		if addr < 0 || addr >= kernel.Word(ssize) {
-			return fmt.Errorf("%w: shared %s lane %d addr %d (M-alloc=%d)",
-				errAddrRange, op, l, addr, ssize)
+		switch kind {
+		case accessContiguous:
+			// width consecutive words lie in width distinct banks.
+			degree = 1
+		case accessBroadcast:
+			// One word, one bank: every lane queues on it unless the
+			// hardware broadcasts.
+			degree = width
+			if ls.d.cfg.BroadcastSharedReads {
+				degree = 1
+			}
+		default:
+			execGather(w, aBase, ssize) // conflictDegree reads w.addrs
+			degree = ls.conflictDegree(w)
 		}
-		w.addrs[l] = int(addr)
-	}
-	if !anyActive {
-		w.pc++
-		return nil
+		if op == kernel.OpLdShared {
+			execLoad(regs[dBase:dBase+width], ac, raw, kind)
+		} else {
+			execStore(raw, ac, regs[sBase:sBase+width], kind)
+		}
+	} else {
+		if w.activeN == 0 {
+			w.pc++
+			return nil
+		}
+		if bad := execGather(w, aBase, ssize); bad >= 0 {
+			return sharedRangeErr(op, bad, regs[aBase+bad], ssize)
+		}
+		degree = ls.conflictDegree(w)
+		execMoveGathered(w, raw, op == kernel.OpLdShared, dBase, sBase)
 	}
 
-	degree := ls.conflictDegree(w)
 	ls.stats.SharedAccesses++
 	if degree > 1 {
 		ls.stats.BankConflicts++
@@ -402,21 +587,6 @@ func (ls *launchState) execShared(w *warp, op kernel.Op, dBase, aBase, sBase int
 		}
 		if degree > s.MaxDegree {
 			s.MaxDegree = degree
-		}
-	}
-
-	raw := sh.Raw()
-	if op == kernel.OpLdShared {
-		for l := 0; l < width; l++ {
-			if w.addrs[l] >= 0 {
-				regs[dBase+l] = raw[w.addrs[l]]
-			}
-		}
-	} else {
-		for l := 0; l < width; l++ {
-			if w.addrs[l] >= 0 {
-				raw[w.addrs[l]] = regs[sBase+l]
-			}
 		}
 	}
 

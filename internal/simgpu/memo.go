@@ -246,12 +246,6 @@ func (ls *launchState) memoReplay(from, to int) error {
 	return nil
 }
 
-// sharedRangeErr is the trap replayBlock raises when lane l's shared
-// address lies outside the block's M-alloc words, in the interpreter's text.
-func sharedRangeErr(op kernel.Op, l int, addr kernel.Word, size int) error {
-	return fmt.Errorf("%w: shared %s lane %d addr %d (M-alloc=%d)", errAddrRange, op, l, addr, size)
-}
-
 // replayBlock executes one block's decoded trace for data effects only: no
 // statistics, no latencies, no scheduling. Control flow, traps and memory
 // bounds behave exactly as in execDec. The instruction budget is bounded by
@@ -261,8 +255,6 @@ func sharedRangeErr(op kernel.Op, l int, addr kernel.Word, size int) error {
 func (ls *launchState) replayBlock(w *warp) error {
 	ins := ls.dec.Ins
 	budget := ls.stats.MaxWarpInstrs
-	gsize := ls.d.global.Size()
-	graw := ls.d.global.Raw()
 	width := ls.width
 	regs := w.regs
 	pc := 0
@@ -280,119 +272,10 @@ func (ls *launchState) replayBlock(w *warp) error {
 		instrs++
 
 		switch in.Op {
-		case kernel.OpLdGlobal:
-			a, d := int(in.A), int(in.D)
-			if w.activeN == width {
-				ac := regs[a : a+width : a+width]
-				for l := 0; l < width; l++ {
-					addr := ac[l]
-					if uint64(addr) >= uint64(gsize) {
-						w.pc = pc
-						return fmt.Errorf("%w: global %s lane %d addr %d (G=%d)",
-							errAddrRange, in.Op, l, addr, gsize)
-					}
-					regs[d+l] = graw[addr]
-				}
-			} else {
-				for l := 0; l < width; l++ {
-					if !w.active[l] {
-						continue
-					}
-					addr := regs[a+l]
-					if uint64(addr) >= uint64(gsize) {
-						w.pc = pc
-						return fmt.Errorf("%w: global %s lane %d addr %d (G=%d)",
-							errAddrRange, in.Op, l, addr, gsize)
-					}
-					regs[d+l] = graw[addr]
-				}
-			}
-
-		case kernel.OpStGlobal:
-			a, s := int(in.A), int(in.B)
-			if w.activeN == width {
-				ac := regs[a : a+width : a+width]
-				sc := regs[s : s+width : s+width]
-				for l := 0; l < width; l++ {
-					addr := ac[l]
-					if uint64(addr) >= uint64(gsize) {
-						w.pc = pc
-						return fmt.Errorf("%w: global %s lane %d addr %d (G=%d)",
-							errAddrRange, in.Op, l, addr, gsize)
-					}
-					graw[addr] = sc[l]
-				}
-			} else {
-				for l := 0; l < width; l++ {
-					if !w.active[l] {
-						continue
-					}
-					addr := regs[a+l]
-					if uint64(addr) >= uint64(gsize) {
-						w.pc = pc
-						return fmt.Errorf("%w: global %s lane %d addr %d (G=%d)",
-							errAddrRange, in.Op, l, addr, gsize)
-					}
-					graw[addr] = regs[s+l]
-				}
-			}
-
-		case kernel.OpLdShared:
-			a, d := int(in.A), int(in.D)
-			sraw := w.shared.Raw()
-			ssize := w.shared.Size()
-			if w.activeN == width {
-				ac := regs[a : a+width : a+width]
-				dc := regs[d : d+width : d+width]
-				for l := 0; l < width; l++ {
-					addr := ac[l]
-					if uint64(addr) >= uint64(ssize) {
-						w.pc = pc
-						return sharedRangeErr(in.Op, l, addr, ssize)
-					}
-					dc[l] = sraw[addr]
-				}
-			} else {
-				for l := 0; l < width; l++ {
-					if !w.active[l] {
-						continue
-					}
-					addr := regs[a+l]
-					if uint64(addr) >= uint64(ssize) {
-						w.pc = pc
-						return sharedRangeErr(in.Op, l, addr, ssize)
-					}
-					regs[d+l] = sraw[addr]
-				}
-			}
-
-		case kernel.OpStShared:
-			a, s := int(in.A), int(in.B)
-			sraw := w.shared.Raw()
-			ssize := w.shared.Size()
-			if w.activeN == width {
-				ac := regs[a : a+width : a+width]
-				sc := regs[s : s+width : s+width]
-				for l := 0; l < width; l++ {
-					addr := ac[l]
-					if uint64(addr) >= uint64(ssize) {
-						w.pc = pc
-						return sharedRangeErr(in.Op, l, addr, ssize)
-					}
-					sraw[addr] = sc[l]
-				}
-			} else {
-				for l := 0; l < width; l++ {
-					if !w.active[l] {
-						continue
-					}
-					addr := regs[a+l]
-					if uint64(addr) >= uint64(ssize) {
-						w.pc = pc
-						return sharedRangeErr(in.Op, l, addr, ssize)
-					}
-					sraw[addr] = regs[s+l]
-				}
+		case kernel.OpLdGlobal, kernel.OpStGlobal, kernel.OpLdShared, kernel.OpStShared:
+			if err := ls.replayMem(w, in); err != nil {
+				w.pc = pc
+				return err
 			}
 
 		case kernel.OpBarrier:
@@ -455,4 +338,52 @@ func (ls *launchState) replayBlock(w *warp) error {
 		}
 		pc++
 	}
+}
+
+// replayMem moves one memory instruction's data for replayBlock, with the
+// interpreter's bounds checks and trap text. A fully active warp moves
+// through the interpreter's execLoad/execStore. Replay does not price the
+// access, so it skips classification and moves every column lane by lane:
+// on a 32-lane column the classifying pass costs more than the copy it
+// enables saves. A masked warp moves lane by lane here.
+func (ls *launchState) replayMem(w *warp, in *kernel.DInstr) error {
+	width := ls.width
+	regs := w.regs
+	mem := ls.d.global.Raw()
+	rangeErr := globalRangeErr
+	if in.Op == kernel.OpLdShared || in.Op == kernel.OpStShared {
+		mem = w.shared.Raw()
+		rangeErr = sharedRangeErr
+	}
+	load := in.Op == kernel.OpLdGlobal || in.Op == kernel.OpLdShared
+	a, d, s := int(in.A), int(in.D), int(in.B)
+
+	if w.activeN == width {
+		ac := regs[a : a+width : a+width]
+		var bad int
+		if load {
+			bad = execLoad(regs[d:d+width], ac, mem, accessScattered)
+		} else {
+			bad = execStore(mem, ac, regs[s:s+width], accessScattered)
+		}
+		if bad >= 0 {
+			return rangeErr(in.Op, bad, ac[bad], len(mem))
+		}
+		return nil
+	}
+	for l := 0; l < width; l++ {
+		if !w.active[l] {
+			continue
+		}
+		addr := regs[a+l]
+		if uint64(addr) >= uint64(len(mem)) {
+			return rangeErr(in.Op, l, addr, len(mem))
+		}
+		if load {
+			regs[d+l] = mem[addr]
+		} else {
+			mem[addr] = regs[s+l]
+		}
+	}
+	return nil
 }

@@ -1,14 +1,19 @@
 package atgpu
 
 // BenchmarkSimSpeed measures raw simulator throughput on a block-uniform
-// saxpy kernel (y[i] = a·x[i] + y[i]) in three arms:
+// saxpy kernel (y[i] = a·x[i] + y[i]) in three arms, plus one shared-memory
+// arm:
 //
-//	legacy-switch: the reference switch interpreter (Config.LegacyInterp)
-//	decoded:       the decoded-IR fast path, memoization off
-//	decoded-memo:  decoded IR plus analyzer-certified block memoization
+//	legacy-switch:  the reference switch interpreter (Config.LegacyInterp)
+//	decoded:        the decoded-IR fast path, memoization off
+//	decoded-memo:   decoded IR plus analyzer-certified block memoization
+//	decoded-shared: the tiled matmul kernel (n = simSpeedMatMulN), which the
+//	                analyzer does not certify: every block runs through the
+//	                scheduler's shared-memory path
 //
-// Each op simulates one full launch of simSpeedBlocks thread blocks on the
-// GTX650 preset; divide ns/op by simSpeedBlocks for ns per simulated block.
+// Each saxpy op simulates one full launch of simSpeedBlocks thread blocks
+// on the GTX650 preset; divide ns/op by simSpeedBlocks for ns per simulated
+// block. A decoded-shared op is one launch of (n/32)² matmul blocks.
 // CI parses `-bench SimSpeed` output into BENCH_simspeed.json; the gate
 // job fails on >15% ns/op regression against the committed benchmark
 // trajectory (testdata/trajectory.jsonl, via `atgpu results gate`).
@@ -16,6 +21,7 @@ package atgpu
 import (
 	"testing"
 
+	"atgpu/internal/algorithms"
 	"atgpu/internal/analyze"
 	"atgpu/internal/kernel"
 	"atgpu/internal/simgpu"
@@ -24,6 +30,9 @@ import (
 const (
 	simSpeedN      = 1 << 18
 	simSpeedBlocks = simSpeedN / 32 // GTX650 warp width
+	// simSpeedMatMulN is the decoded-shared arm's matrix side: 16 blocks
+	// of 32×32 tiles.
+	simSpeedMatMulN = 128
 )
 
 // saxpyKernel builds y[idx] = a·x[idx] + y[idx], idx = blk·b + lane.
@@ -74,22 +83,37 @@ func simSpeedDevice(b *testing.B, legacy bool, prover simgpu.UniformProver) *sim
 }
 
 func BenchmarkSimSpeed(b *testing.B) {
+	saxpy := func(b *testing.B, width int) (*kernel.Program, int) {
+		return saxpyKernel(b, width, 3, 0, simSpeedN), simSpeedBlocks
+	}
+	matmul := func(b *testing.B, width int) (*kernel.Program, int) {
+		b.Helper()
+		mm := algorithms.MatMul{N: simSpeedMatMulN}
+		nn := simSpeedMatMulN * simSpeedMatMulN
+		prog, err := mm.Kernel(width, 0, nn, 2*nn)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return prog, mm.Blocks(width)
+	}
 	arms := []struct {
 		name   string
 		legacy bool
 		prover simgpu.UniformProver
+		build  func(b *testing.B, width int) (*kernel.Program, int)
 	}{
-		{"legacy-switch", true, nil},
-		{"decoded", false, nil},
-		{"decoded-memo", false, analyze.UniformProver},
+		{"legacy-switch", true, nil, saxpy},
+		{"decoded", false, nil, saxpy},
+		{"decoded-memo", false, analyze.UniformProver, saxpy},
+		{"decoded-shared", false, nil, matmul},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
 			dev := simSpeedDevice(b, arm.legacy, arm.prover)
-			prog := saxpyKernel(b, dev.Config().WarpWidth, 3, 0, simSpeedN)
+			prog, blocks := arm.build(b, dev.Config().WarpWidth)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := dev.Launch(prog, simSpeedBlocks); err != nil {
+				if _, err := dev.Launch(prog, blocks); err != nil {
 					b.Fatal(err)
 				}
 			}
