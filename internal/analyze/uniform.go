@@ -60,6 +60,10 @@ type UniformCert struct {
 type affv struct {
 	a, c int64
 	top  bool
+	// src is 1 + the pc of the instruction that made a Top value, 0
+	// until run stamps it; a Top operand passes its src on to the result,
+	// so a refusal can name the instruction the unknown came from.
+	src int32
 }
 
 func affTop() affv         { return affv{top: true} }
@@ -188,61 +192,6 @@ func (u *uniState) run() error {
 			a := u.base(in.Ra)
 			u.setActive(in.Rd, func(l int) affv { return u.regs[a+l] })
 
-		case kernel.OpAdd, kernel.OpSub, kernel.OpMul, kernel.OpMin, kernel.OpMax,
-			kernel.OpAnd, kernel.OpOr, kernel.OpXor, kernel.OpShl, kernel.OpShr,
-			kernel.OpSlt, kernel.OpSle, kernel.OpSeq, kernel.OpSne:
-			a, b := u.base(in.Ra), u.base(in.Rb)
-			u.setActive(in.Rd, func(l int) affv { return u.affALU(in.Op, u.regs[a+l], u.regs[b+l]) })
-
-		case kernel.OpDiv, kernel.OpMod:
-			a, b := u.base(in.Ra), u.base(in.Rb)
-			for l := 0; l < u.width; l++ {
-				if !u.active[l] {
-					continue
-				}
-				dv := u.regs[b+l]
-				if !dv.isCon() {
-					return u.refusef("lane %d divisor is not a block-invariant constant", l)
-				}
-				if dv.c == 0 {
-					return u.refusef("lane %d divides by zero", l)
-				}
-			}
-			u.setActive(in.Rd, func(l int) affv {
-				x, dv := u.regs[a+l], u.regs[b+l]
-				if !x.isCon() {
-					return affTop()
-				}
-				if in.Op == kernel.OpDiv {
-					return affCon(x.c / dv.c)
-				}
-				return affCon(x.c % dv.c)
-			})
-
-		case kernel.OpAddI, kernel.OpMulI, kernel.OpShlI, kernel.OpShrI, kernel.OpAndI,
-			kernel.OpSltI, kernel.OpSleI, kernel.OpSeqI, kernel.OpSneI:
-			a := u.base(in.Ra)
-			u.setActive(in.Rd, func(l int) affv { return u.affALUImm(in.Op, u.regs[a+l], in.Imm) })
-
-		case kernel.OpDivI, kernel.OpModI:
-			// Masked semantics: a zero immediate only traps on active lanes,
-			// and the prover reaches here only with at least the trace's
-			// active lanes executing.
-			if in.Imm == 0 && u.anyActive() {
-				return u.refusef("divides by constant zero")
-			}
-			a := u.base(in.Ra)
-			u.setActive(in.Rd, func(l int) affv {
-				x := u.regs[a+l]
-				if !x.isCon() {
-					return affTop()
-				}
-				if in.Op == kernel.OpDivI {
-					return affCon(x.c / in.Imm)
-				}
-				return affCon(x.c % in.Imm)
-			})
-
 		case kernel.OpLaneID:
 			u.setActive(in.Rd, func(l int) affv { return affCon(int64(l)) })
 
@@ -312,41 +261,86 @@ func (u *uniState) run() error {
 			return nil
 
 		default:
-			return u.refusef("unsupported opcode %v", in.Op)
+			sem := in.Op.Semantics()
+			if sem == nil {
+				return u.refusef("unsupported opcode %v", in.Op)
+			}
+			if err := u.compute(in, sem); err != nil {
+				return err
+			}
 		}
 		u.pc++
 	}
 }
 
-func (u *uniState) base(r kernel.Reg) int { return int(r) * u.width }
-
-func (u *uniState) anyActive() bool {
-	for _, a := range u.active {
-		if a {
-			return true
+// compute runs a compute opcode: concrete operands evaluate through the
+// opcode's kernel lane function, exactly as on the device; anything else
+// goes through the affine transfer functions. A divisor must be a nonzero
+// block-invariant constant on every active lane.
+func (u *uniState) compute(in kernel.Instr, sem *kernel.Sem) error {
+	a, b := u.base(in.Ra), u.base(in.Rb)
+	operand := func(l int) affv {
+		if sem.Imm {
+			return affCon(in.Imm)
+		}
+		return u.regs[b+l]
+	}
+	if sem.Trap {
+		// Masked semantics: a zero divisor only traps on active lanes.
+		for l := 0; l < u.width; l++ {
+			if !u.active[l] {
+				continue
+			}
+			switch dv := operand(l); {
+			case !dv.isCon():
+				return u.refusef("lane %d divisor is not a block-invariant constant", l)
+			case dv.c == 0 && sem.Imm:
+				return u.refusef("divides by constant zero")
+			case dv.c == 0:
+				return u.refusef("lane %d divides by zero", l)
+			}
 		}
 	}
-	return false
+	op := in.Op
+	if sem.Imm {
+		op = regForm[op]
+	}
+	u.setActive(in.Rd, func(l int) affv {
+		x, y := u.regs[a+l], operand(l)
+		if x.isCon() && y.isCon() {
+			return affCon(sem.Lane(x.c, y.c))
+		}
+		return u.affALU(op, x, y)
+	})
+	return nil
 }
 
-// setActive writes f(l) into active lanes of destination register rd.
+func (u *uniState) base(r kernel.Reg) int { return int(r) * u.width }
+
+// setActive writes f(l) into active lanes of destination register rd,
+// stamping a new Top with the current pc.
 func (u *uniState) setActive(rd kernel.Reg, f func(l int) affv) {
 	d := u.base(rd)
 	for l := 0; l < u.width; l++ {
 		if u.active[l] {
-			u.regs[d+l] = f(l)
+			v := f(l)
+			if v.top && v.src == 0 {
+				v.src = int32(u.pc) + 1
+			}
+			u.regs[d+l] = v
 		}
 	}
 }
 
-// affALU mirrors the device's alu() over the affine domain.
+// affALU is a register-operand compute opcode over the affine domain, for
+// operands that are not both concrete; immediate forms arrive mapped by
+// regForm.
 func (u *uniState) affALU(op kernel.Op, x, y affv) affv {
-	if x.isCon() && y.isCon() {
-		// Exact: identical Go semantics to the device, wraparound included.
-		return affCon(deviceALU(op, x.c, y.c))
+	if x.top {
+		return x
 	}
-	if x.top || y.top {
-		return affTop()
+	if y.top {
+		return y
 	}
 	switch op {
 	case kernel.OpAdd:
@@ -372,40 +366,14 @@ func (u *uniState) affALU(op kernel.Op, x, y affv) affv {
 	return affTop()
 }
 
-// affALUImm mirrors aluImm() over the affine domain.
-func (u *uniState) affALUImm(op kernel.Op, x affv, imm int64) affv {
-	if x.isCon() {
-		return affCon(deviceALUImm(op, x.c, imm))
-	}
-	if x.top {
-		return affTop()
-	}
-	switch op {
-	case kernel.OpAddI:
-		if x.guarded() && imm >= -uniformMaxMag && imm <= uniformMaxMag {
-			return gaff(x.a, x.c+imm)
-		}
-	case kernel.OpMulI:
-		return scaleAff(x, imm)
-	case kernel.OpShlI:
-		if x.guarded() {
-			return shiftAff(x, imm)
-		}
-	case kernel.OpSltI, kernel.OpSleI, kernel.OpSeqI, kernel.OpSneI:
-		var rel kernel.Op
-		switch op {
-		case kernel.OpSltI:
-			rel = kernel.OpSlt
-		case kernel.OpSleI:
-			rel = kernel.OpSle
-		case kernel.OpSeqI:
-			rel = kernel.OpSeq
-		default:
-			rel = kernel.OpSne
-		}
-		return u.affCompare(rel, x, affCon(imm))
-	}
-	return affTop()
+// regForm maps each immediate-operand compute opcode to its register form:
+// over the affine domain an immediate is just a concrete operand.
+var regForm = map[kernel.Op]kernel.Op{
+	kernel.OpAddI: kernel.OpAdd, kernel.OpMulI: kernel.OpMul,
+	kernel.OpDivI: kernel.OpDiv, kernel.OpModI: kernel.OpMod,
+	kernel.OpShlI: kernel.OpShl, kernel.OpShrI: kernel.OpShr, kernel.OpAndI: kernel.OpAnd,
+	kernel.OpSltI: kernel.OpSlt, kernel.OpSleI: kernel.OpSle,
+	kernel.OpSeqI: kernel.OpSeq, kernel.OpSneI: kernel.OpSne,
 }
 
 // conOf extracts the concrete multiplier when exactly one operand is
@@ -461,23 +429,21 @@ func shiftAff(v affv, s int64) affv {
 // result must be the SAME for every block, otherwise it is Top (and will be
 // refused if it ever reaches control or addressing).
 func (u *uniState) affCompare(op kernel.Op, x, y affv) affv {
-	if x.isCon() && y.isCon() {
-		return affCon(deviceALU(op, x.c, y.c))
-	}
+	lane := op.Semantics().Lane
 	if !x.guarded() || !y.guarded() {
 		return affTop()
 	}
 	da, dc := x.a-y.a, x.c-y.c // diff(k) = da·k + dc, |·| ≤ 2^41: evaluation safe
 	if da == 0 {
-		return affCon(deviceALU(op, dc, 0))
+		return affCon(lane(dc, 0))
 	}
 	last := u.blocks - 1
 	switch op {
 	case kernel.OpSlt, kernel.OpSle:
 		// diff is monotone in k: identical truth at both endpoints means
 		// identical truth at every block.
-		t0 := deviceALU(op, da*0+dc, 0)
-		t1 := deviceALU(op, da*last+dc, 0)
+		t0 := lane(da*0+dc, 0)
+		t1 := lane(da*last+dc, 0)
 		if t0 == t1 {
 			return affCon(t0)
 		}
@@ -501,78 +467,6 @@ func (u *uniState) affCompare(op kernel.Op, x, y affv) affv {
 	return affTop()
 }
 
-// deviceALU is the device's alu() for comparisons and exact concrete math.
-func deviceALU(op kernel.Op, a, b int64) int64 {
-	switch op {
-	case kernel.OpAdd:
-		return a + b
-	case kernel.OpSub:
-		return a - b
-	case kernel.OpMul:
-		return a * b
-	case kernel.OpMin:
-		if a < b {
-			return a
-		}
-		return b
-	case kernel.OpMax:
-		if a > b {
-			return a
-		}
-		return b
-	case kernel.OpAnd:
-		return a & b
-	case kernel.OpOr:
-		return a | b
-	case kernel.OpXor:
-		return a ^ b
-	case kernel.OpShl:
-		return a << uint(b&63)
-	case kernel.OpShr:
-		return a >> uint(b&63)
-	case kernel.OpSlt:
-		return b2i(a < b)
-	case kernel.OpSle:
-		return b2i(a <= b)
-	case kernel.OpSeq:
-		return b2i(a == b)
-	case kernel.OpSne:
-		return b2i(a != b)
-	}
-	return 0
-}
-
-func deviceALUImm(op kernel.Op, a, imm int64) int64 {
-	switch op {
-	case kernel.OpAddI:
-		return a + imm
-	case kernel.OpMulI:
-		return a * imm
-	case kernel.OpShlI:
-		return a << uint(imm&63)
-	case kernel.OpShrI:
-		return a >> uint(imm&63)
-	case kernel.OpAndI:
-		return a & imm
-	case kernel.OpSltI:
-		return b2i(a < imm)
-	case kernel.OpSleI:
-		return b2i(a <= imm)
-	case kernel.OpSeqI:
-		return b2i(a == imm)
-	case kernel.OpSneI:
-		return b2i(a != imm)
-	}
-	return 0
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 func abs64(v int64) int64 {
 	if v < 0 {
 		return -v
@@ -580,11 +474,22 @@ func abs64(v int64) int64 {
 	return v
 }
 
+// unknown says where the Top value v came from: loaded data, or the
+// instruction whose result the affine domain could not express.
+func (u *uniState) unknown(v affv) string {
+	pc := int(v.src) - 1
+	op := u.prog.Instrs[pc].Op
+	if op == kernel.OpLdGlobal {
+		return "depends on loaded data"
+	}
+	return fmt.Sprintf("is not affine in the block index: %v at pc %d", op, pc)
+}
+
 // laneTruth resolves a lane's condition value to a block-invariant boolean,
 // or fails.
 func (u *uniState) laneTruth(v affv, l int) (bool, error) {
 	if v.top {
-		return false, u.refusef("lane %d condition depends on loaded data", l)
+		return false, u.refusef("lane %d condition %s", l, u.unknown(v))
 	}
 	if v.isCon() {
 		return v.c != 0, nil
@@ -678,7 +583,7 @@ func (u *uniState) execGlobal(in kernel.Instr) error {
 		}
 		v := u.regs[a+l]
 		if v.top {
-			return u.refusef("lane %d global address depends on loaded data", l)
+			return u.refusef("lane %d global address %s", l, u.unknown(v))
 		}
 		if !v.guarded() {
 			return u.refusef("lane %d global address magnitude exceeds certifiable bounds", l)

@@ -2,8 +2,10 @@ package analyze
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
+	"atgpu/internal/algorithms"
 	"atgpu/internal/kernel"
 	"atgpu/internal/simgpu"
 )
@@ -140,6 +142,50 @@ func TestBlockUniformRefusesDataDependentControl(t *testing.T) {
 	}
 	if _, err := BlockUniform(prog, 4, 1024, 64); !errors.Is(err, ErrNotUniform) {
 		t.Fatalf("BlockUniform = %v, want ErrNotUniform for data-dependent branch", err)
+	}
+}
+
+// TestBlockUniformRefusalNamesTopOrigin pins that a refusal names the
+// instruction the unknown value came from. Tiled matmul splits the block
+// index into a tile row and column with divi/modi, which the affine
+// domain cannot express, so its first global address is refused for that
+// reason rather than for loaded data; a value really loaded from global
+// memory keeps the "loaded data" wording.
+func TestBlockUniformRefusalNamesTopOrigin(t *testing.T) {
+	const b, n = 32, 256
+	nn := n * n
+	mm := algorithms.MatMul{N: n}
+	prog, err := mm.Kernel(b, 0, nn, 2*nn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = BlockUniform(prog, b, 3*nn, mm.Blocks(b))
+	if !errors.Is(err, ErrNotUniform) {
+		t.Fatalf("matmul n=%d: BlockUniform = %v, want ErrNotUniform", n, err)
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "global address is not affine in the block index: divi at pc") &&
+		!strings.Contains(msg, "global address is not affine in the block index: modi at pc") {
+		t.Errorf("matmul refusal = %q, want it to name the divi/modi origin", msg)
+	}
+	if strings.Contains(msg, "loaded data") {
+		t.Errorf("matmul refusal = %q blames loaded data", msg)
+	}
+
+	kb := kernel.NewBuilder("uni-gather", 0)
+	j := kb.Reg("lane")
+	v := kb.Reg("v")
+	kb.LaneID(j)
+	kb.LdGlobal(v, j)
+	kb.Add(v, v, kernel.Imm(1))
+	kb.LdGlobal(v, v)
+	gather, err := kb.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	_, err = BlockUniform(gather, 4, 1024, 64)
+	if err == nil || !strings.Contains(err.Error(), "global address depends on loaded data") {
+		t.Errorf("gather refusal = %v, want the loaded-data wording", err)
 	}
 }
 

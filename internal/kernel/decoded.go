@@ -13,6 +13,8 @@ type DInstr struct {
 	B      int32 // Rb column base
 	Imm    Word
 	Target int32
+	// Sem is Op.Semantics(), resolved once: nil for a non-compute opcode.
+	Sem *Sem
 }
 
 // Decoded is the flat execution form of a Program for one warp width. It is
@@ -43,6 +45,7 @@ func Decode(p *Program, width int) (*Decoded, error) {
 			B:      int32(int(in.Rb) * width),
 			Imm:    in.Imm,
 			Target: in.Target,
+			Sem:    in.Op.Semantics(),
 		}
 	}
 	return d, nil

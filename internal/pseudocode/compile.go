@@ -1,6 +1,7 @@
 package pseudocode
 
 import (
+	"errors"
 	"fmt"
 
 	"atgpu/internal/kernel"
@@ -200,7 +201,9 @@ func (c *compiler) scanBuiltins(stmts []Stmt) {
 	}
 }
 
-// evalConst folds an expression over literals and bound parameters.
+// evalConst folds an expression over literals and bound parameters. A
+// zero divisor leaves the expression unfolded, so the kernel traps at run
+// time exactly where the device would.
 func (c *compiler) evalConst(e Expr) (int64, bool) {
 	switch e := e.(type) {
 	case *NumExpr:
@@ -220,47 +223,8 @@ func (c *compiler) evalConst(e Expr) (int64, bool) {
 		if !ok {
 			return 0, false
 		}
-		switch e.Op {
-		case tokPlus:
-			return l + r, true
-		case tokMinus:
-			return l - r, true
-		case tokStar:
-			return l * r, true
-		case tokSlash:
-			if r == 0 {
-				return 0, false
-			}
-			return l / r, true
-		case tokPercent:
-			if r == 0 {
-				return 0, false
-			}
-			return l % r, true
-		case tokShl:
-			return l << uint(r&63), true
-		case tokShr:
-			return l >> uint(r&63), true
-		case tokAmp:
-			return l & r, true
-		case tokPipe:
-			return l | r, true
-		case tokCaret:
-			return l ^ r, true
-		case tokLt:
-			return b2i(l < r), true
-		case tokLe:
-			return b2i(l <= r), true
-		case tokGt:
-			return b2i(l > r), true
-		case tokGe:
-			return b2i(l >= r), true
-		case tokEq:
-			return b2i(l == r), true
-		case tokNe:
-			return b2i(l != r), true
-		}
-		return 0, false
+		v, err := fold(e.Op, l, r)
+		return v, err == nil
 	case *CallExpr:
 		if len(e.Args) != 2 {
 			return 0, false
@@ -273,25 +237,55 @@ func (c *compiler) evalConst(e Expr) (int64, bool) {
 		if !ok {
 			return 0, false
 		}
-		if e.Fn == "min" {
-			if l < r {
-				return l, true
-			}
-			return r, true
-		}
-		if l > r {
-			return l, true
-		}
-		return r, true
+		return foldCall(e.Fn, l, r), true
 	}
 	return 0, false
 }
 
-func b2i(b bool) int64 {
-	if b {
-		return 1
+// binOps maps each binary operator token to the kernel opcode that
+// computes it; swap marks > and >=, which compute as slt and sle with the
+// operands exchanged (a > b ⇔ b < a), as the compiled kernel does.
+var binOps = map[tokKind]struct {
+	op   kernel.Op
+	swap bool
+}{
+	tokPlus: {op: kernel.OpAdd}, tokMinus: {op: kernel.OpSub}, tokStar: {op: kernel.OpMul},
+	tokSlash: {op: kernel.OpDiv}, tokPercent: {op: kernel.OpMod},
+	tokShl: {op: kernel.OpShl}, tokShr: {op: kernel.OpShr},
+	tokAmp: {op: kernel.OpAnd}, tokPipe: {op: kernel.OpOr}, tokCaret: {op: kernel.OpXor},
+	tokLt: {op: kernel.OpSlt}, tokLe: {op: kernel.OpSle},
+	tokGt: {op: kernel.OpSlt, swap: true}, tokGe: {op: kernel.OpSle, swap: true},
+	tokEq: {op: kernel.OpSeq}, tokNe: {op: kernel.OpSne},
+}
+
+// fold evaluates l op r through the kernel table's lane function for op's
+// opcode, so a folded constant equals what the device would compute. It
+// fails on a zero divisor and on a token that is not a binary operator.
+func fold(op tokKind, l, r int64) (int64, error) {
+	bin, ok := binOps[op]
+	if !ok {
+		return 0, fmt.Errorf("unsupported operator %s", op)
 	}
-	return 0
+	if bin.swap {
+		l, r = r, l
+	}
+	sem := bin.op.Semantics()
+	switch {
+	case sem.Trap && r == 0 && bin.op == kernel.OpDiv:
+		return 0, errors.New("division by zero")
+	case sem.Trap && r == 0:
+		return 0, errors.New("modulo by zero")
+	}
+	return sem.Lane(l, r), nil
+}
+
+// foldCall evaluates min(l, r) or max(l, r) through the kernel table.
+func foldCall(fn string, l, r int64) int64 {
+	op := kernel.OpMax
+	if fn == "min" {
+		op = kernel.OpMin
+	}
+	return op.Semantics().Lane(l, r)
 }
 
 // --- statement lowering -------------------------------------------------------

@@ -1,10 +1,80 @@
 package pseudocode
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"atgpu/internal/mem"
 )
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestFoldOperatorTable drives both constant folders, the kernel's
+// evalConst and the plan's evalPlanExpr, through every binary operator
+// over edge operands, against Go's own operators with the device's
+// shift-amount mask. A zero divisor leaves evalConst unfolded and fails a
+// plan with a division or modulo error.
+func TestFoldOperatorTable(t *testing.T) {
+	ref := []struct {
+		op tokKind
+		f  func(l, r int64) int64
+	}{
+		{tokPlus, func(l, r int64) int64 { return l + r }},
+		{tokMinus, func(l, r int64) int64 { return l - r }},
+		{tokStar, func(l, r int64) int64 { return l * r }},
+		{tokSlash, func(l, r int64) int64 { return l / r }},
+		{tokPercent, func(l, r int64) int64 { return l % r }},
+		{tokShl, func(l, r int64) int64 { return l << uint(r&63) }},
+		{tokShr, func(l, r int64) int64 { return l >> uint(r&63) }},
+		{tokAmp, func(l, r int64) int64 { return l & r }},
+		{tokPipe, func(l, r int64) int64 { return l | r }},
+		{tokCaret, func(l, r int64) int64 { return l ^ r }},
+		{tokLt, func(l, r int64) int64 { return b2i(l < r) }},
+		{tokLe, func(l, r int64) int64 { return b2i(l <= r) }},
+		{tokGt, func(l, r int64) int64 { return b2i(l > r) }},
+		{tokGe, func(l, r int64) int64 { return b2i(l >= r) }},
+		{tokEq, func(l, r int64) int64 { return b2i(l == r) }},
+		{tokNe, func(l, r int64) int64 { return b2i(l != r) }},
+	}
+	if len(ref) != len(binOps) {
+		t.Fatalf("reference covers %d operators, binOps has %d", len(ref), len(binOps))
+	}
+	edges := []int64{math.MinInt64, -1, 0, 1, 63, 64, math.MaxInt64}
+	c := &compiler{}
+	noNames := func(string) (int64, bool) { return 0, false }
+	for _, op := range ref {
+		for _, l := range edges {
+			for _, r := range edges {
+				e := &BinExpr{Op: op.op, L: &NumExpr{Val: l}, R: &NumExpr{Val: r}}
+				cv, folded := c.evalConst(e)
+				pv, err := evalPlanExpr(e, noNames)
+				if r == 0 && (op.op == tokSlash || op.op == tokPercent) {
+					want := map[tokKind]string{tokSlash: "division by zero", tokPercent: "modulo by zero"}[op.op]
+					if folded {
+						t.Errorf("%d %s 0: evalConst folded to %d, want unfolded", l, op.op, cv)
+					}
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Errorf("%d %s 0: plan error %v, want %q", l, op.op, err, want)
+					}
+					continue
+				}
+				want := op.f(l, r)
+				if !folded || cv != want {
+					t.Errorf("%d %s %d: evalConst = %d (folded %v), want %d", l, op.op, r, cv, folded, want)
+				}
+				if err != nil || pv != want {
+					t.Errorf("%d %s %d: evalPlanExpr = %d (%v), want %d", l, op.op, r, pv, err, want)
+				}
+			}
+		}
+	}
+}
 
 // TestPlanExpressionOperators drives evalPlanExpr through every operator
 // by sizing device arrays with computed expressions and transferring them

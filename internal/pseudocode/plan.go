@@ -397,47 +397,7 @@ func evalPlanExpr(e Expr, resolve func(string) (int64, bool)) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		switch e.Op {
-		case tokPlus:
-			return l + r, nil
-		case tokMinus:
-			return l - r, nil
-		case tokStar:
-			return l * r, nil
-		case tokSlash:
-			if r == 0 {
-				return 0, fmt.Errorf("division by zero")
-			}
-			return l / r, nil
-		case tokPercent:
-			if r == 0 {
-				return 0, fmt.Errorf("modulo by zero")
-			}
-			return l % r, nil
-		case tokShl:
-			return l << uint(r&63), nil
-		case tokShr:
-			return l >> uint(r&63), nil
-		case tokLt:
-			return b2i(l < r), nil
-		case tokLe:
-			return b2i(l <= r), nil
-		case tokGt:
-			return b2i(l > r), nil
-		case tokGe:
-			return b2i(l >= r), nil
-		case tokEq:
-			return b2i(l == r), nil
-		case tokNe:
-			return b2i(l != r), nil
-		case tokAmp:
-			return l & r, nil
-		case tokPipe:
-			return l | r, nil
-		case tokCaret:
-			return l ^ r, nil
-		}
-		return 0, fmt.Errorf("unsupported plan operator %s", e.Op)
+		return fold(e.Op, l, r)
 	case *CallExpr:
 		if len(e.Args) != 2 {
 			return 0, fmt.Errorf("%s expects 2 arguments", e.Fn)
@@ -450,16 +410,7 @@ func evalPlanExpr(e Expr, resolve func(string) (int64, bool)) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		if e.Fn == "min" {
-			if l < r {
-				return l, nil
-			}
-			return r, nil
-		}
-		if l > r {
-			return l, nil
-		}
-		return r, nil
+		return foldCall(e.Fn, l, r), nil
 	case *SharedIndexExpr, *GlobalIndexExpr:
 		return 0, fmt.Errorf("memory indexing is kernel-only, not allowed in plans")
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strings"
 	"sync"
 	"time"
 
@@ -248,8 +249,10 @@ func (r Request) CacheKey() (uint64, error) {
 	// adds obs snapshots to the result records), so they are content.
 	num(uint64(boolBit(r.Trace)<<1 | boolBit(r.Metrics)))
 	// The machine, in full: every config field participates, so a preset
-	// revision naturally invalidates old entries.
-	str(fmt.Sprintf("%#v", cfg.Device))
+	// revision naturally invalidates old entries. The retired LegacyInterp
+	// switch keeps its place, always false, so keys made before it was
+	// deleted stay valid.
+	str(strings.TrimSuffix(fmt.Sprintf("%#v", cfg.Device), "}") + ", LegacyInterp:false}")
 	str(r.Scheme)
 	num(uint64(cfg.SyncCost))
 	num(uint64(r.Seed))

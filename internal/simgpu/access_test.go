@@ -1,6 +1,7 @@
 package simgpu
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,9 +10,9 @@ import (
 	"atgpu/internal/mem"
 )
 
-// The legacy and decoded interpreters both call execShared and execGlobal,
-// so the interpreter differential tests cannot see a fault in the
-// classified fast paths. These tests drive single warp accesses through
+// The workload differential tests against the reference stepper see a
+// fault in the classified fast paths only where a builtin kernel happens
+// to exercise it. These tests drive single warp accesses through
 // execShared/execGlobal and memo replay's replayMem and compare each with a
 // per-lane reference: degree and transaction count against the mem
 // package's oracles, loaded registers and resulting memory against a
@@ -355,5 +356,35 @@ func TestAccessFastPathsRandom(t *testing.T) {
 			active:    active,
 			broadcast: rng.Intn(2) == 0,
 		})
+	}
+}
+
+// TestExecDecCoversEveryOpcode steps each opcode once through execDec:
+// none may fall through to "undefined opcode", which is kept for bytes
+// outside the opcode space. A second step with lane 1 masked off must
+// leave that lane's destination register alone.
+func TestExecDecCoversEveryOpcode(t *testing.T) {
+	const width = 4
+	addrs := []int64{0, 1, 2, 3}
+	step := func(op kernel.Op, active []bool) (*warp, error) {
+		ls, w := newAccessRig(t, accessCase{op: op, addrs: addrs, active: active})
+		ls.numBlocks = 1
+		ls.dec = &kernel.Decoded{Width: width, Ins: []kernel.DInstr{{
+			Op: op, D: rigDst * width, A: rigAddr * width, B: rigSrc * width,
+			Imm: kernel.AtomGlobal, Sem: op.Semantics(),
+		}}}
+		return w, ls.execDec(w)
+	}
+	for op := kernel.Op(0); op.Valid(); op++ {
+		if _, err := step(op, nil); errors.Is(err, errBadOpcode) {
+			t.Errorf("%v: %v", op, err)
+		}
+		w, _ := step(op, []bool{true, false, true, true})
+		if got := w.regs[rigDst*width+1]; got != -8 {
+			t.Errorf("%v wrote masked lane 1: %d", op, got)
+		}
+	}
+	if _, err := step(kernel.Op(255), nil); !errors.Is(err, errBadOpcode) {
+		t.Errorf("op(255) = %v, want %v", err, errBadOpcode)
 	}
 }

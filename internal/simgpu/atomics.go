@@ -2,13 +2,13 @@ package simgpu
 
 import "atgpu/internal/kernel"
 
-// This file implements the atomic read-modify-write instructions for both
-// interpreters (the legacy switch and the decoded fast path both delegate
-// here with precomputed register-column bases). Conflicting lanes serialise
-// in ascending lane order — per shared-memory bank for shared atomics, per
-// address for global atomics — making results deterministic and the
-// serialisation cost observable on the timeline. All functions are on the
-// hot path: no append/make (enforced by the atgpu-vet hotalloc pass).
+// This file implements the atomic read-modify-write instructions, called
+// by the interpreter with precomputed register-column bases. Conflicting
+// lanes serialise in ascending lane order — per shared-memory bank for
+// shared atomics, per address for global atomics — making results
+// deterministic and the serialisation cost observable on the timeline. All
+// functions are on the hot path: no append/make (enforced by the atgpu-vet
+// hotalloc pass).
 
 // atomRMW applies one lane's read-modify-write: given the old cell value,
 // the lane operand v and (for CAS) the lane's incoming Rd value cmp, it

@@ -19,6 +19,7 @@
 package simgpu
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 )
@@ -72,13 +73,17 @@ type Config struct {
 	// memory-completion event. Results are identical; simulation is much
 	// slower. Exists for the clock-skip ablation bench.
 	DisableEventSkip bool
-	// LegacyInterp routes launches through the original tree-walking
-	// switch interpreter instead of the decoded-IR fast path (which also
-	// disables block memoization, since the memo replayer is built on the
-	// decoded form). Results are identical; simulation is slower. Exists
-	// as the reference arm of the interpreter differential tests and the
-	// simspeed ablation bench.
-	LegacyInterp bool
+}
+
+// MarshalJSON encodes c as encoding/json would, plus the retired
+// LegacyInterp switch at its old place, always false, so records made
+// before the switch interpreter was deleted stay byte-identical.
+func (c Config) MarshalJSON() ([]byte, error) {
+	type fields Config // drops this method
+	return json.Marshal(struct {
+		fields
+		LegacyInterp bool
+	}{fields: fields(c)})
 }
 
 // MaxWarpWidth is the largest warp width Config.Validate accepts. The

@@ -244,22 +244,12 @@ type launchState struct {
 	// enabled (indexed by pc; nil otherwise).
 	sites []SiteStat
 
-	// dec is the decoded execution form; nil routes the launch through
-	// the legacy switch interpreter (Config.LegacyInterp).
+	// dec is the decoded execution form the interpreter runs.
 	dec *kernel.Decoded
 
 	// memo holds steady-state period detection for analyzer-certified
 	// uniform launches; nil when memoization is not eligible.
 	memo *memoState
-}
-
-// step issues one warp-instruction through whichever interpreter the
-// launch selected.
-func (ls *launchState) step(w *warp) error {
-	if ls.dec != nil {
-		return ls.execDec(w)
-	}
-	return ls.exec(w)
 }
 
 // Launch runs numBlocks thread blocks of prog to completion and returns the
@@ -297,13 +287,11 @@ func (d *Device) LaunchTraced(prog *kernel.Program, numBlocks int, tr *Tracer) (
 		blockScratch: make([]int, d.cfg.WarpWidth),
 		tracer:       tr,
 	}
-	if !d.cfg.LegacyInterp {
-		dec, err := d.decoded(prog)
-		if err != nil {
-			return KernelResult{}, err
-		}
-		ls.dec = dec
+	dec, err := d.decoded(prog)
+	if err != nil {
+		return KernelResult{}, err
 	}
+	ls.dec = dec
 	for i := 0; i < d.cfg.NumSMs; i++ {
 		if d.failedSMs[i] {
 			continue
@@ -319,10 +307,10 @@ func (d *Device) LaunchTraced(prog *kernel.Program, numBlocks int, tr *Tracer) (
 	if numBlocks == 0 {
 		return KernelResult{Time: 0, Stats: ls.stats}, nil
 	}
-	// Block memoization: only for decoded, untraced, site-free launches of
+	// Block memoization: only for untraced, site-free launches of
 	// analyzer-certified kernels, and never while faults are armed. Every
 	// disable condition falls back to plain full simulation.
-	if ls.dec != nil && tr == nil && !d.collectSites && !d.memoDisabled &&
+	if tr == nil && !d.collectSites && !d.memoDisabled &&
 		numBlocks >= memoMinBlocks && d.uniformProver != nil &&
 		d.certified(prog, numBlocks) {
 		ls.memo = &memoState{}
@@ -402,7 +390,7 @@ func (ls *launchState) run(occ int) error {
 				continue
 			}
 			issuedAny = true
-			if err := ls.step(w); err != nil {
+			if err := ls.execDec(w); err != nil {
 				return fmt.Errorf("%w: kernel %s block %d pc %d: %w",
 					ErrKernelTrap, ls.prog.Name, w.blockID, w.pc, err)
 			}

@@ -6,17 +6,18 @@ import (
 	"atgpu/internal/kernel"
 )
 
-// This file is the decoded-IR fast path: the per-launch hot loop over
-// kernel.Decoded instructions. Semantics are byte-identical to the legacy
-// switch interpreter in interp.go (pinned by the interpreter differential
-// tests); the speed comes from per-instruction precomputed register-column
-// bases, opcode-specialised inner loops with an all-lanes-active fast path
-// (no per-lane mask check, no per-lane opcode dispatch), and zero per-step
-// allocation — the atgpu-vet hotalloc pass forbids append/make in every
-// exec*/replay* function of this package.
+// This file is the interpreter: the per-launch hot loop over
+// kernel.Decoded instructions. The speed comes from per-instruction
+// precomputed register-column bases, the kernel table's column forms for
+// fully active warps (no per-lane mask check, no per-lane opcode
+// dispatch), and zero per-step allocation — the atgpu-vet hotalloc pass
+// forbids append/make in every exec*/replay* function of this package.
+// The test-only reference stepper in internal/algorithms is its
+// differential oracle.
 
 // execDec issues exactly one warp-instruction for w from the decoded
-// program, mirroring launchState.exec.
+// program. All active lanes execute the instruction in lockstep; control
+// flow manipulates the mask per the SIMT rules in the package comment.
 func (ls *launchState) execDec(w *warp) error {
 	ins := ls.dec.Ins
 	if w.pc < 0 || w.pc >= len(ins) {
@@ -114,228 +115,72 @@ func (ls *launchState) execDec(w *warp) error {
 }
 
 // execALU evaluates one decoded compute instruction (everything that only
-// touches the register file). Each opcode gets a dense inner loop when all
-// lanes are active; partially-masked warps fall back to per-lane masked
-// loops with the same results. Shared by the hot path (execDec) and the
-// memoization data replayer (replayBlock).
+// touches the register file) for execDec and memo replay. The launch
+// geometry opcodes read launch state here; every other compute opcode runs
+// through its kernel.Sem, whose column form serves a fully active warp.
 func (ls *launchState) execALU(w *warp, in *kernel.DInstr) error {
+	if in.Op == kernel.OpNop {
+		return nil
+	}
 	width := ls.width
-	regs := w.regs
-	all := w.activeN == width
-
+	var active []bool
+	if w.activeN != width {
+		active = w.active
+	}
+	d := int(in.D)
+	dc := w.regs[d : d+width : d+width]
 	switch in.Op {
-	case kernel.OpNop:
-
-	case kernel.OpConst:
-		d, v := int(in.D), in.Imm
-		if all {
-			col := regs[d : d+width]
-			for l := range col {
-				col[l] = v
-			}
-		} else {
-			for l := 0; l < width; l++ {
-				if w.active[l] {
-					regs[d+l] = v
-				}
-			}
-		}
-
-	case kernel.OpMov:
-		d, a := int(in.D), int(in.A)
-		if all {
-			copy(regs[d:d+width], regs[a:a+width])
-		} else {
-			for l := 0; l < width; l++ {
-				if w.active[l] {
-					regs[d+l] = regs[a+l]
-				}
-			}
-		}
-
-	case kernel.OpAdd:
-		d, a, b := int(in.D), int(in.A), int(in.B)
-		if all {
-			dc, ac, bc := regs[d:d+width], regs[a:a+width:a+width], regs[b:b+width:b+width]
-			for l := range dc {
-				dc[l] = ac[l] + bc[l]
-			}
-		} else {
-			for l := 0; l < width; l++ {
-				if w.active[l] {
-					regs[d+l] = regs[a+l] + regs[b+l]
-				}
-			}
-		}
-
-	case kernel.OpSub:
-		d, a, b := int(in.D), int(in.A), int(in.B)
-		if all {
-			dc, ac, bc := regs[d:d+width], regs[a:a+width:a+width], regs[b:b+width:b+width]
-			for l := range dc {
-				dc[l] = ac[l] - bc[l]
-			}
-		} else {
-			for l := 0; l < width; l++ {
-				if w.active[l] {
-					regs[d+l] = regs[a+l] - regs[b+l]
-				}
-			}
-		}
-
-	case kernel.OpMul:
-		d, a, b := int(in.D), int(in.A), int(in.B)
-		if all {
-			dc, ac, bc := regs[d:d+width], regs[a:a+width:a+width], regs[b:b+width:b+width]
-			for l := range dc {
-				dc[l] = ac[l] * bc[l]
-			}
-		} else {
-			for l := 0; l < width; l++ {
-				if w.active[l] {
-					regs[d+l] = regs[a+l] * regs[b+l]
-				}
-			}
-		}
-
-	case kernel.OpDiv, kernel.OpMod:
-		d, a, b := int(in.D), int(in.A), int(in.B)
-		for l := 0; l < width; l++ {
-			if w.active[l] {
-				if regs[b+l] == 0 {
-					return fmt.Errorf("%w: lane %d", errDivByZero, l)
-				}
-				if in.Op == kernel.OpDiv {
-					regs[d+l] = regs[a+l] / regs[b+l]
-				} else {
-					regs[d+l] = regs[a+l] % regs[b+l]
-				}
-			}
-		}
-
-	case kernel.OpMin, kernel.OpMax, kernel.OpAnd, kernel.OpOr, kernel.OpXor,
-		kernel.OpShl, kernel.OpShr, kernel.OpSlt, kernel.OpSle, kernel.OpSeq, kernel.OpSne:
-		d, a, b := int(in.D), int(in.A), int(in.B)
-		if all {
-			dc, ac, bc := regs[d:d+width], regs[a:a+width:a+width], regs[b:b+width:b+width]
-			for l := range dc {
-				dc[l] = alu(in.Op, ac[l], bc[l])
-			}
-		} else {
-			for l := 0; l < width; l++ {
-				if w.active[l] {
-					regs[d+l] = alu(in.Op, regs[a+l], regs[b+l])
-				}
-			}
-		}
-
-	case kernel.OpAddI:
-		d, a, v := int(in.D), int(in.A), in.Imm
-		if all {
-			dc, ac := regs[d:d+width], regs[a:a+width:a+width]
-			for l := range dc {
-				dc[l] = ac[l] + v
-			}
-		} else {
-			for l := 0; l < width; l++ {
-				if w.active[l] {
-					regs[d+l] = regs[a+l] + v
-				}
-			}
-		}
-
-	case kernel.OpMulI:
-		d, a, v := int(in.D), int(in.A), in.Imm
-		if all {
-			dc, ac := regs[d:d+width], regs[a:a+width:a+width]
-			for l := range dc {
-				dc[l] = ac[l] * v
-			}
-		} else {
-			for l := 0; l < width; l++ {
-				if w.active[l] {
-					regs[d+l] = regs[a+l] * v
-				}
-			}
-		}
-
-	case kernel.OpDivI, kernel.OpModI:
-		// Zero immediate divisors trap only on an active lane, matching
-		// the legacy interpreter's masked semantics.
-		d, a := int(in.D), int(in.A)
-		for l := 0; l < width; l++ {
-			if w.active[l] {
-				if in.Imm == 0 {
-					return fmt.Errorf("%w: lane %d", errDivByZero, l)
-				}
-				if in.Op == kernel.OpDivI {
-					regs[d+l] = regs[a+l] / in.Imm
-				} else {
-					regs[d+l] = regs[a+l] % in.Imm
-				}
-			}
-		}
-
-	case kernel.OpShlI, kernel.OpShrI, kernel.OpAndI,
-		kernel.OpSltI, kernel.OpSleI, kernel.OpSeqI, kernel.OpSneI:
-		d, a := int(in.D), int(in.A)
-		if all {
-			dc, ac := regs[d:d+width], regs[a:a+width:a+width]
-			for l := range dc {
-				dc[l] = aluImm(in.Op, ac[l], in.Imm)
-			}
-		} else {
-			for l := 0; l < width; l++ {
-				if w.active[l] {
-					regs[d+l] = aluImm(in.Op, regs[a+l], in.Imm)
-				}
-			}
-		}
-
 	case kernel.OpLaneID:
-		d := int(in.D)
-		if all {
-			col := regs[d : d+width]
-			for l := range col {
-				col[l] = kernel.Word(l)
+		if active == nil {
+			for l := range dc {
+				dc[l] = kernel.Word(l)
 			}
-		} else {
-			for l := 0; l < width; l++ {
-				if w.active[l] {
-					regs[d+l] = kernel.Word(l)
-				}
+			return nil
+		}
+		for l, on := range active {
+			if on {
+				dc[l] = kernel.Word(l)
 			}
 		}
-
+		return nil
 	case kernel.OpBlockID:
-		ls.broadcastDec(w, int(in.D), kernel.Word(w.blockID), all)
-
+		broadcast(dc, active, kernel.Word(w.blockID))
+		return nil
 	case kernel.OpNumBlocks:
-		ls.broadcastDec(w, int(in.D), kernel.Word(ls.numBlocks), all)
-
+		broadcast(dc, active, kernel.Word(ls.numBlocks))
+		return nil
 	case kernel.OpBlockDim:
-		ls.broadcastDec(w, int(in.D), kernel.Word(width), all)
-
-	default:
+		broadcast(dc, active, kernel.Word(width))
+		return nil
+	}
+	sem := in.Sem
+	if sem == nil {
 		return fmt.Errorf("%w: %v", errBadOpcode, in.Op)
+	}
+	a, b := int(in.A), int(in.B)
+	ac, bc := w.regs[a:a+width:a+width], w.regs[b:b+width:b+width]
+	if active == nil && !sem.Trap {
+		sem.Column(dc, ac, bc, in.Imm) // the common case, one call deep
+		return nil
+	}
+	if l := sem.Apply(dc, ac, bc, in.Imm, active); l >= 0 {
+		return fmt.Errorf("%w: lane %d", errDivByZero, l)
 	}
 	return nil
 }
 
-// broadcastDec writes v into every active lane of column base d.
-func (ls *launchState) broadcastDec(w *warp, d int, v kernel.Word, all bool) {
-	width := ls.width
-	regs := w.regs
-	if all {
-		col := regs[d : d+width]
-		for l := range col {
-			col[l] = v
+// broadcast writes v into the lanes of column dc set in active (every
+// lane when active is nil).
+func broadcast(dc []kernel.Word, active []bool, v kernel.Word) {
+	if active == nil {
+		for l := range dc {
+			dc[l] = v
 		}
 		return
 	}
-	for l := 0; l < width; l++ {
-		if w.active[l] {
-			regs[d+l] = v
+	for l, on := range active {
+		if on {
+			dc[l] = v
 		}
 	}
 }

@@ -17,216 +17,6 @@ var (
 	errNoActiveBr = errors.New("uniform branch with no active lanes")
 )
 
-// exec issues exactly one warp-instruction for w, updating registers,
-// memories, statistics and the warp's scheduling state. All active lanes
-// execute the instruction in lockstep; control flow manipulates the mask
-// per the SIMT rules described in the package comment.
-func (ls *launchState) exec(w *warp) error {
-	if w.pc < 0 || w.pc >= len(ls.prog.Instrs) {
-		return errPCRange
-	}
-	in := ls.prog.Instrs[w.pc]
-	width := ls.width
-	w.instrs++
-	ls.stats.InstructionsIssued++
-	ls.stats.LaneOps += int64(w.activeCount())
-
-	regs := w.regs
-	base := func(r kernel.Reg) int { return int(r) * width }
-
-	switch in.Op {
-	case kernel.OpNop:
-		// nothing
-
-	case kernel.OpConst:
-		d := base(in.Rd)
-		for l := 0; l < width; l++ {
-			if w.active[l] {
-				regs[d+l] = in.Imm
-			}
-		}
-
-	case kernel.OpMov:
-		d, a := base(in.Rd), base(in.Ra)
-		for l := 0; l < width; l++ {
-			if w.active[l] {
-				regs[d+l] = regs[a+l]
-			}
-		}
-
-	case kernel.OpAdd, kernel.OpSub, kernel.OpMul, kernel.OpMin, kernel.OpMax,
-		kernel.OpAnd, kernel.OpOr, kernel.OpXor, kernel.OpShl, kernel.OpShr,
-		kernel.OpSlt, kernel.OpSle, kernel.OpSeq, kernel.OpSne:
-		d, a, b := base(in.Rd), base(in.Ra), base(in.Rb)
-		for l := 0; l < width; l++ {
-			if w.active[l] {
-				regs[d+l] = alu(in.Op, regs[a+l], regs[b+l])
-			}
-		}
-
-	case kernel.OpDiv, kernel.OpMod:
-		d, a, b := base(in.Rd), base(in.Ra), base(in.Rb)
-		for l := 0; l < width; l++ {
-			if w.active[l] {
-				if regs[b+l] == 0 {
-					return fmt.Errorf("%w: lane %d", errDivByZero, l)
-				}
-				if in.Op == kernel.OpDiv {
-					regs[d+l] = regs[a+l] / regs[b+l]
-				} else {
-					regs[d+l] = regs[a+l] % regs[b+l]
-				}
-			}
-		}
-
-	case kernel.OpAddI, kernel.OpMulI, kernel.OpShlI, kernel.OpShrI, kernel.OpAndI,
-		kernel.OpSltI, kernel.OpSleI, kernel.OpSeqI, kernel.OpSneI:
-		d, a := base(in.Rd), base(in.Ra)
-		for l := 0; l < width; l++ {
-			if w.active[l] {
-				regs[d+l] = aluImm(in.Op, regs[a+l], in.Imm)
-			}
-		}
-
-	case kernel.OpDivI, kernel.OpModI:
-		// A zero immediate divisor traps only if a lane actually executes
-		// it, matching the masked semantics of register-operand div/mod.
-		d, a := base(in.Rd), base(in.Ra)
-		for l := 0; l < width; l++ {
-			if w.active[l] {
-				if in.Imm == 0 {
-					return fmt.Errorf("%w: lane %d", errDivByZero, l)
-				}
-				if in.Op == kernel.OpDivI {
-					regs[d+l] = regs[a+l] / in.Imm
-				} else {
-					regs[d+l] = regs[a+l] % in.Imm
-				}
-			}
-		}
-
-	case kernel.OpLaneID:
-		d := base(in.Rd)
-		for l := 0; l < width; l++ {
-			if w.active[l] {
-				regs[d+l] = kernel.Word(l)
-			}
-		}
-
-	case kernel.OpBlockID:
-		d := base(in.Rd)
-		v := kernel.Word(w.blockID)
-		for l := 0; l < width; l++ {
-			if w.active[l] {
-				regs[d+l] = v
-			}
-		}
-
-	case kernel.OpNumBlocks:
-		d := base(in.Rd)
-		v := kernel.Word(ls.numBlocks)
-		for l := 0; l < width; l++ {
-			if w.active[l] {
-				regs[d+l] = v
-			}
-		}
-
-	case kernel.OpBlockDim:
-		d := base(in.Rd)
-		v := kernel.Word(width)
-		for l := 0; l < width; l++ {
-			if w.active[l] {
-				regs[d+l] = v
-			}
-		}
-
-	case kernel.OpLdGlobal, kernel.OpStGlobal:
-		// execGlobal advances pc itself on every path.
-		return ls.execGlobal(w, in.Op, base(in.Rd), base(in.Ra), base(in.Rb))
-
-	case kernel.OpLdShared, kernel.OpStShared:
-		// execShared advances pc itself on every path.
-		return ls.execShared(w, in.Op, base(in.Rd), base(in.Ra), base(in.Rb))
-
-	case kernel.OpAtomAdd, kernel.OpAtomMax, kernel.OpAtomExch, kernel.OpAtomCAS:
-		// Both advance pc themselves on every path.
-		if in.Imm == kernel.AtomGlobal {
-			return ls.execAtomGlobal(w, in.Op, base(in.Rd), base(in.Ra), base(in.Rb))
-		}
-		return ls.execAtomShared(w, in.Op, base(in.Rd), base(in.Ra), base(in.Rb))
-
-	case kernel.OpBarrier:
-		// One warp per block: the barrier is trivially satisfied but
-		// still consumes an issue slot, as on hardware.
-		ls.stats.Barriers++
-
-	case kernel.OpJump:
-		w.pc = int(in.Target)
-		return nil
-
-	case kernel.OpBrNZ:
-		// Uniform branch: all active lanes must agree, per the model's
-		// uniform wrapper loops.
-		taken, uniform, any := w.uniformCond(base(in.Ra))
-		if !any {
-			return errNoActiveBr
-		}
-		if !uniform {
-			return ErrDivergentLoop
-		}
-		if taken {
-			w.pc = int(in.Target)
-			return nil
-		}
-
-	case kernel.OpIfBegin:
-		a := base(in.Ra)
-		divergent := false
-		anyTrue := false
-		// First pass: classify without mutating, to detect divergence.
-		for l := 0; l < width; l++ {
-			if !w.active[l] {
-				continue
-			}
-			if regs[a+l] != 0 {
-				anyTrue = true
-			} else {
-				divergent = true
-			}
-		}
-		if anyTrue && divergent {
-			ls.stats.DivergentBranches++
-		}
-		if !anyTrue {
-			// Whole warp skips the body; mask unchanged.
-			w.pc = int(in.Target)
-			return nil
-		}
-		w.pushMask()
-		for l := 0; l < width; l++ {
-			if w.active[l] && regs[a+l] == 0 {
-				w.active[l] = false
-				w.activeN--
-			}
-		}
-
-	case kernel.OpIfEnd:
-		if !w.popMask() {
-			return errMaskPop
-		}
-
-	case kernel.OpHalt:
-		w.state = wDone
-		return nil
-
-	default:
-		return fmt.Errorf("%w: %v", errBadOpcode, in.Op)
-	}
-
-	w.pc++
-	return nil
-}
-
 // uniformCond inspects register column a across active lanes, returning the
 // common truth value, whether the lanes agree, and whether any lane was
 // active.
@@ -402,8 +192,7 @@ func sharedRangeErr(op kernel.Op, l int, addr kernel.Word, size int) error {
 // execGlobal performs a warp-wide global memory access: checks the active
 // lanes' addresses, counts coalesced transactions, moves the data, and
 // puts the warp to sleep for the transaction latency. The register
-// columns are passed as precomputed flat bases so the legacy and decoded
-// interpreters share one implementation.
+// columns arrive as precomputed flat bases.
 func (ls *launchState) execGlobal(w *warp, op kernel.Op, dBase, aBase, sBase int) error {
 	width := ls.width
 	regs := w.regs
@@ -526,7 +315,7 @@ func (ls *launchState) execTransactions(w *warp, kind accessKind, a0 kernel.Word
 
 // execShared performs a warp-wide shared memory access with bank-conflict
 // analysis and optional serialisation. Register columns arrive as
-// precomputed flat bases, shared with the decoded interpreter.
+// precomputed flat bases.
 func (ls *launchState) execShared(w *warp, op kernel.Op, dBase, aBase, sBase int) error {
 	width := ls.width
 	regs := w.regs
@@ -640,77 +429,4 @@ func (ls *launchState) conflictDegree(w *warp) int {
 		}
 	}
 	return max
-}
-
-// alu evaluates a three-register arithmetic or comparison op.
-func alu(op kernel.Op, a, b kernel.Word) kernel.Word {
-	switch op {
-	case kernel.OpAdd:
-		return a + b
-	case kernel.OpSub:
-		return a - b
-	case kernel.OpMul:
-		return a * b
-	case kernel.OpMin:
-		if a < b {
-			return a
-		}
-		return b
-	case kernel.OpMax:
-		if a > b {
-			return a
-		}
-		return b
-	case kernel.OpAnd:
-		return a & b
-	case kernel.OpOr:
-		return a | b
-	case kernel.OpXor:
-		return a ^ b
-	case kernel.OpShl:
-		return a << uint(b&63)
-	case kernel.OpShr:
-		return a >> uint(b&63)
-	case kernel.OpSlt:
-		return b2w(a < b)
-	case kernel.OpSle:
-		return b2w(a <= b)
-	case kernel.OpSeq:
-		return b2w(a == b)
-	case kernel.OpSne:
-		return b2w(a != b)
-	}
-	return 0
-}
-
-// aluImm evaluates a register-immediate arithmetic or comparison op.
-func aluImm(op kernel.Op, a, imm kernel.Word) kernel.Word {
-	switch op {
-	case kernel.OpAddI:
-		return a + imm
-	case kernel.OpMulI:
-		return a * imm
-	case kernel.OpShlI:
-		return a << uint(imm&63)
-	case kernel.OpShrI:
-		return a >> uint(imm&63)
-	case kernel.OpAndI:
-		return a & imm
-	case kernel.OpSltI:
-		return b2w(a < imm)
-	case kernel.OpSleI:
-		return b2w(a <= imm)
-	case kernel.OpSeqI:
-		return b2w(a == imm)
-	case kernel.OpSneI:
-		return b2w(a != imm)
-	}
-	return 0
-}
-
-func b2w(b bool) kernel.Word {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -212,7 +212,7 @@ func TestMemoReplaySharedStoreTrap(t *testing.T) {
 	}
 }
 
-func TestMemoDisabledByTracerSitesAndLegacy(t *testing.T) {
+func TestMemoDisabledByTracerSitesAndFaults(t *testing.T) {
 	const b, blocks = 32, 512
 	n := b * blocks
 	prog := uniformKernel(t, b, n)
@@ -238,21 +238,6 @@ func TestMemoDisabledByTracerSitesAndLegacy(t *testing.T) {
 		if got := dev.MemoSkips(); got != 0 {
 			t.Errorf("%s: memoization engaged (%d), want disabled", tc.name, got)
 		}
-	}
-
-	// LegacyInterp routes around the decoded path and therefore memoization.
-	cfg := memoConfig(n)
-	cfg.LegacyInterp = true
-	dev, err := New(cfg)
-	if err != nil {
-		t.Fatalf("legacy: New: %v", err)
-	}
-	dev.SetUniformProver(alwaysUniform)
-	if _, err := dev.Launch(prog, blocks); err != nil {
-		t.Fatalf("legacy: launch: %v", err)
-	}
-	if got := dev.MemoSkips(); got != 0 {
-		t.Errorf("legacy: memoization engaged (%d), want disabled", got)
 	}
 }
 
@@ -309,25 +294,11 @@ func TestWideWarpGlobalAccess(t *testing.T) {
 	if res.Stats.GlobalTransactions != 2*width {
 		t.Errorf("GlobalTransactions = %d, want %d", res.Stats.GlobalTransactions, 2*width)
 	}
-
-	// The legacy interpreter shares the scratch fix.
-	cfg.LegacyInterp = true
-	ldev, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New legacy: %v", err)
-	}
-	lres, err := ldev.Launch(prog, 1)
-	if err != nil {
-		t.Fatalf("legacy launch at width %d: %v", width, err)
-	}
-	if lres.Stats != res.Stats {
-		t.Errorf("legacy stats diverge:\ndecoded: %+v\nlegacy:  %+v", res.Stats, lres.Stats)
-	}
 }
 
-// TestMaskedImmediateDivideByZero pins satellite semantics: divi/modi with a
-// zero immediate only traps when an active lane executes it, in both
-// interpreters.
+// TestMaskedImmediateDivideByZero pins that divi/modi with a zero
+// immediate traps a launch only when an active lane executes it; the
+// kernel package's table tests pin the trapping lane.
 func TestMaskedImmediateDivideByZero(t *testing.T) {
 	build := func(masked bool) *kernel.Program {
 		kb := kernel.NewBuilder("divi0", 0)
@@ -348,53 +319,14 @@ func TestMaskedImmediateDivideByZero(t *testing.T) {
 		return prog
 	}
 
-	for _, legacy := range []bool{false, true} {
-		cfg := Tiny()
-		cfg.LegacyInterp = legacy
-		dev, err := New(cfg)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		if _, err := dev.Launch(build(true), 1); err != nil {
-			t.Errorf("legacy=%v: masked divi #0 trapped: %v", legacy, err)
-		}
-		if _, err := dev.Launch(build(false), 1); !errors.Is(err, ErrKernelTrap) {
-			t.Errorf("legacy=%v: active divi #0 = %v, want ErrKernelTrap", legacy, err)
-		}
+	dev, err := New(Tiny())
+	if err != nil {
+		t.Fatalf("New: %v", err)
 	}
-}
-
-// TestDecodedMatchesLegacyStats is a package-internal spot check; the broad
-// differential sweep lives in internal/algorithms.
-func TestDecodedMatchesLegacyStats(t *testing.T) {
-	const b, blocks = 32, 96
-	n := b * blocks
-	prog := uniformKernel(t, b, n)
-	run := func(legacy bool) (KernelResult, []kernel.Word) {
-		cfg := memoConfig(n)
-		cfg.LegacyInterp = legacy
-		dev, err := New(cfg)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		raw := dev.Global().Raw()
-		for i := 0; i < n; i++ {
-			raw[i] = int64(7 * i)
-		}
-		res, err := dev.Launch(prog, blocks)
-		if err != nil {
-			t.Fatalf("launch: %v", err)
-		}
-		return res, append([]kernel.Word(nil), dev.Global().Raw()...)
+	if _, err := dev.Launch(build(true), 1); err != nil {
+		t.Errorf("masked divi #0 trapped: %v", err)
 	}
-	dres, dmem := run(false)
-	lres, lmem := run(true)
-	if dres.Stats != lres.Stats {
-		t.Errorf("stats diverge:\ndecoded: %+v\nlegacy:  %+v", dres.Stats, lres.Stats)
-	}
-	for i := range dmem {
-		if dmem[i] != lmem[i] {
-			t.Fatalf("global[%d]: decoded %d, legacy %d", i, dmem[i], lmem[i])
-		}
+	if _, err := dev.Launch(build(false), 1); !errors.Is(err, ErrKernelTrap) {
+		t.Errorf("active divi #0 = %v, want ErrKernelTrap", err)
 	}
 }

@@ -120,14 +120,3 @@ func (w *warp) anyActive() bool {
 	}
 	return false
 }
-
-// activeCount returns the number of active lanes.
-func (w *warp) activeCount() int {
-	n := 0
-	for _, a := range w.active {
-		if a {
-			n++
-		}
-	}
-	return n
-}

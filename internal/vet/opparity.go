@@ -9,31 +9,30 @@ import (
 	"strings"
 )
 
-// The opparity pass guards the repo's three-way interpreter contract: every
-// opcode declared in internal/kernel must be handled by the legacy switch
-// interpreter, the decoded dispatch, and the static analyzer's transfer
-// functions. The three grew together and must stay in lockstep — an opcode
-// added to the IR but missed in one arena is a latent trap (simulator) or a
-// silently wrong prediction (analyzer) that no compile error catches, since
-// Go switches have no exhaustiveness check.
+// The opparity pass guards the one dispatch that still covers opcodes by
+// switch: every opcode declared in internal/kernel must be handled by the
+// static analyzer's transfer functions. An opcode added to the IR but
+// missed there is a silently wrong prediction that no compile error
+// catches, since Go switches have no exhaustiveness check. The simulator
+// needs no such pass: its compute opcodes run through the kernel package's
+// semantics table, whose init check rejects an unclassified opcode.
 //
 // The pass is cross-file, so unlike the single-file passes it accumulates
 // state: feed it every non-test file via AddFile, then read Diagnostics.
 // Opcode collection is syntactic — exported Op* constants declared in
-// internal/kernel — and arena membership is a mention of the constant
-// (through the kernel import, any local name) anywhere in the arena's
-// dispatch file. A mention is accepted anywhere in the file rather than only
-// in case clauses so that grouped cases, table entries and helper calls all
-// count; the point is catching the opcode nobody thought about, not policing
-// how a file organises its dispatch.
+// internal/kernel — and coverage is a mention of the constant (through the
+// kernel import, any local name) anywhere in the arena file. A mention is
+// accepted anywhere in the file rather than only in case clauses so that
+// grouped cases, table entries and helper calls all count; the point is
+// catching the opcode nobody thought about, not policing how a file
+// organises its dispatch.
 
-// opArenas maps each dispatch arena to the file that must mention every
-// opcode. Keys are "importPath/basename".
-var opArenas = map[string]string{
-	"atgpu/internal/simgpu/interp.go":       "legacy interpreter (internal/simgpu/interp.go)",
-	"atgpu/internal/simgpu/exec_decoded.go": "decoded interpreter (internal/simgpu/exec_decoded.go)",
-	"atgpu/internal/analyze/interp.go":      "analyzer transfer functions (internal/analyze/interp.go)",
-}
+// opArena is the file ("importPath/basename") that must mention every
+// opcode, and opArenaName how diagnostics describe it.
+const (
+	opArena     = "atgpu/internal/analyze/interp.go"
+	opArenaName = "analyzer transfer functions (internal/analyze/interp.go)"
+)
 
 // kernelImportPath is where the opcode universe is declared.
 const kernelImportPath = "atgpu/internal/kernel"
@@ -43,16 +42,14 @@ const kernelImportPath = "atgpu/internal/kernel"
 type OpParity struct {
 	// universe maps opcode name to its declaration position.
 	universe map[string]token.Position
-	// mentions maps arena description to the opcode names its file mentions.
-	mentions map[string]map[string]bool
+	// mentions holds the opcode names the arena file mentions; nil until
+	// the arena file is seen.
+	mentions map[string]bool
 }
 
 // NewOpParity returns an empty accumulator.
 func NewOpParity() *OpParity {
-	return &OpParity{
-		universe: make(map[string]token.Position),
-		mentions: make(map[string]map[string]bool),
-	}
+	return &OpParity{universe: make(map[string]token.Position)}
 }
 
 // isOpName reports whether a constant name is an exported opcode: "Op"
@@ -70,15 +67,11 @@ func (p *OpParity) AddFile(fset *token.FileSet, f *ast.File, importPath string) 
 		p.addUniverse(fset, f)
 		return
 	}
-	base := filepath.Base(fset.Position(f.Pos()).Filename)
-	arena, ok := opArenas[importPath+"/"+base]
-	if !ok {
+	if importPath+"/"+filepath.Base(fset.Position(f.Pos()).Filename) != opArena {
 		return
 	}
-	seen := p.mentions[arena]
-	if seen == nil {
-		seen = make(map[string]bool)
-		p.mentions[arena] = seen
+	if p.mentions == nil {
+		p.mentions = make(map[string]bool)
 	}
 	kernelName := importName(f, kernelImportPath)
 	if kernelName == "" {
@@ -91,7 +84,7 @@ func (p *OpParity) AddFile(fset *token.FileSet, f *ast.File, importPath string) 
 		}
 		id, ok := sel.X.(*ast.Ident)
 		if ok && id.Name == kernelName && isOpName(sel.Sel.Name) {
-			seen[sel.Sel.Name] = true
+			p.mentions[sel.Sel.Name] = true
 		}
 		return true
 	})
@@ -118,34 +111,30 @@ func (p *OpParity) addUniverse(fset *token.FileSet, f *ast.File) {
 	}
 }
 
-// Diagnostics reports every opcode missing from an arena whose file was
-// seen. Arenas never fed to AddFile produce no findings, so partial sweeps
-// (a single-directory atgpu-vet run) do not false-positive on files outside
-// the sweep.
+// Diagnostics reports every opcode the arena file does not mention. A
+// sweep that never fed the arena file produces no findings, so partial
+// sweeps (a single-directory atgpu-vet run) do not false-positive on files
+// outside the sweep.
 func (p *OpParity) Diagnostics() []Diagnostic {
+	if p.mentions == nil {
+		return nil
+	}
 	ops := make([]string, 0, len(p.universe))
 	for op := range p.universe {
 		ops = append(ops, op)
 	}
 	sort.Strings(ops)
-	arenas := make([]string, 0, len(p.mentions))
-	for arena := range p.mentions {
-		arenas = append(arenas, arena)
-	}
-	sort.Strings(arenas)
 	var ds []Diagnostic
 	for _, op := range ops {
-		for _, arena := range arenas {
-			if p.mentions[arena][op] {
-				continue
-			}
-			ds = append(ds, Diagnostic{
-				Pos:  p.universe[op],
-				Pass: "opparity",
-				Msg: fmt.Sprintf("kernel.%s has no handler in the %s; the IR, both interpreters and the analyzer must cover every opcode",
-					op, arena),
-			})
+		if p.mentions[op] {
+			continue
 		}
+		ds = append(ds, Diagnostic{
+			Pos:  p.universe[op],
+			Pass: "opparity",
+			Msg: fmt.Sprintf("kernel.%s has no handler in the %s; the analyzer must cover every opcode",
+				op, opArenaName),
+		})
 	}
 	return ds
 }

@@ -7,9 +7,8 @@
 // contract (a panic in a worker must become a failed job, never a dead
 // process); the fourth guards the simulator's per-instruction hot path
 // (zero allocation per simulated step); the fifth (opparity, see
-// opparity.go) guards the three-way interpreter contract — every opcode
-// declared in internal/kernel must be handled by the legacy switch, the
-// decoded dispatch, and the analyzer's transfer functions:
+// opparity.go) guards the analyzer's opcode coverage — every opcode
+// declared in internal/kernel must be handled by its transfer functions:
 //
 //   - notime: deterministic packages (timeline, simgpu, transfer,
 //     experiments, results) must not read the wall clock (time.Now,
@@ -34,12 +33,11 @@
 //     byte of garbage per call dominates the profile; anything they need
 //     must be preallocated at launch setup.
 //
-//   - opparity: every kernel.Op* constant must be mentioned by the legacy
-//     interpreter (simgpu/interp.go), the decoded interpreter
-//     (simgpu/exec_decoded.go) and the analyzer's abstract interpreter
-//     (analyze/interp.go). Go switches are not exhaustive, so a new
-//     opcode missed in one arena compiles cleanly and fails at runtime —
-//     or worse, mispredicts silently.
+//   - opparity: every kernel.Op* constant must be mentioned by the
+//     analyzer's abstract interpreter (analyze/interp.go). Go switches
+//     are not exhaustive, so a new opcode missed there compiles cleanly
+//     and mispredicts silently. The simulator's compute opcodes run
+//     through the kernel semantics table, whose init check covers them.
 //
 // The checks are syntactic: they parse with go/parser only, so they run
 // without build metadata and never depend on non-stdlib analysis

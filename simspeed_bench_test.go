@@ -1,11 +1,10 @@
 package atgpu
 
 // BenchmarkSimSpeed measures raw simulator throughput on a block-uniform
-// saxpy kernel (y[i] = a·x[i] + y[i]) in three arms, plus one shared-memory
+// saxpy kernel (y[i] = a·x[i] + y[i]) in two arms, plus one shared-memory
 // arm:
 //
-//	legacy-switch:  the reference switch interpreter (Config.LegacyInterp)
-//	decoded:        the decoded-IR fast path, memoization off
+//	decoded:        the decoded-IR interpreter, memoization off
 //	decoded-memo:   decoded IR plus analyzer-certified block memoization
 //	decoded-shared: the tiled matmul kernel (n = simSpeedMatMulN), which the
 //	                analyzer does not certify: every block runs through the
@@ -63,11 +62,10 @@ func saxpyKernel(b *testing.B, width int, alpha int64, baseX, baseY int) *kernel
 	return prog
 }
 
-func simSpeedDevice(b *testing.B, legacy bool, prover simgpu.UniformProver) *simgpu.Device {
+func simSpeedDevice(b *testing.B, prover simgpu.UniformProver) *simgpu.Device {
 	b.Helper()
 	cfg := simgpu.GTX650()
 	cfg.GlobalWords = 1 << 20
-	cfg.LegacyInterp = legacy
 	dev, err := simgpu.New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -98,18 +96,16 @@ func BenchmarkSimSpeed(b *testing.B) {
 	}
 	arms := []struct {
 		name   string
-		legacy bool
 		prover simgpu.UniformProver
 		build  func(b *testing.B, width int) (*kernel.Program, int)
 	}{
-		{"legacy-switch", true, nil, saxpy},
-		{"decoded", false, nil, saxpy},
-		{"decoded-memo", false, analyze.UniformProver, saxpy},
-		{"decoded-shared", false, nil, matmul},
+		{"decoded", nil, saxpy},
+		{"decoded-memo", analyze.UniformProver, saxpy},
+		{"decoded-shared", nil, matmul},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
-			dev := simSpeedDevice(b, arm.legacy, arm.prover)
+			dev := simSpeedDevice(b, arm.prover)
 			prog, blocks := arm.build(b, dev.Config().WarpWidth)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
