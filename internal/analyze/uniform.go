@@ -3,6 +3,7 @@ package analyze
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"atgpu/internal/kernel"
 	"atgpu/internal/simgpu"
@@ -20,33 +21,52 @@ import (
 // behaviour becomes a function of relative state only, and elided blocks
 // can be data-replayed in any order after the run.
 //
-// The abstract domain is affine-in-blockID: each lane value is either
-// a·k + c (k the block index, exact over all k in [0, blocks)) or Top
-// (unknown data, e.g. anything loaded from global memory). Concrete values
-// (a = 0) are computed with exactly the device's Go int64 semantics,
-// including wraparound, shift masking, and truncating division. Properly
-// affine values (a ≠ 0) carry magnitude guards so that a·k + c never
-// overflows for any certified k. Anything the domain cannot express
-// precisely becomes Top, and Top is REFUSED the moment it could steer the
-// trace or timing: control conditions, branch conditions, memory addresses,
-// and divisors must never be Top. Refusal is always sound — the launch
-// simply runs under full simulation.
+// The abstract domain is a 2-D block grid. The block index k is split as
+// k = t·Q + R with Q = k / t and R = k % t for one launch-constant t, and
+// each lane value is q·Q + r·R + c (exact over the whole grid box
+// [0, ⌈H/t⌉) × [0, t)) or Top (unknown data, e.g. anything loaded from
+// global memory). Until the kernel divides the block index by an immediate
+// there is no split: t = H, Q ≡ 0 and values are r·k + c. The first such
+// divi/modi restarts the trace with t set to its divisor; a later one by a
+// different divisor is Top. A linear function takes its extremes at the
+// box's corners, so bounds and condition truth are checked there; the box
+// may hold points past H−1 when t does not divide H, which only makes the
+// checks stricter.
+//
+// Concrete values (q = r = 0) are computed with exactly the device's Go
+// int64 semantics, including wraparound, shift masking, and truncating
+// division. Properly affine values carry magnitude guards so that no corner
+// evaluation overflows. Anything the domain cannot express precisely
+// becomes Top, and Top is REFUSED the moment it could steer the trace or
+// timing: control conditions, branch conditions, memory addresses, and
+// divisors must never be Top. Refusal is always sound — the launch simply
+// runs under full simulation.
+//
+// The machine works on whole columns: a register holds one lane-affine
+// column (lane l holds v + e·l), Top on every lane, or explicit per-lane
+// values. Explicit values appear only after a partial-mask write or a
+// shared gather that is not lane-affine, so compute ops on the common
+// columns cost O(1) per instruction.
 
 // ErrNotUniform is wrapped by every refusal reason.
 var ErrNotUniform = errors.New("analyze: kernel is not provably block-uniform")
 
 const (
-	// uniformMaxMag bounds |a| and |c| of properly affine values so that
-	// endpoint evaluation a·k + c cannot overflow int64.
+	// uniformMaxMag bounds |q|, |r|, |c| (and a column's lane stride) of
+	// properly affine values so that corner evaluation cannot overflow.
 	uniformMaxMag = int64(1) << 40
 	// uniformMaxBlocks bounds the certified launch size for the same reason
-	// (2^40 · 2^21 + 2^40 < 2^63).
+	// (2^40 · 2^21 · 2 + 2^40 < 2^63).
 	uniformMaxBlocks = 1 << 21
 	// uniformFuel caps the symbolic trace length.
 	uniformFuel = 1 << 20
-	// uniformMaxSites caps recorded global address functions for the
-	// cross-block disjointness check.
-	uniformMaxSites = 4096
+	// uniformMaxRuns caps the recorded global access runs.
+	uniformMaxRuns = 4096
+	// uniformMaxSpan caps the words one block's store constants may span:
+	// the disjointness check keeps a bitmap over them.
+	uniformMaxSpan = 1 << 22
+	// uniformMaxProbes caps the disjointness check's bitmap probes.
+	uniformMaxProbes = 1 << 24
 )
 
 // UniformCert records what was certified.
@@ -56,68 +76,93 @@ type UniformCert struct {
 	Instrs int64 // warp-instructions in the per-block trace
 }
 
-// affv is a lane value affine in the block index: a·k + c, or Top.
-type affv struct {
-	a, c int64
-	top  bool
-	// src is 1 + the pc of the instruction that made a Top value, 0
-	// until run stamps it; a Top operand passes its src on to the result,
-	// so a refusal can name the instruction the unknown came from.
-	src int32
-}
+// affv is one lane value q·Q + r·R + c over the block grid, or Top. Top
+// is marked by r == topMark and keeps in c the pc of the instruction that
+// made it; a Top operand passes it on to the result, so a refusal can name
+// the instruction the unknown came from.
+type affv struct{ q, r, c int64 }
 
-func affTop() affv         { return affv{top: true} }
+const topMark = math.MinInt64
+
+func affTop(pc int) affv   { return affv{r: topMark, c: int64(pc)} }
 func affCon(v int64) affv  { return affv{c: v} }
-func (v affv) isCon() bool { return !v.top && v.a == 0 }
+func (v affv) top() bool   { return v.r == topMark }
+func (v affv) isCon() bool { return v.q == 0 && v.r == 0 }
 
-// guarded reports whether v is safe for affine arithmetic and endpoint
+func mag(v int64) bool { return v >= -uniformMaxMag && v <= uniformMaxMag }
+
+// guarded reports whether v is safe for affine arithmetic and corner
 // evaluation (concrete values of any magnitude are exact but only small
-// ones may be combined with properly affine values).
-func (v affv) guarded() bool {
-	return !v.top && v.a >= -uniformMaxMag && v.a <= uniformMaxMag &&
-		v.c >= -uniformMaxMag && v.c <= uniformMaxMag
+// ones may be combined with properly affine values). Top is never guarded.
+func (v affv) guarded() bool { return !v.top() && mag(v.q) && mag(v.r) && mag(v.c) }
+
+// column is one register across the warp. Unless explicit, lane l holds v
+// with e·l added to its constant; e is nonzero only for a guarded v, and
+// is zero when v is Top. An explicit column holds lanes[l].
+type column struct {
+	v        affv
+	e        int64
+	explicit bool
+	lanes    []affv
 }
 
-// at evaluates v at block k. Only valid for guarded or concrete v.
-func (v affv) at(k int64) int64 { return v.a*k + v.c }
-
-// gaff builds a·k + c, demoting to Top when the guards fail. A zero stride
-// yields an exact concrete value.
-func gaff(a, c int64) affv {
-	if a == 0 {
-		return affCon(c)
+func (c *column) lane(l int) affv {
+	if c.explicit {
+		return c.lanes[l]
 	}
-	v := affv{a: a, c: c}
-	if !v.guarded() {
-		return affTop()
+	if c.e == 0 {
+		return c.v
 	}
-	return v
+	return affv{c.v.q, c.v.r, c.v.c + c.e*int64(l)}
 }
 
-// accessRec is one active lane's address function at one dynamic global
-// access.
-type accessRec struct {
-	a, c  int64
-	store bool
+// uniform reports a column holding the same value on every lane.
+func (c *column) uniform() bool { return !c.explicit && c.e == 0 }
+
+// runKey groups recorded global access runs: a run is n lane constants
+// c0, c0+e, …, each offset by q·Q + r·R in block (Q, R).
+type runKey struct {
+	q, r, e int64
+	n       int
+	store   bool
 }
 
-// uniState is the symbolic machine: one representative block with symbolic
-// index k.
+type runFamily struct {
+	runKey
+	c0 []int64
+}
+
+// uniState is the symbolic machine: one representative block at symbolic
+// grid position (Q, R).
 type uniState struct {
 	prog        *kernel.Program
 	width       int
 	blocks      int64
 	globalWords int
 
-	regs      []affv
+	// t is the block-index divisor of the grid split, 0 before any; want
+	// is the divisor a divi/modi asked to split by, triggering the restart.
+	t, want    int64
+	qmax, rmax int64
+
+	regs      []column
 	shared    []affv
 	active    []bool
+	nActive   int
 	maskStack [][]bool
+	maskDepth int
 	pc        int
 	instrs    int64
 
-	recs []accessRec
+	// res is the scratch result column of a compute or gather.
+	res column
+
+	fams  []runFamily
+	nruns int
 }
+
+// errRestart ends a trace that split the block index for the first time.
+var errRestart = errors.New("analyze: restart with a block-grid split")
 
 // BlockUniform proves the certificate for launching blocks thread blocks of
 // prog at the given warp width over globalWords words of global memory. A
@@ -141,14 +186,17 @@ func BlockUniform(prog *kernel.Program, width, globalWords, blocks int) (*Unifor
 		width:       width,
 		blocks:      int64(blocks),
 		globalWords: globalWords,
-		regs:        make([]affv, prog.NumRegs*width),
-		shared:      make([]affv, prog.SharedWords),
+		regs:        make([]column, prog.NumRegs),
 		active:      make([]bool, width),
+		res:         column{lanes: make([]affv, width)},
 	}
-	for l := range u.active {
-		u.active[l] = true
+	u.start(0)
+	err := u.run()
+	if err == errRestart {
+		u.start(u.want)
+		err = u.run()
 	}
-	if err := u.run(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	if err := u.checkDisjoint(); err != nil {
@@ -163,6 +211,34 @@ func UniformProver(prog *kernel.Program, cfg simgpu.Config, blocks int) bool {
 	_, err := BlockUniform(prog, cfg.WarpWidth, cfg.GlobalWords, blocks)
 	return err == nil
 }
+
+// start resets the machine to pc 0 of a block on the grid split by t (no
+// split when t is 0), keeping its buffers.
+func (u *uniState) start(t int64) {
+	u.t, u.want = t, 0
+	u.qmax, u.rmax = 0, u.blocks-1
+	if t != 0 {
+		u.qmax, u.rmax = (u.blocks+t-1)/t-1, t-1
+	}
+	for i := range u.regs {
+		u.regs[i] = column{lanes: u.regs[i].lanes}
+	}
+	for i := range u.shared {
+		u.shared[i] = affv{}
+	}
+	for l := range u.active {
+		u.active[l] = true
+	}
+	u.nActive, u.maskDepth = u.width, 0
+	u.pc, u.instrs = 0, 0
+	for i := range u.fams {
+		u.fams[i].c0 = u.fams[i].c0[:0]
+	}
+	u.nruns = 0
+}
+
+// blockID is the block index over the grid: t·Q + R, or R before a split.
+func (u *uniState) blockID() affv { return affv{q: u.t, r: 1} }
 
 func (u *uniState) refusef(format string, args ...interface{}) error {
 	msg := fmt.Sprintf(format, args...)
@@ -186,23 +262,22 @@ func (u *uniState) run() error {
 		case kernel.OpNop:
 
 		case kernel.OpConst:
-			u.setActive(in.Rd, func(int) affv { return affCon(in.Imm) })
+			u.setCol(in.Rd, column{v: affCon(in.Imm)})
 
 		case kernel.OpMov:
-			a := u.base(in.Ra)
-			u.setActive(in.Rd, func(l int) affv { return u.regs[a+l] })
+			u.write(in.Rd, &u.regs[in.Ra])
 
 		case kernel.OpLaneID:
-			u.setActive(in.Rd, func(l int) affv { return affCon(int64(l)) })
+			u.setCol(in.Rd, column{e: 1})
 
 		case kernel.OpBlockID:
-			u.setActive(in.Rd, func(int) affv { return affv{a: 1, c: 0} })
+			u.setCol(in.Rd, column{v: u.blockID()})
 
 		case kernel.OpNumBlocks:
-			u.setActive(in.Rd, func(int) affv { return affCon(u.blocks) })
+			u.setCol(in.Rd, column{v: affCon(u.blocks)})
 
 		case kernel.OpBlockDim:
-			u.setActive(in.Rd, func(int) affv { return affCon(int64(u.width)) })
+			u.setCol(in.Rd, column{v: affCon(int64(u.width))})
 
 		case kernel.OpLdGlobal, kernel.OpStGlobal:
 			if err := u.execGlobal(in); err != nil {
@@ -251,11 +326,17 @@ func (u *uniState) run() error {
 			}
 
 		case kernel.OpIfEnd:
-			if len(u.maskStack) == 0 {
+			if u.maskDepth == 0 {
 				return u.refusef("if.end without matching if.begin")
 			}
-			u.active = u.maskStack[len(u.maskStack)-1]
-			u.maskStack = u.maskStack[:len(u.maskStack)-1]
+			u.maskDepth--
+			copy(u.active, u.maskStack[u.maskDepth])
+			u.nActive = 0
+			for _, on := range u.active {
+				if on {
+					u.nActive++
+				}
+			}
 
 		case kernel.OpHalt:
 			return nil
@@ -268,203 +349,394 @@ func (u *uniState) run() error {
 			if err := u.compute(in, sem); err != nil {
 				return err
 			}
+			if u.want != 0 {
+				return errRestart
+			}
 		}
 		u.pc++
 	}
 }
 
+// write stores src into the active lanes of rd. A fully active write
+// replaces the column; a partial one makes rd explicit.
+func (u *uniState) write(rd kernel.Reg, src *column) {
+	dst := &u.regs[rd]
+	if dst == src {
+		return
+	}
+	if u.nActive == u.width {
+		if !src.explicit {
+			dst.v, dst.e, dst.explicit = src.v, src.e, false
+			return
+		}
+		if dst.lanes == nil {
+			dst.lanes = make([]affv, u.width)
+		}
+		copy(dst.lanes, src.lanes)
+		dst.explicit = true
+		return
+	}
+	u.materialize(dst)
+	for l, on := range u.active {
+		if on {
+			dst.lanes[l] = src.lane(l)
+		}
+	}
+}
+
+func (u *uniState) setCol(rd kernel.Reg, c column) { u.write(rd, &c) }
+
+// materialize turns c into explicit per-lane values.
+func (u *uniState) materialize(c *column) {
+	if c.explicit {
+		return
+	}
+	if c.lanes == nil {
+		c.lanes = make([]affv, u.width)
+	}
+	for l := range c.lanes {
+		c.lanes[l] = c.lane(l)
+	}
+	c.explicit = true
+}
+
+// compact sets u.res from the per-lane values in u.res.lanes: one
+// lane-affine column, a Top column when every lane is Top, or explicit.
+func (u *uniState) compact() {
+	r := &u.res
+	vs := r.lanes
+	v0 := vs[0]
+	r.explicit = true
+	if v0.top() {
+		for _, v := range vs[1:] {
+			if !v.top() {
+				return
+			}
+		}
+		r.v, r.e, r.explicit = v0, 0, false
+		return
+	}
+	var e int64
+	if len(vs) > 1 {
+		if vs[1].top() {
+			return
+		}
+		e = vs[1].c - v0.c
+		if e != 0 && !(v0.guarded() && vs[1].guarded()) {
+			return
+		}
+	}
+	for l, v := range vs {
+		if v.q != v0.q || v.r != v0.r || v.c != v0.c+e*int64(l) {
+			return
+		}
+	}
+	if e != 0 && !mag(vs[len(vs)-1].c) {
+		return
+	}
+	r.v, r.e, r.explicit = v0, e, false
+}
+
+// colGuarded reports a non-explicit, non-Top column whose every lane is
+// guarded.
+func (u *uniState) colGuarded(c *column) bool {
+	if c.explicit || !c.v.guarded() {
+		return false
+	}
+	return c.e == 0 || mag(c.e) && mag(c.v.c+c.e*int64(u.width-1))
+}
+
 // compute runs a compute opcode: concrete operands evaluate through the
 // opcode's kernel lane function, exactly as on the device; anything else
-// goes through the affine transfer functions. A divisor must be a nonzero
+// goes through the affine transfer functions, a whole column at a time
+// where the result is lane-affine. A divisor must be a nonzero
 // block-invariant constant on every active lane.
 func (u *uniState) compute(in kernel.Instr, sem *kernel.Sem) error {
-	a, b := u.base(in.Ra), u.base(in.Rb)
-	operand := func(l int) affv {
-		if sem.Imm {
-			return affCon(in.Imm)
-		}
-		return u.regs[b+l]
+	x := &u.regs[in.Ra]
+	y := &column{v: affCon(in.Imm)}
+	if !sem.Imm {
+		y = &u.regs[in.Rb]
 	}
 	if sem.Trap {
-		// Masked semantics: a zero divisor only traps on active lanes.
-		for l := 0; l < u.width; l++ {
-			if !u.active[l] {
-				continue
-			}
-			switch dv := operand(l); {
-			case !dv.isCon():
-				return u.refusef("lane %d divisor is not a block-invariant constant", l)
-			case dv.c == 0 && sem.Imm:
-				return u.refusef("divides by constant zero")
-			case dv.c == 0:
-				return u.refusef("lane %d divides by zero", l)
-			}
+		if err := u.checkDivisor(y, sem.Imm); err != nil {
+			return err
 		}
 	}
-	op := in.Op
-	if sem.Imm {
-		op = regForm[op]
-	}
-	u.setActive(in.Rd, func(l int) affv {
-		x, y := u.regs[a+l], operand(l)
-		if x.isCon() && y.isCon() {
-			return affCon(sem.Lane(x.c, y.c))
+	if !u.computeCol(in.Op, sem, x, y) {
+		for l := range u.res.lanes {
+			xv, yv := x.lane(l), y.lane(l)
+			if xv.isCon() && yv.isCon() {
+				u.res.lanes[l] = affCon(sem.Lane(xv.c, yv.c))
+			} else {
+				u.res.lanes[l] = u.affALU(in.Op, xv, yv)
+			}
 		}
-		return u.affALU(op, x, y)
-	})
+		u.compact()
+	}
+	u.write(in.Rd, &u.res)
 	return nil
 }
 
-func (u *uniState) base(r kernel.Reg) int { return int(r) * u.width }
-
-// setActive writes f(l) into active lanes of destination register rd,
-// stamping a new Top with the current pc.
-func (u *uniState) setActive(rd kernel.Reg, f func(l int) affv) {
-	d := u.base(rd)
-	for l := 0; l < u.width; l++ {
-		if u.active[l] {
-			v := f(l)
-			if v.top && v.src == 0 {
-				v.src = int32(u.pc) + 1
-			}
-			u.regs[d+l] = v
+// checkDivisor refuses unless y is a nonzero block-invariant constant on
+// every active lane. Masked semantics: a zero divisor only traps on active
+// lanes.
+func (u *uniState) checkDivisor(y *column, imm bool) error {
+	for l, on := range u.active {
+		if !on {
+			continue
+		}
+		switch dv := y.lane(l); {
+		case !dv.isCon():
+			return u.refusef("lane %d divisor is not a block-invariant constant", l)
+		case dv.c == 0 && imm:
+			return u.refusef("divides by constant zero")
+		case dv.c == 0:
+			return u.refusef("lane %d divides by zero", l)
+		}
+		if y.uniform() {
+			return nil
 		}
 	}
+	return nil
 }
 
-// affALU is a register-operand compute opcode over the affine domain, for
-// operands that are not both concrete; immediate forms arrive mapped by
-// regForm.
+// computeCol sets u.res to op over whole columns when the result is a
+// column the per-lane rules would also produce; it reports false when the
+// lanes must be computed one by one.
+func (u *uniState) computeCol(op kernel.Op, sem *kernel.Sem, x, y *column) bool {
+	if x.explicit || y.explicit {
+		return false
+	}
+	r := &u.res
+	r.explicit = false
+	r.e = 0
+	switch {
+	case x.e == 0 && y.e == 0 && x.v.isCon() && y.v.isCon():
+		r.v = affCon(sem.Lane(x.v.c, y.v.c))
+		return true
+	case x.v.top():
+		r.v = x.v
+		return true
+	case y.v.top():
+		r.v = y.v
+		return true
+	case x.e == 0 && y.e == 0:
+		r.v = u.affALU(op, x.v, y.v)
+		return true
+	}
+	switch op {
+	case kernel.OpAdd, kernel.OpAddI, kernel.OpSub:
+		if !u.colGuarded(x) || !u.colGuarded(y) {
+			return false
+		}
+		if op != kernel.OpSub {
+			r.v = affv{x.v.q + y.v.q, x.v.r + y.v.r, x.v.c + y.v.c}
+			r.e = x.e + y.e
+		} else {
+			r.v = affv{x.v.q - y.v.q, x.v.r - y.v.r, x.v.c - y.v.c}
+			r.e = x.e - y.e
+		}
+	case kernel.OpMul, kernel.OpMulI, kernel.OpShl, kernel.OpShlI:
+		shift := op == kernel.OpShl || op == kernel.OpShlI
+		var m int64
+		switch {
+		case y.e == 0 && y.v.isCon() && shift:
+			sh := uint(y.v.c & 63)
+			if sh > 40 {
+				return false
+			}
+			m = int64(1) << sh
+		case y.e == 0 && y.v.isCon():
+			m = y.v.c
+		case x.e == 0 && x.v.isCon() && !shift:
+			m, x = x.v.c, y
+		default:
+			return false
+		}
+		if !u.colGuarded(x) || !mag(m) {
+			return false
+		}
+		am := abs64(m)
+		if am != 0 && (abs64(x.v.q) > uniformMaxMag/am || abs64(x.v.r) > uniformMaxMag/am ||
+			abs64(x.v.c) > uniformMaxMag/am || abs64(x.e) > uniformMaxMag/am) {
+			return false
+		}
+		r.v = affv{x.v.q * m, x.v.r * m, x.v.c * m}
+		r.e = x.e * m
+	default:
+		return false
+	}
+	if r.e == 0 && r.v.isCon() {
+		return true
+	}
+	return u.colGuarded(r)
+}
+
+// affALU is a compute opcode over the affine domain on one lane, for
+// operands that are not both concrete; an immediate is just a concrete
+// operand.
 func (u *uniState) affALU(op kernel.Op, x, y affv) affv {
-	if x.top {
+	if x.top() {
 		return x
 	}
-	if y.top {
+	if y.top() {
 		return y
 	}
 	switch op {
-	case kernel.OpAdd:
+	case kernel.OpAdd, kernel.OpAddI:
 		if x.guarded() && y.guarded() {
-			return gaff(x.a+y.a, x.c+y.c)
+			return u.gaff(x.q+y.q, x.r+y.r, x.c+y.c)
 		}
 	case kernel.OpSub:
 		if x.guarded() && y.guarded() {
-			return gaff(x.a-y.a, x.c-y.c)
+			return u.gaff(x.q-y.q, x.r-y.r, x.c-y.c)
 		}
-	case kernel.OpMul:
-		if m, ok := conOf(x, y); ok {
-			v, _ := pickAffine(x, y)
-			return scaleAff(v, m)
+	case kernel.OpMul, kernel.OpMulI:
+		if x.isCon() {
+			return u.scaleAff(y, x.c)
 		}
-	case kernel.OpShl:
+		if y.isCon() {
+			return u.scaleAff(x, y.c)
+		}
+	case kernel.OpShl, kernel.OpShlI:
 		if y.isCon() && x.guarded() {
-			return shiftAff(x, y.c)
+			if sh := uint(y.c & 63); sh <= 40 {
+				return u.scaleAff(x, int64(1)<<sh)
+			}
 		}
-	case kernel.OpSlt, kernel.OpSle, kernel.OpSeq, kernel.OpSne:
+	case kernel.OpDiv, kernel.OpDivI, kernel.OpMod, kernel.OpModI:
+		if y.isCon() {
+			return u.split(op, x, y.c)
+		}
+	case kernel.OpSlt, kernel.OpSltI, kernel.OpSle, kernel.OpSleI,
+		kernel.OpSeq, kernel.OpSeqI, kernel.OpSne, kernel.OpSneI:
 		return u.affCompare(op, x, y)
 	}
-	return affTop()
+	return affTop(u.pc)
 }
 
-// regForm maps each immediate-operand compute opcode to its register form:
-// over the affine domain an immediate is just a concrete operand.
-var regForm = map[kernel.Op]kernel.Op{
-	kernel.OpAddI: kernel.OpAdd, kernel.OpMulI: kernel.OpMul,
-	kernel.OpDivI: kernel.OpDiv, kernel.OpModI: kernel.OpMod,
-	kernel.OpShlI: kernel.OpShl, kernel.OpShrI: kernel.OpShr, kernel.OpAndI: kernel.OpAnd,
-	kernel.OpSltI: kernel.OpSlt, kernel.OpSleI: kernel.OpSle,
-	kernel.OpSeqI: kernel.OpSeq, kernel.OpSneI: kernel.OpSne,
-}
-
-// conOf extracts the concrete multiplier when exactly one operand is
-// concrete.
-func conOf(x, y affv) (int64, bool) {
-	if x.isCon() {
-		return x.c, true
+// gaff builds q·Q + r·R + c, demoting to Top when the guards fail. Zero
+// strides yield an exact concrete value.
+func (u *uniState) gaff(q, r, c int64) affv {
+	v := affv{q, r, c}
+	if v.isCon() || v.guarded() {
+		return v
 	}
-	if y.isCon() {
-		return y.c, true
-	}
-	return 0, false
-}
-
-func pickAffine(x, y affv) (affv, bool) {
-	if !x.isCon() {
-		return x, true
-	}
-	return y, true
+	return affTop(u.pc)
 }
 
 // scaleAff multiplies a properly affine value by a concrete m, guarding
 // against overflow of the scaled coefficients.
-func scaleAff(v affv, m int64) affv {
-	if v.top {
-		return affTop()
-	}
+func (u *uniState) scaleAff(v affv, m int64) affv {
 	if m == 0 {
 		return affCon(0)
 	}
-	if !v.guarded() {
-		return affTop()
-	}
 	am := abs64(m)
-	if am > uniformMaxMag ||
-		abs64(v.a) > uniformMaxMag/am || abs64(v.c) > uniformMaxMag/am {
-		return affTop()
+	if !v.guarded() || am > uniformMaxMag ||
+		abs64(v.q) > uniformMaxMag/am || abs64(v.r) > uniformMaxMag/am || abs64(v.c) > uniformMaxMag/am {
+		return affTop(u.pc)
 	}
-	return gaff(v.a*m, v.c*m)
+	return u.gaff(v.q*m, v.r*m, v.c*m)
 }
 
-// shiftAff is left shift of an affine value: multiplication by 2^s when the
-// device's masked shift amount is small enough to guard.
-func shiftAff(v affv, s int64) affv {
-	sh := uint(s & 63)
-	if sh > 40 {
-		return affTop()
+// split resolves a division or remainder of the block index by a constant
+// d: by the grid's divisor it is Q or R, and by d ≥ H it is exact. The
+// first other divisor asks for a restart on the grid split by d; after a
+// split, a different divisor is Top.
+func (u *uniState) split(op kernel.Op, x affv, d int64) affv {
+	if x != u.blockID() || d <= 0 {
+		return affTop(u.pc)
 	}
-	return scaleAff(v, int64(1)<<sh)
+	div := op == kernel.OpDiv || op == kernel.OpDivI
+	switch {
+	case d >= u.blocks && div:
+		return affCon(0)
+	case d >= u.blocks:
+		return x
+	case d == u.t && div:
+		return affv{q: 1}
+	case d == u.t:
+		return affv{r: 1}
+	case u.t == 0:
+		u.want = d
+	}
+	return affTop(u.pc)
 }
 
-// affCompare resolves a comparison whose operands may depend on k. The
-// result must be the SAME for every block, otherwise it is Top (and will be
-// refused if it ever reaches control or addressing).
+// extent returns v's least and greatest value over the grid box; v is
+// guarded.
+func (u *uniState) extent(v affv) (lo, hi int64) {
+	lo, hi = v.c, v.c
+	for _, t := range [2]int64{v.q * u.qmax, v.r * u.rmax} {
+		if t < 0 {
+			lo += t
+		} else {
+			hi += t
+		}
+	}
+	return lo, hi
+}
+
+// truth resolves a guarded value to the same nonzero-ness at every point
+// of the grid box; ok is false when it may differ. Along one varying axis
+// the value is zero only at the integral root of coef·x + c; with both
+// axes varying, a zero inside the range is refused.
+func (u *uniState) truth(v affv) (nonzero, ok bool) {
+	lo, hi := u.extent(v)
+	switch {
+	case lo == hi:
+		return lo != 0, true
+	case lo > 0 || hi < 0:
+		return true, true
+	}
+	var coef, limit int64
+	switch {
+	case v.q*u.qmax == 0:
+		coef, limit = v.r, u.rmax
+	case v.r*u.rmax == 0:
+		coef, limit = v.q, u.qmax
+	default:
+		return false, false
+	}
+	if v.c%coef != 0 {
+		return true, true
+	}
+	if x := -v.c / coef; x < 0 || x > limit {
+		return true, true
+	}
+	return false, false
+}
+
+// affCompare resolves a comparison whose operands may depend on the block.
+// The result must be the SAME for every block, otherwise it is Top (and
+// will be refused if it ever reaches control or addressing).
 func (u *uniState) affCompare(op kernel.Op, x, y affv) affv {
 	lane := op.Semantics().Lane
 	if !x.guarded() || !y.guarded() {
-		return affTop()
+		return affTop(u.pc)
 	}
-	da, dc := x.a-y.a, x.c-y.c // diff(k) = da·k + dc, |·| ≤ 2^41: evaluation safe
-	if da == 0 {
-		return affCon(lane(dc, 0))
+	d := affv{x.q - y.q, x.r - y.r, x.c - y.c} // |·| ≤ 2^41: corner evaluation safe
+	if d.isCon() {
+		return affCon(lane(d.c, 0))
 	}
-	last := u.blocks - 1
 	switch op {
-	case kernel.OpSlt, kernel.OpSle:
-		// diff is monotone in k: identical truth at both endpoints means
+	case kernel.OpSlt, kernel.OpSltI, kernel.OpSle, kernel.OpSleI:
+		// Monotone in the difference: identical truth at its extremes means
 		// identical truth at every block.
-		t0 := lane(da*0+dc, 0)
-		t1 := lane(da*last+dc, 0)
-		if t0 == t1 {
-			return affCon(t0)
+		lo, hi := u.extent(d)
+		if t := lane(lo, 0); t == lane(hi, 0) {
+			return affCon(t)
 		}
-	case kernel.OpSeq, kernel.OpSne:
-		// diff(k) = 0 only at the single root k0 = -dc/da (if integral).
-		rootIn := dc%da == 0 && -dc/da >= 0 && -dc/da <= last
-		if !rootIn {
-			if op == kernel.OpSeq {
-				return affCon(0)
+	case kernel.OpSeq, kernel.OpSeqI, kernel.OpSne, kernel.OpSneI:
+		if nz, ok := u.truth(d); ok {
+			diff := int64(0)
+			if nz {
+				diff = 1
 			}
-			return affCon(1)
-		}
-		if u.blocks == 1 {
-			// The root is the only block; the comparison is still uniform.
-			if op == kernel.OpSeq {
-				return affCon(1)
-			}
-			return affCon(0)
+			return affCon(lane(diff, 0))
 		}
 	}
-	return affTop()
+	return affTop(u.pc)
 }
 
 func abs64(v int64) int64 {
@@ -477,7 +749,7 @@ func abs64(v int64) int64 {
 // unknown says where the Top value v came from: loaded data, or the
 // instruction whose result the affine domain could not express.
 func (u *uniState) unknown(v affv) string {
-	pc := int(v.src) - 1
+	pc := int(v.c)
 	op := u.prog.Instrs[pc].Op
 	if op == kernel.OpLdGlobal {
 		return "depends on loaded data"
@@ -488,47 +760,61 @@ func (u *uniState) unknown(v affv) string {
 // laneTruth resolves a lane's condition value to a block-invariant boolean,
 // or fails.
 func (u *uniState) laneTruth(v affv, l int) (bool, error) {
-	if v.top {
+	if v.top() {
 		return false, u.refusef("lane %d condition %s", l, u.unknown(v))
 	}
 	if v.isCon() {
 		return v.c != 0, nil
 	}
-	// Properly affine: nonzero except at the single root of a·k + c.
-	if v.c%v.a == 0 {
-		if k0 := -v.c / v.a; k0 >= 0 && k0 < u.blocks && u.blocks > 1 {
-			return false, u.refusef("lane %d condition flips at block %d", l, k0)
+	t, ok := u.truth(v)
+	if !ok {
+		return false, u.refusef("lane %d condition flips between blocks", l)
+	}
+	return t, nil
+}
+
+// condTruth resolves column ra's condition on every active lane into
+// truth (when non-nil), returning whether any lane is true and whether
+// all active lanes agree. A uniform column is resolved once.
+func (u *uniState) condTruth(ra kernel.Reg, truth []bool) (anyTrue, allSame bool, err error) {
+	c := &u.regs[ra]
+	first := true
+	var t0 bool
+	allSame = true
+	for l, on := range u.active {
+		if !on {
+			continue
 		}
+		t := t0
+		if first || !c.uniform() {
+			if t, err = u.laneTruth(c.lane(l), l); err != nil {
+				return false, false, err
+			}
+		}
+		if first {
+			first, t0 = false, t
+		}
+		if truth != nil {
+			truth[l] = t
+		}
+		anyTrue = anyTrue || t
+		allSame = allSame && t == t0
 	}
-	// No root among certified blocks (or a single-block launch): always
-	// nonzero, i.e. true — unless the only block IS the root.
-	if u.blocks == 1 && v.c == 0 {
-		return false, nil
-	}
-	return true, nil
+	return anyTrue, allSame, nil
 }
 
 // uniformBranch resolves a brnz condition: every active lane must agree and
 // the shared truth must be block-invariant (the device traps on divergence).
 func (u *uniState) uniformBranch(ra kernel.Reg) (bool, error) {
-	a := u.base(ra)
-	taken, seen := false, false
-	for l := 0; l < u.width; l++ {
-		if !u.active[l] {
-			continue
-		}
-		t, err := u.laneTruth(u.regs[a+l], l)
-		if err != nil {
-			return false, err
-		}
-		if !seen {
-			taken, seen = t, true
-		} else if t != taken {
-			return false, u.refusef("brnz condition diverges across lanes")
-		}
-	}
-	if !seen {
+	if u.nActive == 0 {
 		return false, u.refusef("brnz with no active lane")
+	}
+	taken, same, err := u.condTruth(ra, nil)
+	if err != nil {
+		return false, err
+	}
+	if !same {
+		return false, u.refusef("brnz condition diverges across lanes")
 	}
 	return taken, nil
 }
@@ -536,90 +822,157 @@ func (u *uniState) uniformBranch(ra kernel.Reg) (bool, error) {
 // ifBegin mirrors the device: mask off false lanes, jump past if.end when
 // no lane is true. Returns whether the pc already moved.
 func (u *uniState) ifBegin(in kernel.Instr) (bool, error) {
-	a := u.base(in.Ra)
-	truth := make([]bool, u.width)
-	anyTrue := false
-	for l := 0; l < u.width; l++ {
-		if !u.active[l] {
-			continue
-		}
-		t, err := u.laneTruth(u.regs[a+l], l)
-		if err != nil {
-			return false, err
-		}
-		truth[l] = t
-		anyTrue = anyTrue || t
+	if u.maskDepth == len(u.maskStack) {
+		u.maskStack = append(u.maskStack, make([]bool, u.width))
+	}
+	truth := u.maskStack[u.maskDepth] // scratch until pushed below
+	anyTrue, allSame, err := u.condTruth(in.Ra, truth)
+	if err != nil {
+		return false, err
 	}
 	if !anyTrue {
 		u.pc = int(in.Target)
 		return true, nil
 	}
-	saved := make([]bool, u.width)
-	copy(saved, u.active)
-	u.maskStack = append(u.maskStack, saved)
-	for l := 0; l < u.width; l++ {
-		if u.active[l] && !truth[l] {
-			u.active[l] = false
+	if allSame {
+		copy(truth, u.active)
+		u.maskDepth++
+		return false, nil
+	}
+	for l, on := range u.active {
+		truth[l], u.active[l] = on, on && truth[l]
+		if on && !u.active[l] {
+			u.nActive--
 		}
 	}
+	u.maskDepth++
 	return false, nil
 }
 
 // execGlobal certifies one global access: every active lane's address must
-// be affine and in bounds at both block endpoints, all active lanes must
-// share one stride, and that stride must preserve the coalescing pattern
-// across blocks (a multiple of the transaction width, or zero, or a single
-// active lane). The per-lane address functions are recorded for the final
-// cross-block disjointness check.
+// be affine and in bounds at the grid box's corners, all active lanes must
+// share one stride on each grid axis, and those strides must preserve the
+// coalescing pattern across blocks (multiples of the transaction width,
+// or a single active lane). The lanes' address constants are recorded as
+// runs for the final cross-block disjointness check.
 func (u *uniState) execGlobal(in kernel.Instr) error {
-	a := u.base(in.Ra)
 	store := in.Op == kernel.OpStGlobal
-	stride := int64(0)
-	nActive := 0
-	strideSet := false
-	for l := 0; l < u.width; l++ {
-		if !u.active[l] {
+	c := &u.regs[in.Ra]
+	first := -1
+	var q, r int64
+	for l, on := range u.active {
+		if !on {
 			continue
 		}
-		v := u.regs[a+l]
-		if v.top {
+		if first >= 0 && !c.explicit {
+			// Linear in the lane: the first and last active lanes bound
+			// the rest.
+			l = lastActive(u.active)
+		}
+		v := c.lane(l)
+		if v.top() {
 			return u.refusef("lane %d global address %s", l, u.unknown(v))
 		}
 		if !v.guarded() {
 			return u.refusef("lane %d global address magnitude exceeds certifiable bounds", l)
 		}
-		if lo := v.at(0); lo < 0 || lo >= int64(u.globalWords) {
-			return u.refusef("lane %d global address %d out of [0,%d) at block 0", l, lo, u.globalWords)
+		if first < 0 {
+			first, q, r = l, v.q, v.r
+		} else if v.q != q || v.r != r {
+			return u.refusef("lane %d global stride (%d, %d) differs from warp stride (%d, %d)", l, v.q, v.r, q, r)
 		}
-		if hi := v.at(u.blocks - 1); hi < 0 || hi >= int64(u.globalWords) {
-			return u.refusef("lane %d global address %d out of [0,%d) at block %d", l, hi, u.globalWords, u.blocks-1)
+		if lo, hi := u.extent(v); lo < 0 || hi >= int64(u.globalWords) {
+			return u.refusef("lane %d global address range [%d, %d] leaves [0,%d)", l, lo, hi, u.globalWords)
 		}
-		if !strideSet {
-			stride, strideSet = v.a, true
-		} else if v.a != stride {
-			return u.refusef("lane %d global stride %d differs from warp stride %d", l, v.a, stride)
+		if !c.explicit && l != first {
+			break
 		}
-		nActive++
 	}
-	if nActive > 1 && stride != 0 && stride%int64(u.width) != 0 {
-		return u.refusef("global stride %d is not a multiple of the transaction width %d", stride, u.width)
+	if first < 0 {
+		return nil
 	}
-	if stride < 0 {
-		return u.refusef("negative global stride %d", stride)
+	w := int64(u.width)
+	if u.nActive > 1 && (q%w != 0 || r%w != 0) {
+		return u.refusef("global stride (%d, %d) is not a multiple of the transaction width %d", q, r, u.width)
 	}
-	for l := 0; l < u.width; l++ {
-		if !u.active[l] {
-			continue
-		}
-		if len(u.recs) >= uniformMaxSites {
-			return u.refusef("more than %d recorded global address functions", uniformMaxSites)
-		}
-		v := u.regs[a+l]
-		u.recs = append(u.recs, accessRec{a: v.a, c: v.c, store: store})
+	if q < 0 || r < 0 {
+		return u.refusef("negative global stride (%d, %d)", q, r)
+	}
+	if err := u.recordRuns(c, q, r, store); err != nil {
+		return err
 	}
 	if !store {
-		u.setActive(in.Rd, func(int) affv { return affTop() })
+		u.setCol(in.Rd, column{v: affTop(u.pc)})
 	}
+	return nil
+}
+
+func lastActive(active []bool) int {
+	for l := len(active) - 1; l >= 0; l-- {
+		if active[l] {
+			return l
+		}
+	}
+	return -1
+}
+
+// recordRuns records the active lanes' address constants of column c as
+// maximal runs of equally spaced constants.
+func (u *uniState) recordRuns(c *column, q, r int64, store bool) error {
+	if !c.explicit && u.nActive == u.width {
+		e := c.e
+		if u.width == 1 {
+			e = 0
+		}
+		return u.record(runKey{q: q, r: r, e: e, n: u.width, store: store}, c.v.c)
+	}
+	var c0, e int64
+	n := 0
+	flush := func() error {
+		if n == 0 {
+			return nil
+		}
+		if n == 1 {
+			e = 0
+		}
+		err := u.record(runKey{q: q, r: r, e: e, n: n, store: store}, c0)
+		n = 0
+		return err
+	}
+	for l, on := range u.active {
+		if !on {
+			continue
+		}
+		k := c.lane(l).c
+		switch {
+		case n == 0:
+			c0, n = k, 1
+		case n == 1:
+			e, n = k-c0, 2
+		case k == c0+e*int64(n):
+			n++
+		default:
+			if err := flush(); err != nil {
+				return err
+			}
+			c0, n = k, 1
+		}
+	}
+	return flush()
+}
+
+func (u *uniState) record(k runKey, c0 int64) error {
+	if u.nruns >= uniformMaxRuns {
+		return u.refusef("more than %d recorded global access runs", uniformMaxRuns)
+	}
+	u.nruns++
+	for i := len(u.fams) - 1; i >= 0; i-- {
+		if f := &u.fams[i]; f.runKey == k {
+			f.c0 = append(f.c0, c0)
+			return nil
+		}
+	}
+	u.fams = append(u.fams, runFamily{runKey: k, c0: []int64{c0}})
 	return nil
 }
 
@@ -628,110 +981,206 @@ func (u *uniState) execGlobal(in kernel.Instr) error {
 // Shared contents are tracked as affine values — stores land in ascending
 // lane order exactly like the device, so later lanes win address conflicts.
 func (u *uniState) execShared(in kernel.Instr) error {
-	a := u.base(in.Ra)
+	if u.shared == nil {
+		u.shared = make([]affv, u.prog.SharedWords)
+	}
+	c := &u.regs[in.Ra]
 	size := int64(len(u.shared))
-	for l := 0; l < u.width; l++ {
-		if !u.active[l] {
+	first := true
+	for l, on := range u.active {
+		if !on {
 			continue
 		}
-		v := u.regs[a+l]
+		if !first && !c.explicit {
+			// Linear in the lane: the first and last active lanes bound
+			// the rest.
+			l = lastActive(u.active)
+		}
+		v := c.lane(l)
 		if !v.isCon() {
 			return u.refusef("lane %d shared address is not a block-invariant constant", l)
 		}
 		if v.c < 0 || v.c >= size {
 			return u.refusef("lane %d shared address %d out of [0,%d)", l, v.c, size)
 		}
+		if !first && !c.explicit {
+			break
+		}
+		first = false
 	}
 	if in.Op == kernel.OpStShared {
-		s := u.base(in.Rb)
-		for l := 0; l < u.width; l++ {
-			if u.active[l] {
-				u.shared[u.regs[a+l].c] = u.regs[s+l]
+		s := &u.regs[in.Rb]
+		for l, on := range u.active {
+			if on {
+				u.shared[c.lane(l).c] = s.lane(l)
 			}
 		}
 		return nil
 	}
-	d := u.base(in.Rd)
-	for l := 0; l < u.width; l++ {
+	if c.uniform() {
+		// A broadcast: every lane reads the same word.
+		u.setCol(in.Rd, column{v: u.shared[c.v.c]})
+		return nil
+	}
+	for l := range u.res.lanes {
 		if u.active[l] {
-			u.regs[d+l] = u.shared[u.regs[a+l].c]
+			u.res.lanes[l] = u.shared[c.lane(l).c]
+		}
+	}
+	if u.nActive == u.width {
+		u.compact()
+	} else {
+		u.res.explicit = true
+	}
+	u.write(in.Rd, &u.res)
+	return nil
+}
+
+// checkDisjoint proves no block's global stores collide with another
+// block's loads or stores. Every store shares one stride pair (A, B), so
+// block (Q, R) writes constant k at A·Q + B·R + k, and two blocks collide
+// exactly when two constants differ by A·ΔQ + B·ΔR for a nonzero
+// (ΔQ, ΔR) inside the box: one lattice check against a bitmap of the store
+// constants. A load whose whole-grid address range misses every store is
+// read-only and needs no check.
+func (u *uniState) checkDisjoint() error {
+	if u.blocks == 1 {
+		return nil // no other block to collide with
+	}
+	var d lattice
+	seen := false
+	for i := range u.fams {
+		f := &u.fams[i]
+		if !f.store || len(f.c0) == 0 {
+			continue
+		}
+		lo, hi := f.span()
+		if !seen {
+			d.a, d.b, d.lo, d.hi, seen = f.q, f.r, lo, hi, true
+		} else if f.q != d.a || f.r != d.b {
+			return fmt.Errorf("%w: global store strides (%d, %d) and (%d, %d) differ", ErrNotUniform, d.a, d.b, f.q, f.r)
+		}
+		d.lo, d.hi = min(d.lo, lo), max(d.hi, hi)
+	}
+	if !seen {
+		return nil // read-only kernels are trivially disjoint
+	}
+	if d.a == 0 && u.qmax > 0 || d.b == 0 && u.rmax > 0 {
+		return fmt.Errorf("%w: global store at +%d does not vary along a block-grid axis: blocks share it", ErrNotUniform, d.lo)
+	}
+	if d.hi-d.lo >= uniformMaxSpan {
+		return fmt.Errorf("%w: one block's stores span %d words, over %d", ErrNotUniform, d.hi-d.lo+1, uniformMaxSpan)
+	}
+	d.bits = make([]uint64, (d.hi-d.lo)/64+1)
+	for _, f := range u.fams {
+		for _, c := range f.c0 {
+			for i := 0; f.store && i < f.n; i++ {
+				k := c + f.e*int64(i) - d.lo
+				d.bits[k/64] |= 1 << (k % 64)
+			}
+		}
+	}
+	gridHi := d.hi + d.a*u.qmax + d.b*u.rmax
+	for i := range u.fams {
+		f := &u.fams[i]
+		if len(f.c0) == 0 {
+			continue
+		}
+		var (
+			x, y int64
+			hit  bool
+			err  error
+			what string
+		)
+		lo, hi := f.span()
+		switch {
+		case f.store:
+			x, y, hit, err = d.probe(f, -u.qmax, u.qmax, -u.rmax, u.rmax, true)
+			what = "stores at +%d and +%d collide across blocks"
+		case hi+f.q*u.qmax+f.r*u.rmax < d.lo || lo > gridHi:
+			continue
+		case f.q == 0 && f.r == 0:
+			x, y, hit, err = d.probe(f, -u.qmax, 0, -u.rmax, 0, false)
+			what = "fixed-address load at %d reads a block's store at %d"
+		case f.q == d.a && f.r == d.b:
+			x, y, hit, err = d.probe(f, -u.qmax, u.qmax, -u.rmax, u.rmax, true)
+			what = "load at +%d reads another block's store at +%d"
+		default:
+			return fmt.Errorf("%w: load strides (%d, %d) differ from store strides (%d, %d)", ErrNotUniform, f.q, f.r, d.a, d.b)
+		}
+		if err != nil {
+			return err
+		}
+		if hit {
+			return fmt.Errorf("%w: "+what, ErrNotUniform, x, y)
 		}
 	}
 	return nil
 }
 
-// checkDisjoint proves no block's global stores collide with another
-// block's loads or stores. With per-lane address functions a·k + c and all
-// nonzero strides equal to one s, block k's address and block k”s address
-// coincide exactly when the constants differ by s·(k−k'); the check reduces
-// to divisibility of constant differences.
-func (u *uniState) checkDisjoint() error {
-	var stores, loads []accessRec
-	for _, r := range u.recs {
-		if r.store {
-			stores = append(stores, r)
-		} else {
-			loads = append(loads, r)
-		}
+// span returns the least and greatest constant of the family's runs.
+func (f *runFamily) span() (lo, hi int64) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	last := f.e * int64(f.n-1)
+	for _, c := range f.c0 {
+		lo, hi = min(lo, c, c+last), max(hi, c, c+last)
 	}
-	if len(stores) == 0 {
-		return nil // read-only kernels are trivially disjoint
-	}
-	s := int64(0)
-	for _, r := range u.recs {
-		if r.a == 0 {
-			continue
-		}
-		if s == 0 {
-			s = r.a
-		} else if r.a != s {
-			return fmt.Errorf("%w: global strides %d and %d differ", ErrNotUniform, s, r.a)
-		}
-	}
-	if u.blocks > 1 {
-		for _, r := range stores {
-			if r.a == 0 {
-				return fmt.Errorf("%w: stride-0 global store at address %d is written by every block", ErrNotUniform, r.c)
-			}
-		}
-	}
-	if s == 0 {
-		return nil // single block with constant addresses
-	}
-	h := u.blocks
-	// store vs store: blocks k ≠ k' collide iff (c2−c1)/s = k−k' with
-	// 1 ≤ |k−k'| ≤ H−1.
-	for i := range stores {
-		for j := i + 1; j < len(stores); j++ {
-			d := stores[j].c - stores[i].c
-			if d%s == 0 {
-				if q := abs64(d / s); q >= 1 && q <= h-1 {
-					return fmt.Errorf("%w: stores at +%d and +%d collide across blocks (offset %d strides)",
-						ErrNotUniform, stores[i].c, stores[j].c, q)
-				}
-			}
-		}
-	}
-	for _, ld := range loads {
-		for _, st := range stores {
-			d := ld.c - st.c
-			if d%s != 0 {
-				continue
-			}
-			q := d / s
-			if ld.a == 0 {
-				// Every block loads the fixed address; any block storing it
-				// races the others.
-				if q >= 0 && q <= h-1 {
-					return fmt.Errorf("%w: fixed-address load at %d reads block %d's store", ErrNotUniform, ld.c, q)
-				}
-				continue
-			}
-			// Strided load of block k hits block k−q's store.
-			if aq := abs64(q); aq >= 1 && aq <= h-1 {
-				return fmt.Errorf("%w: load at +%d reads another block's store at +%d", ErrNotUniform, ld.c, st.c)
-			}
-		}
-	}
-	return nil
+	return lo, hi
 }
+
+// lattice is the store side of the disjointness check: the common store
+// strides (a, b) and a bitmap of the store constants in [lo, hi].
+type lattice struct {
+	a, b, lo, hi int64
+	bits         []uint64
+	probes       int64
+}
+
+// probe looks for a constant x of f and an offset a·ΔQ + b·ΔR, with
+// (ΔQ, ΔR) in [dq0, dq1] × [dr0, dr1] (not (0, 0) when skipZero), that
+// lands on a store constant y. Only offsets that can reach [lo, hi] from
+// f's span are enumerated.
+func (d *lattice) probe(f *runFamily, dq0, dq1, dr0, dr1 int64, skipZero bool) (x, y int64, hit bool, err error) {
+	flo, fhi := f.span()
+	olo, ohi := d.lo-fhi, d.hi-flo
+	if d.a > 0 {
+		dq0 = max(dq0, ceilDiv(olo-d.b*dr1, d.a))
+		dq1 = min(dq1, floorDiv(ohi-d.b*dr0, d.a))
+	}
+	count := int64(len(f.c0) * f.n)
+	for dq := dq0; dq <= dq1; dq++ {
+		base := d.a * dq
+		r0, r1 := dr0, dr1
+		if d.b > 0 {
+			r0, r1 = max(r0, ceilDiv(olo-base, d.b)), min(r1, floorDiv(ohi-base, d.b))
+		}
+		for dr := r0; dr <= r1; dr++ {
+			off := base + d.b*dr
+			if skipZero && dq == 0 && dr == 0 || off < olo || off > ohi {
+				continue
+			}
+			if d.probes += count; d.probes > uniformMaxProbes {
+				return 0, 0, false, fmt.Errorf("%w: disjointness check exceeds %d probes", ErrNotUniform, uniformMaxProbes)
+			}
+			for _, c := range f.c0 {
+				for i := 0; i < f.n; i++ {
+					x := c + f.e*int64(i)
+					if k := x + off - d.lo; k >= 0 && k <= d.hi-d.lo && d.bits[k/64]&(1<<(k%64)) != 0 {
+						return x, x + off, true, nil
+					}
+				}
+			}
+		}
+	}
+	return 0, 0, false, nil
+}
+
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b != 0 && (a < 0) != (b < 0) {
+		q--
+	}
+	return q
+}
+
+func ceilDiv(a, b int64) int64 { return -floorDiv(-a, b) }

@@ -146,30 +146,60 @@ func TestBlockUniformRefusesDataDependentControl(t *testing.T) {
 }
 
 // TestBlockUniformRefusalNamesTopOrigin pins that a refusal names the
-// instruction the unknown value came from. Tiled matmul splits the block
-// index into a tile row and column with divi/modi, which the affine
-// domain cannot express, so its first global address is refused for that
-// reason rather than for loaded data; a value really loaded from global
-// memory keeps the "loaded data" wording.
+// instruction the unknown value came from. Dividing blockID + 1 is outside
+// the grid domain (only the block index itself splits), and a second split
+// by a different divisor is Top, so each kernel's global address is refused
+// for that op; a value really loaded from global memory keeps the "loaded
+// data" wording.
 func TestBlockUniformRefusalNamesTopOrigin(t *testing.T) {
-	const b, n = 32, 256
-	nn := n * n
-	mm := algorithms.MatMul{N: n}
-	prog, err := mm.Kernel(b, 0, nn, 2*nn)
-	if err != nil {
-		t.Fatal(err)
+	const w, blocks = 4, 64
+	build := func(name string, body func(kb *kernel.Builder, blk, idx kernel.Reg)) *kernel.Program {
+		kb := kernel.NewBuilder(name, 0)
+		j := kb.Reg("lane")
+		blk := kb.Reg("block")
+		idx := kb.Reg("idx")
+		kb.LaneID(j)
+		kb.BlockID(blk)
+		body(kb, blk, idx)
+		kb.Mul(idx, idx, kernel.Imm(w))
+		kb.Add(idx, idx, kernel.R(j))
+		kb.StGlobal(idx, j)
+		prog, err := kb.Build()
+		if err != nil {
+			t.Fatalf("build %s: %v", name, err)
+		}
+		return prog
 	}
-	_, err = BlockUniform(prog, b, 3*nn, mm.Blocks(b))
-	if !errors.Is(err, ErrNotUniform) {
-		t.Fatalf("matmul n=%d: BlockUniform = %v, want ErrNotUniform", n, err)
+	cases := []struct {
+		name string
+		prog *kernel.Program
+		want string
+	}{
+		{"divi-of-shifted-block", build("uni-divi-shifted", func(kb *kernel.Builder, blk, idx kernel.Reg) {
+			kb.Add(idx, blk, kernel.Imm(1))
+			kb.Div(idx, idx, kernel.Imm(8)) // pc 3
+		}), "global address is not affine in the block index: divi at pc 3"},
+		{"second-split", build("uni-second-split", func(kb *kernel.Builder, blk, idx kernel.Reg) {
+			q := kb.Reg("q")
+			kb.Div(q, blk, kernel.Imm(8))
+			kb.Mod(idx, blk, kernel.Imm(16)) // pc 3: a second divisor
+			kb.Add(idx, idx, kernel.R(q))
+		}), "global address is not affine in the block index: modi at pc 3"},
+		{"second-split-divi", build("uni-second-divi", func(kb *kernel.Builder, blk, idx kernel.Reg) {
+			r := kb.Reg("r")
+			kb.Mod(r, blk, kernel.Imm(8))
+			kb.Div(idx, blk, kernel.Imm(16)) // pc 3: a second divisor
+			kb.Add(idx, idx, kernel.R(r))
+		}), "global address is not affine in the block index: divi at pc 3"},
 	}
-	msg := err.Error()
-	if !strings.Contains(msg, "global address is not affine in the block index: divi at pc") &&
-		!strings.Contains(msg, "global address is not affine in the block index: modi at pc") {
-		t.Errorf("matmul refusal = %q, want it to name the divi/modi origin", msg)
-	}
-	if strings.Contains(msg, "loaded data") {
-		t.Errorf("matmul refusal = %q blames loaded data", msg)
+	for _, tc := range cases {
+		_, err := BlockUniform(tc.prog, w, 1<<16, blocks)
+		if !errors.Is(err, ErrNotUniform) {
+			t.Fatalf("%s: BlockUniform = %v, want ErrNotUniform", tc.name, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: refusal = %q, want it to name %q", tc.name, msg, tc.want)
+		}
 	}
 
 	kb := kernel.NewBuilder("uni-gather", 0)
@@ -186,6 +216,158 @@ func TestBlockUniformRefusalNamesTopOrigin(t *testing.T) {
 	_, err = BlockUniform(gather, 4, 1024, 64)
 	if err == nil || !strings.Contains(err.Error(), "global address depends on loaded data") {
 		t.Errorf("gather refusal = %v, want the loaded-data wording", err)
+	}
+}
+
+// matmulProgram builds the matmul workload kernel for n×n matrices at warp
+// width w, with A, B and C at 0, n² and 2n².
+func matmulProgram(t *testing.T, n, w int) *kernel.Program {
+	t.Helper()
+	nn := n * n
+	prog, err := algorithms.MatMul{N: n}.Kernel(w, 0, nn, 2*nn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// TestBlockUniformCertifiesMatMul: the paper's tiled matmul splits the
+// block index into a tile row and column with divi/modi; the grid domain
+// certifies it at n = 8w and 16w on every 32-wide preset and on Tiny.
+func TestBlockUniformCertifiesMatMul(t *testing.T) {
+	for _, cfg := range simgpu.Presets() {
+		w := cfg.WarpWidth
+		sizes := []int{8 * w, 16 * w}
+		if cfg.GlobalWords < 3*sizes[1]*sizes[1] {
+			sizes = sizes[:1]
+		}
+		for _, n := range sizes {
+			prog := matmulProgram(t, n, w)
+			blocks := algorithms.MatMul{N: n}.Blocks(w)
+			cert, err := BlockUniform(prog, w, 3*n*n, blocks)
+			if err != nil {
+				t.Fatalf("%s n=%d: BlockUniform refused matmul: %v", cfg.Name, n, err)
+			}
+			if cert.Blocks != blocks || cert.Instrs == 0 {
+				t.Errorf("%s n=%d: bad certificate %+v", cfg.Name, n, cert)
+			}
+		}
+	}
+}
+
+// TestBlockUniformCertifiesReduce: reduce's blocks load a stride-32 chunk
+// each and store one word at stride 1. The loads miss every store, so they
+// are read-only and need no common stride with the stores.
+func TestBlockUniformCertifiesReduce(t *testing.T) {
+	const w, n = 32, 4096
+	r := algorithms.Reduce{N: n}
+	prog, err := r.Kernel(w, 0, n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BlockUniform(prog, w, r.GlobalWords(w), r.Blocks(w)); err != nil {
+		t.Fatalf("BlockUniform refused reduce: %v", err)
+	}
+}
+
+// tileKernel is matmul's write-back alone: block (Q, R) = (blk / tiles,
+// blk % tiles) stores its b×b tile of an n×n matrix, n = tiles·b, at
+// base + Q·rowStride + R·b + r·n + lane for rows r. The twins below each
+// break one thing the grid certificate rests on.
+type tileKernel struct {
+	b, tiles, rowStride, base int
+	readNeighbour             bool // load the tile to the right first
+	branchTop                 bool // store only when Q < 2
+	mixed                     bool // a second store with stride pair (t·b, b)
+}
+
+func (k tileKernel) build(t *testing.T) *kernel.Program {
+	t.Helper()
+	b, n := k.b, k.tiles*k.b
+	kb := kernel.NewBuilder("uni-tile", 0)
+	j := kb.Reg("lane")
+	blk := kb.Reg("block")
+	qr := kb.Reg("tileRow")
+	rr := kb.Reg("tileCol")
+	tile := kb.Reg("tile")
+	addr := kb.Reg("addr")
+	val := kb.Reg("val")
+	kb.LaneID(j)
+	kb.BlockID(blk)
+	kb.Div(qr, blk, kernel.Imm(int64(k.tiles)))
+	kb.Mod(rr, blk, kernel.Imm(int64(k.tiles)))
+	kb.Mul(tile, qr, kernel.Imm(int64(k.rowStride)))
+	kb.Mul(addr, rr, kernel.Imm(int64(b)))
+	kb.Add(tile, tile, kernel.R(addr))
+	kb.Add(tile, tile, kernel.R(j))
+	kb.Add(tile, tile, kernel.Imm(int64(k.base)))
+	store := func() {
+		kb.ForDo(kernel.Imm(0), kernel.Imm(int64(b)), 1, func(r kernel.Reg) {
+			kb.Mul(addr, r, kernel.Imm(int64(n)))
+			kb.Add(addr, addr, kernel.R(tile))
+			kb.Mov(val, j)
+			if k.readNeighbour {
+				kb.Add(val, addr, kernel.Imm(int64(b)))
+				kb.LdGlobal(val, val)
+			}
+			kb.StGlobal(addr, val)
+		})
+	}
+	if k.branchTop {
+		top := kb.Reg("top")
+		kb.Slt(top, qr, kernel.Imm(2))
+		kb.IfDo(top, store)
+	} else {
+		store()
+	}
+	if k.mixed {
+		kb.Mul(addr, blk, kernel.Imm(int64(b)))
+		kb.Add(addr, addr, kernel.R(j))
+		kb.Add(addr, addr, kernel.Imm(int64(k.base+n*n)))
+		kb.StGlobal(addr, j)
+	}
+	prog, err := kb.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return prog
+}
+
+// TestBlockUniformGridSoundness pins the grid domain's refusals next to the
+// certifiable tile write-back they each break: overlapping C tiles, a read
+// of a neighbour tile, a grid whose box corner leaves memory, a branch on
+// the tile row, and mixed store strides.
+func TestBlockUniformGridSoundness(t *testing.T) {
+	const b, tiles = 8, 4
+	n := b * tiles
+	ok := tileKernel{b: b, tiles: tiles, rowStride: b * n}
+	// Block 13 = (3, 1) is the last of a 14-block launch; the box corner
+	// (3, 3) writes past this much memory.
+	ragged := 3*b*n + (b-1)*n + 2*b
+	cases := []struct {
+		name          string
+		k             tileKernel
+		global, block int
+		want          string // "" means certified
+	}{
+		{"tiles", ok, n * n, tiles * tiles, ""},
+		{"ragged-in-bounds", ok, n * n, 14, ""},
+		{"c-tile-overlap", tileKernel{b: b, tiles: tiles, rowStride: b * n / 2}, n * n, tiles * tiles, "collide across blocks"},
+		{"neighbour-read", tileKernel{b: b, tiles: tiles, rowStride: b * n, readNeighbour: true}, n*n + b, tiles * tiles, "reads another block's store"},
+		{"ragged-corner-out-of-bounds", ok, ragged, 14, "leaves [0,"},
+		{"branch-on-tile-row", tileKernel{b: b, tiles: tiles, rowStride: b * n, branchTop: true}, n * n, tiles * tiles, "condition is not affine in the block index: slti at pc"},
+		{"mixed-store-strides", tileKernel{b: b, tiles: tiles, rowStride: b * n, mixed: true}, 2 * n * n, tiles * tiles, "global store strides"},
+	}
+	for _, tc := range cases {
+		_, err := BlockUniform(tc.k.build(t), b, tc.global, tc.block)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: BlockUniform refused: %v", tc.name, err)
+		case tc.want != "" && !errors.Is(err, ErrNotUniform):
+			t.Errorf("%s: BlockUniform = %v, want ErrNotUniform", tc.name, err)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: refusal = %q, want it to mention %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -253,6 +435,46 @@ func TestBlockUniformRefusesAtomics(t *testing.T) {
 	}
 }
 
+// memoRun launches prog on a fresh cfg device whose first inputs words
+// hold a fixed pattern, with the real prover installed or not, and returns
+// the result, the final global memory and the device's memo skip count.
+func memoRun(t *testing.T, cfg simgpu.Config, prog *kernel.Program, blocks, inputs int, withProver bool) (simgpu.KernelResult, []kernel.Word, int64) {
+	t.Helper()
+	dev, err := simgpu.New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if withProver {
+		dev.SetUniformProver(UniformProver)
+	}
+	raw := dev.Global().Raw()
+	for i := 0; i < inputs; i++ {
+		raw[i] = int64(i%97*5 - 100)
+	}
+	res, err := dev.Launch(prog, blocks)
+	if err != nil {
+		t.Fatalf("Launch: %v", err)
+	}
+	return res, append([]kernel.Word(nil), raw...), dev.MemoSkips()
+}
+
+// sameLaunch fails unless two launches left identical KernelStats (cycles
+// included), time and global memory.
+func sameLaunch(t *testing.T, name string, a, b simgpu.KernelResult, aMem, bMem []kernel.Word) {
+	t.Helper()
+	if a.Stats != b.Stats {
+		t.Errorf("%s: stats diverge:\nprover: %+v\nplain:  %+v", name, a.Stats, b.Stats)
+	}
+	if a.Time != b.Time {
+		t.Errorf("%s: time diverges: prover %v, plain %v", name, a.Time, b.Time)
+	}
+	for i := range bMem {
+		if aMem[i] != bMem[i] {
+			t.Fatalf("%s: global[%d] diverges: prover %d, plain %d", name, i, aMem[i], bMem[i])
+		}
+	}
+}
+
 // TestMemoFallsBackToFullSimulationOnAtomics is the end-to-end pin for the
 // memoization boundary under the REAL prover: a memoization-eligible kernel
 // engages block memoization, its atomic twin does not — it silently falls
@@ -264,49 +486,41 @@ func TestMemoFallsBackToFullSimulationOnAtomics(t *testing.T) {
 	cfg := simgpu.GTX650()
 	cfg.GlobalWords = 2 * n
 
-	run := func(prog *kernel.Program, withProver bool) (simgpu.KernelResult, []kernel.Word, int64) {
-		dev, err := simgpu.New(cfg)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		if withProver {
-			dev.SetUniformProver(UniformProver)
-		}
-		raw := dev.Global().Raw()
-		for i := 0; i < n; i++ {
-			raw[i] = int64(i*5 - 100)
-		}
-		res, err := dev.Launch(prog, blocks)
-		if err != nil {
-			t.Fatalf("Launch: %v", err)
-		}
-		out := append([]kernel.Word(nil), dev.Global().Raw()...)
-		return res, out, dev.MemoSkips()
-	}
-
 	// Control: the atomics-free baseline is certified and memoized.
 	base := buildVecAddLike(t, b, n)
-	if _, _, skips := run(base, true); skips != 1 {
+	if _, _, skips := memoRun(t, cfg, base, blocks, n, true); skips != 1 {
 		t.Fatalf("baseline kernel engaged memoization %d times, want 1", skips)
 	}
 
 	// Pin: the atomic twin must fall back to full simulation...
 	atomic := buildAtomicVecAddLike(t, b, n)
-	memoRes, memoMem, skips := run(atomic, true)
+	memoRes, memoMem, skips := memoRun(t, cfg, atomic, blocks, n, true)
 	if skips != 0 {
 		t.Fatalf("atomic kernel engaged memoization %d times, want full-simulation fallback", skips)
 	}
 	// ...and be byte-identical to a device that never memoizes.
-	fullRes, fullMem, _ := run(atomic, false)
-	if memoRes.Stats != fullRes.Stats {
-		t.Errorf("stats diverge:\nprover: %+v\nplain:  %+v", memoRes.Stats, fullRes.Stats)
-	}
-	if memoRes.Time != fullRes.Time {
-		t.Errorf("time diverges: prover %v, plain %v", memoRes.Time, fullRes.Time)
-	}
-	for i := range fullMem {
-		if fullMem[i] != memoMem[i] {
-			t.Fatalf("global[%d] diverges: prover %d, plain %d", i, memoMem[i], fullMem[i])
+	fullRes, fullMem, _ := memoRun(t, cfg, atomic, blocks, n, false)
+	sameLaunch(t, "atomic", memoRes, fullRes, memoMem, fullMem)
+}
+
+// TestMemoMatMulMatchesFullSimulation: with the prover certifying matmul,
+// a memoizing device must leave global memory, KernelStats (cycles
+// included) and time byte-identical to a prover-less one on every preset,
+// at the first size with memoMinBlocks blocks. GTX650 at n=256 must
+// actually memoize (its scheduler recurs with period 4 blocks).
+func TestMemoMatMulMatchesFullSimulation(t *testing.T) {
+	for _, cfg := range simgpu.Presets() {
+		w := cfg.WarpWidth
+		n := 8 * w
+		nn := n * n
+		cfg.GlobalWords = 3 * nn
+		prog := matmulProgram(t, n, w)
+		blocks := algorithms.MatMul{N: n}.Blocks(w)
+		memo, memoMem, skips := memoRun(t, cfg, prog, blocks, 2*nn, true)
+		full, fullMem, _ := memoRun(t, cfg, prog, blocks, 2*nn, false)
+		sameLaunch(t, cfg.Name, memo, full, memoMem, fullMem)
+		if cfg.Name == simgpu.GTX650().Name && skips == 0 {
+			t.Errorf("%s n=%d: matmul never memoized", cfg.Name, n)
 		}
 	}
 }

@@ -148,9 +148,10 @@ func BenchmarkSweepCold(b *testing.B) {
 }
 
 // BenchmarkSweepMatMul measures the default matmul sweep at one worker.
-// BlockUniform refuses matmul's kernel, so no launch is memoized and the
+// Only its n=256 launch has the 64 blocks memoization needs; the
 // scheduled interpreter — shared-memory tiles, warp pick — runs every
-// block; this is the bench that sees interpreter work.
+// block of the smaller points and 16 of n=256's, and memo replay the
+// rest, so this is the bench that sees interpreter work.
 func BenchmarkSweepMatMul(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1

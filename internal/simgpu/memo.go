@@ -3,6 +3,8 @@ package simgpu
 import (
 	"fmt"
 	"hash/maphash"
+	"runtime"
+	"sync"
 
 	"atgpu/internal/kernel"
 )
@@ -30,8 +32,9 @@ import (
 // drain tail, and (b) afterwards adds K*T cycles and K times the period's
 // additive statistics, and (c) replays the K*d elided blocks through a
 // data-only interpreter so global memory ends byte-identical (certificate
-// disjointness makes the replay order irrelevant). Timing, counters, and
-// memory match full simulation exactly; the differential tests pin this.
+// disjointness makes the replay order irrelevant, so the replay runs on
+// several goroutines). Timing, counters, and memory match full simulation
+// exactly; the differential tests pin this.
 //
 // Memoization never engages when a tracer is attached (traces carry
 // per-block detail), when site collection is on, when a fault injector is
@@ -44,6 +47,9 @@ const (
 	// memoMaxSnaps bounds the stored fingerprint set; exotic schedules
 	// that never recur within the budget give up and simulate fully.
 	memoMaxSnaps = 4096
+	// memoReplayMinChunk is the fewest elided blocks one replay goroutine
+	// takes; a shorter replay runs serially.
+	memoReplayMinChunk = 16
 )
 
 // memoSnap is one recorded scheduler fingerprint.
@@ -99,6 +105,7 @@ func (m *memoState) observe(ls *launchState) {
 		h.Write(b[:])
 	}
 	key := h.Sum64()
+	recurred := false
 	for _, s := range m.snaps[key] {
 		if !equalStates(s.state, m.enc) {
 			continue
@@ -107,6 +114,7 @@ func (m *memoState) observe(ls *launchState) {
 		if d <= 0 {
 			continue
 		}
+		recurred = true
 		// Skip as many whole periods as possible while leaving at least
 		// two periods' worth of blocks so the remaining simulation still
 		// walks through a full period and the genuine drain tail.
@@ -121,6 +129,13 @@ func (m *memoState) observe(ls *launchState) {
 		ls.schedBlocks -= int(k) * d
 		m.replayFrom = ls.schedBlocks
 		ls.d.memoSkips++
+		return
+	}
+	if recurred {
+		// Too few blocks remain to skip a period. The schedule repeats from
+		// here with the same period and every later boundary has fewer
+		// blocks left, so no later skip fits either: stop fingerprinting.
+		m.off = true
 		return
 	}
 	snap := memoSnap{
@@ -229,12 +244,51 @@ func (ls *launchState) finishMemo() error {
 // their register-file-to-memory effects land exactly as full simulation
 // would have produced them. The certificate guarantees the blocks' global
 // writes are disjoint from each other and from the simulated blocks', so
-// replay order is irrelevant.
+// replay order is irrelevant: the range is split into up to GOMAXPROCS
+// contiguous chunks of at least memoReplayMinChunk blocks, each replayed on
+// its own warp. A failure reports the lowest failing block, the one a
+// serial replay would have stopped at.
 func (ls *launchState) memoReplay(from, to int) error {
-	w, err := ls.acquire()
-	if err != nil {
-		return err
+	n := to - from
+	warps := make([]*warp, max(1, min(runtime.GOMAXPROCS(0), n/memoReplayMinChunk)))
+	for i := range warps {
+		w, err := ls.acquire()
+		if err != nil {
+			return err
+		}
+		warps[i] = w
 	}
+	k := len(warps)
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for i := 1; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = ls.replayWith(warps[i], from+i*n/k, from+(i+1)*n/k)
+		}(i)
+	}
+	// Chunk 0 runs on the calling goroutine, which would only wait. The
+	// caller keeps its OS thread: readied by the last chunk to finish, it
+	// would otherwise resume on that chunk's thread, and the rest of the
+	// run with it, on a CPU that may be slower.
+	runtime.LockOSThread()
+	errs[0] = ls.replayWith(warps[0], from, from+n/k)
+	wg.Wait()
+	runtime.UnlockOSThread()
+	ls.freeWarps = append(ls.freeWarps, warps...)
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replayWith replays blocks [from, to) in order on w, stopping at the
+// first failure. It writes nothing but w and global memory, so disjoint
+// ranges may run concurrently.
+func (ls *launchState) replayWith(w *warp, from, to int) error {
 	for blk := from; blk < to; blk++ {
 		w.reset(blk)
 		if err := ls.replayBlock(w); err != nil {
@@ -242,7 +296,6 @@ func (ls *launchState) memoReplay(from, to int) error {
 				ErrKernelTrap, ls.prog.Name, blk, w.pc, err)
 		}
 	}
-	ls.freeWarps = append(ls.freeWarps, w)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package simgpu
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -209,6 +210,113 @@ func TestMemoReplaySharedStoreTrap(t *testing.T) {
 	}
 	if !strings.Contains(memoErr.Error(), "memo replay") {
 		t.Errorf("memo err = %v, want the trap raised in memo replay", memoErr)
+	}
+}
+
+// withProcs runs f with GOMAXPROCS set to procs.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// TestMemoReplayConcurrentMatchesSerial: the elided blocks replay on one
+// goroutine at GOMAXPROCS 1 and on several at 4; both must leave the same
+// memory, KernelStats and time as full simulation.
+func TestMemoReplayConcurrentMatchesSerial(t *testing.T) {
+	const b, blocks = 32, 512
+	n := b * blocks
+	prog := vecaddSharedKernel(t, b, n)
+	run := func(withProver bool) (KernelResult, []kernel.Word) {
+		cfg := GTX650()
+		cfg.GlobalWords = 3 * n
+		dev, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if withProver {
+			dev.SetUniformProver(alwaysUniform)
+		}
+		raw := dev.Global().Raw()
+		for i := 0; i < 2*n; i++ {
+			raw[i] = int64(i*7 - 3)
+		}
+		res, err := dev.Launch(prog, blocks)
+		if err != nil {
+			t.Fatalf("Launch: %v", err)
+		}
+		if withProver && dev.MemoSkips() != 1 {
+			t.Fatalf("memoization engaged %d times, want 1", dev.MemoSkips())
+		}
+		return res, append([]kernel.Word(nil), raw...)
+	}
+	full, fullMem := run(false)
+	for _, procs := range []int{1, 4} {
+		withProcs(procs, func() {
+			memo, memoMem := run(true)
+			if memo.Stats != full.Stats || memo.Time != full.Time {
+				t.Errorf("GOMAXPROCS=%d: memo %+v / %v, full %+v / %v", procs, memo.Stats, memo.Time, full.Stats, full.Time)
+			}
+			for i := range fullMem {
+				if memoMem[i] != fullMem[i] {
+					t.Fatalf("GOMAXPROCS=%d: global[%d] = %d, full simulation %d", procs, i, memoMem[i], fullMem[i])
+				}
+			}
+		})
+	}
+}
+
+// TestMemoReplayConcurrentReportsLowestBlock: a kernel that breaks the
+// certificate it was handed — every block from 200 on loads out of range —
+// fails in replay (blocks 0–127 are simulated: the schedule first recurs
+// at block 64, with period 32). Each concurrent chunk fails at its own
+// first block, so the error must be the lowest one, with the block, pc and
+// text a serial replay reports.
+func TestMemoReplayConcurrentReportsLowestBlock(t *testing.T) {
+	const b, blocks, bad = 32, 512, 200
+	n := b * blocks
+	kb := kernel.NewBuilder("memo-oob", 0)
+	j := kb.Reg("lane")
+	blk := kb.Reg("block")
+	idx := kb.Reg("idx")
+	off := kb.Reg("off")
+	kb.LaneID(j)
+	kb.BlockID(blk)
+	kb.Mul(idx, blk, kernel.Imm(b))
+	kb.Add(idx, idx, kernel.R(j))
+	// off = 2n·(blk ≥ bad): past global memory from block bad on.
+	kb.Slt(off, blk, kernel.Imm(bad))
+	kb.Seq(off, off, kernel.Imm(0))
+	kb.Mul(off, off, kernel.Imm(int64(2*n)))
+	kb.Add(off, off, kernel.R(idx))
+	kb.LdGlobal(off, off)
+	kb.StGlobal(idx, off)
+	prog, err := kb.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	launch := func() error {
+		dev, err := New(memoConfig(n))
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		dev.SetUniformProver(alwaysUniform)
+		_, err = dev.Launch(prog, blocks)
+		if dev.MemoSkips() != 1 {
+			t.Fatalf("memoization engaged %d times, want 1", dev.MemoSkips())
+		}
+		return err
+	}
+	var serial, concurrent error
+	withProcs(1, func() { serial = launch() })
+	withProcs(4, func() { concurrent = launch() })
+	if !errors.Is(serial, ErrKernelTrap) || !strings.Contains(serial.Error(), "memo replay") {
+		t.Fatalf("serial replay err = %v, want a memo-replay trap", serial)
+	}
+	if want := "block 200 pc"; !strings.Contains(serial.Error(), want) {
+		t.Fatalf("serial replay err = %v, want it at %q", serial, want)
+	}
+	if concurrent == nil || concurrent.Error() != serial.Error() {
+		t.Errorf("concurrent replay err = %v\nwant the serial one: %v", concurrent, serial)
 	}
 }
 

@@ -6,9 +6,11 @@ package atgpu
 //
 //	decoded:        the decoded-IR interpreter, memoization off
 //	decoded-memo:   decoded IR plus analyzer-certified block memoization
-//	decoded-shared: the tiled matmul kernel (n = simSpeedMatMulN), which the
-//	                analyzer does not certify: every block runs through the
-//	                scheduler's shared-memory path
+//	decoded-shared: the tiled matmul kernel (n = simSpeedMatMulN) with no
+//	                prover installed. The analyzer certifies matmul, but
+//	                its 16 blocks are under the memo threshold (64) anyway:
+//	                every block runs through the scheduler's shared-memory
+//	                path
 //
 // Each saxpy op simulates one full launch of simSpeedBlocks thread blocks
 // on the GTX650 preset; divide ns/op by simSpeedBlocks for ns per simulated
