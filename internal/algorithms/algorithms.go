@@ -23,7 +23,9 @@ import (
 	"errors"
 	"fmt"
 
+	"atgpu/internal/kernel"
 	"atgpu/internal/mem"
+	"atgpu/internal/simgpu"
 )
 
 // Word re-exports the machine word for callers.
@@ -59,5 +61,47 @@ func checkLen(name string, got, want int) error {
 	if got != want {
 		return fmt.Errorf("%w: %s has %d words, want %d", ErrBadShape, name, got, want)
 	}
+	return nil
+}
+
+// singleRound is the plan VecAdd and MatMul share: allocate three
+// words-long arrays, move a and b into the first two, launch build's
+// kernel over them on blocks blocks, move the third out into dst and
+// synchronise. dst may alias a or b, which have landed by then.
+func singleRound(h *simgpu.Host, words int, a, b, dst []Word, blocks int,
+	build func(baseA, baseB, baseC int) (*kernel.Program, error)) error {
+	if err := checkLen("a", len(a), words); err != nil {
+		return err
+	}
+	if err := checkLen("b", len(b), words); err != nil {
+		return err
+	}
+	if err := checkLen("dst", len(dst), words); err != nil {
+		return err
+	}
+	var base [3]int
+	for i := range base {
+		var err error
+		if base[i], err = h.Malloc(words); err != nil {
+			return fmt.Errorf("%w: %v", ErrDoesNotFit, err)
+		}
+	}
+	prog, err := build(base[0], base[1], base[2])
+	if err != nil {
+		return err
+	}
+	if err := h.TransferIn(base[0], a); err != nil {
+		return err
+	}
+	if err := h.TransferIn(base[1], b); err != nil {
+		return err
+	}
+	if _, err := h.Launch(prog, blocks); err != nil {
+		return err
+	}
+	if err := h.TransferOutInto(dst, base[2]); err != nil {
+		return err
+	}
+	h.EndRound()
 	return nil
 }

@@ -233,50 +233,23 @@ func (m MatMul) Kernel(b int, baseA, baseB, baseC int) (*kernel.Program, error) 
 // Run executes the single-round plan: transfer A and B in, launch, transfer
 // C out, synchronise. Matrices are row-major n×n slices.
 func (m MatMul) Run(h *simgpu.Host, a, b []Word) ([]Word, error) {
-	nn := m.N * m.N
-	if err := checkLen("a", len(a), nn); err != nil {
+	c := make([]Word, len(a))
+	if err := m.RunInto(h, a, b, c); err != nil {
 		return nil, err
 	}
-	if err := checkLen("b", len(b), nn); err != nil {
-		return nil, err
-	}
+	return c, nil
+}
+
+// RunInto is Run with C transferred out into dst. dst may alias a or b:
+// the readout comes after both inputs have landed.
+func (m MatMul) RunInto(h *simgpu.Host, a, b, dst []Word) error {
 	width := h.Device().Config().WarpWidth
 	if m.N%width != 0 {
-		return nil, fmt.Errorf("%w: n=%d not a multiple of warp width %d", ErrBadShape, m.N, width)
+		return fmt.Errorf("%w: n=%d not a multiple of warp width %d", ErrBadShape, m.N, width)
 	}
-
-	baseA, err := h.Malloc(nn)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDoesNotFit, err)
-	}
-	baseB, err := h.Malloc(nn)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDoesNotFit, err)
-	}
-	baseC, err := h.Malloc(nn)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDoesNotFit, err)
-	}
-
-	prog, err := m.Kernel(width, baseA, baseB, baseC)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.TransferIn(baseA, a); err != nil {
-		return nil, err
-	}
-	if err := h.TransferIn(baseB, b); err != nil {
-		return nil, err
-	}
-	if _, err := h.Launch(prog, m.Blocks(width)); err != nil {
-		return nil, err
-	}
-	c, err := h.TransferOut(baseC, nn)
-	if err != nil {
-		return nil, err
-	}
-	h.EndRound()
-	return c, nil
+	return singleRound(h, m.N*m.N, a, b, dst, m.Blocks(width), func(baseA, baseB, baseC int) (*kernel.Program, error) {
+		return m.Kernel(width, baseA, baseB, baseC)
+	})
 }
 
 // MatMulReference computes A×B on the CPU (row-major n×n).

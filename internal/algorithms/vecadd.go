@@ -140,47 +140,20 @@ func (v VecAdd) Kernel(b int, baseA, baseB, baseC int) (*kernel.Program, error) 
 // the kernel, transfer C out, synchronise. It returns the result vector.
 // Timing accumulates on the host's simulated clocks.
 func (v VecAdd) Run(h *simgpu.Host, a, b []Word) ([]Word, error) {
-	if err := checkLen("a", len(a), v.N); err != nil {
+	c := make([]Word, len(a))
+	if err := v.RunInto(h, a, b, c); err != nil {
 		return nil, err
 	}
-	if err := checkLen("b", len(b), v.N); err != nil {
-		return nil, err
-	}
-	width := h.Device().Config().WarpWidth
-
-	baseA, err := h.Malloc(v.N)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDoesNotFit, err)
-	}
-	baseB, err := h.Malloc(v.N)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDoesNotFit, err)
-	}
-	baseC, err := h.Malloc(v.N)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDoesNotFit, err)
-	}
-
-	prog, err := v.Kernel(width, baseA, baseB, baseC)
-	if err != nil {
-		return nil, err
-	}
-
-	if err := h.TransferIn(baseA, a); err != nil {
-		return nil, err
-	}
-	if err := h.TransferIn(baseB, b); err != nil {
-		return nil, err
-	}
-	if _, err := h.Launch(prog, v.Blocks(width)); err != nil {
-		return nil, err
-	}
-	c, err := h.TransferOut(baseC, v.N)
-	if err != nil {
-		return nil, err
-	}
-	h.EndRound()
 	return c, nil
+}
+
+// RunInto is Run with C transferred out into dst. dst may alias a or b:
+// the readout comes after both inputs have landed.
+func (v VecAdd) RunInto(h *simgpu.Host, a, b, dst []Word) error {
+	width := h.Device().Config().WarpWidth
+	return singleRound(h, v.N, a, b, dst, v.Blocks(width), func(baseA, baseB, baseC int) (*kernel.Program, error) {
+		return v.Kernel(width, baseA, baseB, baseC)
+	})
 }
 
 // Reference computes A+B on the CPU.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 
 	"atgpu/internal/algorithms"
 	"atgpu/internal/analyze"
@@ -97,7 +98,7 @@ func (r *Runner) RunHistogramContention(n int, skews []float64) (*ContentionStud
 			return nil, fmt.Errorf("experiments: contention study: analyze: %w", err)
 		}
 
-		rng := r.inputRNG("histogram-contention", n, idx)
+		rng := rand.New(rand.NewSource(r.inputSeed("histogram-contention", n, idx)))
 		in := make([]mem.Word, n)
 		for i := range in {
 			if rng.Float64() < skew {

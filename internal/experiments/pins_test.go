@@ -4,11 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"atgpu/internal/kernel"
 	"atgpu/internal/simgpu"
 )
 
@@ -91,6 +94,62 @@ func TestRecordHashPins(t *testing.T) {
 	for name, h := range want {
 		if got[name] != h {
 			t.Errorf("%s: records hash %s, pinned %s", name, got[name], h)
+		}
+	}
+}
+
+// errInputsSeen stops a pinned point at its first launch.
+var errInputsSeen = errors.New("inputs seen")
+
+// TestInputHashPins pins the FNV-1a checksums (mem.Checksum) of the input
+// vectors sweep points draw at the default seed, as they land on the
+// device at the first launch. Simulated timings do not depend on input
+// values, so no record, CSV or cache-key pin would notice a changed draw.
+func TestInputHashPins(t *testing.T) {
+	r, err := NewRunner(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := r.Config().Device.WarpWidth
+	for _, pin := range []struct {
+		workload string
+		n, idx   int
+		want     []uint64
+	}{
+		{"vecadd", 100_000, 0, []uint64{0x3cd17d3365a679fc, 0x8253b75cc851acec}},
+		{"matmul", 64, 1, []uint64{0xd05892cf0f91d78e, 0x88adaf2ecafcd990}},
+		{"reduce", 1 << 16, 0, []uint64{0xde3ba2c45e7068c4}},
+	} {
+		w, err := Lookup(pin.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w.sweepSizes(r.Config())[pin.idx]; got != pin.n {
+			t.Fatalf("%s: default sweep point %d is n=%d, want %d", pin.workload, pin.idx, got, pin.n)
+		}
+		s := new(pointScratch)
+		h, err := r.newHostIn(s, w.footprint(pin.n, b), w.Name, pin.n, pin.idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := w.sweepInputWords([]int{pin.n})
+		var got []uint64
+		h.SetPreLaunch(func(*kernel.Program, int) error {
+			for i := range pin.want {
+				sum, err := h.Device().Global().ChecksumRange(i*alignUp(words, b), words)
+				if err != nil {
+					return err
+				}
+				got = append(got, sum)
+			}
+			return errInputsSeen
+		})
+		s.rng.seed(r.inputSeed(w.Name, pin.n, pin.idx))
+		if err := w.observe(h, pin.n, s); !errors.Is(err, errInputsSeen) {
+			t.Fatalf("%s n=%d: %v", pin.workload, pin.n, err)
+		}
+		if !slices.Equal(got, pin.want) {
+			t.Errorf("%s n=%d idx=%d: input checksums %#x, pinned %#x", pin.workload, pin.n, pin.idx, got, pin.want)
 		}
 	}
 }

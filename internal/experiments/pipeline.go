@@ -183,6 +183,7 @@ func (r *Runner) SweepPipelined(workload string) (*PipelineData, error) {
 		}
 		return most
 	})
+	inputWords := w.sweepInputWords(sizes)
 	return r.runPipelineSweep(name, sizes, func(idx, n int) (PipelinePoint, error) {
 		pt := PipelinePoint{N: n, Chunks: chunks, Streams: pipelineStreams}
 		analysis, err := w.AnalyzePipelined(n, chunks, r.cfg.Device)
@@ -197,9 +198,10 @@ func (r *Runner) SweepPipelined(workload string) (*PipelineData, error) {
 		pt.PredictedPipelined = pc.Pipelined
 		pt.PredictedSaving = pc.Saving()
 
-		s := r.scratch.get(globalWords)
+		s := r.scratch.get(globalWords, inputWords)
 		defer r.scratch.put(s)
-		run := pv.prepare(n, r.inputRNG(name, n, idx))
+		s.rng.seed(r.inputSeed(name, n, idx))
+		run := pv.prepare(n, s)
 		observe := func(streams int, tag string) (float64, error) {
 			words, err := pv.plan(n, chunks, streams).GlobalWords(r.cfg.Device.WarpWidth)
 			if err != nil {

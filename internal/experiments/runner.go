@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math/rand"
 	"runtime"
 	"time"
 
@@ -320,9 +319,9 @@ func derivedSeed(base int64, domain, workload string, n, idx int) int64 {
 	return int64(h.Sum64() & (1<<63 - 1))
 }
 
-// inputRNG returns the input generator for one sweep point.
-func (r *Runner) inputRNG(workload string, n, idx int) *rand.Rand {
-	return rand.New(rand.NewSource(derivedSeed(r.cfg.Seed, "input", workload, n, idx)))
+// inputSeed is the rand.Source seed of one sweep point's inputs.
+func (r *Runner) inputSeed(workload string, n, idx int) int64 {
+	return derivedSeed(r.cfg.Seed, "input", workload, n, idx)
 }
 
 // alignSlack is the words newHost adds to a footprint for alignment.
@@ -685,8 +684,9 @@ func (r *Runner) Sweep(workload string) (*WorkloadData, error) {
 	}
 	sizes := w.sweepSizes(r.cfg)
 	globalWords := r.sweepGlobalWords(sizes, func(n int) int { return w.footprint(n, r.cfg.Device.WarpWidth) })
+	inputWords := w.sweepInputWords(sizes)
 	return r.runSweep(w.Name, sizes, func(idx, n int) (WorkloadPoint, error) {
-		s := r.scratch.get(globalWords)
+		s := r.scratch.get(globalWords, inputWords)
 		defer r.scratch.put(s)
 		return r.sweepPoint(w, s, idx, n)
 	})
@@ -712,7 +712,7 @@ func (r *Runner) RunMatMul() (*WorkloadData, error) { return r.Sweep("matmul") }
 
 // sweepPoint is one sweep point of w: analyse, predict, then observe
 // inside observePoint so fault casualties are recorded, not fatal. The
-// observed run's device memory lives in s.
+// observed run's device memory and inputs live in s.
 func (r *Runner) sweepPoint(w *Workload, s *pointScratch, idx, n int) (WorkloadPoint, error) {
 	analysis, err := w.Analyze(n, r.cfg.Device)
 	if err != nil {
@@ -728,7 +728,8 @@ func (r *Runner) sweepPoint(w *Workload, s *pointScratch, idx, n int) (WorkloadP
 		if err != nil {
 			return nil, err
 		}
-		if err := w.observe(h, n, r.inputRNG(w.Name, n, idx)); err != nil {
+		s.rng.seed(r.inputSeed(w.Name, n, idx))
+		if err := w.observe(h, n, s); err != nil {
 			return h, fmt.Errorf("%s n=%d: %w", w.Name, n, err)
 		}
 		return h, nil

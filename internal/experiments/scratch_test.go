@@ -3,6 +3,8 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"atgpu/internal/mem"
 )
 
 // TestScratchReuseIsolated: a Runner whose scratch buffers serve points
@@ -10,7 +12,8 @@ import (
 // per point gives — stale memory never leaks between points — at one and
 // two workers, and a device built over a used buffer reads zero, as one
 // from simgpu.New does. Every buffer is the largest footprint plus slack
-// from the sweep's first point on: one array, never regrown.
+// from the sweep's first point on, and the input vectors the largest
+// input: one array each, never regrown.
 func TestScratchReuseIsolated(t *testing.T) {
 	sizes := []int{4096, 1024, 2048}
 	for _, workers := range []int{1, 2} {
@@ -86,17 +89,24 @@ func TestScratchReuseIsolated(t *testing.T) {
 	if want := w.footprint(asc[2], b) + alignSlack(b); largest != want {
 		t.Fatalf("sweepGlobalWords = %d, want %d", largest, want)
 	}
-	s := r.scratch.get(largest)
+	s := r.scratch.get(largest, w.sweepInputWords(asc))
 	if cap(s.global) != largest {
 		t.Fatalf("a buffer taken for %d words holds %d", largest, cap(s.global))
 	}
-	array := &s.global[:1][0]
+	arrays := func() [3]*mem.Word { return [3]*mem.Word{&s.global[:1][0], &s.in[0][:1][0], &s.in[1][:1][0]} }
+	var first [3]*mem.Word
 	for i, n := range asc {
 		if _, err := r.sweepPoint(w, s, i, n); err != nil {
 			t.Fatal(err)
 		}
-		if &s.global[:1][0] != array {
-			t.Fatalf("vecadd n=%d: the buffer regrew along an ascending ladder", n)
+		if i == 0 {
+			first = arrays()
+			if cap(s.in[0]) != asc[2] || cap(s.in[1]) != asc[2] {
+				t.Fatalf("the first point's inputs hold %d and %d words, want the sweep's largest %d",
+					cap(s.in[0]), cap(s.in[1]), asc[2])
+			}
+		} else if arrays() != first {
+			t.Fatalf("vecadd n=%d: a buffer regrew along an ascending ladder", n)
 		}
 	}
 }

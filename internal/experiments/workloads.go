@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 
@@ -39,11 +38,14 @@ type Workload struct {
 	// width).
 	model     func(n int) model
 	footprint func(n, b int) int
+	// inputWords is the length of each input vector a size-n point
+	// draws; nil means n.
+	inputWords func(n int) int
 
-	// observe draws a point's inputs from rng, runs the workload on h and
-	// verifies its output. Errors come back unprefixed; the sweep names
-	// the workload and size.
-	observe func(h *simgpu.Host, n int, rng *rand.Rand) error
+	// observe draws a point's inputs into s from its seeded stream, runs
+	// the workload on h and verifies its output. Errors come back
+	// unprefixed; the sweep names the workload and size.
+	observe func(h *simgpu.Host, n int, s *pointScratch) error
 
 	// kernel is the first program a size-n run launches, with the run's
 	// buffer layout, on model(n).Blocks(b) blocks: what `atgpu lint` and
@@ -73,9 +75,10 @@ type pipelinedVariant struct {
 	// split on a stream count, which prices and sizes it.
 	blocks func(n, chunks, b int) int
 	plan   func(n, chunks, streams int) pipelinedPlan
-	// prepare draws a point's inputs from rng once and returns the run
-	// both schedules execute on them, verification included.
-	prepare func(n int, rng *rand.Rand) func(h *simgpu.Host, chunks, streams int) error
+	// prepare draws a point's inputs into s once and returns the run both
+	// schedules execute on them, verification included. Both runs read
+	// the same inputs, so their results never land in an input buffer.
+	prepare func(n int, s *pointScratch) func(h *simgpu.Host, chunks, streams int) error
 }
 
 // pipelinedPlan is a chunked schedule's model and footprint.
@@ -100,10 +103,10 @@ var registry = []*Workload{
 		override:  func(c *Config) *[]int { return &c.SizesVecAdd },
 		model:     func(n int) model { return algorithms.VecAdd{N: n} },
 		footprint: func(n, _ int) int { return algorithms.VecAdd{N: n}.GlobalWords() },
-		observe: func(h *simgpu.Host, n int, rng *rand.Rand) error {
-			a := randWords(rng, n)
-			b := randWords(rng, n)
-			return ran(algorithms.VecAdd{N: n}.Run(h, a, b))
+		// The result lands in a: spent once both inputs are on the device.
+		observe: func(h *simgpu.Host, n int, s *pointScratch) error {
+			a, b := s.words(0, n), s.words(1, n)
+			return ran(algorithms.VecAdd{N: n}.RunInto(h, a, b, a))
 		},
 		kernel: func(n, b int) (*kernel.Program, error) {
 			m := alignUp(n, b)
@@ -114,9 +117,8 @@ var registry = []*Workload{
 			plan: func(n, chunks, streams int) pipelinedPlan {
 				return algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: streams}
 			},
-			prepare: func(n int, rng *rand.Rand) func(*simgpu.Host, int, int) error {
-				a := randWords(rng, n)
-				b := randWords(rng, n)
+			prepare: func(n int, s *pointScratch) func(*simgpu.Host, int, int) error {
+				a, b := s.words(0, n), s.words(1, n)
 				return func(h *simgpu.Host, chunks, streams int) error {
 					_, err := algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: streams}.Run(h, a, b)
 					return err
@@ -136,8 +138,8 @@ var registry = []*Workload{
 		// the largest round.
 		model:     func(n int) model { return algorithms.Reduce{N: n} },
 		footprint: func(n, b int) int { return algorithms.Reduce{N: n}.GlobalWords(b) },
-		observe: func(h *simgpu.Host, n int, rng *rand.Rand) error {
-			in := randBits(rng, n)
+		observe: func(h *simgpu.Host, n int, s *pointScratch) error {
+			in := s.bits(0, n)
 			got, err := algorithms.Reduce{N: n}.Run(h, in)
 			if err != nil {
 				return fmt.Errorf("run: %w", err)
@@ -154,8 +156,8 @@ var registry = []*Workload{
 			plan: func(n, chunks, streams int) pipelinedPlan {
 				return algorithms.PipelinedReduce{N: n, Chunks: chunks, Streams: streams}
 			},
-			prepare: func(n int, rng *rand.Rand) func(*simgpu.Host, int, int) error {
-				in := randBits(rng, n)
+			prepare: func(n int, s *pointScratch) func(*simgpu.Host, int, int) error {
+				in := s.bits(0, n)
 				want := algorithms.ReduceReference(in)
 				return func(h *simgpu.Host, chunks, streams int) error {
 					got, err := algorithms.PipelinedReduce{N: n, Chunks: chunks, Streams: streams}.Run(h, in)
@@ -171,16 +173,17 @@ var registry = []*Workload{
 	},
 	{
 		// Paper §IV-C: n = 32, 64, …, 1024, up to 256 by default.
-		Name:      "matmul",
-		sizes:     pow2s(5, 8, 1),
-		fullSizes: pow2s(5, 10, 1),
-		override:  func(c *Config) *[]int { return &c.SizesMatMul },
-		model:     func(n int) model { return algorithms.MatMul{N: n} },
-		footprint: func(n, _ int) int { return algorithms.MatMul{N: n}.GlobalWords() },
-		observe: func(h *simgpu.Host, n int, rng *rand.Rand) error {
-			a := randWords(rng, n*n)
-			b := randWords(rng, n*n)
-			return ran(algorithms.MatMul{N: n}.Run(h, a, b))
+		Name:       "matmul",
+		sizes:      pow2s(5, 8, 1),
+		fullSizes:  pow2s(5, 10, 1),
+		override:   func(c *Config) *[]int { return &c.SizesMatMul },
+		model:      func(n int) model { return algorithms.MatMul{N: n} },
+		footprint:  func(n, _ int) int { return algorithms.MatMul{N: n}.GlobalWords() },
+		inputWords: func(n int) int { return n * n },
+		// The result lands in a, as vecadd's does.
+		observe: func(h *simgpu.Host, n int, s *pointScratch) error {
+			a, b := s.words(0, n*n), s.words(1, n*n)
+			return ran(algorithms.MatMul{N: n}.RunInto(h, a, b, a))
 		},
 		kernel: func(n, b int) (*kernel.Program, error) {
 			if n%b != 0 {
@@ -198,9 +201,8 @@ var registry = []*Workload{
 			plan: func(n, chunks, streams int) pipelinedPlan {
 				return algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: streams}
 			},
-			prepare: func(n int, rng *rand.Rand) func(*simgpu.Host, int, int) error {
-				a := randWords(rng, n*n)
-				b := randWords(rng, n*n)
+			prepare: func(n int, s *pointScratch) func(*simgpu.Host, int, int) error {
+				a, b := s.words(0, n*n), s.words(1, n*n)
 				return func(h *simgpu.Host, chunks, streams int) error {
 					_, err := algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: streams}.Run(h, a, b)
 					return err
@@ -219,7 +221,7 @@ var registry = []*Workload{
 		override:  func(c *Config) *[]int { return &c.SizesReduce },
 		model:     func(n int) model { return algorithms.Scan{N: n} },
 		footprint: func(n, b int) int { return algorithms.Scan{N: n}.GlobalWords(b) },
-		observe: func(h *simgpu.Host, n int, _ *rand.Rand) error {
+		observe: func(h *simgpu.Host, n int, _ *pointScratch) error {
 			in := make([]algorithms.Word, n)
 			for i := range in {
 				in[i] = algorithms.Word(i%3 - 1)
@@ -250,10 +252,10 @@ var registry = []*Workload{
 		override:  func(c *Config) *[]int { return &c.SizesCompact },
 		model:     func(n int) model { return algorithms.Compact{N: n} },
 		footprint: func(n, _ int) int { return algorithms.Compact{N: n}.GlobalWords() },
-		observe: func(h *simgpu.Host, n int, rng *rand.Rand) error {
+		observe: func(h *simgpu.Host, n int, s *pointScratch) error {
 			// Roughly half the elements survive: draw from [-1000,1000]
 			// and zero every third, as the smoke tests do.
-			in := randWords(rng, n)
+			in := s.words(0, n)
 			for i := 0; i < n; i += 3 {
 				in[i] = 0
 			}
@@ -279,8 +281,8 @@ var registry = []*Workload{
 		override:  func(c *Config) *[]int { return &c.SizesTopK },
 		model:     func(n int) model { return algorithms.TopK{N: n, K: TopKSweepK} },
 		footprint: func(n, _ int) int { return algorithms.TopK{N: n, K: TopKSweepK}.GlobalWords() },
-		observe: func(h *simgpu.Host, n int, rng *rand.Rand) error {
-			in := randWords(rng, n)
+		observe: func(h *simgpu.Host, n int, s *pointScratch) error {
+			in := s.words(0, n)
 			got, err := algorithms.TopK{N: n, K: TopKSweepK}.Run(h, in)
 			if err != nil {
 				return fmt.Errorf("run: %w", err)
@@ -308,7 +310,7 @@ var registry = []*Workload{
 		override:  func(c *Config) *[]int { return &c.SizesMonteCarlo },
 		model:     func(n int) model { return algorithms.MonteCarlo{N: n, Trials: MonteCarloTrials} },
 		footprint: func(n, _ int) int { return algorithms.MonteCarlo{N: n, Trials: MonteCarloTrials}.GlobalWords() },
-		observe: func(h *simgpu.Host, n int, _ *rand.Rand) error {
+		observe: func(h *simgpu.Host, n int, _ *pointScratch) error {
 			alg := algorithms.MonteCarlo{N: n, Trials: MonteCarloTrials}
 			got, err := alg.Run(h)
 			if err != nil {
@@ -340,8 +342,8 @@ func histogramWorkload(name string, privatized bool) *Workload {
 		override:  func(c *Config) *[]int { return &c.SizesHistogram },
 		model:     func(n int) model { return alg(n) },
 		footprint: func(n, _ int) int { return alg(n).GlobalWords() },
-		observe: func(h *simgpu.Host, n int, rng *rand.Rand) error {
-			in := randNonNeg(rng, n)
+		observe: func(h *simgpu.Host, n int, s *pointScratch) error {
+			in := s.nonNeg(0, n)
 			got, err := alg(n).Run(h, in)
 			if err != nil {
 				return fmt.Errorf("run: %w", err)
@@ -404,6 +406,19 @@ func Lookup(name string) (*Workload, error) {
 		}
 	}
 	return nil, fmt.Errorf("experiments: unknown workload %q (want %s)", name, strings.Join(Names(), ", "))
+}
+
+// sweepInputWords is the longest input vector a sweep of the workload
+// over sizes draws.
+func (w *Workload) sweepInputWords(sizes []int) int {
+	words := 0
+	for _, n := range sizes {
+		if w.inputWords != nil {
+			n = w.inputWords(n)
+		}
+		words = max(words, n)
+	}
+	return words
 }
 
 // Pipelined reports whether the workload has a chunked multi-stream
@@ -524,8 +539,8 @@ func alignUp(n, b int) int { return ceilDiv(n, b) * b }
 // chunkBlocks is the launch width of one chunk of a chunks-way split.
 func chunkBlocks(n, chunks, b int) int { return ceilDiv(ceilDiv(n, chunks), b) }
 
-// ran reduces a run's result to its error, marked as a run failure.
-func ran[T any](_ T, err error) error {
+// ran marks a run's error as a run failure.
+func ran(err error) error {
 	if err != nil {
 		return fmt.Errorf("run: %w", err)
 	}
@@ -538,56 +553,6 @@ func sameWord(got, want mem.Word) error {
 		return fmt.Errorf("%w: got %d want %d", algorithms.ErrVerifyFail, got, want)
 	}
 	return nil
-}
-
-// The input draws below reproduce math/rand's Intn stream value for value
-// — Go 1 compatibility freezes it — without its per-call overhead: Intn(n)
-// for n < 2³¹ is Int31n, which masks a power-of-two n and otherwise
-// rejects draws above the largest multiple of n before taking v % n.
-// Hoisting the bound and making the divisor a constant is all that
-// changes.
-
-// span2001Max is Int31n's rejection bound for n = 2001.
-const span2001Max = 1<<31 - 1 - (1<<31)%2001
-
-// int31n2001 returns rng.Intn(2001).
-func int31n2001(rng *rand.Rand) mem.Word {
-	v := int32(rng.Int63() >> 32)
-	for v > span2001Max {
-		v = int32(rng.Int63() >> 32)
-	}
-	return mem.Word(v % 2001)
-}
-
-// randWords draws n words uniformly from [-1000, 1000]
-// (rng.Intn(2001)-1000 per word).
-func randWords(rng *rand.Rand, n int) []mem.Word {
-	w := make([]mem.Word, n)
-	for i := range w {
-		w[i] = int31n2001(rng) - 1000
-	}
-	return w
-}
-
-// randBits draws n words from {0,1} (rng.Intn(2) per word), the paper's
-// reduction inputs ("randomly generated vectors of 0/1 values").
-func randBits(rng *rand.Rand, n int) []mem.Word {
-	w := make([]mem.Word, n)
-	for i := range w {
-		w[i] = mem.Word(int32(rng.Int63()>>32) & 1)
-	}
-	return w
-}
-
-// randNonNeg draws n words uniformly from [0, 2000] (rng.Intn(2001) per
-// word), the histogram input domain (bins index by value mod Bins, so
-// values must be non-negative).
-func randNonNeg(rng *rand.Rand, n int) []mem.Word {
-	w := make([]mem.Word, n)
-	for i := range w {
-		w[i] = int31n2001(rng)
-	}
-	return w
 }
 
 // equalMultiset compares two word slices as multisets.

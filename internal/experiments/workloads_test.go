@@ -90,7 +90,9 @@ func TestLintKernelIsLaunchedKernel(t *testing.T) {
 				}
 				return nil
 			})
-			if err := w.observe(h, n, r.inputRNG(w.Name, n, 0)); err != nil {
+			s := new(pointScratch)
+			s.rng.seed(r.inputSeed(w.Name, n, 0))
+			if err := w.observe(h, n, s); err != nil {
 				t.Fatalf("%s n=%d: %v", w.Name, n, err)
 			}
 			prog, blocks, err := w.Kernel(n, b)
@@ -146,65 +148,81 @@ func TestScanSweepObservesAndAbsorbsFaults(t *testing.T) {
 	}
 }
 
-// TestDrawsMatchIntn: the input draws reproduce the rng.Intn loops they
-// replaced value for value, so every sweep input — and with it every
-// contention-dependent record — is unchanged.
+// TestDrawsMatchIntn: the bulk input stream reproduces the
+// rand.New(rand.NewSource(seed)).Intn loops it replaced value for value,
+// for every derivation the workloads draw, so every sweep input — and
+// with it every contention-dependent record — is unchanged. Lengths fall
+// on both sides of the stream's 607-output warm-up and its refills, and
+// consecutive fills continue one sequence, as a point's a then b do.
 func TestDrawsMatchIntn(t *testing.T) {
 	draws := []struct {
 		name string
-		draw func(*rand.Rand, int) []mem.Word
+		draw func(s *pointScratch, i, n int) []mem.Word
 		want func(*rand.Rand) mem.Word
 	}{
-		{"randWords", randWords, func(r *rand.Rand) mem.Word { return mem.Word(r.Intn(2001) - 1000) }},
-		{"randBits", randBits, func(r *rand.Rand) mem.Word { return mem.Word(r.Intn(2)) }},
-		{"randNonNeg", randNonNeg, func(r *rand.Rand) mem.Word { return mem.Word(r.Intn(2001)) }},
+		{"words", (*pointScratch).words, func(r *rand.Rand) mem.Word { return mem.Word(r.Intn(2001) - 1000) }},
+		{"bits", (*pointScratch).bits, func(r *rand.Rand) mem.Word { return mem.Word(r.Intn(2)) }},
+		{"nonNeg", (*pointScratch).nonNeg, func(r *rand.Rand) mem.Word { return mem.Word(r.Intn(2001)) }},
 	}
+	lengths := [][]int{{0, 1}, {31, 600}, {606, 1}, {607, 608}, {1214, 3}, {100_000, 5}}
 	for _, d := range draws {
-		for seed := int64(0); seed < 64; seed++ {
-			for _, n := range []int{0, 1, 31, 100_000} {
-				got := d.draw(rand.New(rand.NewSource(seed)), n)
+		for seed := int64(0); seed < 12; seed++ {
+			for _, fills := range lengths {
+				s := new(pointScratch)
+				s.rng.seed(seed)
 				ref := rand.New(rand.NewSource(seed))
-				for i, v := range got {
-					if w := d.want(ref); v != w {
-						t.Fatalf("%s seed=%d n=%d: word %d = %d, Intn gives %d", d.name, seed, n, i, v, w)
+				for i, n := range fills {
+					for j, v := range d.draw(s, i, n) {
+						if w := d.want(ref); v != w {
+							t.Fatalf("%s seed=%d fills %v: fill %d word %d = %d, Intn gives %d",
+								d.name, seed, fills, i, j, v, w)
+						}
 					}
 				}
 			}
 		}
 	}
 
-	// Natural streams almost never draw above Int31n's rejection bound,
-	// so force it: the stub's first value rejects, and so does its third.
+	// Int31n(2001) rejects an Int31 above span2001Max, about one draw in
+	// five million. Find the first one in a natural stream and draw
+	// across it.
 	if span2001Max != 2147483204 {
 		t.Fatalf("span2001Max = %d, want 2147483204", span2001Max)
 	}
-	rejected := int64(span2001Max+1) << 32
-	for _, d := range draws {
-		src := func() rand.Source {
-			return &stubSource{vals: []int64{rejected, 5 << 32, rejected | 0xffff, 2100 << 32, 7 << 32}}
+	for seed := int64(0); ; seed++ {
+		if seed == 8 {
+			t.Fatal("no Int31n rejection in 8 seeds' first 4M draws")
 		}
-		got := d.draw(rand.New(src()), 3)
-		ref := rand.New(src())
-		for i, v := range got {
-			if w := d.want(ref); v != w {
-				t.Fatalf("%s stub: word %d = %d, Intn gives %d", d.name, i, v, w)
+		probe := rand.New(rand.NewSource(seed))
+		at := -1
+		for k := 0; k < 4_000_000 && at < 0; k++ {
+			if probe.Int31() > span2001Max {
+				at = k
 			}
 		}
+		if at < 0 {
+			continue
+		}
+		// Fill a runs up to just before the rejected output, b across it.
+		s := new(pointScratch)
+		s.rng.seed(seed)
+		ref := rand.New(rand.NewSource(seed))
+		for i, n := range []int{at - 2, 5} {
+			for j, v := range s.words(i, n) {
+				if w := mem.Word(ref.Intn(2001) - 1000); v != w {
+					t.Fatalf("seed=%d rejection at %d: fill %d word %d = %d, Intn gives %d", seed, at, i, j, v, w)
+				}
+			}
+		}
+		// The 5 words of b used 6 outputs, so the stream's next output
+		// is number at+4: the rejection happened.
+		probe = rand.New(rand.NewSource(seed))
+		for k := 0; k < at+4; k++ {
+			probe.Int31()
+		}
+		if got, want := int32(int31(s.rng.next()[0])), probe.Int31(); got != want {
+			t.Fatalf("seed=%d: after the rejection at %d the stream is at %d, not output %d (%d)", seed, at, got, at+4, want)
+		}
+		return
 	}
 }
-
-// stubSource replays vals from Int63, then zeros.
-type stubSource struct {
-	vals []int64
-	next int
-}
-
-func (s *stubSource) Int63() int64 {
-	if s.next >= len(s.vals) {
-		return 0
-	}
-	s.next++
-	return s.vals[s.next-1]
-}
-
-func (s *stubSource) Seed(int64) {}

@@ -56,7 +56,7 @@ func BenchmarkGlobalSlice(b *testing.B) {
 		if err := g.WriteSlice(0, buf); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := g.ReadSlice(0, len(buf)); err != nil {
+		if err := g.ReadInto(0, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

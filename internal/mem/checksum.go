@@ -32,5 +32,6 @@ func (g *Global) ChecksumRange(offset, length int) (uint64, error) {
 	if err := g.CheckRead(offset, length); err != nil {
 		return 0, err
 	}
+	g.settle()
 	return Checksum(g.words[offset : offset+length]), nil
 }

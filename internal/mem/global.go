@@ -25,6 +25,9 @@ type Word = int64
 type Global struct {
 	words     []Word
 	blockSize int
+	// [zeroLo, zeroHi) reads zero but still holds a reused array's old
+	// words (see NewGlobalReusing); zeroHi is 0 when nothing is pending.
+	zeroLo, zeroHi int
 }
 
 // Errors returned by memory operations.
@@ -49,10 +52,16 @@ func NewGlobal(size, blockSize int) (*Global, error) {
 }
 
 // NewGlobalReusing is NewGlobal over buf's backing array when it holds
-// size words: the first size words are cleared, so the memory reads zero
-// exactly as a fresh one does, and the Global never sees past them. A buf
-// too small is ignored and a fresh array allocated. Raw returns the array
-// in use, for the caller to hand back on its next request.
+// size words: the memory reads zero exactly as a fresh one does, and the
+// Global never sees past its first size words. A buf too small is ignored
+// and a fresh array allocated. Raw returns the array in use, for the
+// caller to hand back on its next request.
+//
+// The old words are zeroed on first touch, not here: the whole memory
+// starts as one pending-zero span, a WriteSlice that covers either end of
+// the span shrinks it, and any other access clears what is left first.
+// An inward transfer into a fresh allocation thus writes its words once
+// instead of zeroing them and then overwriting them.
 func NewGlobalReusing(buf []Word, size, blockSize int) (*Global, error) {
 	if size < 0 || cap(buf) < size {
 		return NewGlobal(size, blockSize)
@@ -60,9 +69,16 @@ func NewGlobalReusing(buf []Word, size, blockSize int) (*Global, error) {
 	if blockSize <= 0 {
 		return nil, ErrBadBlockSize
 	}
-	words := buf[:size:size]
-	clear(words)
-	return &Global{words: words, blockSize: blockSize}, nil
+	return &Global{words: buf[:size:size], blockSize: blockSize, zeroHi: size}, nil
+}
+
+// settle clears the pending-zero span. Once nothing is pending it only
+// reads, so goroutines sharing a settled memory may call it concurrently.
+func (g *Global) settle() {
+	if g.zeroHi != 0 {
+		clear(g.words[g.zeroLo:g.zeroHi])
+		g.zeroLo, g.zeroHi = 0, 0
+	}
 }
 
 // Size returns G, the capacity in words.
@@ -88,6 +104,7 @@ func (g *Global) Load(a int) (Word, error) {
 	if !g.InRange(a) {
 		return 0, fmt.Errorf("%w: global load at %d (G=%d)", ErrOutOfRange, a, len(g.words))
 	}
+	g.settle()
 	return g.words[a], nil
 }
 
@@ -96,6 +113,7 @@ func (g *Global) Store(a int, v Word) error {
 	if !g.InRange(a) {
 		return fmt.Errorf("%w: global store at %d (G=%d)", ErrOutOfRange, a, len(g.words))
 	}
+	g.settle()
 	g.words[a] = v
 	return nil
 }
@@ -120,24 +138,38 @@ func (g *Global) CheckRead(offset, length int) error {
 }
 
 // WriteSlice copies src into global memory starting at offset. It is the
-// device-side landing of an inward host transfer.
+// device-side landing of an inward host transfer. A write covering an end
+// of the pending-zero span takes those words out of it; one strictly
+// inside the span settles it first.
 func (g *Global) WriteSlice(offset int, src []Word) error {
 	if err := g.CheckWrite(offset, len(src)); err != nil {
 		return err
+	}
+	if end := offset + len(src); g.zeroHi != 0 && len(src) > 0 && offset < g.zeroHi && end > g.zeroLo {
+		switch {
+		case offset <= g.zeroLo && end >= g.zeroHi:
+			g.zeroLo, g.zeroHi = 0, 0
+		case offset <= g.zeroLo:
+			g.zeroLo = end
+		case end >= g.zeroHi:
+			g.zeroHi = offset
+		default:
+			g.settle()
+		}
 	}
 	copy(g.words[offset:], src)
 	return nil
 }
 
-// ReadSlice copies length words starting at offset into a fresh slice. It is
-// the device-side source of an outward host transfer.
-func (g *Global) ReadSlice(offset, length int) ([]Word, error) {
-	if err := g.CheckRead(offset, length); err != nil {
-		return nil, err
+// ReadInto copies len(dst) words starting at offset into dst. It is the
+// device-side source of an outward host transfer.
+func (g *Global) ReadInto(offset int, dst []Word) error {
+	if err := g.CheckRead(offset, len(dst)); err != nil {
+		return err
 	}
-	out := make([]Word, length)
-	copy(out, g.words[offset:offset+length])
-	return out, nil
+	g.settle()
+	copy(dst, g.words[offset:])
+	return nil
 }
 
 // Fill sets length words starting at offset to v.
@@ -145,6 +177,7 @@ func (g *Global) Fill(offset, length int, v Word) error {
 	if length < 0 || offset < 0 || offset+length > len(g.words) {
 		return fmt.Errorf("%w: fill [%d,%d) in G=%d", ErrOutOfRange, offset, offset+length, len(g.words))
 	}
+	g.settle()
 	for i := offset; i < offset+length; i++ {
 		g.words[i] = v
 	}
@@ -152,8 +185,12 @@ func (g *Global) Fill(offset, length int, v Word) error {
 }
 
 // Raw exposes the backing array for zero-copy inspection by tests and the
-// functional emulator. Callers must not resize it.
-func (g *Global) Raw() []Word { return g.words }
+// functional emulator, settling the pending-zero span first. Callers must
+// not resize it.
+func (g *Global) Raw() []Word {
+	g.settle()
+	return g.words
+}
 
 // Arena is a bump allocator over a Global memory, standing in for
 // cudaMalloc: algorithms allocate named regions and the G constraint is

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -65,29 +66,29 @@ func TestGlobalSlices(t *testing.T) {
 	if err := g.WriteSlice(2, []Word{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.ReadSlice(2, 3)
-	if err != nil {
+	got := make([]Word, 3)
+	if err := g.ReadInto(2, got); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range []Word{1, 2, 3} {
 		if got[i] != want {
-			t.Fatalf("ReadSlice[%d] = %d, want %d", i, got[i], want)
+			t.Fatalf("ReadInto[%d] = %d, want %d", i, got[i], want)
 		}
 	}
 	if err := g.WriteSlice(6, []Word{1, 2, 3}); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("overflow write: %v", err)
 	}
-	if _, err := g.ReadSlice(6, 3); !errors.Is(err, ErrOutOfRange) {
+	if err := g.ReadInto(6, make([]Word, 3)); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("overflow read: %v", err)
 	}
-	if _, err := g.ReadSlice(0, -1); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("negative length read: %v", err)
+	if err := g.ReadInto(-1, got); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("negative offset read: %v", err)
 	}
-	// ReadSlice must copy, not alias.
+	// ReadInto must copy, not alias.
 	got[0] = 99
 	v, _ := g.Load(2)
 	if v != 1 {
-		t.Error("ReadSlice aliases device memory")
+		t.Error("ReadInto aliases device memory")
 	}
 }
 
@@ -212,4 +213,145 @@ func TestNewGlobalReusing(t *testing.T) {
 	if _, err := NewGlobalReusing(buf, -1, 4); !errors.Is(err, ErrBadSize) {
 		t.Fatalf("negative size: %v", err)
 	}
+}
+
+// garbageGlobal is a 12-word memory over a reused 16-word array full of
+// garbage, as a sweep's second point gets it.
+func garbageGlobal(t *testing.T) (*Global, []Word) {
+	t.Helper()
+	buf := make([]Word, 16)
+	for i := range buf {
+		buf[i] = Word(100 + i)
+	}
+	g, err := NewGlobalReusing(buf, 12, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, buf
+}
+
+// wantWords checks every word of g through Load: want where given,
+// zero elsewhere.
+func wantWords(t *testing.T, name string, g *Global, want map[int]Word) {
+	t.Helper()
+	for a := 0; a < g.Size(); a++ {
+		if v, _ := g.Load(a); v != want[a] {
+			t.Fatalf("%s: word %d = %d, want %d", name, a, v, want[a])
+		}
+	}
+}
+
+// TestReusedGlobalZeroOnFirstTouch: a memory over a garbage-filled array
+// reads zero through every accessor, although nothing is cleared until
+// first touch; transfers covering an end of the pending span shrink it
+// instead of clearing, and words past the memory are never touched.
+func TestReusedGlobalZeroOnFirstTouch(t *testing.T) {
+	zeros := make([]Word, 12)
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, g *Global) map[int]Word
+	}{
+		{"Load", func(t *testing.T, g *Global) map[int]Word { return nil }},
+		{"Raw", func(t *testing.T, g *Global) map[int]Word {
+			for i, v := range g.Raw() {
+				if v != 0 {
+					t.Fatalf("Raw word %d = %d", i, v)
+				}
+			}
+			return nil
+		}},
+		{"ReadInto", func(t *testing.T, g *Global) map[int]Word {
+			got := make([]Word, 5)
+			if err := g.ReadInto(7, got); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range got {
+				if v != 0 {
+					t.Fatalf("ReadInto word %d = %d", 7+i, v)
+				}
+			}
+			return nil
+		}},
+		{"ChecksumRange", func(t *testing.T, g *Global) map[int]Word {
+			if sum, err := g.ChecksumRange(0, 12); err != nil || sum != Checksum(zeros) {
+				t.Fatalf("ChecksumRange = %#x, %v; want the zero checksum %#x", sum, err, Checksum(zeros))
+			}
+			return nil
+		}},
+		{"Store", func(t *testing.T, g *Global) map[int]Word {
+			if err := g.Store(5, 9); err != nil {
+				t.Fatal(err)
+			}
+			return map[int]Word{5: 9}
+		}},
+		{"Fill", func(t *testing.T, g *Global) map[int]Word {
+			if err := g.Fill(4, 3, 7); err != nil {
+				t.Fatal(err)
+			}
+			return map[int]Word{4: 7, 5: 7, 6: 7}
+		}},
+		{"WriteSlice inside", func(t *testing.T, g *Global) map[int]Word {
+			if err := g.WriteSlice(3, []Word{1, 2}); err != nil {
+				t.Fatal(err)
+			}
+			if g.zeroHi != 0 {
+				t.Fatalf("a write inside the span left [%d,%d) pending", g.zeroLo, g.zeroHi)
+			}
+			return map[int]Word{3: 1, 4: 2}
+		}},
+		{"WriteSlice ends", func(t *testing.T, g *Global) map[int]Word {
+			if err := g.WriteSlice(0, []Word{1, 2, 3, 4}); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.WriteSlice(10, []Word{5, 6}); err != nil {
+				t.Fatal(err)
+			}
+			if g.zeroLo != 4 || g.zeroHi != 10 {
+				t.Fatalf("pending span [%d,%d), want [4,10)", g.zeroLo, g.zeroHi)
+			}
+			return map[int]Word{0: 1, 1: 2, 2: 3, 3: 4, 10: 5, 11: 6}
+		}},
+		{"WriteSlice whole", func(t *testing.T, g *Global) map[int]Word {
+			if err := g.WriteSlice(4, make([]Word, 8)); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.WriteSlice(0, []Word{1, 2, 3, 4, 5}); err != nil {
+				t.Fatal(err)
+			}
+			if g.zeroHi != 0 {
+				t.Fatalf("covering writes left [%d,%d) pending", g.zeroLo, g.zeroHi)
+			}
+			return map[int]Word{0: 1, 1: 2, 2: 3, 3: 4, 4: 5}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, buf := garbageGlobal(t)
+			if buf[0] != 100 || buf[11] != 111 {
+				t.Fatal("NewGlobalReusing cleared eagerly")
+			}
+			wantWords(t, tc.name, g, tc.run(t, g))
+			if buf[12] != 112 || buf[15] != 115 {
+				t.Fatal("words past the memory's size were touched")
+			}
+		})
+	}
+}
+
+// TestReusedGlobalConcurrentRaw: once settled, Raw only reads the
+// pending span, so goroutines sharing the memory may call it at once
+// (run under -race).
+func TestReusedGlobalConcurrentRaw(t *testing.T) {
+	g, _ := garbageGlobal(t)
+	g.Raw()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			raw := g.Raw()
+			raw[i] = Word(i + 1)
+		}(i)
+	}
+	wg.Wait()
+	wantWords(t, "concurrent Raw", g, map[int]Word{0: 1, 1: 2, 2: 3, 3: 4})
 }

@@ -29,8 +29,8 @@ func run(t *testing.T, src string, params map[string]int64, blocks int, initial 
 	if _, err := dev.Launch(prog, blocks); err != nil {
 		t.Fatalf("launch: %v", err)
 	}
-	out, err := dev.Global().ReadSlice(0, len(initial)+64)
-	if err != nil {
+	out := make([]mem.Word, len(initial)+64)
+	if err := dev.Global().ReadInto(0, out); err != nil {
 		t.Fatal(err)
 	}
 	return out

@@ -45,7 +45,7 @@ func TestAtomAddSharedContended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Global().ReadSlice(0, 5)
+	got, err := readGlobal(d.Global(), 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestAtomMaxGlobalAcrossBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Global().ReadSlice(30, 1)
+	got, err := readGlobal(d.Global(), 30, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestAtomCASGlobalElectsOneLane(t *testing.T) {
 	if _, err := d.Launch(prog, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Global().ReadSlice(0, 4)
+	got, err := readGlobal(d.Global(), 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestAtomCASGlobalElectsOneLane(t *testing.T) {
 			t.Errorf("lane %d old = %d, want %d", i, got[i], w)
 		}
 	}
-	cell, err := d.Global().ReadSlice(20, 1)
+	cell, err := readGlobal(d.Global(), 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestAtomExchInactiveLanesDoNotParticipate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Global().ReadSlice(0, 4)
+	got, err := readGlobal(d.Global(), 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

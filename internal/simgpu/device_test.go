@@ -5,7 +5,14 @@ import (
 	"testing"
 
 	"atgpu/internal/kernel"
+	"atgpu/internal/mem"
 )
+
+// readGlobal copies length words of g starting at offset.
+func readGlobal(g *mem.Global, offset, length int) ([]mem.Word, error) {
+	out := make([]mem.Word, length)
+	return out, g.ReadInto(offset, out)
+}
 
 // newTiny builds a Tiny device or fails the test.
 func newTiny(t *testing.T) *Device {
@@ -42,7 +49,7 @@ func runAndRead(t *testing.T, d *Device, prog *kernel.Program, blocks, n int) []
 	if _, err := d.Launch(prog, blocks); err != nil {
 		t.Fatalf("launch %s: %v", prog.Name, err)
 	}
-	out, err := d.Global().ReadSlice(0, n)
+	out, err := readGlobal(d.Global(), 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +213,7 @@ func TestDivergentIf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := d.Global().ReadSlice(0, 4)
+	got, _ := readGlobal(d.Global(), 0, 4)
 	want := []kernel.Word{200, 200, 100, 100}
 	for i := range want {
 		if got[i] != want[i] {
@@ -232,7 +239,7 @@ func TestIfAllFalseSkips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := d.Global().ReadSlice(0, 4)
+	got, _ := readGlobal(d.Global(), 0, 4)
 	for i := range got {
 		if got[i] != 1 {
 			t.Fatalf("lane %d = %d, want 1 (body skipped)", i, got[i])
@@ -259,7 +266,7 @@ func TestIfAllTrueNotDivergent(t *testing.T) {
 	if res.Stats.DivergentBranches != 0 {
 		t.Errorf("uniformly true if counted as divergent: %d", res.Stats.DivergentBranches)
 	}
-	got, _ := d.Global().ReadSlice(0, 4)
+	got, _ := readGlobal(d.Global(), 0, 4)
 	for i := range got {
 		if got[i] != 7 {
 			t.Fatalf("lane %d = %d, want 7", i, got[i])
@@ -472,5 +479,35 @@ func TestDeviceReset(t *testing.T) {
 	}
 	if v, _ := d.Global().Load(5); v != 0 {
 		t.Error("Reset should clear global memory")
+	}
+}
+
+// TestDeviceResetReusedMemory: a device over a garbage-filled array reads
+// zero after Reset, whether the memory's pending zeroes were settled, cut
+// short by an inward transfer, or never touched.
+func TestDeviceResetReusedMemory(t *testing.T) {
+	for _, touch := range []func(g *mem.Global) error{
+		func(*mem.Global) error { return nil },
+		func(g *mem.Global) error { return g.WriteSlice(0, []mem.Word{1, 2, 3}) },
+		func(g *mem.Global) error { _, err := g.Load(7); return err },
+	} {
+		cfg := Tiny()
+		buf := make([]mem.Word, cfg.GlobalWords+8)
+		for i := range buf {
+			buf[i] = -1
+		}
+		d, err := NewReusing(cfg, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := touch(d.Global()); err != nil {
+			t.Fatal(err)
+		}
+		d.Reset()
+		for i, v := range d.Global().Raw() {
+			if v != 0 {
+				t.Fatalf("word %d = %d after Reset", i, v)
+			}
+		}
 	}
 }

@@ -139,7 +139,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		if _, err := d.Launch(prog, 1); err != nil {
 			return false
 		}
-		got, err := d.Global().ReadSlice(0, regs*width)
+		got, err := readGlobal(d.Global(), 0, regs*width)
 		if err != nil {
 			return false
 		}
@@ -202,7 +202,7 @@ func TestDifferentialDivergentIf(t *testing.T) {
 		if _, err := d.Launch(prog, 1); err != nil {
 			return false
 		}
-		got, err := d.Global().ReadSlice(0, width)
+		got, err := readGlobal(d.Global(), 0, width)
 		if err != nil {
 			return false
 		}

@@ -80,7 +80,7 @@ func TestDegradedLaunchExactResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotOut, err := degraded.Global().ReadSlice(0, n)
+	gotOut, err := readGlobal(degraded.Global(), 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestHostSMFailDegradesGracefully(t *testing.T) {
 	if _, err := healthy.Launch(prog, blocks); err != nil {
 		t.Fatal(err)
 	}
-	want, err := healthy.Device().Global().ReadSlice(0, n)
+	want, err := readGlobal(healthy.Device().Global(), 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestHostSMFailDegradesGracefully(t *testing.T) {
 	if _, err := faulted.Launch(prog, blocks); err != nil {
 		t.Fatal(err)
 	}
-	got, err := faulted.Device().Global().ReadSlice(0, n)
+	got, err := readGlobal(faulted.Device().Global(), 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,6 +260,9 @@ func (ls *launchState) memoReplay(from, to int) error {
 	}
 	k := len(warps)
 	errs := make([]error, k)
+	// Settle global memory's pending zeroes here, so the chunks' Raw
+	// calls only read (see mem.NewGlobalReusing).
+	ls.d.global.Raw()
 	var wg sync.WaitGroup
 	for i := 1; i < k; i++ {
 		wg.Add(1)

@@ -108,15 +108,27 @@ func (h *Host) AsyncTransferInChunked(s *Stream, offset int, data []mem.Word, ch
 // the D2H link. The returned slice holds the device words as of issue
 // time (program order).
 func (h *Host) AsyncTransferOut(s *Stream, offset, length int) ([]mem.Word, error) {
+	if err := h.dev.Global().CheckRead(offset, length); err != nil {
+		return nil, err
+	}
+	dst := make([]mem.Word, length)
+	if err := h.transferOutInto(s, dst, offset); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// transferOutInto is AsyncTransferOut landing in dst, len(dst) words.
+func (h *Host) transferOutInto(s *Stream, dst []mem.Word, offset int) error {
 	s = h.stream(s)
 	h.enterStream(s)
 	defer h.leaveStream()
-	data, ev, err := h.engine.OutAsync(h.tl, h.resD2H, h.dev.Global(), offset, length, s.frontier)
+	ev, err := h.engine.OutAsync(h.tl, h.resD2H, h.dev.Global(), offset, dst, s.frontier)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.frontier = ev
-	return data, nil
+	return nil
 }
 
 // AsyncLaunch issues a kernel launch on s, occupying the SM array

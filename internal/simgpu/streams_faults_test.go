@@ -118,11 +118,11 @@ func TestStreamFaultDoesNotPerturbOtherStream(t *testing.T) {
 	// Data correctness: device memory is bit-identical to the fault-free
 	// run (the kernel overwrites the first words, so compare run to run),
 	// and the words past the kernel's output are the retried input.
-	landed, err := faulted.Device().Global().ReadSlice(faultedBase, len(faultedData))
+	landed, err := readGlobal(faulted.Device().Global(), faultedBase, len(faultedData))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanLanded, err := clean.Device().Global().ReadSlice(faultedBase, len(cleanData))
+	cleanLanded, err := readGlobal(clean.Device().Global(), faultedBase, len(cleanData))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,18 +44,18 @@ func (e *Engine) InAsync(tl *timeline.Timeline, res *timeline.Resource, g *mem.G
 	return ev, nil
 }
 
-// OutAsync copies length words at offset from device global memory
-// back to the host and schedules the transfer's cost on res.
-func (e *Engine) OutAsync(tl *timeline.Timeline, res *timeline.Resource, g *mem.Global, offset, length int, after ...timeline.Event) ([]mem.Word, timeline.Event, error) {
+// OutAsync copies len(dst) words at offset from device global memory
+// back to the host into dst and schedules the transfer's cost on res.
+func (e *Engine) OutAsync(tl *timeline.Timeline, res *timeline.Resource, g *mem.Global, offset int, dst []mem.Word, after ...timeline.Event) (timeline.Event, error) {
 	e.mu.Lock()
-	dst, d, rec, err := e.out(g, offset, length)
+	d, rec, err := e.out(g, offset, dst)
 	e.mu.Unlock()
 	if err != nil {
-		return nil, timeline.Event{}, err
+		return timeline.Event{}, err
 	}
-	ev := tl.Schedule(res, d, fmt.Sprintf("D2H %d words", length), after...)
+	ev := tl.Schedule(res, d, fmt.Sprintf("D2H %d words", len(dst)), after...)
 	e.span(ev, d, rec)
-	return dst, ev, nil
+	return ev, nil
 }
 
 // InChunkedAsync is InChunked on the timeline: each chunk is its own

@@ -75,7 +75,7 @@ func TestAsyncFaultIsolatedAcrossResources(t *testing.T) {
 		if _, err := eng.InAsync(tl, h2d, g, 0, asyncWords(64)); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := eng.OutAsync(tl, d2h, g, 128, 64); err != nil {
+		if _, err := eng.OutAsync(tl, d2h, g, 128, make([]mem.Word, 64)); err != nil {
 			t.Fatal(err)
 		}
 		return h2d.Intervals()[0], d2h.Intervals()[0], tl.Ops()
@@ -118,7 +118,7 @@ func TestAsyncStallDeterministicReplay(t *testing.T) {
 		if _, err := eng.InAsync(tl, h2d, g, 0, asyncWords(32)); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := eng.OutAsync(tl, d2h, g, 128, 32); err != nil {
+		if _, err := eng.OutAsync(tl, d2h, g, 128, make([]mem.Word, 32)); err != nil {
 			t.Fatal(err)
 		}
 		return tl.Ops()

@@ -294,17 +294,22 @@ func (e *Engine) in(g *mem.Global, offset int, src []mem.Word) (time.Duration, R
 // host as a single transaction, with the same verify-and-retry behaviour
 // as In when a fault injector is attached.
 func (e *Engine) Out(g *mem.Global, offset, length int) ([]mem.Word, time.Duration, error) {
+	if err := g.CheckRead(offset, length); err != nil {
+		return nil, 0, err
+	}
+	dst := make([]mem.Word, length)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	dst, d, _, err := e.out(g, offset, length)
+	d, _, err := e.out(g, offset, dst)
 	return dst, d, err
 }
 
-// out is Out without locking, for use by OutAsync; it additionally
-// returns the transaction's Record for trace annotation.
-func (e *Engine) out(g *mem.Global, offset, length int) ([]mem.Word, time.Duration, Record, error) {
+// out is Out into dst without locking, for use by OutAsync; it
+// additionally returns the transaction's Record for trace annotation.
+func (e *Engine) out(g *mem.Global, offset int, dst []mem.Word) (time.Duration, Record, error) {
+	length := len(dst)
 	if err := g.CheckRead(offset, length); err != nil {
-		return nil, 0, Record{}, err
+		return 0, Record{}, err
 	}
 	clean := e.Model().CostDuration(1, length)
 	rec := Record{Direction: DeviceToHost, Scheme: e.scheme, Words: length, Offset: offset}
@@ -313,37 +318,33 @@ func (e *Engine) out(g *mem.Global, offset, length int) ([]mem.Word, time.Durati
 		d := e.decide(faults.SiteD2H, attempt, length)
 		cost := clean
 		ok := true
-		var dst []mem.Word
 		switch d.Kind {
 		case faults.Drop:
 			rec.Drops++
 			ok = false
 		case faults.Corrupt:
-			var err error
-			if dst, err = g.ReadSlice(offset, length); err != nil {
-				return nil, 0, Record{}, err
+			if err := g.ReadInto(offset, dst); err != nil {
+				return 0, Record{}, err
 			}
 			corruptHost(dst, d)
 			rec.Corruptions++
 			ok = false
 		case faults.Stall:
-			var err error
-			if dst, err = g.ReadSlice(offset, length); err != nil {
-				return nil, 0, Record{}, err
+			if err := g.ReadInto(offset, dst); err != nil {
+				return 0, Record{}, err
 			}
 			cost = stalledCost(clean, d)
 			rec.Stalls++
 		default:
-			var err error
-			if dst, err = g.ReadSlice(offset, length); err != nil {
-				return nil, 0, Record{}, err
+			if err := g.ReadInto(offset, dst); err != nil {
+				return 0, Record{}, err
 			}
 		}
 		total += cost
 		if ok && e.inj != nil {
 			sum, err := g.ChecksumRange(offset, length)
 			if err != nil {
-				return nil, 0, Record{}, err
+				return 0, Record{}, err
 			}
 			if mem.Checksum(dst) != sum {
 				rec.Corruptions++
@@ -351,7 +352,7 @@ func (e *Engine) out(g *mem.Global, offset, length int) ([]mem.Word, time.Durati
 			}
 		}
 		if done, err := e.finish(&rec, &total, ok, attempt); done {
-			return dst, total, rec, err
+			return total, rec, err
 		}
 	}
 }
