@@ -1,12 +1,16 @@
 package atgpu
 
 import (
-	"math/rand"
+	"bytes"
+	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
 	"atgpu/internal/core"
+	"atgpu/internal/experiments"
+	"atgpu/internal/service"
 	"atgpu/internal/simgpu"
 )
 
@@ -40,13 +44,9 @@ func TestSystemPredictions(t *testing.T) {
 	sys := testSystem(t)
 	for _, tc := range []struct {
 		name string
-		pred func() (*Prediction, error)
-	}{
-		{"vecadd", func() (*Prediction, error) { return sys.AnalyzeVecAdd(1000) }},
-		{"reduce", func() (*Prediction, error) { return sys.AnalyzeReduce(1000) }},
-		{"matmul", func() (*Prediction, error) { return sys.AnalyzeMatMul(16) }},
-	} {
-		p, err := tc.pred()
+		n    int
+	}{{"vecadd", 1000}, {"reduce", 1000}, {"matmul", 16}} {
+		p, err := sys.AnalyzeWorkload(tc.name, tc.n)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -66,101 +66,92 @@ func TestSystemPredictions(t *testing.T) {
 			t.Errorf("%s: missing analysis", tc.name)
 		}
 	}
+	if _, err := sys.AnalyzeWorkload("nonsense", 8); err == nil {
+		t.Error("unknown workload accepted")
+	}
 }
 
-func TestSystemRunVecAdd(t *testing.T) {
-	sys := testSystem(t)
-	rng := rand.New(rand.NewSource(1))
-	n := 100
-	a := make([]Word, n)
-	b := make([]Word, n)
-	for i := range a {
-		a[i] = Word(rng.Intn(100))
-		b[i] = Word(rng.Intn(100))
-	}
-	c, obs, err := sys.RunVecAdd(a, b)
+// run runs a workload point and fails the test unless it succeeded.
+func run(t *testing.T, sys *System, name string, n int) experiments.WorkloadPoint {
+	t.Helper()
+	pt, err := sys.Run(name, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range c {
-		if c[i] != a[i]+b[i] {
-			t.Fatalf("c[%d] = %d", i, c[i])
-		}
+	if pt.Failed {
+		t.Fatalf("%s n=%d failed: %s", name, n, pt.Err)
 	}
-	if obs.Total <= 0 || obs.Kernel <= 0 || obs.Transfer <= 0 {
-		t.Fatalf("observation has zero components: %+v", obs)
+	return pt
+}
+
+func TestSystemRunVecAdd(t *testing.T) {
+	pt := run(t, testSystem(t), "vecadd", 100)
+	if pt.TotalTime <= 0 || pt.KernelTime <= 0 || pt.TransferTime <= 0 {
+		t.Fatalf("observation has zero components: %+v", pt)
 	}
-	if obs.Total != obs.Kernel+obs.Transfer+obs.Sync {
+	if d := pt.TotalTime - (pt.KernelTime + pt.TransferTime + pt.SyncTime); d > 1e-15 || d < -1e-15 {
 		t.Fatal("observation total inconsistent")
 	}
-	if obs.Rounds != 1 {
-		t.Fatalf("rounds = %d, want 1", obs.Rounds)
+	if pt.Rounds != 1 {
+		t.Fatalf("rounds = %d, want 1", pt.Rounds)
 	}
-	if obs.TransferFraction <= 0 || obs.TransferFraction >= 1 {
-		t.Fatalf("ΔE = %g", obs.TransferFraction)
+	if pt.Stats.Cycles <= 0 || pt.Stats.GlobalTransactions <= 0 {
+		t.Fatalf("kernel stats empty: %+v", pt.Stats)
+	}
+	if pt.DeltaObserved <= 0 || pt.DeltaObserved >= 1 {
+		t.Fatalf("ΔE = %g", pt.DeltaObserved)
 	}
 }
 
 func TestSystemRunReduce(t *testing.T) {
-	sys := testSystem(t)
-	in := make([]Word, 333)
-	var want Word
-	for i := range in {
-		in[i] = Word(i % 7)
-		want += in[i]
-	}
-	sum, obs, err := sys.RunReduce(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != want {
-		t.Fatalf("sum = %d, want %d", sum, want)
-	}
-	if obs.Rounds < 2 {
-		t.Fatalf("rounds = %d, want multi-round", obs.Rounds)
+	if pt := run(t, testSystem(t), "reduce", 333); pt.Rounds < 2 {
+		t.Fatalf("rounds = %d, want multi-round", pt.Rounds)
 	}
 }
 
 func TestSystemRunMatMul(t *testing.T) {
-	sys := testSystem(t)
-	n := 8
-	a := make([]Word, n*n)
-	b := make([]Word, n*n)
-	for i := range a {
-		a[i] = Word(i % 5)
-		b[i] = Word(i % 3)
+	if pt := run(t, testSystem(t), "matmul", 8); pt.Rounds != 1 || pt.KernelTime <= 0 {
+		t.Fatalf("matmul observation: rounds %d kernel %g", pt.Rounds, pt.KernelTime)
 	}
-	c, _, err := sys.RunMatMul(a, b, n)
+	// matmul needs n to be a multiple of the warp width.
+	if _, err := testSystem(t).Run("matmul", 6); err == nil {
+		t.Fatal("matmul n=6 on 4-lane warps accepted")
+	}
+}
+
+// TestSystemRunEveryWorkload: the facade runs every registry entry, not
+// only the paper's three.
+func TestSystemRunEveryWorkload(t *testing.T) {
+	// The default device: the privatized histogram's per-block bins do
+	// not fit Tiny's shared memory.
+	sys, err := NewSystem(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Spot-check one entry against the definition.
-	var want Word
-	for k := 0; k < n; k++ {
-		want += a[1*n+k] * b[k*n+2]
-	}
-	if c[1*n+2] != want {
-		t.Fatalf("c[1][2] = %d, want %d", c[1*n+2], want)
+	for _, name := range experiments.Names() {
+		n := 1024
+		if name == "matmul" {
+			n = 32
+		}
+		if pt := run(t, sys, name, n); pt.TotalTime <= 0 {
+			t.Errorf("%s: no observed time", name)
+		}
 	}
 }
 
 func TestSystemOutOfCore(t *testing.T) {
-	sys := testSystem(t)
-	in := make([]Word, 2000)
-	var want Word
-	for i := range in {
-		in[i] = Word(i % 2)
-		want += in[i]
-	}
-	res, err := sys.RunOutOfCoreReduce(in, 256)
+	res, err := testSystem(t).RunOutOfCoreReduce(2000, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sum != want {
-		t.Fatalf("sum = %d, want %d", res.Sum, want)
+	if res.Chunks != 8 {
+		t.Fatalf("chunks = %d, want 8", res.Chunks)
 	}
-	if res.OverlappedTime > res.SerialTime {
+	if res.Overlapped > res.Serial {
 		t.Fatal("overlap slower than serial")
+	}
+	if res.Transfer <= 0 || res.Kernel <= 0 || res.Transfer+res.Kernel > res.Serial {
+		t.Fatalf("serial split transfer %g + kernel %g vs serial %g", res.Transfer, res.Kernel, res.Serial)
 	}
 }
 
@@ -173,29 +164,70 @@ func TestPredictionTracksObservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 1 << 16
-	pred, err := sys.AnalyzeVecAdd(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := make([]Word, n)
-	b := make([]Word, n)
-	_, obs, err := sys.RunVecAdd(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dT, dE := pred.TransferFraction, obs.TransferFraction
+	pt := run(t, sys, "vecadd", 1<<16)
+	dT, dE := pt.DeltaPredicted, pt.DeltaObserved
 	if dT < dE-0.10 || dT > dE+0.10 {
 		t.Errorf("ΔT = %.3f vs ΔE = %.3f, want within 0.10", dT, dE)
 	}
-	total := obs.Total.Seconds()
-	atgpuShare := pred.GPUCost / total
-	swShare := pred.SWGPUCost / total
+	atgpuShare := pt.ATGPUCost / pt.TotalTime
+	swShare := pt.SWGPUCost / pt.TotalTime
 	if atgpuShare < 0.7 || atgpuShare > 1.3 {
 		t.Errorf("ATGPU explains %.2f of total, want ≈1", atgpuShare)
 	}
 	if swShare > 0.5 {
 		t.Errorf("SWGPU explains %.2f of total, want well below ATGPU", swShare)
+	}
+}
+
+// TestRunMatchesServiceRun: System.Run and atgpud's run job are one run
+// path, so the same request returns the same point — fault draws
+// included.
+func TestRunMatchesServiceRun(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Device = simgpu.Tiny()
+	opts.FaultRate = 0.3
+	opts.FaultSeed = 5
+	sys, err := NewSystem(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := 0
+	for _, tc := range []struct {
+		name string
+		n    int
+	}{{"vecadd", 1024}, {"reduce", 2048}, {"matmul", 16}, {"histogram", 1024}} {
+		pt, err := sys.Run(tc.name, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt.Degraded() {
+			faulted++
+		}
+		req, err := service.Request{Kind: "run", Workload: tc.name, N: tc.n, Device: "tiny",
+			Seed: 1, FaultRate: opts.FaultRate, FaultSeed: opts.FaultSeed}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := service.NewExecutor().Execute(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Point json.RawMessage `json:"point"`
+		}
+		if err := json.Unmarshal(art.Result, &doc); err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, doc.Point) {
+			t.Errorf("%s n=%d: System.Run and the service run differ:\n%s\n%s", tc.name, tc.n, got, doc.Point)
+		}
+	}
+	if faulted == 0 {
+		t.Error("no point drew a fault; the comparison does not cover fault seeding")
 	}
 }
 
@@ -257,75 +289,41 @@ func TestSystemAnalyzeCustom(t *testing.T) {
 
 func TestSystemRunPipelined(t *testing.T) {
 	sys := testSystem(t)
-	rng := rand.New(rand.NewSource(7))
-	n := 512
-	a := make([]Word, n)
-	b := make([]Word, n)
-	for i := range a {
-		a[i] = Word(rng.Intn(100))
-		b[i] = Word(rng.Intn(100))
-	}
-
-	c, pr, err := sys.RunVecAddPipelined(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range c {
-		if c[i] != a[i]+b[i] {
-			t.Fatalf("c[%d] = %d, want %d", i, c[i], a[i]+b[i])
+	for _, tc := range []struct {
+		name string
+		n    int
+	}{{"vecadd", 512}, {"reduce", 512}, {"matmul", 16}} {
+		pt, err := sys.RunPipelined(tc.name, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt.Chunks != 4 || pt.Streams != 2 {
+			t.Fatalf("%s: schedule %d chunks / %d streams, want 4/2", tc.name, pt.Chunks, pt.Streams)
+		}
+		seq, pipe := pt.SequentialRun, pt.PipelinedRun
+		if seq.Total <= 0 || pipe.Total <= 0 || pt.SequentialTime != seq.Total.Seconds() {
+			t.Fatalf("%s: observations empty or inconsistent: %+v", tc.name, pt)
+		}
+		if pipe.Total > seq.Total {
+			t.Fatalf("%s: pipelined %v slower than sequential %v", tc.name, pipe.Total, seq.Total)
+		}
+		if pipe.Kernel != seq.Kernel || pipe.Transfer != seq.Transfer {
+			t.Fatalf("%s: schedules did different work: %+v vs %+v", tc.name, seq, pipe)
+		}
+		pc, err := sys.AnalyzePipelined(tc.name, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pc.Sequential != pt.PredictedSequential || pc.Pipelined != pt.PredictedPipelined {
+			t.Fatalf("%s: AnalyzePipelined %+v disagrees with the run's prediction %+v", tc.name, pc, pt)
 		}
 	}
-	if pr.Chunks != 4 || pr.Streams != 2 {
-		t.Fatalf("schedule %d chunks / %d streams, want 4/2", pr.Chunks, pr.Streams)
+	if pt, err := sys.RunPipelined("vecadd", 512); err != nil || pt.ObservedSavingFraction() <= 0 ||
+		pt.ObservedSavingFraction() >= 1 {
+		t.Fatalf("pipelined vecadd saved %g (err %v), want in (0,1)", pt.ObservedSavingFraction(), err)
 	}
-	if pr.Saving <= 0 {
-		t.Fatalf("pipelined vecadd saved %v, want > 0 (seq %v, pipe %v)",
-			pr.Saving, pr.Sequential.Total, pr.Pipelined.Total)
-	}
-	if f := pr.SavingFraction(); f <= 0 || f >= 1 {
-		t.Fatalf("saving fraction %g outside (0,1)", f)
-	}
-
-	sum, rp, err := sys.RunReducePipelined(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want Word
-	for _, v := range a {
-		want += v
-	}
-	if sum != want {
-		t.Fatalf("sum = %d, want %d", sum, want)
-	}
-	if rp.Sequential.Total <= 0 || rp.Pipelined.Total <= 0 {
-		t.Fatalf("reduce observations empty: %+v", rp)
-	}
-
-	side := 16
-	ma := make([]Word, side*side)
-	mb := make([]Word, side*side)
-	for i := range ma {
-		ma[i] = Word(rng.Intn(10))
-		mb[i] = Word(rng.Intn(10))
-	}
-	mc, mp, err := sys.RunMatMulPipelined(ma, mb, side)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < side; i++ {
-		for j := 0; j < side; j++ {
-			var w Word
-			for k := 0; k < side; k++ {
-				w += ma[i*side+k] * mb[k*side+j]
-			}
-			if mc[i*side+j] != w {
-				t.Fatalf("C[%d][%d] = %d, want %d", i, j, mc[i*side+j], w)
-			}
-		}
-	}
-	if mp.Pipelined.Total > mp.Sequential.Total {
-		t.Fatalf("matmul pipelined %v slower than sequential %v",
-			mp.Pipelined.Total, mp.Sequential.Total)
+	if _, err := sys.RunPipelined("scan", 512); err == nil {
+		t.Error("scan has no pipelined variant, but RunPipelined accepted it")
 	}
 
 	bad := DefaultOptions()

@@ -13,7 +13,6 @@ package atgpu
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"atgpu/internal/algorithms"
@@ -41,15 +40,6 @@ func getSystem(b *testing.B) *System {
 	return benchSystem
 }
 
-func benchWords(n int, seed int64) []Word {
-	rng := rand.New(rand.NewSource(seed))
-	w := make([]Word, n)
-	for i := range w {
-		w[i] = Word(rng.Intn(2001) - 1000)
-	}
-	return w
-}
-
 // --- Table I -----------------------------------------------------------------
 
 // BenchmarkTable1FeatureMatrix regenerates the paper's Table I.
@@ -69,7 +59,7 @@ func BenchmarkFig3aVecAddPredicted(b *testing.B) {
 	sys := getSystem(b)
 	for i := 0; i < b.N; i++ {
 		for _, n := range []int{1 << 18, 1 << 19, 1 << 20} {
-			p, err := sys.AnalyzeVecAdd(n)
+			p, err := sys.AnalyzeWorkload("vecadd", n)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -83,18 +73,7 @@ func BenchmarkFig3aVecAddPredicted(b *testing.B) {
 // BenchmarkFig3bVecAddObserved runs the observed side of Figure 3b: one
 // full simulated round (transfer in, kernel, transfer out) at n = 2^18.
 func BenchmarkFig3bVecAddObserved(b *testing.B) {
-	sys := getSystem(b)
-	const n = 1 << 18
-	va := benchWords(n, 1)
-	vb := benchWords(n, 2)
-	var obs Observation
-	for i := 0; i < b.N; i++ {
-		var err error
-		if _, obs, err = sys.RunVecAdd(va, vb); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*obs.TransferFraction, "ΔE_%")
+	benchRun(b, "vecadd", 1<<18)
 }
 
 // BenchmarkFig3cVecAddNormalised produces the normalised four-series panel
@@ -125,7 +104,7 @@ func BenchmarkFig4aReductionPredicted(b *testing.B) {
 	sys := getSystem(b)
 	for i := 0; i < b.N; i++ {
 		for e := 16; e <= 20; e++ {
-			p, err := sys.AnalyzeReduce(1 << e)
+			p, err := sys.AnalyzeWorkload("reduce", 1<<e)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -139,17 +118,7 @@ func BenchmarkFig4aReductionPredicted(b *testing.B) {
 // BenchmarkFig4bReductionObserved runs the observed side at n = 2^17:
 // the full multi-round ping-pong reduction on the simulated device.
 func BenchmarkFig4bReductionObserved(b *testing.B) {
-	sys := getSystem(b)
-	const n = 1 << 17
-	in := benchWords(n, 3)
-	var obs Observation
-	for i := 0; i < b.N; i++ {
-		var err error
-		if _, obs, err = sys.RunReduce(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*obs.TransferFraction, "ΔE_%")
+	benchRun(b, "reduce", 1<<17)
 }
 
 // --- Figure 5: matrix multiplication -------------------------------------------
@@ -159,7 +128,7 @@ func BenchmarkFig5aMatMulPredicted(b *testing.B) {
 	sys := getSystem(b)
 	for i := 0; i < b.N; i++ {
 		for _, n := range []int{32, 64, 128, 256} {
-			if _, err := sys.AnalyzeMatMul(n); err != nil {
+			if _, err := sys.AnalyzeWorkload("matmul", n); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -168,18 +137,21 @@ func BenchmarkFig5aMatMulPredicted(b *testing.B) {
 
 // BenchmarkFig5bMatMulObserved runs the observed side at n = 64.
 func BenchmarkFig5bMatMulObserved(b *testing.B) {
+	benchRun(b, "matmul", 64)
+}
+
+// benchRun runs one observed point of a workload per iteration and
+// reports its ΔE.
+func benchRun(b *testing.B, name string, n int) {
 	sys := getSystem(b)
-	const n = 64
-	ma := benchWords(n*n, 4)
-	mb := benchWords(n*n, 5)
-	var obs Observation
+	var pt experiments.WorkloadPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		if _, obs, err = sys.RunMatMul(ma, mb, n); err != nil {
+		if pt, err = sys.Run(name, n); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(100*obs.TransferFraction, "ΔE_%")
+	b.ReportMetric(100*pt.DeltaObserved, "ΔE_%")
 }
 
 // --- Figure 6: transfer proportions --------------------------------------------
@@ -377,7 +349,7 @@ func BenchmarkAblationClockSkip(b *testing.B) {
 // what lets the model price a real k'-multiprocessor machine.
 func BenchmarkAblationOccupancy(b *testing.B) {
 	sys := getSystem(b)
-	p, err := sys.AnalyzeMatMul(256)
+	p, err := sys.AnalyzeWorkload("matmul", 256)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -450,15 +422,14 @@ func BenchmarkAblationBankConflicts(b *testing.B) {
 // out-of-core schedules over identical work (future work §V).
 func BenchmarkAblationOverlap(b *testing.B) {
 	sys := getSystem(b)
-	in := benchWords(1<<16, 6)
-	var res algorithms.OutOfCoreResult
+	var res experiments.OutOfCorePoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		if res, err = sys.RunOutOfCoreReduce(in, 1<<13); err != nil {
+		if res, err = sys.RunOutOfCoreReduce(1<<16, 1<<13); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(res.Speedup(), "overlap_speedup_x")
+	b.ReportMetric(res.Speedup, "overlap_speedup_x")
 }
 
 // BenchmarkAblationCalibration compares the prediction accuracy of
@@ -469,13 +440,11 @@ func BenchmarkAblationOverlap(b *testing.B) {
 func BenchmarkAblationCalibration(b *testing.B) {
 	sys := getSystem(b)
 	const n = 1 << 16
-	va := benchWords(n, 7)
-	vb := benchWords(n, 8)
-	_, obs, err := sys.RunVecAdd(va, vb)
+	obs, err := sys.Run("vecadd", n)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pred, err := sys.AnalyzeVecAdd(n)
+	pred, err := sys.AnalyzeWorkload("vecadd", n)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -491,9 +460,8 @@ func BenchmarkAblationCalibration(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		total := obs.Total.Seconds()
-		calibratedErr = relErr(pred.GPUCost, total)
-		datasheetErr = relErr(sheetCost, total)
+		calibratedErr = relErr(pred.GPUCost, obs.TotalTime)
+		datasheetErr = relErr(sheetCost, obs.TotalTime)
 	}
 	b.ReportMetric(100*calibratedErr, "calibrated_err_%")
 	b.ReportMetric(100*datasheetErr, "datasheet_err_%")
@@ -558,13 +526,10 @@ func benchObsRun(b *testing.B, opts Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const n = 1024
-	x := benchWords(n, 1)
-	y := benchWords(n, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sys.RunVecAddPipelined(x, y); err != nil {
+		if _, err := sys.RunPipelined("vecadd", 1024); err != nil {
 			b.Fatal(err)
 		}
 	}

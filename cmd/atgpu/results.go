@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -17,15 +18,20 @@ import (
 //	atgpu results diff    -store results.jsonl -a runA -b runB [-format text|markdown|json]
 //	atgpu results compare -store results.jsonl -a devA -b devB [-format ...]
 //	atgpu results gate    -store trajectory.jsonl [-max-regress 0.15] [-append] [-run label] [-allowance F] BENCH*.json
+//	atgpu results ingest  < bench.txt > BENCH.json
 //
 // diff aligns two run labels' records by identity key; compare aligns
 // two machine presets (device names), blanking the machine from the
 // key so the same measurement on different simulated hardware lines
 // up. gate checks fresh BENCH_*.json artifacts against the stored
 // trajectory and exits nonzero on any regression beyond the limit.
+// ingest converts `go test -bench` text on stdin into the BENCH_*.json
+// array gate reads, one object per result line: name (procs suffix in
+// its own field), iterations, ns/op, and bytes/allocs per op when the
+// benchmark reported them.
 func resultsCmd(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: atgpu results list|diff|compare|gate [flags]")
+		return fmt.Errorf("usage: atgpu results list|diff|compare|gate|ingest [flags]")
 	}
 	sub, rest := args[0], args[1:]
 	fs := flag.NewFlagSet("results "+sub, flag.ExitOnError)
@@ -56,8 +62,16 @@ func resultsCmd(args []string) error {
 		return resultsDiff(*store, sub, *a, *b, *format)
 	case "gate":
 		return resultsGate(*store, fs.Args(), *maxRegress, *allowance, *appendFresh, *run)
+	case "ingest":
+		fresh, err := results.ParseBenchText(os.Stdin)
+		if err != nil {
+			return err
+		}
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(fresh)
 	}
-	return fmt.Errorf("unknown results subcommand %q (want list, diff, compare or gate)", sub)
+	return fmt.Errorf("unknown results subcommand %q (want list, diff, compare, gate or ingest)", sub)
 }
 
 // resultsList prints the matching entries, append order, one line each.

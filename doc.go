@@ -26,8 +26,8 @@
 //
 //	sys, err := atgpu.NewSystem(atgpu.DefaultOptions())
 //	...
-//	report, err := sys.AnalyzeVecAdd(1_000_000) // predicted costs
-//	result, err := sys.RunVecAdd(a, b)          // simulated execution
+//	pred, err := sys.AnalyzeWorkload("vecadd", 1_000_000) // predicted costs
+//	point, err := sys.Run("vecadd", 1_000_000)           // simulated, verified run
 //
 // See examples/ for complete programs and cmd/atgpu-figures for the
 // paper-reproduction harness.

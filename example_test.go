@@ -23,30 +23,24 @@ func Example_predictVsObserve() {
 	}
 
 	const n = 1024
-	pred, err := sys.AnalyzeVecAdd(n)
+	pred, err := sys.AnalyzeWorkload("vecadd", n)
 	if err != nil {
 		log.Fatal(err)
 	}
-	a := make([]atgpu.Word, n)
-	b := make([]atgpu.Word, n)
-	for i := range a {
-		a[i] = atgpu.Word(i)
-		b[i] = atgpu.Word(2 * i)
-	}
-	c, obs, err := sys.RunVecAdd(a, b)
+	obs, err := sys.Run("vecadd", n)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("rounds:", pred.Analysis.R())
 	fmt.Println("transfer words:", pred.Analysis.TotalTransferWords())
-	fmt.Println("c[10]:", c[10])
+	fmt.Println("verified:", !obs.Failed)
 	fmt.Println("ATGPU above SWGPU:", pred.GPUCost > pred.SWGPUCost)
-	fmt.Println("transfer adds to total:", obs.Total > obs.Kernel)
+	fmt.Println("transfer adds to total:", obs.TotalTime > obs.KernelTime)
 	// Output:
 	// rounds: 1
 	// transfer words: 3072
-	// c[10]: 30
+	// verified: true
 	// ATGPU above SWGPU: true
 	// transfer adds to total: true
 }

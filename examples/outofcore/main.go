@@ -11,7 +11,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"atgpu"
 )
@@ -24,14 +23,6 @@ func main() {
 	opts.Device.Name = "sim-gtx650-smallG"
 
 	const n = 1 << 19
-	rng := rand.New(rand.NewSource(3))
-	in := make([]atgpu.Word, n)
-	var want atgpu.Word
-	for i := range in {
-		in[i] = atgpu.Word(rng.Intn(2))
-		want += in[i]
-	}
-
 	sys, err := atgpu.NewSystem(opts)
 	if err != nil {
 		log.Fatal(err)
@@ -39,7 +30,7 @@ func main() {
 
 	// In-core execution must fail: the model rejects algorithms whose
 	// global footprint exceeds G.
-	if _, _, err := sys.RunReduce(in); err == nil {
+	if _, err := sys.Run("reduce", n); err == nil {
 		log.Fatal("expected the in-core plan to exceed G")
 	} else {
 		fmt.Printf("in-core plan rejected as expected: %v\n\n", err)
@@ -49,16 +40,14 @@ func main() {
 	fmt.Printf("%-12s %8s %14s %14s %8s\n", "chunk", "chunks", "serial", "overlapped", "speedup")
 	// The device must hold two chunk buffers (double buffering) plus the
 	// partials buffer, so the largest usable chunk is just under G/2.
+	// Every run checks its sum against the CPU reference.
 	for _, chunk := range []int{1 << 12, 1 << 13, 1 << 14} {
-		res, err := sys.RunOutOfCoreReduce(in, chunk)
+		res, err := sys.RunOutOfCoreReduce(n, chunk)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if res.Sum != want {
-			log.Fatalf("chunk %d: wrong sum %d, want %d", chunk, res.Sum, want)
-		}
-		fmt.Printf("%-12d %8d %14v %14v %7.2fx\n",
-			chunk, res.Chunks, res.SerialTime, res.OverlappedTime, res.Speedup())
+		fmt.Printf("%-12d %8d %13.4gs %13.4gs %7.2fx\n",
+			chunk, res.Chunks, res.Serial, res.Overlapped, res.Speedup)
 	}
 
 	fmt.Println("\nLarger chunks amortise the per-transaction α; overlap hides")

@@ -6,7 +6,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"atgpu"
 )
@@ -25,7 +24,7 @@ func main() {
 	const n = 1 << 20
 
 	// Predict: vector addition analysed on the abstract model.
-	pred, err := sys.AnalyzeVecAdd(n)
+	pred, err := sys.AnalyzeWorkload("vecadd", n)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,31 +35,19 @@ func main() {
 	fmt.Printf("  SWGPU baseline (no transfer) = %.4g s\n", pred.SWGPUCost)
 	fmt.Printf("  predicted transfer share ΔT  = %.1f%%\n\n", 100*pred.TransferFraction)
 
-	// Observe: the same computation executed on the simulated device.
-	rng := rand.New(rand.NewSource(42))
-	a := make([]atgpu.Word, n)
-	b := make([]atgpu.Word, n)
-	for i := range a {
-		a[i] = atgpu.Word(rng.Intn(1000))
-		b[i] = atgpu.Word(rng.Intn(1000))
-	}
-	c, obs, err := sys.RunVecAdd(a, b)
+	// Observe: the same computation executed on the simulated device, on
+	// seeded random inputs, its result checked on the host.
+	obs, err := sys.Run("vecadd", n)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := range c {
-		if c[i] != a[i]+b[i] {
-			log.Fatalf("wrong result at %d: %d", i, c[i])
-		}
-	}
 	fmt.Println("vecadd observed on the simulated GTX 650 (verified):")
-	fmt.Printf("  kernel %v + transfer %v + sync %v = total %v\n",
-		obs.Kernel, obs.Transfer, obs.Sync, obs.Total)
-	fmt.Printf("  observed transfer share ΔE = %.1f%%\n\n", 100*obs.TransferFraction)
+	fmt.Printf("  kernel %.4gs + transfer %.4gs + sync %.4gs = total %.4gs\n",
+		obs.KernelTime, obs.TransferTime, obs.SyncTime, obs.TotalTime)
+	fmt.Printf("  observed transfer share ΔE = %.1f%%\n\n", 100*obs.DeltaObserved)
 
 	// The paper's point: a model without data transfer (SWGPU) accounts
 	// for only the kernel slice of the total; ATGPU tracks the whole.
 	fmt.Printf("SWGPU explains %.0f%% of the total; ATGPU explains %.0f%%.\n",
-		100*pred.SWGPUCost/obs.Total.Seconds(),
-		100*pred.GPUCost/obs.Total.Seconds())
+		100*pred.SWGPUCost/obs.TotalTime, 100*pred.GPUCost/obs.TotalTime)
 }

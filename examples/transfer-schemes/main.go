@@ -10,8 +10,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
-	"time"
 
 	"atgpu"
 	"atgpu/internal/transfer"
@@ -20,19 +18,11 @@ import (
 func main() {
 	const n = 1 << 21
 
-	rng := rand.New(rand.NewSource(7))
-	a := make([]atgpu.Word, n)
-	b := make([]atgpu.Word, n)
-	for i := range a {
-		a[i] = atgpu.Word(rng.Intn(1000))
-		b[i] = atgpu.Word(rng.Intn(1000))
-	}
-
 	fmt.Printf("vecadd n=%d under three transfer schemes\n\n", n)
 	fmt.Printf("%-10s %12s %12s %12s %8s %8s\n",
 		"scheme", "kernel", "transfer", "total", "ΔE", "ΔT")
 
-	var kernelTimes []time.Duration
+	var kernelTimes []float64
 	for _, scheme := range []transfer.Scheme{transfer.Pageable, transfer.Pinned, transfer.Mapped} {
 		opts := atgpu.DefaultOptions()
 		opts.Scheme = scheme
@@ -40,18 +30,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pred, err := sys.AnalyzeVecAdd(n)
+		// Every scheme runs the same seeded inputs.
+		obs, err := sys.Run("vecadd", n)
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, obs, err := sys.RunVecAdd(a, b)
-		if err != nil {
-			log.Fatal(err)
-		}
-		kernelTimes = append(kernelTimes, obs.Kernel)
-		fmt.Printf("%-10s %12v %12v %12v %7.1f%% %7.1f%%\n",
-			scheme, obs.Kernel, obs.Transfer, obs.Total,
-			100*obs.TransferFraction, 100*pred.TransferFraction)
+		kernelTimes = append(kernelTimes, obs.KernelTime)
+		fmt.Printf("%-10s %11.4gs %11.4gs %11.4gs %7.1f%% %7.1f%%\n",
+			scheme, obs.KernelTime, obs.TransferTime, obs.TotalTime,
+			100*obs.DeltaObserved, 100*obs.DeltaPredicted)
 	}
 
 	fmt.Println()

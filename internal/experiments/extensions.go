@@ -87,6 +87,8 @@ type OutOfCorePoint struct {
 	Serial     float64 // seconds
 	Overlapped float64 // seconds
 	Speedup    float64
+	// Transfer and Kernel split the serial schedule, in seconds.
+	Transfer, Kernel float64
 }
 
 // RunOutOfCore runs the partitioned reduction over several chunk sizes on
@@ -100,7 +102,7 @@ func (r *Runner) RunOutOfCore(n int, chunks []int) ([]OutOfCorePoint, error) {
 	want := algorithms.ReduceReference(in)
 	for _, chunk := range chunks {
 		b := r.cfg.Device.WarpWidth
-		h, err := r.newHost(2*chunk+(chunk+b-1)/b+4*b, "ooc", n, chunk)
+		h, err := r.newHost(2*chunk+(chunk+b-1)/b, "ooc", n, chunk)
 		if err != nil {
 			return nil, err
 		}
@@ -118,6 +120,8 @@ func (r *Runner) RunOutOfCore(n int, chunks []int) ([]OutOfCorePoint, error) {
 			Serial:     res.SerialTime.Seconds(),
 			Overlapped: res.OverlappedTime.Seconds(),
 			Speedup:    res.Speedup(),
+			Transfer:   res.TransferTime.Seconds(),
+			Kernel:     res.KernelTime.Seconds(),
 		})
 	}
 	return out, nil

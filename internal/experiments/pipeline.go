@@ -7,6 +7,7 @@ import (
 	"atgpu/internal/obs"
 	"atgpu/internal/results"
 	"atgpu/internal/sched"
+	"atgpu/internal/simgpu"
 )
 
 // Pipelined sweeps compare the sequential-chunked schedule against the
@@ -52,6 +53,10 @@ type PipelinePoint struct {
 	// two schedules sit side by side in one trace (nil unless
 	// Config.Obs enables collection).
 	Obs *obs.Report
+	// SequentialRun and PipelinedRun are the two runs' host reports,
+	// for `atgpu run -pipeline` to print their kernel/transfer/sync
+	// split. They stay out of the records and of atgpud's result JSON.
+	SequentialRun, PipelinedRun simgpu.RunReport `json:"-"`
 
 	// Failed marks a point that panicked or was cancelled before it
 	// started (Config.Context); its timings are zero and Err explains.
@@ -167,13 +172,54 @@ func (r *Runner) SweepPipelined(workload string) (*PipelineData, error) {
 	if err != nil {
 		return nil, err
 	}
+	return r.sweepPipelined(w, w.sweepSizes(r.cfg))
+}
+
+// RunPipelined runs the named workload's size-n pipelined point as a
+// one-point SweepPipelined.
+func (r *Runner) RunPipelined(workload string, n int) (PipelinePoint, error) {
+	w, err := Lookup(workload)
+	if err != nil {
+		return PipelinePoint{}, err
+	}
+	data, err := r.sweepPipelined(w, []int{n})
+	if err != nil {
+		return PipelinePoint{}, err
+	}
+	return data.Points[0], nil
+}
+
+// PredictPipelined prices the named workload's size-n chunked variant,
+// at the configured chunk count, with the overlapped-cost model — the
+// model half of a pipelined point.
+func (r *Runner) PredictPipelined(workload string, n int) (core.PipelinedCost, error) {
+	w, err := Lookup(workload)
+	if err != nil {
+		return core.PipelinedCost{}, err
+	}
+	return r.predictPipelined(w, n)
+}
+
+func (r *Runner) predictPipelined(w *Workload, n int) (core.PipelinedCost, error) {
+	analysis, err := w.AnalyzePipelined(n, r.cfg.chunks(), r.cfg.Device)
+	if err != nil {
+		return core.PipelinedCost{}, fmt.Errorf("analyze: %w", err)
+	}
+	pc, err := core.GPUCostPipelined(analysis, r.params)
+	if err != nil {
+		return core.PipelinedCost{}, fmt.Errorf("predict: %w", err)
+	}
+	return pc, nil
+}
+
+// sweepPipelined runs w's pipelined points over sizes.
+func (r *Runner) sweepPipelined(w *Workload, sizes []int) (*PipelineData, error) {
 	pv := w.pipelined
 	if pv == nil {
 		return nil, fmt.Errorf("experiments: %s has no pipelined variant", w.Name)
 	}
 	name := w.Name + "-pipelined"
 	chunks := r.cfg.chunks()
-	sizes := w.sweepSizes(r.cfg)
 	globalWords := r.sweepGlobalWords(sizes, func(n int) int {
 		most := 0
 		for _, streams := range []int{1, pipelineStreams} {
@@ -186,13 +232,9 @@ func (r *Runner) SweepPipelined(workload string) (*PipelineData, error) {
 	inputWords := w.sweepInputWords(sizes)
 	return r.runPipelineSweep(name, sizes, func(idx, n int) (PipelinePoint, error) {
 		pt := PipelinePoint{N: n, Chunks: chunks, Streams: pipelineStreams}
-		analysis, err := w.AnalyzePipelined(n, chunks, r.cfg.Device)
+		pc, err := r.predictPipelined(w, n)
 		if err != nil {
-			return pt, fmt.Errorf("%s n=%d: analyze: %w", name, n, err)
-		}
-		pc, err := core.GPUCostPipelined(analysis, r.params)
-		if err != nil {
-			return pt, fmt.Errorf("%s n=%d: predict: %w", name, n, err)
+			return pt, fmt.Errorf("%s n=%d: %w", name, n, err)
 		}
 		pt.PredictedSequential = pc.Sequential
 		pt.PredictedPipelined = pc.Pipelined
@@ -202,17 +244,17 @@ func (r *Runner) SweepPipelined(workload string) (*PipelineData, error) {
 		defer r.scratch.put(s)
 		s.rng.seed(r.inputSeed(name, n, idx))
 		run := pv.prepare(n, s)
-		observe := func(streams int, tag string) (float64, error) {
+		observe := func(streams int, tag string) (simgpu.RunReport, error) {
 			words, err := pv.plan(n, chunks, streams).GlobalWords(r.cfg.Device.WarpWidth)
 			if err != nil {
-				return 0, err
+				return simgpu.RunReport{}, err
 			}
 			h, err := r.newHostIn(s, words, name, n, idx)
 			if err != nil {
-				return 0, err
+				return simgpu.RunReport{}, err
 			}
 			if err := run(h, chunks, streams); err != nil {
-				return 0, err
+				return simgpu.RunReport{}, err
 			}
 			if rep := h.SnapshotObs(); rep != nil {
 				if pt.Obs == nil {
@@ -220,19 +262,17 @@ func (r *Runner) SweepPipelined(workload string) (*PipelineData, error) {
 				}
 				pt.Obs.Merge(rep, tag)
 			}
-			return h.Report().Total.Seconds(), nil
+			return h.Report(), nil
 		}
-		seq, err := observe(1, "seq")
-		if err != nil {
+		if pt.SequentialRun, err = observe(1, "seq"); err != nil {
 			return pt, fmt.Errorf("%s n=%d sequential: %w", name, n, err)
 		}
-		pipe, err := observe(pt.Streams, "pipe")
-		if err != nil {
+		if pt.PipelinedRun, err = observe(pt.Streams, "pipe"); err != nil {
 			return pt, fmt.Errorf("%s n=%d pipelined: %w", name, n, err)
 		}
-		pt.SequentialTime = seq
-		pt.PipelinedTime = pipe
-		pt.ObservedSaving = seq - pipe
+		pt.SequentialTime = pt.SequentialRun.Total.Seconds()
+		pt.PipelinedTime = pt.PipelinedRun.Total.Seconds()
+		pt.ObservedSaving = pt.SequentialTime - pt.PipelinedTime
 		return pt, nil
 	})
 }

@@ -92,7 +92,7 @@ type Config struct {
 	Context context.Context
 
 	// Chunks is the chunk (or matmul band) count of the pipelined sweeps
-	// (RunVecAddPipelined and friends). 0 uses defaultChunks.
+	// and runs (SweepPipelined, RunPipelined). 0 uses defaultChunks.
 	Chunks int
 
 	// FaultRate enables fault injection when > 0: the per-decision
@@ -433,6 +433,13 @@ type WorkloadPoint struct {
 	// Obs is the point's observability report (nil unless Config.Obs
 	// enables collection).
 	Obs *obs.Report
+
+	// Rounds and Stats are the observed run's round count and kernel
+	// counters, for `atgpu run` to print. They stay out of the records
+	// and of atgpud's result JSON, so record hashes and cached results
+	// do not move.
+	Rounds int                `json:"-"`
+	Stats  simgpu.KernelStats `json:"-"`
 }
 
 // Degraded reports whether the point needed any fault recovery.
@@ -682,7 +689,26 @@ func (r *Runner) Sweep(workload string) (*WorkloadData, error) {
 	if err != nil {
 		return nil, err
 	}
-	sizes := w.sweepSizes(r.cfg)
+	return r.sweep(w, w.sweepSizes(r.cfg))
+}
+
+// Run runs the named workload's size-n point as a one-point Sweep: the
+// point atgpud's run job returns for the same configuration. A point
+// whose run died of injected faults comes back Failed, as in a sweep.
+func (r *Runner) Run(workload string, n int) (WorkloadPoint, error) {
+	w, err := Lookup(workload)
+	if err != nil {
+		return WorkloadPoint{}, err
+	}
+	data, err := r.sweep(w, []int{n})
+	if err != nil {
+		return WorkloadPoint{}, err
+	}
+	return data.Points[0], nil
+}
+
+// sweep runs w's points over sizes.
+func (r *Runner) sweep(w *Workload, sizes []int) (*WorkloadData, error) {
 	globalWords := r.sweepGlobalWords(sizes, func(n int) int { return w.footprint(n, r.cfg.Device.WarpWidth) })
 	inputWords := w.sweepInputWords(sizes)
 	return r.runSweep(w.Name, sizes, func(idx, n int) (WorkloadPoint, error) {
@@ -814,6 +840,8 @@ func (pt *WorkloadPoint) observe(h *simgpu.Host) {
 	pt.SyncTime = rep.Sync.Seconds()
 	pt.DeltaObserved = rep.TransferFraction()
 
+	pt.Rounds = rep.Rounds
+	pt.Stats = rep.Stats
 	pt.Transfers = rep.Transfers
 	pt.Resilience = rep.Resilience
 	for _, ev := range h.FaultEvents() {

@@ -25,6 +25,8 @@ type pointScratch struct {
 	inputWords int
 	// rng is the point's input stream, seeded by the sweep per point.
 	rng inputStream
+	// vec is a work vector for result checks (see vector).
+	vec []mem.Word
 }
 
 // device builds a device for cfg whose global memory reuses the set's
@@ -48,6 +50,15 @@ func (s *pointScratch) input(i, n int) []mem.Word {
 		s.in[i] = make([]mem.Word, max(n, s.inputWords))
 	}
 	return s.in[i][:n]
+}
+
+// vector returns the work vector cut to n words, for a check to
+// overwrite.
+func (s *pointScratch) vector(n int) []mem.Word {
+	if n > cap(s.vec) {
+		s.vec = make([]mem.Word, n)
+	}
+	return s.vec[:n]
 }
 
 // words draws input i: n words uniform in [-1000, 1000], rand.Intn(2001)

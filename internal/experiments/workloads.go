@@ -103,10 +103,14 @@ var registry = []*Workload{
 		override:  func(c *Config) *[]int { return &c.SizesVecAdd },
 		model:     func(n int) model { return algorithms.VecAdd{N: n} },
 		footprint: func(n, _ int) int { return algorithms.VecAdd{N: n}.GlobalWords() },
-		// The result lands in a: spent once both inputs are on the device.
+		// The result lands in a: spent once both inputs are on the device,
+		// where A stays, at 0, for the check.
 		observe: func(h *simgpu.Host, n int, s *pointScratch) error {
 			a, b := s.words(0, n), s.words(1, n)
-			return ran(algorithms.VecAdd{N: n}.RunInto(h, a, b, a))
+			if err := ran(algorithms.VecAdd{N: n}.RunInto(h, a, b, a)); err != nil {
+				return err
+			}
+			return verifyVecAdd(a, deviceWords(h, 0, n), b)
 		},
 		kernel: func(n, b int) (*kernel.Program, error) {
 			m := alignUp(n, b)
@@ -120,8 +124,11 @@ var registry = []*Workload{
 			prepare: func(n int, s *pointScratch) func(*simgpu.Host, int, int) error {
 				a, b := s.words(0, n), s.words(1, n)
 				return func(h *simgpu.Host, chunks, streams int) error {
-					_, err := algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: streams}.Run(h, a, b)
-					return err
+					c, err := algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: streams}.Run(h, a, b)
+					if err != nil {
+						return err
+					}
+					return verifyVecAdd(c, a, b)
 				}
 			},
 		},
@@ -183,7 +190,10 @@ var registry = []*Workload{
 		// The result lands in a, as vecadd's does.
 		observe: func(h *simgpu.Host, n int, s *pointScratch) error {
 			a, b := s.words(0, n*n), s.words(1, n*n)
-			return ran(algorithms.MatMul{N: n}.RunInto(h, a, b, a))
+			if err := ran(algorithms.MatMul{N: n}.RunInto(h, a, b, a)); err != nil {
+				return err
+			}
+			return verifyMatMul(a, deviceWords(h, 0, n*n), b, n, s.vector(n))
 		},
 		kernel: func(n, b int) (*kernel.Program, error) {
 			if n%b != 0 {
@@ -203,9 +213,13 @@ var registry = []*Workload{
 			},
 			prepare: func(n int, s *pointScratch) func(*simgpu.Host, int, int) error {
 				a, b := s.words(0, n*n), s.words(1, n*n)
+				u := s.vector(n)
 				return func(h *simgpu.Host, chunks, streams int) error {
-					_, err := algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: streams}.Run(h, a, b)
-					return err
+					c, err := algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: streams}.Run(h, a, b)
+					if err != nil {
+						return err
+					}
+					return verifyMatMul(c, a, b, n, u)
 				}
 			},
 		},
@@ -543,6 +557,47 @@ func chunkBlocks(n, chunks, b int) int { return ceilDiv(ceilDiv(n, chunks), b) }
 func ran(err error) error {
 	if err != nil {
 		return fmt.Errorf("run: %w", err)
+	}
+	return nil
+}
+
+// deviceWords is the n words of h's global memory from off on.
+func deviceWords(h *simgpu.Host, off, n int) []mem.Word {
+	return h.Device().Global().Raw()[off : off+n]
+}
+
+// verifyVecAdd checks c = a + b.
+func verifyVecAdd(c, a, b []mem.Word) error {
+	for i := range c {
+		if c[i] != a[i]+b[i] {
+			return fmt.Errorf("%w: c[%d] = %d, want %d", algorithms.ErrVerifyFail, i, c[i], a[i]+b[i])
+		}
+	}
+	return nil
+}
+
+// verifyMatMul checks the n×n product c = a·b in O(n²) as c·r = a·(b·r)
+// with odd weights r_j = 2j+1, using u (n words) for b·r. An entry of c
+// off by d ≠ 0 moves its row of c·r by d·(2j+1), which is not 0 mod 2⁶⁴
+// since 2j+1 is odd, so no single wrong entry passes.
+func verifyMatMul(c, a, b []mem.Word, n int, u []mem.Word) error {
+	for k := range u {
+		var sum mem.Word
+		for j, v := range b[k*n : k*n+n] {
+			sum += v * mem.Word(2*j+1)
+		}
+		u[k] = sum
+	}
+	for i := 0; i < n; i++ {
+		var got, want mem.Word
+		ai := a[i*n : i*n+n]
+		for j, v := range c[i*n : i*n+n] {
+			got += v * mem.Word(2*j+1)
+			want += ai[j] * u[j]
+		}
+		if got != want {
+			return fmt.Errorf("%w: row %d of C·r is %d, want %d", algorithms.ErrVerifyFail, i, got, want)
+		}
 	}
 	return nil
 }

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"atgpu/internal/algorithms"
 	"atgpu/internal/kernel"
 	"atgpu/internal/mem"
 	"atgpu/internal/obs"
@@ -224,5 +226,59 @@ func TestDrawsMatchIntn(t *testing.T) {
 			t.Fatalf("seed=%d: after the rejection at %d the stream is at %d, not output %d (%d)", seed, at, got, at+4, want)
 		}
 		return
+	}
+}
+
+// TestVerifyCatchesEverySingleEntryError: the vecadd and matmul result
+// checks pass a correct result, allocate nothing, and fail every result
+// with one entry off, for offsets small, huge and random.
+func TestVerifyCatchesEverySingleEntryError(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	draw := func(n int) []mem.Word {
+		w := make([]mem.Word, n)
+		for i := range w {
+			w[i] = mem.Word(rng.Int63() - rng.Int63())
+		}
+		return w
+	}
+	offsets := []mem.Word{1, -1, 2, 1 << 62, -1 << 63, mem.Word(rng.Int63())}
+
+	const n = 6
+	a, b := draw(n), draw(n)
+	c, err := algorithms.VecAddReference(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ma, mb := draw(n*n), draw(n*n)
+	mc, err := algorithms.MatMulReference(ma, mb, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := make([]mem.Word, n)
+	checks := []struct {
+		name   string
+		result []mem.Word
+		verify func() error
+	}{
+		{"vecadd", c, func() error { return verifyVecAdd(c, a, b) }},
+		{"matmul", mc, func() error { return verifyMatMul(mc, ma, mb, n, u) }},
+	}
+	for _, ck := range checks {
+		if err := ck.verify(); err != nil {
+			t.Fatalf("%s: correct result rejected: %v", ck.name, err)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = ck.verify() }); allocs != 0 {
+			t.Errorf("%s: check allocates %.0f times", ck.name, allocs)
+		}
+		for i := range ck.result {
+			for _, d := range offsets {
+				ck.result[i] += d
+				err := ck.verify()
+				ck.result[i] -= d
+				if !errors.Is(err, algorithms.ErrVerifyFail) {
+					t.Fatalf("%s: entry %d off by %d passed (err %v)", ck.name, i, d, err)
+				}
+			}
+		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // BenchResult is one parsed `go test -bench` line, in the exact JSON
-// shape the bench2json CI artifacts have always used, so committed
-// BENCH_*.json files parse unchanged.
+// shape `atgpu results ingest` writes (and the CI artifacts have always
+// used), so committed BENCH_*.json files parse unchanged.
 type BenchResult struct {
 	Name  string  `json:"name"`
 	Procs int     `json:"procs,omitempty"`
@@ -127,7 +127,7 @@ type loadReport struct {
 }
 
 // ParseBenchFile loads benchmark results from a BENCH_*.json artifact.
-// Two shapes are accepted: the bench2json array, and the atgpu-load
+// Two shapes are accepted: the `atgpu results ingest` array, and the atgpu-load
 // report object, whose per-level p50 latencies become pseudo-benchmarks
 // named "ServiceP50/c=<concurrency>" with ns/op = p50 (service
 // latencies are real wall time, so gate them with a generous
@@ -185,7 +185,7 @@ func ParseBenchFile(path string) ([]BenchResult, error) {
 		}
 		return results, nil
 	}
-	return nil, fmt.Errorf("results: %s: neither a bench2json array nor a load report", path)
+	return nil, fmt.Errorf("results: %s: neither a benchmark array nor a load report", path)
 }
 
 // Regression is one benchmark measurement that exceeded its allowed

@@ -1,18 +1,10 @@
 package simgpu
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
-	"strings"
-)
-
 // Tracer records block-granularity scheduling events of one launch:
 // when each thread block became resident on which SM, when it retired, and
-// (optionally) each of its global-memory accesses. Traces export to the
-// Chrome trace-event JSON format (chrome://tracing, Perfetto) and to a
-// textual occupancy timeline.
+// (optionally) each of its global-memory accesses. A host with a tracer
+// attached embeds the block spans in its unified Perfetto trace (see
+// Host.SetTracer).
 //
 // Tracing is opt-in per launch via Device.LaunchTraced; the default Launch
 // path carries no tracing overhead.
@@ -93,133 +85,3 @@ func (tr *Tracer) Blocks() []BlockSpan { return tr.blocks }
 
 // MemEvents returns the recorded memory events.
 func (tr *Tracer) MemEvents() []MemEvent { return tr.memEvents }
-
-// chromeEvent is the trace-event JSON schema subset we emit.
-type chromeEvent struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	Ts   int64             `json:"ts"`
-	Dur  int64             `json:"dur,omitempty"`
-	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-// WriteChromeTrace emits the trace in Chrome trace-event JSON. Cycles map
-// to microsecond timestamps one-to-one; SMs become processes, resident
-// blocks become threads.
-func (tr *Tracer) WriteChromeTrace(w io.Writer) error {
-	events := make([]chromeEvent, 0, len(tr.blocks)+len(tr.memEvents))
-	for _, b := range tr.blocks {
-		end := b.Retired
-		if end < 0 {
-			end = b.Scheduled
-		}
-		events = append(events, chromeEvent{
-			Name: fmt.Sprintf("block %d", b.Block),
-			Ph:   "X",
-			Ts:   b.Scheduled,
-			Dur:  end - b.Scheduled,
-			Pid:  b.SM,
-			Tid:  b.Block,
-			Args: map[string]string{"instrs": fmt.Sprint(b.Instrs)},
-		})
-	}
-	for _, m := range tr.memEvents {
-		kind := "load"
-		if m.Store {
-			kind = "store"
-		}
-		events = append(events, chromeEvent{
-			Name: fmt.Sprintf("gmem %s (%d txn)", kind, m.Transactions),
-			Ph:   "i",
-			Ts:   m.Cycle,
-			Pid:  m.SM,
-			Tid:  m.Block,
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": events})
-}
-
-// OccupancyTimeline renders per-SM resident-block counts sampled at
-// buckets intervals across the launch, as rows of digits — a quick look at
-// how well the grid kept the machine busy.
-func (tr *Tracer) OccupancyTimeline(buckets int) string {
-	if buckets <= 0 {
-		buckets = 40
-	}
-	var endCycle int64
-	numSMs := 0
-	for _, b := range tr.blocks {
-		if b.Retired > endCycle {
-			endCycle = b.Retired
-		}
-		if b.SM+1 > numSMs {
-			numSMs = b.SM + 1
-		}
-	}
-	if endCycle == 0 || numSMs == 0 {
-		return "(empty trace)\n"
-	}
-	var sb strings.Builder
-	for sm := 0; sm < numSMs; sm++ {
-		fmt.Fprintf(&sb, "SM%-2d |", sm)
-		for bk := 0; bk < buckets; bk++ {
-			at := endCycle * int64(bk) / int64(buckets)
-			resident := 0
-			for _, b := range tr.blocks {
-				if b.SM == sm && b.Scheduled <= at && (b.Retired < 0 || b.Retired > at) {
-					resident++
-				}
-			}
-			switch {
-			case resident == 0:
-				sb.WriteByte('.')
-			case resident > 9:
-				sb.WriteByte('+')
-			default:
-				sb.WriteByte(byte('0' + resident))
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	fmt.Fprintf(&sb, "      0%*d cycles\n", buckets-1, endCycle)
-	return sb.String()
-}
-
-// Summary returns aggregate trace statistics: blocks traced, mean
-// residency duration, and per-SM block counts.
-func (tr *Tracer) Summary() string {
-	if len(tr.blocks) == 0 {
-		return "trace: empty"
-	}
-	perSM := map[int]int{}
-	var total int64
-	done := 0
-	for _, b := range tr.blocks {
-		perSM[b.SM]++
-		if b.Retired >= 0 {
-			total += b.Retired - b.Scheduled
-			done++
-		}
-	}
-	sms := make([]int, 0, len(perSM))
-	for sm := range perSM {
-		sms = append(sms, sm)
-	}
-	sort.Ints(sms)
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "trace: %d blocks", len(tr.blocks))
-	if done > 0 {
-		fmt.Fprintf(&sb, ", mean residency %.1f cycles", float64(total)/float64(done))
-	}
-	if tr.Truncated {
-		sb.WriteString(" (truncated)")
-	}
-	sb.WriteByte('\n')
-	for _, sm := range sms {
-		fmt.Fprintf(&sb, "  SM%d: %d blocks\n", sm, perSM[sm])
-	}
-	return sb.String()
-}

@@ -1,8 +1,6 @@
 package simgpu
 
 import (
-	"encoding/json"
-	"strings"
 	"testing"
 
 	"atgpu/internal/kernel"
@@ -79,69 +77,6 @@ func TestTracerTruncation(t *testing.T) {
 	}
 	if !tr.Truncated {
 		t.Fatal("Truncated not set")
-	}
-}
-
-func TestChromeTraceExport(t *testing.T) {
-	d := newTiny(t)
-	tr := &Tracer{CaptureMemory: true}
-	if _, err := d.LaunchTraced(traceKernel(), 4, tr); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := tr.WriteChromeTrace(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) != 4+8 {
-		t.Fatalf("exported %d events, want 12 (4 spans + 8 instants)", len(doc.TraceEvents))
-	}
-	phases := map[string]int{}
-	for _, e := range doc.TraceEvents {
-		phases[e["ph"].(string)]++
-	}
-	if phases["X"] != 4 || phases["i"] != 8 {
-		t.Fatalf("phases = %v", phases)
-	}
-}
-
-func TestOccupancyTimeline(t *testing.T) {
-	d := newTiny(t)
-	tr := &Tracer{}
-	if _, err := d.LaunchTraced(traceKernel(), 8, tr); err != nil {
-		t.Fatal(err)
-	}
-	out := tr.OccupancyTimeline(20)
-	if !strings.Contains(out, "SM0") || !strings.Contains(out, "SM1") {
-		t.Fatalf("timeline missing SMs:\n%s", out)
-	}
-	if !strings.Contains(out, "cycles") {
-		t.Fatalf("timeline missing axis:\n%s", out)
-	}
-	if (&Tracer{}).OccupancyTimeline(10) != "(empty trace)\n" {
-		t.Fatal("empty tracer timeline wrong")
-	}
-}
-
-func TestTracerSummary(t *testing.T) {
-	d := newTiny(t)
-	tr := &Tracer{}
-	if _, err := d.LaunchTraced(traceKernel(), 6, tr); err != nil {
-		t.Fatal(err)
-	}
-	sum := tr.Summary()
-	for _, want := range []string{"6 blocks", "mean residency", "SM0", "SM1"} {
-		if !strings.Contains(sum, want) {
-			t.Fatalf("summary missing %q:\n%s", want, sum)
-		}
-	}
-	if (&Tracer{}).Summary() != "trace: empty" {
-		t.Fatal("empty tracer summary wrong")
 	}
 }
 

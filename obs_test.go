@@ -3,12 +3,12 @@ package atgpu
 import (
 	"bytes"
 	"flag"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"atgpu/internal/obs"
 	"atgpu/internal/simgpu"
 )
 
@@ -21,7 +21,7 @@ const goldenTracePath = "testdata/pipelined_reduce_trace.json"
 // pipelined reduction on the Tiny device with full observability on.
 // Inputs, schedule and clock are all deterministic, so the rendered
 // trace must be byte-stable across runs, machines and worker counts.
-func tracedReduceRun(t *testing.T) *PipelineRun {
+func tracedReduceRun(t *testing.T) *obs.Report {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Device = simgpu.Tiny()
@@ -31,32 +31,20 @@ func tracedReduceRun(t *testing.T) *PipelineRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(7))
-	in := make([]Word, 256)
-	for i := range in {
-		in[i] = Word(rng.Intn(100))
-	}
-	sum, pr, err := sys.RunReducePipelined(in)
+	pt, err := sys.RunPipelined("reduce", 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want Word
-	for _, v := range in {
-		want += v
-	}
-	if sum != want {
-		t.Fatalf("sum = %d, want %d", sum, want)
-	}
-	if pr.Report == nil || pr.Report.Trace == nil {
+	if pt.Obs == nil || pt.Obs.Trace == nil {
 		t.Fatal("traced run returned no report")
 	}
-	return &pr
+	return pt.Obs
 }
 
-func renderTrace(t *testing.T, pr *PipelineRun) []byte {
+func renderTrace(t *testing.T, rep *obs.Report) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := pr.Report.Trace.WriteTrace(&buf); err != nil {
+	if err := rep.Trace.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -106,9 +94,9 @@ func TestTraceRunToRunStable(t *testing.T) {
 // per-stream view, the embedded device block slices and the transfer
 // engine, under both schedule tags.
 func TestTracedRunCoversAllLayers(t *testing.T) {
-	pr := tracedReduceRun(t)
+	rep := tracedReduceRun(t)
 	seen := map[string]bool{}
-	for _, s := range pr.Report.Trace.Spans() {
+	for _, s := range rep.Trace.Spans() {
 		seen[s.Proc] = true
 	}
 	for _, want := range []string{
@@ -119,7 +107,7 @@ func TestTracedRunCoversAllLayers(t *testing.T) {
 			t.Errorf("trace missing process %q (have %v)", want, seen)
 		}
 	}
-	snap := pr.Report.Metrics
+	snap := rep.Metrics
 	if snap.Empty() {
 		t.Fatal("metrics snapshot empty")
 	}
