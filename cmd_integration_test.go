@@ -77,24 +77,6 @@ func TestCmdAtgpu(t *testing.T) {
 		}
 	}
 
-	// run takes every registry entry, on any device preset, and
-	// disassembles the workload's kernel on request.
-	out = runTool(t, bin, "run", "-alg", "vecadd", "-n", "128", "-device", "tiny", "-disasm")
-	for _, want := range []string{"ld.global", "on sim-tiny", "verified against CPU reference", "global: accesses"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("run -device tiny -disasm output missing %q:\n%s", want, out)
-		}
-	}
-	out = runTool(t, bin, "run", "-alg", "histogram", "-n", "4096")
-	for _, want := range []string{"histogram n=4096 (verified against CPU reference)", "rounds=", "kernel stats"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("run -alg histogram output missing %q:\n%s", want, out)
-		}
-	}
-	if err := exec.Command(bin, "run", "-device", "nonsense").Run(); err == nil {
-		t.Error("unknown device should fail")
-	}
-
 	out = runTool(t, bin, "ooc", "-n", "65536", "-chunk", "8192")
 	for _, want := range []string{"serial schedule", "overlapped schedule", "speedup"} {
 		if !strings.Contains(out, want) {
@@ -105,6 +87,42 @@ func TestCmdAtgpu(t *testing.T) {
 	// Unknown command exits non-zero.
 	if err := exec.Command(bin, "nonsense").Run(); err == nil {
 		t.Error("unknown command should fail")
+	}
+}
+
+// TestCmdAtgpuRun drives `atgpu run` as the simulator's front end: the
+// observed time split and kernel statistics, any registry entry, any
+// device preset, and the kernel disassembly.
+func TestCmdAtgpuRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	bin := buildTool(t, dir, "atgpu")
+
+	out := runTool(t, bin, "run", "-alg", "reduce", "-n", "10000")
+	for _, want := range []string{"kernel=", "transfer=", "total=", "global: accesses"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("run -alg reduce output missing %q:\n%s", want, out)
+		}
+	}
+
+	out = runTool(t, bin, "run", "-alg", "vecadd", "-n", "128", "-device", "tiny", "-disasm")
+	for _, want := range []string{"ld.global", "on sim-tiny", "verified against CPU reference", "global: accesses"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("run -device tiny -disasm output missing %q:\n%s", want, out)
+		}
+	}
+
+	out = runTool(t, bin, "run", "-alg", "histogram", "-n", "4096")
+	for _, want := range []string{"histogram n=4096 (verified against CPU reference)", "rounds=", "kernel stats"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("run -alg histogram output missing %q:\n%s", want, out)
+		}
+	}
+
+	if err := exec.Command(bin, "run", "-device", "nonsense").Run(); err == nil {
+		t.Error("unknown device should fail")
 	}
 }
 
