@@ -1,17 +1,11 @@
 package atgpu
 
 import (
-	"io"
-	"time"
-
 	"atgpu/internal/analyze"
 	"atgpu/internal/core"
 	"atgpu/internal/experiments"
 	"atgpu/internal/kernel"
 	"atgpu/internal/models"
-	"atgpu/internal/obs"
-	"atgpu/internal/simgpu"
-	"atgpu/internal/transfer"
 )
 
 // Word is the model's machine word (64-bit signed integer).
@@ -41,98 +35,16 @@ var ErrLintRefused = analyze.ErrRefused
 // "error").
 func ParseLintMode(s string) (LintMode, error) { return analyze.ParseMode(s) }
 
-// Options configures a System.
-type Options struct {
-	// Device selects the simulated GPU; DefaultOptions uses the GTX650
-	// preset of the paper's testbed.
-	Device simgpu.Config
-	// Scheme selects the host↔device transfer technique.
-	Scheme transfer.Scheme
-	// SyncCost is σ, the fixed synchronisation cost per round.
-	SyncCost time.Duration
-
-	// Workers is the goroutine count experiment sweeps built from these
-	// options dispatch their points to (see ExperimentConfig). 0 uses
-	// runtime.GOMAXPROCS(0); 1 is sequential. Sweep output is identical
-	// for any worker count.
-	Workers int
-
-	// Chunks is the chunk (or matmul band) count the pipelined runs and
-	// sweeps split their inputs into. 0 uses the experiments default (4).
-	Chunks int
-
-	// FaultRate enables deterministic fault injection when > 0: the
-	// probability, in [0,1], of each transfer or launch drawing a fault.
-	// At 0 no injector is attached and behaviour is identical to a build
-	// without the fault machinery.
-	FaultRate float64
-	// FaultSeed drives the injector; the same seed replays the same
-	// faults, retries and simulated timeline.
-	FaultSeed int64
-	// MaxRetries overrides the transfer retry budget when > 0.
-	MaxRetries int
-	// Watchdog overrides the kernel watchdog timeout when > 0.
-	Watchdog time.Duration
-
-	// Trace records every run onto a unified Perfetto timeline: host
-	// resource occupancy, per-stream spans, embedded device block spans
-	// and transfer/retry/fault events, all in simulated time. Off by
-	// default; the uninstrumented path stays allocation-free.
-	Trace bool
-	// Metrics collects deterministic counters/gauges/histograms across
-	// all layers, exposable as JSON or Prometheus text.
-	Metrics bool
-	// TraceMaxEvents caps the trace recorder (0 = obs.DefaultMaxEvents).
-	TraceMaxEvents int
-
-	// Lint arms a static-analysis pre-flight on every kernel launch:
-	// LintWarn reports findings, LintError also refuses launches with
-	// error-severity findings. Off by default; the unlinted path is
-	// untouched.
-	Lint LintMode
-	// LintWriter receives the textual lint report for kernels with
-	// findings (nil discards it; refusal errors carry the worst finding
-	// regardless).
-	LintWriter io.Writer
-}
-
-// ObsOptions translates the observability selection for internal layers.
-func (o Options) ObsOptions() obs.Options {
-	return obs.Options{Trace: o.Trace, Metrics: o.Metrics, TraceMaxEvents: o.TraceMaxEvents}
-}
+// Options configures a System: the experiments runner configuration it
+// wraps — device, transfer scheme, σ, input seed, sweep workers, chunk
+// count, fault plan, observability (Obs.Trace, Obs.Metrics) and lint
+// pre-flight.
+type Options = experiments.Config
 
 // DefaultOptions matches the paper's evaluation setup: GTX650-like device,
 // pageable transfers (the cudaMemcpy default, which reproduces the paper's
 // ~84% vecadd transfer share), σ = 50 µs.
-func DefaultOptions() Options {
-	return Options{
-		Device:   simgpu.GTX650(),
-		Scheme:   transfer.Pageable,
-		SyncCost: 50 * time.Microsecond,
-	}
-}
-
-// ExperimentConfig translates the options into the experiments runner
-// configuration a System runs on (and cmd/atgpu `sweep` and
-// cmd/atgpu-figures sweep with), threading through the device, transfer
-// scheme, σ, worker count and fault wiring.
-func (o Options) ExperimentConfig() experiments.Config {
-	return experiments.Config{
-		Device:     o.Device,
-		Scheme:     o.Scheme,
-		SyncCost:   o.SyncCost,
-		Seed:       1,
-		Workers:    o.Workers,
-		Chunks:     o.Chunks,
-		FaultRate:  o.FaultRate,
-		FaultSeed:  o.FaultSeed,
-		MaxRetries: o.MaxRetries,
-		Watchdog:   o.Watchdog,
-		Obs:        o.ObsOptions(),
-		Lint:       o.Lint,
-		LintWriter: o.LintWriter,
-	}
-}
+func DefaultOptions() Options { return experiments.DefaultConfig() }
 
 // System bundles a simulated device, a transfer link and calibrated cost
 // parameters — everything needed to both predict (on the abstract model)
@@ -148,7 +60,7 @@ type System struct {
 // device, which takes a few milliseconds of simulation. Calibration always
 // runs fault-free: cost parameters describe the healthy machine.
 func NewSystem(opts Options) (*System, error) {
-	r, err := experiments.NewRunner(opts.ExperimentConfig())
+	r, err := experiments.NewRunner(opts)
 	if err != nil {
 		return nil, err
 	}

@@ -300,14 +300,14 @@ func TestSystemRunPipelined(t *testing.T) {
 		if pt.Chunks != 4 || pt.Streams != 2 {
 			t.Fatalf("%s: schedule %d chunks / %d streams, want 4/2", tc.name, pt.Chunks, pt.Streams)
 		}
-		seq, pipe := pt.SequentialRun, pt.PipelinedRun
-		if seq.Total <= 0 || pipe.Total <= 0 || pt.SequentialTime != seq.Total.Seconds() {
+		seq, pipe := pt.Sequential, pt.Pipelined
+		if seq.TotalTime <= 0 || pipe.TotalTime <= 0 || pt.Failed() || pt.ObservedSaving() != seq.TotalTime-pipe.TotalTime {
 			t.Fatalf("%s: observations empty or inconsistent: %+v", tc.name, pt)
 		}
-		if pipe.Total > seq.Total {
-			t.Fatalf("%s: pipelined %v slower than sequential %v", tc.name, pipe.Total, seq.Total)
+		if pipe.TotalTime > seq.TotalTime {
+			t.Fatalf("%s: pipelined %v slower than sequential %v", tc.name, pipe.TotalTime, seq.TotalTime)
 		}
-		if pipe.Kernel != seq.Kernel || pipe.Transfer != seq.Transfer {
+		if pipe.KernelTime != seq.KernelTime || pipe.TransferTime != seq.TransferTime {
 			t.Fatalf("%s: schedules did different work: %+v vs %+v", tc.name, seq, pipe)
 		}
 		pc, err := sys.AnalyzePipelined(tc.name, tc.n)

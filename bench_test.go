@@ -263,7 +263,7 @@ func BenchmarkExtTransposeContrast(b *testing.B) {
 func BenchmarkExtDeviceSweep(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.RunDeviceSweep(1<<16, transfer.Pageable, 0)
+		points, err := experiments.RunDeviceSweep(1<<16, transfer.Pageable)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -545,7 +545,7 @@ func BenchmarkObsOff(b *testing.B) {
 // enabled, bounding the cost of turning observability on.
 func BenchmarkObsOn(b *testing.B) {
 	opts := DefaultOptions()
-	opts.Trace = true
-	opts.Metrics = true
+	opts.Obs.Trace = true
+	opts.Obs.Metrics = true
 	benchObsRun(b, opts)
 }

@@ -106,8 +106,12 @@ func run(fig string, full bool, outDir, recordsDir, runLabel string, summary boo
 		// deterministic and byte-identical for any -workers value.
 		fmt.Fprintf(os.Stderr, "atgpu-figures: %s sweep: %.1fs wall\n",
 			w.Name, wall.Seconds())
-		if err := persistRecords(recordsDir, runLabel, data.Records, workers, wall); err != nil {
+		path, err := results.PersistRun(recordsDir, runLabel, data.Records, workers, time.Now(), wall)
+		if err != nil {
 			return err
+		}
+		if path != "" {
+			fmt.Fprintf(os.Stderr, "atgpu-figures: %d records -> %s\n", len(data.Records), path)
 		}
 		fmt.Printf("== %s sweep (%d sizes) ==\n", w.Name, len(data.Points))
 
@@ -194,7 +198,7 @@ func runExtensions(runner *experiments.Runner, full bool) error {
 	fmt.Printf("model/device pairwise ordering agreement: %.0f%%\n\n",
 		100*experiments.StrategyOrderingAgreement(strats))
 
-	devs, err := experiments.RunDeviceSweep(1<<18, runner.Config().Scheme, 0)
+	devs, err := experiments.RunDeviceSweep(1<<18, runner.Config().Scheme)
 	if err != nil {
 		return fmt.Errorf("device sweep: %w", err)
 	}
@@ -212,46 +216,6 @@ func runExtensions(runner *experiments.Runner, full bool) error {
 // selection "3" (or "6" etc.).
 func figMatches(id, sel string) bool {
 	return len(id) >= 4 && id[:3] == "fig" && id[3:4] == sel
-}
-
-// persistRecords appends a sweep's canonical records to
-// <dir>/records.jsonl, stamping run label, git describe, worker count
-// and the wall-clock envelope at this persist boundary only — the
-// records themselves stay byte-identical across workers and commits.
-func persistRecords(dir, run string, recs []results.Record, workers int, wall time.Duration) error {
-	if dir == "" || len(recs) == 0 {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "records.jsonl")
-	s, err := results.Open(path)
-	if err != nil {
-		return err
-	}
-	git := results.GitDescribe("")
-	host, _ := os.Hostname()
-	env := &results.Env{
-		SavedUnix: time.Now().Unix(),
-		Host:      host,
-		WallMs:    float64(wall.Milliseconds()),
-		Note:      run,
-	}
-	for _, rec := range recs {
-		rec.Run = run
-		rec.Git = git
-		rec.Workers = workers
-		if err := s.Append(rec, env); err != nil {
-			s.Close()
-			return err
-		}
-	}
-	if err := s.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "atgpu-figures: %d records -> %s\n", len(recs), path)
-	return nil
 }
 
 func writeCSV(dir string, f experiments.Figure) error {

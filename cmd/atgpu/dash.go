@@ -1,19 +1,3 @@
-// Command atgpu-dash generates the Grafana dashboard for a running
-// atgpud and (optionally) verifies it against a live /metrics endpoint.
-//
-// Usage:
-//
-//	atgpu-dash [-o dashboard.json] [-datasource UID]
-//	           [-check-metrics http://localhost:8080/metrics] [-strict]
-//
-// The dashboard JSON is importable via Grafana's "Dashboards → Import";
-// by default it declares a Prometheus datasource input so the importer
-// prompts for one. With -check-metrics the tool scrapes the given URL,
-// validates the exposition with the repo's strict parser, and checks
-// that the families the dashboard queries are served. Families that only
-// materialise with traffic (histograms, transition counters) are
-// reported but only fail the check under -strict; families the daemon
-// exports unconditionally must always be present.
 package main
 
 import (
@@ -44,39 +28,49 @@ var alwaysExported = map[string]bool{
 	service.MetricUptimeSeconds:    true,
 }
 
-func main() {
-	out := flag.String("o", "", "write the dashboard JSON here (default stdout)")
-	datasource := flag.String("datasource", "", "Prometheus datasource UID (default: prompt on import)")
-	check := flag.String("check-metrics", "", "scrape this /metrics URL and verify the dashboard's families")
-	strict := flag.Bool("strict", false, "with -check-metrics: fail on any missing family, even traffic-dependent ones")
-	flag.Parse()
-
-	if err := run(*out, *datasource, *check, *strict); err != nil {
-		fmt.Fprintf(os.Stderr, "atgpu-dash: %v\n", err)
-		os.Exit(1)
+// dashCmd generates the Grafana dashboard for a running atgpud and
+// (optionally) verifies it against a live /metrics endpoint:
+//
+//	atgpu dash [-o dashboard.json] [-datasource UID]
+//	           [-check-metrics http://localhost:8080/metrics] [-strict]
+//
+// The dashboard JSON is importable via Grafana's "Dashboards → Import";
+// by default it declares a Prometheus datasource input so the importer
+// prompts for one. With -check-metrics the command scrapes the given
+// URL, validates the exposition with the repo's strict parser, and checks
+// that the families the dashboard queries are served. Families that only
+// materialise with traffic (histograms, transition counters) are
+// reported but only fail the check under -strict; families the daemon
+// exports unconditionally must always be present.
+func dashCmd(args []string) error {
+	fs := flag.NewFlagSet("dash", flag.ExitOnError)
+	out := fs.String("o", "", "write the dashboard JSON here (default stdout)")
+	datasource := fs.String("datasource", "", "Prometheus datasource UID (default: prompt on import)")
+	check := fs.String("check-metrics", "", "scrape this /metrics URL and verify the dashboard's families")
+	strict := fs.Bool("strict", false, "with -check-metrics: fail on any missing family, even traffic-dependent ones")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-}
 
-func run(out, datasource, check string, strict bool) error {
-	doc, err := service.DashboardJSON(datasource)
+	doc, err := service.DashboardJSON(*datasource)
 	if err != nil {
 		return err
 	}
-	if out == "" {
+	if *out == "" {
 		if _, err := os.Stdout.Write(doc); err != nil {
 			return err
 		}
 	} else {
-		if err := os.WriteFile(out, doc, 0o644); err != nil {
+		if err := os.WriteFile(*out, doc, 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "atgpu-dash: wrote %s (%d bytes, %d families)\n",
-			out, len(doc), len(service.DashboardMetricFamilies()))
+		fmt.Fprintf(os.Stderr, "atgpu: dash: wrote %s (%d bytes, %d families)\n",
+			*out, len(doc), len(service.DashboardMetricFamilies()))
 	}
-	if check == "" {
+	if *check == "" {
 		return nil
 	}
-	return checkMetrics(check, strict)
+	return checkMetrics(*check, *strict)
 }
 
 // checkMetrics scrapes url, parses it with the strict exposition parser,
@@ -110,7 +104,7 @@ func checkMetrics(url string, strict bool) error {
 	sort.Strings(missing)
 	sort.Strings(pending)
 	for _, f := range pending {
-		fmt.Fprintf(os.Stderr, "atgpu-dash: family %s not yet exported (needs traffic)\n", f)
+		fmt.Fprintf(os.Stderr, "atgpu: dash: family %s not yet exported (needs traffic)\n", f)
 	}
 	if len(missing) > 0 {
 		return fmt.Errorf("families missing from %s: %v", url, missing)
@@ -118,7 +112,7 @@ func checkMetrics(url string, strict bool) error {
 	if strict && len(pending) > 0 {
 		return fmt.Errorf("families awaiting traffic (strict): %v", pending)
 	}
-	fmt.Fprintf(os.Stderr, "atgpu-dash: %s serves %d families, %d dashboard families verified\n",
+	fmt.Fprintf(os.Stderr, "atgpu: dash: %s serves %d families, %d dashboard families verified\n",
 		url, len(exp.Families), len(service.DashboardMetricFamilies())-len(pending))
 	return nil
 }

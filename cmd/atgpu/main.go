@@ -23,6 +23,7 @@
 //
 //	atgpu ooc     -n N -chunk C
 //	atgpu results list|diff|compare|gate|ingest [-store results.jsonl] [flags]
+//	atgpu dash    [-o dashboard.json] [-datasource UID] [-check-metrics URL] [-strict]
 //
 // lint statically analyses kernels — shared-memory races, barrier
 // divergence, out-of-bounds accesses, bank-conflict/coalescing prediction
@@ -42,7 +43,8 @@
 // its stdout is byte-identical for any worker count. With
 // --fault-rate > 0, run and sweep inject deterministic seeded faults into
 // transfers and launches and report the recovery work (retries, watchdog
-// fires, degraded launches) alongside the timing.
+// fires, degraded launches) alongside the timing. dash generates atgpud's
+// Grafana dashboard and can verify it against a live /metrics scrape.
 package main
 
 import (
@@ -60,6 +62,7 @@ import (
 	"atgpu"
 	"atgpu/internal/experiments"
 	"atgpu/internal/obs"
+	"atgpu/internal/results"
 	"atgpu/internal/simgpu"
 )
 
@@ -69,8 +72,9 @@ func main() {
 		os.Exit(2)
 	}
 	cmd := os.Args[1]
-	if cmd == "results" {
-		if err := resultsCmd(os.Args[2:]); err != nil {
+	// results and dash parse their own flags.
+	if sub := map[string]func([]string) error{"results": resultsCmd, "dash": dashCmd}[cmd]; sub != nil {
+		if err := sub(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "atgpu:", err)
 			os.Exit(1)
 		}
@@ -121,9 +125,9 @@ func main() {
 	opts.FaultSeed = *faultSeed
 	opts.MaxRetries = *maxRetries
 	opts.Chunks = *chunks
-	opts.Trace = *traceOut != ""
-	opts.Metrics = *metricsOut != ""
-	opts.TraceMaxEvents = *traceMaxEvents
+	opts.Obs.Trace = *traceOut != ""
+	opts.Obs.Metrics = *metricsOut != ""
+	opts.Obs.TraceMaxEvents = *traceMaxEvents
 	mode, err := atgpu.ParseLintMode(*lintMode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "atgpu:", err)
@@ -196,6 +200,8 @@ commands:
               list | diff -a runA -b runB | compare -a devA -b devB |
               gate trajectory-vs-fresh-BENCH regression check |
               ingest go-test-bench text (stdin) to BENCH JSON (stdout)
+  dash        atgpud's Grafana dashboard (-o, -datasource);
+              -check-metrics URL verifies a live scrape (-strict)
 
 workloads: `+strings.Join(experiments.Names(), " ")+`
 (the atomics carry contention pricing)
@@ -305,27 +311,13 @@ func run(alg string, n int, opts atgpu.Options, traceOut, metricsOut string) err
 	if err != nil {
 		return err
 	}
-	if pt.Failed {
-		fmt.Printf("%s n=%d FAILED (fault recovery exhausted)\n", alg, n)
-	} else {
-		fmt.Printf("%s n=%d (verified against CPU reference)\n", alg, n)
-	}
-	fmt.Printf("observed:  total=%v kernel=%v transfer=%v sync=%v rounds=%d\n",
-		seconds(pt.TotalTime), seconds(pt.KernelTime), seconds(pt.TransferTime), seconds(pt.SyncTime), pt.Rounds)
+	fmt.Printf("%s n=%d %s\n", alg, n, verdict(pt.Failed, "(verified against CPU reference)"))
+	fmt.Printf("observed:  %s rounds=%d\n", timeSplit(pt), pt.Rounds)
 	fmt.Printf("predicted: GPU-cost=%.6gs SWGPU=%.6gs\n", pt.ATGPUCost, pt.SWGPUCost)
 	fmt.Printf("ΔE (observed transfer share)  = %.1f%%\n", 100*pt.DeltaObserved)
 	fmt.Printf("ΔT (predicted transfer share) = %.1f%%\n", 100*pt.DeltaPredicted)
 	fmt.Printf("kernel stats:\n%s\n", pt.Stats)
-	if tf, rs := pt.Transfers, pt.Resilience; tf.Faulted() || rs.Degraded() {
-		fmt.Printf("resilience: %d retries (%d words re-sent, backoff %v), %d corruptions, %d drops, %d stalls\n",
-			tf.Retries, tf.RetransferredWords, tf.BackoffTime,
-			tf.CorruptionsDetected, tf.DroppedTransactions, tf.StallEvents)
-		fmt.Printf("            %d watchdog fires (%v lost), %d relaunches, %d degraded launches, %d failed SMs\n",
-			rs.WatchdogFires, rs.WatchdogTime, rs.Relaunches, rs.DegradedLaunches, rs.FailedSMs)
-		for _, ev := range pt.FaultLog {
-			fmt.Printf("  fault %s\n", ev)
-		}
-	}
+	printResilience(pt)
 	if err := writeObs(pt.Obs, traceOut, metricsOut); err != nil {
 		return err
 	}
@@ -337,8 +329,9 @@ func run(alg string, n int, opts atgpu.Options, traceOut, metricsOut string) err
 
 // runPipelined runs one workload's sequential-chunked and overlapped
 // multi-stream schedules on identical inputs — a one-point pipelined
-// sweep — and reports the observed saving alongside the overlapped-cost
-// model's prediction.
+// sweep — and reports each schedule as run does, then the observed
+// saving alongside the overlapped-cost model's prediction. A schedule
+// that died of injected faults fails the command.
 func runPipelined(alg string, n int, opts atgpu.Options, traceOut, metricsOut string) error {
 	sys, err := atgpu.NewSystem(opts)
 	if err != nil {
@@ -348,18 +341,55 @@ func runPipelined(alg string, n int, opts atgpu.Options, traceOut, metricsOut st
 	if err != nil {
 		return err
 	}
-	seq, pipe := pt.SequentialRun, pt.PipelinedRun
-	saving := seq.Total - pipe.Total
-	fmt.Printf("%s n=%d pipelined (chunks=%d, streams=%d, verified against CPU reference)\n",
-		alg, n, pt.Chunks, pt.Streams)
-	fmt.Printf("sequential schedule: total=%v kernel=%v transfer=%v sync=%v\n",
-		seq.Total, seq.Kernel, seq.Transfer, seq.Sync)
-	fmt.Printf("pipelined schedule:  total=%v kernel=%v transfer=%v sync=%v\n",
-		pipe.Total, pipe.Kernel, pipe.Transfer, pipe.Sync)
-	fmt.Printf("observed saving:  %v (%.1f%%)\n", saving, 100*float64(saving)/float64(seq.Total))
+	fmt.Printf("%s n=%d pipelined (chunks=%d, streams=%d, %s)\n", alg, n, pt.Chunks, pt.Streams,
+		verdict(pt.Failed(), "verified against CPU reference"))
+	fmt.Printf("sequential schedule: %s\n", timeSplit(pt.Sequential))
+	printResilience(pt.Sequential)
+	fmt.Printf("pipelined schedule:  %s\n", timeSplit(pt.Pipelined))
+	printResilience(pt.Pipelined)
+	seq := seconds(pt.Sequential.TotalTime)
+	saving := seq - seconds(pt.Pipelined.TotalTime)
+	fmt.Printf("observed saving:  %v (%.1f%%)\n", saving, 100*float64(saving)/float64(seq))
 	fmt.Printf("predicted: sequential=%.6gs pipelined=%.6gs saving=%.6gs (%.1f%%)\n",
 		pt.PredictedSequential, pt.PredictedPipelined, pt.PredictedSaving, 100*pt.PredictedSavingFraction())
-	return writeObs(pt.Obs, traceOut, metricsOut)
+	if err := writeObs(pt.Obs, traceOut, metricsOut); err != nil {
+		return err
+	}
+	if pt.Failed() {
+		return errors.New(pt.Err())
+	}
+	return nil
+}
+
+// verdict is a run's status: ok, or the fault-recovery failure.
+func verdict(failed bool, ok string) string {
+	if failed {
+		return "FAILED (fault recovery exhausted)"
+	}
+	return ok
+}
+
+// timeSplit is an observed run's total/kernel/transfer/sync split.
+func timeSplit(pt experiments.WorkloadPoint) string {
+	return fmt.Sprintf("total=%v kernel=%v transfer=%v sync=%v",
+		seconds(pt.TotalTime), seconds(pt.KernelTime), seconds(pt.TransferTime), seconds(pt.SyncTime))
+}
+
+// printResilience prints an observed run's fault-recovery work and fault
+// log, when any recovery ran.
+func printResilience(pt experiments.WorkloadPoint) {
+	tf, rs := pt.Transfers, pt.Resilience
+	if !tf.Faulted() && !rs.Degraded() {
+		return
+	}
+	fmt.Printf("resilience: %d retries (%d words re-sent, backoff %v), %d corruptions, %d drops, %d stalls\n",
+		tf.Retries, tf.RetransferredWords, tf.BackoffTime,
+		tf.CorruptionsDetected, tf.DroppedTransactions, tf.StallEvents)
+	fmt.Printf("            %d watchdog fires (%v lost), %d relaunches, %d degraded launches, %d failed SMs\n",
+		rs.WatchdogFires, rs.WatchdogTime, rs.Relaunches, rs.DegradedLaunches, rs.FailedSMs)
+	for _, ev := range pt.FaultLog {
+		fmt.Printf("  fault %s\n", ev)
+	}
 }
 
 // disassemble prints the first kernel a size-n run of the workload
@@ -409,22 +439,26 @@ func sweepPipelined(ctx context.Context, alg string, full bool, opts atgpu.Optio
 	fmt.Printf("%12s %14s %14s %9s %14s %14s %9s\n",
 		"n", "seq(s)", "pipe(s)", "saved", "pred-seq(s)", "pred-pipe(s)", "pred-saved")
 	for _, p := range data.Points {
-		if p.Failed {
-			fmt.Printf("%12d FAILED: %s\n", p.N, p.Err)
+		if p.Failed() {
+			fmt.Printf("%12d FAILED: %s\n", p.N, p.Err())
 			continue
 		}
-		fmt.Printf("%12d %14.6g %14.6g %8.1f%% %14.6g %14.6g %8.1f%%\n",
-			p.N, p.SequentialTime, p.PipelinedTime, 100*p.ObservedSavingFraction(),
-			p.PredictedSequential, p.PredictedPipelined, 100*p.PredictedSavingFraction())
+		status := ""
+		if p.Degraded() {
+			status = " degraded"
+		}
+		fmt.Printf("%12d %14.6g %14.6g %8.1f%% %14.6g %14.6g %8.1f%%%s\n",
+			p.N, p.Sequential.TotalTime, p.Pipelined.TotalTime, 100*p.ObservedSavingFraction(),
+			p.PredictedSequential, p.PredictedPipelined, 100*p.PredictedSavingFraction(), status)
 	}
 	if werr := writeObs(data.Obs, traceOut, metricsOut); werr != nil {
 		return werr
 	}
-	if werr := persistSweepRecords(outDir, runLabel, data.Records, opts.Workers, time.Since(start)); werr != nil {
+	if werr := persistSweepRecords(outDir, runLabel, data.Records, opts.Workers, start); werr != nil {
 		return werr
 	}
 	if cancelled {
-		return sweepInterrupted(data.Points, func(i int) bool { return data.Points[i].Failed })
+		return sweepInterrupted(len(data.Points)-data.FailedPoints(), len(data.Points))
 	}
 	return nil
 }
@@ -474,11 +508,11 @@ func sweep(ctx context.Context, alg string, full bool, opts atgpu.Options, trace
 	if werr := writeObs(data.Obs, traceOut, metricsOut); werr != nil {
 		return werr
 	}
-	if werr := persistSweepRecords(outDir, runLabel, data.Records, opts.Workers, time.Since(start)); werr != nil {
+	if werr := persistSweepRecords(outDir, runLabel, data.Records, opts.Workers, start); werr != nil {
 		return werr
 	}
 	if cancelled {
-		return sweepInterrupted(data.Points, func(i int) bool { return data.Points[i].Failed })
+		return sweepInterrupted(len(data.Points)-data.FailedPoints(), len(data.Points))
 	}
 	return nil
 }
@@ -486,23 +520,26 @@ func sweep(ctx context.Context, alg string, full bool, opts atgpu.Options, trace
 // sweepRunner builds the runner the sweep subcommands drive: the CLI's
 // options at the chosen scale, cancelled by ctx.
 func sweepRunner(ctx context.Context, full bool, opts atgpu.Options) (*experiments.Runner, error) {
-	cfg := opts.ExperimentConfig()
-	cfg.Full = full
-	cfg.Context = ctx
-	return experiments.NewRunner(cfg)
+	opts.Full = full
+	opts.Context = ctx
+	return experiments.NewRunner(opts)
+}
+
+// persistSweepRecords appends a sweep's records to <dir>/records.jsonl
+// (see results.PersistRun), timing the run from start.
+func persistSweepRecords(dir, run string, recs []results.Record, workers int, start time.Time) error {
+	path, err := results.PersistRun(dir, run, recs, workers, time.Now(), time.Since(start))
+	if path != "" {
+		fmt.Fprintf(os.Stderr, "atgpu: %d records -> %s\n", len(recs), path)
+	}
+	return err
 }
 
 // sweepInterrupted builds the nonzero-exit error for a cancelled sweep,
 // after the partial table and observability files have been flushed.
-func sweepInterrupted[T any](points []T, failed func(i int) bool) error {
-	done := 0
-	for i := range points {
-		if !failed(i) {
-			done++
-		}
-	}
+func sweepInterrupted(done, total int) error {
 	return fmt.Errorf("interrupted: %d of %d points completed (partial results flushed): %w",
-		done, len(points), experiments.ErrCancelled)
+		done, total, experiments.ErrCancelled)
 }
 
 func ooc(n, chunk int, opts atgpu.Options) error {

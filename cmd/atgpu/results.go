@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"atgpu/internal/results"
@@ -200,45 +199,5 @@ func resultsGate(path string, files []string, maxRegress, defAllowance float64, 
 		}
 		fmt.Printf("gate: appended %d fresh measurements to %s\n", len(fresh), path)
 	}
-	return nil
-}
-
-// persistSweepRecords writes a sweep's canonical records to
-// <dir>/records.jsonl, stamping the run label, git describe, worker
-// count and wall-clock envelope at this persist boundary (the sweep
-// data itself stays byte-identical across workers and commits).
-func persistSweepRecords(dir, run string, recs []results.Record, workers int, wall time.Duration) error {
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "records.jsonl")
-	s, err := results.Open(path)
-	if err != nil {
-		return err
-	}
-	git := results.GitDescribe("")
-	host, _ := os.Hostname()
-	env := &results.Env{
-		SavedUnix: time.Now().Unix(),
-		Host:      host,
-		WallMs:    float64(wall.Milliseconds()),
-		Note:      run,
-	}
-	for _, rec := range recs {
-		rec.Run = run
-		rec.Git = git
-		rec.Workers = workers
-		if err := s.Append(rec, env); err != nil {
-			s.Close()
-			return err
-		}
-	}
-	if err := s.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "atgpu: %d records -> %s\n", len(recs), path)
 	return nil
 }

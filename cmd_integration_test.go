@@ -5,11 +5,18 @@ package atgpu
 // markers rather than exact text.
 
 import (
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"atgpu/internal/service"
 )
 
 // buildTool compiles ./cmd/<name> into dir and returns the binary path.
@@ -84,6 +91,45 @@ func TestCmdAtgpu(t *testing.T) {
 		}
 	}
 
+	// dash writes the Grafana dashboard and checks it against a real
+	// atgpud exposition; a missing always-exported family fails the check.
+	dash := filepath.Join(dir, "dashboard.json")
+	runTool(t, bin, "dash", "-o", dash)
+	if raw, err := os.ReadFile(dash); err != nil || !json.Valid(raw) {
+		t.Errorf("dash -o wrote invalid JSON (err %v)", err)
+	}
+	srv, err := service.NewServer(service.ServerConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	live := httptest.NewServer(srv.Handler())
+	defer live.Close()
+	runTool(t, bin, "dash", "-o", dash, "-check-metrics", live.URL+"/metrics")
+	resp, err := http.Get(live.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exposition, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, line := range strings.SplitAfter(string(exposition), "\n") {
+		if !strings.Contains(line, service.MetricQueueDepth) {
+			kept = append(kept, line)
+		}
+	}
+	partial := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, strings.Join(kept, ""))
+	}))
+	defer partial.Close()
+	failed, err := exec.Command(bin, "dash", "-o", dash, "-check-metrics", partial.URL).CombinedOutput()
+	if err == nil || !strings.Contains(string(failed), service.MetricQueueDepth) {
+		t.Errorf("dash -check-metrics passed without %s (err %v):\n%s", service.MetricQueueDepth, err, failed)
+	}
+
 	// Unknown command exits non-zero.
 	if err := exec.Command(bin, "nonsense").Run(); err == nil {
 		t.Error("unknown command should fail")
@@ -118,6 +164,17 @@ func TestCmdAtgpuRun(t *testing.T) {
 	for _, want := range []string{"histogram n=4096 (verified against CPU reference)", "rounds=", "kernel stats"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("run -alg histogram output missing %q:\n%s", want, out)
+		}
+	}
+
+	// A pipelined run reports each schedule like a plain run, the
+	// fault-recovery block included.
+	out = runTool(t, bin, "run", "-alg", "vecadd", "-n", "1024", "-device", "tiny", "-pipeline",
+		"-fault-rate", "0.3", "-fault-seed", "1")
+	for _, want := range []string{"sequential schedule: total=", "pipelined schedule:  total=",
+		"resilience: 1 retries", "watchdog fires", "fault #"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("run -pipeline with faults output missing %q:\n%s", want, out)
 		}
 	}
 

@@ -27,7 +27,7 @@ func BenchmarkPipelineOverlap(b *testing.B) {
 					b.Fatal(err)
 				}
 				for _, pt := range data.Points {
-					if pt.ObservedSaving <= 0 {
+					if pt.ObservedSaving() <= 0 {
 						b.Fatalf("n=%d chunks=%d: no overlap saving", pt.N, chunks)
 					}
 				}

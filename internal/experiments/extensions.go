@@ -140,7 +140,7 @@ type DevicePoint struct {
 // vecadd probe on it — the cross-GPU validation of the paper's future
 // work. Each device gets its own calibration, exactly as a practitioner
 // would instantiate γ, λ, α, β per machine.
-func RunDeviceSweep(n int, scheme transfer.Scheme, syncCost int64) ([]DevicePoint, error) {
+func RunDeviceSweep(n int, scheme transfer.Scheme) ([]DevicePoint, error) {
 	vecadd, err := Lookup("vecadd")
 	if err != nil {
 		return nil, err

@@ -86,7 +86,7 @@ func TestRunOutOfCore(t *testing.T) {
 // calibrated model must predict the transfer share within a few points and
 // explain most of the total time.
 func TestRunDeviceSweep(t *testing.T) {
-	points, err := RunDeviceSweep(1<<16, transfer.Pageable, 0)
+	points, err := RunDeviceSweep(1<<16, transfer.Pageable)
 	if err != nil {
 		t.Fatal(err)
 	}

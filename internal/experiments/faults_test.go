@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -57,8 +58,9 @@ func faultedConfig() Config {
 }
 
 // TestFaultedSweepCompletes is the acceptance scenario: with a fixed fault
-// seed and rate > 0 the sweep runs to completion, reporting per-point
-// retry and degradation statistics instead of aborting.
+// seed and rate > 0 the sweep, plain and pipelined, runs to completion,
+// reporting per-point retry and degradation statistics instead of
+// aborting.
 func TestFaultedSweepCompletes(t *testing.T) {
 	r, err := NewRunner(faultedConfig())
 	if err != nil {
@@ -68,11 +70,29 @@ func TestFaultedSweepCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("faulted sweep aborted: %v", err)
 	}
-	if len(data.Points) != 3 {
-		t.Fatalf("points = %d, want every size recorded", len(data.Points))
+	pd, err := r.SweepPipelined("vecadd")
+	if err != nil {
+		t.Fatalf("faulted pipelined sweep aborted: %v", err)
+	}
+	if len(data.Points) != 3 || len(pd.Points) != 3 {
+		t.Fatalf("points = %d and %d pipelined, want every size recorded", len(data.Points), len(pd.Points))
+	}
+	// Each pipelined point is observed as two halves, like plain points.
+	points := slices.Clone(data.Points)
+	pipeDegraded := 0
+	for i, p := range pd.Points {
+		points = append(points, p.Sequential, p.Pipelined)
+		if p.Degraded() {
+			pipeDegraded++
+		}
+		if rec := pd.Records[i]; p.Degraded() != (rec.Transfers != nil && rec.Transfers.Faulted() ||
+			rec.Resilience != nil && rec.Resilience.Degraded() || rec.Failed) {
+			t.Errorf("pipelined n=%d: degraded=%v but record carries transfers=%+v resilience=%+v",
+				p.N, p.Degraded(), rec.Transfers, rec.Resilience)
+		}
 	}
 	degraded := 0
-	for _, p := range data.Points {
+	for _, p := range points {
 		if p.Degraded() {
 			degraded++
 		}
@@ -83,10 +103,10 @@ func TestFaultedSweepCompletes(t *testing.T) {
 			t.Fatalf("degraded point n=%d has empty fault log", p.N)
 		}
 	}
-	if degraded == 0 {
-		t.Fatal("rate-0.2 sweep saw no faults; test is vacuous")
+	if degraded == 0 || pipeDegraded == 0 {
+		t.Fatalf("rate-0.2 sweeps saw no faults (%d degraded, %d pipelined); test is vacuous", degraded, pipeDegraded)
 	}
-	if data.FailedPoints() == len(data.Points) {
+	if data.FailedPoints() == len(data.Points) || pd.FailedPoints() == len(pd.Points) {
 		t.Fatal("every point failed under a recoverable rate")
 	}
 	s, err := Summarise(data)
@@ -145,8 +165,8 @@ func TestFaultRateZeroIdentical(t *testing.T) {
 }
 
 // TestRetryExhaustionRecordsPoint: at rate 1 with a tiny retry budget every
-// transfer fails permanently; the sweep still completes, recording each
-// point as failed with its error and fault log.
+// transfer fails permanently; the sweep, plain and pipelined, still
+// completes, recording each point as failed with its error and fault log.
 func TestRetryExhaustionRecordsPoint(t *testing.T) {
 	cfg := testConfig()
 	cfg.SizesVecAdd = []int{1 << 10}
@@ -173,6 +193,22 @@ func TestRetryExhaustionRecordsPoint(t *testing.T) {
 	}
 	if _, err := Summarise(data); err == nil {
 		t.Fatal("Summarise accepted a sweep with no successful points")
+	}
+
+	pd, err := r.SweepPipelined("vecadd")
+	if err != nil {
+		t.Fatalf("exhausted pipelined sweep aborted instead of recording: %v", err)
+	}
+	if len(pd.Points) != 1 || pd.FailedPoints() != 1 {
+		t.Fatalf("pipelined points = %+v, want one failed point", pd.Points)
+	}
+	for _, half := range []WorkloadPoint{pd.Points[0].Sequential, pd.Points[0].Pipelined} {
+		if !half.Failed || half.Err == "" || len(half.FaultLog) == 0 || half.Transfers.Retries == 0 {
+			t.Fatalf("failed schedule lacks post-mortem data: %+v", half)
+		}
+	}
+	if rec := pd.Records[0]; !rec.Failed || rec.Err != pd.Points[0].Err() || rec.Transfers == nil {
+		t.Fatalf("pipelined record = %+v, want Failed with the error and counters", rec)
 	}
 }
 

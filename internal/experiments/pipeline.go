@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"atgpu/internal/core"
 	"atgpu/internal/obs"
 	"atgpu/internal/results"
-	"atgpu/internal/sched"
 	"atgpu/internal/simgpu"
 )
 
@@ -34,44 +34,59 @@ func (c Config) chunks() int {
 	return defaultChunks
 }
 
-// PipelinePoint is one input size's sequential-versus-pipelined outcome.
+// PipelinePoint is one input size's sequential-versus-pipelined outcome:
+// the overlapped-cost model's prediction and the two schedules' observed
+// halves. Each half is observed like a plain sweep point (observePoint),
+// so a schedule that runs out of fault recovery is recorded Failed with
+// its counters and fault log, and the sweep goes on.
 type PipelinePoint struct {
 	// N is the input size (vector length or matrix side).
 	N int
 	// Chunks and Streams describe the overlapped schedule.
 	Chunks, Streams int
-	// SequentialTime and PipelinedTime are the observed simulated totals
-	// in seconds for the one-stream and multi-stream runs.
-	SequentialTime, PipelinedTime float64
-	// ObservedSaving is SequentialTime − PipelinedTime (seconds).
-	ObservedSaving float64
 	// PredictedSequential and PredictedPipelined are the overlapped-cost
 	// model's totals in seconds; PredictedSaving their difference.
 	PredictedSequential, PredictedPipelined, PredictedSaving float64
+	// Sequential and Pipelined are the one-stream and multi-stream runs'
+	// observations: time split, transfer and recovery counters, fault
+	// log, kernel stats. A point that panicked or was cancelled carries
+	// its failure in Sequential. Their obs reports are folded into Obs.
+	Sequential, Pipelined WorkloadPoint
 	// Obs is the point's observability report: the sequential run's
 	// spans tagged "seq/...", the overlapped run's "pipe/...", so the
 	// two schedules sit side by side in one trace (nil unless
 	// Config.Obs enables collection).
 	Obs *obs.Report
-	// SequentialRun and PipelinedRun are the two runs' host reports,
-	// for `atgpu run -pipeline` to print their kernel/transfer/sync
-	// split. They stay out of the records and of atgpud's result JSON.
-	SequentialRun, PipelinedRun simgpu.RunReport `json:"-"`
+}
 
-	// Failed marks a point that panicked or was cancelled before it
-	// started (Config.Context); its timings are zero and Err explains.
-	Failed bool
-	// Err is the failure message when Failed.
-	Err string
+// Failed reports whether either schedule died despite the recovery
+// machinery, panicked or was cancelled.
+func (p PipelinePoint) Failed() bool { return p.Sequential.Failed || p.Pipelined.Failed }
+
+// Err is the first failed schedule's message ("" unless Failed).
+func (p PipelinePoint) Err() string {
+	if p.Sequential.Failed {
+		return p.Sequential.Err
+	}
+	return p.Pipelined.Err
+}
+
+// Degraded reports whether either schedule needed any fault recovery.
+func (p PipelinePoint) Degraded() bool { return p.Sequential.Degraded() || p.Pipelined.Degraded() }
+
+// ObservedSaving is the sequential minus the pipelined observed total
+// (seconds).
+func (p PipelinePoint) ObservedSaving() float64 {
+	return p.Sequential.TotalTime - p.Pipelined.TotalTime
 }
 
 // ObservedSavingFraction is the observed saving over the sequential total
 // (0 when degenerate).
 func (p PipelinePoint) ObservedSavingFraction() float64 {
-	if p.SequentialTime <= 0 {
+	if p.Sequential.TotalTime <= 0 {
 		return 0
 	}
-	return p.ObservedSaving / p.SequentialTime
+	return p.ObservedSaving() / p.Sequential.TotalTime
 }
 
 // PredictedSavingFraction is the predicted saving over the predicted
@@ -83,11 +98,58 @@ func (p PipelinePoint) PredictedSavingFraction() float64 {
 	return p.PredictedSaving / p.PredictedSequential
 }
 
+// withFailure, report and record make PipelinePoint a sweepPoint.
+func (p PipelinePoint) withFailure(f WorkloadPoint) PipelinePoint {
+	return PipelinePoint{N: f.N, Sequential: f}
+}
+
+func (p PipelinePoint) report() (*obs.Report, int) { return p.Obs, p.N }
+
+// record converts the point into the canonical record shape (payload
+// only, no run identity). The transfer and recovery counters of both
+// schedules are merged onto the record only when recovery ran, so
+// fault-free records keep their shape.
+func (p PipelinePoint) record(workload string) results.Record {
+	rec := results.Record{
+		Kind:     "pipeline",
+		Workload: workload,
+		N:        p.N,
+		Chunks:   p.Chunks,
+		Failed:   p.Failed(),
+		Err:      p.Err(),
+	}
+	if p.PredictedSequential != 0 || p.PredictedPipelined != 0 {
+		rec.Predicted = &results.Predicted{
+			SequentialS: p.PredictedSequential,
+			PipelinedS:  p.PredictedPipelined,
+			SavingS:     p.PredictedSaving,
+		}
+	}
+	if seq, pipe := p.Sequential.TotalTime, p.Pipelined.TotalTime; seq > 0 || pipe > 0 {
+		rec.Observed = &results.Observed{
+			SequentialS: seq,
+			PipelinedS:  pipe,
+			SavingS:     p.ObservedSaving(),
+		}
+	}
+	if p.Degraded() {
+		tf, rs := p.Sequential.Transfers, p.Sequential.Resilience
+		tf.Merge(p.Pipelined.Transfers)
+		rs.Merge(p.Pipelined.Resilience)
+		setCounters(&rec, tf, rs)
+	}
+	if snap := p.Obs.Snapshot(); !snap.Empty() {
+		rec.Obs = &snap
+	}
+	return rec
+}
+
 // PipelineData is one workload's pipelined sweep.
 type PipelineData struct {
 	// Workload names the pipelined algorithm.
 	Workload string
-	// Points holds one entry per input size, ascending.
+	// Points holds one entry per input size, ascending; under fault
+	// injection some may be Failed.
 	Points []PipelinePoint
 	// Records holds the canonical result records, one per point in
 	// point order, stamped with the run identity.
@@ -97,72 +159,8 @@ type PipelineData struct {
 	Obs *obs.Report
 }
 
-// PipelinePointRecord converts one pipeline point into the canonical
-// record shape (payload only, no run identity).
-func PipelinePointRecord(workload string, pt PipelinePoint) results.Record {
-	rec := results.Record{
-		Kind:     "pipeline",
-		Workload: workload,
-		N:        pt.N,
-		Chunks:   pt.Chunks,
-		Failed:   pt.Failed,
-		Err:      pt.Err,
-	}
-	if pt.PredictedSequential != 0 || pt.PredictedPipelined != 0 {
-		rec.Predicted = &results.Predicted{
-			SequentialS: pt.PredictedSequential,
-			PipelinedS:  pt.PredictedPipelined,
-			SavingS:     pt.PredictedSaving,
-		}
-	}
-	if pt.SequentialTime > 0 || pt.PipelinedTime > 0 {
-		rec.Observed = &results.Observed{
-			SequentialS: pt.SequentialTime,
-			PipelinedS:  pt.PipelinedTime,
-			SavingS:     pt.ObservedSaving,
-		}
-	}
-	if snap := pt.Obs.Snapshot(); !snap.Empty() {
-		rec.Obs = &snap
-	}
-	return rec
-}
-
-// runPipelineSweep mirrors runSweep for pipeline points: points are
-// self-contained, so the assembly is byte-identical for any worker count.
-// Panicking points are recorded as Failed with the stack in Err;
-// cancellation returns the partial data with ErrCancelled.
-func (r *Runner) runPipelineSweep(workload string, sizes []int, point func(idx, n int) (PipelinePoint, error)) (*PipelineData, error) {
-	data := &PipelineData{Workload: workload, Points: make([]PipelinePoint, len(sizes))}
-	errs := sched.RunOpts(r.cfg.ctx(), len(sizes),
-		sched.Options{Workers: r.cfg.workers(), Observer: r.cfg.SchedObserver},
-		func(i int) error {
-			pt, err := point(i, sizes[i])
-			if err != nil {
-				return err
-			}
-			data.Points[i] = pt
-			return nil
-		})
-	cancelled, err := absorbSweepErrs(errs, func(i int, failed WorkloadPoint) {
-		data.Points[i] = PipelinePoint{N: sizes[i], Failed: true, Err: failed.Err}
-	})
-	if err != nil {
-		return nil, err
-	}
-	data.Records = make([]results.Record, len(data.Points))
-	for i := range data.Points {
-		data.Records[i] = PipelinePointRecord(workload, data.Points[i])
-		r.stampIdentity(&data.Records[i])
-	}
-	data.Obs = r.foldObs(workload, len(data.Points), func(i int) (*obs.Report, int) {
-		return data.Points[i].Obs, data.Points[i].N
-	})
-	if cancelled {
-		return data, ErrCancelled
-	}
-	return data, nil
-}
+// FailedPoints counts the points with a failed schedule.
+func (d *PipelineData) FailedPoints() int { return countFailed(d.Points, PipelinePoint.Failed) }
 
 // SweepPipelined sweeps the named workload's chunked variant, sequential
 // versus overlapped, over the workload's sweep sizes. Records are tagged
@@ -212,7 +210,9 @@ func (r *Runner) predictPipelined(w *Workload, n int) (core.PipelinedCost, error
 	return pc, nil
 }
 
-// sweepPipelined runs w's pipelined points over sizes.
+// sweepPipelined runs w's pipelined points over sizes. Each point draws
+// its inputs once and observes both schedules on them, each on a fresh
+// host sized to that schedule's footprint.
 func (r *Runner) sweepPipelined(w *Workload, sizes []int) (*PipelineData, error) {
 	pv := w.pipelined
 	if pv == nil {
@@ -220,17 +220,18 @@ func (r *Runner) sweepPipelined(w *Workload, sizes []int) (*PipelineData, error)
 	}
 	name := w.Name + "-pipelined"
 	chunks := r.cfg.chunks()
+	warp := r.cfg.Device.WarpWidth
 	globalWords := r.sweepGlobalWords(sizes, func(n int) int {
 		most := 0
 		for _, streams := range []int{1, pipelineStreams} {
-			if g, err := pv.plan(n, chunks, streams).GlobalWords(r.cfg.Device.WarpWidth); err == nil {
+			if g, err := pv.plan(n, chunks, streams).GlobalWords(warp); err == nil {
 				most = max(most, g)
 			}
 		}
 		return most
 	})
 	inputWords := w.sweepInputWords(sizes)
-	return r.runPipelineSweep(name, sizes, func(idx, n int) (PipelinePoint, error) {
+	points, recs, rep, err := runSweep(r, name, sizes, func(idx, n int) (PipelinePoint, error) {
 		pt := PipelinePoint{N: n, Chunks: chunks, Streams: pipelineStreams}
 		pc, err := r.predictPipelined(w, n)
 		if err != nil {
@@ -244,35 +245,40 @@ func (r *Runner) sweepPipelined(w *Workload, sizes []int) (*PipelineData, error)
 		defer r.scratch.put(s)
 		s.rng.seed(r.inputSeed(name, n, idx))
 		run := pv.prepare(n, s)
-		observe := func(streams int, tag string) (simgpu.RunReport, error) {
-			words, err := pv.plan(n, chunks, streams).GlobalWords(r.cfg.Device.WarpWidth)
-			if err != nil {
-				return simgpu.RunReport{}, err
-			}
-			h, err := r.newHostIn(s, words, name, n, idx)
-			if err != nil {
-				return simgpu.RunReport{}, err
-			}
-			if err := run(h, chunks, streams); err != nil {
-				return simgpu.RunReport{}, err
-			}
-			if rep := h.SnapshotObs(); rep != nil {
-				if pt.Obs == nil {
-					pt.Obs = r.newSweepReport()
+		for _, sc := range [...]struct {
+			half     *WorkloadPoint
+			streams  int
+			schedule string
+		}{{&pt.Sequential, 1, "sequential"}, {&pt.Pipelined, pt.Streams, "pipelined"}} {
+			sc.half.N = n
+			err := r.observePoint(sc.half, func() (*simgpu.Host, error) {
+				var h *simgpu.Host
+				words, err := pv.plan(n, chunks, sc.streams).GlobalWords(warp)
+				if err == nil {
+					h, err = r.newHostIn(s, words, name, n, idx)
 				}
-				pt.Obs.Merge(rep, tag)
+				if err == nil {
+					err = run(h, chunks, sc.streams)
+				}
+				if err != nil {
+					err = fmt.Errorf("%s n=%d %s: %w", name, n, sc.schedule, err)
+				}
+				return h, err
+			})
+			if err != nil {
+				return pt, err
 			}
-			return h.Report(), nil
 		}
-		if pt.SequentialRun, err = observe(1, "seq"); err != nil {
-			return pt, fmt.Errorf("%s n=%d sequential: %w", name, n, err)
+		if seq, pipe := pt.Sequential.Obs, pt.Pipelined.Obs; seq != nil || pipe != nil {
+			pt.Obs = r.newSweepReport()
+			pt.Obs.Merge(seq, "seq")
+			pt.Obs.Merge(pipe, "pipe")
+			pt.Sequential.Obs, pt.Pipelined.Obs = nil, nil
 		}
-		if pt.PipelinedRun, err = observe(pt.Streams, "pipe"); err != nil {
-			return pt, fmt.Errorf("%s n=%d pipelined: %w", name, n, err)
-		}
-		pt.SequentialTime = pt.SequentialRun.Total.Seconds()
-		pt.PipelinedTime = pt.PipelinedRun.Total.Seconds()
-		pt.ObservedSaving = pt.SequentialTime - pt.PipelinedTime
 		return pt, nil
 	})
+	if err != nil && !errors.Is(err, ErrCancelled) {
+		return nil, err
+	}
+	return &PipelineData{Workload: name, Points: points, Records: recs, Obs: rep}, err
 }

@@ -45,9 +45,9 @@ func TestPipelineSweepSavings(t *testing.T) {
 		if pt.Chunks < 4 {
 			t.Fatalf("n=%d: chunks = %d, want ≥ 4", pt.N, pt.Chunks)
 		}
-		if pt.ObservedSaving <= 0 {
+		if pt.ObservedSaving() <= 0 {
 			t.Errorf("n=%d: observed saving %g not positive (seq %g, pipe %g)",
-				pt.N, pt.ObservedSaving, pt.SequentialTime, pt.PipelinedTime)
+				pt.N, pt.ObservedSaving(), pt.Sequential.TotalTime, pt.Pipelined.TotalTime)
 		}
 		if pt.PredictedSaving <= 0 {
 			t.Errorf("n=%d: predicted saving %g not positive", pt.N, pt.PredictedSaving)

@@ -18,7 +18,7 @@ func TestSweepRecoversPointPanic(t *testing.T) {
 		r := newTestRunner(t)
 		r.cfg.Workers = workers
 		sizes := []int{64, 128, 256, 512}
-		data, err := r.runSweep("panicky", sizes, func(idx, n int) (WorkloadPoint, error) {
+		points, _, _, err := runSweep(r, "panicky", sizes, func(idx, n int) (WorkloadPoint, error) {
 			if idx == 1 {
 				panic(fmt.Sprintf("synthetic point crash n=%d", n))
 			}
@@ -27,6 +27,7 @@ func TestSweepRecoversPointPanic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: runSweep: %v", workers, err)
 		}
+		data := &WorkloadData{Points: points}
 		if len(data.Points) != len(sizes) {
 			t.Fatalf("workers=%d: %d points, want %d", workers, len(data.Points), len(sizes))
 		}
@@ -53,24 +54,32 @@ func TestSweepRecoversPointPanic(t *testing.T) {
 }
 
 // TestPipelineSweepRecoversPointPanic repeats the panic-isolation check on
-// the pipelined sweep path.
+// pipelined points: the panic stack lands in the point's fault log.
 func TestPipelineSweepRecoversPointPanic(t *testing.T) {
 	r := newTestRunner(t)
 	r.cfg.Workers = 2
-	data, err := r.runPipelineSweep("panicky-pipe", []int{64, 128}, func(idx, n int) (PipelinePoint, error) {
+	points, recs, _, err := runSweep(r, "panicky-pipe", []int{64, 128}, func(idx, n int) (PipelinePoint, error) {
 		if idx == 0 {
 			panic("pipe crash")
 		}
-		return PipelinePoint{N: n, SequentialTime: 1}, nil
+		return PipelinePoint{N: n, Sequential: WorkloadPoint{N: n, TotalTime: 1}}, nil
 	})
 	if err != nil {
-		t.Fatalf("runPipelineSweep: %v", err)
+		t.Fatalf("runSweep: %v", err)
 	}
-	if !data.Points[0].Failed || !strings.Contains(data.Points[0].Err, "pipe crash") {
-		t.Fatalf("point 0 = %+v, want Failed with panic message", data.Points[0])
+	crashed := points[0]
+	if !crashed.Failed() || crashed.N != 64 || !strings.Contains(crashed.Err(), "pipe crash") {
+		t.Fatalf("point 0 = %+v, want Failed with panic message", crashed)
 	}
-	if data.Points[1].Failed || data.Points[1].SequentialTime != 1 {
-		t.Fatalf("point 1 = %+v, want success", data.Points[1])
+	if log := crashed.Sequential.FaultLog; len(log) == 0 || !strings.Contains(log[0], "panic stack:") ||
+		!strings.Contains(log[0], "runSweep") {
+		t.Errorf("fault log missing panic stack: %q", log)
+	}
+	if !recs[0].Failed || recs[0].Err != crashed.Err() {
+		t.Errorf("record 0 = %+v, want the failure", recs[0])
+	}
+	if points[1].Failed() || points[1].Sequential.TotalTime != 1 {
+		t.Fatalf("point 1 = %+v, want success", points[1])
 	}
 }
 
@@ -82,7 +91,7 @@ func TestSweepRealErrorsStillPropagate(t *testing.T) {
 	r := newTestRunner(t)
 	r.cfg.Workers = 4
 	boom := errors.New("boom")
-	_, err := r.runSweep("erroring", []int{1, 2, 3, 4}, func(idx, n int) (WorkloadPoint, error) {
+	_, _, _, err := runSweep(r, "erroring", []int{1, 2, 3, 4}, func(idx, n int) (WorkloadPoint, error) {
 		if idx >= 2 {
 			return WorkloadPoint{}, fmt.Errorf("point %d: %w", idx, boom)
 		}
@@ -103,7 +112,7 @@ func TestSweepCancellationFlushesPartialData(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	r.cfg.Context = ctx
 	sizes := []int{64, 128, 256, 512}
-	data, err := r.runSweep("cancelly", sizes, func(idx, n int) (WorkloadPoint, error) {
+	points, _, _, err := runSweep(r, "cancelly", sizes, func(idx, n int) (WorkloadPoint, error) {
 		if idx == 1 {
 			cancel() // points after this one must never start
 		}
@@ -112,10 +121,10 @@ func TestSweepCancellationFlushesPartialData(t *testing.T) {
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
-	if data == nil || len(data.Points) != len(sizes) {
-		t.Fatalf("partial data missing: %+v", data)
+	if len(points) != len(sizes) {
+		t.Fatalf("partial data missing: %+v", points)
 	}
-	for i, p := range data.Points {
+	for i, p := range points {
 		switch {
 		case i <= 1:
 			if p.Failed || p.TotalTime != 1 {

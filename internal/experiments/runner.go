@@ -482,9 +482,14 @@ func (w *WorkloadData) Successful() []WorkloadPoint {
 
 // FailedPoints counts the points that exhausted recovery.
 func (w *WorkloadData) FailedPoints() int {
+	return countFailed(w.Points, func(p WorkloadPoint) bool { return p.Failed })
+}
+
+// countFailed counts the points failed reports.
+func countFailed[P any](points []P, failed func(P) bool) int {
 	n := 0
-	for _, p := range w.Points {
-		if p.Failed {
+	for _, p := range points {
+		if failed(p) {
 			n++
 		}
 	}
@@ -537,19 +542,35 @@ func PointRecord(kind, workload string, pt WorkloadPoint) results.Record {
 			Delta:     pt.DeltaObserved,
 		}
 	}
-	if pt.Transfers != (transfer.Stats{}) {
-		t := pt.Transfers
-		rec.Transfers = &t
-	}
-	if pt.Resilience != (simgpu.ResilienceStats{}) {
-		rs := pt.Resilience
-		rec.Resilience = &rs
-	}
+	setCounters(&rec, pt.Transfers, pt.Resilience)
 	if snap := pt.Obs.Snapshot(); !snap.Empty() {
 		rec.Obs = &snap
 	}
 	return rec
 }
+
+// setCounters attaches the non-zero transfer and recovery counters to
+// rec. The copies are taken inside the branches so that zero counters
+// cost no allocation.
+func setCounters(rec *results.Record, tf transfer.Stats, rs simgpu.ResilienceStats) {
+	if tf != (transfer.Stats{}) {
+		t := tf
+		rec.Transfers = &t
+	}
+	if rs != (simgpu.ResilienceStats{}) {
+		r := rs
+		rec.Resilience = &r
+	}
+}
+
+// withFailure, record and report make WorkloadPoint a sweepPoint.
+func (p WorkloadPoint) withFailure(f WorkloadPoint) WorkloadPoint { return f }
+
+func (p WorkloadPoint) record(workload string) results.Record {
+	return PointRecord("sweep", workload, p)
+}
+
+func (p WorkloadPoint) report() (*obs.Report, int) { return p.Obs, p.N }
 
 // Record converts one point into the canonical record stamped with
 // this runner's full run identity: the machine (device, scheme, σ),
@@ -582,9 +603,22 @@ func (r *Runner) stampIdentity(rec *results.Record) {
 	}
 }
 
+// sweepPoint is a point type runSweep assembles: WorkloadPoint for plain
+// sweeps, PipelinePoint for pipelined ones.
+type sweepPoint[P any] interface {
+	// withFailure returns the point that stands in for one that panicked
+	// or was cancelled: f carries the size, Failed, Err and fault log.
+	withFailure(f WorkloadPoint) P
+	// record converts the point into its canonical record, payload only.
+	record(workload string) results.Record
+	// report returns the point's obs report and size.
+	report() (*obs.Report, int)
+}
+
 // runSweep executes one point per size through point, dispatching to the
-// configured worker count via the shared scheduler, and assembles the
-// results in size order. Each point call must be self-contained (its own
+// configured worker count via the shared scheduler, and returns the
+// points in size order with their identity-stamped records and the
+// folded obs report. Each point call must be self-contained (its own
 // host, its own derived seeds) so the assembly is byte-identical for any
 // worker count. On error the sweep reports the lowest-index failure — the
 // same error a sequential run would have stopped on, since every earlier
@@ -592,8 +626,8 @@ func (r *Runner) stampIdentity(rec *results.Record) {
 // process hosting it): it is recorded as a Failed point with the stack in
 // its fault log. Cancellation via Config.Context records undispatched
 // points as Failed and returns the partial data with ErrCancelled.
-func (r *Runner) runSweep(workload string, sizes []int, point func(idx, n int) (WorkloadPoint, error)) (*WorkloadData, error) {
-	data := &WorkloadData{Workload: workload, Points: make([]WorkloadPoint, len(sizes))}
+func runSweep[P sweepPoint[P]](r *Runner, workload string, sizes []int, point func(idx, n int) (P, error)) ([]P, []results.Record, *obs.Report, error) {
+	points := make([]P, len(sizes))
 	errs := sched.RunOpts(r.cfg.ctx(), len(sizes),
 		sched.Options{Workers: r.cfg.workers(), Observer: r.cfg.SchedObserver},
 		func(i int) error {
@@ -601,30 +635,26 @@ func (r *Runner) runSweep(workload string, sizes []int, point func(idx, n int) (
 			if err != nil {
 				return err
 			}
-			data.Points[i] = pt
+			points[i] = pt
 			return nil
 		})
 	cancelled, err := absorbSweepErrs(errs, func(i int, failed WorkloadPoint) {
 		failed.N = sizes[i]
-		data.Points[i] = failed
+		points[i] = points[i].withFailure(failed)
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	data.Records = make([]results.Record, len(data.Points))
-	for i := range data.Points {
-		data.Records[i] = r.Record("sweep", workload, data.Points[i])
+	recs := make([]results.Record, len(points))
+	for i := range points {
+		recs[i] = points[i].record(workload)
+		r.stampIdentity(&recs[i])
 	}
-	agg := results.Fold(data.Records)
-	data.Transfers = agg.Transfers
-	data.Resilience = agg.Resilience
-	data.Obs = r.foldObs(workload, len(data.Points), func(i int) (*obs.Report, int) {
-		return data.Points[i].Obs, data.Points[i].N
-	})
+	rep := r.foldObs(workload, len(points), func(i int) (*obs.Report, int) { return points[i].report() })
 	if cancelled {
-		return data, ErrCancelled
+		err = ErrCancelled
 	}
-	return data, nil
+	return points, recs, rep, err
 }
 
 // absorbSweepErrs folds a scheduler error slice into per-point outcomes:
@@ -711,11 +741,17 @@ func (r *Runner) Run(workload string, n int) (WorkloadPoint, error) {
 func (r *Runner) sweep(w *Workload, sizes []int) (*WorkloadData, error) {
 	globalWords := r.sweepGlobalWords(sizes, func(n int) int { return w.footprint(n, r.cfg.Device.WarpWidth) })
 	inputWords := w.sweepInputWords(sizes)
-	return r.runSweep(w.Name, sizes, func(idx, n int) (WorkloadPoint, error) {
+	points, recs, rep, err := runSweep(r, w.Name, sizes, func(idx, n int) (WorkloadPoint, error) {
 		s := r.scratch.get(globalWords, inputWords)
 		defer r.scratch.put(s)
 		return r.sweepPoint(w, s, idx, n)
 	})
+	if err != nil && !errors.Is(err, ErrCancelled) {
+		return nil, err
+	}
+	agg := results.Fold(recs)
+	return &WorkloadData{Workload: w.Name, Points: points, Records: recs,
+		Transfers: agg.Transfers, Resilience: agg.Resilience, Obs: rep}, err
 }
 
 // sweepGlobalWords is the global memory of the largest device a sweep

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
+	"time"
 )
 
 // Store is an append-only JSONL trajectory of Entries: one JSON object
@@ -109,6 +111,39 @@ func (s *Store) Append(rec Record, env *Env) error {
 	}
 	s.entries = append(s.entries, Entry{Record: rec, Env: env})
 	return nil
+}
+
+// PersistRun appends a CLI run's records to <dir>/records.jsonl and
+// returns that path ("" when dir is empty or there are no records). It
+// stamps the run label, git describe and worker count on each record,
+// and the envelope — saved time, host, the run's wall time, the label —
+// on each line: wall-clock and build identity enter only here, so the
+// records themselves stay byte-identical across workers and commits.
+func PersistRun(dir, run string, recs []Record, workers int, saved time.Time, wall time.Duration) (string, error) {
+	if dir == "" || len(recs) == 0 {
+		return "", nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	path := filepath.Join(dir, "records.jsonl")
+	s, err := Open(path)
+	if err != nil {
+		return "", err
+	}
+	git := GitDescribe("")
+	host, _ := os.Hostname()
+	env := &Env{SavedUnix: saved.Unix(), Host: host, WallMs: float64(wall.Milliseconds()), Note: run}
+	for _, rec := range recs {
+		rec.Run = run
+		rec.Git = git
+		rec.Workers = workers
+		if err := s.Append(rec, env); err != nil {
+			s.Close()
+			return "", err
+		}
+	}
+	return path, s.Close()
 }
 
 // Close releases the file handle. The entries stay queryable.

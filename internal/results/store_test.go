@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"atgpu/internal/sched"
 	"atgpu/internal/simgpu"
@@ -84,6 +85,38 @@ func TestStoreRoundTrip(t *testing.T) {
 
 // TestStoreBest: Best returns the entry with the lowest headline
 // metric; ties keep the earliest append.
+// TestPersistRun covers the CLIs' persist boundary: the run label,
+// worker count and envelope are stamped on append, the records passed in
+// are left untouched, and an empty directory persists nothing.
+func TestPersistRun(t *testing.T) {
+	recs := []Record{testRecord("sweep", "vecadd", 100), testRecord("sweep", "vecadd", 200)}
+	if path, err := PersistRun("", "r", recs, 2, time.Unix(7, 0), time.Second); path != "" || err != nil {
+		t.Fatalf("empty dir persisted to %q (err %v)", path, err)
+	}
+	dir := filepath.Join(t.TempDir(), "out")
+	path, err := PersistRun(dir, "label", recs, 2, time.Unix(7, 0), 1500*time.Millisecond)
+	if err != nil || path != filepath.Join(dir, "records.jsonl") {
+		t.Fatalf("PersistRun = %q, %v", path, err)
+	}
+	if recs[0].Run != "" || recs[0].Workers != 0 {
+		t.Fatalf("caller's record was stamped: %+v", recs[0])
+	}
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i, e := range s.Entries() {
+		if e.Record.Run != "label" || e.Record.Workers != 2 || e.Record.N != recs[i].N ||
+			e.Env == nil || e.Env.SavedUnix != 7 || e.Env.WallMs != 1500 || e.Env.Note != "label" {
+			t.Fatalf("entry %d = %+v env %+v", i, e.Record, e.Env)
+		}
+	}
+	if s.Len() != len(recs) {
+		t.Fatalf("%d entries, want %d", s.Len(), len(recs))
+	}
+}
+
 func TestStoreBest(t *testing.T) {
 	s, err := Open(filepath.Join(t.TempDir(), "r.jsonl"))
 	if err != nil {

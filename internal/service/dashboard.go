@@ -14,7 +14,7 @@ import (
 // datasource scraping GET /metrics.
 
 // DashboardMetricFamilies lists every metric family the generated
-// dashboard queries. cmd/atgpu-dash -check-metrics verifies a live
+// dashboard queries. `atgpu dash -check-metrics` verifies a live
 // /metrics exposition serves each one.
 func DashboardMetricFamilies() []string {
 	return []string{

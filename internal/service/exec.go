@@ -489,13 +489,9 @@ func (x *Executor) Execute(ctx context.Context, req Request) (*Artifacts, error)
 			return nil, err
 		}
 		rep = data.Obs
+		doc.FailedPoints = data.FailedPoints()
 		doc.Pipeline = data.Points
 		doc.Records = data.Records
-		for _, p := range data.Points {
-			if p.Failed {
-				doc.FailedPoints++
-			}
-		}
 	default:
 		return nil, fmt.Errorf("unknown kind %q", req.Kind)
 	}

@@ -203,8 +203,14 @@ func TestExecutePayloadShapes(t *testing.T) {
 		t.Errorf("sweep payload = %d points", len(doc.Points))
 	}
 	if doc := run(Request{Kind: "pipeline", Workload: "vecadd", Device: "tiny", Sizes: []int{64}, Chunks: 2}); len(doc.Pipeline) != 1 ||
-		doc.Pipeline[0].PipelinedTime <= 0 {
+		doc.Pipeline[0].Pipelined.TotalTime <= 0 || doc.FailedPoints != 0 {
 		t.Errorf("pipeline payload = %+v", doc.Pipeline)
+	}
+	// A pipelined point that runs out of fault recovery is recorded, not
+	// an error, as in a sweep job.
+	if doc := run(Request{Kind: "pipeline", Workload: "reduce", Sizes: []int{1 << 16, 1 << 18},
+		FaultRate: 0.6, FaultSeed: 1, MaxRetries: 1}); doc.FailedPoints == 0 || len(doc.Pipeline) != 2 {
+		t.Errorf("faulted pipeline job: %d failed points of %d", doc.FailedPoints, len(doc.Pipeline))
 	}
 	if doc := run(Request{Kind: "lint", Workload: "vecadd", N: 64, Device: "tiny"}); doc.Lint == nil {
 		t.Error("lint payload missing")

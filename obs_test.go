@@ -25,8 +25,8 @@ func tracedReduceRun(t *testing.T) *obs.Report {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Device = simgpu.Tiny()
-	opts.Trace = true
-	opts.Metrics = true
+	opts.Obs.Trace = true
+	opts.Obs.Metrics = true
 	sys, err := NewSystem(opts)
 	if err != nil {
 		t.Fatal(err)
