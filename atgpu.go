@@ -158,13 +158,14 @@ func (s *System) RunPipelined(name string, n int) (experiments.PipelinePoint, er
 	return s.runner.RunPipelined(name, n)
 }
 
-// RunOutOfCoreReduce executes the partitioned reduction of n words in
-// chunkWords chunks (future work §V), comparing serial and overlapped
-// host-communication schedules.
-func (s *System) RunOutOfCoreReduce(n, chunkWords int) (experiments.OutOfCorePoint, error) {
+// RunOutOfCoreReduce runs the out-of-core reduction of n words in chunks
+// of at most chunkWords (future work §V): the reduce split in ⌈n/chunk⌉
+// chunks, serially on one stream and overlapped on two, next to the
+// overlapped-cost model's prediction of both.
+func (s *System) RunOutOfCoreReduce(n, chunkWords int) (experiments.PipelinePoint, error) {
 	points, err := s.runner.RunOutOfCore(n, []int{chunkWords})
 	if err != nil {
-		return experiments.OutOfCorePoint{}, err
+		return experiments.PipelinePoint{}, err
 	}
 	return points[0], nil
 }

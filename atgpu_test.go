@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"atgpu/internal/algorithms"
 	"atgpu/internal/core"
 	"atgpu/internal/experiments"
 	"atgpu/internal/service"
@@ -144,14 +146,21 @@ func TestSystemOutOfCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Chunks != 8 {
-		t.Fatalf("chunks = %d, want 8", res.Chunks)
+	if res.Chunks != 8 || res.Failed() {
+		t.Fatalf("chunks = %d (failed %v), want 8", res.Chunks, res.Failed())
 	}
-	if res.Overlapped > res.Serial {
+	seq, pipe := res.Sequential, res.Pipelined
+	if pipe.TotalTime > seq.TotalTime {
 		t.Fatal("overlap slower than serial")
 	}
-	if res.Transfer <= 0 || res.Kernel <= 0 || res.Transfer+res.Kernel > res.Serial {
-		t.Fatalf("serial split transfer %g + kernel %g vs serial %g", res.Transfer, res.Kernel, res.Serial)
+	if seq.TransferTime <= 0 || seq.KernelTime <= 0 || seq.TransferTime+seq.KernelTime > seq.TotalTime {
+		t.Fatalf("serial split transfer %g + kernel %g vs serial %g", seq.TransferTime, seq.KernelTime, seq.TotalTime)
+	}
+	if res.PredictedSequential <= 0 || res.PredictedPipelined > res.PredictedSequential {
+		t.Fatalf("predicted serial %g, overlapped %g", res.PredictedSequential, res.PredictedPipelined)
+	}
+	if _, err := testSystem(t).RunOutOfCoreReduce(0, 4); !errors.Is(err, algorithms.ErrBadSize) {
+		t.Fatalf("n=0: %v, want ErrBadSize", err)
 	}
 }
 

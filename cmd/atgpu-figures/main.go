@@ -169,15 +169,18 @@ func runExtensions(runner *experiments.Runner, full bool) error {
 		tc.NaiveCycles, tc.TiledCycles, float64(tc.NaiveCycles)/float64(tc.TiledCycles))
 	fmt.Printf("model orders the variants correctly: %v\n\n", tc.ModelOrdersCorrectly)
 
-	ooc, err := runner.RunOutOfCore(1<<16, []int{1 << 11, 1 << 12, 1 << 13})
+	oocChunks := []int{1 << 11, 1 << 12, 1 << 13}
+	ooc, err := runner.RunOutOfCore(1<<16, oocChunks)
 	if err != nil {
 		return fmt.Errorf("out-of-core: %w", err)
 	}
 	fmt.Println("-- out-of-core reduction: serial vs overlapped --")
-	fmt.Printf("%-12s %8s %12s %12s %8s\n", "chunk", "chunks", "serial(s)", "overlap(s)", "speedup")
-	for _, p := range ooc {
-		fmt.Printf("%-12d %8d %12.6f %12.6f %7.2fx\n",
-			p.ChunkWords, p.Chunks, p.Serial, p.Overlapped, p.Speedup)
+	fmt.Printf("%-12s %8s %12s %12s %8s %12s %12s\n",
+		"chunk", "chunks", "serial(s)", "overlap(s)", "speedup", "pred-ser(s)", "pred-ovl(s)")
+	for i, p := range ooc {
+		seq, pipe := p.Sequential.TotalTime, p.Pipelined.TotalTime
+		fmt.Printf("%-12d %8d %12.6f %12.6f %7.2fx %12.6f %12.6f\n",
+			oocChunks[i], p.Chunks, seq, pipe, seq/pipe, p.PredictedSequential, p.PredictedPipelined)
 	}
 	fmt.Println()
 

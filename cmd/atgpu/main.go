@@ -21,7 +21,7 @@
 // side. Every subcommand that touches a device takes -device
 // gtx650|gtx1080|k40|tiny (default gtx650), the presets atgpud takes.
 //
-//	atgpu ooc     -n N -chunk C
+//	atgpu ooc     -n N -chunk C [fault flags] [-trace t.json -metrics m.prom]
 //	atgpu results list|diff|compare|gate|ingest [-store results.jsonl] [flags]
 //	atgpu dash    [-o dashboard.json] [-datasource UID] [-check-metrics URL] [-strict]
 //
@@ -85,7 +85,7 @@ func main() {
 	n := fs.Int("n", 1_000_000, "input size (vector length / matrix side)")
 	device := fs.String("device", "gtx650", "simulated GPU preset: gtx650, gtx1080, k40 or tiny")
 	disasm := fs.Bool("disasm", false, "run: print the disassembly of the first (unchunked) kernel the workload launches")
-	chunk := fs.Int("chunk", 1<<18, "out-of-core chunk size in words")
+	chunk := fs.Int("chunk", 1<<18, "ooc: largest chunk in words (the reduction runs in ceil(n/chunk) chunks)")
 	full := fs.Bool("full", false, "sweep: use the paper's exact input sizes (minutes)")
 	workers := fs.Int("workers", 0, "sweep: worker goroutines per sweep (0 = GOMAXPROCS, 1 = sequential)")
 	pipeline := fs.Bool("pipeline", false, "run/sweep: chunked multi-stream pipelined schedule, sequential vs overlapped")
@@ -195,7 +195,8 @@ commands:
               memory-performance and cost prediction      (-alg -n | file.pseudo ..., -blocks, -json, -o)
   run         predicted-vs-observed on the simulated GPU (-alg, -n, -disasm)
   sweep       predicted-vs-observed size sweep           (-alg, -full, -workers, -o dir, -run label)
-  ooc         out-of-core reduction, serial vs overlapped (-n, -chunk)
+  ooc         out-of-core reduction, serial vs overlapped (-n, -chunk);
+              printed as run -pipeline prints, fault and trace flags too
   results     query the canonical result store:
               list | diff -a runA -b runB | compare -a devA -b devB |
               gate trajectory-vs-fresh-BENCH regression check |
@@ -216,9 +217,9 @@ pipelining (run, sweep): --pipeline [--chunks C] compares the sequential
 chunked schedule against the overlapped multi-stream schedule and reports
 predicted vs simulated overlap savings.
 
-fault injection (run, sweep): --fault-rate R --fault-seed S --max-retries K
+fault injection (run, sweep, ooc): --fault-rate R --fault-seed S --max-retries K
 
-observability (run, sweep): --trace out.json writes one Perfetto trace of
+observability (run, sweep, ooc): --trace out.json writes one Perfetto trace of
 the whole run (host, streams, device blocks, transfers, faults on a single
 simulated-time axis); --metrics out.prom writes a deterministic Prometheus
 text snapshot; --trace-max-events caps trace growth.`)
@@ -262,7 +263,7 @@ func dispatch(ctx context.Context, cmd, alg string, n, chunk int, full, pipeline
 		}
 		return sweep(ctx, alg, full, opts, traceOut, metricsOut, outDir, runLabel)
 	case "ooc":
-		return ooc(n, chunk, opts)
+		return ooc(n, chunk, opts, traceOut, metricsOut)
 	default:
 		usage()
 		return fmt.Errorf("unknown command %q", cmd)
@@ -329,9 +330,7 @@ func run(alg string, n int, opts atgpu.Options, traceOut, metricsOut string) err
 
 // runPipelined runs one workload's sequential-chunked and overlapped
 // multi-stream schedules on identical inputs — a one-point pipelined
-// sweep — and reports each schedule as run does, then the observed
-// saving alongside the overlapped-cost model's prediction. A schedule
-// that died of injected faults fails the command.
+// sweep — and prints them (see printPipelined).
 func runPipelined(alg string, n int, opts atgpu.Options, traceOut, metricsOut string) error {
 	sys, err := atgpu.NewSystem(opts)
 	if err != nil {
@@ -341,8 +340,33 @@ func runPipelined(alg string, n int, opts atgpu.Options, traceOut, metricsOut st
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s n=%d pipelined (chunks=%d, streams=%d, %s)\n", alg, n, pt.Chunks, pt.Streams,
-		verdict(pt.Failed(), "verified against CPU reference"))
+	return printPipelined(fmt.Sprintf("%s n=%d pipelined (chunks=%d, streams=%d", alg, n, pt.Chunks, pt.Streams),
+		pt, traceOut, metricsOut)
+}
+
+// ooc runs the out-of-core reduction of n words in chunks of at most
+// chunk words, serial on one stream against overlapped on two, and prints
+// it as runPipelined does.
+func ooc(n, chunk int, opts atgpu.Options, traceOut, metricsOut string) error {
+	sys, err := atgpu.NewSystem(opts)
+	if err != nil {
+		return err
+	}
+	pt, err := sys.RunOutOfCoreReduce(n, chunk)
+	if err != nil {
+		return err
+	}
+	chunks := (n + chunk - 1) / chunk
+	return printPipelined(fmt.Sprintf("out-of-core reduce n=%d chunk=%d (%d chunks, streams=%d",
+		n, (n+chunks-1)/chunks, chunks, pt.Streams), pt, traceOut, metricsOut)
+}
+
+// printPipelined prints a pipelined point under heading: each schedule as
+// run does, then the observed saving alongside the overlapped-cost
+// model's prediction. A schedule that died of injected faults fails the
+// command.
+func printPipelined(heading string, pt experiments.PipelinePoint, traceOut, metricsOut string) error {
+	fmt.Printf("%s, %s)\n", heading, verdict(pt.Failed(), "verified against CPU reference"))
 	fmt.Printf("sequential schedule: %s\n", timeSplit(pt.Sequential))
 	printResilience(pt.Sequential)
 	fmt.Printf("pipelined schedule:  %s\n", timeSplit(pt.Pipelined))
@@ -540,21 +564,4 @@ func persistSweepRecords(dir, run string, recs []results.Record, workers int, st
 func sweepInterrupted(done, total int) error {
 	return fmt.Errorf("interrupted: %d of %d points completed (partial results flushed): %w",
 		done, total, experiments.ErrCancelled)
-}
-
-func ooc(n, chunk int, opts atgpu.Options) error {
-	sys, err := atgpu.NewSystem(opts)
-	if err != nil {
-		return err
-	}
-	res, err := sys.RunOutOfCoreReduce(n, chunk)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("out-of-core reduce n=%d chunk=%d (%d chunks, verified)\n", n, chunk, res.Chunks)
-	fmt.Printf("serial schedule:     %v (transfer %v, kernel %v)\n",
-		seconds(res.Serial), seconds(res.Transfer), seconds(res.Kernel))
-	fmt.Printf("overlapped schedule: %v\n", seconds(res.Overlapped))
-	fmt.Printf("overlap speedup:     %.2fx\n", res.Speedup)
-	return nil
 }

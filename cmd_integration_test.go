@@ -84,10 +84,30 @@ func TestCmdAtgpu(t *testing.T) {
 		}
 	}
 
+	// ooc prints through run -pipeline's printer: the one-stream serial
+	// and two-stream overlapped schedules of the reduce split, then the
+	// model's prediction.
 	out = runTool(t, bin, "ooc", "-n", "65536", "-chunk", "8192")
-	for _, want := range []string{"serial schedule", "overlapped schedule", "speedup"} {
+	for _, want := range []string{"n=65536 chunk=8192 (8 chunks", "verified against CPU reference",
+		"sequential schedule", "pipelined schedule", "observed saving", "predicted:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ooc output missing %q:\n%s", want, out)
+		}
+	}
+	// A faulted ooc shows its recovery; one that exhausts it fails.
+	out = runTool(t, bin, "ooc", "-n", "65536", "-chunk", "4096", "-fault-rate", "0.3", "-fault-seed", "1")
+	for _, want := range []string{"(16 chunks", "resilience:", "predicted:"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("faulted ooc output missing %q:\n%s", want, out)
+		}
+	}
+	for _, args := range [][]string{
+		{"-n", "65536", "-chunk", "4096", "-fault-rate", "0.3", "-fault-seed", "1", "-max-retries", "1"},
+		{"-n", "0", "-chunk", "4"},
+	} {
+		failed, err := exec.Command(bin, append([]string{"ooc"}, args...)...).CombinedOutput()
+		if err == nil {
+			t.Errorf("ooc %v exited 0:\n%s", args, failed)
 		}
 	}
 

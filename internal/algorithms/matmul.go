@@ -92,6 +92,35 @@ func (m MatMul) Analyze(p core.Params) (*core.Analysis, error) {
 	return a, nil
 }
 
+// Split declares the chunked-transfer variant at warp width b, by row
+// bands: B is resident, moved once up front, and each band of A's tile
+// rows streams in, multiplies against B, and its C band streams out. The
+// kernel's block row index is band-local, so the full-matrix program
+// computes exactly one band when launched on the band's blocks over the
+// band buffers.
+func (m MatMul) Split(b int) (Split, error) {
+	if m.N <= 0 {
+		return Split{}, fmt.Errorf("%w: n=%d", ErrBadSize, m.N)
+	}
+	if b <= 0 || m.N%b != 0 {
+		return Split{}, fmt.Errorf("%w: n=%d not a multiple of b=%d", ErrBadShape, m.N, b)
+	}
+	tiles := m.N / b
+	return Split{
+		Name: "matmul", Width: b, Len: tiles, Unit: b * m.N, Inputs: 1, Resident: m.N * m.N,
+		Chunk: func(units int, bufs Bufs) ([]ChunkRound, int) {
+			k := units * tiles
+			return []ChunkRound{{
+				Round: core.Round{Time: matMulOps(m.N, b), IO: float64(k * (2*m.N + b)),
+					SharedWords: m.SharedWordsPerBlock(b), Blocks: k},
+				Kernel: func() (*kernel.Program, error) {
+					return m.Kernel(b, bufs.In[0], bufs.Resident, bufs.Out)
+				},
+			}}, bufs.Out
+		},
+	}, nil
+}
+
 // AGPU returns the asymptotic report the AGPU baseline would give.
 func (m MatMul) AGPU() models.AGPUReport {
 	return models.AGPUReport{

@@ -4,8 +4,13 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
-	"time"
 )
+
+// ooc is the out-of-core reduction of n words in chunks of at most chunk
+// words: the reduce split in ⌈n/chunk⌉ chunks on streams streams.
+func ooc(t testing.TB, n, chunk, streams int) Chunked {
+	return plan(t, Reduce{N: n}.Split, ceilDiv(n, chunk), streams)
+}
 
 func TestOutOfCoreReduceCorrectness(t *testing.T) {
 	for _, tc := range []struct{ n, chunk int }{
@@ -16,59 +21,60 @@ func TestOutOfCoreReduceCorrectness(t *testing.T) {
 		{1000, 10000}, // chunk larger than input
 		{17, 4},
 	} {
-		h := newTestHost(t, 3*tc.chunk+64)
 		in := randWords(tc.n, int64(tc.n))
-		alg := OutOfCoreReduce{N: tc.n, ChunkWords: tc.chunk}
-		res, err := alg.Run(h, in)
-		if err != nil {
-			t.Fatalf("n=%d chunk=%d: %v", tc.n, tc.chunk, err)
-		}
-		if want := ReduceReference(in); res.Sum != want {
-			t.Fatalf("n=%d chunk=%d: sum = %d, want %d", tc.n, tc.chunk, res.Sum, want)
-		}
-		wantChunks := (tc.n + tc.chunk - 1) / tc.chunk
-		if res.Chunks != wantChunks {
-			t.Fatalf("n=%d chunk=%d: chunks = %d, want %d", tc.n, tc.chunk, res.Chunks, wantChunks)
+		for _, streams := range []int{1, 2} {
+			p := ooc(t, tc.n, tc.chunk, streams)
+			_, _, sum := runPlan(t, p, in)
+			if want := ReduceReference(in); sum != want {
+				t.Fatalf("n=%d chunk=%d streams=%d: sum = %d, want %d", tc.n, tc.chunk, streams, sum, want)
+			}
+			// One partial per chunk.
+			if want := ceilDiv(tc.n, tc.chunk); p.OutWords() != want {
+				t.Fatalf("n=%d chunk=%d: chunks = %d, want %d", tc.n, tc.chunk, p.OutWords(), want)
+			}
+			if words, _ := p.GlobalWords(); words > streams*(tc.chunk+ceilDiv(tc.chunk, tinyWidth)+2*tinyWidth) {
+				t.Fatalf("n=%d chunk=%d streams=%d: footprint %d words exceeds the chunk bound", tc.n, tc.chunk, streams, words)
+			}
 		}
 	}
 }
 
-// The overlapped schedule can never be slower than serial, and never
-// faster than the larger of total-transfer and total-kernel time (the
-// pipeline's critical resource).
+// The serial schedule is the plain sum of its transfers, kernels and one
+// σ; the overlapped schedule is never slower than it, and never faster
+// than the device's busy time (the kernels do not overlap each other).
 func TestOverlapScheduleBounds(t *testing.T) {
-	h := newTestHost(t, 3*64+64)
 	in := randWords(1000, 5)
-	res, err := OutOfCoreReduce{N: 1000, ChunkWords: 64}.Run(h, in)
-	if err != nil {
-		t.Fatal(err)
+	seq, _, _ := runPlan(t, ooc(t, 1000, 64, 1), in)
+	pipe, _, _ := runPlan(t, ooc(t, 1000, 64, 2), in)
+	if got, want := seq.TotalTime(), seq.TransferTime()+seq.KernelTime()+seq.SyncTime(); got != want {
+		t.Fatalf("serial %v, want transfer+kernel+σ = %v", got, want)
 	}
-	if res.OverlappedTime > res.SerialTime {
-		t.Fatalf("overlapped %v slower than serial %v", res.OverlappedTime, res.SerialTime)
+	if seq.SyncTime() != pipe.SyncTime() || seq.Rounds() != 1 {
+		t.Fatalf("σ charged %v serial (%d rounds) vs %v overlapped, want once each",
+			seq.SyncTime(), seq.Rounds(), pipe.SyncTime())
 	}
-	lower := res.TransferTime
-	if res.KernelTime > lower {
-		lower = res.KernelTime
+	if pipe.TotalTime() > seq.TotalTime() {
+		t.Fatalf("overlapped %v slower than serial %v", pipe.TotalTime(), seq.TotalTime())
 	}
-	if res.OverlappedTime < lower {
-		t.Fatalf("overlapped %v beats the critical resource bound %v", res.OverlappedTime, lower)
-	}
-	if s := res.Speedup(); s < 1 {
-		t.Fatalf("speedup = %g, want ≥ 1", s)
+	if lower := pipe.KernelTime() + pipe.SyncTime(); pipe.TotalTime() < lower {
+		t.Fatalf("overlapped %v beats the device busy bound %v", pipe.TotalTime(), lower)
 	}
 }
 
+// A bad out-of-core plan fails Run with its sentinel: no chunks, an input
+// of the wrong length, or a chunk larger than the device.
 func TestOutOfCoreValidation(t *testing.T) {
 	h := newTestHost(t, 1024)
-	if _, err := (OutOfCoreReduce{N: 10, ChunkWords: 0}).Run(h, make([]Word, 10)); !errors.Is(err, ErrBadSize) {
-		t.Errorf("zero chunk: %v", err)
+	if _, err := plan(t, Reduce{N: 10}.Split, 0, 1).Run(h, nil, make([]Word, 10)); !errors.Is(err, ErrBadSize) {
+		t.Errorf("zero chunks: %v", err)
 	}
-	if _, err := (OutOfCoreReduce{N: 10, ChunkWords: 4}).Run(h, make([]Word, 5)); !errors.Is(err, ErrBadShape) {
+	p := ooc(t, 10, 4, 1)
+	if _, err := p.Run(h, make([]Word, p.OutWords()), make([]Word, 5)); !errors.Is(err, ErrBadShape) {
 		t.Errorf("length mismatch: %v", err)
 	}
-	// Chunk too large for the device.
-	h2 := newTestHost(t, 256)
-	if _, err := (OutOfCoreReduce{N: 10000, ChunkWords: 100000}).Run(h2, make([]Word, 10000)); !errors.Is(err, ErrDoesNotFit) {
+	// One chunk of the whole input on a 256-word device.
+	big := ooc(t, 10000, 10000, 1)
+	if _, err := big.Run(newTestHost(t, 256), make([]Word, big.OutWords()), make([]Word, 10000)); !errors.Is(err, ErrDoesNotFit) {
 		t.Errorf("oversized chunk: %v", err)
 	}
 }
@@ -76,26 +82,19 @@ func TestOutOfCoreValidation(t *testing.T) {
 func TestAnalyzeSerialComposition(t *testing.T) {
 	// The out-of-core analysis must be the concatenation of per-chunk
 	// in-core analyses: same total transfer, R = Σ per-chunk rounds.
-	alg := OutOfCoreReduce{N: 1000, ChunkWords: 256}
-	p := tinyParams(64)
-	a, err := alg.AnalyzeSerial(p)
+	p := ooc(t, 1000, 256, 1)
+	params := tinyParams(64)
+	a, err := p.Analyze(params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRounds := 0
-	wantTransfer := 0
-	for c := 0; c < alg.Chunks(); c++ {
-		size := 256
-		if c == alg.Chunks()-1 {
-			size = 1000 - 3*256
-		}
-		sub, err := (Reduce{N: size}).Analyze(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRounds += sub.R()
-		wantTransfer += sub.TotalTransferWords()
+	// Four chunks of 250 words each.
+	sub, err := (Reduce{N: 250}).Analyze(params)
+	if err != nil {
+		t.Fatal(err)
 	}
+	wantRounds := 4 * sub.R()
+	wantTransfer := 4 * sub.TotalTransferWords()
 	if a.R() != wantRounds {
 		t.Fatalf("R = %d, want %d", a.R(), wantRounds)
 	}
@@ -112,65 +111,30 @@ func TestAnalyzeSerialComposition(t *testing.T) {
 	}
 }
 
+// The out-of-core analysis rejects an empty input and a zero chunk count.
 func TestAnalyzeSerialValidation(t *testing.T) {
 	p := tinyParams(4)
-	if _, err := (OutOfCoreReduce{N: 0, ChunkWords: 4}).AnalyzeSerial(p); !errors.Is(err, ErrBadSize) {
+	if _, err := plan(t, Reduce{N: 0}.Split, 1, 1).Analyze(p); !errors.Is(err, ErrBadSize) {
 		t.Errorf("n=0: %v", err)
 	}
-	if _, err := (OutOfCoreReduce{N: 4, ChunkWords: 0}).AnalyzeSerial(p); !errors.Is(err, ErrBadSize) {
-		t.Errorf("chunk=0: %v", err)
+	if _, err := plan(t, Reduce{N: 4}.Split, 0, 1).Analyze(p); !errors.Is(err, ErrBadSize) {
+		t.Errorf("chunks=0: %v", err)
 	}
 }
 
-// Property: out-of-core and in-core reductions agree for any chunking.
+// Property: out-of-core and in-core reductions agree for any chunking,
+// and overlapping never slows the schedule down.
 func TestOutOfCoreMatchesInCoreProperty(t *testing.T) {
 	f := func(seed int64, nRaw, chunkRaw uint8) bool {
 		n := int(nRaw)%200 + 2
 		chunk := int(chunkRaw)%64 + 4
 		in := randWords(n, seed)
-		h := newTestHost(t, 3*chunk+64)
-		res, err := OutOfCoreReduce{N: n, ChunkWords: chunk}.Run(h, in)
-		if err != nil {
-			return false
-		}
-		return res.Sum == ReduceReference(in) && res.OverlappedTime <= res.SerialTime
+		seq, _, sum := runPlan(t, ooc(t, n, chunk, 1), in)
+		pipe, _, pipeSum := runPlan(t, ooc(t, n, chunk, 2), in)
+		want := ReduceReference(in)
+		return sum == want && pipeSum == want && pipe.TotalTime() <= seq.TotalTime()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// overlapSchedule unit tests: hand-checked pipelines.
-func TestOverlapScheduleHandCases(t *testing.T) {
-	// Equal stages: t=[2,2,2], k=[3,3,3]:
-	// T1 ends 2, K1 ends 5; T2 ends 4, K2 starts 5 ends 8; T3 ends 6
-	// (buffer of chunk 1 free after K1 at 5 → start max(4, ...)): with
-	// double buffering transfer 3 waits for kernel 1 (ends 5)? transfer 3
-	// may start when link free (4) and buffer(c-2=1) freed at kernel end 5
-	// → ends 5+2=7; K3 starts max(7, 8) = 8, ends 11.
-	got := overlapSchedule(durs(2, 2, 2), durs(3, 3, 3))
-	if got != 11 {
-		t.Fatalf("makespan = %v, want 11", got)
-	}
-	// Transfer-dominated: t=[10,10], k=[1,1] → 10, 20, kernel ends 21.
-	if got := overlapSchedule(durs(10, 10), durs(1, 1)); got != 21 {
-		t.Fatalf("transfer-bound makespan = %v, want 21", got)
-	}
-	// Kernel-dominated: t=[1,1], k=[10,10] → K1 1..11, T2 done at 2,
-	// K2 11..21.
-	if got := overlapSchedule(durs(1, 1), durs(10, 10)); got != 21 {
-		t.Fatalf("kernel-bound makespan = %v, want 21", got)
-	}
-	// Single chunk: no overlap possible.
-	if got := overlapSchedule(durs(5), durs(7)); got != 12 {
-		t.Fatalf("single-chunk makespan = %v, want 12", got)
-	}
-}
-
-func durs(vs ...int) []time.Duration {
-	out := make([]time.Duration, len(vs))
-	for i, v := range vs {
-		out[i] = time.Duration(v)
-	}
-	return out
 }

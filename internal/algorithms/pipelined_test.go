@@ -1,69 +1,88 @@
 package algorithms
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"atgpu/internal/core"
 	"atgpu/internal/simgpu"
 )
 
-// pipeHost builds a host roomy enough for pipelined buffer sets.
-func pipeHost(t testing.TB, globalWords int) *simgpu.Host {
+// tinyWidth is the Tiny device's warp width, which every plan here is
+// declared for.
+const tinyWidth = 4
+
+// plan declares a split at the Tiny warp width and runs it in chunks
+// chunks on streams streams.
+func plan(t testing.TB, declare func(b int) (Split, error), chunks, streams int) Chunked {
 	t.Helper()
-	return newTestHost(t, globalWords)
+	split, err := declare(tinyWidth)
+	if err != nil {
+		t.Fatalf("declare split: %v", err)
+	}
+	return Chunked{Split: split, Chunks: chunks, Streams: streams}
 }
 
+// runPlan runs p over in on a Tiny host sized to its footprint and
+// returns the host, the output and the combined result.
+func runPlan(t testing.TB, p Chunked, in ...[]Word) (*simgpu.Host, []Word, Word) {
+	t.Helper()
+	words, err := p.GlobalWords()
+	if err != nil {
+		t.Fatalf("%+v: GlobalWords: %v", p.Split.Name, err)
+	}
+	h := newTestHost(t, words+64)
+	out := make([]Word, p.OutWords())
+	combined, err := p.Run(h, out, in...)
+	if err != nil {
+		t.Fatalf("%s chunks=%d streams=%d: Run: %v", p.Name, p.Chunks, p.Streams, err)
+	}
+	return h, out, combined
+}
+
+// sameWords fails the test at the first entry where got and want differ.
+func sameWords(t testing.TB, what string, got, want []Word) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: [%d] = %d, want %d", what, i, got[i], want[i])
+		}
+	}
+}
+
+// shape is one chunking of a plan table: size, chunks and streams.
+type shape struct{ n, chunks, streams int }
+
 func TestPipelinedVecAddCorrectness(t *testing.T) {
-	for _, tc := range []struct{ n, chunks, streams int }{
+	for _, tc := range []shape{
 		{100, 4, 2},
 		{100, 4, 1},
 		{100, 7, 3}, // uneven chunks, final partial
 		{5, 8, 2},   // more chunks than elements
 		{64, 1, 2},  // single chunk degenerates to one stream
-		{33, 4, 0},  // default stream count
+		{33, 4, 8},  // more streams than chunks
 	} {
-		v := PipelinedVecAdd{N: tc.n, Chunks: tc.chunks, Streams: tc.streams}
-		words, err := v.GlobalWords(4)
-		if err != nil {
-			t.Fatalf("%+v: GlobalWords: %v", tc, err)
-		}
-		h := pipeHost(t, words+64)
 		a, b := randWords(tc.n, 10), randWords(tc.n, 11)
-		got, err := v.Run(h, a, b)
-		if err != nil {
-			t.Fatalf("%+v: Run: %v", tc, err)
-		}
+		_, got, _ := runPlan(t, plan(t, VecAdd{N: tc.n}.Split, tc.chunks, tc.streams), a, b)
 		want, err := VecAddReference(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%+v: c[%d] = %d, want %d", tc, i, got[i], want[i])
-			}
-		}
+		sameWords(t, fmt.Sprintf("%+v", tc), got, want)
 	}
 }
 
 func TestPipelinedReduceCorrectness(t *testing.T) {
-	for _, tc := range []struct{ n, chunks, streams int }{
+	for _, tc := range []shape{
 		{256, 4, 2},
 		{100, 4, 2}, // partial final chunk, non-pow2 chunk sizes
 		{100, 3, 1},
-		{7, 16, 2},
+		{7, 16, 2}, // one-element chunks
 		{1, 4, 2},
 	} {
-		r := PipelinedReduce{N: tc.n, Chunks: tc.chunks, Streams: tc.streams}
-		words, err := r.GlobalWords(4) // Tiny warp width
-		if err != nil {
-			t.Fatalf("%+v: GlobalWords: %v", tc, err)
-		}
-		h := pipeHost(t, words+64)
 		in := randWords(tc.n, 20)
-		got, err := r.Run(h, in)
-		if err != nil {
-			t.Fatalf("%+v: Run: %v", tc, err)
-		}
+		_, _, got := runPlan(t, plan(t, Reduce{N: tc.n}.Split, tc.chunks, tc.streams), in)
 		if want := ReduceReference(in); got != want {
 			t.Fatalf("%+v: sum = %d, want %d", tc, got, want)
 		}
@@ -71,103 +90,86 @@ func TestPipelinedReduceCorrectness(t *testing.T) {
 }
 
 func TestPipelinedMatMulCorrectness(t *testing.T) {
-	for _, tc := range []struct{ n, chunks, streams int }{
+	for _, tc := range []shape{
 		{16, 4, 2}, // 4 tile rows, one per band
 		{16, 2, 2},
 		{12, 2, 1}, // 3 tile rows in 2 bands: partial final band
 		{8, 5, 2},  // more bands requested than tile rows
 	} {
-		m := PipelinedMatMul{N: tc.n, Chunks: tc.chunks, Streams: tc.streams}
-		words, err := m.GlobalWords(4)
-		if err != nil {
-			t.Fatalf("%+v: GlobalWords: %v", tc, err)
-		}
-		h := pipeHost(t, words+64)
 		a, b := randWords(tc.n*tc.n, 30), randWords(tc.n*tc.n, 31)
-		got, err := m.Run(h, a, b)
-		if err != nil {
-			t.Fatalf("%+v: Run: %v", tc, err)
-		}
+		_, got, _ := runPlan(t, plan(t, MatMul{N: tc.n}.Split, tc.chunks, tc.streams), a, b)
 		want, err := MatMulReference(a, b, tc.n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%+v: c[%d] = %d, want %d", tc, i, got[i], want[i])
-			}
-		}
+		sameWords(t, fmt.Sprintf("%+v", tc), got, want)
 	}
 }
 
-// TestPipelinedBeatsSequential is the tentpole's acceptance criterion: with
-// ≥4 chunks, the multi-stream schedule finishes strictly earlier than the
-// single-stream chunked baseline on identical inputs, and the saving equals
-// the makespan gap the timeline reports.
+// planCase is one workload of the schedule tables: its split and inputs
+// at a size where four chunks pipeline.
+type planCase struct {
+	name    string
+	declare func(b int) (Split, error)
+	in      [][]Word
+	// inWords and outWords are the words the whole plan moves each way
+	// in four chunks.
+	inWords, outWords int
+}
+
+func planCases() []planCase {
+	return []planCase{
+		{"vecadd", VecAdd{N: 512}.Split, [][]Word{randWords(512, 40), randWords(512, 41)}, 2 * 512, 512},
+		{"reduce", Reduce{N: 1024}.Split, [][]Word{randWords(1024, 42)}, 1024, 4},
+		{"matmul", MatMul{N: 16}.Split, [][]Word{randWords(256, 43), randWords(256, 44)}, 2 * 256, 256},
+	}
+}
+
+// TestPipelinedBeatsSequential: with four chunks, the multi-stream
+// schedule finishes strictly earlier than the single-stream chunked
+// baseline on identical inputs, with the same link and kernel busy time.
 func TestPipelinedBeatsSequential(t *testing.T) {
-	const n, chunks = 512, 4
-	a, b := randWords(n, 40), randWords(n, 41)
-
-	run := func(streams int) *simgpu.Host {
-		v := PipelinedVecAdd{N: n, Chunks: chunks, Streams: streams}
-		words, err := v.GlobalWords(4)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range planCases() {
+		seq, _, _ := runPlan(t, plan(t, tc.declare, 4, 1), tc.in...)
+		pipe, _, _ := runPlan(t, plan(t, tc.declare, 4, 2), tc.in...)
+		if seq.OverlapSaved() != 0 {
+			t.Fatalf("%s: single-stream run reports overlap %v", tc.name, seq.OverlapSaved())
 		}
-		h := pipeHost(t, words+64)
-		if _, err := v.Run(h, a, b); err != nil {
-			t.Fatal(err)
+		if pipe.OverlapSaved() <= 0 {
+			t.Fatalf("%s: multi-stream run reports no overlap", tc.name)
 		}
-		return h
-	}
-
-	seq, pipe := run(1), run(2)
-	if seq.OverlapSaved() != 0 {
-		t.Fatalf("single-stream run reports overlap %v", seq.OverlapSaved())
-	}
-	if pipe.OverlapSaved() <= 0 {
-		t.Fatal("multi-stream run reports no overlap")
-	}
-	if pipe.TotalTime() >= seq.TotalTime() {
-		t.Fatalf("pipelined total %v not less than sequential %v",
-			pipe.TotalTime(), seq.TotalTime())
-	}
-	// Work content is identical; only the schedule differs.
-	if pipe.KernelTime() != seq.KernelTime() {
-		t.Fatalf("kernel busy differs: %v vs %v", pipe.KernelTime(), seq.KernelTime())
-	}
-	if pipe.TransferTime() != seq.TransferTime() {
-		t.Fatalf("link busy differs: %v vs %v", pipe.TransferTime(), seq.TransferTime())
+		if pipe.TotalTime() >= seq.TotalTime() {
+			t.Fatalf("%s: pipelined total %v not less than sequential %v",
+				tc.name, pipe.TotalTime(), seq.TotalTime())
+		}
+		// Work content is identical; only the schedule differs.
+		if pipe.KernelTime() != seq.KernelTime() {
+			t.Fatalf("%s: kernel busy differs: %v vs %v", tc.name, pipe.KernelTime(), seq.KernelTime())
+		}
+		if pipe.TransferTime() != seq.TransferTime() {
+			t.Fatalf("%s: link busy differs: %v vs %v", tc.name, pipe.TransferTime(), seq.TransferTime())
+		}
 	}
 }
 
 // TestPipelinedDeterministicReplay: identical inputs replay to identical
 // overlapped schedules and identical makespans.
 func TestPipelinedDeterministicReplay(t *testing.T) {
-	run := func() *simgpu.Host {
-		v := PipelinedVecAdd{N: 256, Chunks: 4, Streams: 2}
-		words, err := v.GlobalWords(4)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range planCases() {
+		h1, _, _ := runPlan(t, plan(t, tc.declare, 4, 2), tc.in...)
+		h2, _, _ := runPlan(t, plan(t, tc.declare, 4, 2), tc.in...)
+		a, b := h1.Timeline().Ops(), h2.Timeline().Ops()
+		if len(a) != len(b) {
+			t.Fatalf("%s: op counts differ: %d vs %d", tc.name, len(a), len(b))
 		}
-		h := pipeHost(t, words+64)
-		if _, err := v.Run(h, randWords(256, 50), randWords(256, 51)); err != nil {
-			t.Fatal(err)
+		for i := range a {
+			if a[i].Start != b[i].Start || a[i].End != b[i].End || a[i].Resource != b[i].Resource {
+				t.Fatalf("%s: op %d differs: %+v vs %+v", tc.name, i, a[i], b[i])
+			}
 		}
-		return h
-	}
-	h1, h2 := run(), run()
-	a, b := h1.Timeline().Ops(), h2.Timeline().Ops()
-	if len(a) != len(b) {
-		t.Fatalf("op counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Start != b[i].Start || a[i].End != b[i].End || a[i].Resource != b[i].Resource {
-			t.Fatalf("op %d differs: %+v vs %+v", i, a[i], b[i])
+		if h1.TotalTime() != h2.TotalTime() {
+			t.Fatalf("%s: makespans differ: %v vs %v", tc.name, h1.TotalTime(), h2.TotalTime())
 		}
-	}
-	if h1.TotalTime() != h2.TotalTime() {
-		t.Fatalf("makespans differ: %v vs %v", h1.TotalTime(), h2.TotalTime())
 	}
 }
 
@@ -175,80 +177,78 @@ func TestPipelinedDeterministicReplay(t *testing.T) {
 // words as the monolithic ones and predict a pipelined cost no worse than
 // sequential via core.GPUCostPipelined.
 func TestPipelinedAnalyzeConservation(t *testing.T) {
-	p := core.Params{P: 64, B: 4, M: 64, G: 100000}
-
-	va := PipelinedVecAdd{N: 100, Chunks: 4, Streams: 2}
-	aa, err := va.Analyze(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var in, out int
-	for _, r := range aa.Rounds {
-		in += r.InWords
-		out += r.OutWords
-	}
-	if in != 2*va.N || out != va.N {
-		t.Fatalf("vecadd words moved: in=%d out=%d, want %d/%d", in, out, 2*va.N, va.N)
-	}
+	p := core.Params{P: 64, B: tinyWidth, M: 64, G: 100000}
 	cost := core.CostParams{
 		Gamma: 1e6, Lambda: 4, Sigma: 1e-4,
 		Alpha: 1e-5, Beta: 1e-6, KPrime: 2, H: 2,
 	}
-	pc, err := core.GPUCostPipelined(aa, cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pc.Pipelined > pc.Sequential {
-		t.Fatalf("predicted pipelined %g worse than sequential %g", pc.Pipelined, pc.Sequential)
-	}
-	if pc.Saving() <= 0 {
-		t.Fatalf("4-chunk vecadd predicts no overlap saving: %+v", pc)
-	}
-
-	rd := PipelinedReduce{N: 256, Chunks: 4, Streams: 2}
-	ra, err := rd.Analyze(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, out = 0, 0
-	for _, r := range ra.Rounds {
-		in += r.InWords
-		out += r.OutWords
-	}
-	if in != rd.N || out != 4 {
-		t.Fatalf("reduce words moved: in=%d out=%d, want %d/4", in, out, rd.N)
-	}
-
-	mm := PipelinedMatMul{N: 16, Chunks: 4, Streams: 2}
-	ma, err := mm.Analyze(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, out = 0, 0
-	for _, r := range ma.Rounds {
-		in += r.InWords
-		out += r.OutWords
-	}
-	if in != 2*mm.N*mm.N || out != mm.N*mm.N {
-		t.Fatalf("matmul words moved: in=%d out=%d, want %d/%d", in, out, 2*mm.N*mm.N, mm.N*mm.N)
+	for _, tc := range planCases() {
+		a, err := plan(t, tc.declare, 4, 2).Analyze(p)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var in, out int
+		for _, r := range a.Rounds {
+			in += r.InWords
+			out += r.OutWords
+		}
+		if in != tc.inWords || out != tc.outWords {
+			t.Fatalf("%s words moved: in=%d out=%d, want %d/%d", tc.name, in, out, tc.inWords, tc.outWords)
+		}
+		pc, err := core.GPUCostPipelined(a, cost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pc.Pipelined > pc.Sequential {
+			t.Fatalf("%s: predicted pipelined %g worse than sequential %g", tc.name, pc.Pipelined, pc.Sequential)
+		}
+		if pc.Saving() <= 0 {
+			t.Fatalf("%s: 4-chunk split predicts no overlap saving: %+v", tc.name, pc)
+		}
 	}
 }
 
+// TestPipelinedValidationErrors is the plan's validation table: every
+// bad split, chunking or input fails with its sentinel — the size and
+// chunking errors from GlobalWords, Analyze and Run alike. The
+// out-of-core reduction's own cases are in TestOutOfCoreValidation and
+// TestAnalyzeSerialValidation.
 func TestPipelinedValidationErrors(t *testing.T) {
-	if _, err := (PipelinedVecAdd{N: 0, Chunks: 4}).GlobalWords(4); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, err := (PipelinedVecAdd{N: 8, Chunks: 0}).GlobalWords(4); err == nil {
-		t.Error("chunks=0 accepted")
-	}
-	if _, err := (PipelinedVecAdd{N: 8, Chunks: 2, Streams: -1}).GlobalWords(4); err == nil {
-		t.Error("negative streams accepted")
-	}
-	h := pipeHost(t, 4096)
-	if _, err := (PipelinedVecAdd{N: 8, Chunks: 2}).Run(h, make([]Word, 7), make([]Word, 8)); err == nil {
-		t.Error("short input accepted")
-	}
-	if _, err := (PipelinedMatMul{N: 6, Chunks: 2}).Run(h, make([]Word, 36), make([]Word, 36)); err == nil {
-		t.Error("n not multiple of warp width accepted")
+	vecadd := func(n int) func(int) (Split, error) { return VecAdd{N: n}.Split }
+	for _, tc := range []struct {
+		name            string
+		declare         func(b int) (Split, error)
+		chunks, streams int
+		in              [][]Word
+		// runOnly marks errors only Run can see.
+		runOnly bool
+		want    error
+	}{
+		{"n=0", vecadd(0), 4, 2, [][]Word{nil, nil}, false, ErrBadSize},
+		{"chunks=0", vecadd(8), 0, 2, [][]Word{make([]Word, 8), make([]Word, 8)}, false, ErrBadSize},
+		{"streams=0", vecadd(8), 2, 0, [][]Word{make([]Word, 8), make([]Word, 8)}, false, ErrBadSize},
+		{"short input", vecadd(8), 2, 2, [][]Word{make([]Word, 7), make([]Word, 8)}, true, ErrBadShape},
+		{"missing input", vecadd(8), 2, 2, [][]Word{make([]Word, 8)}, true, ErrBadShape},
+		{"matmul n not a multiple of b", MatMul{N: 6}.Split, 2, 2, nil, false, ErrBadShape},
+		{"matmul n=0", MatMul{N: 0}.Split, 2, 2, nil, false, ErrBadSize},
+		{"reduce b not a power of two", func(int) (Split, error) { return Reduce{N: 8}.Split(3) }, 2, 2, nil, false, ErrNotPow2},
+	} {
+		split, err := tc.declare(tinyWidth)
+		if err != nil {
+			if !errors.Is(err, tc.want) {
+				t.Errorf("%s: declare: %v, want %v", tc.name, err, tc.want)
+			}
+			continue
+		}
+		p := Chunked{Split: split, Chunks: tc.chunks, Streams: tc.streams}
+		words, gwErr := p.GlobalWords()
+		_, anErr := p.Analyze(tinyParams(64))
+		if !tc.runOnly && (!errors.Is(gwErr, tc.want) || !errors.Is(anErr, tc.want)) {
+			t.Errorf("%s: GlobalWords: %v, Analyze: %v, want %v", tc.name, gwErr, anErr, tc.want)
+		}
+		h := newTestHost(t, words+64)
+		if _, err := p.Run(h, make([]Word, p.OutWords()), tc.in...); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Run: %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }

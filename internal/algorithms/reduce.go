@@ -95,6 +95,44 @@ func (r Reduce) Analyze(p core.Params) (*core.Analysis, error) {
 	return a, nil
 }
 
+// Split declares the chunked-transfer variant at warp width b: each chunk
+// reduces on the device to one partial through its own ⌈log_b chunk⌉
+// rounds, ping-ponging between the chunk buffer and a partials scratch
+// buffer, and the host sums the partials.
+func (r Reduce) Split(b int) (Split, error) {
+	if !isPow2(b) {
+		return Split{}, fmt.Errorf("%w: b=%d", ErrNotPow2, b)
+	}
+	return Split{
+		Name: "reduce", Width: b, Len: r.N, Unit: 1, Inputs: 1,
+		Scratch: func(units int) int { return ceilDiv(units, b) },
+		Chunk: func(units int, bufs Bufs) ([]ChunkRound, int) {
+			in, out := bufs.In[0], bufs.Scratch
+			sizes := Reduce{N: units}.RoundSizes(b)
+			rounds := make([]ChunkRound, len(sizes))
+			for i, count := range sizes {
+				k := ceilDiv(count, b)
+				src, dst := in, out
+				rounds[i] = ChunkRound{
+					Round: core.Round{Time: reduceOps(b), IO: float64(2 * k), SharedWords: b, Blocks: k},
+					Kernel: func() (*kernel.Program, error) {
+						return Reduce{N: units}.Kernel(b, src, dst, count)
+					},
+				}
+				in, out = out, in
+			}
+			return rounds, in
+		},
+		Combine: func(parts []Word) Word {
+			var sum Word
+			for _, p := range parts {
+				sum += p
+			}
+			return sum
+		},
+	}, nil
+}
+
 // AGPU returns the asymptotic report the AGPU baseline would give.
 func (r Reduce) AGPU() models.AGPUReport {
 	return models.AGPUReport{

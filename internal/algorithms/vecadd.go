@@ -71,6 +71,24 @@ func (v VecAdd) Analyze(p core.Params) (*core.Analysis, error) {
 	return a, nil
 }
 
+// Split declares the chunked-transfer variant at warp width b: chunks of
+// both vectors stream in, add, and their sum streams back out.
+func (v VecAdd) Split(b int) (Split, error) {
+	return Split{
+		Name: "vecadd", Width: b, Len: v.N, Unit: 1, Inputs: 2,
+		Chunk: func(units int, bufs Bufs) ([]ChunkRound, int) {
+			k := ceilDiv(units, b)
+			return []ChunkRound{{
+				Round: core.Round{Time: vecAddOpsPerThread, IO: float64(3 * k),
+					SharedWords: v.SharedWordsPerBlock(b), Blocks: k},
+				Kernel: func() (*kernel.Program, error) {
+					return VecAdd{N: units}.Kernel(b, bufs.In[0], bufs.In[1], bufs.Out)
+				},
+			}}, bufs.Out
+		},
+	}, nil
+}
+
 // AGPU returns the asymptotic report the AGPU baseline would give.
 func (v VecAdd) AGPU() models.AGPUReport {
 	return models.AGPUReport{

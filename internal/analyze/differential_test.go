@@ -285,60 +285,42 @@ func TestDifferentialMatMul(t *testing.T) {
 	}
 }
 
-// TestDifferentialPipelined runs the chunked multi-stream variants: many
+// TestDifferentialPipelined runs the chunked multi-stream plans: many
 // small launches with distinct base addresses and tail shapes.
 func TestDifferentialPipelined(t *testing.T) {
 	const n = 1 << 14
-	t.Run("vecadd", func(t *testing.T) {
-		alg := algorithms.PipelinedVecAdd{N: n, Chunks: 4, Streams: 2}
-		gw, err := alg.GlobalWords(32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := wideConfig(gw + 64)
-		h := newDiffHost(t, cfg)
-		launches := attachChecker(t, h, cfg)
-		a, b := randWords(n, 5), randWords(n, 6)
-		if _, err := alg.Run(h, a, b); err != nil {
-			t.Fatal(err)
-		}
-		if *launches < 4 {
-			t.Fatalf("expected one launch per chunk, saw %d", *launches)
-		}
-	})
-	t.Run("reduce", func(t *testing.T) {
-		alg := algorithms.PipelinedReduce{N: n, Chunks: 4, Streams: 2}
-		gw, err := alg.GlobalWords(32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := wideConfig(gw + 64)
-		h := newDiffHost(t, cfg)
-		launches := attachChecker(t, h, cfg)
-		if _, err := alg.Run(h, randWords(n, 7)); err != nil {
-			t.Fatal(err)
-		}
-		if *launches < 4 {
-			t.Fatalf("expected one launch per chunk, saw %d", *launches)
-		}
-	})
-	t.Run("matmul", func(t *testing.T) {
-		alg := algorithms.PipelinedMatMul{N: 64, Chunks: 2, Streams: 2}
-		gw, err := alg.GlobalWords(32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := wideConfig(gw + 64)
-		h := newDiffHost(t, cfg)
-		launches := attachChecker(t, h, cfg)
-		a, b := randWords(64*64, 8), randWords(64*64, 9)
-		if _, err := alg.Run(h, a, b); err != nil {
-			t.Fatal(err)
-		}
-		if *launches < 2 {
-			t.Fatalf("expected one launch per band, saw %d", *launches)
-		}
-	})
+	for _, tc := range []struct {
+		name     string
+		declare  func(b int) (algorithms.Split, error)
+		chunks   int
+		in       [][]algorithms.Word
+		launches int // at least one per chunk
+	}{
+		{"vecadd", algorithms.VecAdd{N: n}.Split, 4, [][]algorithms.Word{randWords(n, 5), randWords(n, 6)}, 4},
+		{"reduce", algorithms.Reduce{N: n}.Split, 4, [][]algorithms.Word{randWords(n, 7)}, 4},
+		{"matmul", algorithms.MatMul{N: 64}.Split, 2, [][]algorithms.Word{randWords(64*64, 8), randWords(64*64, 9)}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			split, err := tc.declare(32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := algorithms.Chunked{Split: split, Chunks: tc.chunks, Streams: 2}
+			gw, err := plan.GlobalWords()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := wideConfig(gw + 64)
+			h := newDiffHost(t, cfg)
+			launches := attachChecker(t, h, cfg)
+			if _, err := plan.Run(h, make([]algorithms.Word, plan.OutWords()), tc.in...); err != nil {
+				t.Fatal(err)
+			}
+			if *launches < tc.launches {
+				t.Fatalf("expected one launch per chunk, saw %d", *launches)
+			}
+		})
+	}
 }
 
 // TestDifferentialBreadth covers the remaining built-ins — dot, scan,

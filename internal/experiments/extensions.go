@@ -15,8 +15,8 @@ import (
 //     sweep, same predicted-vs-observed methodology as §IV.
 //   - RunTransposeContrast: the coalescing study; the model's qᵢ metric
 //     must order the naive and tiled variants the way the device does.
-//   - RunOutOfCore: "approaches where the data does not fit on the global
-//     memory" — serial vs overlapped chunked reduction.
+//   - RunOutOfCore (pipeline.go): "approaches where the data does not fit
+//     on the global memory" — the reduce split, serial vs overlapped.
 //   - RunDeviceSweep: "verify the model using other GPUs" — the same
 //     workload calibrated and checked on several device presets.
 
@@ -77,53 +77,6 @@ func (r *Runner) RunTransposeContrast(n int) (*TransposeContrast, error) {
 		}
 	}
 	out.ModelOrdersCorrectly = (out.NaiveQ > out.TiledQ) == (out.NaiveCycles > out.TiledCycles)
-	return out, nil
-}
-
-// OutOfCorePoint is one chunk-size configuration of the out-of-core study.
-type OutOfCorePoint struct {
-	ChunkWords int
-	Chunks     int
-	Serial     float64 // seconds
-	Overlapped float64 // seconds
-	Speedup    float64
-	// Transfer and Kernel split the serial schedule, in seconds.
-	Transfer, Kernel float64
-}
-
-// RunOutOfCore runs the partitioned reduction over several chunk sizes on
-// a deliberately small-G device.
-func (r *Runner) RunOutOfCore(n int, chunks []int) ([]OutOfCorePoint, error) {
-	var out []OutOfCorePoint
-	in := make([]algorithms.Word, n)
-	for i := range in {
-		in[i] = algorithms.Word(i & 1)
-	}
-	want := algorithms.ReduceReference(in)
-	for _, chunk := range chunks {
-		b := r.cfg.Device.WarpWidth
-		h, err := r.newHost(2*chunk+(chunk+b-1)/b, "ooc", n, chunk)
-		if err != nil {
-			return nil, err
-		}
-		alg := algorithms.OutOfCoreReduce{N: n, ChunkWords: chunk}
-		res, err := alg.Run(h, in)
-		if err != nil {
-			return nil, fmt.Errorf("ooc chunk=%d: %w", chunk, err)
-		}
-		if res.Sum != want {
-			return nil, fmt.Errorf("ooc chunk=%d: %w", chunk, algorithms.ErrVerifyFail)
-		}
-		out = append(out, OutOfCorePoint{
-			ChunkWords: chunk,
-			Chunks:     res.Chunks,
-			Serial:     res.SerialTime.Seconds(),
-			Overlapped: res.OverlappedTime.Seconds(),
-			Speedup:    res.Speedup(),
-			Transfer:   res.TransferTime.Seconds(),
-			Kernel:     res.KernelTime.Seconds(),
-		})
-	}
 	return out, nil
 }
 

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"errors"
+	"math"
 	"testing"
 
+	"atgpu/internal/algorithms"
 	"atgpu/internal/transfer"
 )
 
@@ -67,18 +70,54 @@ func TestRunOutOfCore(t *testing.T) {
 	if len(points) != 2 {
 		t.Fatalf("points = %d", len(points))
 	}
-	for _, p := range points {
-		if p.Speedup < 1 {
-			t.Errorf("chunk %d: overlap speedup %g < 1", p.ChunkWords, p.Speedup)
+	for i, p := range points {
+		if want := 1 << 14 >> (10 + 2*i); p.Chunks != want {
+			t.Errorf("point %d: %d chunks, want %d", i, p.Chunks, want)
 		}
-		if p.Overlapped > p.Serial {
-			t.Errorf("chunk %d: overlap slower than serial", p.ChunkWords)
+		if p.Pipelined.TotalTime > p.Sequential.TotalTime {
+			t.Errorf("%d chunks: overlap slower than serial", p.Chunks)
+		}
+		// Serial charges σ once: its total is its busy time plus one σ.
+		seq := p.Sequential
+		if seq.Rounds != 1 || math.Abs(seq.TotalTime-(seq.TransferTime+seq.KernelTime+seq.SyncTime)) > 1e-12 {
+			t.Errorf("%d chunks: serial total %g over %d rounds, want transfer %g + kernel %g + σ %g",
+				p.Chunks, seq.TotalTime, seq.Rounds, seq.TransferTime, seq.KernelTime, seq.SyncTime)
 		}
 	}
 	// Fewer, larger chunks amortise α: serial time must fall with chunk
 	// size.
-	if points[1].Serial >= points[0].Serial {
-		t.Errorf("larger chunks should be faster: %g vs %g", points[1].Serial, points[0].Serial)
+	if points[1].Sequential.TotalTime >= points[0].Sequential.TotalTime {
+		t.Errorf("larger chunks should be faster: %g vs %g",
+			points[1].Sequential.TotalTime, points[0].Sequential.TotalTime)
+	}
+	for _, n := range []int{0, -4} {
+		if _, err := r.RunOutOfCore(n, []int{4}); !errors.Is(err, algorithms.ErrBadSize) {
+			t.Errorf("n=%d: %v, want ErrBadSize", n, err)
+		}
+	}
+	if _, err := r.RunOutOfCore(16, []int{0}); !errors.Is(err, algorithms.ErrBadSize) {
+		t.Errorf("chunk=0: %v, want ErrBadSize", err)
+	}
+}
+
+// TestOutOfCoreOverlapMatchesModel holds the overlap model as an
+// invariant on the figures' out-of-core splits (n = 2¹⁶; chunks 2¹¹, 2¹²,
+// 2¹³ words): the saving observed on the simulated timeline is within one
+// point of the saving core.GPUCostPipelined predicts.
+func TestOutOfCoreOverlapMatchesModel(t *testing.T) {
+	r, err := NewRunner(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := r.RunOutOfCore(1<<16, []int{1 << 11, 1 << 12, 1 << 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range points {
+		obs, pred := p.ObservedSavingFraction(), p.PredictedSavingFraction()
+		if obs <= 0 || math.Abs(obs-pred) > 0.01 {
+			t.Errorf("%d chunks: observed saving %.1f%%, predicted %.1f%%", p.Chunks, 100*obs, 100*pred)
+		}
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 
+	"atgpu/internal/algorithms"
 	"atgpu/internal/core"
+	"atgpu/internal/mem"
 	"atgpu/internal/obs"
 	"atgpu/internal/results"
 	"atgpu/internal/simgpu"
@@ -170,7 +172,7 @@ func (r *Runner) SweepPipelined(workload string) (*PipelineData, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.sweepPipelined(w, w.sweepSizes(r.cfg))
+	return r.sweepPipelined(w, w.sweepSizes(r.cfg), r.cfg.chunks())
 }
 
 // RunPipelined runs the named workload's size-n pipelined point as a
@@ -180,11 +182,37 @@ func (r *Runner) RunPipelined(workload string, n int) (PipelinePoint, error) {
 	if err != nil {
 		return PipelinePoint{}, err
 	}
-	data, err := r.sweepPipelined(w, []int{n})
+	return r.runPipelined(w, n, r.cfg.chunks())
+}
+
+// runPipelined is w's size-n pipelined point in chunks chunks.
+func (r *Runner) runPipelined(w *Workload, n, chunks int) (PipelinePoint, error) {
+	data, err := r.sweepPipelined(w, []int{n}, chunks)
 	if err != nil {
 		return PipelinePoint{}, err
 	}
 	return data.Points[0], nil
+}
+
+// RunOutOfCore runs the out-of-core reduction of n words once per chunk
+// length in chunkWords (future work §V): the reduce split in ⌈n/chunk⌉
+// chunks, serially on one stream and overlapped on two, as a pipelined
+// point. The device holds only the chunk buffers, never the whole input.
+func (r *Runner) RunOutOfCore(n int, chunkWords []int) ([]PipelinePoint, error) {
+	w, err := Lookup("reduce")
+	if err != nil {
+		return nil, err
+	}
+	points := make([]PipelinePoint, len(chunkWords))
+	for i, chunk := range chunkWords {
+		if chunk <= 0 {
+			return nil, fmt.Errorf("experiments: out-of-core: %w: chunk=%d", algorithms.ErrBadSize, chunk)
+		}
+		if points[i], err = r.runPipelined(w, n, ceilDiv(n, chunk)); err != nil {
+			return nil, err
+		}
+	}
+	return points, nil
 }
 
 // PredictPipelined prices the named workload's size-n chunked variant,
@@ -195,11 +223,11 @@ func (r *Runner) PredictPipelined(workload string, n int) (core.PipelinedCost, e
 	if err != nil {
 		return core.PipelinedCost{}, err
 	}
-	return r.predictPipelined(w, n)
+	return r.predictPipelined(w, n, r.cfg.chunks())
 }
 
-func (r *Runner) predictPipelined(w *Workload, n int) (core.PipelinedCost, error) {
-	analysis, err := w.AnalyzePipelined(n, r.cfg.chunks(), r.cfg.Device)
+func (r *Runner) predictPipelined(w *Workload, n, chunks int) (core.PipelinedCost, error) {
+	analysis, err := w.AnalyzePipelined(n, chunks, r.cfg.Device)
 	if err != nil {
 		return core.PipelinedCost{}, fmt.Errorf("analyze: %w", err)
 	}
@@ -210,30 +238,28 @@ func (r *Runner) predictPipelined(w *Workload, n int) (core.PipelinedCost, error
 	return pc, nil
 }
 
-// sweepPipelined runs w's pipelined points over sizes. Each point draws
-// its inputs once and observes both schedules on them, each on a fresh
-// host sized to that schedule's footprint.
-func (r *Runner) sweepPipelined(w *Workload, sizes []int) (*PipelineData, error) {
-	pv := w.pipelined
-	if pv == nil {
+// sweepPipelined runs w's pipelined points over sizes in chunks chunks.
+// Each point draws its inputs once and observes both schedules on them,
+// each on a fresh host sized to that schedule's footprint.
+func (r *Runner) sweepPipelined(w *Workload, sizes []int, chunks int) (*PipelineData, error) {
+	if w.split == nil {
 		return nil, fmt.Errorf("experiments: %s has no pipelined variant", w.Name)
 	}
 	name := w.Name + "-pipelined"
-	chunks := r.cfg.chunks()
-	warp := r.cfg.Device.WarpWidth
 	globalWords := r.sweepGlobalWords(sizes, func(n int) int {
-		most := 0
-		for _, streams := range []int{1, pipelineStreams} {
-			if g, err := pv.plan(n, chunks, streams).GlobalWords(warp); err == nil {
-				most = max(most, g)
-			}
+		// The overlapped plan holds the most: a buffer set per stream. A
+		// bad plan fails its point when the point prices it.
+		plan, err := w.plan(n, chunks, pipelineStreams, r.cfg.Device)
+		if err != nil {
+			return 0
 		}
-		return most
+		words, _ := plan.GlobalWords()
+		return words
 	})
 	inputWords := w.sweepInputWords(sizes)
 	points, recs, rep, err := runSweep(r, name, sizes, func(idx, n int) (PipelinePoint, error) {
 		pt := PipelinePoint{N: n, Chunks: chunks, Streams: pipelineStreams}
-		pc, err := r.predictPipelined(w, n)
+		pc, err := r.predictPipelined(w, n, chunks)
 		if err != nil {
 			return pt, fmt.Errorf("%s n=%d: %w", name, n, err)
 		}
@@ -244,7 +270,7 @@ func (r *Runner) sweepPipelined(w *Workload, sizes []int) (*PipelineData, error)
 		s := r.scratch.get(globalWords, inputWords)
 		defer r.scratch.put(s)
 		s.rng.seed(r.inputSeed(name, n, idx))
-		run := pv.prepare(n, s)
+		in := w.splitInputs(n, s)
 		for _, sc := range [...]struct {
 			half     *WorkloadPoint
 			streams  int
@@ -252,14 +278,7 @@ func (r *Runner) sweepPipelined(w *Workload, sizes []int) (*PipelineData, error)
 		}{{&pt.Sequential, 1, "sequential"}, {&pt.Pipelined, pt.Streams, "pipelined"}} {
 			sc.half.N = n
 			err := r.observePoint(sc.half, func() (*simgpu.Host, error) {
-				var h *simgpu.Host
-				words, err := pv.plan(n, chunks, sc.streams).GlobalWords(warp)
-				if err == nil {
-					h, err = r.newHostIn(s, words, name, n, idx)
-				}
-				if err == nil {
-					err = run(h, chunks, sc.streams)
-				}
+				h, err := r.runPlan(w, s, in, n, idx, chunks, sc.streams)
 				if err != nil {
 					err = fmt.Errorf("%s n=%d %s: %w", name, n, sc.schedule, err)
 				}
@@ -281,4 +300,28 @@ func (r *Runner) sweepPipelined(w *Workload, sizes []int) (*PipelineData, error)
 		return nil, err
 	}
 	return &PipelineData{Workload: name, Points: points, Records: recs, Obs: rep}, err
+}
+
+// runPlan runs w's size-n split in chunks chunks on streams streams over
+// the inputs in, on a fresh host in s sized to the plan, and verifies
+// the output.
+func (r *Runner) runPlan(w *Workload, s *pointScratch, in [][]mem.Word, n, idx, chunks, streams int) (*simgpu.Host, error) {
+	plan, err := w.plan(n, chunks, streams, r.cfg.Device)
+	if err != nil {
+		return nil, err
+	}
+	words, err := plan.GlobalWords()
+	if err != nil {
+		return nil, err
+	}
+	h, err := r.newHostIn(s, words, w.Name+"-pipelined", n, idx)
+	if err != nil {
+		return nil, err
+	}
+	out := s.result(plan.OutWords())
+	combined, err := plan.Run(h, out, in...)
+	if err != nil {
+		return h, err
+	}
+	return h, w.splitCheck(n, s, in, out, combined)
 }

@@ -27,6 +27,8 @@ type pointScratch struct {
 	rng inputStream
 	// vec is a work vector for result checks (see vector).
 	vec []mem.Word
+	// out receives a pipelined schedule's output (see result).
+	out []mem.Word
 }
 
 // device builds a device for cfg whose global memory reuses the set's
@@ -59,6 +61,16 @@ func (s *pointScratch) vector(n int) []mem.Word {
 		s.vec = make([]mem.Word, n)
 	}
 	return s.vec[:n]
+}
+
+// result returns the output buffer cut to n words, for a run to
+// overwrite. It grows as the input buffers do: a chunked output is at
+// most as long as the sweep's largest input.
+func (s *pointScratch) result(n int) []mem.Word {
+	if n > cap(s.out) {
+		s.out = make([]mem.Word, max(n, s.inputWords))
+	}
+	return s.out[:n]
 }
 
 // words draws input i: n words uniform in [-1000, 1000], rand.Intn(2001)

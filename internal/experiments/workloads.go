@@ -52,9 +52,15 @@ type Workload struct {
 	// atgpud analyse, and the kernel component of atgpud's cache key.
 	kernel func(n, b int) (*kernel.Program, error)
 
-	// pipelined is the chunked multi-stream variant, nil when there is
-	// none.
-	pipelined *pipelinedVariant
+	// split declares the chunked-transfer variant of a size-n instance
+	// at warp width b, nil when there is none (see SweepPipelined).
+	// splitInputs draws a pipelined point's inputs into s, in the order
+	// the split's Run takes them, and splitCheck verifies one schedule's
+	// output (with its combined result) against them. Both schedules read
+	// the same inputs, so their output lands in s's result buffer.
+	split       func(n, b int) (algorithms.Split, error)
+	splitInputs func(n int, s *pointScratch) [][]mem.Word
+	splitCheck  func(n int, s *pointScratch, in [][]mem.Word, out []mem.Word, combined mem.Word) error
 
 	// panels are the paper figure panels a sweep of the workload expands
 	// into (see Figures).
@@ -66,25 +72,6 @@ type Workload struct {
 type model interface {
 	Blocks(b int) int
 	Analyze(p core.Params) (*core.Analysis, error)
-}
-
-// pipelinedVariant is a workload's chunked schedule, run sequentially on
-// one stream and overlapped on pipelineStreams (see SweepPipelined).
-type pipelinedVariant struct {
-	// blocks is the model launch width of a chunks-way split; plan is the
-	// split on a stream count, which prices and sizes it.
-	blocks func(n, chunks, b int) int
-	plan   func(n, chunks, streams int) pipelinedPlan
-	// prepare draws a point's inputs into s once and returns the run both
-	// schedules execute on them, verification included. Both runs read
-	// the same inputs, so their results never land in an input buffer.
-	prepare func(n int, s *pointScratch) func(h *simgpu.Host, chunks, streams int) error
-}
-
-// pipelinedPlan is a chunked schedule's model and footprint.
-type pipelinedPlan interface {
-	Analyze(p core.Params) (*core.Analysis, error)
-	GlobalWords(b int) (int, error)
 }
 
 // panel is one paper figure panel: its ID and builder.
@@ -116,21 +103,12 @@ var registry = []*Workload{
 			m := alignUp(n, b)
 			return algorithms.VecAdd{N: n}.Kernel(b, 0, m, 2*m)
 		},
-		pipelined: &pipelinedVariant{
-			blocks: chunkBlocks,
-			plan: func(n, chunks, streams int) pipelinedPlan {
-				return algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: streams}
-			},
-			prepare: func(n int, s *pointScratch) func(*simgpu.Host, int, int) error {
-				a, b := s.words(0, n), s.words(1, n)
-				return func(h *simgpu.Host, chunks, streams int) error {
-					c, err := algorithms.PipelinedVecAdd{N: n, Chunks: chunks, Streams: streams}.Run(h, a, b)
-					if err != nil {
-						return err
-					}
-					return verifyVecAdd(c, a, b)
-				}
-			},
+		split: func(n, b int) (algorithms.Split, error) { return algorithms.VecAdd{N: n}.Split(b) },
+		splitInputs: func(n int, s *pointScratch) [][]mem.Word {
+			return [][]mem.Word{s.words(0, n), s.words(1, n)}
+		},
+		splitCheck: func(_ int, _ *pointScratch, in [][]mem.Word, out []mem.Word, _ mem.Word) error {
+			return verifyVecAdd(out, in[0], in[1])
 		},
 		panels: []panel{{"fig3a", PredictedFigure}, {"fig3b", ObservedFigure},
 			{"fig3c", NormalisedFigure}, {"fig6a", DeltaFigure}},
@@ -158,22 +136,12 @@ var registry = []*Workload{
 		kernel: func(n, b int) (*kernel.Program, error) {
 			return algorithms.Reduce{N: n}.Kernel(b, 0, alignUp(n, b), n)
 		},
-		pipelined: &pipelinedVariant{
-			blocks: chunkBlocks,
-			plan: func(n, chunks, streams int) pipelinedPlan {
-				return algorithms.PipelinedReduce{N: n, Chunks: chunks, Streams: streams}
-			},
-			prepare: func(n int, s *pointScratch) func(*simgpu.Host, int, int) error {
-				in := s.bits(0, n)
-				want := algorithms.ReduceReference(in)
-				return func(h *simgpu.Host, chunks, streams int) error {
-					got, err := algorithms.PipelinedReduce{N: n, Chunks: chunks, Streams: streams}.Run(h, in)
-					if err != nil {
-						return err
-					}
-					return sameWord(got, want)
-				}
-			},
+		split: func(n, b int) (algorithms.Split, error) { return algorithms.Reduce{N: n}.Split(b) },
+		splitInputs: func(n int, s *pointScratch) [][]mem.Word {
+			return [][]mem.Word{s.bits(0, n)}
+		},
+		splitCheck: func(_ int, _ *pointScratch, in [][]mem.Word, _ []mem.Word, sum mem.Word) error {
+			return sameWord(sum, algorithms.ReduceReference(in[0]))
 		},
 		panels: []panel{{"fig4a", PredictedFigure}, {"fig4b", ObservedFigure},
 			{"fig4c", NormalisedFigure}, {"fig6b", DeltaFigure}},
@@ -201,27 +169,12 @@ var registry = []*Workload{
 			}
 			return algorithms.MatMul{N: n}.Kernel(b, 0, n*n, 2*n*n)
 		},
-		pipelined: &pipelinedVariant{
-			// The widest band launches bandTiles·(n/b) blocks.
-			blocks: func(n, chunks, b int) int {
-				tiles := n / b
-				bands := max(min(chunks, tiles), 1)
-				return ceilDiv(tiles, bands) * tiles
-			},
-			plan: func(n, chunks, streams int) pipelinedPlan {
-				return algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: streams}
-			},
-			prepare: func(n int, s *pointScratch) func(*simgpu.Host, int, int) error {
-				a, b := s.words(0, n*n), s.words(1, n*n)
-				u := s.vector(n)
-				return func(h *simgpu.Host, chunks, streams int) error {
-					c, err := algorithms.PipelinedMatMul{N: n, Chunks: chunks, Streams: streams}.Run(h, a, b)
-					if err != nil {
-						return err
-					}
-					return verifyMatMul(c, a, b, n, u)
-				}
-			},
+		split: func(n, b int) (algorithms.Split, error) { return algorithms.MatMul{N: n}.Split(b) },
+		splitInputs: func(n int, s *pointScratch) [][]mem.Word {
+			return [][]mem.Word{s.words(0, n*n), s.words(1, n*n)}
+		},
+		splitCheck: func(n int, s *pointScratch, in [][]mem.Word, out []mem.Word, _ mem.Word) error {
+			return verifyMatMul(out, in[0], in[1], n, s.vector(n))
 		},
 		panels: []panel{{"fig5a", PredictedFigure}, {"fig5b", ObservedFigure}, {"fig6c", DeltaFigure}},
 	},
@@ -437,7 +390,7 @@ func (w *Workload) sweepInputWords(sizes []int) int {
 
 // Pipelined reports whether the workload has a chunked multi-stream
 // variant (see Runner.SweepPipelined).
-func (w *Workload) Pipelined() bool { return w.pipelined != nil }
+func (w *Workload) Pipelined() bool { return w.split != nil }
 
 // Panels lists the IDs of the paper figure panels a sweep of the
 // workload expands into (none for workloads outside the paper).
@@ -460,16 +413,25 @@ func (w *Workload) Analyze(n int, dev simgpu.Config) (*core.Analysis, error) {
 	return m.Analyze(modelParams(dev, m.Blocks(dev.WarpWidth)))
 }
 
+// plan is the workload's size-n split at dev's warp width, run in chunks
+// chunks on streams streams.
+func (w *Workload) plan(n, chunks, streams int, dev simgpu.Config) (algorithms.Chunked, error) {
+	if w.split == nil {
+		return algorithms.Chunked{}, fmt.Errorf("experiments: %s has no pipelined variant", w.Name)
+	}
+	split, err := w.split(n, dev.WarpWidth)
+	return algorithms.Chunked{Split: split, Chunks: chunks, Streams: streams}, err
+}
+
 // AnalyzePipelined builds the chunked variant's analysis for size n split
 // chunks ways on the perfect-GPU instance of dev's geometry, sized for the
 // widest chunk's launch.
 func (w *Workload) AnalyzePipelined(n, chunks int, dev simgpu.Config) (*core.Analysis, error) {
-	pv := w.pipelined
-	if pv == nil {
-		return nil, fmt.Errorf("experiments: %s has no pipelined variant", w.Name)
+	plan, err := w.plan(n, chunks, pipelineStreams, dev)
+	if err != nil {
+		return nil, err
 	}
-	p := modelParams(dev, pv.blocks(n, chunks, dev.WarpWidth))
-	return pv.plan(n, chunks, pipelineStreams).Analyze(p)
+	return plan.Analyze(modelParams(dev, plan.Blocks()))
 }
 
 // Kernel builds the first program a size-n run launches at warp width b,
@@ -549,9 +511,6 @@ func ceilDiv(n, b int) int { return (n + b - 1) / b }
 // alignUp rounds n up to a multiple of b: where Host.Malloc places the
 // buffer after an n-word one.
 func alignUp(n, b int) int { return ceilDiv(n, b) * b }
-
-// chunkBlocks is the launch width of one chunk of a chunks-way split.
-func chunkBlocks(n, chunks, b int) int { return ceilDiv(ceilDiv(n, chunks), b) }
 
 // ran marks a run's error as a run failure.
 func ran(err error) error {

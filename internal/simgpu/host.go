@@ -167,7 +167,7 @@ func (h *Host) TransferOut(offset, length int) ([]mem.Word, error) {
 // TransferOutInto is TransferOut into dst: it moves len(dst) words at
 // offset into the caller's buffer instead of a fresh one.
 func (h *Host) TransferOutInto(dst []mem.Word, offset int) error {
-	return h.transferOutInto(h.def, dst, offset)
+	return h.AsyncTransferOutInto(h.def, dst, offset)
 }
 
 // SetTracer attaches a scheduling tracer recording every subsequent

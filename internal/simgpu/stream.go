@@ -112,14 +112,15 @@ func (h *Host) AsyncTransferOut(s *Stream, offset, length int) ([]mem.Word, erro
 		return nil, err
 	}
 	dst := make([]mem.Word, length)
-	if err := h.transferOutInto(s, dst, offset); err != nil {
+	if err := h.AsyncTransferOutInto(s, dst, offset); err != nil {
 		return nil, err
 	}
 	return dst, nil
 }
 
-// transferOutInto is AsyncTransferOut landing in dst, len(dst) words.
-func (h *Host) transferOutInto(s *Stream, dst []mem.Word, offset int) error {
+// AsyncTransferOutInto is AsyncTransferOut into dst: it moves len(dst)
+// words at offset into the caller's buffer instead of a fresh one.
+func (h *Host) AsyncTransferOutInto(s *Stream, dst []mem.Word, offset int) error {
 	s = h.stream(s)
 	h.enterStream(s)
 	defer h.leaveStream()
