@@ -7,12 +7,13 @@ import "fmt"
 // the interpreter's hot loop indexes the flattened register file directly
 // instead of recomputing int(reg)*width on every issue.
 type DInstr struct {
-	Op     Op
-	D      int32 // Rd column base: int(Rd) * width
-	A      int32 // Ra column base
-	B      int32 // Rb column base
-	Imm    Word
-	Target int32
+	Op         Op
+	Rd, Ra, Rb Reg   // the operand registers, which key the symbolic state
+	D          int32 // Rd column base: int(Rd) * width
+	A          int32 // Ra column base
+	B          int32 // Rb column base
+	Imm        Word
+	Target     int32
 	// Sem is Op.Semantics(), resolved once: nil for a non-compute opcode.
 	Sem *Sem
 }
@@ -40,6 +41,9 @@ func Decode(p *Program, width int) (*Decoded, error) {
 	for i, in := range p.Instrs {
 		d.Ins[i] = DInstr{
 			Op:     in.Op,
+			Rd:     in.Rd,
+			Ra:     in.Ra,
+			Rb:     in.Rb,
 			D:      int32(int(in.Rd) * width),
 			A:      int32(int(in.Ra) * width),
 			B:      int32(int(in.Rb) * width),

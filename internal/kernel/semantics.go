@@ -23,6 +23,56 @@ type Sem struct {
 	// Trap reports that a lane whose second operand is zero traps the
 	// kernel (division and remainder).
 	Trap bool
+	// Sym is the opcode's rule on operands in symbolic form, or nil for
+	// none: given the forms of Ra and of the second operand over a fully
+	// active warp of width lanes, it returns the result's form, or false
+	// when the result has none. Symbolic applies it.
+	Sym func(a, b Affine, width int) (Affine, bool)
+}
+
+// Affine is a register column in symbolic form: lane l holds
+// Base + Step·l in the wrapping two's-complement arithmetic of every lane
+// function. Step 0 is a value uniform across the warp.
+type Affine struct{ Base, Step Word }
+
+// Uniform is the symbolic form of v on every lane.
+func Uniform(v Word) Affine { return Affine{Base: v} }
+
+// Lane returns lane l's value.
+func (f Affine) Lane(l int) Word { return f.Base + f.Step*Word(l) }
+
+// Column writes f out: d[l] = f.Lane(l).
+func (f Affine) Column(d []Word) {
+	v := f.Base
+	for l := range d {
+		d[l] = v
+		v += f.Step
+	}
+}
+
+// Symbolic evaluates s on operands in symbolic form for a fully active
+// warp of width lanes; b is the second operand's form, Uniform(Imm) when
+// s.Imm. Uniform operands evaluate Lane once, and a Trap opcode with a
+// uniform zero divisor traps at lane 0, as Apply would (trap true); other
+// operands go to s.Sym. ok false means the result has no symbolic form.
+//
+// Written out, the result equals Column on the written-out operands
+// exactly: two's-complement arithmetic is a ring, so the Sym rules, which
+// only add, subtract and scale by a uniform factor, cannot drift from the
+// lane-by-lane value, and the comparison rule answers only where it has
+// proved every lane agrees.
+func (s *Sem) Symbolic(a, b Affine, width int) (d Affine, trap, ok bool) {
+	if a.Step == 0 && b.Step == 0 {
+		if s.Trap && b.Base == 0 {
+			return Affine{}, true, true
+		}
+		return Uniform(s.Lane(a.Base, b.Base)), false, true
+	}
+	if s.Sym == nil {
+		return Affine{}, false, false
+	}
+	d, ok = s.Sym(a, b, width)
+	return d, false, ok
 }
 
 // Semantics returns the semantics of a compute opcode, or nil for every
@@ -84,26 +134,26 @@ var semTable = [opCount]Sem{
 			d[l] = v
 		}
 	}),
-	OpMov: regSem(func(a, _ Word) Word { return a }, func(d, a, _ []Word, _ Word) { copy(d, a) }),
+	OpMov: sym(regSem(func(a, _ Word) Word { return a }, func(d, a, _ []Word, _ Word) { copy(d, a) }), symMov),
 
-	OpAdd: regSem(add, func(d, a, b []Word, _ Word) {
+	OpAdd: sym(regSem(add, func(d, a, b []Word, _ Word) {
 		a, b = a[:len(d)], b[:len(d)]
 		for l := range d {
 			d[l] = a[l] + b[l]
 		}
-	}),
-	OpSub: regSem(func(a, b Word) Word { return a - b }, func(d, a, b []Word, _ Word) {
+	}), symAdd),
+	OpSub: sym(regSem(func(a, b Word) Word { return a - b }, func(d, a, b []Word, _ Word) {
 		a, b = a[:len(d)], b[:len(d)]
 		for l := range d {
 			d[l] = a[l] - b[l]
 		}
-	}),
-	OpMul: regSem(mul, func(d, a, b []Word, _ Word) {
+	}), symSub),
+	OpMul: sym(regSem(mul, func(d, a, b []Word, _ Word) {
 		a, b = a[:len(d)], b[:len(d)]
 		for l := range d {
 			d[l] = a[l] * b[l]
 		}
-	}),
+	}), symMul),
 	OpDiv: trap(regSem(div, nil)),
 	OpMod: trap(regSem(mod, nil)),
 	OpMin: regSem(func(a, b Word) Word { return min(a, b) }, nil),
@@ -114,30 +164,30 @@ var semTable = [opCount]Sem{
 	OpShl: regSem(shl, nil),
 	OpShr: regSem(shr, nil),
 
-	OpAddI: immSem(add, func(d, a, _ []Word, v Word) {
+	OpAddI: sym(immSem(add, func(d, a, _ []Word, v Word) {
 		a = a[:len(d)]
 		for l := range d {
 			d[l] = a[l] + v
 		}
-	}),
-	OpMulI: immSem(mul, func(d, a, _ []Word, v Word) {
+	}), symAdd),
+	OpMulI: sym(immSem(mul, func(d, a, _ []Word, v Word) {
 		a = a[:len(d)]
 		for l := range d {
 			d[l] = a[l] * v
 		}
-	}),
+	}), symMul),
 	OpDivI: trap(immSem(div, nil)),
 	OpModI: trap(immSem(mod, nil)),
 	OpShlI: immSem(shl, nil),
 	OpShrI: immSem(shr, nil),
 	OpAndI: immSem(and, nil),
 
-	OpSlt:  regSem(slt, nil),
-	OpSle:  regSem(sle, nil),
+	OpSlt:  sym(regSem(slt, nil), symOrdered(slt)),
+	OpSle:  sym(regSem(sle, nil), symOrdered(sle)),
 	OpSeq:  regSem(seq, nil),
 	OpSne:  regSem(sne, nil),
-	OpSltI: immSem(slt, nil),
-	OpSleI: immSem(sle, nil),
+	OpSltI: sym(immSem(slt, nil), symOrdered(slt)),
+	OpSleI: sym(immSem(sle, nil), symOrdered(sle)),
 	OpSeqI: immSem(seq, nil),
 	OpSneI: immSem(sne, nil),
 }
@@ -206,6 +256,72 @@ func immSem(lane func(a, b Word) Word, col func(d, a, b []Word, imm Word)) Sem {
 func trap(s Sem) Sem {
 	s.Trap = true
 	return s
+}
+
+func sym(s Sem, rule func(a, b Affine, width int) (Affine, bool)) Sem {
+	s.Sym = rule
+	return s
+}
+
+// The symbolic rules. Moving, adding and subtracting affine columns, and
+// scaling one by a uniform factor, stay affine lane for lane; the product
+// of two affine columns is quadratic and has no form.
+func symMov(a, _ Affine, _ int) (Affine, bool) { return a, true }
+
+func symAdd(a, b Affine, _ int) (Affine, bool) {
+	return Affine{a.Base + b.Base, a.Step + b.Step}, true
+}
+
+func symSub(a, b Affine, _ int) (Affine, bool) {
+	return Affine{a.Base - b.Base, a.Step - b.Step}, true
+}
+
+func symMul(a, b Affine, _ int) (Affine, bool) {
+	switch {
+	case b.Step == 0:
+		return Affine{a.Base * b.Base, a.Step * b.Base}, true
+	case a.Step == 0:
+		return Affine{a.Base * b.Base, a.Base * b.Step}, true
+	}
+	return Affine{}, false
+}
+
+// symOrdered is the rule of an ordered comparison (slt, sle). When both
+// operands' end lanes compute without overflow, no lane wraps, so both
+// columns and their difference are linear over the integers and the
+// comparison is monotone across the lanes: if the end lanes agree, every
+// lane does, and the result is uniform. Otherwise there is no form.
+func symOrdered(lane func(a, b Word) Word) func(a, b Affine, width int) (Affine, bool) {
+	return func(a, b Affine, width int) (Affine, bool) {
+		an, ok := lastLane(a, width)
+		if !ok {
+			return Affine{}, false
+		}
+		bn, ok := lastLane(b, width)
+		if !ok {
+			return Affine{}, false
+		}
+		v := lane(a.Base, b.Base)
+		if lane(an, bn) != v {
+			return Affine{}, false
+		}
+		return Uniform(v), true
+	}
+}
+
+// lastLane returns f's value on lane width−1 computed over the integers,
+// and false when it does not fit a Word.
+func lastLane(f Affine, width int) (Word, bool) {
+	n := Word(width - 1)
+	p := f.Step * n
+	if n != 0 && p/n != f.Step {
+		return 0, false
+	}
+	v := f.Base + p
+	if (p > 0 && v < f.Base) || (p < 0 && v > f.Base) {
+		return 0, false
+	}
+	return v, true
 }
 
 // init checks that every opcode is either a compute opcode with a

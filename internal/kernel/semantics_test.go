@@ -224,3 +224,61 @@ func TestColumnsAllocateNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestOrderedRuleRefusesOverflow pins the end-lane check of the slt/sle
+// symbolic rule: when an operand's last lane does not fit a Word, the rule
+// has no answer, even where the wrapped end lanes would agree (a step of
+// MinInt64 over 7 lanes wraps lane 6 back to lane 0's value while the odd
+// lanes differ). Where the end lanes fit, agreeing ends give the uniform
+// result and disagreeing ones no form.
+func TestOrderedRuleRefusesOverflow(t *testing.T) {
+	const max, min = math.MaxInt64, math.MinInt64
+	refused := []struct {
+		a, b  Affine
+		width int
+	}{
+		{Affine{max, 1}, Uniform(0), 2},
+		{Affine{min, -1}, Uniform(0), 2},
+		{Affine{0, min}, Uniform(0), 7},
+		{Affine{0, max}, Uniform(5), 7},
+		{Affine{max - 5, 1}, Uniform(max), 7},
+		{Affine{0, 1 << 62}, Uniform(1), 5},
+		{Uniform(0), Affine{min + 30, -1}, 32},
+		{Affine{-1, 1}, Affine{0, min}, 7},
+	}
+	accepted := []struct {
+		a, b  Affine
+		width int
+		want  bool // the result has a form
+	}{
+		{Affine{max - 6, 1}, Uniform(0), 7, true},
+		{Affine{min + 6, -1}, Uniform(0), 7, true},
+		{Affine{0, 1}, Uniform(3), 7, false},
+		{Affine{10, 1}, Affine{0, 2}, 7, true},
+		{Affine{0, 1}, Affine{5, 0}, 32, false},
+		{Affine{max, 1}, Uniform(0), 1, true},
+	}
+	for _, o := range []Op{OpSlt, OpSle, OpSltI, OpSleI} {
+		s := o.Semantics()
+		if s.Sym == nil {
+			t.Fatalf("%v has no symbolic rule", o)
+		}
+		for _, c := range refused {
+			if d, ok := s.Sym(c.a, c.b, c.width); ok {
+				t.Errorf("%v %+v %+v width %d: rule answered %+v past an overflowing end lane", o, c.a, c.b, c.width, d)
+			}
+		}
+		for _, c := range accepted {
+			d, ok := s.Sym(c.a, c.b, c.width)
+			if ok != c.want {
+				t.Errorf("%v %+v %+v width %d: form %v, want %v", o, c.a, c.b, c.width, ok, c.want)
+				continue
+			}
+			for l := 0; ok && l < c.width; l++ {
+				if got, want := d.Lane(l), s.Lane(c.a.Lane(l), c.b.Lane(l)); got != want {
+					t.Errorf("%v %+v %+v width %d lane %d: %d, want %d", o, c.a, c.b, c.width, l, got, want)
+				}
+			}
+		}
+	}
+}

@@ -25,6 +25,9 @@ type accessCase struct {
 	addrs     []int64 // per-lane address
 	active    []bool  // nil: every lane active
 	broadcast bool    // Config.BroadcastSharedReads
+	// symbolic holds the lane-affine address column in symbolic form
+	// rather than written out.
+	symbolic bool
 }
 
 // Register layout of the rig: r0 the load destination, r1 the address
@@ -71,20 +74,58 @@ func newAccessRig(t *testing.T, c accessCase) (*launchState, *warp) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.addrs = make([]int, width)
 	w.reset(0)
 	for i := range w.shared.Raw() {
 		w.shared.Raw()[i] = kernel.Word(2000 + i)
 	}
+	w.setColumn(rigDst, laneAddrs(width, func(l int) int64 { return kernel.Word(-7 - l) }))
+	w.setColumn(rigAddr, c.addrs)
+	w.setColumn(rigSrc, laneAddrs(width, func(l int) int64 { return kernel.Word(500 + l) }))
+	if c.symbolic {
+		f, ok := laneAffine(c.addrs)
+		if !ok {
+			t.Fatalf("%s: address column %v is not lane-affine", c.name, c.addrs)
+		}
+		w.execSetAffine(rigAddr, rigAddr*width, f)
+	}
 	for l := 0; l < width; l++ {
-		w.regs[rigDst*width+l] = kernel.Word(-7 - l)
-		w.regs[rigAddr*width+l] = c.addrs[l]
-		w.regs[rigSrc*width+l] = kernel.Word(500 + l)
 		if c.active != nil && !c.active[l] {
 			w.active[l] = false
 			w.activeN--
 		}
 	}
 	return ls, w
+}
+
+// setColumn writes register r's column lane by lane and marks it written
+// out, as an instruction that computes it lane by lane does.
+func (w *warp) setColumn(r kernel.Reg, col []kernel.Word) {
+	copy(w.regs[int(r)*w.width:], col[:w.width])
+	w.execWrote(r)
+}
+
+// flatRegs writes every register out and returns the register file.
+func (w *warp) flatRegs() []kernel.Word {
+	for base := 0; base < len(w.regs); base += w.width {
+		w.execColumn(kernel.Reg(base/w.width), base)
+	}
+	return w.regs
+}
+
+// laneAffine returns the symbolic form of column c, or false when c is not
+// lane-affine.
+func laneAffine(c []kernel.Word) (kernel.Affine, bool) {
+	f := kernel.Uniform(c[0])
+	if len(c) > 1 {
+		f.Step = c[1] - c[0]
+	}
+	for l, v := range c {
+		if f.Lane(l) != v {
+			return kernel.Affine{}, false
+		}
+	}
+	return f, true
 }
 
 // memOf returns the memory the access targets and whether it is shared.
@@ -160,16 +201,32 @@ func referenceAccess(t *testing.T, c accessCase) (regs, memory []kernel.Word, co
 	default:
 		cost = mem.Transactions(addrs, w.active, width)
 	}
-	return append([]kernel.Word(nil), w.regs...), append([]kernel.Word(nil), raw...), cost, trap
+	return append([]kernel.Word(nil), w.flatRegs()...), append([]kernel.Word(nil), raw...), cost, trap
 }
 
 // checkAccess runs c through the interpreter and memo replay and compares
-// both with the reference.
+// both with the reference; a lane-affine address column runs both written
+// out and in symbolic form.
 func checkAccess(t *testing.T, c accessCase) {
 	t.Helper()
 	wantRegs, wantMem, wantCost, wantTrap := referenceAccess(t, c)
+	checkAccessAgainst(t, c, wantRegs, wantMem, wantCost, wantTrap)
+	if _, ok := laneAffine(c.addrs); ok {
+		c.symbolic = true
+		c.name += "/symbolic"
+		checkAccessAgainst(t, c, wantRegs, wantMem, wantCost, wantTrap)
+	}
+}
+
+// checkAccessAgainst runs c through the interpreter and memo replay and
+// compares both with the reference's registers, memory, cost and trap.
+func checkAccessAgainst(t *testing.T, c accessCase, wantRegs, wantMem []kernel.Word, wantCost int, wantTrap string) {
+	t.Helper()
 	width := len(c.addrs)
-	dBase, aBase, sBase := rigDst*width, rigAddr*width, rigSrc*width
+	in := &kernel.DInstr{
+		Op: c.op, Rd: rigDst, Ra: rigAddr, Rb: rigSrc,
+		D: int32(rigDst * width), A: int32(rigAddr * width), B: int32(rigSrc * width),
+	}
 
 	compare := func(path string, err error, w *warp, raw []kernel.Word) {
 		t.Helper()
@@ -182,9 +239,10 @@ func checkAccess(t *testing.T, c accessCase) {
 		if err != nil {
 			t.Fatalf("%s: %s: unexpected trap %v", c.name, path, err)
 		}
+		regs := w.flatRegs()
 		for i := range wantRegs {
-			if w.regs[i] != wantRegs[i] {
-				t.Fatalf("%s: %s: reg word %d = %d, want %d", c.name, path, i, w.regs[i], wantRegs[i])
+			if regs[i] != wantRegs[i] {
+				t.Fatalf("%s: %s: reg word %d = %d, want %d", c.name, path, i, regs[i], wantRegs[i])
 			}
 		}
 		for i := range wantMem {
@@ -199,9 +257,9 @@ func checkAccess(t *testing.T, c accessCase) {
 	var err error
 	shared := c.op == kernel.OpLdShared || c.op == kernel.OpStShared
 	if shared {
-		err = ls.execShared(w, c.op, dBase, aBase, sBase)
+		err = ls.execShared(w, in)
 	} else {
-		err = ls.execGlobal(w, c.op, dBase, aBase, sBase)
+		err = ls.execGlobal(w, in)
 	}
 	raw, _ := memOf(ls, w, c.op)
 	compare("exec", err, w, raw)
@@ -229,7 +287,6 @@ func checkAccess(t *testing.T, c accessCase) {
 
 	// Memo replay's data mover.
 	ls, w = newAccessRig(t, c)
-	in := &kernel.DInstr{Op: c.op, D: int32(dBase), A: int32(aBase), B: int32(sBase)}
 	err = ls.replayMem(w, in)
 	raw, _ = memOf(ls, w, c.op)
 	compare("replay", err, w, raw)
@@ -370,7 +427,8 @@ func TestExecDecCoversEveryOpcode(t *testing.T) {
 		ls, w := newAccessRig(t, accessCase{op: op, addrs: addrs, active: active})
 		ls.numBlocks = 1
 		ls.dec = &kernel.Decoded{Width: width, Ins: []kernel.DInstr{{
-			Op: op, D: rigDst * width, A: rigAddr * width, B: rigSrc * width,
+			Op: op, Rd: rigDst, Ra: rigAddr, Rb: rigSrc,
+			D: rigDst * width, A: rigAddr * width, B: rigSrc * width,
 			Imm: kernel.AtomGlobal, Sem: op.Semantics(),
 		}}}
 		return w, ls.execDec(w)
@@ -380,7 +438,7 @@ func TestExecDecCoversEveryOpcode(t *testing.T) {
 			t.Errorf("%v: %v", op, err)
 		}
 		w, _ := step(op, []bool{true, false, true, true})
-		if got := w.regs[rigDst*width+1]; got != -8 {
+		if got := w.flatRegs()[rigDst*width+1]; got != -8 {
 			t.Errorf("%v wrote masked lane 1: %d", op, got)
 		}
 	}

@@ -32,14 +32,31 @@ func atomRMW(op kernel.Op, old, v, cmp kernel.Word) kernel.Word {
 	}
 }
 
+// execAtomRMW applies the gathered atomic in to mem in ascending lane
+// order, so lane l observes the effects of every lower lane on its cell:
+// each active lane's Rd receives the old cell value.
+func execAtomRMW(w *warp, in *kernel.DInstr, mem []kernel.Word) {
+	bc := w.execColumn(in.Rb, int(in.B))
+	dc := w.execColumn(in.Rd, int(in.D))
+	for l, a := range w.addrs {
+		if a < 0 {
+			continue
+		}
+		old := mem[a]
+		mem[a] = atomRMW(in.Op, old, bc[l], dc[l])
+		dc[l] = old
+	}
+	w.execWrote(in.Rd)
+}
+
 // execAtomShared performs a warp-wide shared-memory atomic. The
 // serialisation degree is the maximum per-bank request count — atomics get
 // no broadcast exemption: even lanes hitting the same word must replay the
 // bank sequentially — and the access always costs degree shared latencies.
 // Advances pc itself on every path.
-func (ls *launchState) execAtomShared(w *warp, op kernel.Op, dBase, aBase, bBase int) error {
+func (ls *launchState) execAtomShared(w *warp, in *kernel.DInstr) error {
 	width := ls.width
-	regs := w.regs
+	op, aBase := in.Op, int(in.A)
 	sh := w.shared
 	ssize := sh.Size()
 
@@ -47,8 +64,8 @@ func (ls *launchState) execAtomShared(w *warp, op kernel.Op, dBase, aBase, bBase
 		w.pc++
 		return nil
 	}
-	if bad := execGather(w, aBase, ssize); bad >= 0 {
-		return sharedRangeErr(op, bad, regs[aBase+bad], ssize)
+	if bad := execGather(w, in.Ra, aBase, ssize); bad >= 0 {
+		return sharedRangeErr(op, bad, w.regs[aBase+bad], ssize)
 	}
 
 	// Per-bank request counts; no broadcast exemption for atomics.
@@ -85,17 +102,7 @@ func (ls *launchState) execAtomShared(w *warp, op kernel.Op, dBase, aBase, bBase
 		}
 	}
 
-	// Lane-order sequential read-modify-write: lane l observes the effects
-	// of all lower-numbered lanes on the same cell.
-	raw := sh.Raw()
-	for l := 0; l < width; l++ {
-		if w.addrs[l] < 0 {
-			continue
-		}
-		old := raw[w.addrs[l]]
-		raw[w.addrs[l]] = atomRMW(op, old, regs[bBase+l], regs[dBase+l])
-		regs[dBase+l] = old
-	}
+	execAtomRMW(w, in, sh.Raw())
 
 	w.state = wWaiting
 	w.readyAt = ls.cycle + int64(ls.d.cfg.SharedLatencyCycles)*int64(degree)
@@ -108,9 +115,9 @@ func (ls *launchState) execAtomShared(w *warp, op kernel.Op, dBase, aBase, bBase
 // of it conflicting lanes targeting the same address serialise: the access
 // costs (degree−1) extra transaction serialisations. Advances pc itself on
 // every path.
-func (ls *launchState) execAtomGlobal(w *warp, op kernel.Op, dBase, aBase, bBase int) error {
+func (ls *launchState) execAtomGlobal(w *warp, in *kernel.DInstr) error {
 	width := ls.width
-	regs := w.regs
+	op, aBase := in.Op, int(in.A)
 	g := ls.d.global
 	gsize := g.Size()
 
@@ -118,8 +125,8 @@ func (ls *launchState) execAtomGlobal(w *warp, op kernel.Op, dBase, aBase, bBase
 		w.pc++
 		return nil
 	}
-	if bad := execGather(w, aBase, gsize); bad >= 0 {
-		return globalRangeErr(op, bad, regs[aBase+bad], gsize)
+	if bad := execGather(w, in.Ra, aBase, gsize); bad >= 0 {
+		return globalRangeErr(op, bad, w.regs[aBase+bad], gsize)
 	}
 	nblocks := ls.execTransactions(w, accessScattered, 0)
 
@@ -165,15 +172,7 @@ func (ls *launchState) execAtomGlobal(w *warp, op kernel.Op, dBase, aBase, bBase
 		ls.tracer.onMem(w.blockID, w.smIdx, ls.cycle, nblocks, true)
 	}
 
-	raw := g.Raw()
-	for l := 0; l < width; l++ {
-		if w.addrs[l] < 0 {
-			continue
-		}
-		old := raw[w.addrs[l]]
-		raw[w.addrs[l]] = atomRMW(op, old, regs[bBase+l], regs[dBase+l])
-		regs[dBase+l] = old
-	}
+	execAtomRMW(w, in, g.Raw())
 
 	lat := int64(ls.d.cfg.GlobalLatencyCycles) +
 		int64(nblocks-1)*int64(ls.d.cfg.ExtraTransactionCycles) +

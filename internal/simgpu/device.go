@@ -28,6 +28,10 @@ type Device struct {
 	// on this device (the warp width is fixed per device, so one decode
 	// per program suffices).
 	decCache map[*kernel.Program]*kernel.Decoded
+	// warpPools hold retired warps, one pool per warp shape, for later
+	// launches to reuse. A device runs one launch at a time, so the pools
+	// need no lock.
+	warpPools []warpPool
 
 	// uniformProver, when set, certifies that every block of a program
 	// provably executes the same instruction trace modulo OpBlockID-derived
@@ -57,6 +61,28 @@ type UniformProver func(prog *kernel.Program, cfg Config, blocks int) bool
 type proverKey struct {
 	prog   *kernel.Program
 	blocks int
+}
+
+// warpShape is what a warp's storage depends on: the warp width, the
+// register count and the shared words of the block it hosts.
+type warpShape struct{ width, regs, shared int }
+
+// warpPool is the retired warps of one shape.
+type warpPool struct {
+	shape warpShape
+	free  []*warp
+}
+
+// retiredWarps returns the device's pool of warps of shape, creating it
+// empty on first use. A device sees few shapes, so a scan finds it.
+func (d *Device) retiredWarps(shape warpShape) *warpPool {
+	for i := range d.warpPools {
+		if d.warpPools[i].shape == shape {
+			return &d.warpPools[i]
+		}
+	}
+	d.warpPools = append(d.warpPools, warpPool{shape: shape})
+	return &d.warpPools[len(d.warpPools)-1]
 }
 
 // SetUniformProver installs the BlockUniform certificate callback that
@@ -221,7 +247,10 @@ type launchState struct {
 	// smIDs maps launch-state SM slots to physical SM indices; with
 	// failed SMs the slots cover only the active multiprocessors, so
 	// trace and warp bookkeeping still report hardware indices.
-	smIDs     []int
+	smIDs []int
+	// freeWarps holds the retired warps of this launch's shape: the
+	// device's pool, taken at the start of the launch and given back at
+	// its end.
 	freeWarps []*warp
 	cycle     int64
 	stats     KernelStats
@@ -234,9 +263,11 @@ type launchState struct {
 	// tracer records scheduling events when non-nil.
 	tracer *Tracer
 
+	// addrs is scratch for gathering a warp's addresses (see warp.addrs);
 	// bankCounts is scratch for shared-memory conflict analysis;
-	// blockScratch is scratch for global coalescing analysis. Both are
+	// blockScratch is scratch for global coalescing analysis. All are
 	// sized from the launch width.
+	addrs        []int
 	bankCounts   []int
 	blockScratch []int
 
@@ -283,6 +314,7 @@ func (d *Device) LaunchTraced(prog *kernel.Program, numBlocks int, tr *Tracer) (
 		schedBlocks:  numBlocks,
 		sms:          make([]*smState, 0, d.ActiveSMs()),
 		smIDs:        make([]int, 0, d.ActiveSMs()),
+		addrs:        make([]int, d.cfg.WarpWidth),
 		bankCounts:   make([]int, d.cfg.WarpWidth),
 		blockScratch: make([]int, d.cfg.WarpWidth),
 		tracer:       tr,
@@ -292,6 +324,9 @@ func (d *Device) LaunchTraced(prog *kernel.Program, numBlocks int, tr *Tracer) (
 		return KernelResult{}, err
 	}
 	ls.dec = dec
+	pool := d.retiredWarps(warpShape{ls.width, prog.NumRegs, prog.SharedWords})
+	ls.freeWarps = pool.free
+	defer func() { pool.free = ls.freeWarps }()
 	for i := 0; i < d.cfg.NumSMs; i++ {
 		if d.failedSMs[i] {
 			continue
@@ -472,13 +507,21 @@ func (ls *launchState) refill(occ int) {
 	}
 }
 
+// acquire returns a retired warp of the launch's shape, or a new one,
+// gathering into the launch's address scratch.
 func (ls *launchState) acquire() (*warp, error) {
+	var w *warp
 	if n := len(ls.freeWarps); n > 0 {
-		w := ls.freeWarps[n-1]
+		w = ls.freeWarps[n-1]
 		ls.freeWarps = ls.freeWarps[:n-1]
-		return w, nil
+	} else {
+		var err error
+		if w, err = newWarp(ls.width, ls.prog.NumRegs, ls.prog.SharedWords); err != nil {
+			return nil, err
+		}
 	}
-	return newWarp(ls.width, ls.prog.NumRegs, ls.prog.SharedWords)
+	w.addrs = ls.addrs
+	return w, nil
 }
 
 func (ls *launchState) recycle(w *warp) {

@@ -465,6 +465,49 @@ func TestSharedZeroedPerBlock(t *testing.T) {
 	}
 }
 
+// TestRetiredWarpsStartClean: a launch reuses the warps an earlier launch
+// of the same shape retired on the device, and they start clean — a
+// register the kernel never writes reads zero on every lane, and so does
+// shared memory — however the earlier kernel left them.
+func TestRetiredWarpsStartClean(t *testing.T) {
+	d := newTiny(t)
+	dirty := storePerLane("dirty", 4, func(kb *kernel.Builder, out kernel.Reg) {
+		j, sq := kb.Reg(), kb.Reg()
+		kb.LaneID(j)
+		kb.Mul(sq, j, kernel.R(j)) // no symbolic form: written lane by lane
+		kb.Add(out, sq, kernel.Imm(3))
+		kb.StShared(j, out)
+	})
+	clean := storePerLane("clean", 4, func(kb *kernel.Builder, out kernel.Reg) {
+		j, unset := kb.Reg(), kb.Reg() // unset is dirty's sq register
+		kb.LaneID(j)
+		kb.LdShared(out, j)
+		kb.Add(out, out, kernel.R(unset))
+	})
+	runAndRead(t, d, dirty, 16, 64)
+	if len(d.warpPools) != 1 || len(d.warpPools[0].free) == 0 {
+		t.Fatalf("no retired warps pooled after the first launch: %+v", d.warpPools)
+	}
+	pooled := map[*warp]bool{}
+	for _, w := range d.warpPools[0].free {
+		pooled[w] = true
+	}
+	for i, v := range runAndRead(t, d, clean, 16, 64) {
+		if v != 0 {
+			t.Fatalf("thread %d saw a dirty register or shared word: %d", i, v)
+		}
+	}
+	if len(d.warpPools) != 1 || len(d.warpPools[0].free) != len(pooled) {
+		t.Fatalf("second launch left %d pools, %d warps; want 1 pool of the first launch's %d warps",
+			len(d.warpPools), len(d.warpPools[0].free), len(pooled))
+	}
+	for _, w := range d.warpPools[0].free {
+		if !pooled[w] {
+			t.Fatal("second launch allocated a warp instead of reusing a retired one")
+		}
+	}
+}
+
 func TestDeviceReset(t *testing.T) {
 	d := newTiny(t)
 	if _, err := d.Arena().Alloc(10); err != nil {

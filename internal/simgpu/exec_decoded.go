@@ -31,18 +31,18 @@ func (ls *launchState) execDec(w *warp) error {
 	switch in.Op {
 	case kernel.OpLdGlobal, kernel.OpStGlobal:
 		// advances pc itself on every path
-		return ls.execGlobal(w, in.Op, int(in.D), int(in.A), int(in.B))
+		return ls.execGlobal(w, in)
 
 	case kernel.OpLdShared, kernel.OpStShared:
 		// advances pc itself on every path
-		return ls.execShared(w, in.Op, int(in.D), int(in.A), int(in.B))
+		return ls.execShared(w, in)
 
 	case kernel.OpAtomAdd, kernel.OpAtomMax, kernel.OpAtomExch, kernel.OpAtomCAS:
 		// both advance pc themselves on every path
 		if in.Imm == kernel.AtomGlobal {
-			return ls.execAtomGlobal(w, in.Op, int(in.D), int(in.A), int(in.B))
+			return ls.execAtomGlobal(w, in)
 		}
-		return ls.execAtomShared(w, in.Op, int(in.D), int(in.A), int(in.B))
+		return ls.execAtomShared(w, in)
 
 	case kernel.OpBarrier:
 		ls.stats.Barriers++
@@ -52,7 +52,7 @@ func (ls *launchState) execDec(w *warp) error {
 		return nil
 
 	case kernel.OpBrNZ:
-		taken, uniform, any := w.uniformCond(int(in.A))
+		taken, uniform, any := w.execCond(in.Ra, int(in.A))
 		if !any {
 			return errNoActiveBr
 		}
@@ -65,34 +65,13 @@ func (ls *launchState) execDec(w *warp) error {
 		}
 
 	case kernel.OpIfBegin:
-		regs := w.regs
-		a := int(in.A)
-		width := ls.width
-		divergent := false
-		anyTrue := false
-		for l := 0; l < width; l++ {
-			if !w.active[l] {
-				continue
-			}
-			if regs[a+l] != 0 {
-				anyTrue = true
-			} else {
-				divergent = true
-			}
-		}
-		if anyTrue && divergent {
+		enter, divergent := w.execIfBegin(in.Ra, int(in.A))
+		if divergent {
 			ls.stats.DivergentBranches++
 		}
-		if !anyTrue {
+		if !enter {
 			w.pc = int(in.Target)
 			return nil
-		}
-		w.pushMask()
-		for l := 0; l < width; l++ {
-			if w.active[l] && regs[a+l] == 0 {
-				w.active[l] = false
-				w.activeN--
-			}
 		}
 
 	case kernel.OpIfEnd:
@@ -115,72 +94,92 @@ func (ls *launchState) execDec(w *warp) error {
 }
 
 // execALU evaluates one decoded compute instruction (everything that only
-// touches the register file) for execDec and memo replay. The launch
-// geometry opcodes read launch state here; every other compute opcode runs
-// through its kernel.Sem, whose column form serves a fully active warp.
+// touches the register file) for execDec and memo replay. On a fully
+// active warp whose operands have symbolic forms it works on the forms:
+// the launch geometry opcodes and const give an affine or uniform result,
+// and every other opcode asks its kernel.Sem for one. Otherwise it writes
+// the operands out and runs the Sem's column form, or Apply on a masked
+// warp or a trapping opcode.
 func (ls *launchState) execALU(w *warp, in *kernel.DInstr) error {
-	if in.Op == kernel.OpNop {
-		return nil
-	}
 	width := ls.width
-	var active []bool
-	if w.activeN != width {
-		active = w.active
-	}
-	d := int(in.D)
-	dc := w.regs[d : d+width : d+width]
+	full := w.activeN == width
 	switch in.Op {
+	case kernel.OpNop:
+		return nil
 	case kernel.OpLaneID:
-		if active == nil {
-			for l := range dc {
-				dc[l] = kernel.Word(l)
-			}
-			return nil
-		}
-		for l, on := range active {
-			if on {
-				dc[l] = kernel.Word(l)
-			}
-		}
+		w.execGeometry(in, full, kernel.Affine{Step: 1})
 		return nil
 	case kernel.OpBlockID:
-		broadcast(dc, active, kernel.Word(w.blockID))
+		w.execGeometry(in, full, kernel.Uniform(kernel.Word(w.blockID)))
 		return nil
 	case kernel.OpNumBlocks:
-		broadcast(dc, active, kernel.Word(ls.numBlocks))
+		w.execGeometry(in, full, kernel.Uniform(kernel.Word(ls.numBlocks)))
 		return nil
 	case kernel.OpBlockDim:
-		broadcast(dc, active, kernel.Word(width))
+		w.execGeometry(in, full, kernel.Uniform(kernel.Word(width)))
+		return nil
+	case kernel.OpConst:
+		w.execGeometry(in, full, kernel.Uniform(in.Imm))
 		return nil
 	}
 	sem := in.Sem
 	if sem == nil {
 		return fmt.Errorf("%w: %v", errBadOpcode, in.Op)
 	}
-	a, b := int(in.A), int(in.B)
-	ac, bc := w.regs[a:a+width:a+width], w.regs[b:b+width:b+width]
-	if active == nil && !sem.Trap {
-		sem.Column(dc, ac, bc, in.Imm) // the common case, one call deep
+	if full {
+		if a, ok := w.execAffine(in.Ra, int(in.A)); ok {
+			b := kernel.Uniform(in.Imm)
+			if !sem.Imm {
+				b, ok = w.execAffine(in.Rb, int(in.B))
+			}
+			if ok {
+				if d, trap, ok := sem.Symbolic(a, b, width); ok {
+					if trap {
+						return fmt.Errorf("%w: lane %d", errDivByZero, 0)
+					}
+					w.execSetAffine(in.Rd, int(in.D), d)
+					return nil
+				}
+			}
+		}
+	}
+	ac := w.execColumn(in.Ra, int(in.A))
+	bc := ac // unused by an immediate form
+	if !sem.Imm {
+		bc = w.execColumn(in.Rb, int(in.B))
+	}
+	d := int(in.D)
+	if full && !sem.Trap {
+		sem.Column(w.regs[d:d+width:d+width], ac, bc, in.Imm) // the common case
+		w.execWrote(in.Rd)
 		return nil
+	}
+	dc := w.regs[d : d+width : d+width]
+	var active []bool
+	if !full {
+		// Masked lanes keep their values: write the destination out.
+		active = w.active
+		dc = w.execColumn(in.Rd, d)
 	}
 	if l := sem.Apply(dc, ac, bc, in.Imm, active); l >= 0 {
 		return fmt.Errorf("%w: lane %d", errDivByZero, l)
 	}
+	w.execWrote(in.Rd)
 	return nil
 }
 
-// broadcast writes v into the lanes of column dc set in active (every
-// lane when active is nil).
-func broadcast(dc []kernel.Word, active []bool, v kernel.Word) {
-	if active == nil {
-		for l := range dc {
-			dc[l] = v
-		}
+// execGeometry gives the destination of in the value f: in O(1) on a fully
+// active warp, else on the active lanes of the written-out column.
+func (w *warp) execGeometry(in *kernel.DInstr, full bool, f kernel.Affine) {
+	if full {
+		w.execSetAffine(in.Rd, int(in.D), f)
 		return
 	}
-	for l, on := range active {
+	dc := w.execColumn(in.Rd, int(in.D))
+	for l, on := range w.active {
 		if on {
-			dc[l] = v
+			dc[l] = f.Lane(l)
 		}
 	}
+	w.execWrote(in.Rd)
 }

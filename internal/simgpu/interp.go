@@ -17,16 +17,20 @@ var (
 	errNoActiveBr = errors.New("uniform branch with no active lanes")
 )
 
-// uniformCond inspects register column a across active lanes, returning the
-// common truth value, whether the lanes agree, and whether any lane was
-// active.
-func (w *warp) uniformCond(a int) (taken, uniform, any bool) {
+// execCond inspects condition register r, column base a, across the
+// active lanes, returning the common truth value, whether the lanes agree,
+// and whether any lane was active. A uniform symbolic condition costs O(1).
+func (w *warp) execCond(r kernel.Reg, a int) (taken, uniform, any bool) {
+	if f, ok := w.execAffine(r, a); ok && f.Step == 0 {
+		return f.Base != 0, true, w.activeN > 0
+	}
+	col := w.execColumn(r, a)
 	uniform = true
-	for l := 0; l < len(w.active); l++ {
-		if !w.active[l] {
+	for l, on := range w.active {
+		if !on {
 			continue
 		}
-		v := w.regs[a+l] != 0
+		v := col[l] != 0
 		if !any {
 			taken = v
 			any = true
@@ -37,18 +41,56 @@ func (w *warp) uniformCond(a int) (taken, uniform, any bool) {
 	return taken, uniform, any
 }
 
+// execIfBegin opens an if region on condition register r, column base a,
+// for execDec and memo replay. It reports whether any active lane enters
+// the body, in which case it saves the mask and masks off the lanes whose
+// condition is zero, and whether the active lanes disagree. A uniform
+// symbolic condition masks no lane.
+func (w *warp) execIfBegin(r kernel.Reg, a int) (enter, divergent bool) {
+	if f, ok := w.execAffine(r, a); ok && f.Step == 0 {
+		if f.Base == 0 || w.activeN == 0 {
+			return false, false
+		}
+		w.pushMask()
+		return true, false
+	}
+	col := w.execColumn(r, a)
+	for l, on := range w.active {
+		if !on {
+			continue
+		}
+		if col[l] != 0 {
+			enter = true
+		} else {
+			divergent = true
+		}
+	}
+	if !enter {
+		return false, false
+	}
+	w.pushMask()
+	for l, on := range w.active {
+		if on && col[l] == 0 {
+			w.active[l] = false
+			w.activeN--
+		}
+	}
+	return true, divergent
+}
+
 // Warp memory accesses
 //
-// A fully active warp's address column is range-checked and classified
-// by execClassify. The two patterns that make up nearly every access of
-// the tiled kernels cost O(1) to price: a contiguous run spans width
-// distinct banks and at most two blocks and loads or stores as one copy;
-// a broadcast hits one bank and one block and loads as one fill. Every
-// other pattern, and every partially masked warp, is gathered into
-// w.addrs (execGather) and priced by the per-lane counters
-// (conflictDegree, execTransactions). Memo replay moves its all-active
-// data through the same execLoad/execStore. All exec* helpers are under
-// the atgpu-vet hotalloc contract: they must not allocate.
+// Every access resolves its address through execAccess, for the scheduled
+// interpreter and memo replay alike. A fully active warp's address is
+// range-checked and classified by execResolve: a symbolic address is a
+// contiguous run at step 1 and a broadcast at step 0, checked from its
+// first address in O(1); any other address column is written out and
+// classified by execClassify. A run spans width distinct banks and at most
+// two blocks and moves as one copy; a broadcast hits one bank and one
+// block and loads as one fill. Every other pattern, and every partially
+// masked warp, is gathered into w.addrs (execGather) and priced by the
+// per-lane counters (conflictDegree, execTransactions). All exec* helpers
+// are under the atgpu-vet hotalloc contract: they must not allocate.
 
 // accessKind is the pattern of a fully active warp's address column.
 type accessKind uint8
@@ -66,9 +108,8 @@ const (
 // execClassify range-checks the fully active address column ac of an
 // access to a memory of size words and classifies its pattern. bad is the
 // first lane out of range, or -1. A run or a broadcast needs only its end
-// lanes checked: lane 0 is the first bad lane when addr[0] is out of
-// range, else a run first leaves memory at lane size−addr[0]. A scattered
-// column is checked lane by lane. A one-lane column is contiguous.
+// lanes checked (execPatternBad); a scattered column is checked lane by
+// lane. A one-lane column is contiguous.
 func execClassify(ac []kernel.Word, size int) (kind accessKind, bad int) {
 	a0 := ac[0]
 	// Each accumulator stays zero only while every lane fits its pattern.
@@ -78,15 +119,10 @@ func execClassify(ac []kernel.Word, size int) (kind accessKind, bad int) {
 		bcast |= a - a0
 	}
 	switch {
-	case uint64(a0) >= uint64(size) && (contig == 0 || bcast == 0):
-		return accessScattered, 0
 	case contig == 0:
-		if a0+kernel.Word(len(ac)) > kernel.Word(size) {
-			return accessContiguous, size - int(a0)
-		}
-		return accessContiguous, -1
+		return accessContiguous, execPatternBad(accessContiguous, a0, len(ac), size)
 	case bcast == 0:
-		return accessBroadcast, -1
+		return accessBroadcast, execPatternBad(accessBroadcast, a0, len(ac), size)
 	}
 	for l, a := range ac {
 		if uint64(a) >= uint64(size) {
@@ -96,65 +132,102 @@ func execClassify(ac []kernel.Word, size int) (kind accessKind, bad int) {
 	return accessScattered, -1
 }
 
-// execLoad loads the fully active address column ac from mem into the
-// register column dst. A run is one copy and a broadcast one fill, both
-// range-checked by execClassify. A scattered column is range-checked and
-// loaded lane by lane; the first out-of-range lane is returned, with the
-// lanes below it already loaded, or -1. dst may alias ac.
-func execLoad(dst, ac, mem []kernel.Word, kind accessKind) (bad int) {
-	switch kind {
-	case accessContiguous:
-		a0 := ac[0]
-		copy(dst, mem[a0:a0+kernel.Word(len(dst))])
-	case accessBroadcast:
-		v := mem[ac[0]]
-		for l := range dst {
-			dst[l] = v
-		}
-	default:
-		for l, a := range ac {
-			if uint64(a) >= uint64(len(mem)) {
-				return l
-			}
-			dst[l] = mem[a]
-		}
+// execPatternBad returns the first lane out of a memory of size words of
+// a width-lane run or broadcast from a0, or -1. Lane 0 is the first bad
+// lane when a0 is out of range, else a run first leaves memory at lane
+// size−a0.
+func execPatternBad(kind accessKind, a0 kernel.Word, width, size int) int {
+	switch {
+	case uint64(a0) >= uint64(size):
+		return 0
+	case kind == accessContiguous && a0+kernel.Word(width) > kernel.Word(size):
+		return size - int(a0)
 	}
 	return -1
 }
 
-// execStore stores the register column src to the fully active address
-// column ac of mem, checked as execLoad checks. Lanes land in ascending
-// order, so where lanes share a word the highest lane's value stays: a
-// broadcast is one write of the last lane's value. A scattered store that
-// traps has written the lanes below the bad one; the interpreter, which
-// must not, range-checks the whole column with execClassify first.
-func execStore(mem, ac, src []kernel.Word, kind accessKind) (bad int) {
-	switch kind {
-	case accessContiguous:
-		copy(mem[ac[0]:], src)
-	case accessBroadcast:
-		mem[ac[0]] = src[len(src)-1]
-	default:
-		for l, a := range ac {
-			if uint64(a) >= uint64(len(mem)) {
-				return l
-			}
-			mem[a] = src[l]
-		}
+// execAffineKind returns the pattern of a symbolic address f over width
+// lanes, as execClassify would find it on the written-out column, or false
+// when f is neither a run nor a broadcast.
+func execAffineKind(f kernel.Affine, width int) (accessKind, bool) {
+	switch {
+	case f.Step == 1 || width == 1:
+		return accessContiguous, true
+	case f.Step == 0:
+		return accessBroadcast, true
 	}
-	return -1
+	return accessScattered, false
 }
 
-// execGather range-checks the active lanes' addresses in register column
-// aBase against a memory of size words and gathers them into w.addrs, -1
-// marking an inactive lane. It returns the first out-of-range lane, or -1.
-func execGather(w *warp, aBase, size int) int {
+// execResolve range-checks and classifies the address register of in, a
+// fully active access to a memory of size words, returning the pattern,
+// lane 0's address and the first lane out of range, or -1. A symbolic run
+// or broadcast is never written out; any other address is, and a
+// scattered access moves through its column.
+func (w *warp) execResolve(in *kernel.DInstr, size int) (kind accessKind, a0 kernel.Word, bad int) {
+	if f, ok := w.execAffine(in.Ra, int(in.A)); ok {
+		if kind, ok := execAffineKind(f, w.width); ok {
+			return kind, f.Base, execPatternBad(kind, f.Base, w.width, size)
+		}
+	}
+	ac := w.execColumn(in.Ra, int(in.A))
+	kind, bad = execClassify(ac, size)
+	return kind, ac[0], bad
+}
+
+// execMove moves the fully active access in, resolved in range by
+// execResolve, to or from mem: a run is one copy, a broadcast one fill (a
+// load) or one write of the last lane's value (a store: lanes land in
+// ascending order, so the highest lane's value stays), and a scattered
+// access moves lane by lane through its written-out address column.
+func (w *warp) execMove(in *kernel.DInstr, mem []kernel.Word, kind accessKind, a0 kernel.Word) {
+	width := w.width
+	a := int(in.A)
+	if in.Op == kernel.OpLdGlobal || in.Op == kernel.OpLdShared {
+		d := int(in.D)
+		dst := w.regs[d : d+width : d+width]
+		switch kind {
+		case accessContiguous:
+			copy(dst, mem[a0:a0+kernel.Word(width)])
+		case accessBroadcast:
+			v := mem[a0]
+			for l := range dst {
+				dst[l] = v
+			}
+		default:
+			// dst may be the address column: lane l reads it first.
+			for l, addr := range w.regs[a : a+width : a+width] {
+				dst[l] = mem[addr]
+			}
+		}
+		w.execWrote(in.Rd)
+		return
+	}
+	src := w.execColumn(in.Rb, int(in.B))
+	switch kind {
+	case accessContiguous:
+		copy(mem[a0:], src)
+	case accessBroadcast:
+		mem[a0] = src[width-1]
+	default:
+		for l, addr := range w.regs[a : a+width : a+width] {
+			mem[addr] = src[l]
+		}
+	}
+}
+
+// execGather range-checks the active lanes' addresses in register r,
+// column base aBase, against a memory of size words and gathers them into
+// w.addrs, -1 marking an inactive lane. It returns the first out-of-range
+// lane, or -1.
+func execGather(w *warp, r kernel.Reg, aBase, size int) int {
+	ac := w.execColumn(r, aBase)
 	for l, on := range w.active {
 		if !on {
 			w.addrs[l] = -1
 			continue
 		}
-		addr := w.regs[aBase+l]
+		addr := ac[l]
 		if uint64(addr) >= uint64(size) {
 			return l
 		}
@@ -163,20 +236,62 @@ func execGather(w *warp, aBase, size int) int {
 	return -1
 }
 
-// execMoveGathered moves a gathered access lane by lane in ascending
-// order: each lane with an address in w.addrs loads into register column
-// dBase or stores from column sBase.
-func execMoveGathered(w *warp, mem []kernel.Word, load bool, dBase, sBase int) {
-	for l, a := range w.addrs {
-		if a < 0 {
-			continue
+// execMoveGathered moves the gathered access in lane by lane in ascending
+// order: each lane with an address in w.addrs loads into Rd, whose masked
+// lanes keep their values, or stores from Rb.
+func (w *warp) execMoveGathered(in *kernel.DInstr, mem []kernel.Word) {
+	if in.Op == kernel.OpLdGlobal || in.Op == kernel.OpLdShared {
+		dc := w.execColumn(in.Rd, int(in.D))
+		for l, a := range w.addrs {
+			if a >= 0 {
+				dc[l] = mem[a]
+			}
 		}
-		if load {
-			w.regs[dBase+l] = mem[a]
-		} else {
-			mem[a] = w.regs[sBase+l]
+		w.execWrote(in.Rd)
+		return
+	}
+	sc := w.execColumn(in.Rb, int(in.B))
+	for l, a := range w.addrs {
+		if a >= 0 {
+			mem[a] = sc[l]
 		}
 	}
+}
+
+// execAccess range-checks the warp-wide load or store in against mem and
+// moves its data, for execGlobal, execShared and memo replay. A fully
+// active warp resolves through execResolve; when price is set a scattered
+// one is also gathered into w.addrs, which the per-lane pricing reads. A
+// masked warp is always gathered and reports accessScattered. It returns
+// the pattern and lane 0's address for pricing, or the range trap, in
+// which case nothing has moved.
+func (w *warp) execAccess(in *kernel.DInstr, mem []kernel.Word, price bool) (kind accessKind, a0 kernel.Word, err error) {
+	size := len(mem)
+	if w.activeN == w.width {
+		kind, a0, bad := w.execResolve(in, size)
+		if bad >= 0 {
+			return kind, a0, execRangeErr(in.Op, bad, w.execColumn(in.Ra, int(in.A))[bad], size)
+		}
+		if price && kind == accessScattered {
+			execGather(w, in.Ra, int(in.A), size)
+		}
+		w.execMove(in, mem, kind, a0)
+		return kind, a0, nil
+	}
+	if bad := execGather(w, in.Ra, int(in.A), size); bad >= 0 {
+		return accessScattered, 0, execRangeErr(in.Op, bad, w.regs[int(in.A)+bad], size)
+	}
+	w.execMoveGathered(in, mem)
+	return accessScattered, 0, nil
+}
+
+// execRangeErr is the trap of a load or store in whose lane l addresses
+// addr, outside a memory of size words.
+func execRangeErr(op kernel.Op, l int, addr kernel.Word, size int) error {
+	if op == kernel.OpLdShared || op == kernel.OpStShared {
+		return sharedRangeErr(op, l, addr, size)
+	}
+	return globalRangeErr(op, l, addr, size)
 }
 
 // globalRangeErr and sharedRangeErr are the traps for lane l's address
@@ -191,41 +306,18 @@ func sharedRangeErr(op kernel.Op, l int, addr kernel.Word, size int) error {
 
 // execGlobal performs a warp-wide global memory access: checks the active
 // lanes' addresses, counts coalesced transactions, moves the data, and
-// puts the warp to sleep for the transaction latency. The register
-// columns arrive as precomputed flat bases.
-func (ls *launchState) execGlobal(w *warp, op kernel.Op, dBase, aBase, sBase int) error {
-	width := ls.width
-	regs := w.regs
-	raw := ls.d.global.Raw()
-	gsize := len(raw)
-
-	var nblocks int
-	if w.activeN == width {
-		ac := regs[aBase : aBase+width : aBase+width]
-		kind, bad := execClassify(ac, gsize)
-		if bad >= 0 {
-			return globalRangeErr(op, bad, ac[bad], gsize)
-		}
-		if kind == accessScattered {
-			execGather(w, aBase, gsize) // execTransactions reads w.addrs
-		}
-		nblocks = ls.execTransactions(w, kind, ac[0])
-		if op == kernel.OpLdGlobal {
-			execLoad(regs[dBase:dBase+width], ac, raw, kind)
-		} else {
-			execStore(raw, ac, regs[sBase:sBase+width], kind)
-		}
-	} else {
-		if bad := execGather(w, aBase, gsize); bad >= 0 {
-			return globalRangeErr(op, bad, regs[aBase+bad], gsize)
-		}
-		nblocks = ls.execTransactions(w, accessScattered, 0)
-		if nblocks == 0 {
-			// Fully masked access: costs the issue slot only.
-			w.pc++
-			return nil
-		}
-		execMoveGathered(w, raw, op == kernel.OpLdGlobal, dBase, sBase)
+// puts the warp to sleep for the transaction latency.
+func (ls *launchState) execGlobal(w *warp, in *kernel.DInstr) error {
+	op := in.Op
+	kind, a0, err := w.execAccess(in, ls.d.global.Raw(), true)
+	if err != nil {
+		return err
+	}
+	nblocks := ls.execTransactions(w, kind, a0)
+	if nblocks == 0 {
+		// Fully masked access: costs the issue slot only.
+		w.pc++
+		return nil
 	}
 
 	ls.stats.GlobalAccesses++
@@ -314,51 +406,30 @@ func (ls *launchState) execTransactions(w *warp, kind accessKind, a0 kernel.Word
 }
 
 // execShared performs a warp-wide shared memory access with bank-conflict
-// analysis and optional serialisation. Register columns arrive as
-// precomputed flat bases.
-func (ls *launchState) execShared(w *warp, op kernel.Op, dBase, aBase, sBase int) error {
-	width := ls.width
-	regs := w.regs
-	raw := w.shared.Raw()
-	ssize := len(raw)
-
+// analysis and optional serialisation.
+func (ls *launchState) execShared(w *warp, in *kernel.DInstr) error {
+	kind, _, err := w.execAccess(in, w.shared.Raw(), true)
+	if err != nil {
+		return err
+	}
+	if w.activeN == 0 {
+		w.pc++
+		return nil
+	}
 	var degree int
-	if w.activeN == width {
-		ac := regs[aBase : aBase+width : aBase+width]
-		kind, bad := execClassify(ac, ssize)
-		if bad >= 0 {
-			return sharedRangeErr(op, bad, ac[bad], ssize)
-		}
-		switch kind {
-		case accessContiguous:
-			// width consecutive words lie in width distinct banks.
+	switch kind {
+	case accessContiguous:
+		// width consecutive words lie in width distinct banks.
+		degree = 1
+	case accessBroadcast:
+		// One word, one bank: every lane queues on it unless the
+		// hardware broadcasts.
+		degree = ls.width
+		if ls.d.cfg.BroadcastSharedReads {
 			degree = 1
-		case accessBroadcast:
-			// One word, one bank: every lane queues on it unless the
-			// hardware broadcasts.
-			degree = width
-			if ls.d.cfg.BroadcastSharedReads {
-				degree = 1
-			}
-		default:
-			execGather(w, aBase, ssize) // conflictDegree reads w.addrs
-			degree = ls.conflictDegree(w)
 		}
-		if op == kernel.OpLdShared {
-			execLoad(regs[dBase:dBase+width], ac, raw, kind)
-		} else {
-			execStore(raw, ac, regs[sBase:sBase+width], kind)
-		}
-	} else {
-		if w.activeN == 0 {
-			w.pc++
-			return nil
-		}
-		if bad := execGather(w, aBase, ssize); bad >= 0 {
-			return sharedRangeErr(op, bad, regs[aBase+bad], ssize)
-		}
-		degree = ls.conflictDegree(w)
-		execMoveGathered(w, raw, op == kernel.OpLdShared, dBase, sBase)
+	default:
+		degree = ls.conflictDegree(w) // reads w.addrs
 	}
 
 	ls.stats.SharedAccesses++

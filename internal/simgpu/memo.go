@@ -256,6 +256,9 @@ func (ls *launchState) memoReplay(from, to int) error {
 		if err != nil {
 			return err
 		}
+		if i > 0 {
+			w.addrs = make([]int, ls.width) // chunks run concurrently
+		}
 		warps[i] = w
 	}
 	k := len(warps)
@@ -304,15 +307,14 @@ func (ls *launchState) replayWith(w *warp, from, to int) error {
 
 // replayBlock executes one block's decoded trace for data effects only: no
 // statistics, no latencies, no scheduling. Control flow, traps and memory
-// bounds behave exactly as in execDec. The instruction budget is bounded by
-// the longest trace the real simulation observed — the certificate proves
-// all blocks trace identically, so exceeding it means the certificate was
-// wrong and the launch fails loudly rather than diverge silently.
+// bounds behave exactly as in execDec, through the same exec* helpers. The
+// instruction budget is bounded by the longest trace the real simulation
+// observed — the certificate proves all blocks trace identically, so
+// exceeding it means the certificate was wrong and the launch fails loudly
+// rather than diverge silently.
 func (ls *launchState) replayBlock(w *warp) error {
 	ins := ls.dec.Ins
 	budget := ls.stats.MaxWarpInstrs
-	width := ls.width
-	regs := w.regs
 	pc := 0
 	var instrs int64
 	for {
@@ -342,7 +344,7 @@ func (ls *launchState) replayBlock(w *warp) error {
 			continue
 
 		case kernel.OpBrNZ:
-			taken, uniform, any := w.uniformCond(int(in.A))
+			taken, uniform, any := w.execCond(in.Ra, int(in.A))
 			if !any {
 				w.pc = pc
 				return errNoActiveBr
@@ -357,24 +359,9 @@ func (ls *launchState) replayBlock(w *warp) error {
 			}
 
 		case kernel.OpIfBegin:
-			a := int(in.A)
-			anyTrue := false
-			for l := 0; l < width; l++ {
-				if w.active[l] && regs[a+l] != 0 {
-					anyTrue = true
-					break
-				}
-			}
-			if !anyTrue {
+			if enter, _ := w.execIfBegin(in.Ra, int(in.A)); !enter {
 				pc = int(in.Target)
 				continue
-			}
-			w.pushMask()
-			for l := 0; l < width; l++ {
-				if w.active[l] && regs[a+l] == 0 {
-					w.active[l] = false
-					w.activeN--
-				}
 			}
 
 		case kernel.OpIfEnd:
@@ -396,50 +383,14 @@ func (ls *launchState) replayBlock(w *warp) error {
 	}
 }
 
-// replayMem moves one memory instruction's data for replayBlock, with the
-// interpreter's bounds checks and trap text. A fully active warp moves
-// through the interpreter's execLoad/execStore. Replay does not price the
-// access, so it skips classification and moves every column lane by lane:
-// on a 32-lane column the classifying pass costs more than the copy it
-// enables saves. A masked warp moves lane by lane here.
+// replayMem moves one memory instruction's data for replayBlock through
+// the interpreter's execAccess, with its bounds checks and trap text but
+// without pricing.
 func (ls *launchState) replayMem(w *warp, in *kernel.DInstr) error {
-	width := ls.width
-	regs := w.regs
 	mem := ls.d.global.Raw()
-	rangeErr := globalRangeErr
 	if in.Op == kernel.OpLdShared || in.Op == kernel.OpStShared {
 		mem = w.shared.Raw()
-		rangeErr = sharedRangeErr
 	}
-	load := in.Op == kernel.OpLdGlobal || in.Op == kernel.OpLdShared
-	a, d, s := int(in.A), int(in.D), int(in.B)
-
-	if w.activeN == width {
-		ac := regs[a : a+width : a+width]
-		var bad int
-		if load {
-			bad = execLoad(regs[d:d+width], ac, mem, accessScattered)
-		} else {
-			bad = execStore(mem, ac, regs[s:s+width], accessScattered)
-		}
-		if bad >= 0 {
-			return rangeErr(in.Op, bad, ac[bad], len(mem))
-		}
-		return nil
-	}
-	for l := 0; l < width; l++ {
-		if !w.active[l] {
-			continue
-		}
-		addr := regs[a+l]
-		if uint64(addr) >= uint64(len(mem)) {
-			return rangeErr(in.Op, l, addr, len(mem))
-		}
-		if load {
-			regs[d+l] = mem[addr]
-		} else {
-			mem[addr] = regs[s+l]
-		}
-	}
-	return nil
+	_, _, err := w.execAccess(in, mem, false)
+	return err
 }

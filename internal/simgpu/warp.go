@@ -33,6 +33,9 @@ type warp struct {
 	// regs is the flattened per-lane register file: register r of lane l
 	// is regs[int(r)*width + l].
 	regs []kernel.Word
+	// form is each register's symbolic state; see regForm.
+	form  [256]regForm
+	width int
 	// active is the SIMT mask; lanes masked off by an if.begin stay
 	// inactive until the matching if.end. activeN caches the number of
 	// true entries — it is maintained by reset/popMask and by the if.begin
@@ -47,7 +50,10 @@ type warp struct {
 	// shared is the block's shared-memory allocation.
 	shared *mem.Shared
 
-	// addrs is scratch for gathering a warp-wide address vector.
+	// addrs is scratch for gathering a warp-wide address vector. It is
+	// not the warp's own: acquire points it at the launch's, which the
+	// warps share because a launch issues one instruction at a time, and
+	// each concurrent memo replay chunk gets one of its own.
 	addrs []int
 }
 
@@ -57,15 +63,16 @@ func newWarp(width, numRegs, sharedWords int) (*warp, error) {
 		return nil, err
 	}
 	return &warp{
+		width:  width,
 		regs:   make([]kernel.Word, numRegs*width),
 		active: make([]bool, width),
 		shared: sh,
-		addrs:  make([]int, width),
 	}, nil
 }
 
 // reset prepares the warp to run block blockID from a clean state:
-// zeroed registers and shared memory, full mask, pc 0.
+// every register the uniform 0, zeroed shared memory, full mask, pc 0.
+// Only lanes 0 and 1 of each register are cleared; the rest are stale.
 func (w *warp) reset(blockID int) {
 	w.blockID = blockID
 	w.pc = 0
@@ -73,8 +80,16 @@ func (w *warp) reset(blockID int) {
 	w.readyAt = 0
 	w.instrs = 0
 	w.atomSer = 0
-	for i := range w.regs {
-		w.regs[i] = 0
+	initial := formAffine
+	if w.width > 2 {
+		initial = formStale
+	}
+	for base, r := 0, 0; base < len(w.regs); base, r = base+w.width, r+1 {
+		w.regs[base] = 0
+		if w.width > 1 {
+			w.regs[base+1] = 0
+		}
+		w.form[r] = initial
 	}
 	for i := range w.active {
 		w.active[i] = true
@@ -111,12 +126,60 @@ func (w *warp) popMask() bool {
 	return true
 }
 
-// anyActive reports whether any lane is active.
-func (w *warp) anyActive() bool {
-	for _, a := range w.active {
-		if a {
-			return true
+// regForm is the form a register's column is in.
+type regForm uint8
+
+const (
+	// formFlat: every lane of the column holds its value, and the register
+	// has no symbolic form.
+	formFlat regForm = iota
+	// formAffine: the register is lane-affine. Lanes 0 and 1 of its column
+	// hold their values v0 and v1, and lane l holds v0 + (v1−v0)·l (on a
+	// one-lane warp, just v0). Every lane is written out.
+	formAffine
+	// formStale: as formAffine, but the lanes from 2 up are not written
+	// out yet. execColumn writes them out before anything reads the column
+	// lane by lane.
+	formStale
+)
+
+// execAffine returns register r's symbolic form, column base base, or
+// false when it has none.
+func (w *warp) execAffine(r kernel.Reg, base int) (kernel.Affine, bool) {
+	if w.form[r] == formFlat {
+		return kernel.Affine{}, false
+	}
+	v0 := w.regs[base]
+	if w.width == 1 {
+		return kernel.Uniform(v0), true
+	}
+	return kernel.Affine{Base: v0, Step: w.regs[base+1] - v0}, true
+}
+
+// execSetAffine gives register r, column base base, the value f on every
+// lane in O(1): it stores lanes 0 and 1 and leaves the rest stale.
+func (w *warp) execSetAffine(r kernel.Reg, base int, f kernel.Affine) {
+	w.regs[base] = f.Base
+	w.form[r] = formAffine
+	if w.width > 1 {
+		w.regs[base+1] = f.Base + f.Step
+		if w.width > 2 {
+			w.form[r] = formStale
 		}
 	}
-	return false
 }
+
+// execColumn returns register r's column, column base base, written out.
+func (w *warp) execColumn(r kernel.Reg, base int) []kernel.Word {
+	col := w.regs[base : base+w.width : base+w.width]
+	if w.form[r] == formStale {
+		v0 := col[0]
+		kernel.Affine{Base: v0, Step: col[1] - v0}.Column(col)
+		w.form[r] = formAffine
+	}
+	return col
+}
+
+// execWrote records that register r's column was just written lane by
+// lane: its symbolic form, if any, no longer holds.
+func (w *warp) execWrote(r kernel.Reg) { w.form[r] = formFlat }
