@@ -28,6 +28,13 @@ type Sem struct {
 	// active warp of width lanes, it returns the result's form, or false
 	// when the result has none. Symbolic applies it.
 	Sym func(a, b Affine, width int) (Affine, bool)
+	// Twin is a register-operand opcode's immediate form (addi for add),
+	// or nil: when every lane's b is v, Column(d, a, b, _) equals
+	// Twin.Column(d, a, nil, v), a scalar column form.
+	Twin *Sem
+	// Commutes reports that Lane(a, b) == Lane(b, a), so a register
+	// opcode's Twin also serves a uniform first operand.
+	Commutes bool
 }
 
 // Affine is a register column in symbolic form: lane l holds
@@ -136,31 +143,31 @@ var semTable = [opCount]Sem{
 	}),
 	OpMov: sym(regSem(func(a, _ Word) Word { return a }, func(d, a, _ []Word, _ Word) { copy(d, a) }), symMov),
 
-	OpAdd: sym(regSem(add, func(d, a, b []Word, _ Word) {
+	OpAdd: sym(commutes(regSem(add, func(d, a, b []Word, _ Word) {
 		a, b = a[:len(d)], b[:len(d)]
 		for l := range d {
 			d[l] = a[l] + b[l]
 		}
-	}), symAdd),
+	})), symAdd),
 	OpSub: sym(regSem(func(a, b Word) Word { return a - b }, func(d, a, b []Word, _ Word) {
 		a, b = a[:len(d)], b[:len(d)]
 		for l := range d {
 			d[l] = a[l] - b[l]
 		}
 	}), symSub),
-	OpMul: sym(regSem(mul, func(d, a, b []Word, _ Word) {
+	OpMul: sym(commutes(regSem(mul, func(d, a, b []Word, _ Word) {
 		a, b = a[:len(d)], b[:len(d)]
 		for l := range d {
 			d[l] = a[l] * b[l]
 		}
-	}), symMul),
+	})), symMul),
 	OpDiv: trap(regSem(div, nil)),
 	OpMod: trap(regSem(mod, nil)),
-	OpMin: regSem(func(a, b Word) Word { return min(a, b) }, nil),
-	OpMax: regSem(func(a, b Word) Word { return max(a, b) }, nil),
-	OpAnd: regSem(and, nil),
-	OpOr:  regSem(func(a, b Word) Word { return a | b }, nil),
-	OpXor: regSem(func(a, b Word) Word { return a ^ b }, nil),
+	OpMin: commutes(regSem(func(a, b Word) Word { return min(a, b) }, nil)),
+	OpMax: commutes(regSem(func(a, b Word) Word { return max(a, b) }, nil)),
+	OpAnd: commutes(regSem(and, nil)),
+	OpOr:  commutes(regSem(func(a, b Word) Word { return a | b }, nil)),
+	OpXor: commutes(regSem(func(a, b Word) Word { return a ^ b }, nil)),
 	OpShl: regSem(shl, nil),
 	OpShr: regSem(shr, nil),
 
@@ -184,8 +191,8 @@ var semTable = [opCount]Sem{
 
 	OpSlt:  sym(regSem(slt, nil), symOrdered(slt)),
 	OpSle:  sym(regSem(sle, nil), symOrdered(sle)),
-	OpSeq:  regSem(seq, nil),
-	OpSne:  regSem(sne, nil),
+	OpSeq:  commutes(regSem(seq, nil)),
+	OpSne:  commutes(regSem(sne, nil)),
 	OpSltI: sym(immSem(slt, nil), symOrdered(slt)),
 	OpSleI: sym(immSem(sle, nil), symOrdered(sle)),
 	OpSeqI: immSem(seq, nil),
@@ -258,6 +265,19 @@ func trap(s Sem) Sem {
 	return s
 }
 
+func commutes(s Sem) Sem {
+	s.Commutes = true
+	return s
+}
+
+// immTwins pairs each register-operand opcode that has an immediate form
+// with it; init links them through Sem.Twin.
+var immTwins = [...][2]Op{
+	{OpAdd, OpAddI}, {OpMul, OpMulI}, {OpDiv, OpDivI}, {OpMod, OpModI},
+	{OpShl, OpShlI}, {OpShr, OpShrI}, {OpAnd, OpAndI},
+	{OpSlt, OpSltI}, {OpSle, OpSleI}, {OpSeq, OpSeqI}, {OpSne, OpSneI},
+}
+
 func sym(s Sem, rule func(a, b Affine, width int) (Affine, bool)) Sem {
 	s.Sym = rule
 	return s
@@ -324,9 +344,13 @@ func lastLane(f Affine, width int) (Word, bool) {
 	return v, true
 }
 
-// init checks that every opcode is either a compute opcode with a
-// complete table entry or on the non-compute list, never both.
+// init links the immediate twins and checks that every opcode is either a
+// compute opcode with a complete table entry or on the non-compute list,
+// never both.
 func init() {
+	for _, p := range immTwins {
+		semTable[p[0]].Twin = &semTable[p[1]]
+	}
 	var listed [opCount]bool
 	for _, o := range nonCompute {
 		listed[o] = true

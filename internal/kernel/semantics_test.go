@@ -107,6 +107,63 @@ func TestColumnMatchesLane(t *testing.T) {
 	}
 }
 
+// TestImmTwins checks each register opcode's immediate twin: same trap
+// rule, and the twin's column with the immediate v equals the register
+// column on a b column uniform at v, aliased destination included. It
+// also checks the Commutes flag against the lane function on every edge
+// pair: set on a register opcode exactly when the lanes are symmetric.
+func TestImmTwins(t *testing.T) {
+	twins := 0
+	for _, o := range computeOps() {
+		s := o.Semantics()
+		symmetric := true
+		for _, a := range edgeWords {
+			for _, b := range edgeWords {
+				symmetric = symmetric && s.Lane(a, b) == s.Lane(b, a)
+			}
+		}
+		if s.Commutes != (symmetric && !s.Imm) {
+			t.Errorf("%v: Commutes = %v, lanes symmetric %v, immediate form %v", o, s.Commutes, symmetric, s.Imm)
+		}
+		tw := s.Twin
+		if tw == nil {
+			continue
+		}
+		twins++
+		if s.Imm || !tw.Imm || s.Trap != tw.Trap {
+			t.Fatalf("%v: twin flags Imm %v/%v Trap %v/%v", o, s.Imm, tw.Imm, s.Trap, tw.Trap)
+		}
+		for _, w := range []int{1, 7, 32} {
+			a := make([]Word, w)
+			for _, v := range edgeWords {
+				if s.Trap && v == 0 {
+					continue // Column runs only past the trap check
+				}
+				for i := 0; i < len(edgeWords); i += w {
+					for l := range a {
+						a[l] = edgeWords[(i+l)%len(edgeWords)]
+					}
+					b := make([]Word, w)
+					for l := range b {
+						b[l] = v
+					}
+					want, got := make([]Word, w), append([]Word(nil), a...)
+					s.Column(want, a, b, 0)
+					tw.Column(got, got, nil, v)
+					for l := range want {
+						if got[l] != want[l] {
+							t.Fatalf("%v width %d lane %d: twin column (%d, #%d) = %d, want %d", o, w, l, a[l], v, got[l], want[l])
+						}
+					}
+				}
+			}
+		}
+	}
+	if twins != 11 {
+		t.Errorf("%d register opcodes have an immediate twin, want 11", twins)
+	}
+}
+
 // nonzero returns b with every zero replaced by 1.
 func nonzero(b []Word) []Word {
 	out := append([]Word(nil), b...)

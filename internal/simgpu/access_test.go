@@ -346,6 +346,9 @@ func TestAccessFastPathsTable(t *testing.T) {
 				return int64(l)
 			}), even, accessScattered},
 		}
+		if width > 1 { // one lane is a run of one, not a broadcast
+			checkBroadcastLoadUniform(t, width)
+		}
 		for _, tc := range cases {
 			if tc.active == nil {
 				// Pin the class the fast path sees; out-of-range columns
@@ -368,6 +371,55 @@ func TestAccessFastPathsTable(t *testing.T) {
 						active:    tc.active,
 						broadcast: bc,
 					})
+				}
+			}
+		}
+	}
+}
+
+// checkBroadcastLoadUniform runs a fully active broadcast load of a
+// width-lane warp through the interpreter and memo replay, into a
+// destination apart from the address register and into the address
+// register itself: the destination must be left uniform, holding the
+// loaded word, without being written out.
+func checkBroadcastLoadUniform(t *testing.T, width int) {
+	t.Helper()
+	const addr = 5
+	for _, op := range []kernel.Op{kernel.OpLdShared, kernel.OpLdGlobal} {
+		for _, rd := range []kernel.Reg{rigDst, rigAddr} {
+			in := &kernel.DInstr{
+				Op: op, Rd: rd, Ra: rigAddr, Rb: rigSrc,
+				D: int32(int(rd) * width), A: int32(rigAddr * width), B: int32(rigSrc * width),
+			}
+			c := accessCase{op: op, addrs: laneAddrs(width, func(int) int64 { return addr })}
+			for _, path := range []string{"exec", "replay"} {
+				name := fmt.Sprintf("width=%d/%s/rd=r%d/%s", width, op, rd, path)
+				ls, w := newAccessRig(t, c)
+				raw, shared := memOf(ls, w, op)
+				want := raw[addr]
+				var err error
+				switch {
+				case path == "replay":
+					err = ls.replayMem(w, in)
+				case shared:
+					err = ls.execShared(w, in)
+				default:
+					err = ls.execGlobal(w, in)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				f, ok := w.execAffine(rd, int(in.D))
+				if !ok || f != kernel.Uniform(want) {
+					t.Fatalf("%s: destination form %+v (symbolic %v), want uniform %d", name, f, ok, want)
+				}
+				if width > 2 && w.form[rd] != formStale {
+					t.Fatalf("%s: the broadcast was written out lane by lane", name)
+				}
+				for l, v := range w.execColumn(rd, int(in.D)) {
+					if v != want {
+						t.Fatalf("%s: lane %d = %d, want the fill %d", name, l, v, want)
+					}
 				}
 			}
 		}

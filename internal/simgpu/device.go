@@ -46,8 +46,10 @@ type Device struct {
 	// while a fault injector is armed, since faults must observe every
 	// block individually.
 	memoDisabled bool
-	// memoSkips counts launches on which block memoization engaged.
-	memoSkips int64
+	// memoSkips counts launches on which block memoization engaged, and
+	// memoElided the blocks those launches replayed instead of scheduling.
+	memoSkips  int64
+	memoElided int64
 }
 
 // UniformProver is the certificate callback consulted before enabling block

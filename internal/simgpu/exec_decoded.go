@@ -97,9 +97,12 @@ func (ls *launchState) execDec(w *warp) error {
 // touches the register file) for execDec and memo replay. On a fully
 // active warp whose operands have symbolic forms it works on the forms:
 // the launch geometry opcodes and const give an affine or uniform result,
-// and every other opcode asks its kernel.Sem for one. Otherwise it writes
-// the operands out and runs the Sem's column form, or Apply on a masked
-// warp or a trapping opcode.
+// and every other opcode asks its kernel.Sem for one. A non-trapping
+// opcode with one uniform operand and no symbolic result runs its
+// immediate twin's column on the other operand, the uniform value as the
+// immediate: a uniform Rb always, a uniform Ra when the opcode commutes.
+// Otherwise it writes the operands out and runs the Sem's column form, or
+// Apply on a masked warp or a trapping opcode.
 func (ls *launchState) execALU(w *warp, in *kernel.DInstr) error {
 	width := ls.width
 	full := w.activeN == width
@@ -126,20 +129,33 @@ func (ls *launchState) execALU(w *warp, in *kernel.DInstr) error {
 	if sem == nil {
 		return fmt.Errorf("%w: %v", errBadOpcode, in.Op)
 	}
+	d := int(in.D)
 	if full {
-		if a, ok := w.execAffine(in.Ra, int(in.A)); ok {
-			b := kernel.Uniform(in.Imm)
-			if !sem.Imm {
-				b, ok = w.execAffine(in.Rb, int(in.B))
-			}
-			if ok {
-				if d, trap, ok := sem.Symbolic(a, b, width); ok {
-					if trap {
-						return fmt.Errorf("%w: lane %d", errDivByZero, 0)
-					}
-					w.execSetAffine(in.Rd, int(in.D), d)
-					return nil
+		a, aok := w.execAffine(in.Ra, int(in.A))
+		b, bok := kernel.Uniform(in.Imm), true
+		if !sem.Imm {
+			b, bok = w.execAffine(in.Rb, int(in.B))
+		}
+		if aok && bok {
+			if f, trap, ok := sem.Symbolic(a, b, width); ok {
+				if trap {
+					return fmt.Errorf("%w: lane %d", errDivByZero, 0)
 				}
+				w.execSetAffine(in.Rd, d, f)
+				return nil
+			}
+		}
+		if twin := sem.Twin; twin != nil && !sem.Trap {
+			dc := w.regs[d : d+width : d+width]
+			switch {
+			case bok && b.Step == 0:
+				twin.Column(dc, w.execColumn(in.Ra, int(in.A)), nil, b.Base)
+				w.execWrote(in.Rd)
+				return nil
+			case aok && a.Step == 0 && sem.Commutes:
+				twin.Column(dc, w.execColumn(in.Rb, int(in.B)), nil, a.Base)
+				w.execWrote(in.Rd)
+				return nil
 			}
 		}
 	}
@@ -148,7 +164,6 @@ func (ls *launchState) execALU(w *warp, in *kernel.DInstr) error {
 	if !sem.Imm {
 		bc = w.execColumn(in.Rb, int(in.B))
 	}
-	d := int(in.D)
 	if full && !sem.Trap {
 		sem.Column(w.regs[d:d+width:d+width], ac, bc, in.Imm) // the common case
 		w.execWrote(in.Rd)

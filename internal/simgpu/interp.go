@@ -176,10 +176,11 @@ func (w *warp) execResolve(in *kernel.DInstr, size int) (kind accessKind, a0 ker
 }
 
 // execMove moves the fully active access in, resolved in range by
-// execResolve, to or from mem: a run is one copy, a broadcast one fill (a
-// load) or one write of the last lane's value (a store: lanes land in
-// ascending order, so the highest lane's value stays), and a scattered
-// access moves lane by lane through its written-out address column.
+// execResolve, to or from mem: a run is one copy, a broadcast load leaves
+// the destination uniform in O(1) and a broadcast store writes the last
+// lane's value (lanes land in ascending order, so the highest lane's value
+// stays), and a scattered access moves lane by lane through its
+// written-out address column.
 func (w *warp) execMove(in *kernel.DInstr, mem []kernel.Word, kind accessKind, a0 kernel.Word) {
 	width := w.width
 	a := int(in.A)
@@ -190,10 +191,8 @@ func (w *warp) execMove(in *kernel.DInstr, mem []kernel.Word, kind accessKind, a
 		case accessContiguous:
 			copy(dst, mem[a0:a0+kernel.Word(width)])
 		case accessBroadcast:
-			v := mem[a0]
-			for l := range dst {
-				dst[l] = v
-			}
+			w.execSetAffine(in.Rd, d, kernel.Uniform(mem[a0]))
+			return
 		default:
 			// dst may be the address column: lane l reads it first.
 			for l, addr := range w.regs[a : a+width : a+width] {

@@ -25,16 +25,18 @@ import (
 // at block-retire boundaries. When a fingerprint recurs, the launch has
 // entered a steady state with period T cycles and d blocks: every further T
 // cycles the scheduler returns to the same relative state having placed d
-// more blocks and accrued the same statistics delta. Instead of simulating
-// all K remaining repetitions, the launch (a) shrinks the scheduler's block
-// budget by K*d so the simulation proceeds — unmodified, on real data —
-// through the warmup, one remaining stretch of periods, and the exact same
-// drain tail, and (b) afterwards adds K*T cycles and K times the period's
-// additive statistics, and (c) replays the K*d elided blocks through a
-// data-only interpreter so global memory ends byte-identical (certificate
-// disjointness makes the replay order irrelevant, so the replay runs on
-// several goroutines). Timing, counters, and memory match full simulation
-// exactly; the differential tests pin this.
+// more blocks and accrued the same statistics delta. With r blocks left,
+// the launch skips all K = r/d whole periods that fit: it (a) shrinks the
+// scheduler's block budget by K*d so the simulation proceeds — unmodified,
+// on real data — from the warmup and the one period that revealed the
+// steady state straight into the drain tail full simulation would run
+// after those K periods, (b) afterwards adds K*T cycles and K times the
+// period's additive statistics, and (c) replays the K*d elided blocks
+// through a data-only interpreter so global memory ends byte-identical
+// (certificate disjointness makes the replay order irrelevant, so the
+// replay runs on several goroutines). Timing, counters, and memory match
+// full simulation exactly; the differential tests pin this, and observe
+// gives the argument.
 //
 // Memoization never engages when a tracer is attached (traces carry
 // per-block detail), when site collection is on, when a fault injector is
@@ -115,10 +117,19 @@ func (m *memoState) observe(ls *launchState) {
 			continue
 		}
 		recurred = true
-		// Skip as many whole periods as possible while leaving at least
-		// two periods' worth of blocks so the remaining simulation still
-		// walks through a full period and the genuine drain tail.
-		k := int64(remaining)/int64(d) - 2
+		// Skip every whole period that fits. The fingerprint holds all
+		// scheduler state relative to the current cycle and the refill
+		// frontier; the one absolute input left is how many blocks remain,
+		// and shrinking schedBlocks by k·d leaves the simulation exactly
+		// as many as full simulation has after k more periods. Refill
+		// never runs out inside a skipped period, because
+		// nextBlock + k·d ≤ schedBlocks: each period places exactly d
+		// blocks, so even the last one gets every block it asks for. So
+		// the simulation from here is full simulation's own drain, and
+		// each skipped period accrues exactly the observed delta. The
+		// period just observed was simulated, so every maximum a period
+		// reaches is already in ls.stats.
+		k := int64(remaining) / int64(d)
 		if k < 1 {
 			continue
 		}
@@ -129,6 +140,7 @@ func (m *memoState) observe(ls *launchState) {
 		ls.schedBlocks -= int(k) * d
 		m.replayFrom = ls.schedBlocks
 		ls.d.memoSkips++
+		ls.d.memoElided += k * int64(d)
 		return
 	}
 	if recurred {

@@ -96,27 +96,66 @@ func vecaddSharedKernel(t *testing.T, b, n int) *kernel.Program {
 // the last block issues fewer lane ops and transactions than the period
 // memo scales in — so analyze.BlockUniform refuses that kernel and only
 // its memory, which replay's masked path writes, is required to match.
+//
+// The residue cases sweep the launch size on every preset, with a shared
+// footprint of half an SM so two blocks are resident per SM and the
+// period d stays short. Memo skips every whole period that fits, so the
+// blocks it schedules are the recurrence point plus remaining mod d: the
+// sweep must run at least 2·d sizes past the first skip and schedule d
+// distinct counts, so that every residue, 0 included, is checked.
 func TestMemoMatchesFullSimulation(t *testing.T) {
-	const b = 32
-	cases := []struct {
-		name        string
-		blocks      int
-		globalWords int
-		inputs      int
-		prog        *kernel.Program
-		uniform     bool
-	}{
-		{"global", 512, 2 * 512 * b, 512 * b, uniformKernel(t, b, 512*b), true},
-		{"vecadd-shared", 512, 3 * 512 * b, 2 * 512 * b, vecaddSharedKernel(t, b, 512*b), true},
+	type launch struct {
+		prog                *kernel.Program
+		globalWords, inputs int
+	}
+	vecadd := func(b, blocks int) launch {
+		n := b * blocks
+		return launch{vecaddSharedKernel(t, b, n), 3 * n, 2 * n}
+	}
+	type memoCase struct {
+		name    string
+		cfg     Config
+		blocks  []int
+		kernel  func(b, blocks int) launch
+		uniform bool
+		// residue: blocks runs until every residue of remaining mod d
+		// has been checked.
+		residue bool
+	}
+	cases := []memoCase{
+		{"global", GTX650(), []int{512}, func(b, blocks int) launch {
+			n := b * blocks
+			return launch{uniformKernel(t, b, n), 2 * n, n}
+		}, true, false},
+		{"vecadd-shared", GTX650(), []int{512}, vecadd, true, false},
 		// n = 511·32 + 7: 512 blocks, 7 active lanes in the last.
-		{"vecadd-shared-masked-tail", 512, 3 * (511*b + 7), 2 * (511*b + 7),
-			vecaddSharedKernel(t, b, 511*b+7), false},
+		{"vecadd-shared-masked-tail", GTX650(), []int{512}, func(b, blocks int) launch {
+			n := (blocks-1)*b + 7
+			return launch{vecaddSharedKernel(t, b, n), 3 * n, 2 * n}
+		}, false, false},
+	}
+	for _, cfg := range append(Presets(), Tiny()) {
+		// The period is about two blocks per SM; the sweep stops as soon
+		// as it has covered 2·d sizes past the first skip.
+		var sizes []int
+		for blocks := memoMinBlocks; blocks <= memoMinBlocks+16*cfg.NumSMs; blocks++ {
+			sizes = append(sizes, blocks)
+		}
+		half := cfg.SharedWords / 2
+		cases = append(cases, memoCase{"residues/" + cfg.Name, cfg, sizes, func(b, blocks int) launch {
+			l := vecadd(b, blocks)
+			p := *l.prog
+			p.SharedWords = half
+			l.prog = &p
+			return l
+		}, true, true})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(withProver bool) (KernelResult, []kernel.Word, int64) {
-				cfg := GTX650()
-				cfg.GlobalWords = tc.globalWords
+			b := tc.cfg.WarpWidth
+			run := func(l launch, blocks int, withProver bool) (KernelResult, []kernel.Word, int64, int64) {
+				cfg := tc.cfg
+				cfg.GlobalWords = l.globalWords
 				dev, err := New(cfg)
 				if err != nil {
 					t.Fatalf("New: %v", err)
@@ -125,36 +164,74 @@ func TestMemoMatchesFullSimulation(t *testing.T) {
 					dev.SetUniformProver(alwaysUniform)
 				}
 				raw := dev.Global().Raw()
-				for i := 0; i < tc.inputs; i++ {
+				for i := 0; i < l.inputs; i++ {
 					raw[i] = int64(i * 3)
 				}
-				res, err := dev.Launch(tc.prog, tc.blocks)
+				res, err := dev.Launch(l.prog, blocks)
 				if err != nil {
-					t.Fatalf("Launch: %v", err)
+					t.Fatalf("%d blocks: Launch: %v", blocks, err)
 				}
 				out := append([]kernel.Word(nil), dev.Global().Raw()...)
-				return res, out, dev.MemoSkips()
+				return res, out, dev.MemoSkips(), dev.memoElided
 			}
 
-			full, fullMem, fullSkips := run(false)
-			memo, memoMem, memoSkips := run(true)
-
-			if fullSkips != 0 {
-				t.Fatalf("prover-less device memoized %d launches", fullSkips)
-			}
-			if memoSkips != 1 {
-				t.Fatalf("memoizing device engaged %d times, want 1", memoSkips)
-			}
-			if tc.uniform && full.Stats != memo.Stats {
-				t.Errorf("stats diverge:\nfull: %+v\nmemo: %+v", full.Stats, memo.Stats)
-			}
-			if tc.uniform && full.Time != memo.Time {
-				t.Errorf("time diverges: full %v, memo %v", full.Time, memo.Time)
-			}
-			for i := range fullMem {
-				if fullMem[i] != memoMem[i] {
-					t.Fatalf("global[%d] diverges: full %d, memo %d", i, fullMem[i], memoMem[i])
+			firstSkip, prevElided, period, last := 0, int64(0), int64(0), 0
+			scheduled := map[int]bool{}
+			for _, blocks := range tc.blocks {
+				if tc.residue && period > 0 && last-firstSkip+1 >= 2*int(period) {
+					break
 				}
+				last = blocks
+				l := tc.kernel(b, blocks)
+				full, fullMem, fullSkips, _ := run(l, blocks, false)
+				memo, memoMem, memoSkips, elided := run(l, blocks, true)
+
+				if fullSkips != 0 {
+					t.Fatalf("%d blocks: prover-less device memoized %d launches", blocks, fullSkips)
+				}
+				if tc.uniform && full.Stats != memo.Stats {
+					t.Errorf("%d blocks: stats diverge:\nfull: %+v\nmemo: %+v", blocks, full.Stats, memo.Stats)
+				}
+				if tc.uniform && full.Time != memo.Time {
+					t.Errorf("%d blocks: time diverges: full %v, memo %v", blocks, full.Time, memo.Time)
+				}
+				for i := range fullMem {
+					if fullMem[i] != memoMem[i] {
+						t.Fatalf("%d blocks: global[%d] diverges: full %d, memo %d", blocks, i, fullMem[i], memoMem[i])
+					}
+				}
+				switch {
+				case !tc.residue:
+					if memoSkips != 1 {
+						t.Fatalf("memoizing device engaged %d times, want 1", memoSkips)
+					}
+				case memoSkips == 0:
+					if firstSkip > 0 {
+						t.Fatalf("%d blocks: no skip, though %d blocks skipped", blocks, firstSkip)
+					}
+				default:
+					if firstSkip == 0 {
+						firstSkip = blocks
+					} else if jump := elided - prevElided; jump != 0 {
+						// One more block left adds a whole period.
+						if period != 0 && jump != period {
+							t.Fatalf("%d blocks: elided count jumped by %d, earlier by %d", blocks, jump, period)
+						}
+						period = jump
+					}
+					prevElided = elided
+					scheduled[blocks-int(elided)] = true
+				}
+			}
+			if !tc.residue {
+				return
+			}
+			if period == 0 || last-firstSkip+1 < 2*int(period) {
+				t.Fatalf("sizes up to %d reach %d sizes past the first skip at %d, want ≥ 2·d (d = %d)",
+					last, last-firstSkip+1, firstSkip, period)
+			}
+			if int64(len(scheduled)) != period {
+				t.Fatalf("%d distinct scheduled counts, want one per residue of d = %d", len(scheduled), period)
 			}
 		})
 	}
@@ -267,10 +344,10 @@ func TestMemoReplayConcurrentMatchesSerial(t *testing.T) {
 
 // TestMemoReplayConcurrentReportsLowestBlock: a kernel that breaks the
 // certificate it was handed — every block from 200 on loads out of range —
-// fails in replay (blocks 0–127 are simulated: the schedule first recurs
-// at block 64, with period 32). Each concurrent chunk fails at its own
-// first block, so the error must be the lowest one, with the block, pc and
-// text a serial replay reports.
+// fails in replay (blocks 0–63 are simulated: the schedule first recurs
+// at block 64, with period 32, and all 14 periods left are skipped). Each
+// concurrent chunk fails at its own first block, so the error must be the
+// lowest one, with the block, pc and text a serial replay reports.
 func TestMemoReplayConcurrentReportsLowestBlock(t *testing.T) {
 	const b, blocks, bad = 32, 512, 200
 	n := b * blocks
@@ -301,8 +378,9 @@ func TestMemoReplayConcurrentReportsLowestBlock(t *testing.T) {
 		}
 		dev.SetUniformProver(alwaysUniform)
 		_, err = dev.Launch(prog, blocks)
-		if dev.MemoSkips() != 1 {
-			t.Fatalf("memoization engaged %d times, want 1", dev.MemoSkips())
+		if dev.MemoSkips() != 1 || dev.memoElided != blocks-64 {
+			t.Fatalf("memoization engaged %d times, replaying %d blocks; want 1, replaying %d",
+				dev.MemoSkips(), dev.memoElided, blocks-64)
 		}
 		return err
 	}

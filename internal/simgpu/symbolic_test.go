@@ -3,6 +3,7 @@ package simgpu
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"atgpu/internal/kernel"
@@ -31,10 +32,19 @@ const (
 
 // Operand forms a rig register can be set in.
 const (
-	formSetStale = iota // symbolic, lanes from 2 up not written out
-	formSetFlat         // written out lane by lane, no symbolic form
-	formSetBoth         // symbolic and written out
+	formSetStale   = iota // symbolic, lanes from 2 up not written out
+	formSetFlat           // written out lane by lane, no symbolic form
+	formSetBoth           // symbolic and written out
+	formSetSquared        // lane l holds the value plus l², written out: no lane-affine value
 	formSetCount
+)
+
+// Which operand, if any, the rig's destination register is.
+const (
+	aliasNone = iota
+	aliasA    // Rd is Ra
+	aliasB    // Rd is Rb
+	aliasCount
 )
 
 // symEdgeWords are the bases and steps the table combines: zero, ±1, the
@@ -59,23 +69,33 @@ type symCase struct {
 	op           kernel.Op
 	a, b         kernel.Affine // Ra's and Rb's values; b is Uniform(imm) for an immediate form
 	imm          kernel.Word
-	formA, formB int  // formSet* each
-	alias        bool // Rd is Ra
+	formA, formB int // formSet* each
+	alias        int // alias*
 }
 
 func (c symCase) String() string {
-	return fmt.Sprintf("width=%d %v a=%+v b=%+v imm=%d forms=%d/%d alias=%v",
+	return fmt.Sprintf("width=%d %v a=%+v b=%+v imm=%d forms=%d/%d alias=%d",
 		c.width, c.op, c.a, c.b, c.imm, c.formA, c.formB, c.alias)
+}
+
+// formColumn returns the written-out column of value f set in form.
+func formColumn(f kernel.Affine, form, width int) []kernel.Word {
+	col := make([]kernel.Word, width)
+	f.Column(col)
+	if form == formSetSquared {
+		for l := range col {
+			col[l] += kernel.Word(l * l)
+		}
+	}
+	return col
 }
 
 // setForm gives register r of w the value f in the given form.
 func setForm(w *warp, r kernel.Reg, f kernel.Affine, form int) {
 	base := int(r) * w.width
 	switch form {
-	case formSetFlat:
-		col := make([]kernel.Word, w.width)
-		f.Column(col)
-		w.setColumn(r, col)
+	case formSetFlat, formSetSquared:
+		w.setColumn(r, formColumn(f, form, w.width))
 	default:
 		w.execSetAffine(r, base, f)
 		if form == formSetBoth {
@@ -97,10 +117,7 @@ func checkSymbolicALU(t *testing.T, c symCase) (symbolic bool) {
 		t.Fatal(err)
 	}
 	w.reset(symBlockID)
-	rd := symD
-	if c.alias {
-		rd = symA
-	}
+	rd := [aliasCount]kernel.Reg{symD, symA, symB}[c.alias]
 	in := &kernel.DInstr{
 		Op: c.op, Rd: rd, Ra: symA, Rb: symB,
 		D: int32(int(rd) * width), A: int32(int(symA) * width), B: int32(int(symB) * width),
@@ -114,13 +131,15 @@ func checkSymbolicALU(t *testing.T, c symCase) (symbolic bool) {
 	setForm(w, symA, c.a, c.formA)
 	setForm(w, symB, c.b, c.formB)
 
-	// The reference, on written-out columns.
-	ac, bc := make([]kernel.Word, width), make([]kernel.Word, width)
-	c.a.Column(ac)
-	c.b.Column(bc)
+	// The reference, on written-out columns (Apply reads the Imm field,
+	// not bc, for an immediate form).
+	ac, bc := formColumn(c.a, c.formA, width), formColumn(c.b, c.formB, width)
 	want := append([]kernel.Word(nil), dInit...)
-	if c.alias {
+	switch c.alias {
+	case aliasA:
 		want = append(want[:0], ac...)
+	case aliasB:
+		want = append(want[:0], bc...)
 	}
 	wantTrap := -1
 	switch c.op {
@@ -152,20 +171,36 @@ func checkSymbolicALU(t *testing.T, c symCase) (symbolic bool) {
 			t.Fatalf("%v: lane %d = %d, want %d (symbolic result %v)", c, l, got[l], want[l], symbolic)
 		}
 	}
-	if !c.alias {
-		if got := w.execColumn(symA, int(in.A)); fmt.Sprint(got) != fmt.Sprint(ac) {
+	if c.alias != aliasA {
+		if got := w.execColumn(symA, int(in.A)); !slices.Equal(got, ac) {
 			t.Fatalf("%v: Ra changed to %v, want %v", c, got, ac)
+		}
+	}
+	if c.alias != aliasB {
+		if got := w.execColumn(symB, int(in.B)); !slices.Equal(got, bc) {
+			t.Fatalf("%v: Rb changed to %v, want %v", c, got, bc)
 		}
 	}
 	return symbolic
 }
 
+// symFormPairs are the (Ra, Rb) forms TestSymbolicALU combines: each
+// symbolic form beside the other and beside a written-out column, and a
+// column with no lane-affine value beside a symbolic form in both orders.
+var symFormPairs = [][2]int{
+	{formSetStale, formSetFlat}, {formSetFlat, formSetBoth}, {formSetBoth, formSetStale},
+	{formSetBoth, formSetSquared}, {formSetSquared, formSetStale},
+}
+
 // TestSymbolicALU runs every execALU opcode on uniform and affine operands
-// in symbolic and written-out forms at widths 1, 7 and 32, and checks the
-// result against the column forms on the written-out operands. It also
-// checks that the symbolic path is exercised: every opcode gives a
-// symbolic result on uniform operands, and the geometry opcodes and every
-// opcode with a Sym rule on affine ones.
+// in symbolic and written-out forms, and on columns with no lane-affine
+// value, at widths 1, 7 and 32, with the destination apart from both
+// operands or either one of them. The form pairs include a uniform
+// symbolic operand beside such a column in both orders, the immediate
+// twin's path. It checks the result against Sem.Apply on the written-out
+// operands. It also checks that the symbolic path is exercised: every
+// opcode gives a symbolic result on uniform operands, and the geometry
+// opcodes and every opcode with a Sym rule on affine ones.
 func TestSymbolicALU(t *testing.T) {
 	var forms []kernel.Affine
 	for _, base := range symEdgeWords {
@@ -186,9 +221,9 @@ func TestSymbolicALU(t *testing.T) {
 		for _, width := range []int{1, 7, 32} {
 			for _, a := range forms {
 				for _, b := range bForms {
-					for _, alias := range []bool{false, true} {
-						for formA := 0; formA < formSetCount; formA++ {
-							c := symCase{width: width, op: op, a: a, b: b, imm: b.Base, formA: formA, formB: (formA + 1) % formSetCount, alias: alias}
+					for alias := 0; alias < aliasCount; alias++ {
+						for _, fs := range symFormPairs {
+							c := symCase{width: width, op: op, a: a, b: b, imm: b.Base, formA: fs[0], formB: fs[1], alias: alias}
 							if !checkSymbolicALU(t, c) || width == 1 {
 								continue
 							}
@@ -255,9 +290,9 @@ func TestSymbolicAddress(t *testing.T) {
 }
 
 // FuzzSymbolicALU decodes an execALU step from the fuzz input — the
-// opcode, the warp width, each operand's value and form, and whether the
-// destination is the first operand — and checks it against the column
-// forms on the written-out operands, as TestSymbolicALU does.
+// opcode, the warp width, each operand's value and form, and which operand,
+// if any, the destination is — and checks it against the column forms on
+// the written-out operands, as TestSymbolicALU does.
 func FuzzSymbolicALU(f *testing.F) {
 	ops := symOps()
 	n := len(symEdgeWords)
@@ -284,7 +319,7 @@ func FuzzSymbolicALU(f *testing.F) {
 			imm:   bBase,
 			formA: int(forms) % formSetCount,
 			formB: int(forms/formSetCount) % formSetCount,
-			alias: forms&0x80 != 0,
+			alias: int(forms/(formSetCount*formSetCount)) % aliasCount,
 		})
 	})
 }
