@@ -15,7 +15,7 @@ import (
 	"atgpu/internal/simgpu"
 )
 
-var updatePins = flag.Bool("update-pins", false, "rewrite testdata/record_pins.json from the current code")
+var updatePins = flag.Bool("update-pins", false, "rewrite the pins under testdata/ from the current code")
 
 // pinConfig is a two-size sweep of every workload on the tiny preset,
 // with shared memory raised to 256 words so the privatized histogram's
