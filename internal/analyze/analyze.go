@@ -147,10 +147,15 @@ func Program(prog *kernel.Program, opt Options) (*Report, error) {
 	rep.Findings = a.findings
 	rep.Stats = a.stats
 	rep.Precise = a.precise && !a.aborted
-	for pc := range a.sites {
-		if a.sites[pc].Accesses > 0 {
-			rep.Sites = append(rep.Sites, a.sites[pc])
+	// The touched sites, compacted in place: a.sites is not read again.
+	sites := a.sites[:0]
+	for _, s := range a.sites {
+		if s.Accesses > 0 {
+			sites = append(sites, s)
 		}
+	}
+	if len(sites) > 0 {
+		rep.Sites = sites
 	}
 	if opt.Cost != nil {
 		rep.Cost = costEstimate(*opt.Cost, opt.Machine, prog.SharedWords, opt.Blocks, a.stats)

@@ -53,14 +53,7 @@ func atomV(op kernel.Op, old, v, cmp V) V {
 // lane replays — same-address atomics serialise, unlike reads).
 func (b *blockRun) execAtomShared(in kernel.Instr) bool {
 	a := b.a
-	anyActive := false
-	for l := 0; l < b.width; l++ {
-		if b.may[l] {
-			anyActive = true
-			break
-		}
-	}
-	if !anyActive {
+	if b.mayN == 0 {
 		b.pc++
 		return true
 	}
@@ -114,7 +107,8 @@ func (b *blockRun) execAtomShared(in kernel.Instr) bool {
 	// Lane-order abstract RMW, exactly the device's deterministic order.
 	// The CAS compare value is read from Rd before the old value lands
 	// there.
-	d, rb := b.base(in.Rd), b.base(in.Rb)
+	rb := b.col(in.Rb)
+	d := b.dst(in.Rd)
 	for l := 0; l < b.width; l++ {
 		if b.addrs[l] == laneMasked {
 			continue
@@ -242,10 +236,14 @@ func (b *blockRun) execAtomGlobal(in kernel.Instr) bool {
 		site.MaxDegree = txn
 	}
 
-	d := b.base(in.Rd)
-	for l := 0; l < b.width; l++ {
-		if b.addrs[l] != laneMasked {
-			b.regs[d+l] = top
+	if b.allMust {
+		b.forms[in.Rd] = uniformForm(top)
+	} else {
+		d := b.dst(in.Rd)
+		for l := 0; l < b.width; l++ {
+			if b.addrs[l] != laneMasked {
+				b.regs[d+l] = top
+			}
 		}
 	}
 	b.pc++

@@ -1,0 +1,251 @@
+package analyze
+
+import (
+	"atgpu/internal/kernel"
+)
+
+// Register forms. Most of what a block computes is index arithmetic and
+// loop control: values the same on every lane (block ids, loop counters,
+// their comparisons) or base + step·lane (lane ids, every address). So
+// each register carries a form beside its column of lane intervals, the
+// analyzer's counterpart of the simulator's symbolic registers. A register
+// in a form is not written out into b.regs until a per-lane path reads it
+// (col); a per-lane write drops the form (dst). On a fully must-active
+// block compute ops, launch geometry, uniform branches and the addresses
+// of memory accesses run on the forms in O(1) (or O(width) integer work
+// for an access); everything else writes the forms out and runs the
+// per-lane code, which the forms must equal lane for lane.
+
+// formKind is the form a register's lanes are in.
+type formKind uint8
+
+const (
+	// formColumn: b.regs holds every lane's interval; there is no form.
+	formColumn formKind = iota
+	// formUniform: every lane holds the interval v.
+	formUniform
+	// formAffine: lane l holds the known value f.Lane(l), f.Step ≠ 0.
+	formAffine
+)
+
+// regForm is one register's form.
+type regForm struct {
+	kind formKind
+	// out reports that the register's column in b.regs holds the form
+	// written out.
+	out bool
+	v   V
+	f   kernel.Affine
+}
+
+// uniformForm is the form of v on every lane.
+func uniformForm(v V) regForm { return regForm{kind: formUniform, v: v} }
+
+// affineForm is the form of the known lane values f; a step of 0, or a
+// one-lane warp, is uniform.
+func affineForm(f kernel.Affine, width int) regForm {
+	if f.Step == 0 || width == 1 {
+		return uniformForm(known(f.Base))
+	}
+	return regForm{kind: formAffine, f: f}
+}
+
+// affine returns the form's known lane values, a known uniform value as
+// step 0, or false when its lanes are not all known.
+func (r regForm) affine() (kernel.Affine, bool) {
+	switch {
+	case r.kind == formAffine:
+		return r.f, true
+	case r.kind == formUniform && r.v.IsKnown():
+		return kernel.Uniform(r.v.Lo), true
+	}
+	return kernel.Affine{}, false
+}
+
+// vCompute is one lane's abstract result of the compute opcode op from its
+// Ra interval a and second operand b (Rb, or known(Imm) for an immediate
+// form), exactly as the per-lane interpreter computes it. A divisor must
+// not contain 0: the interpreter reports those lanes instead.
+func vCompute(op kernel.Op, a, b V) V {
+	switch op {
+	case kernel.OpDiv, kernel.OpDivI:
+		return vDiv(a, b)
+	case kernel.OpMod, kernel.OpModI:
+		return vMod(a, b)
+	}
+	if op.Semantics().Imm {
+		return vALUImm(op, a, b.Lo)
+	}
+	return vALU(op, a, b)
+}
+
+// formCompute evaluates the compute opcode op on operand forms a and b (b
+// uniformForm(known(Imm)) for an immediate form) over a fully must-active
+// warp of width lanes, or returns false when the result has no form.
+// Uniform operands evaluate vCompute once. Known lane-affine operands go
+// through the opcode's kernel.Sem.Symbolic, the simulator's own rules: on
+// known lanes vCompute is the opcode's wrapping Lane function, so the
+// rules' exactness carries over. A divisor that may be 0 has no form (the
+// per-lane path reports it).
+func formCompute(op kernel.Op, a, b regForm, width int) (regForm, bool) {
+	if a.kind == formColumn || b.kind == formColumn {
+		return regForm{}, false
+	}
+	sem := op.Semantics()
+	if sem.Trap && (b.kind != formUniform || b.v.contains(0)) {
+		return regForm{}, false
+	}
+	if a.kind == formUniform && b.kind == formUniform {
+		return uniformForm(vCompute(op, a.v, b.v)), true
+	}
+	fa, ok := a.affine()
+	if !ok {
+		return regForm{}, false
+	}
+	fb, ok := b.affine()
+	if !ok {
+		return regForm{}, false
+	}
+	d, _, ok := sem.Symbolic(fa, fb, width) // no trap: the divisor has no 0
+	if !ok {
+		return regForm{}, false
+	}
+	return affineForm(d, width), true
+}
+
+// col writes register r's form out into b.regs, if it is not already, and
+// returns its column base. The form stays: a register read lane by lane
+// once is still O(1) to compute with.
+func (b *blockRun) col(r kernel.Reg) int {
+	base := b.base(r)
+	f := &b.forms[r]
+	if f.kind != formColumn && !f.out {
+		c := b.regs[base : base+b.width]
+		if f.kind == formUniform {
+			for l := range c {
+				c[l] = f.v
+			}
+		} else {
+			for l := range c {
+				c[l] = known(f.f.Lane(l))
+			}
+		}
+		f.out = true
+	}
+	return base
+}
+
+// dst prepares register r for a per-lane write and returns its column
+// base: the column is written out (lanes the write skips or joins keep
+// their values) and the form dropped.
+func (b *blockRun) dst(r kernel.Reg) int {
+	base := b.col(r)
+	b.forms[r].kind = formColumn
+	return base
+}
+
+// uniformIfSame gives register r, just written lane by lane, the uniform
+// form when every lane holds the same interval. Its column stays written
+// out.
+func (b *blockRun) uniformIfSame(r kernel.Reg) {
+	base := b.base(r)
+	c := b.regs[base : base+b.width]
+	for _, v := range c[1:] {
+		if v != c[0] {
+			return
+		}
+	}
+	b.forms[r] = regForm{kind: formUniform, out: true, v: c[0]}
+}
+
+// fullMask makes every lane may- and must-active.
+func (b *blockRun) fullMask() {
+	for l := 0; l < b.width; l++ {
+		b.may[l] = true
+		b.must[l] = true
+	}
+	b.mayN = b.width
+	b.allMust = true
+}
+
+// recount refreshes the mask summary after the masks changed.
+func (b *blockRun) recount() {
+	b.mayN = 0
+	b.allMust = true
+	for l := 0; l < b.width; l++ {
+		if b.may[l] {
+			b.mayN++
+		}
+		if !b.must[l] {
+			b.allMust = false
+		}
+	}
+}
+
+// formAddr returns the known lane-affine address of register r for a
+// fully must-active access to a memory of size words when every lane lies
+// inside [0, size) and no lane wraps, so the addresses are monotone and
+// need only their end lanes checked. Otherwise it returns false and the
+// access takes the per-lane path, which reports what is out of range.
+func (b *blockRun) formAddr(r kernel.Reg, size int) (kernel.Affine, bool) {
+	if !b.allMust {
+		return kernel.Affine{}, false
+	}
+	f, ok := b.forms[r].affine()
+	if !ok {
+		return kernel.Affine{}, false
+	}
+	last, ok := f.Last(b.width)
+	if !ok || min(f.Base, last) < 0 || max(f.Base, last) >= int64(size) {
+		return kernel.Affine{}, false
+	}
+	return f, true
+}
+
+// formTransactions counts the distinct width-word blocks the in-range,
+// monotone addresses f touch over width lanes, as execGlobal's loop counts
+// them. Consecutive lanes differ by |step|: at most width, they cannot
+// skip a block, so every block between the end lanes' is touched; at
+// least width, every lane is in a block of its own.
+func formTransactions(f kernel.Affine, width int) int {
+	w := int64(width)
+	s := f.Step
+	if s < 0 {
+		s = -s
+	}
+	if s >= w {
+		return width
+	}
+	last := f.Lane(width - 1)
+	n := last/w - f.Base/w
+	if n < 0 {
+		n = -n
+	}
+	return int(n) + 1
+}
+
+// formConflict is conflictDegree for the in-range, monotone addresses f
+// over width lanes. Lane l's bank is (f.Base + s·l) mod width with
+// s = f.Step mod width: the banks repeat with period width/g, g =
+// gcd(s, width), so each bank hit is hit by exactly g lanes, and the first
+// lane to repeat a bank is width/g, repeating lane 0's — the loop's first
+// witness pair. A step of 0 with broadcast reads is conflict-free.
+func formConflict(f kernel.Affine, width int, broadcast bool) (int, []int) {
+	if f.Step == 0 && broadcast {
+		return 1, nil
+	}
+	w := int64(width)
+	g := gcd((f.Step%w+w)%w, w)
+	if g == 1 {
+		return 1, nil
+	}
+	return int(g), witness(0, int(w/g))
+}
+
+// gcd returns the greatest common divisor of a ≥ 0 and b > 0.
+func gcd(a, b int64) int64 {
+	for a != 0 {
+		a, b = b%a, a
+	}
+	return b
+}

@@ -12,15 +12,24 @@ import (
 // unless it must run. On kernels whose control flow and addresses never
 // depend on loaded data the two masks coincide, every value at a decision
 // point is known, and the abstract execution reproduces the device's
-// counters exactly.
+// counters exactly. Registers carry forms (forms.go) that keep uniform and
+// lane-affine values out of the per-lane columns until a per-lane path
+// reads them.
 type blockRun struct {
 	a       *analysis
 	prog    *kernel.Program
 	width   int
 	blockID int
 
-	regs      []V
+	regs  []V
+	forms []regForm
+	// may and must are the SIMT masks; mayN counts the may-active lanes
+	// and allMust reports every lane must-active. newBlockRun, reset,
+	// execIfBegin and popMask, the only places the masks change, keep
+	// them up to date.
 	may, must []bool
+	mayN      int
+	allMust   bool
 	mayStack  [][]bool
 	mustStack [][]bool
 	depth     int
@@ -62,6 +71,7 @@ func newBlockRun(a *analysis, blockID int) *blockRun {
 		width:    width,
 		blockID:  blockID,
 		regs:     make([]V, a.prog.NumRegs*width),
+		forms:    make([]regForm, a.prog.NumRegs),
 		may:      make([]bool, width),
 		must:     make([]bool, width),
 		shared:   make([]V, a.prog.SharedWords),
@@ -73,10 +83,8 @@ func newBlockRun(a *analysis, blockID int) *blockRun {
 		fuel:     a.opt.fuel(),
 		brVisits: make(map[int]int),
 	}
-	for l := 0; l < width; l++ {
-		b.may[l] = true
-		b.must[l] = true
-	}
+	b.clearRegs()
+	b.fullMask()
 	return b
 }
 
@@ -88,13 +96,8 @@ func (b *blockRun) reset(blockID int) {
 	b.depth = 0
 	b.atomSer = 0
 	b.fuel = b.a.opt.fuel()
-	for i := range b.regs {
-		b.regs[i] = known(0)
-	}
-	for l := 0; l < b.width; l++ {
-		b.may[l] = true
-		b.must[l] = true
-	}
+	b.clearRegs()
+	b.fullMask()
 	for i := range b.shared {
 		b.shared[i] = known(0)
 		b.wmask[i] = 0
@@ -106,17 +109,14 @@ func (b *blockRun) reset(blockID int) {
 	}
 }
 
-func (b *blockRun) base(r kernel.Reg) int { return int(r) * b.width }
-
-func (b *blockRun) mayCount() int {
-	n := 0
-	for _, m := range b.may {
-		if m {
-			n++
-		}
+// clearRegs sets every register to the uniform 0 in O(1) per register.
+func (b *blockRun) clearRegs() {
+	for r := range b.forms {
+		b.forms[r] = uniformForm(known(0))
 	}
-	return n
 }
+
+func (b *blockRun) base(r kernel.Reg) int { return int(r) * b.width }
 
 // setLane writes v to a lane's register slot, weakening to a join when the
 // lane only may be active (the old value survives if it is not).
@@ -145,6 +145,7 @@ func (b *blockRun) popMask() bool {
 	b.depth--
 	copy(b.may, b.mayStack[b.depth])
 	copy(b.must, b.mustStack[b.depth])
+	b.recount()
 	return true
 }
 
@@ -169,21 +170,23 @@ func (b *blockRun) run() bool {
 		in := b.prog.Instrs[b.pc]
 		b.instrs++
 		a.stats.InstructionsIssued++
-		a.stats.LaneOps += int64(b.mayCount())
+		a.stats.LaneOps += int64(b.mayN)
 
 		switch in.Op {
 		case kernel.OpNop:
 
 		case kernel.OpConst:
-			d := b.base(in.Rd)
-			for l := 0; l < b.width; l++ {
-				if b.may[l] {
-					b.setLane(d+l, l, known(in.Imm))
-				}
-			}
+			b.broadcast(in.Rd, known(in.Imm))
 
 		case kernel.OpMov:
-			d, ra := b.base(in.Rd), b.base(in.Ra)
+			if b.allMust && b.forms[in.Ra].kind != formColumn {
+				f := b.forms[in.Ra]
+				f.out = in.Rd == in.Ra && f.out
+				b.forms[in.Rd] = f
+				break
+			}
+			ra := b.col(in.Ra)
+			d := b.dst(in.Rd)
 			for l := 0; l < b.width; l++ {
 				if b.may[l] {
 					b.setLane(d+l, l, b.regs[ra+l])
@@ -193,7 +196,11 @@ func (b *blockRun) run() bool {
 		case kernel.OpAdd, kernel.OpSub, kernel.OpMul, kernel.OpMin, kernel.OpMax,
 			kernel.OpAnd, kernel.OpOr, kernel.OpXor, kernel.OpShl, kernel.OpShr,
 			kernel.OpSlt, kernel.OpSle, kernel.OpSeq, kernel.OpSne:
-			d, ra, rb := b.base(in.Rd), b.base(in.Ra), b.base(in.Rb)
+			if b.computeForm(in, b.forms[in.Rb]) {
+				break
+			}
+			ra, rb := b.col(in.Ra), b.col(in.Rb)
+			d := b.dst(in.Rd)
 			for l := 0; l < b.width; l++ {
 				if b.may[l] {
 					b.setLane(d+l, l, vALU(in.Op, b.regs[ra+l], b.regs[rb+l]))
@@ -201,13 +208,20 @@ func (b *blockRun) run() bool {
 			}
 
 		case kernel.OpDiv, kernel.OpMod:
+			if b.computeForm(in, b.forms[in.Rb]) {
+				break
+			}
 			if !b.execDivMod(in) {
 				return false
 			}
 
 		case kernel.OpAddI, kernel.OpMulI, kernel.OpShlI, kernel.OpShrI, kernel.OpAndI,
 			kernel.OpSltI, kernel.OpSleI, kernel.OpSeqI, kernel.OpSneI:
-			d, ra := b.base(in.Rd), b.base(in.Ra)
+			if b.computeForm(in, uniformForm(known(in.Imm))) {
+				break
+			}
+			ra := b.col(in.Ra)
+			d := b.dst(in.Rd)
 			for l := 0; l < b.width; l++ {
 				if b.may[l] {
 					b.setLane(d+l, l, vALUImm(in.Op, b.regs[ra+l], in.Imm))
@@ -215,10 +229,14 @@ func (b *blockRun) run() bool {
 			}
 
 		case kernel.OpDivI, kernel.OpModI:
+			if b.computeForm(in, uniformForm(known(in.Imm))) {
+				break
+			}
 			// The device traps a zero immediate divisor only on an active
 			// lane — masked lanes are exempt, exactly like the
 			// register-divisor form handled by execDivMod.
-			d, ra := b.base(in.Rd), b.base(in.Ra)
+			ra := b.col(in.Ra)
+			d := b.dst(in.Rd)
 			for l := 0; l < b.width; l++ {
 				if !b.may[l] {
 					continue
@@ -243,7 +261,11 @@ func (b *blockRun) run() bool {
 			}
 
 		case kernel.OpLaneID:
-			d := b.base(in.Rd)
+			if b.allMust {
+				b.forms[in.Rd] = affineForm(kernel.Affine{Step: 1}, b.width)
+				break
+			}
+			d := b.dst(in.Rd)
 			for l := 0; l < b.width; l++ {
 				if b.may[l] {
 					b.setLane(d+l, l, known(int64(l)))
@@ -332,8 +354,14 @@ func (b *blockRun) run() bool {
 	}
 }
 
+// broadcast writes v to every active lane of rd, in O(1) on a fully
+// must-active block.
 func (b *blockRun) broadcast(rd kernel.Reg, v V) {
-	d := b.base(rd)
+	if b.allMust {
+		b.forms[rd] = uniformForm(v)
+		return
+	}
+	d := b.dst(rd)
 	for l := 0; l < b.width; l++ {
 		if b.may[l] {
 			b.setLane(d+l, l, v)
@@ -341,11 +369,27 @@ func (b *blockRun) broadcast(rd kernel.Reg, v V) {
 	}
 }
 
+// computeForm runs the compute instruction in on the operand forms, its
+// second operand's form being sb, when the block is fully must-active and
+// the result has a form (formCompute). It returns false, having changed
+// nothing, when the instruction must run lane by lane.
+func (b *blockRun) computeForm(in kernel.Instr, sb regForm) bool {
+	if !b.allMust {
+		return false
+	}
+	f, ok := formCompute(in.Op, b.forms[in.Ra], sb, b.width)
+	if ok {
+		b.forms[in.Rd] = f
+	}
+	return ok
+}
+
 // execDivMod handles three-register division, reporting definite and
 // possible zero divisors.
 func (b *blockRun) execDivMod(in kernel.Instr) bool {
 	a := b.a
-	d, ra, rb := b.base(in.Rd), b.base(in.Ra), b.base(in.Rb)
+	ra, rb := b.col(in.Ra), b.col(in.Rb)
+	d := b.dst(in.Rd)
 	for l := 0; l < b.width; l++ {
 		if !b.may[l] {
 			continue
@@ -377,7 +421,7 @@ func (b *blockRun) execDivMod(in kernel.Instr) bool {
 // (the masked lanes can never arrive). The simulator's one-warp blocks
 // trivially satisfy barriers, so this is a purely static verdict.
 func (b *blockRun) checkBarrier() {
-	active := b.mayCount()
+	active := b.mayN
 	if active != b.width {
 		inactive, act := -1, -1
 		for l := 0; l < b.width; l++ {
@@ -393,14 +437,7 @@ func (b *blockRun) checkBarrier() {
 			active, b.width, inactive)
 		return
 	}
-	mustAll := true
-	for l := 0; l < b.width; l++ {
-		if !b.must[l] {
-			mustAll = false
-			break
-		}
-	}
-	if !mustAll {
+	if !b.allMust {
 		b.a.reportf(Finding{Analyzer: AnalyzerDivergence, Severity: SevWarning, PC: b.pc, Block: b.blockID},
 			"barrier may execute under divergent control (branch condition not statically known)")
 	}
@@ -425,24 +462,8 @@ func witness(lanes ...int) []int {
 // true when pc was redirected (whole-warp skip).
 func (b *blockRun) execIfBegin(in kernel.Instr) bool {
 	a := b.a
-	ra := b.base(in.Ra)
-	anyMay := false
-	anyKnownTrue, anyKnownFalse, anyUnknown := false, false, false
-	for l := 0; l < b.width; l++ {
-		if !b.may[l] {
-			continue
-		}
-		anyMay = true
-		switch b.regs[ra+l].truth() {
-		case truthTrue:
-			anyKnownTrue = true
-		case truthFalse:
-			anyKnownFalse = true
-		default:
-			anyUnknown = true
-		}
-	}
-	if !anyMay || (!anyKnownTrue && !anyUnknown) {
+	anyKnownTrue, anyKnownFalse, anyUnknown := b.truths(in.Ra)
+	if b.mayN == 0 || (!anyKnownTrue && !anyUnknown) {
 		// No lane takes the body: jump past it without pushing a mask.
 		b.pc = int(in.Target)
 		return true
@@ -454,6 +475,10 @@ func (b *blockRun) execIfBegin(in kernel.Instr) bool {
 		a.stats.DivergentBranches++
 	}
 	b.pushMask()
+	if !anyKnownFalse && !anyUnknown {
+		return false // every active lane takes the body: the masks stay
+	}
+	ra := b.col(in.Ra)
 	for l := 0; l < b.width; l++ {
 		if !b.may[l] {
 			continue
@@ -466,43 +491,63 @@ func (b *blockRun) execIfBegin(in kernel.Instr) bool {
 			b.must[l] = false
 		}
 	}
+	b.recount()
 	return false
+}
+
+// truths classifies register r's value on the may-active lanes as a branch
+// condition: whether some lane is known true, known false, or undecidable.
+// A uniform register costs O(1).
+func (b *blockRun) truths(r kernel.Reg) (anyTrue, anyFalse, anyUnknown bool) {
+	if f := b.forms[r]; f.kind == formUniform {
+		if b.mayN == 0 {
+			return false, false, false
+		}
+		t := f.v.truth()
+		return t == truthTrue, t == truthFalse, t == truthUnknown
+	}
+	ra := b.col(r)
+	for l := 0; l < b.width; l++ {
+		if !b.may[l] {
+			continue
+		}
+		switch b.regs[ra+l].truth() {
+		case truthTrue:
+			anyTrue = true
+		case truthFalse:
+			anyFalse = true
+		default:
+			anyUnknown = true
+		}
+	}
+	return anyTrue, anyFalse, anyUnknown
 }
 
 // execBrNZ mirrors the device's uniform branch. Returns (pcRedirected,
 // keepGoing): the divergent and no-active-lane cases trap the launch.
 func (b *blockRun) execBrNZ(in kernel.Instr) (bool, bool) {
 	a := b.a
-	ra := b.base(in.Ra)
-	anyLane := false
-	anyKnownTrue, anyKnownFalse, anyUnknown := false, false, false
-	trueLane, falseLane := -1, -1
-	for l := 0; l < b.width; l++ {
-		if !b.may[l] {
-			continue
-		}
-		anyLane = true
-		switch b.regs[ra+l].truth() {
-		case truthTrue:
-			anyKnownTrue = true
-			if trueLane < 0 {
-				trueLane = l
-			}
-		case truthFalse:
-			anyKnownFalse = true
-			if falseLane < 0 {
-				falseLane = l
-			}
-		default:
-			anyUnknown = true
-		}
-	}
-	if !anyLane {
+	anyKnownTrue, anyKnownFalse, anyUnknown := b.truths(in.Ra)
+	if b.mayN == 0 {
 		a.reportf(Finding{Analyzer: AnalyzerExec, Severity: SevError, PC: b.pc, Block: b.blockID},
 			"uniform branch with no active lanes traps the kernel")
 		return false, false
 	}
 	if anyKnownTrue && anyKnownFalse {
+		// Only a column can differ across lanes: truths wrote it out.
+		trueLane, falseLane := -1, -1
+		ra := b.base(in.Ra)
+		for l := b.width - 1; l >= 0; l-- {
+			if !b.may[l] {
+				continue
+			}
+			switch b.regs[ra+l].truth() {
+			case truthTrue:
+				trueLane = l
+			case truthFalse:
+				falseLane = l
+			}
+		}
 		a.reportf(Finding{Analyzer: AnalyzerDivergence, Severity: SevError, PC: b.pc, Block: b.blockID, Lanes: witness(trueLane, falseLane)},
 			"divergent uniform branch: loop condition differs across lanes (%d vs %d) — the device traps this launch",
 			trueLane, falseLane)

@@ -12,12 +12,13 @@ import (
 // analysis like the device trap it mirrors. Returns false on abort.
 func (b *blockRun) gather(in kernel.Instr, size int, space string) bool {
 	a := b.a
+	ra := b.col(in.Ra)
 	for l := 0; l < b.width; l++ {
 		if !b.may[l] {
 			b.addrs[l] = laneMasked
 			continue
 		}
-		av := b.regs[b.base(in.Ra)+l]
+		av := b.regs[ra+l]
 		if av.IsKnown() {
 			x := av.Lo
 			if x < 0 || x >= int64(size) {
@@ -72,14 +73,63 @@ func opKind(op kernel.Op) string {
 }
 
 // execGlobal mirrors the simulator's coalescing count for a warp-wide global
-// access and is the static side of the coalescing-degree prediction.
+// access and is the static side of the coalescing-degree prediction. An
+// in-range lane-affine address is counted in closed form
+// (formTransactions); any other is gathered and counted lane by lane.
 // Returns false on abort; advances pc itself.
 func (b *blockRun) execGlobal(in kernel.Instr) bool {
 	a := b.a
-	if !b.gather(in, a.opt.Machine.GlobalWords, "global") {
-		return false
+	var txn int
+	if f, ok := b.formAddr(in.Ra, a.opt.Machine.GlobalWords); ok {
+		txn = formTransactions(f, b.width)
+	} else {
+		if !b.gather(in, a.opt.Machine.GlobalWords, "global") {
+			return false
+		}
+		var ok bool
+		if txn, ok = b.gatheredTransactions(); !ok {
+			// Fully masked access: costs the issue slot only.
+			b.pc++
+			return true
+		}
 	}
 
+	a.stats.GlobalAccesses++
+	a.stats.GlobalTransactions += int64(txn)
+	site := a.site(b.pc, in.Op)
+	site.Accesses++
+	site.Transactions += int64(txn)
+	if txn > site.MaxDegree {
+		site.MaxDegree = txn
+	}
+	if txn > 1 {
+		a.stats.UncoalescedAccesses++
+		site.Uncoalesced++
+		a.reportf(Finding{Analyzer: AnalyzerMemory, Severity: SevWarning, PC: b.pc, Block: b.blockID},
+			"uncoalesced global %s: %d transactions for one warp access (perfect coalescing is 1)",
+			opKind(in.Op), txn)
+	}
+
+	if in.Op == kernel.OpLdGlobal {
+		// Global contents are unknown data: loads produce top.
+		if b.allMust {
+			b.forms[in.Rd] = uniformForm(top)
+		} else {
+			d := b.dst(in.Rd)
+			for l := 0; l < b.width; l++ {
+				if b.addrs[l] != laneMasked {
+					b.regs[d+l] = top
+				}
+			}
+		}
+	}
+	b.pc++
+	return true
+}
+
+// gatheredTransactions counts the transactions of the gathered access,
+// or returns false when every lane is masked.
+func (b *blockRun) gatheredTransactions() (int, bool) {
 	// Distinct memory blocks over known addresses, exactly as the device
 	// counts them; unknown lanes pessimistically add one transaction each.
 	bs := int64(b.width)
@@ -111,64 +161,35 @@ func (b *blockRun) execGlobal(in kernel.Instr) bool {
 		}
 	}
 	if active == 0 {
-		// Fully masked access: costs the issue slot only.
-		b.pc++
-		return true
+		return 0, false
 	}
-	txn := nblocks + unknown
-	if txn > active {
-		txn = active
-	}
-
-	a.stats.GlobalAccesses++
-	a.stats.GlobalTransactions += int64(txn)
-	site := a.site(b.pc, in.Op)
-	site.Accesses++
-	site.Transactions += int64(txn)
-	if txn > site.MaxDegree {
-		site.MaxDegree = txn
-	}
-	if txn > 1 {
-		a.stats.UncoalescedAccesses++
-		site.Uncoalesced++
-		a.reportf(Finding{Analyzer: AnalyzerMemory, Severity: SevWarning, PC: b.pc, Block: b.blockID},
-			"uncoalesced global %s: %d transactions for one warp access (perfect coalescing is 1)",
-			opKind(in.Op), txn)
-	}
-
-	if in.Op == kernel.OpLdGlobal {
-		// Global contents are unknown data: loads produce top.
-		d := b.base(in.Rd)
-		for l := 0; l < b.width; l++ {
-			if b.addrs[l] != laneMasked {
-				b.regs[d+l] = top
-			}
-		}
-	}
-	b.pc++
-	return true
+	return min(nblocks+unknown, active), true
 }
 
 // execShared mirrors the simulator's bank-conflict analysis and runs the
-// race detector over the access. Returns false on abort; advances pc itself.
+// race detector over the access. An in-range lane-affine address takes its
+// conflict degree in closed form (formConflict) and its lanes' addresses
+// from the form; any other is gathered and counted lane by lane. Returns
+// false on abort; advances pc itself.
 func (b *blockRun) execShared(in kernel.Instr) bool {
 	a := b.a
-	anyActive := false
-	for l := 0; l < b.width; l++ {
-		if b.may[l] {
-			anyActive = true
-			break
-		}
-	}
-	if !anyActive {
+	if b.mayN == 0 {
 		b.pc++
 		return true
 	}
-	if !b.gather(in, b.prog.SharedWords, "shared") {
-		return false
+	var degree int
+	var conflictLanes []int
+	if f, ok := b.formAddr(in.Ra, b.prog.SharedWords); ok {
+		degree, conflictLanes = formConflict(f, b.width, a.opt.Machine.BroadcastSharedReads)
+		for l := 0; l < b.width; l++ {
+			b.addrs[l] = f.Lane(l)
+		}
+	} else {
+		if !b.gather(in, b.prog.SharedWords, "shared") {
+			return false
+		}
+		degree, conflictLanes = b.conflictDegree()
 	}
-
-	degree, conflictLanes := b.conflictDegree()
 	a.stats.SharedAccesses++
 	site := a.site(b.pc, in.Op)
 	site.Accesses++
@@ -244,19 +265,17 @@ func (b *blockRun) conflictDegree() (int, []int) {
 }
 
 // sharedLoad reads each lane's cell value and checks the read against
-// un-barriered writes by other lanes (read-after-write race).
+// un-barriered writes by other lanes (read-after-write race). On a fully
+// must-active block the load overwrites every lane without writing the
+// destination's old form out, and equal cells (a broadcast, or a tile of
+// tops) leave the destination uniform.
 func (b *blockRun) sharedLoad(in kernel.Instr) {
 	a := b.a
-	d := b.base(in.Rd)
 	for l := 0; l < b.width; l++ {
-		if b.addrs[l] == laneMasked {
-			continue
-		}
-		if b.addrs[l] == laneUnknown {
-			b.regs[d+l] = top
-			continue
-		}
 		c := b.addrs[l]
+		if c < 0 {
+			continue
+		}
 		if w := b.wmask[c] &^ laneBit(l); w != 0 {
 			wl := lowestLane(w)
 			a.reportf(Finding{Analyzer: AnalyzerRace, Severity: SevError, PC: b.pc, Block: b.blockID, Lanes: witness(wl, l)},
@@ -269,17 +288,35 @@ func (b *blockRun) sharedLoad(in kernel.Instr) {
 				l, c, ml)
 		}
 		b.rmask[c] |= laneBit(l)
-		b.setLane(d+l, l, b.shared[c])
+	}
+	d := b.base(in.Rd)
+	if b.allMust {
+		b.forms[in.Rd].kind = formColumn // every lane is overwritten
+	} else {
+		b.dst(in.Rd)
+	}
+	for l := 0; l < b.width; l++ {
+		switch c := b.addrs[l]; c {
+		case laneMasked:
+		case laneUnknown:
+			b.regs[d+l] = top
+		default:
+			b.setLane(d+l, l, b.shared[c])
+		}
+	}
+	if b.allMust {
+		b.uniformIfSame(in.Rd)
 	}
 }
 
 // sharedStore writes each lane's value and checks the write against
 // un-barriered reads and writes by other lanes (write-after-read and
 // write-after-write races), including two lanes storing to the same cell in
-// this very instruction.
+// this very instruction: a lower lane's store to the cell is already in
+// wmask when a higher lane's is checked.
 func (b *blockRun) sharedStore(in kernel.Instr) {
 	a := b.a
-	s := b.base(in.Rb)
+	s := b.col(in.Rb)
 	for l := 0; l < b.width; l++ {
 		if b.addrs[l] == laneMasked {
 			continue
@@ -300,8 +337,7 @@ func (b *blockRun) sharedStore(in kernel.Instr) {
 			continue
 		}
 		c := b.addrs[l]
-		others := laneBit(l) - 1 // lanes below l already stored this issue
-		if w := (b.wmask[c] &^ laneBit(l)) | (b.instrWrites(c, l) & others); w != 0 {
+		if w := b.wmask[c] &^ laneBit(l); w != 0 {
 			wl := lowestLane(w)
 			a.reportf(Finding{Analyzer: AnalyzerRace, Severity: SevError, PC: b.pc, Block: b.blockID, Lanes: witness(wl, l)},
 				"shared memory race: lanes %d and %d both write _shared[%d] with no barrier between",
@@ -321,18 +357,6 @@ func (b *blockRun) sharedStore(in kernel.Instr) {
 		b.wpc[c] = int32(b.pc)
 		b.setSharedLane(c, l, b.regs[s+l])
 	}
-}
-
-// instrWrites returns the mask of lanes below limit that store to cell c in
-// the access currently being executed (intra-instruction conflict check).
-func (b *blockRun) instrWrites(c int64, limit int) uint64 {
-	var m uint64
-	for l := 0; l < limit; l++ {
-		if b.addrs[l] == c {
-			m |= laneBit(l)
-		}
-	}
-	return m
 }
 
 // setSharedLane writes v to a shared cell, weakening to a join when the

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"atgpu/internal/simgpu"
 )
 
 // BenchmarkPipelineOverlap measures the pipelined vecadd sweep — every
@@ -164,5 +166,30 @@ func BenchmarkSweepMatMul(b *testing.B) {
 		if _, err := r.RunMatMul(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkLint measures the static analysis of one kernel launch on the
+// GTX650 preset: service-mix's two lint shapes (reduce n=4096, matmul
+// n=64) and vecadd n=4096. Run with -benchmem; CI uploads the numbers as
+// BENCH_lint.json.
+func BenchmarkLint(b *testing.B) {
+	dev := simgpu.GTX650()
+	cp := lintPinCost(dev)
+	for _, c := range []struct {
+		workload string
+		n        int
+	}{{"reduce", 4096}, {"matmul", 64}, {"vecadd", 4096}} {
+		w, err := Lookup(c.workload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%s/n=%d", c.workload, c.n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := w.Lint(c.n, dev, cp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

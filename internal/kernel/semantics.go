@@ -313,11 +313,11 @@ func symMul(a, b Affine, _ int) (Affine, bool) {
 // lane does, and the result is uniform. Otherwise there is no form.
 func symOrdered(lane func(a, b Word) Word) func(a, b Affine, width int) (Affine, bool) {
 	return func(a, b Affine, width int) (Affine, bool) {
-		an, ok := lastLane(a, width)
+		an, ok := a.Last(width)
 		if !ok {
 			return Affine{}, false
 		}
-		bn, ok := lastLane(b, width)
+		bn, ok := b.Last(width)
 		if !ok {
 			return Affine{}, false
 		}
@@ -329,9 +329,10 @@ func symOrdered(lane func(a, b Word) Word) func(a, b Affine, width int) (Affine,
 	}
 }
 
-// lastLane returns f's value on lane width−1 computed over the integers,
-// and false when it does not fit a Word.
-func lastLane(f Affine, width int) (Word, bool) {
+// Last returns f's value on lane width−1 computed over the integers, and
+// false when it does not fit a Word. When it fits, no lane wraps: f is
+// monotone across the lanes, lying between Base and Last.
+func (f Affine) Last(width int) (Word, bool) {
 	n := Word(width - 1)
 	p := f.Step * n
 	if n != 0 && p/n != f.Step {

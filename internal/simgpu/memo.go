@@ -1,6 +1,8 @@
 package simgpu
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"runtime"
@@ -56,7 +58,7 @@ const (
 
 // memoSnap is one recorded scheduler fingerprint.
 type memoSnap struct {
-	state     []int64
+	state     []byte
 	cycle     int64
 	nextBlock int
 	stats     KernelStats
@@ -66,7 +68,7 @@ type memoSnap struct {
 type memoState struct {
 	snaps map[uint64][]memoSnap
 	seed  maphash.Seed
-	enc   []int64
+	enc   []byte
 	count int
 	off   bool
 
@@ -97,19 +99,10 @@ func (m *memoState) observe(ls *launchState) {
 		m.snaps = make(map[uint64][]memoSnap)
 		m.seed = maphash.MakeSeed()
 	}
-	var h maphash.Hash
-	h.SetSeed(m.seed)
-	for _, v := range m.enc {
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	key := h.Sum64()
+	key := maphash.Bytes(m.seed, m.enc)
 	recurred := false
 	for _, s := range m.snaps[key] {
-		if !equalStates(s.state, m.enc) {
+		if !bytes.Equal(s.state, m.enc) {
 			continue
 		}
 		d := ls.nextBlock - s.nextBlock
@@ -151,7 +144,7 @@ func (m *memoState) observe(ls *launchState) {
 		return
 	}
 	snap := memoSnap{
-		state:     append([]int64(nil), m.enc...),
+		state:     append([]byte(nil), m.enc...),
 		cycle:     ls.cycle,
 		nextBlock: ls.nextBlock,
 		stats:     ls.stats,
@@ -165,42 +158,33 @@ func (m *memoState) observe(ls *launchState) {
 // round-robin pointers and resident warps (block offset, trace position,
 // state, readiness offset) plus the memory-controller horizon. Register
 // contents and absolute block IDs are deliberately excluded — the
-// BlockUniform certificate proves they cannot steer scheduling.
-func encodeRelState(ls *launchState, enc []int64) []int64 {
+// BlockUniform certificate proves they cannot steer scheduling. The words
+// are appended to enc as little-endian bytes, so a fingerprint hashes in
+// one maphash.Bytes call.
+func encodeRelState(ls *launchState, enc []byte) []byte {
+	word := func(v int64) { enc = binary.LittleEndian.AppendUint64(enc, uint64(v)) }
 	memRel := ls.memFree - ls.cycle
 	if memRel < 0 {
 		// A drained controller behaves identically at any offset ≤ 0.
 		memRel = 0
 	}
-	enc = append(enc, memRel)
+	word(memRel)
 	for _, sm := range ls.sms {
-		enc = append(enc, int64(sm.rr), int64(len(sm.resident)))
+		word(int64(sm.rr))
+		word(int64(len(sm.resident)))
 		for _, w := range sm.resident {
 			rel := int64(0)
 			if w.state == wWaiting {
 				rel = w.readyAt - ls.cycle
 			}
-			enc = append(enc,
-				int64(w.blockID-ls.nextBlock),
-				int64(w.pc),
-				w.instrs,
-				int64(w.state),
-				rel)
+			word(int64(w.blockID - ls.nextBlock))
+			word(int64(w.pc))
+			word(w.instrs)
+			word(int64(w.state))
+			word(rel)
 		}
 	}
 	return enc
-}
-
-func equalStates(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // diffAdditive returns cur-prev over the additive KernelStats fields.
