@@ -40,9 +40,12 @@ type analysis struct {
 	stats    StaticStats
 	findings []Finding
 	seen     map[findKey]struct{}
-	sites    []Site
-	precise  bool
-	aborted  bool
+	// sites holds one accumulator per memory or atomic instruction, in pc
+	// order; siteOf maps a pc to its slot plus one (0: not a memory pc).
+	sites   []Site
+	siteOf  []int32
+	precise bool
+	aborted bool
 }
 
 type findKey struct {
@@ -71,7 +74,7 @@ func (a *analysis) reportf(f Finding, format string, args ...interface{}) {
 // site returns the accumulator for a memory instruction, creating it on
 // first access.
 func (a *analysis) site(pc int, op kernel.Op) *Site {
-	s := &a.sites[pc]
+	s := &a.sites[a.siteOf[pc]-1]
 	if s.Accesses == 0 {
 		s.PC = pc
 		s.Line = a.prog.Line(pc)
@@ -104,9 +107,17 @@ func Program(prog *kernel.Program, opt Options) (*Report, error) {
 		prog:    prog,
 		opt:     opt,
 		seen:    make(map[findKey]struct{}),
-		sites:   make([]Site, len(prog.Instrs)),
+		siteOf:  make([]int32, len(prog.Instrs)),
 		precise: true,
 	}
+	n := int32(0)
+	for pc, in := range prog.Instrs {
+		if in.Op.IsMemory() || in.Op.IsAtomic() {
+			n++
+			a.siteOf[pc] = n
+		}
+	}
+	a.sites = make([]Site, n)
 
 	rep := &Report{
 		Kernel: prog.Name,

@@ -63,35 +63,17 @@ func (b *blockRun) execAtomShared(in kernel.Instr) bool {
 
 	// Per-bank degree over known addresses; unknown lanes pile onto the
 	// worst bank.
-	var counts [64]int
-	var firstLane [64]int
-	for i := 0; i < b.width; i++ {
-		firstLane[i] = -1
-	}
-	degree := 0
+	degree, lanes := b.bankDegree()
 	unknown := 0
 	active := 0
-	var lanes []int
-	for l := 0; l < b.width; l++ {
-		switch b.addrs[l] {
+	for _, c := range b.addrs {
+		switch c {
 		case laneMasked:
-			continue
 		case laneUnknown:
 			unknown++
 			active++
-			continue
-		}
-		active++
-		bk := b.addrs[l] % int64(b.width)
-		if firstLane[bk] < 0 {
-			firstLane[bk] = l
-		}
-		counts[bk]++
-		if counts[bk] > degree {
-			degree = counts[bk]
-			if counts[bk] == 2 {
-				lanes = witness(firstLane[bk], l)
-			}
+		default:
+			active++
 		}
 	}
 	degree += unknown
@@ -145,6 +127,7 @@ func (b *blockRun) execAtomShared(in kernel.Instr) bool {
 				l, c, rl)
 		}
 		b.amask[c] |= laneBit(l)
+		b.logWrite(c)
 		// Operand and compare value are read before Rd is overwritten with
 		// the old value, exactly as the device does (Rb may alias Rd).
 		cmp := b.regs[d+l]

@@ -1,6 +1,8 @@
 package analyze
 
 import (
+	"math/bits"
+
 	"atgpu/internal/kernel"
 )
 
@@ -87,7 +89,7 @@ func vCompute(op kernel.Op, a, b V) V {
 // known lanes vCompute is the opcode's wrapping Lane function, so the
 // rules' exactness carries over. A divisor that may be 0 has no form (the
 // per-lane path reports it).
-func formCompute(op kernel.Op, a, b regForm, width int) (regForm, bool) {
+func formCompute(op kernel.Op, a, b *regForm, width int) (regForm, bool) {
 	if a.kind == formColumn || b.kind == formColumn {
 		return regForm{}, false
 	}
@@ -144,102 +146,104 @@ func (b *blockRun) dst(r kernel.Reg) int {
 	return base
 }
 
-// uniformIfSame gives register r, just written lane by lane, the uniform
-// form when every lane holds the same interval. Its column stays written
-// out.
-func (b *blockRun) uniformIfSame(r kernel.Reg) {
-	base := b.base(r)
-	c := b.regs[base : base+b.width]
-	for _, v := range c[1:] {
-		if v != c[0] {
-			return
-		}
-	}
-	b.forms[r] = regForm{kind: formUniform, out: true, v: c[0]}
-}
-
 // fullMask makes every lane may- and must-active.
 func (b *blockRun) fullMask() {
-	for l := 0; l < b.width; l++ {
-		b.may[l] = true
-		b.must[l] = true
-	}
-	b.mayN = b.width
-	b.allMust = true
+	b.may = laneBit(b.width) - 1 // wraps to all ones at 64
+	b.must = b.may
+	b.recount()
 }
 
 // recount refreshes the mask summary after the masks changed.
 func (b *blockRun) recount() {
-	b.mayN = 0
-	b.allMust = true
-	for l := 0; l < b.width; l++ {
-		if b.may[l] {
-			b.mayN++
-		}
-		if !b.must[l] {
-			b.allMust = false
-		}
+	b.mayN = bits.OnesCount64(b.may)
+	b.mayEnd = 64 - bits.LeadingZeros64(b.may)
+	b.allMust = b.must == laneBit(b.width)-1
+	b.prefix = -1
+	if b.may == b.must && b.may == laneBit(b.mayN)-1 {
+		b.prefix = b.mayN
 	}
 }
 
-// formAddr returns the known lane-affine address of register r for a
-// fully must-active access to a memory of size words when every lane lies
-// inside [0, size) and no lane wraps, so the addresses are monotone and
-// need only their end lanes checked. Otherwise it returns false and the
-// access takes the per-lane path, which reports what is out of range.
+// formAddr returns the known lane-affine address of register r for an
+// access to a memory of size words by the active prefix — the lanes 0..n-1
+// that are may- and must-active while the rest are inactive, n = b.prefix
+// (every lane on a fully must-active block) — when every active lane lies
+// inside [0, size) and none wraps, so the addresses are monotone and need
+// only their end lanes checked. Otherwise it returns false and the access
+// takes the per-lane path, which reports what is out of range.
 func (b *blockRun) formAddr(r kernel.Reg, size int) (kernel.Affine, bool) {
-	if !b.allMust {
+	if b.prefix <= 0 {
 		return kernel.Affine{}, false
 	}
 	f, ok := b.forms[r].affine()
 	if !ok {
 		return kernel.Affine{}, false
 	}
-	last, ok := f.Last(b.width)
+	last := f.Base // a broadcast needs no end-lane arithmetic
+	if f.Step != 0 {
+		last, ok = f.Last(b.prefix)
+	}
 	if !ok || min(f.Base, last) < 0 || max(f.Base, last) >= int64(size) {
 		return kernel.Affine{}, false
 	}
 	return f, true
 }
 
+// formLanes writes the addresses f of the active prefix into b.addrs, and
+// the other lanes as masked, for the per-lane load and store paths.
+func (b *blockRun) formLanes(f kernel.Affine) {
+	for l := range b.addrs {
+		if l < b.prefix {
+			b.addrs[l] = f.Lane(l)
+		} else {
+			b.addrs[l] = laneMasked
+		}
+	}
+}
+
 // formTransactions counts the distinct width-word blocks the in-range,
-// monotone addresses f touch over width lanes, as execGlobal's loop counts
-// them. Consecutive lanes differ by |step|: at most width, they cannot
-// skip a block, so every block between the end lanes' is touched; at
-// least width, every lane is in a block of its own.
-func formTransactions(f kernel.Affine, width int) int {
+// monotone addresses f touch over lanes 0..n-1, as execGlobal's loop
+// counts them. Consecutive lanes differ by |step|: at most width, they
+// cannot skip a block, so every block between the end lanes' is touched;
+// at least width, every lane is in a block of its own.
+func formTransactions(f kernel.Affine, n, width int) int {
 	w := int64(width)
 	s := f.Step
 	if s < 0 {
 		s = -s
 	}
 	if s >= w {
-		return width
+		return n
 	}
-	last := f.Lane(width - 1)
-	n := last/w - f.Base/w
-	if n < 0 {
-		n = -n
+	last := f.Lane(n - 1)
+	blocks := last/w - f.Base/w
+	if blocks < 0 {
+		blocks = -blocks
 	}
-	return int(n) + 1
+	return int(blocks) + 1
 }
 
 // formConflict is conflictDegree for the in-range, monotone addresses f
-// over width lanes. Lane l's bank is (f.Base + s·l) mod width with
-// s = f.Step mod width: the banks repeat with period width/g, g =
-// gcd(s, width), so each bank hit is hit by exactly g lanes, and the first
-// lane to repeat a bank is width/g, repeating lane 0's — the loop's first
-// witness pair. A step of 0 with broadcast reads is conflict-free.
-func formConflict(f kernel.Affine, width int, broadcast bool) (int, []int) {
+// over lanes 0..n-1 of a width-lane warp. Lane l's bank is
+// (f.Base + s·l) mod width with s = f.Step mod width: the banks repeat
+// with period p = width/g, g = gcd(s, width), so lane 0's bank is the
+// most hit, by ⌈n/p⌉ lanes, and the first lane to repeat a bank is p,
+// repeating lane 0's — the loop's first witness pair. A step of 0 with
+// broadcast reads is conflict-free.
+func formConflict(f kernel.Affine, n, width int, broadcast bool) (int, []int) {
 	if f.Step == 0 && broadcast {
 		return 1, nil
 	}
 	w := int64(width)
-	g := gcd((f.Step%w+w)%w, w)
-	if g == 1 {
+	s := f.Step % w
+	if s < 0 {
+		s += w
+	}
+	p := int(w / gcd(s, w))
+	if p >= n {
 		return 1, nil
 	}
-	return int(g), witness(0, int(w/g))
+	return (n + p - 1) / p, witness(0, p)
 }
 
 // gcd returns the greatest common divisor of a ≥ 0 and b > 0.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"atgpu/internal/kernel"
@@ -46,7 +47,7 @@ func (c formCase) String() string {
 // written-out operands. It reports whether the form path answered.
 func checkFormCompute(t *testing.T, c formCase) bool {
 	t.Helper()
-	d, ok := formCompute(c.op, c.a, c.b, c.width)
+	d, ok := formCompute(c.op, &c.a, &c.b, c.width)
 	if !ok {
 		return false
 	}
@@ -168,8 +169,9 @@ func FuzzAnalyzeForms(f *testing.F) {
 // per-lane counters over the same addresses gathered: the transaction
 // count (formTransactions vs gatheredTransactions) and the bank-conflict
 // degree and witness lanes (formConflict vs conflictDegree), with and
-// without broadcast reads. It also checks formAddr takes exactly the
-// in-range, non-wrapping addresses.
+// without broadcast reads, for the whole warp and for active prefixes
+// (lanes 0..n-1 active, the rest masked). It also checks formAddr takes
+// exactly the in-range, non-wrapping addresses of the active lanes.
 func TestFormAccessMatchesGather(t *testing.T) {
 	for _, width := range []int{1, 2, 3, 4, 6, 8, 32, 64} {
 		size := 3*width + 5
@@ -183,36 +185,87 @@ func TestFormAccessMatchesGather(t *testing.T) {
 			for s := int64(-2*int64(width) - 3); s <= 2*int64(width)+3; s++ {
 				steps = append(steps, s)
 			}
-			for base := int64(-2); base <= int64(size)+1; base++ {
-				for _, step := range steps {
-					f := kernel.Affine{Base: base, Step: step}
-					b.forms[0] = affineForm(f, width)
-					inRange := true
-					for l := 0; l < width; l++ {
-						x := f.Lane(l)
-						inRange = inRange && x >= 0 && x < int64(size)
+			prefixes := []int{width}
+			for _, n := range []int{1, 2, width / 2, width - 1} {
+				if n >= 1 && n <= width && !slices.Contains(prefixes, n) {
+					prefixes = append(prefixes, n)
+				}
+			}
+			for _, n := range prefixes {
+				b.may = laneBit(n) - 1
+				b.must = b.may
+				b.recount()
+				if b.prefix != n || b.allMust != (n == width) {
+					t.Fatalf("width=%d: lanes 0..%d active: prefix %d, allMust %v", width, n-1, b.prefix, b.allMust)
+				}
+				for base := int64(-2); base <= int64(size)+1; base++ {
+					for _, step := range steps {
+						f := kernel.Affine{Base: base, Step: step}
+						b.forms[0] = affineForm(f, width)
+						inRange := true
+						for l := 0; l < n; l++ {
+							x := f.Lane(l)
+							inRange = inRange && x >= 0 && x < int64(size)
+						}
+						_, fits := f.Last(n)
+						if width == 1 {
+							fits = true // a one-lane warp keeps the base as a uniform form
+						}
+						name := fmt.Sprintf("width=%d prefix=%d broadcast=%v base=%d step=%d", width, n, bc, base, step)
+						got, ok := b.formAddr(0, size)
+						if ok != (inRange && fits) {
+							t.Fatalf("%s: formAddr ok=%v, addresses in range %v, no lane wraps %v", name, ok, inRange, fits)
+						}
+						if !ok {
+							continue
+						}
+						b.formLanes(got)
+						for l := 0; l < width; l++ {
+							if want := f.Lane(l); l < n && b.addrs[l] != want || l >= n && b.addrs[l] != laneMasked {
+								t.Fatalf("%s: formLanes lane %d = %d", name, l, b.addrs[l])
+							}
+						}
+						wantTxn, _ := b.gatheredTransactions()
+						if txn := formTransactions(got, n, width); txn != wantTxn {
+							t.Errorf("%s: formTransactions %d, gathered %d", name, txn, wantTxn)
+						}
+						wantDeg, wantLanes := b.conflictDegree()
+						deg, lanes := formConflict(got, n, width, bc)
+						if deg != wantDeg || !slices.Equal(lanes, wantLanes) {
+							t.Errorf("%s: formConflict (%d, %v), conflictDegree (%d, %v)", name, deg, lanes, wantDeg, wantLanes)
+						}
 					}
-					_, fits := f.Last(width)
-					name := fmt.Sprintf("width=%d broadcast=%v base=%d step=%d", width, bc, base, step)
-					got, ok := b.formAddr(0, size)
-					if ok != (inRange && fits) {
-						t.Fatalf("%s: formAddr ok=%v, addresses in range %v, no lane wraps %v", name, ok, inRange, fits)
+				}
+			}
+		}
+	}
+}
+
+// TestRecountPrefix checks the mask summary on every may/must pair of
+// small warps (must ⊆ may): prefix is k exactly when both masks are lanes
+// 0..k-1, and -1 otherwise.
+func TestRecountPrefix(t *testing.T) {
+	for _, width := range []int{1, 2, 3, 5} {
+		a := &analysis{prog: &kernel.Program{NumRegs: 1}, opt: Options{Machine: Machine{Width: width}}}
+		b := newBlockRun(a, 0)
+		if b.prefix != width {
+			t.Fatalf("width=%d: fresh block prefix %d", width, b.prefix)
+		}
+		for may := 0; may < 1<<width; may++ {
+			for must := 0; must < 1<<width; must++ {
+				if must&^may != 0 {
+					continue
+				}
+				b.may, b.must = uint64(may), uint64(must)
+				b.recount()
+				want := -1
+				for k := 0; k <= width; k++ {
+					if may == 1<<k-1 && must == may {
+						want = k
 					}
-					if !ok {
-						continue
-					}
-					for l := 0; l < width; l++ {
-						b.addrs[l] = got.Lane(l)
-					}
-					wantTxn, _ := b.gatheredTransactions()
-					if txn := formTransactions(got, width); txn != wantTxn {
-						t.Errorf("%s: formTransactions %d, gathered %d", name, txn, wantTxn)
-					}
-					wantDeg, wantLanes := b.conflictDegree()
-					deg, lanes := formConflict(got, width, bc)
-					if deg != wantDeg || !slices.Equal(lanes, wantLanes) {
-						t.Errorf("%s: formConflict (%d, %v), conflictDegree (%d, %v)", name, deg, lanes, wantDeg, wantLanes)
-					}
+				}
+				if b.prefix != want {
+					t.Errorf("width=%d may=%b must=%b: prefix %d, want %d", width, may, must, b.prefix, want)
 				}
 			}
 		}
@@ -258,6 +311,55 @@ func TestMaskedWritesKeepInactiveLanes(t *testing.T) {
 		}
 		if got != c.txn {
 			t.Errorf("%s: store after a masked write: %d transactions, want %d", c.name, got, c.txn)
+		}
+	}
+}
+
+// TestDivergentBranchWitness pins the divergent uniform-branch finding's
+// witness: the lowest may-active lane on each side of the branch
+// condition, in the message's (true vs false) order. A loop's brnz tests
+// its exit condition, so the true side is the lanes whose trip count, cond,
+// is 0.
+func TestDivergentBranchWitness(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		cond  func(kb *kernel.Builder, cond, lane kernel.Reg)
+		guard int64 // lanes ≥ guard run the branch (0: all)
+		lanes []int
+		msg   string
+	}{
+		{"low lanes true", func(kb *kernel.Builder, cond, lane kernel.Reg) { kb.Slt(cond, lane, kernel.Imm(2)) }, 0, []int{0, 2}, "(2 vs 0)"},
+		{"high lanes true", func(kb *kernel.Builder, cond, lane kernel.Reg) {
+			kb.Slt(cond, lane, kernel.Imm(5))
+			kb.Seq(cond, cond, kernel.Imm(0))
+		}, 0, []int{0, 5}, "(0 vs 5)"},
+		{"under an if", func(kb *kernel.Builder, cond, lane kernel.Reg) { kb.And(cond, lane, kernel.Imm(1)) }, 2, []int{2, 3}, "(2 vs 3)"},
+	} {
+		kb := kernel.NewBuilder("diverge", 0)
+		lane, cond, g := kb.Reg(), kb.Reg(), kb.Reg()
+		kb.LaneID(lane)
+		kb.Slt(g, lane, kernel.Imm(c.guard))
+		kb.Seq(g, g, kernel.Imm(0))
+		kb.IfDo(g, func() {
+			c.cond(kb, cond, lane)
+			kb.For(kb.Reg(), kernel.Imm(0), kernel.R(cond), 1)
+			kb.EndFor()
+		})
+		rep, err := Program(kb.MustBuild(), Options{Machine: Machine{Width: 8, SharedWords: 64, GlobalWords: 64, NumSMs: 1, MaxBlocksPerSM: 1}, Blocks: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got *Finding
+		for i, f := range rep.Findings {
+			if f.Analyzer == AnalyzerDivergence && strings.Contains(f.Message, "divergent uniform branch") {
+				got = &rep.Findings[i]
+			}
+		}
+		if got == nil {
+			t.Fatalf("%s: no divergent-branch finding in %+v", c.name, rep.Findings)
+		}
+		if !slices.Equal(got.Lanes, c.lanes) || !strings.Contains(got.Message, c.msg) {
+			t.Errorf("%s: lanes %v, message %q; want lanes %v and %q", c.name, got.Lanes, got.Message, c.lanes, c.msg)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package analyze
 
 import (
+	"math"
+	"math/bits"
+
 	"atgpu/internal/kernel"
 )
 
@@ -23,16 +26,19 @@ type blockRun struct {
 
 	regs  []V
 	forms []regForm
-	// may and must are the SIMT masks; mayN counts the may-active lanes
-	// and allMust reports every lane must-active. newBlockRun, reset,
+	// may and must are the SIMT masks, lane l in bit l; mayN counts the
+	// may-active lanes, mayEnd is one past the last of them (per-lane
+	// loops over active lanes stop there), allMust reports every lane
+	// must-active, and prefix is k when both masks are exactly lanes
+	// 0..k-1 (width when allMust), else -1. newBlockRun, reset,
 	// execIfBegin and popMask, the only places the masks change, keep
-	// them up to date.
-	may, must []bool
+	// them up to date. masks holds the masks saved by open ifs.
+	may, must uint64
 	mayN      int
+	mayEnd    int
 	allMust   bool
-	mayStack  [][]bool
-	mustStack [][]bool
-	depth     int
+	prefix    int
+	masks     []laneMasks
 
 	shared []V
 	// Race log since the last barrier: which lanes wrote/read each cell,
@@ -43,6 +49,10 @@ type blockRun struct {
 	wmask, rmask []uint64
 	amask        []uint64
 	wpc          []int32
+	// wlo..whi spans the cells plain stores and atomic updates logged in
+	// wmask and amask since the last barrier (empty: wlo > whi). A load
+	// of cells outside it cannot race.
+	wlo, whi int64
 
 	// atomSer accumulates Σ(degree−1) over this block's atomic accesses,
 	// mirroring the simulator's per-warp serialisation counter.
@@ -51,6 +61,8 @@ type blockRun struct {
 	// addrs is the gathered per-lane address vector of a memory access:
 	// the concrete address, or laneMasked / laneUnknown.
 	addrs []int64
+	// bankHits is bankDegree's per-bank lane count.
+	bankHits []int
 
 	pc       int
 	instrs   int64
@@ -72,19 +84,19 @@ func newBlockRun(a *analysis, blockID int) *blockRun {
 		blockID:  blockID,
 		regs:     make([]V, a.prog.NumRegs*width),
 		forms:    make([]regForm, a.prog.NumRegs),
-		may:      make([]bool, width),
-		must:     make([]bool, width),
 		shared:   make([]V, a.prog.SharedWords),
 		wmask:    make([]uint64, a.prog.SharedWords),
 		rmask:    make([]uint64, a.prog.SharedWords),
 		amask:    make([]uint64, a.prog.SharedWords),
 		wpc:      make([]int32, a.prog.SharedWords),
 		addrs:    make([]int64, width),
+		bankHits: make([]int, width),
 		fuel:     a.opt.fuel(),
 		brVisits: make(map[int]int),
 	}
 	b.clearRegs()
 	b.fullMask()
+	b.synced()
 	return b
 }
 
@@ -93,8 +105,9 @@ func (b *blockRun) reset(blockID int) {
 	b.blockID = blockID
 	b.pc = 0
 	b.instrs = 0
-	b.depth = 0
+	b.masks = b.masks[:0]
 	b.atomSer = 0
+	b.synced()
 	b.fuel = b.a.opt.fuel()
 	b.clearRegs()
 	b.fullMask()
@@ -109,6 +122,16 @@ func (b *blockRun) reset(blockID int) {
 	}
 }
 
+// synced empties the span of un-barriered writes.
+func (b *blockRun) synced() { b.wlo, b.whi = math.MaxInt64, -1 }
+
+// logWrite widens the span of un-barriered writes to cell c.
+func (b *blockRun) logWrite(c int64) { b.wlo, b.whi = min(b.wlo, c), max(b.whi, c) }
+
+// unsynced reports whether an un-barriered write touched a cell in
+// [lo, hi].
+func (b *blockRun) unsynced(lo, hi int64) bool { return lo <= b.whi && b.wlo <= hi }
+
 // clearRegs sets every register to the uniform 0 in O(1) per register.
 func (b *blockRun) clearRegs() {
 	for r := range b.forms {
@@ -121,30 +144,28 @@ func (b *blockRun) base(r kernel.Reg) int { return int(r) * b.width }
 // setLane writes v to a lane's register slot, weakening to a join when the
 // lane only may be active (the old value survives if it is not).
 func (b *blockRun) setLane(idx, lane int, v V) {
-	if b.must[lane] {
+	if on(b.must, lane) {
 		b.regs[idx] = v
 	} else {
 		b.regs[idx] = join(b.regs[idx], v)
 	}
 }
 
-func (b *blockRun) pushMask() {
-	if b.depth == len(b.mayStack) {
-		b.mayStack = append(b.mayStack, make([]bool, b.width))
-		b.mustStack = append(b.mustStack, make([]bool, b.width))
-	}
-	copy(b.mayStack[b.depth], b.may)
-	copy(b.mustStack[b.depth], b.must)
-	b.depth++
-}
+// laneMasks is a saved pair of SIMT masks.
+type laneMasks struct{ may, must uint64 }
+
+// on reports whether lane l is set in mask m.
+func on(m uint64, l int) bool { return m>>(uint(l)&63)&1 != 0 }
+
+func (b *blockRun) pushMask() { b.masks = append(b.masks, laneMasks{b.may, b.must}) }
 
 func (b *blockRun) popMask() bool {
-	if b.depth == 0 {
+	n := len(b.masks)
+	if n == 0 {
 		return false
 	}
-	b.depth--
-	copy(b.may, b.mayStack[b.depth])
-	copy(b.must, b.mustStack[b.depth])
+	b.may, b.must = b.masks[n-1].may, b.masks[n-1].must
+	b.masks = b.masks[:n-1]
 	b.recount()
 	return true
 }
@@ -187,8 +208,8 @@ func (b *blockRun) run() bool {
 			}
 			ra := b.col(in.Ra)
 			d := b.dst(in.Rd)
-			for l := 0; l < b.width; l++ {
-				if b.may[l] {
+			for l := 0; l < b.mayEnd; l++ {
+				if on(b.may, l) {
 					b.setLane(d+l, l, b.regs[ra+l])
 				}
 			}
@@ -196,19 +217,19 @@ func (b *blockRun) run() bool {
 		case kernel.OpAdd, kernel.OpSub, kernel.OpMul, kernel.OpMin, kernel.OpMax,
 			kernel.OpAnd, kernel.OpOr, kernel.OpXor, kernel.OpShl, kernel.OpShr,
 			kernel.OpSlt, kernel.OpSle, kernel.OpSeq, kernel.OpSne:
-			if b.computeForm(in, b.forms[in.Rb]) {
+			if b.computeForm(&in, &b.forms[in.Rb]) {
 				break
 			}
 			ra, rb := b.col(in.Ra), b.col(in.Rb)
 			d := b.dst(in.Rd)
-			for l := 0; l < b.width; l++ {
-				if b.may[l] {
+			for l := 0; l < b.mayEnd; l++ {
+				if on(b.may, l) {
 					b.setLane(d+l, l, vALU(in.Op, b.regs[ra+l], b.regs[rb+l]))
 				}
 			}
 
 		case kernel.OpDiv, kernel.OpMod:
-			if b.computeForm(in, b.forms[in.Rb]) {
+			if b.computeForm(&in, &b.forms[in.Rb]) {
 				break
 			}
 			if !b.execDivMod(in) {
@@ -217,19 +238,19 @@ func (b *blockRun) run() bool {
 
 		case kernel.OpAddI, kernel.OpMulI, kernel.OpShlI, kernel.OpShrI, kernel.OpAndI,
 			kernel.OpSltI, kernel.OpSleI, kernel.OpSeqI, kernel.OpSneI:
-			if b.computeForm(in, uniformForm(known(in.Imm))) {
+			if b.computeForm(&in, &regForm{kind: formUniform, v: known(in.Imm)}) {
 				break
 			}
 			ra := b.col(in.Ra)
 			d := b.dst(in.Rd)
-			for l := 0; l < b.width; l++ {
-				if b.may[l] {
+			for l := 0; l < b.mayEnd; l++ {
+				if on(b.may, l) {
 					b.setLane(d+l, l, vALUImm(in.Op, b.regs[ra+l], in.Imm))
 				}
 			}
 
 		case kernel.OpDivI, kernel.OpModI:
-			if b.computeForm(in, uniformForm(known(in.Imm))) {
+			if b.computeForm(&in, &regForm{kind: formUniform, v: known(in.Imm)}) {
 				break
 			}
 			// The device traps a zero immediate divisor only on an active
@@ -237,12 +258,12 @@ func (b *blockRun) run() bool {
 			// register-divisor form handled by execDivMod.
 			ra := b.col(in.Ra)
 			d := b.dst(in.Rd)
-			for l := 0; l < b.width; l++ {
-				if !b.may[l] {
+			for l := 0; l < b.mayEnd; l++ {
+				if !on(b.may, l) {
 					continue
 				}
 				if in.Imm == 0 {
-					if b.must[l] {
+					if on(b.must, l) {
 						a.reportf(Finding{Analyzer: AnalyzerBounds, Severity: SevError, PC: b.pc, Block: b.blockID, Lanes: []int{l}},
 							"division by constant zero in lane %d traps the kernel", l)
 						return false
@@ -266,8 +287,8 @@ func (b *blockRun) run() bool {
 				break
 			}
 			d := b.dst(in.Rd)
-			for l := 0; l < b.width; l++ {
-				if b.may[l] {
+			for l := 0; l < b.mayEnd; l++ {
+				if on(b.may, l) {
 					b.setLane(d+l, l, known(int64(l)))
 				}
 			}
@@ -309,6 +330,7 @@ func (b *blockRun) run() bool {
 				b.rmask[i] = 0
 				b.amask[i] = 0
 			}
+			b.synced()
 
 		case kernel.OpJump:
 			b.pc = int(in.Target)
@@ -362,8 +384,8 @@ func (b *blockRun) broadcast(rd kernel.Reg, v V) {
 		return
 	}
 	d := b.dst(rd)
-	for l := 0; l < b.width; l++ {
-		if b.may[l] {
+	for l := 0; l < b.mayEnd; l++ {
+		if on(b.may, l) {
 			b.setLane(d+l, l, v)
 		}
 	}
@@ -373,11 +395,11 @@ func (b *blockRun) broadcast(rd kernel.Reg, v V) {
 // second operand's form being sb, when the block is fully must-active and
 // the result has a form (formCompute). It returns false, having changed
 // nothing, when the instruction must run lane by lane.
-func (b *blockRun) computeForm(in kernel.Instr, sb regForm) bool {
+func (b *blockRun) computeForm(in *kernel.Instr, sb *regForm) bool {
 	if !b.allMust {
 		return false
 	}
-	f, ok := formCompute(in.Op, b.forms[in.Ra], sb, b.width)
+	f, ok := formCompute(in.Op, &b.forms[in.Ra], sb, b.width)
 	if ok {
 		b.forms[in.Rd] = f
 	}
@@ -390,13 +412,13 @@ func (b *blockRun) execDivMod(in kernel.Instr) bool {
 	a := b.a
 	ra, rb := b.col(in.Ra), b.col(in.Rb)
 	d := b.dst(in.Rd)
-	for l := 0; l < b.width; l++ {
-		if !b.may[l] {
+	for l := 0; l < b.mayEnd; l++ {
+		if !on(b.may, l) {
 			continue
 		}
 		dv := b.regs[rb+l]
 		if dv.contains(0) {
-			if dv.IsKnown() && b.must[l] {
+			if dv.IsKnown() && on(b.must, l) {
 				a.reportf(Finding{Analyzer: AnalyzerBounds, Severity: SevError, PC: b.pc, Block: b.blockID, Lanes: []int{l}},
 					"division by zero in lane %d traps the kernel", l)
 				return false
@@ -425,10 +447,10 @@ func (b *blockRun) checkBarrier() {
 	if active != b.width {
 		inactive, act := -1, -1
 		for l := 0; l < b.width; l++ {
-			if b.may[l] && act < 0 {
+			if on(b.may, l) && act < 0 {
 				act = l
 			}
-			if !b.may[l] && inactive < 0 {
+			if !on(b.may, l) && inactive < 0 {
 				inactive = l
 			}
 		}
@@ -462,98 +484,77 @@ func witness(lanes ...int) []int {
 // true when pc was redirected (whole-warp skip).
 func (b *blockRun) execIfBegin(in kernel.Instr) bool {
 	a := b.a
-	anyKnownTrue, anyKnownFalse, anyUnknown := b.truths(in.Ra)
-	if b.mayN == 0 || (!anyKnownTrue && !anyUnknown) {
+	taken, notTaken, unknown := b.truths(in.Ra)
+	if taken == 0 && unknown == 0 {
 		// No lane takes the body: jump past it without pushing a mask.
 		b.pc = int(in.Target)
 		return true
 	}
-	if anyUnknown {
+	if unknown != 0 {
 		a.precise = false
 	}
-	if anyKnownTrue && anyKnownFalse {
+	if taken != 0 && notTaken != 0 {
 		a.stats.DivergentBranches++
 	}
 	b.pushMask()
-	if !anyKnownFalse && !anyUnknown {
+	if notTaken == 0 && unknown == 0 {
 		return false // every active lane takes the body: the masks stay
 	}
-	ra := b.col(in.Ra)
-	for l := 0; l < b.width; l++ {
-		if !b.may[l] {
-			continue
-		}
-		switch b.regs[ra+l].truth() {
-		case truthFalse:
-			b.may[l] = false
-			b.must[l] = false
-		case truthUnknown:
-			b.must[l] = false
-		}
-	}
+	b.may &^= notTaken
+	b.must &^= notTaken | unknown
 	b.recount()
 	return false
 }
 
 // truths classifies register r's value on the may-active lanes as a branch
-// condition: whether some lane is known true, known false, or undecidable.
-// A uniform register costs O(1).
-func (b *blockRun) truths(r kernel.Reg) (anyTrue, anyFalse, anyUnknown bool) {
+// condition: the masks of the lanes where it is known true, known false,
+// and undecidable. A uniform register costs O(1).
+func (b *blockRun) truths(r kernel.Reg) (isTrue, isFalse, unknown uint64) {
 	if f := b.forms[r]; f.kind == formUniform {
-		if b.mayN == 0 {
-			return false, false, false
+		switch f.v.truth() {
+		case truthTrue:
+			return b.may, 0, 0
+		case truthFalse:
+			return 0, b.may, 0
 		}
-		t := f.v.truth()
-		return t == truthTrue, t == truthFalse, t == truthUnknown
+		return 0, 0, b.may
 	}
 	ra := b.col(r)
-	for l := 0; l < b.width; l++ {
-		if !b.may[l] {
+	for l := 0; l < b.mayEnd; l++ {
+		if !on(b.may, l) {
 			continue
 		}
 		switch b.regs[ra+l].truth() {
 		case truthTrue:
-			anyTrue = true
+			isTrue |= laneBit(l)
 		case truthFalse:
-			anyFalse = true
+			isFalse |= laneBit(l)
 		default:
-			anyUnknown = true
+			unknown |= laneBit(l)
 		}
 	}
-	return anyTrue, anyFalse, anyUnknown
+	return isTrue, isFalse, unknown
 }
 
 // execBrNZ mirrors the device's uniform branch. Returns (pcRedirected,
 // keepGoing): the divergent and no-active-lane cases trap the launch.
 func (b *blockRun) execBrNZ(in kernel.Instr) (bool, bool) {
 	a := b.a
-	anyKnownTrue, anyKnownFalse, anyUnknown := b.truths(in.Ra)
+	isTrue, isFalse, unknown := b.truths(in.Ra)
 	if b.mayN == 0 {
 		a.reportf(Finding{Analyzer: AnalyzerExec, Severity: SevError, PC: b.pc, Block: b.blockID},
 			"uniform branch with no active lanes traps the kernel")
 		return false, false
 	}
-	if anyKnownTrue && anyKnownFalse {
-		// Only a column can differ across lanes: truths wrote it out.
-		trueLane, falseLane := -1, -1
-		ra := b.base(in.Ra)
-		for l := b.width - 1; l >= 0; l-- {
-			if !b.may[l] {
-				continue
-			}
-			switch b.regs[ra+l].truth() {
-			case truthTrue:
-				trueLane = l
-			case truthFalse:
-				falseLane = l
-			}
-		}
+	if isTrue != 0 && isFalse != 0 {
+		// The lowest lane of each side witnesses the divergence.
+		trueLane, falseLane := bits.TrailingZeros64(isTrue), bits.TrailingZeros64(isFalse)
 		a.reportf(Finding{Analyzer: AnalyzerDivergence, Severity: SevError, PC: b.pc, Block: b.blockID, Lanes: witness(trueLane, falseLane)},
 			"divergent uniform branch: loop condition differs across lanes (%d vs %d) — the device traps this launch",
 			trueLane, falseLane)
 		return false, false
 	}
-	if anyUnknown {
+	if unknown != 0 {
 		// Data-dependent trip count: keep looping up to the budget, then
 		// force the exit edge so the analysis terminates.
 		a.precise = false
@@ -564,7 +565,7 @@ func (b *blockRun) execBrNZ(in kernel.Instr) (bool, bool) {
 		}
 		return false, true
 	}
-	if anyKnownTrue {
+	if isTrue != 0 {
 		b.pc = int(in.Target)
 		return true, true
 	}

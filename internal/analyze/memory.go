@@ -1,6 +1,8 @@
 package analyze
 
 import (
+	"math"
+
 	"atgpu/internal/kernel"
 )
 
@@ -14,7 +16,7 @@ func (b *blockRun) gather(in kernel.Instr, size int, space string) bool {
 	a := b.a
 	ra := b.col(in.Ra)
 	for l := 0; l < b.width; l++ {
-		if !b.may[l] {
+		if !on(b.may, l) {
 			b.addrs[l] = laneMasked
 			continue
 		}
@@ -22,7 +24,7 @@ func (b *blockRun) gather(in kernel.Instr, size int, space string) bool {
 		if av.IsKnown() {
 			x := av.Lo
 			if x < 0 || x >= int64(size) {
-				if b.must[l] {
+				if on(b.must, l) {
 					a.reportf(Finding{Analyzer: AnalyzerBounds, Severity: SevError, PC: b.pc, Block: b.blockID, Lanes: []int{l}},
 						"%s %s out of bounds: lane %d address %d not in [0, %d) — the device traps this launch",
 						space, opKind(in.Op), l, x, size)
@@ -43,7 +45,7 @@ func (b *blockRun) gather(in kernel.Instr, size int, space string) bool {
 		if av.Lo >= int64(size) || av.Hi < 0 {
 			// The whole interval is out of range: the access faults whenever
 			// the lane is live.
-			if b.must[l] {
+			if on(b.must, l) {
 				a.reportf(Finding{Analyzer: AnalyzerBounds, Severity: SevError, PC: b.pc, Block: b.blockID, Lanes: []int{l}},
 					"%s %s out of bounds: lane %d address in [%d, %d], valid range [0, %d) — the device traps this launch",
 					space, opKind(in.Op), l, av.Lo, av.Hi, size)
@@ -74,14 +76,14 @@ func opKind(op kernel.Op) string {
 
 // execGlobal mirrors the simulator's coalescing count for a warp-wide global
 // access and is the static side of the coalescing-degree prediction. An
-// in-range lane-affine address is counted in closed form
-// (formTransactions); any other is gathered and counted lane by lane.
+// in-range lane-affine address of the active prefix is counted in closed
+// form (formTransactions); any other is gathered and counted lane by lane.
 // Returns false on abort; advances pc itself.
 func (b *blockRun) execGlobal(in kernel.Instr) bool {
 	a := b.a
 	var txn int
 	if f, ok := b.formAddr(in.Ra, a.opt.Machine.GlobalWords); ok {
-		txn = formTransactions(f, b.width)
+		txn = formTransactions(f, b.prefix, b.width)
 	} else {
 		if !b.gather(in, a.opt.Machine.GlobalWords, "global") {
 			return false
@@ -116,8 +118,8 @@ func (b *blockRun) execGlobal(in kernel.Instr) bool {
 			b.forms[in.Rd] = uniformForm(top)
 		} else {
 			d := b.dst(in.Rd)
-			for l := 0; l < b.width; l++ {
-				if b.addrs[l] != laneMasked {
+			for l := 0; l < b.mayEnd; l++ {
+				if on(b.may, l) { // the lanes gather leaves unmasked
 					b.regs[d+l] = top
 				}
 			}
@@ -167,10 +169,10 @@ func (b *blockRun) gatheredTransactions() (int, bool) {
 }
 
 // execShared mirrors the simulator's bank-conflict analysis and runs the
-// race detector over the access. An in-range lane-affine address takes its
-// conflict degree in closed form (formConflict) and its lanes' addresses
-// from the form; any other is gathered and counted lane by lane. Returns
-// false on abort; advances pc itself.
+// race detector over the access. An in-range lane-affine address of the
+// active prefix takes its conflict degree in closed form (formConflict)
+// and its lanes' addresses from the form; any other is gathered and
+// counted lane by lane. Returns false on abort; advances pc itself.
 func (b *blockRun) execShared(in kernel.Instr) bool {
 	a := b.a
 	if b.mayN == 0 {
@@ -179,11 +181,9 @@ func (b *blockRun) execShared(in kernel.Instr) bool {
 	}
 	var degree int
 	var conflictLanes []int
-	if f, ok := b.formAddr(in.Ra, b.prog.SharedWords); ok {
-		degree, conflictLanes = formConflict(f, b.width, a.opt.Machine.BroadcastSharedReads)
-		for l := 0; l < b.width; l++ {
-			b.addrs[l] = f.Lane(l)
-		}
+	f, formed := b.formAddr(in.Ra, b.prog.SharedWords)
+	if formed {
+		degree, conflictLanes = formConflict(f, b.prefix, b.width, a.opt.Machine.BroadcastSharedReads)
 	} else {
 		if !b.gather(in, b.prog.SharedWords, "shared") {
 			return false
@@ -207,9 +207,17 @@ func (b *blockRun) execShared(in kernel.Instr) bool {
 		site.MaxDegree = degree
 	}
 
-	if in.Op == kernel.OpLdShared {
-		b.sharedLoad(in)
-	} else {
+	switch {
+	case in.Op == kernel.OpLdShared && formed && b.allMust && b.formLoad(in.Rd, f):
+	case in.Op == kernel.OpLdShared:
+		if formed {
+			b.formLanes(f)
+		}
+		b.sharedLoad(in.Rd)
+	default:
+		if formed {
+			b.formLanes(f)
+		}
 		b.sharedStore(in)
 	}
 	b.pc++
@@ -238,41 +246,146 @@ func (b *blockRun) conflictDegree() (int, []int) {
 			return 1, nil
 		}
 	}
-	var counts [64]int
-	var firstLane [64]int
-	for i := 0; i < b.width; i++ {
-		firstLane[i] = -1
-	}
+	return b.bankDegree()
+}
+
+// bankDegree is the worst per-bank lane count over the known gathered
+// addresses, with the witness lanes of the first bank hit twice: the bank
+// serialisation of shared loads and stores without broadcast, and of
+// shared atomics. Only the width bank counters are cleared; the witness's
+// first lane is looked up when the repeat is found.
+func (b *blockRun) bankDegree() (int, []int) {
+	counts := b.bankHits
+	clear(counts)
+	w := int64(b.width)
 	max := 0
 	var lanes []int
-	for l := 0; l < b.width; l++ {
-		if b.addrs[l] < 0 {
+	for l, c := range b.addrs[:b.mayEnd] {
+		if c < 0 {
 			continue
 		}
-		bk := b.addrs[l] % int64(b.width)
-		if firstLane[bk] < 0 {
-			firstLane[bk] = l
-		}
+		bk := c % w
 		counts[bk]++
 		if counts[bk] > max {
 			max = counts[bk]
-			if counts[bk] == 2 {
-				lanes = witness(firstLane[bk], l)
+			if max == 2 {
+				lanes = witness(b.firstInBank(bk), l)
 			}
 		}
 	}
 	return max, lanes
 }
 
-// sharedLoad reads each lane's cell value and checks the read against
-// un-barriered writes by other lanes (read-after-write race). On a fully
+// firstInBank returns the lowest lane whose known gathered address falls
+// in bank bk.
+func (b *blockRun) firstInBank(bk int64) int {
+	for l, c := range b.addrs[:b.mayEnd] {
+		if c >= 0 && c%int64(b.width) == bk {
+			return l
+		}
+	}
+	return -1
+}
+
+// formLoad is the closed form of a fully must-active load into rd from
+// the in-range, monotone cells f (formAddr) when no lane races: it logs
+// the read and gives rd a uniform form when every cell holds the same
+// value, else writes rd's column from the cells. A broadcast (step 0)
+// checks its one cell once and logs the whole warp's read at once. With a
+// race to report it returns false, having changed nothing but the read
+// log, which the per-lane load that reports the race logs the same way.
+func (b *blockRun) formLoad(rd kernel.Reg, f kernel.Affine) bool {
+	if f.Step == 0 {
+		c := f.Base
+		if b.wmask[c]|b.amask[c] != 0 {
+			return false
+		}
+		b.rmask[c] |= laneBit(b.width) - 1 // every lane; wraps to all ones at 64
+		b.forms[rd] = uniformForm(b.shared[c])
+		return true
+	}
+	// Distinct cells: lane l races only with another lane's write since
+	// the last barrier.
+	check := b.unsynced(min(f.Base, f.Lane(b.width-1)), max(f.Base, f.Lane(b.width-1)))
+	var races uint64
+	v0 := b.shared[f.Base]
+	same := true
+	for l, c := 0, f.Base; l < b.width; l, c = l+1, c+f.Step {
+		bit := laneBit(l)
+		b.rmask[c] |= bit
+		if check {
+			races |= (b.wmask[c] | b.amask[c]) &^ bit
+		}
+		same = same && b.shared[c] == v0
+	}
+	if races != 0 {
+		return false
+	}
+	if same {
+		b.forms[rd] = uniformForm(v0)
+		return true
+	}
+	d := b.base(rd)
+	col := b.regs[d : d+b.width]
+	for l, c := 0, f.Base; l < b.width; l, c = l+1, c+f.Step {
+		col[l] = b.shared[c]
+	}
+	b.forms[rd] = regForm{kind: formColumn}
+	return true
+}
+
+// sharedLoad reads each lane's cell value into rd and checks the read
+// against un-barriered writes by other lanes (read-after-write race); with
+// none logged since the last barrier there is nothing to check. On a fully
 // must-active block the load overwrites every lane without writing the
-// destination's old form out, and equal cells (a broadcast, or a tile of
-// tops) leave the destination uniform.
-func (b *blockRun) sharedLoad(in kernel.Instr) {
+// destination's old form out, and equal cells (a tile of tops, say) leave
+// the destination uniform.
+func (b *blockRun) sharedLoad(rd kernel.Reg) {
+	if b.unsynced(0, math.MaxInt64) {
+		b.loadRaces()
+	}
+	for l, c := range b.addrs[:b.mayEnd] {
+		if c >= 0 {
+			b.rmask[c] |= laneBit(l)
+		}
+	}
+	d := b.base(rd)
+	if b.allMust {
+		// No lane is masked: each reads its cell, or top at an unknown
+		// address.
+		col := b.regs[d : d+b.width]
+		same := true
+		for l, c := range b.addrs {
+			v := top
+			if c >= 0 {
+				v = b.shared[c]
+			}
+			col[l] = v
+			same = same && v == col[0]
+		}
+		b.forms[rd] = regForm{kind: formColumn}
+		if same {
+			b.forms[rd] = regForm{kind: formUniform, out: true, v: col[0]}
+		}
+		return
+	}
+	b.dst(rd)
+	for l, c := range b.addrs[:b.mayEnd] {
+		switch c {
+		case laneMasked:
+		case laneUnknown:
+			b.regs[d+l] = top
+		default:
+			b.setLane(d+l, l, b.shared[c])
+		}
+	}
+}
+
+// loadRaces reports the lanes of a shared load that read a cell another
+// lane wrote, plainly or atomically, since the last barrier.
+func (b *blockRun) loadRaces() {
 	a := b.a
-	for l := 0; l < b.width; l++ {
-		c := b.addrs[l]
+	for l, c := range b.addrs[:b.mayEnd] {
 		if c < 0 {
 			continue
 		}
@@ -287,25 +400,6 @@ func (b *blockRun) sharedLoad(in kernel.Instr) {
 				"shared memory race: lane %d plainly reads _shared[%d] atomically updated by lane %d with no barrier between",
 				l, c, ml)
 		}
-		b.rmask[c] |= laneBit(l)
-	}
-	d := b.base(in.Rd)
-	if b.allMust {
-		b.forms[in.Rd].kind = formColumn // every lane is overwritten
-	} else {
-		b.dst(in.Rd)
-	}
-	for l := 0; l < b.width; l++ {
-		switch c := b.addrs[l]; c {
-		case laneMasked:
-		case laneUnknown:
-			b.regs[d+l] = top
-		default:
-			b.setLane(d+l, l, b.shared[c])
-		}
-	}
-	if b.allMust {
-		b.uniformIfSame(in.Rd)
 	}
 }
 
@@ -317,7 +411,7 @@ func (b *blockRun) sharedLoad(in kernel.Instr) {
 func (b *blockRun) sharedStore(in kernel.Instr) {
 	a := b.a
 	s := b.col(in.Rb)
-	for l := 0; l < b.width; l++ {
+	for l := 0; l < b.mayEnd; l++ {
 		if b.addrs[l] == laneMasked {
 			continue
 		}
@@ -354,6 +448,7 @@ func (b *blockRun) sharedStore(in kernel.Instr) {
 				l, c, rl)
 		}
 		b.wmask[c] |= laneBit(l)
+		b.logWrite(c)
 		b.wpc[c] = int32(b.pc)
 		b.setSharedLane(c, l, b.regs[s+l])
 	}
@@ -362,7 +457,7 @@ func (b *blockRun) sharedStore(in kernel.Instr) {
 // setSharedLane writes v to a shared cell, weakening to a join when the
 // writing lane only may be active.
 func (b *blockRun) setSharedLane(c int64, lane int, v V) {
-	if b.must[lane] {
+	if on(b.must, lane) {
 		b.shared[c] = v
 	} else {
 		b.shared[c] = join(b.shared[c], v)

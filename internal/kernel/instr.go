@@ -13,7 +13,7 @@
 // lockstep exactly as the model prescribes.
 package kernel
 
-import "fmt"
+import "strconv"
 
 // Word is the machine word of the model. The ATGPU model measures all
 // memory (shared memory M, global memory G, transfer volumes I and O) in
@@ -187,7 +187,7 @@ func (o Op) String() string {
 	if int(o) < len(opNames) && opNames[o] != "" {
 		return opNames[o]
 	}
-	return fmt.Sprintf("op(%d)", uint8(o))
+	return "op(" + strconv.Itoa(int(o)) + ")"
 }
 
 // Valid reports whether o is a defined opcode.
@@ -240,47 +240,58 @@ type Instr struct {
 }
 
 // String renders the instruction in assembly-like form.
-func (in Instr) String() string {
+func (in Instr) String() string { return string(in.AppendText(nil)) }
+
+// AppendText appends the instruction's assembly-like text (String) to dst
+// and returns the extended slice. The text is part of the atgpud cache-key
+// contract: the key hashes every kernel's disassembly.
+func (in Instr) AppendText(dst []byte) []byte {
+	dst = append(dst, in.Op.String()...)
 	switch in.Op {
-	case OpNop, OpBarrier, OpHalt:
-		return in.Op.String()
+	case OpNop, OpBarrier, OpHalt, OpIfEnd:
+		return dst
 	case OpConst:
-		return fmt.Sprintf("%s r%d, %d", in.Op, in.Rd, in.Imm)
-	case OpMov, OpLaneID, OpBlockID, OpNumBlocks, OpBlockDim:
-		if in.Op == OpMov {
-			return fmt.Sprintf("%s r%d, r%d", in.Op, in.Rd, in.Ra)
-		}
-		return fmt.Sprintf("%s r%d", in.Op, in.Rd)
+		return appendImm(appendReg(dst, " r", in.Rd), in.Imm)
+	case OpMov:
+		return appendReg(appendReg(dst, " r", in.Rd), ", r", in.Ra)
+	case OpLaneID, OpBlockID, OpNumBlocks, OpBlockDim:
+		return appendReg(dst, " r", in.Rd)
 	case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpMin, OpMax, OpAnd, OpOr, OpXor,
 		OpShl, OpShr, OpSlt, OpSle, OpSeq, OpSne:
-		return fmt.Sprintf("%s r%d, r%d, r%d", in.Op, in.Rd, in.Ra, in.Rb)
+		return appendReg(appendReg(appendReg(dst, " r", in.Rd), ", r", in.Ra), ", r", in.Rb)
 	case OpAddI, OpMulI, OpDivI, OpModI, OpShlI, OpShrI, OpAndI,
 		OpSltI, OpSleI, OpSeqI, OpSneI:
-		return fmt.Sprintf("%s r%d, r%d, %d", in.Op, in.Rd, in.Ra, in.Imm)
-	case OpLdGlobal:
-		return fmt.Sprintf("%s r%d, [r%d]", in.Op, in.Rd, in.Ra)
-	case OpStGlobal:
-		return fmt.Sprintf("%s [r%d], r%d", in.Op, in.Ra, in.Rb)
-	case OpLdShared:
-		return fmt.Sprintf("%s r%d, [r%d]", in.Op, in.Rd, in.Ra)
-	case OpStShared:
-		return fmt.Sprintf("%s [r%d], r%d", in.Op, in.Ra, in.Rb)
+		return appendImm(appendReg(appendReg(dst, " r", in.Rd), ", r", in.Ra), in.Imm)
+	case OpLdGlobal, OpLdShared:
+		return append(appendReg(appendReg(dst, " r", in.Rd), ", [r", in.Ra), ']')
+	case OpStGlobal, OpStShared:
+		return appendReg(appendReg(dst, " [r", in.Ra), "], r", in.Rb)
 	case OpJump:
-		return fmt.Sprintf("%s @%d", in.Op, in.Target)
-	case OpBrNZ:
-		return fmt.Sprintf("%s r%d, @%d", in.Op, in.Ra, in.Target)
-	case OpIfBegin:
-		return fmt.Sprintf("%s r%d, @%d", in.Op, in.Ra, in.Target)
-	case OpIfEnd:
-		return in.Op.String()
+		return strconv.AppendInt(append(dst, " @"...), int64(in.Target), 10)
+	case OpBrNZ, OpIfBegin:
+		dst = appendReg(dst, " r", in.Ra)
+		return strconv.AppendInt(append(dst, ", @"...), int64(in.Target), 10)
 	case OpAtomAdd, OpAtomMax, OpAtomExch, OpAtomCAS:
-		space := "shared"
+		space := ", [shared:r"
 		if in.Imm == AtomGlobal {
-			space = "global"
+			space = ", [global:r"
 		}
-		return fmt.Sprintf("%s r%d, [%s:r%d], r%d", in.Op, in.Rd, space, in.Ra, in.Rb)
+		return appendReg(appendReg(appendReg(dst, " r", in.Rd), space, in.Ra), "], r", in.Rb)
 	default:
-		return fmt.Sprintf("%s rd=%d ra=%d rb=%d imm=%d tgt=%d",
-			in.Op, in.Rd, in.Ra, in.Rb, in.Imm, in.Target)
+		dst = appendReg(dst, " rd=", in.Rd)
+		dst = appendReg(dst, " ra=", in.Ra)
+		dst = appendReg(dst, " rb=", in.Rb)
+		dst = strconv.AppendInt(append(dst, " imm="...), in.Imm, 10)
+		return strconv.AppendInt(append(dst, " tgt="...), int64(in.Target), 10)
 	}
+}
+
+// appendReg appends sep and register r's number.
+func appendReg(dst []byte, sep string, r Reg) []byte {
+	return strconv.AppendUint(append(dst, sep...), uint64(r), 10)
+}
+
+// appendImm appends ", " and the immediate v.
+func appendImm(dst []byte, v Word) []byte {
+	return strconv.AppendInt(append(dst, ", "...), v, 10)
 }

@@ -3,7 +3,8 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // Program is a complete kernel: a finite instruction list executed by every
@@ -45,14 +46,26 @@ func (p *Program) Line(pc int) int {
 
 // Disassemble renders the whole program with instruction indices, in the
 // style of the paper's pseudocode listings but at the IR level.
-func (p *Program) Disassemble() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "kernel %s (regs=%d, shared=%d words)\n",
-		p.Name, p.NumRegs, p.SharedWords)
+func (p *Program) Disassemble() string { return string(p.AppendDisassembly(nil)) }
+
+// AppendDisassembly appends the program's disassembly (Disassemble) to dst
+// and returns the extended slice; the atgpud cache key hashes these bytes.
+func (p *Program) AppendDisassembly(dst []byte) []byte {
+	dst = slices.Grow(dst, 48+28*len(p.Instrs)) // lines average under 28 bytes
+	dst = append(dst, "kernel "...)
+	dst = append(dst, p.Name...)
+	dst = strconv.AppendInt(append(dst, " (regs="...), int64(p.NumRegs), 10)
+	dst = strconv.AppendInt(append(dst, ", shared="...), int64(p.SharedWords), 10)
+	dst = append(dst, " words)\n"...)
 	for i, in := range p.Instrs {
-		fmt.Fprintf(&sb, "%4d: %s\n", i, in.String())
+		// "%4d: ": the index right-aligned in four columns.
+		for w := 1000; w > 1 && i < w; w /= 10 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendInt(dst, int64(i), 10)
+		dst = append(in.AppendText(append(dst, ": "...)), '\n')
 	}
-	return sb.String()
+	return dst
 }
 
 // Validation errors returned by Validate.

@@ -267,17 +267,20 @@ func (r Request) CacheKey() (uint64, error) {
 	}
 	sizes := r.sizes()
 	num(uint64(len(sizes)))
+	var text []byte
 	for _, n := range sizes {
 		num(uint64(n))
 		// The kernel component: the disassembly of the kernel this size
-		// launches. Pipelined kernels are chunked variants of the same
-		// bodies; kind+chunks above keep their keys apart.
+		// launches, streamed as str would hash it. Pipelined kernels are
+		// chunked variants of the same bodies; kind+chunks above keep
+		// their keys apart.
 		prog, blocks, err := w.Kernel(n, cfg.Device.WarpWidth)
 		if err != nil {
 			return 0, fmt.Errorf("size %d: %w", n, err)
 		}
 		num(uint64(blocks))
-		str(prog.Disassemble())
+		text = append(prog.AppendDisassembly(text[:0]), 0)
+		h.Write(text)
 	}
 	return h.Sum64(), nil
 }
@@ -403,13 +406,17 @@ func (x *Executor) calibration(req Request, cfg experiments.Config) (*transfer.L
 
 // Artifacts is everything a job execution produces: the result document
 // plus the optional simulated-time observability artifacts selected by
-// Request.Trace and Request.Metrics. All three byte slices are
-// immutable once built — the cache hands the same *Artifacts to every
-// hit, so a cached trace is byte-identical to the fresh run's by
+// Request.Trace and Request.Metrics. All three byte slices, and Records,
+// are immutable once built — the cache hands the same *Artifacts to
+// every hit, so a cached trace is byte-identical to the fresh run's by
 // construction.
 type Artifacts struct {
 	// Result is the deterministic result document (canonical JSON).
 	Result []byte
+	// Records are the result document's records (Result.Records), kept
+	// decoded so the daemon appends them to its result store without
+	// parsing Result back. Readers copy a record before stamping it.
+	Records []results.Record
 	// Trace is the Perfetto trace JSON (nil unless Request.Trace).
 	Trace []byte
 	// Metrics is the Prometheus text exposition of the job's
@@ -500,7 +507,7 @@ func (x *Executor) Execute(ctx context.Context, req Request) (*Artifacts, error)
 	if err != nil {
 		return nil, err
 	}
-	art := &Artifacts{Result: result}
+	art := &Artifacts{Result: result, Records: doc.Records}
 	if req.Trace {
 		var buf bytes.Buffer
 		var tr *obs.Recorder

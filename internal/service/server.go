@@ -87,6 +87,7 @@ type Server struct {
 	exec     *Executor
 	store    *results.Store
 	git      string
+	host     string
 
 	// mu guards draining and serialises queue sends, so the
 	// length-check-then-send admission is race-free (workers only ever
@@ -95,7 +96,7 @@ type Server struct {
 	draining bool
 	rejected int64
 
-	queue   chan string
+	queue   chan queuedJob
 	baseCtx context.Context
 	stop    context.CancelFunc
 	wg      sync.WaitGroup
@@ -115,7 +116,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		manifest: NewManifest(),
 		cache:    NewCache(cfg.CacheEntries),
 		exec:     NewExecutor(),
-		queue:    make(chan string, cfg.QueueSize),
+		queue:    make(chan queuedJob, cfg.QueueSize),
 		tel:      newTelemetry(cfg.LogWriter, cfg.TraceRing),
 	}
 	s.manifest.SetObserver(s.tel.onTransition)
@@ -130,6 +131,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		}
 		s.store = store
 		s.git = results.GitDescribe("")
+		s.host, _ = os.Hostname()
 	}
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
 	for w := 0; w < cfg.Workers; w++ {
@@ -140,7 +142,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 				select {
 				case <-s.baseCtx.Done():
 					return
-				case jobID, ok := <-s.queue:
+				case q, ok := <-s.queue:
 					if !ok {
 						return
 					}
@@ -150,12 +152,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 					// A panic that does land here still must not leak
 					// the job in a non-terminal state.
 					if err := sched.Protect(func() error {
-						s.runJob(id, jobID)
+						s.runJob(id, q)
 						return nil
 					}); err != nil {
 						var pe *sched.PanicError
 						if errors.As(err, &pe) {
-							s.failNonTerminal(jobID, "worker panic: "+pe.Error(), string(pe.Stack))
+							s.failNonTerminal(q.id, "worker panic: "+pe.Error(), string(pe.Stack))
 						}
 					}
 				}
@@ -195,13 +197,23 @@ type jobOutcome struct {
 	err error
 }
 
+// queuedJob is an admitted job on its way to a worker: the manifest ID
+// and the cache key admission computed for it, so the key is computed
+// once per job. The key stays out of the Job, hence out of the API views
+// and the manifest file.
+type queuedJob struct {
+	id  string
+	key uint64
+}
+
 // runJob executes one queued job end to end: transition to running,
 // execute under the job deadline with panic recovery, record the
 // terminal state. The execution runs on a child goroutine so an expired
 // deadline releases the worker immediately; the detached child stops at
 // the next point boundary (the runner watches the same context) and its
 // result is discarded.
-func (s *Server) runJob(worker int, id string) {
+func (s *Server) runJob(worker int, q queuedJob) {
+	id := q.id
 	job, ok := s.manifest.Get(id)
 	if !ok {
 		return
@@ -226,7 +238,7 @@ func (s *Server) runJob(worker int, id string) {
 				(*hook)(job.Request)
 			}
 			var err error
-			out.art, out.hit, err = s.execute(ctx, job.Request)
+			out.art, out.hit, err = s.execute(ctx, job.Request, q.key)
 			return err
 		})
 		s.tel.reg.Observe(obs.Name(MetricExecNs,
@@ -242,15 +254,12 @@ func (s *Server) runJob(worker int, id string) {
 	}
 }
 
-// execute resolves a job through the cache (unless bypassed).
-func (s *Server) execute(ctx context.Context, req Request) (*Artifacts, bool, error) {
+// execute resolves a job through the cache (unless bypassed) under key,
+// the request's CacheKey as computed at admission.
+func (s *Server) execute(ctx context.Context, req Request, key uint64) (*Artifacts, bool, error) {
 	if req.NoCache {
 		art, err := s.exec.Execute(ctx, req)
 		return art, false, err
-	}
-	key, err := req.CacheKey()
-	if err != nil {
-		return nil, false, err
 	}
 	return s.cache.Do(ctx, key, func() (*Artifacts, error) {
 		return s.exec.Execute(ctx, req)
@@ -274,7 +283,7 @@ func (s *Server) record(id string, ctx context.Context, out jobOutcome) {
 			s.tel.ring.Put(id, out.art)
 		}
 		s.manifest.finish(id, StateSuccess, "", "", out.art.Result, out.hit)
-		s.persistRecords(id, out.art.Result)
+		s.persistRecords(id, out.art.Records)
 	case errors.As(out.err, &pe):
 		s.manifest.finish(id, StateFailed, pe.Error(), string(pe.Stack), nil, false)
 	case errors.Is(out.err, experiments.ErrCancelled),
@@ -295,28 +304,21 @@ func (s *Server) record(id string, ctx context.Context, out jobOutcome) {
 }
 
 // persistRecords appends a successful job's canonical records to the
-// result store (when configured): the deterministic record body comes
-// straight out of the result document — cache hits included — and the
-// envelope carries the wall time, host and job ID. Append failures are
-// logged on the job's manifest entry as an event, never failed: the
-// result itself is already recorded.
-func (s *Server) persistRecords(id string, data []byte) {
-	if s.store == nil {
+// result store (when configured): the deterministic record bodies are the
+// ones the result document was encoded from — a cache hit shares its
+// leader's — and the envelope carries the wall time, host and job ID.
+// Append failures are logged on the job's manifest entry as an event,
+// never failed: the result itself is already recorded.
+func (s *Server) persistRecords(id string, recs []results.Record) {
+	if s.store == nil || len(recs) == 0 {
 		return
 	}
-	var doc struct {
-		Records []results.Record `json:"records"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil || len(doc.Records) == 0 {
-		return
-	}
-	host, _ := os.Hostname()
 	env := &results.Env{
 		SavedUnix: time.Now().Unix(),
-		Host:      host,
+		Host:      s.host,
 		Note:      "job " + id,
 	}
-	for _, rec := range doc.Records {
+	for _, rec := range recs {
 		rec.Run = id
 		rec.Git = s.git
 		if err := s.store.Append(rec, env); err != nil {
@@ -342,8 +344,10 @@ func (s *Server) submitTraced(client, traceID string, req Request) (Job, error) 
 		return Job{}, &AdmissionError{Status: http.StatusBadRequest, Msg: err.Error()}
 	}
 	// Key computation doubles as deep validation (e.g. matmul sizes not
-	// divisible by the warp width fail here, before queueing).
-	if _, err := norm.CacheKey(); err != nil {
+	// divisible by the warp width fail here, before queueing). The key
+	// rides the queue to the worker, which resolves the job under it.
+	key, err := norm.CacheKey()
+	if err != nil {
 		return Job{}, &AdmissionError{Status: http.StatusBadRequest, Msg: err.Error()}
 	}
 	if s.cfg.PerClient > 0 && s.manifest.InFlight(client) >= s.cfg.PerClient {
@@ -371,7 +375,7 @@ func (s *Server) submitTraced(client, traceID string, req Request) (Job, error) 
 	}
 	job := s.manifest.Add(client, traceID, norm)
 	// Cannot block: length < capacity above, and every sender holds mu.
-	s.queue <- job.ID
+	s.queue <- queuedJob{id: job.ID, key: key}
 	s.mu.Unlock()
 	return job, nil
 }
@@ -404,8 +408,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// Queued-but-unstarted jobs are cancelled, racing the workers for
 	// the channel; jobs a worker wins are already running and covered by
 	// the drain deadline below.
-	for id := range s.queue {
-		s.manifest.RequestCancel(id, "daemon shutting down")
+	for q := range s.queue {
+		s.manifest.RequestCancel(q.id, "daemon shutting down")
 	}
 
 	deadline := time.NewTimer(s.cfg.DrainTimeout)

@@ -45,7 +45,7 @@ func newIdleServer(cfg ServerConfig) *Server {
 		manifest: NewManifest(),
 		cache:    NewCache(cfg.CacheEntries),
 		exec:     NewExecutor(),
-		queue:    make(chan string, cfg.QueueSize),
+		queue:    make(chan queuedJob, cfg.QueueSize),
 		tel:      newTelemetry(nil, 0),
 	}
 	s.manifest.SetObserver(s.tel.onTransition)
