@@ -451,6 +451,12 @@ func (w *Workload) Lint(n int, dev simgpu.Config, cp core.CostParams) (*analyze.
 	if err != nil {
 		return nil, err
 	}
+	return LintKernel(prog, blocks, dev, cp)
+}
+
+// LintKernel statically analyses a kernel already built (see Kernel) for
+// a launch of blocks thread blocks on dev, pricing it with cp.
+func LintKernel(prog *kernel.Program, blocks int, dev simgpu.Config, cp core.CostParams) (*analyze.Report, error) {
 	return analyze.Program(prog, analyze.Options{Machine: analyze.FromConfig(dev), Blocks: blocks, Cost: &cp})
 }
 

@@ -16,6 +16,7 @@ import (
 	"atgpu/internal/calibrate"
 	"atgpu/internal/core"
 	"atgpu/internal/experiments"
+	"atgpu/internal/kernel"
 	"atgpu/internal/obs"
 	"atgpu/internal/results"
 	"atgpu/internal/sched"
@@ -156,6 +157,11 @@ func (r Request) Normalize() (Request, error) {
 			return r, fmt.Errorf("kind %q takes n, not sizes", r.Kind)
 		}
 		r.Chunks = 0
+		if r.Kind == "lint" {
+			// A lint simulates nothing and stamps no record, so neither
+			// the input seed nor the fault plan can reach its report.
+			r.Seed, r.FaultRate, r.FaultSeed, r.MaxRetries, r.WatchdogUs = 0, 0, 0, 0, 0
+		}
 	case "sweep", "pipeline":
 		if r.N != 0 {
 			return r, fmt.Errorf("kind %q takes sizes, not n", r.Kind)
@@ -221,17 +227,69 @@ func (r Request) sizes() []int {
 	return r.Sizes
 }
 
-// CacheKey hashes everything that determines a normalized request's
-// result — FNV-1a over the kind, the per-size kernel disassemblies, the
-// full machine description, the scheme, σ, the sizes, the seeds and the
-// fault plan. Execution policy (timeout, no_cache, wait) is excluded.
-// Two requests with equal keys produce byte-identical results; that is
-// the contract the cache identity tests enforce.
-func (r Request) CacheKey() (uint64, error) {
+// Compiled is a normalized request with its machine resolved and each
+// size's kernel built once. Admission compiles every job: the build is
+// where a bad size (matmul n not a multiple of the warp width) fails,
+// the cache key hashes the built kernels, and a lint job analyses them
+// instead of building them again. The queued job owns its Compiled;
+// nothing is shared across jobs.
+type Compiled struct {
+	req     Request
+	cfg     experiments.Config
+	kernels []builtKernel
+}
+
+// builtKernel is the kernel one size launches and its block count.
+type builtKernel struct {
+	prog   *kernel.Program
+	blocks int
+}
+
+// buildKernel builds a workload's size-n kernel for a warp width (tests
+// swap it to count builds).
+var buildKernel = (*experiments.Workload).Kernel
+
+// Compile resolves a normalized request's machine and builds the kernel
+// of each of its sizes.
+func (r Request) Compile() (*Compiled, error) {
 	cfg, err := r.config()
+	if err != nil {
+		return nil, err
+	}
+	w, err := experiments.Lookup(r.Workload)
+	if err != nil {
+		return nil, err
+	}
+	c := &Compiled{req: r, cfg: cfg}
+	for _, n := range r.sizes() {
+		prog, blocks, err := buildKernel(w, n, cfg.Device.WarpWidth)
+		if err != nil {
+			return nil, fmt.Errorf("size %d: %w", n, err)
+		}
+		c.kernels = append(c.kernels, builtKernel{prog: prog, blocks: blocks})
+	}
+	return c, nil
+}
+
+// CacheKey compiles the request and returns its cache key (see
+// Compiled.Key).
+func (r Request) CacheKey() (uint64, error) {
+	c, err := r.Compile()
 	if err != nil {
 		return 0, err
 	}
+	return c.Key(), nil
+}
+
+// Key hashes everything that determines the job's result — FNV-1a over
+// the kind, the per-size kernel disassemblies, the full machine
+// description, the scheme, σ, the sizes and, for the kinds that
+// simulate or stamp records, the seed, chunks and fault plan. Execution
+// policy (timeout, no_cache, wait) is excluded. Two jobs with equal keys
+// produce byte-identical results; that is the contract the cache
+// identity tests enforce.
+func (c *Compiled) Key() uint64 {
+	r, cfg := c.req, c.cfg
 	h := fnv.New64a()
 	var buf [8]byte
 	str := func(s string) {
@@ -255,34 +313,32 @@ func (r Request) CacheKey() (uint64, error) {
 	str(strings.TrimSuffix(fmt.Sprintf("%#v", cfg.Device), "}") + ", LegacyInterp:false}")
 	str(r.Scheme)
 	num(uint64(cfg.SyncCost))
-	num(uint64(r.Seed))
-	num(uint64(r.Chunks))
-	num(math.Float64bits(r.FaultRate))
-	num(uint64(r.FaultSeed))
-	num(uint64(r.MaxRetries))
-	num(uint64(r.WatchdogUs))
-	w, err := experiments.Lookup(r.Workload)
-	if err != nil {
-		return 0, err
+	// A lint's report is the static analysis of its kernels priced with
+	// the calibrated parameters: Normalize cleared these fields, and the
+	// key leaves them out.
+	if r.Kind != "lint" {
+		num(uint64(r.Seed))
+		num(uint64(r.Chunks))
+		num(math.Float64bits(r.FaultRate))
+		num(uint64(r.FaultSeed))
+		num(uint64(r.MaxRetries))
+		num(uint64(r.WatchdogUs))
 	}
 	sizes := r.sizes()
 	num(uint64(len(sizes)))
 	var text []byte
-	for _, n := range sizes {
+	for i, n := range sizes {
 		num(uint64(n))
 		// The kernel component: the disassembly of the kernel this size
 		// launches, streamed as str would hash it. Pipelined kernels are
 		// chunked variants of the same bodies; kind+chunks above keep
 		// their keys apart.
-		prog, blocks, err := w.Kernel(n, cfg.Device.WarpWidth)
-		if err != nil {
-			return 0, fmt.Errorf("size %d: %w", n, err)
-		}
-		num(uint64(blocks))
-		text = append(prog.AppendDisassembly(text[:0]), 0)
+		k := c.kernels[i]
+		num(uint64(k.blocks))
+		text = append(k.prog.AppendDisassembly(text[:0]), 0)
 		h.Write(text)
 	}
-	return h.Sum64(), nil
+	return h.Sum64()
 }
 
 // boolBit maps a flag into the cache-key hash input.
@@ -430,10 +486,16 @@ type Artifacts struct {
 // Cancellation surfaces as experiments.ErrCancelled (the worker maps it
 // to the timeout or cancelled state); any other error fails the job.
 func (x *Executor) Execute(ctx context.Context, req Request) (*Artifacts, error) {
-	cfg, err := req.config()
+	c, err := req.Compile()
 	if err != nil {
 		return nil, err
 	}
+	return x.execute(ctx, c)
+}
+
+// execute runs a compiled job (see Execute).
+func (x *Executor) execute(ctx context.Context, c *Compiled) (*Artifacts, error) {
+	req, cfg := c.req, c.cfg
 	link, cal, err := x.calibration(req, cfg)
 	if err != nil {
 		return nil, err
@@ -467,11 +529,8 @@ func (x *Executor) Execute(ctx context.Context, req Request) (*Artifacts, error)
 		doc.Point = &pt
 		doc.Records = []results.Record{runner.Record("analyze", req.Workload, pt)}
 	case "lint":
-		w, err := experiments.Lookup(req.Workload)
-		if err != nil {
-			return nil, err
-		}
-		if doc.Lint, err = w.Lint(req.N, cfg.Device, runner.CostParams()); err != nil {
+		k := c.kernels[0]
+		if doc.Lint, err = experiments.LintKernel(k.prog, k.blocks, cfg.Device, runner.CostParams()); err != nil {
 			return nil, err
 		}
 	case "run", "sweep":

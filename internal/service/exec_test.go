@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"atgpu/internal/experiments"
+	"atgpu/internal/kernel"
+	"atgpu/internal/simgpu"
 )
 
 func TestNormalizeDefaults(t *testing.T) {
@@ -116,6 +120,43 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 			t.Errorf("variant %d collides with %d", i, prev)
 		}
 		seen[k] = i
+	}
+
+	// A lint's report depends on neither the input seed nor the fault
+	// plan: variants differing only there share one key and execute to
+	// identical bytes, while run and analyze seeds still split keys.
+	lint := Request{Kind: "lint", Workload: "reduce", N: 1000, Device: "tiny", Seed: 1}
+	lintKey, err := norm(lint).CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := NewExecutor()
+	lintDoc, err := x.Execute(context.Background(), norm(lint))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range []Request{
+		{Kind: "lint", Workload: "reduce", N: 1000, Device: "tiny", Seed: 99999},
+		{Kind: "lint", Workload: "reduce", N: 1000, Device: "tiny", Seed: 1, FaultRate: 0.3, FaultSeed: 5},
+		{Kind: "lint", Workload: "reduce", N: 1000, Device: "tiny", Seed: 2, FaultRate: 1, MaxRetries: 4, WatchdogUs: 900},
+	} {
+		if k, err := norm(v).CacheKey(); err != nil || k != lintKey {
+			t.Errorf("lint variant %d: key %x (err %v), want the shared %x", i, k, err, lintKey)
+		}
+		doc, err := x.Execute(context.Background(), norm(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(doc.Result, lintDoc.Result) {
+			t.Errorf("lint variant %d: result differs from seed 1's", i)
+		}
+	}
+	for _, kind := range []string{"run", "analyze"} {
+		a, errA := norm(Request{Kind: kind, Workload: "reduce", N: 1000, Device: "tiny", Seed: 1}).CacheKey()
+		b, errB := norm(Request{Kind: kind, Workload: "reduce", N: 1000, Device: "tiny", Seed: 2}).CacheKey()
+		if errA != nil || errB != nil || a == b {
+			t.Errorf("%s: seeds 1 and 2 share key %x (errors %v, %v)", kind, a, errA, errB)
+		}
 	}
 
 	// Deep validation: matmul sizes must divide by the warp width.
@@ -239,5 +280,67 @@ func TestWarmUnknownDevice(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "want gtx650, gtx1080, k40 or tiny") {
 			t.Fatalf("Warm(%q) = %v, want an unknown-preset error naming the presets", name, err)
 		}
+	}
+}
+
+// TestCacheKeyCoversEveryDeviceField perturbs each simgpu.Config field in
+// turn: every one must move the key, so a field added to the machine
+// description cannot be left out of the key's device encoding.
+func TestCacheKeyCoversEveryDeviceField(t *testing.T) {
+	req, err := Request{Kind: "run", Workload: "vecadd", N: 64, Device: "tiny"}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := req.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseKey := base.Key()
+	typ := reflect.TypeOf(simgpu.Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		c := *base
+		f := reflect.ValueOf(&c.cfg.Device).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(f.Int() + 1)
+		case reflect.Float64:
+			f.SetFloat(f.Float() * 2)
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.String:
+			f.SetString(f.String() + "'")
+		default:
+			t.Fatalf("simgpu.Config.%s: no perturbation for kind %s", typ.Field(i).Name, f.Kind())
+		}
+		if c.Key() == baseKey {
+			t.Errorf("perturbing simgpu.Config.%s leaves the cache key unchanged", typ.Field(i).Name)
+		}
+	}
+}
+
+// TestLintJobBuildsEachKernelOnce counts kernel builds across a lint
+// job's admission and execution: admission builds the kernel, and the
+// lint analyses that build rather than making another.
+func TestLintJobBuildsEachKernelOnce(t *testing.T) {
+	var builds atomic.Int64
+	defer func(orig func(*experiments.Workload, int, int) (*kernel.Program, int, error)) {
+		buildKernel = orig
+	}(buildKernel)
+	orig := buildKernel
+	buildKernel = func(w *experiments.Workload, n, b int) (*kernel.Program, int, error) {
+		builds.Add(1)
+		return orig(w, n, b)
+	}
+	s := newTestServer(t, ServerConfig{Workers: 1})
+	job, err := s.Submit("t", Request{Kind: "lint", Workload: "matmul", N: 64, Device: "tiny", NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-s.Manifest().Done(job.ID)
+	if final, _ := s.Manifest().Get(job.ID); final.State != StateSuccess {
+		t.Fatalf("lint job ended %s: %s", final.State, final.Error)
+	}
+	if got := builds.Load(); got != 1 {
+		t.Errorf("lint job built its kernel %d times, want 1", got)
 	}
 }

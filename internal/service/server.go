@@ -197,12 +197,14 @@ type jobOutcome struct {
 	err error
 }
 
-// queuedJob is an admitted job on its way to a worker: the manifest ID
-// and the cache key admission computed for it, so the key is computed
-// once per job. The key stays out of the Job, hence out of the API views
-// and the manifest file.
+// queuedJob is an admitted job on its way to a worker: the manifest ID,
+// the kernels admission built and the cache key it hashed from them, so
+// each is computed once per job. Both stay out of the Job, hence out of
+// the API views and the manifest file, and are dropped when the job
+// finishes.
 type queuedJob struct {
 	id  string
+	job *Compiled
 	key uint64
 }
 
@@ -238,7 +240,7 @@ func (s *Server) runJob(worker int, q queuedJob) {
 				(*hook)(job.Request)
 			}
 			var err error
-			out.art, out.hit, err = s.execute(ctx, job.Request, q.key)
+			out.art, out.hit, err = s.execute(ctx, q.job, q.key)
 			return err
 		})
 		s.tel.reg.Observe(obs.Name(MetricExecNs,
@@ -254,15 +256,15 @@ func (s *Server) runJob(worker int, q queuedJob) {
 	}
 }
 
-// execute resolves a job through the cache (unless bypassed) under key,
-// the request's CacheKey as computed at admission.
-func (s *Server) execute(ctx context.Context, req Request, key uint64) (*Artifacts, bool, error) {
-	if req.NoCache {
-		art, err := s.exec.Execute(ctx, req)
+// execute resolves a compiled job through the cache (unless bypassed)
+// under key, its Key as computed at admission.
+func (s *Server) execute(ctx context.Context, c *Compiled, key uint64) (*Artifacts, bool, error) {
+	if c.req.NoCache {
+		art, err := s.exec.execute(ctx, c)
 		return art, false, err
 	}
 	return s.cache.Do(ctx, key, func() (*Artifacts, error) {
-		return s.exec.Execute(ctx, req)
+		return s.exec.execute(ctx, c)
 	})
 }
 
@@ -343,13 +345,15 @@ func (s *Server) submitTraced(client, traceID string, req Request) (Job, error) 
 	if err != nil {
 		return Job{}, &AdmissionError{Status: http.StatusBadRequest, Msg: err.Error()}
 	}
-	// Key computation doubles as deep validation (e.g. matmul sizes not
-	// divisible by the warp width fail here, before queueing). The key
-	// rides the queue to the worker, which resolves the job under it.
-	key, err := norm.CacheKey()
+	// Building the kernels doubles as deep validation (e.g. matmul sizes
+	// not divisible by the warp width fail here, before queueing). The
+	// kernels and the key hashed from them ride the queue to the worker,
+	// which resolves the job under that key.
+	compiled, err := norm.Compile()
 	if err != nil {
 		return Job{}, &AdmissionError{Status: http.StatusBadRequest, Msg: err.Error()}
 	}
+	key := compiled.Key()
 	if s.cfg.PerClient > 0 && s.manifest.InFlight(client) >= s.cfg.PerClient {
 		s.mu.Lock()
 		s.rejected++
@@ -375,7 +379,7 @@ func (s *Server) submitTraced(client, traceID string, req Request) (Job, error) 
 	}
 	job := s.manifest.Add(client, traceID, norm)
 	// Cannot block: length < capacity above, and every sender holds mu.
-	s.queue <- queuedJob{id: job.ID, key: key}
+	s.queue <- queuedJob{id: job.ID, job: compiled, key: key}
 	s.mu.Unlock()
 	return job, nil
 }
