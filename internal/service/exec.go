@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"strings"
 	"sync"
 	"time"
 
@@ -300,17 +299,24 @@ func (c *Compiled) Key() uint64 {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	str("atgpud-cache-v2")
+	str("atgpud-cache-v3")
 	str(r.Kind)
 	str(r.Workload)
 	// The observability flags select which artifacts exist (and Metrics
 	// adds obs snapshots to the result records), so they are content.
 	num(uint64(boolBit(r.Trace)<<1 | boolBit(r.Metrics)))
-	// The machine, in full: every config field participates, so a preset
-	// revision naturally invalidates old entries. The retired LegacyInterp
-	// switch keeps its place, always false, so keys made before it was
-	// deleted stay valid.
-	str(strings.TrimSuffix(fmt.Sprintf("%#v", cfg.Device), "}") + ", LegacyInterp:false}")
+	// The machine, in full, field by field, so a preset revision
+	// invalidates old entries. TestCacheKeyCoversEveryDeviceField fails
+	// when a simgpu.Config field is missing here.
+	d := cfg.Device
+	str(d.Name)
+	for _, v := range [...]int{d.NumSMs, d.WarpWidth, d.SharedWords, d.GlobalWords,
+		d.MaxBlocksPerSM, d.GlobalLatencyCycles, d.ExtraTransactionCycles,
+		d.SharedLatencyCycles, d.MemServiceCycles} {
+		num(uint64(v))
+	}
+	num(math.Float64bits(d.ClockHz))
+	num(boolBit(d.SerialiseBankConflicts) | boolBit(d.BroadcastSharedReads)<<1 | boolBit(d.DisableEventSkip)<<2)
 	str(r.Scheme)
 	num(uint64(cfg.SyncCost))
 	// A lint's report is the static analysis of its kernels priced with
