@@ -184,7 +184,6 @@ func resultsGate(path string, files []string, maxRegress, defAllowance float64, 
 	if appendFresh {
 		host, _ := os.Hostname()
 		env := &results.Env{SavedUnix: time.Now().Unix(), Host: host, Note: "gate append"}
-		git := results.GitDescribe("")
 		for _, bench := range fresh {
 			allowance := defAllowance
 			if base, ok := s.Latest(results.Filter{Kind: "bench", Workload: bench.Name}); ok &&
@@ -192,7 +191,7 @@ func resultsGate(path string, files []string, maxRegress, defAllowance float64, 
 				allowance = base.Record.Bench.Allowance
 			}
 			rec := bench.Record(run, allowance)
-			rec.Git = git
+			rec.Git = results.BuildStamp()
 			if err := s.Append(rec, env); err != nil {
 				return err
 			}

@@ -106,8 +106,8 @@ type Record struct {
 	Seed    int64 `json:"seed,omitempty"`
 	Chunks  int   `json:"chunks,omitempty"`
 	Workers int   `json:"workers,omitempty"`
-	// Git is the producing tree's `git describe --always --dirty`
-	// stamp (best effort; empty when unavailable).
+	// Git is the producing build's revision in `git describe --always
+	// --dirty` form (BuildStamp; best effort, empty when unavailable).
 	Git string `json:"git,omitempty"`
 
 	// Machine is the simulated machine (nil for bench records).

@@ -115,7 +115,7 @@ func (s *Store) Append(rec Record, env *Env) error {
 
 // PersistRun appends a CLI run's records to <dir>/records.jsonl and
 // returns that path ("" when dir is empty or there are no records). It
-// stamps the run label, git describe and worker count on each record,
+// stamps the run label, the build stamp (BuildStamp) and worker count on each record,
 // and the envelope — saved time, host, the run's wall time, the label —
 // on each line: wall-clock and build identity enter only here, so the
 // records themselves stay byte-identical across workers and commits.
@@ -131,12 +131,11 @@ func PersistRun(dir, run string, recs []Record, workers int, saved time.Time, wa
 	if err != nil {
 		return "", err
 	}
-	git := GitDescribe("")
 	host, _ := os.Hostname()
 	env := &Env{SavedUnix: saved.Unix(), Host: host, WallMs: float64(wall.Milliseconds()), Note: run}
 	for _, rec := range recs {
 		rec.Run = run
-		rec.Git = git
+		rec.Git = BuildStamp()
 		rec.Workers = workers
 		if err := s.Append(rec, env); err != nil {
 			s.Close()

@@ -216,7 +216,7 @@ func TestPersistedRecordsSkipReparse(t *testing.T) {
 		}
 		for k, rec := range doc.Records {
 			rec.Run = job.ID
-			rec.Git = s.git
+			rec.Git = results.BuildStamp()
 			want, err := json.Marshal(rec)
 			if err != nil {
 				t.Fatal(err)

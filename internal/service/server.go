@@ -86,7 +86,6 @@ type Server struct {
 	cache    *Cache
 	exec     *Executor
 	store    *results.Store
-	git      string
 	host     string
 
 	// mu guards draining and serialises queue sends, so the
@@ -130,7 +129,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			return nil, fmt.Errorf("service: open result store: %w", err)
 		}
 		s.store = store
-		s.git = results.GitDescribe("")
 		s.host, _ = os.Hostname()
 	}
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
@@ -309,6 +307,8 @@ func (s *Server) record(id string, ctx context.Context, out jobOutcome) {
 // result store (when configured): the deterministic record bodies are the
 // ones the result document was encoded from — a cache hit shares its
 // leader's — and the envelope carries the wall time, host and job ID.
+// The build stamp is resolved here, at the first persisted record, not
+// at boot.
 // Append failures are logged on the job's manifest entry as an event,
 // never failed: the result itself is already recorded.
 func (s *Server) persistRecords(id string, recs []results.Record) {
@@ -322,7 +322,7 @@ func (s *Server) persistRecords(id string, recs []results.Record) {
 	}
 	for _, rec := range recs {
 		rec.Run = id
-		rec.Git = s.git
+		rec.Git = results.BuildStamp()
 		if err := s.store.Append(rec, env); err != nil {
 			s.manifest.appendEvent(id, "result store append failed: "+err.Error())
 			return
