@@ -172,19 +172,37 @@ func memoryKernel(loads, b int) *kernel.Program {
 	return kb.MustBuild()
 }
 
+// maxLoads is the memory kernel's largest per-block load count.
+const maxLoads = 64
+
+// MemoryFootprint returns the launch the memory calibration makes on a
+// device described by cfg — blocks thread blocks — and the global words
+// it reads, blocks·maxLoads·b. blocks starts at eight waves of the
+// device (k'·H·8) and halves while the footprint exceeds G and more
+// blocks than SMs remain; it errors when even that does not fit. The
+// memory kernel is the only calibration kernel that touches global
+// memory, so a device of exactly words global words calibrates as any
+// larger one with the same halving does.
+func MemoryFootprint(cfg simgpu.Config) (blocks, words int, err error) {
+	blocks = cfg.NumSMs * cfg.MaxBlocksPerSM * 8
+	for blocks*maxLoads*cfg.WarpWidth > cfg.GlobalWords && blocks > cfg.NumSMs {
+		blocks /= 2
+	}
+	words = blocks * maxLoads * cfg.WarpWidth
+	if words > cfg.GlobalWords {
+		return 0, 0, fmt.Errorf("%w: device global memory too small", ErrCalibration)
+	}
+	return blocks, words, nil
+}
+
 // fitMemory launches memory kernels with varying per-block load counts,
 // regressing the time remaining after the fitted compute share on the
 // total transaction count q; the slope is λ̂ in seconds per transaction.
 func fitMemory(dev *simgpu.Device) (stats.LinearFit, float64, error) {
 	cfg := dev.Config()
-	// Keep the footprint within global memory.
-	maxLoads := 64
-	blocks := cfg.NumSMs * cfg.MaxBlocksPerSM * 8
-	for blocks*maxLoads*cfg.WarpWidth > cfg.GlobalWords && blocks > cfg.NumSMs {
-		blocks /= 2
-	}
-	if blocks*maxLoads*cfg.WarpWidth > cfg.GlobalWords {
-		return stats.LinearFit{}, 0, fmt.Errorf("%w: device global memory too small", ErrCalibration)
+	blocks, _, err := MemoryFootprint(cfg)
+	if err != nil {
+		return stats.LinearFit{}, 0, err
 	}
 
 	var xs, ys []float64

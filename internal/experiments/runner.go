@@ -247,11 +247,16 @@ func Calibrate(cfg Config) (*transfer.Link, calibrate.Result, error) {
 	link := transfer.PCIeGen3x8Link()
 
 	calCfg := cfg.Device
-	// A modest global memory suffices for the calibration microkernels
-	// and keeps allocation cheap.
+	// The memory microkernel halves its launch to fit at most 1<<22
+	// words, and the device holds exactly the words it then reads.
 	if calCfg.GlobalWords > 1<<22 {
 		calCfg.GlobalWords = 1 << 22
 	}
+	_, words, err := calibrate.MemoryFootprint(calCfg)
+	if err != nil {
+		return nil, calibrate.Result{}, err
+	}
+	calCfg.GlobalWords = words
 	dev, err := simgpu.New(calCfg)
 	if err != nil {
 		return nil, calibrate.Result{}, err
