@@ -245,7 +245,9 @@ type launchState struct {
 	numBlocks   int
 	schedBlocks int
 	nextBlock   int
-	sms         []*smState
+	// resident counts the blocks resident across all SMs.
+	resident int
+	sms      []*smState
 	// smIDs maps launch-state SM slots to physical SM indices; with
 	// failed SMs the slots cover only the active multiprocessors, so
 	// trace and warp bookkeeping still report hardware indices.
@@ -387,30 +389,29 @@ func (ls *launchState) collectedSites() []SiteStat {
 	return out
 }
 
-// run drives the cycle loop until all blocks retire.
+// run drives the cycle loop until all blocks retire. An SM gains room
+// only when one of its blocks retires, so the pending queue is drained
+// into the SMs on the first pass, after a retire and after a pass that
+// found every SM idle — not on every cycle.
 func (ls *launchState) run(occ int) error {
-	retired := false
+	refill, retired := true, false
 	for {
 		if retired && ls.memo != nil {
 			// A block completed since the last fingerprint: the scheduler
 			// is at a retire boundary, the natural place to look for a
 			// steady-state period (memo.go).
 			ls.memo.observe(ls)
-			retired = false
 		}
-		ls.refill(occ)
-		done := true
-		for _, sm := range ls.sms {
-			if len(sm.resident) > 0 {
-				done = false
-				break
-			}
+		if refill || retired {
+			ls.refill(occ)
+			refill, retired = false, false
 		}
-		if done {
+		if ls.resident == 0 {
 			if ls.nextBlock >= ls.schedBlocks {
 				return nil
 			}
-			continue // refill will place more blocks next iteration
+			refill = true // place more blocks next iteration
+			continue
 		}
 
 		issuedAny := false
@@ -434,6 +435,7 @@ func (ls *launchState) run(occ int) error {
 			if w.state == wDone {
 				sm.retire(w)
 				ls.recycle(w)
+				ls.resident--
 				retired = true
 			}
 		}
@@ -497,6 +499,7 @@ func (ls *launchState) refill(occ int) {
 				w.traceIdx = ls.tracer.onSchedule(ls.nextBlock, w.smIdx, ls.cycle)
 			}
 			ls.nextBlock++
+			ls.resident++
 			sm.resident = append(sm.resident, w)
 			if len(sm.resident) > ls.stats.MaxResidentBlocks {
 				ls.stats.MaxResidentBlocks = len(sm.resident)
