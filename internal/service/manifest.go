@@ -32,6 +32,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"sort"
 	"sync"
@@ -158,6 +159,10 @@ type Manifest struct {
 	// persisted manifest are deterministic.
 	order []string
 	seq   int
+	// live counts each client's non-terminal jobs, so the per-client cap
+	// and its gauge never walk the job table; a client leaves the map
+	// when its count drops to zero.
+	live map[string]int
 	// observer, when non-nil, is called after every state transition
 	// (from "" on Add) with a job view — outside the manifest lock, so
 	// it may call back into the manifest.
@@ -181,7 +186,17 @@ func (m *Manifest) SetObserver(fn TransitionObserver) {
 
 // NewManifest returns an empty manifest.
 func NewManifest() *Manifest {
-	return &Manifest{jobs: make(map[string]*Job)}
+	return &Manifest{jobs: make(map[string]*Job), live: make(map[string]int)}
+}
+
+// release drops a job that just turned terminal from its client's live
+// count. The caller holds m.mu.
+func (m *Manifest) release(client string) {
+	if n := m.live[client] - 1; n > 0 {
+		m.live[client] = n
+	} else {
+		delete(m.live, client)
+	}
 }
 
 // Add registers a new pending job for the request and returns its view.
@@ -203,6 +218,7 @@ func (m *Manifest) Add(client, traceID string, req Request) Job {
 	j.Events = append(j.Events, Event{Time: j.Created, State: StatePending, Msg: "submitted"})
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
+	m.live[client]++
 	view, obs := j.clone(), m.observer
 	m.mu.Unlock()
 	if obs != nil {
@@ -263,27 +279,16 @@ func (m *Manifest) NonTerminal() []string {
 func (m *Manifest) InFlight(client string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for _, j := range m.jobs {
-		if j.Client == client && !j.State.Terminal() {
-			n++
-		}
-	}
-	return n
+	return m.live[client]
 }
 
 // InFlightByClient tallies non-terminal jobs per client — the live
-// per-client gauge the telemetry plane exports.
+// per-client gauge the telemetry plane exports. Clients with none are
+// absent.
 func (m *Manifest) InFlightByClient() map[string]int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	counts := make(map[string]int)
-	for _, j := range m.jobs {
-		if !j.State.Terminal() {
-			counts[j.Client]++
-		}
-	}
-	return counts
+	return maps.Clone(m.live)
 }
 
 // start transitions a pending job to running on the given worker. A
@@ -335,6 +340,7 @@ func (m *Manifest) finish(id string, to State, errMsg, stack string, result json
 	}
 	from := j.State
 	j.State = to
+	m.release(j.Client)
 	j.Finished = time.Now()
 	j.Error = errMsg
 	j.Stack = stack
@@ -372,6 +378,7 @@ func (m *Manifest) RequestCancel(id, reason string) (State, bool) {
 	case StatePending:
 		// Terminal transition inline; the worker will skip it on pop.
 		j.State = StateCancelled
+		m.release(j.Client)
 		j.Finished = time.Now()
 		j.Error = reason
 		j.Events = append(j.Events, Event{Time: j.Finished, State: StateCancelled, Msg: reason})

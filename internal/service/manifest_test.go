@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -144,5 +145,49 @@ func TestManifestSaveLoad(t *testing.T) {
 	}
 	if snap.Jobs[1].State != StatePending {
 		t.Fatalf("persisted job 1 = %+v", snap.Jobs[1])
+	}
+}
+
+// TestManifestLiveCountsMatchScan drives random add/start/finish/cancel
+// sequences and checks the per-client live counts against a walk of
+// every job after each step.
+func TestManifestLiveCountsMatchScan(t *testing.T) {
+	clients := []string{"a", "b", "c", ""}
+	terminal := []State{StateSuccess, StateFailed, StateTimeout, StateCancelled}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewManifest()
+		var ids []string
+		for step := 0; step < 300; step++ {
+			switch op := rng.Intn(4); {
+			case op == 0 || len(ids) == 0:
+				ids = append(ids, m.Add(clients[rng.Intn(len(clients))], "", testRequest()).ID)
+			case op == 1:
+				m.start(ids[rng.Intn(len(ids))], 0, func() {})
+			case op == 2:
+				id := ids[rng.Intn(len(ids))]
+				if j, _ := m.Get(id); j.State == StateRunning {
+					m.finish(id, terminal[rng.Intn(len(terminal))], "", "", nil, false)
+				}
+			default:
+				m.RequestCancel(ids[rng.Intn(len(ids))], "test")
+			}
+			want := map[string]int{}
+			for _, j := range m.List() {
+				if !j.State.Terminal() {
+					want[j.Client]++
+				}
+			}
+			got := m.InFlightByClient()
+			if len(got) != len(want) {
+				t.Fatalf("seed %d step %d: live counts %v, scan %v", seed, step, got, want)
+			}
+			for _, c := range clients {
+				if got[c] != want[c] || m.InFlight(c) != want[c] {
+					t.Fatalf("seed %d step %d: client %q live %d (InFlight %d), scan %d",
+						seed, step, c, got[c], m.InFlight(c), want[c])
+				}
+			}
+		}
 	}
 }

@@ -285,6 +285,17 @@ func TestServerPerClientCap(t *testing.T) {
 	if _, err := s.Submit("patient", testRequest()); err != nil {
 		t.Fatalf("other client blocked by greedy's cap: %v", err)
 	}
+	// Cancelling one of greedy's queued jobs frees exactly one slot.
+	first := s.manifest.List()[0]
+	if st, _ := s.manifest.RequestCancel(first.ID, "test"); st != StateCancelled {
+		t.Fatalf("cancel of a queued job left it %s", st)
+	}
+	if _, err := s.Submit("greedy", testRequest()); err != nil {
+		t.Fatalf("submit after a cancel freed a slot: %v", err)
+	}
+	if _, err := s.Submit("greedy", testRequest()); !errors.As(err, &adm) || adm.Status != http.StatusTooManyRequests {
+		t.Fatalf("submit past the cap again: %v", err)
+	}
 }
 
 func TestServerBadRequestRejectedAtAdmission(t *testing.T) {
