@@ -22,10 +22,3 @@ func TestVCSStamp(t *testing.T) {
 		}
 	}
 }
-
-// TestBuildStampIsStable: the stamp is computed once per process.
-func TestBuildStampIsStable(t *testing.T) {
-	if a, b := BuildStamp(), BuildStamp(); a != b {
-		t.Fatalf("BuildStamp changed within a process: %q then %q", a, b)
-	}
-}

@@ -486,9 +486,10 @@ type Artifacts struct {
 	Metrics []byte
 }
 
-// Execute runs one normalized request to completion under ctx and
-// returns its artifacts; the result document is canonical JSON — the
-// bytes the cache stores, so a hit is byte-identical by construction.
+// Execute compiles one normalized request, as admission does, runs it
+// to completion under ctx and returns its artifacts; the result document
+// is canonical JSON — the bytes the cache stores, so a hit is
+// byte-identical by construction.
 // Cancellation surfaces as experiments.ErrCancelled (the worker maps it
 // to the timeout or cancelled state); any other error fails the job.
 func (x *Executor) Execute(ctx context.Context, req Request) (*Artifacts, error) {

@@ -319,8 +319,9 @@ func TestCacheKeyCoversEveryDeviceField(t *testing.T) {
 }
 
 // TestLintJobBuildsEachKernelOnce counts kernel builds across a lint
-// job's admission and execution: admission builds the kernel, and the
-// lint analyses that build rather than making another.
+// job's admission and execution: admission builds the kernel once, and
+// the lint analyses that build — its report names the kernel admission
+// renamed — rather than making another.
 func TestLintJobBuildsEachKernelOnce(t *testing.T) {
 	var builds atomic.Int64
 	defer func(orig func(*experiments.Workload, int, int) (*kernel.Program, int, error)) {
@@ -329,18 +330,32 @@ func TestLintJobBuildsEachKernelOnce(t *testing.T) {
 	orig := buildKernel
 	buildKernel = func(w *experiments.Workload, n, b int) (*kernel.Program, int, error) {
 		builds.Add(1)
-		return orig(w, n, b)
+		prog, blocks, err := orig(w, n, b)
+		if err != nil {
+			return nil, 0, err
+		}
+		admitted := *prog
+		admitted.Name = "admitted"
+		return &admitted, blocks, nil
 	}
 	s := newTestServer(t, ServerConfig{Workers: 1})
-	job, err := s.Submit("t", Request{Kind: "lint", Workload: "matmul", N: 64, Device: "tiny", NoCache: true})
+	job, err := s.Submit("t", Request{Kind: "lint", Workload: "matmul", N: 32, Device: "tiny", NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-s.Manifest().Done(job.ID)
-	if final, _ := s.Manifest().Get(job.ID); final.State != StateSuccess {
+	final, _ := s.Manifest().Get(job.ID)
+	if final.State != StateSuccess {
 		t.Fatalf("lint job ended %s: %s", final.State, final.Error)
 	}
 	if got := builds.Load(); got != 1 {
 		t.Errorf("lint job built its kernel %d times, want 1", got)
+	}
+	var doc Result
+	if err := json.Unmarshal(final.Result, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Lint == nil || doc.Lint.Kernel != "admitted" {
+		t.Errorf("lint analysed kernel %+v, want the one admission built", doc.Lint)
 	}
 }

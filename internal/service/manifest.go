@@ -16,8 +16,9 @@
 //     per-client in-flight caps stop one client starving the rest, and
 //     /readyz degrades to 503 under overload so load balancers back off
 //     before the queue does;
-//   - results are content-addressed — an FNV-1a key over (kernel hash,
-//     machine parameters, sizes, seeds, chunks, fault plan) with
+//   - results are content-addressed — an FNV-1a key over what a result
+//     depends on (kernels, machine parameters, sizes and, for the kinds
+//     that simulate or stamp records, seeds, chunks and fault plan) with
 //     single-flight deduplication, so identical requests never
 //     re-simulate and a cache hit is byte-identical to a fresh run;
 //   - shutdown drains: running jobs get a deadline to finish, the rest
