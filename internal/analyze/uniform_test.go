@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -233,7 +234,8 @@ func matmulProgram(t *testing.T, n, w int) *kernel.Program {
 
 // TestBlockUniformCertifiesMatMul: the paper's tiled matmul splits the
 // block index into a tile row and column with divi/modi; the grid domain
-// certifies it at n = 8w and 16w on every 32-wide preset and on Tiny.
+// certifies it at n = 8w and 16w on every preset, with the split t = n/w
+// on the certificate and in Prover's verdict.
 func TestBlockUniformCertifiesMatMul(t *testing.T) {
 	for _, cfg := range simgpu.Presets() {
 		w := cfg.WarpWidth
@@ -248,10 +250,19 @@ func TestBlockUniformCertifiesMatMul(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s n=%d: BlockUniform refused matmul: %v", cfg.Name, n, err)
 			}
-			if cert.Blocks != blocks || cert.Instrs == 0 {
-				t.Errorf("%s n=%d: bad certificate %+v", cfg.Name, n, cert)
+			if cert.Blocks != blocks || cert.Instrs == 0 || cert.Split != n/w {
+				t.Errorf("%s n=%d: bad certificate %+v (want split %d)", cfg.Name, n, cert, n/w)
+			}
+			split, ok := Prover.Certify(prog, simgpu.Config{WarpWidth: w, GlobalWords: 3 * n * n}, blocks)
+			if !ok || split != n/w {
+				t.Errorf("%s n=%d: Prover hands over split %d (certified %v), want %d", cfg.Name, n, split, ok, n/w)
 			}
 		}
+	}
+	// A kernel that never divides the block index needs no split.
+	prog := buildVecAddLike(t, 32, 4096)
+	if cert, err := BlockUniform(prog, 32, 3*4096, 128); err != nil || cert.Split != 0 {
+		t.Errorf("vecadd-like: certificate %+v, err %v; want split 0", cert, err)
 	}
 }
 
@@ -445,7 +456,7 @@ func memoRun(t *testing.T, cfg simgpu.Config, prog *kernel.Program, blocks, inpu
 		t.Fatalf("New: %v", err)
 	}
 	if withProver {
-		dev.SetUniformProver(UniformProver)
+		dev.SetUniformProver(Prover)
 	}
 	raw := dev.Global().Raw()
 	for i := 0; i < inputs; i++ {
@@ -505,22 +516,31 @@ func TestMemoFallsBackToFullSimulationOnAtomics(t *testing.T) {
 
 // TestMemoMatMulMatchesFullSimulation: with the prover certifying matmul,
 // a memoizing device must leave global memory, KernelStats (cycles
-// included) and time byte-identical to a prover-less one on every preset,
-// at the first size with memoMinBlocks blocks. GTX650 at n=256 must
-// actually memoize (its scheduler recurs with period 4 blocks).
+// included) and time byte-identical to a prover-less one on every preset
+// and the tiny one, at the first size with memoMinBlocks blocks (8 tiles
+// a side, the certificate's block split t = 8), and on GTX650 and tiny
+// also at 9 tiles a side, where replay batches of 8 blocks are cut at the
+// multiples of t = 9. GTX650 at n=256 must actually memoize (its
+// scheduler recurs with period 4 blocks).
 func TestMemoMatMulMatchesFullSimulation(t *testing.T) {
-	for _, cfg := range simgpu.Presets() {
+	for _, cfg := range append(simgpu.Presets(), simgpu.Tiny()) {
 		w := cfg.WarpWidth
-		n := 8 * w
-		nn := n * n
-		cfg.GlobalWords = 3 * nn
-		prog := matmulProgram(t, n, w)
-		blocks := algorithms.MatMul{N: n}.Blocks(w)
-		memo, memoMem, skips := memoRun(t, cfg, prog, blocks, 2*nn, true)
-		full, fullMem, _ := memoRun(t, cfg, prog, blocks, 2*nn, false)
-		sameLaunch(t, cfg.Name, memo, full, memoMem, fullMem)
-		if cfg.Name == simgpu.GTX650().Name && skips == 0 {
-			t.Errorf("%s n=%d: matmul never memoized", cfg.Name, n)
+		tileCounts := []int{8}
+		if cfg.Name == simgpu.GTX650().Name || cfg.Name == simgpu.Tiny().Name {
+			tileCounts = append(tileCounts, 9)
+		}
+		for _, tiles := range tileCounts {
+			n := tiles * w
+			nn := n * n
+			cfg.GlobalWords = 3 * nn
+			prog := matmulProgram(t, n, w)
+			blocks := algorithms.MatMul{N: n}.Blocks(w)
+			memo, memoMem, skips := memoRun(t, cfg, prog, blocks, 2*nn, true)
+			full, fullMem, _ := memoRun(t, cfg, prog, blocks, 2*nn, false)
+			sameLaunch(t, fmt.Sprintf("%s n=%d", cfg.Name, n), memo, full, memoMem, fullMem)
+			if cfg.Name == simgpu.GTX650().Name && tiles == 8 && skips == 0 {
+				t.Errorf("%s n=%d: matmul never memoized", cfg.Name, n)
+			}
 		}
 	}
 }

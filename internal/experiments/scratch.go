@@ -9,15 +9,17 @@ import (
 )
 
 // pointScratch is the big buffers one sweep point works in: the backing
-// array of its device's global memory, and its input vectors with the
-// stream they are drawn from. A point takes a scratch buffer from its
+// array of its device's global memory and the device's warps, and its
+// input vectors with the stream they are drawn from. A point takes a scratch buffer from its
 // Runner's pool and returns it when done, so the next point reuses the
 // arrays instead of allocating fresh ones. An array grows to the largest
 // request it has seen and is replaced, never kept alongside, when it
 // grows, which bounds a Runner's retained memory by its concurrently
 // running points.
 type pointScratch struct {
-	global []mem.Word
+	// dev is the device storage: the global-memory array and the warps
+	// the point's devices retire.
+	dev simgpu.Scratch
 	// in holds the input vectors; inputWords is the length an input
 	// buffer grows to at least when it grows: the largest input of the
 	// sweep holding the scratch, 0 outside one.
@@ -31,18 +33,18 @@ type pointScratch struct {
 	out []mem.Word
 }
 
-// device builds a device for cfg whose global memory reuses the set's
-// array (see simgpu.NewReusing), so the memory reads zero.
+// device builds a device for cfg on the set's device storage (see
+// simgpu.NewReusing), so the memory reads zero.
 func (s *pointScratch) device(cfg simgpu.Config) (*simgpu.Device, error) {
 	s.growGlobal(cfg.GlobalWords)
-	return simgpu.NewReusing(cfg, s.global)
+	return simgpu.NewReusing(cfg, &s.dev)
 }
 
 // growGlobal replaces the global array by a words-long one if it is
 // shorter.
 func (s *pointScratch) growGlobal(words int) {
-	if words > cap(s.global) {
-		s.global = make([]mem.Word, words)
+	if words > cap(s.dev.Global) {
+		s.dev.Global = make([]mem.Word, words)
 	}
 }
 
@@ -156,18 +158,37 @@ func int31(u uint64) uint32 { return uint32(u << 1 >> 33) }
 // span2001Max is Int31n's rejection bound for n = 2001.
 const span2001Max = 1<<31 - 1 - (1<<31)%2001
 
+// mod2001 is v % 2001 for v < 2³¹, by one multiply-high: m = ⌈2⁴²/2001⌉
+// = 2197924294 is 2⁴²/2001 plus e/2001 with e = 1190, so v·m/2⁴² is
+// v/2001 plus less than v·e/2⁴²/2001 < 1/2001, which never reaches the
+// next integer. The product fits 63 bits.
+func mod2001(v uint32) uint32 { return v - uint32(uint64(v)*2197924294>>42)*2001 }
+
 // uniform2001 fills dst with rand.Intn(2001) + off per word. Each pass
-// takes no more outputs than words are left, so a rejected output only
+// takes no more outputs than words are left and maps them to words one
+// for one, noting whether any was rejected; only then, about one pass in
+// 8000, does it map the pass again, skipping the rejected outputs, which
 // leaves a word for the next pass.
 func (s *inputStream) uniform2001(dst []mem.Word, off mem.Word) {
 	for len(dst) > 0 {
 		x := s.next()
 		x = x[:min(len(x), len(dst))]
-		j := 0
-		for _, u := range x {
-			if v := int31(u); v <= span2001Max {
-				dst[j] = mem.Word(v%2001) + off
-				j++
+		d := dst[:len(x)]
+		// over's sign bit is set once some output exceeds span2001Max.
+		var over int64
+		for k, u := range x {
+			v := int31(u)
+			over |= span2001Max - int64(v)
+			d[k] = mem.Word(mod2001(v)) + off
+		}
+		j := len(x)
+		if over < 0 {
+			j = 0
+			for _, u := range x {
+				if v := int31(u); v <= span2001Max {
+					dst[j] = mem.Word(mod2001(v)) + off
+					j++
+				}
 			}
 		}
 		s.pos += len(x)

@@ -186,14 +186,15 @@ func TestDrawsMatchIntn(t *testing.T) {
 	}
 
 	// Int31n(2001) rejects an Int31 above span2001Max, about one draw in
-	// five million. Find the first one in a natural stream and draw
-	// across it.
+	// five million. Find the first one in a natural stream that lies
+	// inside a register of rngLen outputs, not at its edge, and draw
+	// across it: in two fills, and in one fill of over a million words.
 	if span2001Max != 2147483204 {
 		t.Fatalf("span2001Max = %d, want 2147483204", span2001Max)
 	}
 	for seed := int64(0); ; seed++ {
 		if seed == 8 {
-			t.Fatal("no Int31n rejection in 8 seeds' first 4M draws")
+			t.Fatal("no Int31n rejection inside a register in 8 seeds' first 4M draws")
 		}
 		probe := rand.New(rand.NewSource(seed))
 		at := -1
@@ -202,13 +203,21 @@ func TestDrawsMatchIntn(t *testing.T) {
 				at = k
 			}
 		}
-		if at < 0 {
+		if at < 0 || at%rngLen == 0 || at%rngLen == rngLen-1 {
 			continue
+		}
+		one := new(pointScratch)
+		one.rng.seed(seed)
+		ref := rand.New(rand.NewSource(seed))
+		for j, v := range one.words(0, max(1<<20, at+rngLen)) {
+			if w := mem.Word(ref.Intn(2001) - 1000); v != w {
+				t.Fatalf("seed=%d rejection at %d: one fill, word %d = %d, Intn gives %d", seed, at, j, v, w)
+			}
 		}
 		// Fill a runs up to just before the rejected output, b across it.
 		s := new(pointScratch)
 		s.rng.seed(seed)
-		ref := rand.New(rand.NewSource(seed))
+		ref = rand.New(rand.NewSource(seed))
 		for i, n := range []int{at - 2, 5} {
 			for j, v := range s.words(i, n) {
 				if w := mem.Word(ref.Intn(2001) - 1000); v != w {
@@ -226,6 +235,25 @@ func TestDrawsMatchIntn(t *testing.T) {
 			t.Fatalf("seed=%d: after the rejection at %d the stream is at %d, not output %d (%d)", seed, at, got, at+4, want)
 		}
 		return
+	}
+}
+
+// TestMod2001: the multiply-high remainder equals v % 2001 at both ends
+// of [0, 2³¹) and on both sides of every multiple of 2001, where a
+// quotient that is one off would show.
+func TestMod2001(t *testing.T) {
+	check := func(v uint32) {
+		if got, want := mod2001(v), v%2001; got != want {
+			t.Fatalf("mod2001(%d) = %d, want %d", v, got, want)
+		}
+	}
+	for v := uint32(0); v < 1<<16; v++ {
+		check(v)
+		check(1<<31 - 1 - v)
+	}
+	for q := uint32(1); q <= (1<<31-1)/2001; q++ {
+		check(q*2001 - 1)
+		check(q * 2001)
 	}
 }
 

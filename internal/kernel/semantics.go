@@ -66,8 +66,8 @@ func (f Affine) Column(d []Word) {
 // Written out, the result equals Column on the written-out operands
 // exactly: two's-complement arithmetic is a ring, so the Sym rules, which
 // only add, subtract and scale by a uniform factor, cannot drift from the
-// lane-by-lane value, and the comparison rule answers only where it has
-// proved every lane agrees.
+// lane-by-lane value, and the comparison and quotient rules answer only
+// where they have proved every lane agrees.
 func (s *Sem) Symbolic(a, b Affine, width int) (d Affine, trap, ok bool) {
 	if a.Step == 0 && b.Step == 0 {
 		if s.Trap && b.Base == 0 {
@@ -183,8 +183,8 @@ var semTable = [opCount]Sem{
 			d[l] = a[l] * v
 		}
 	}), symMul),
-	OpDivI: trap(immSem(div, nil)),
-	OpModI: trap(immSem(mod, nil)),
+	OpDivI: sym(trap(immSem(div, nil)), symDiv),
+	OpModI: sym(trap(immSem(mod, nil)), symMod),
 	OpShlI: immSem(shl, nil),
 	OpShrI: immSem(shr, nil),
 	OpAndI: immSem(and, nil),
@@ -285,7 +285,9 @@ func sym(s Sem, rule func(a, b Affine, width int) (Affine, bool)) Sem {
 
 // The symbolic rules. Moving, adding and subtracting affine columns, and
 // scaling one by a uniform factor, stay affine lane for lane; the product
-// of two affine columns is quadratic and has no form.
+// of two affine columns is quadratic and has no form. Division and
+// remainder by an immediate have a form where every lane's quotient is
+// the same.
 func symMov(a, _ Affine, _ int) (Affine, bool) { return a, true }
 
 func symAdd(a, b Affine, _ int) (Affine, bool) {
@@ -327,6 +329,46 @@ func symOrdered(lane func(a, b Word) Word) func(a, b Affine, width int) (Affine,
 		}
 		return Uniform(v), true
 	}
+}
+
+// symDiv is divi's rule: the quotient, when every lane shares it.
+func symDiv(a, b Affine, width int) (Affine, bool) {
+	q, ok := sharedQuotient(a, b, width)
+	return Uniform(q), ok
+}
+
+// symMod is modi's rule: when every lane shares the quotient q, lane l's
+// remainder is a.Lane(l) − q·c, affine with a's step.
+func symMod(a, b Affine, width int) (Affine, bool) {
+	q, ok := sharedQuotient(a, b, width)
+	if !ok {
+		return Affine{}, false
+	}
+	return Affine{a.Base - q*b.Base, a.Step}, true
+}
+
+// sharedQuotient returns the quotient every lane of a has by the uniform
+// divisor b, or false. The divisor must be non-zero (a zero divisor traps
+// lane by lane) and a's end lanes must compute without overflow, so that a
+// is monotone across the lanes; truncating division by a fixed c ≠ −1 is
+// monotone in the dividend, so end lanes with one quotient give it to
+// every lane. By −1 the quotient is −a except MinInt64 / −1 = MinInt64,
+// which no other dividend's quotient equals, so distinct end lanes never
+// share it.
+func sharedQuotient(a, b Affine, width int) (Word, bool) {
+	c := b.Base
+	if b.Step != 0 || c == 0 {
+		return 0, false
+	}
+	an, ok := a.Last(width)
+	if !ok {
+		return 0, false
+	}
+	q := a.Base / c
+	if an/c != q {
+		return 0, false
+	}
+	return q, true
 }
 
 // Last returns f's value on lane width−1 computed over the integers, and

@@ -70,14 +70,11 @@ func newAccessRig(t *testing.T, c accessCase) (*launchState, *warp) {
 		blockScratch: make([]int, width),
 		sites:        make([]SiteStat, 1),
 	}
-	w, err := newWarp(width, rigRegs, sharedWords)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWarp(warpShape{width, 1, rigRegs, sharedWords})
 	w.addrs = make([]int, width)
-	w.reset(0)
-	for i := range w.shared.Raw() {
-		w.shared.Raw()[i] = kernel.Word(2000 + i)
+	w.reset(0, 1)
+	for i := range w.shared {
+		w.shared[i] = kernel.Word(2000 + i)
 	}
 	w.setColumn(rigDst, laneAddrs(width, func(l int) int64 { return kernel.Word(-7 - l) }))
 	w.setColumn(rigAddr, c.addrs)
@@ -87,7 +84,7 @@ func newAccessRig(t *testing.T, c accessCase) (*launchState, *warp) {
 		if !ok {
 			t.Fatalf("%s: address column %v is not lane-affine", c.name, c.addrs)
 		}
-		w.execSetAffine(rigAddr, rigAddr*width, f)
+		w.execSetForm(rigAddr, rigAddr*width, batchAffine{Affine: f})
 	}
 	for l := 0; l < width; l++ {
 		if c.active != nil && !c.active[l] {
@@ -101,14 +98,14 @@ func newAccessRig(t *testing.T, c accessCase) (*launchState, *warp) {
 // setColumn writes register r's column lane by lane and marks it written
 // out, as an instruction that computes it lane by lane does.
 func (w *warp) setColumn(r kernel.Reg, col []kernel.Word) {
-	copy(w.regs[int(r)*w.width:], col[:w.width])
+	copy(w.regs[int(r)*w.stride():], col[:w.lanes])
 	w.execWrote(r)
 }
 
 // flatRegs writes every register out and returns the register file.
 func (w *warp) flatRegs() []kernel.Word {
-	for base := 0; base < len(w.regs); base += w.width {
-		w.execColumn(kernel.Reg(base/w.width), base)
+	for base := 0; base < len(w.regs); base += w.stride() {
+		w.execColumn(kernel.Reg(base/w.stride()), base)
 	}
 	return w.regs
 }
@@ -131,7 +128,7 @@ func laneAffine(c []kernel.Word) (kernel.Affine, bool) {
 // memOf returns the memory the access targets and whether it is shared.
 func memOf(ls *launchState, w *warp, op kernel.Op) ([]kernel.Word, bool) {
 	if op == kernel.OpLdShared || op == kernel.OpStShared {
-		return w.shared.Raw(), true
+		return w.shared, true
 	}
 	return ls.d.global.Raw(), false
 }
@@ -409,8 +406,8 @@ func checkBroadcastLoadUniform(t *testing.T, width int) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				f, ok := w.execAffine(rd, int(in.D))
-				if !ok || f != kernel.Uniform(want) {
+				f, ok := w.execForm(rd, int(in.D))
+				if !ok || f != (batchAffine{Affine: kernel.Uniform(want)}) {
 					t.Fatalf("%s: destination form %+v (symbolic %v), want uniform %d", name, f, ok, want)
 				}
 				if width > 2 && w.form[rd] != formStale {

@@ -57,14 +57,13 @@ func execAtomRMW(w *warp, in *kernel.DInstr, mem []kernel.Word) {
 func (ls *launchState) execAtomShared(w *warp, in *kernel.DInstr) error {
 	width := ls.width
 	op, aBase := in.Op, int(in.A)
-	sh := w.shared
-	ssize := sh.Size()
+	ssize := w.sharedWords
 
 	if w.activeN == 0 {
 		w.pc++
 		return nil
 	}
-	if bad := execGather(w, in.Ra, aBase, ssize); bad >= 0 {
+	if bad := execGather(w, in.Ra, aBase, ssize, 0); bad >= 0 {
 		return sharedRangeErr(op, bad, w.regs[aBase+bad], ssize)
 	}
 
@@ -102,7 +101,7 @@ func (ls *launchState) execAtomShared(w *warp, in *kernel.DInstr) error {
 		}
 	}
 
-	execAtomRMW(w, in, sh.Raw())
+	execAtomRMW(w, in, w.shared)
 
 	w.state = wWaiting
 	w.readyAt = ls.cycle + int64(ls.d.cfg.SharedLatencyCycles)*int64(degree)
@@ -125,7 +124,7 @@ func (ls *launchState) execAtomGlobal(w *warp, in *kernel.DInstr) error {
 		w.pc++
 		return nil
 	}
-	if bad := execGather(w, in.Ra, aBase, gsize); bad >= 0 {
+	if bad := execGather(w, in.Ra, aBase, gsize, 0); bad >= 0 {
 		return globalRangeErr(op, bad, w.regs[aBase+bad], gsize)
 	}
 	nblocks := ls.execTransactions(w, accessScattered, 0)

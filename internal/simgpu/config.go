@@ -1,6 +1,6 @@
 // Package simgpu is a cycle-approximate simulator of a CUDA-like GPU, the
 // substrate standing in for the paper's GTX 650 testbed. It executes
-// kernel.Program launches over mem.Global/mem.Shared memories with:
+// kernel.Program launches over mem.Global memory and per-block shared memory with:
 //
 //   - lockstep warps of b lanes (the model's cores Cᵢ of a multiprocessor),
 //   - SIMT divergence for the single-block if construct ("If execution

@@ -25,13 +25,14 @@ type Device struct {
 	collectSites bool
 
 	// decCache holds the decoded execution form of each program launched
-	// on this device (the warp width is fixed per device, so one decode
-	// per program suffices).
-	decCache map[*kernel.Program]*kernel.Decoded
-	// warpPools hold retired warps, one pool per warp shape, for later
-	// launches to reuse. A device runs one launch at a time, so the pools
-	// need no lock.
-	warpPools []warpPool
+	// on this device, per column width: the warp width, and memo replay's
+	// batch width (see memo.go).
+	decCache map[decKey]*kernel.Decoded
+	// scratch holds the global-memory array and the retired scheduled
+	// warps, one pool per warp shape, for later launches — and, for a
+	// device built by NewReusing, later devices — to reuse. A device runs
+	// one launch at a time, so the pools need no lock.
+	scratch *Scratch
 
 	// uniformProver, when set, certifies that every block of a program
 	// provably executes the same instruction trace modulo OpBlockID-derived
@@ -39,9 +40,9 @@ type Device struct {
 	// certificate from internal/analyze, injected here as a callback
 	// because analyze imports simgpu). Certified launches are eligible for
 	// steady-state block memoization; see memo.go.
-	uniformProver UniformProver
+	uniformProver Certifier
 	// proverVerdicts caches certificate decisions per (program, blocks).
-	proverVerdicts map[proverKey]bool
+	proverVerdicts map[proverKey]verdict
 	// memoDisabled turns memoization off device-wide; the Host sets it
 	// while a fault injector is armed, since faults must observe every
 	// block individually.
@@ -52,22 +53,59 @@ type Device struct {
 	memoElided int64
 }
 
-// UniformProver is the certificate callback consulted before enabling block
-// memoization: it must return true only when every one of blocks thread
-// blocks of prog provably executes the same instruction trace on cfg, with
-// identical per-position transaction counts and latencies and mutually
-// disjoint global writes. analyze.UniformProver is the canonical
-// implementation.
+// A Certifier decides the certificate that gates block memoization.
+// analyze.Prover is the canonical implementation.
+type Certifier interface {
+	// Certify reports whether every one of blocks thread blocks of prog
+	// provably executes the same instruction trace on cfg, with identical
+	// per-position transaction counts and latencies and mutually disjoint
+	// global writes. split is the certificate's block split t, when it
+	// proved the blocks alike by splitting the block index as t·Q + R
+	// (memo replay never batches blocks across a multiple of t), or 0.
+	Certify(prog *kernel.Program, cfg Config, blocks int) (split int, ok bool)
+}
+
+// UniformProver is a Certifier that hands over the verdict alone, with no
+// block split: analyze.UniformProver is one.
 type UniformProver func(prog *kernel.Program, cfg Config, blocks int) bool
+
+// Certify returns p's verdict, with split 0.
+func (p UniformProver) Certify(prog *kernel.Program, cfg Config, blocks int) (int, bool) {
+	return 0, p(prog, cfg, blocks)
+}
 
 type proverKey struct {
 	prog   *kernel.Program
 	blocks int
 }
 
+// verdict is one cached Certify answer.
+type verdict struct {
+	split int
+	ok    bool
+}
+
+type decKey struct {
+	prog  *kernel.Program
+	width int
+}
+
+// Scratch is storage that outlives a device: the global-memory array and
+// the retired scheduled warps. A device built by NewReusing takes both
+// from its Scratch and leaves its retired warps there, so a caller
+// building device after device — one at a time — on one Scratch
+// allocates them once. (Memo replay's batch warps have process-wide
+// pools; see idleBatchWarps.)
+type Scratch struct {
+	// Global is the backing array global memory reuses (see NewReusing).
+	Global []mem.Word
+	pools  warpPools
+}
+
 // warpShape is what a warp's storage depends on: the warp width, the
-// register count and the shared words of the block it hosts.
-type warpShape struct{ width, regs, shared int }
+// blocks it holds side by side (1 but for a replay batch), the register
+// count and the shared words of one block.
+type warpShape struct{ width, blocks, regs, shared int }
 
 // warpPool is the retired warps of one shape.
 type warpPool struct {
@@ -75,53 +113,61 @@ type warpPool struct {
 	free  []*warp
 }
 
-// retiredWarps returns the device's pool of warps of shape, creating it
-// empty on first use. A device sees few shapes, so a scan finds it.
-func (d *Device) retiredWarps(shape warpShape) *warpPool {
-	for i := range d.warpPools {
-		if d.warpPools[i].shape == shape {
-			return &d.warpPools[i]
+// warpPools is retired warps, one pool per shape.
+type warpPools []*warpPool
+
+// of returns the pool of warps of shape, creating it empty on first use.
+// There are few shapes, so a scan finds it. A pool stays where it is
+// while later shapes are added.
+func (ps *warpPools) of(shape warpShape) *warpPool {
+	for _, p := range *ps {
+		if p.shape == shape {
+			return p
 		}
 	}
-	d.warpPools = append(d.warpPools, warpPool{shape: shape})
-	return &d.warpPools[len(d.warpPools)-1]
+	p := &warpPool{shape: shape}
+	*ps = append(*ps, p)
+	return p
 }
 
-// SetUniformProver installs the BlockUniform certificate callback that
-// gates block memoization. A nil prover (the default) disables memoization
-// entirely; launches are then always fully simulated.
-func (d *Device) SetUniformProver(p UniformProver) { d.uniformProver = p }
+// SetUniformProver installs the BlockUniform certifier that gates block
+// memoization. A nil prover (the default) disables memoization entirely;
+// launches are then always fully simulated.
+func (d *Device) SetUniformProver(p Certifier) { d.uniformProver = p }
 
 // MemoSkips reports how many launches on this device engaged block
 // memoization (used by tests and benches to prove engagement, or the lack
 // of it under fault injection).
 func (d *Device) MemoSkips() int64 { return d.memoSkips }
 
-// decoded returns the cached decoded form of prog, decoding on first use.
-func (d *Device) decoded(prog *kernel.Program) (*kernel.Decoded, error) {
-	if dec, ok := d.decCache[prog]; ok {
+// decoded returns the cached decoded form of prog for columns of width
+// lanes, decoding on first use.
+func (d *Device) decoded(prog *kernel.Program, width int) (*kernel.Decoded, error) {
+	k := decKey{prog, width}
+	if dec, ok := d.decCache[k]; ok {
 		return dec, nil
 	}
-	dec, err := kernel.Decode(prog, d.cfg.WarpWidth)
+	dec, err := kernel.Decode(prog, width)
 	if err != nil {
 		return nil, err
 	}
 	if d.decCache == nil {
-		d.decCache = make(map[*kernel.Program]*kernel.Decoded)
+		d.decCache = make(map[decKey]*kernel.Decoded)
 	}
-	d.decCache[prog] = dec
+	d.decCache[k] = dec
 	return dec, nil
 }
 
 // certified consults (and caches) the uniform prover's verdict.
-func (d *Device) certified(prog *kernel.Program, blocks int) bool {
+func (d *Device) certified(prog *kernel.Program, blocks int) verdict {
 	k := proverKey{prog, blocks}
 	if v, ok := d.proverVerdicts[k]; ok {
 		return v
 	}
-	v := d.uniformProver(prog, d.cfg, blocks)
+	var v verdict
+	v.split, v.ok = d.uniformProver.Certify(prog, d.cfg, blocks)
 	if d.proverVerdicts == nil {
-		d.proverVerdicts = make(map[proverKey]bool)
+		d.proverVerdicts = make(map[proverKey]verdict)
 	}
 	d.proverVerdicts[k] = v
 	return v
@@ -144,21 +190,22 @@ var (
 )
 
 // New creates a device with cfg's global memory allocated.
-func New(cfg Config) (*Device, error) { return NewReusing(cfg, nil) }
+func New(cfg Config) (*Device, error) { return NewReusing(cfg, new(Scratch)) }
 
-// NewReusing creates a device whose global memory reuses buf's backing
-// array when it holds cfg.GlobalWords words (see mem.NewGlobalReusing):
-// the memory is cleared, so the device behaves exactly as one from New.
-// The caller must not touch buf while the device is in use.
-func NewReusing(cfg Config, buf []mem.Word) (*Device, error) {
+// NewReusing creates a device on s: its global memory reuses s.Global's
+// backing array when it holds cfg.GlobalWords words (see
+// mem.NewGlobalReusing), and its launches reuse the warps retired into s.
+// The memory is cleared, so the device behaves exactly as one from New.
+// The caller must not touch s while the device is in use.
+func NewReusing(cfg Config, s *Scratch) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g, err := mem.NewGlobalReusing(buf, cfg.GlobalWords, cfg.WarpWidth)
+	g, err := mem.NewGlobalReusing(s.Global, cfg.GlobalWords, cfg.WarpWidth)
 	if err != nil {
 		return nil, err
 	}
-	return &Device{cfg: cfg, global: g, arena: mem.NewArena(g), failedSMs: make([]bool, cfg.NumSMs)}, nil
+	return &Device{cfg: cfg, global: g, arena: mem.NewArena(g), failedSMs: make([]bool, cfg.NumSMs), scratch: s}, nil
 }
 
 // FailSM marks multiprocessor i as failed; subsequent launches run
@@ -323,12 +370,12 @@ func (d *Device) LaunchTraced(prog *kernel.Program, numBlocks int, tr *Tracer) (
 		blockScratch: make([]int, d.cfg.WarpWidth),
 		tracer:       tr,
 	}
-	dec, err := d.decoded(prog)
+	dec, err := d.decoded(prog, ls.width)
 	if err != nil {
 		return KernelResult{}, err
 	}
 	ls.dec = dec
-	pool := d.retiredWarps(warpShape{ls.width, prog.NumRegs, prog.SharedWords})
+	pool := d.scratch.pools.of(warpShape{ls.width, 1, prog.NumRegs, prog.SharedWords})
 	ls.freeWarps = pool.free
 	defer func() { pool.free = ls.freeWarps }()
 	for i := 0; i < d.cfg.NumSMs; i++ {
@@ -350,9 +397,10 @@ func (d *Device) LaunchTraced(prog *kernel.Program, numBlocks int, tr *Tracer) (
 	// analyzer-certified kernels, and never while faults are armed. Every
 	// disable condition falls back to plain full simulation.
 	if tr == nil && !d.collectSites && !d.memoDisabled &&
-		numBlocks >= memoMinBlocks && d.uniformProver != nil &&
-		d.certified(prog, numBlocks) {
-		ls.memo = &memoState{}
+		numBlocks >= memoMinBlocks && d.uniformProver != nil {
+		if v := d.certified(prog, numBlocks); v.ok {
+			ls.memo = &memoState{split: v.split}
+		}
 	}
 	if err := ls.run(occ); err != nil {
 		return KernelResult{}, err
@@ -486,13 +534,8 @@ func (ls *launchState) refill(occ int) {
 			if len(sm.resident) >= occ {
 				continue
 			}
-			w, err := ls.acquire()
-			if err != nil {
-				// Allocation of warp scaffolding cannot fail for a
-				// validated config; treat defensively as full.
-				return
-			}
-			w.reset(ls.nextBlock)
+			w := ls.acquire()
+			w.reset(ls.nextBlock, 1)
 			w.smIdx = ls.smIDs[smIdx]
 			w.traceIdx = -1
 			if ls.tracer != nil {
@@ -514,19 +557,16 @@ func (ls *launchState) refill(occ int) {
 
 // acquire returns a retired warp of the launch's shape, or a new one,
 // gathering into the launch's address scratch.
-func (ls *launchState) acquire() (*warp, error) {
+func (ls *launchState) acquire() *warp {
 	var w *warp
 	if n := len(ls.freeWarps); n > 0 {
 		w = ls.freeWarps[n-1]
 		ls.freeWarps = ls.freeWarps[:n-1]
 	} else {
-		var err error
-		if w, err = newWarp(ls.width, ls.prog.NumRegs, ls.prog.SharedWords); err != nil {
-			return nil, err
-		}
+		w = newWarp(warpShape{ls.width, 1, ls.prog.NumRegs, ls.prog.SharedWords})
 	}
 	w.addrs = ls.addrs
-	return w, nil
+	return w
 }
 
 func (ls *launchState) recycle(w *warp) {

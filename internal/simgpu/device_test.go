@@ -485,11 +485,11 @@ func TestRetiredWarpsStartClean(t *testing.T) {
 		kb.Add(out, out, kernel.R(unset))
 	})
 	runAndRead(t, d, dirty, 16, 64)
-	if len(d.warpPools) != 1 || len(d.warpPools[0].free) == 0 {
-		t.Fatalf("no retired warps pooled after the first launch: %+v", d.warpPools)
+	if len(d.scratch.pools) != 1 || len(d.scratch.pools[0].free) == 0 {
+		t.Fatalf("no retired warps pooled after the first launch: %+v", d.scratch.pools)
 	}
 	pooled := map[*warp]bool{}
-	for _, w := range d.warpPools[0].free {
+	for _, w := range d.scratch.pools[0].free {
 		pooled[w] = true
 	}
 	for i, v := range runAndRead(t, d, clean, 16, 64) {
@@ -497,11 +497,11 @@ func TestRetiredWarpsStartClean(t *testing.T) {
 			t.Fatalf("thread %d saw a dirty register or shared word: %d", i, v)
 		}
 	}
-	if len(d.warpPools) != 1 || len(d.warpPools[0].free) != len(pooled) {
+	if len(d.scratch.pools) != 1 || len(d.scratch.pools[0].free) != len(pooled) {
 		t.Fatalf("second launch left %d pools, %d warps; want 1 pool of the first launch's %d warps",
-			len(d.warpPools), len(d.warpPools[0].free), len(pooled))
+			len(d.scratch.pools), len(d.scratch.pools[0].free), len(pooled))
 	}
-	for _, w := range d.warpPools[0].free {
+	for _, w := range d.scratch.pools[0].free {
 		if !pooled[w] {
 			t.Fatal("second launch allocated a warp instead of reusing a retired one")
 		}
@@ -539,7 +539,7 @@ func TestDeviceResetReusedMemory(t *testing.T) {
 		for i := range buf {
 			buf[i] = -1
 		}
-		d, err := NewReusing(cfg, buf)
+		d, err := NewReusing(cfg, &Scratch{Global: buf})
 		if err != nil {
 			t.Fatal(err)
 		}

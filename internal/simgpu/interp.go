@@ -17,45 +17,80 @@ var (
 	errNoActiveBr = errors.New("uniform branch with no active lanes")
 )
 
-// execCond inspects condition register r, column base a, across the
-// active lanes, returning the common truth value, whether the lanes agree,
-// and whether any lane was active. A uniform symbolic condition costs O(1).
-func (w *warp) execCond(r kernel.Reg, a int) (taken, uniform, any bool) {
-	if f, ok := w.execAffine(r, a); ok && f.Step == 0 {
-		return f.Base != 0, true, w.activeN > 0
+// errBlockVariant is memo replay's failure on a control condition that
+// differs between the blocks of a batch: they would not share a trace.
+var errBlockVariant = errors.New("condition differs between batched blocks (certificate violated)")
+
+// execCond resolves the uniform branch on condition register r, column
+// base a, across the active lanes, returning the common truth value. The
+// active lanes of a block must agree (else ErrDivergentLoop), and in a
+// batch every block must agree with the first (else errBlockVariant);
+// w.trapBlock names the first block that fails. A uniform symbolic
+// condition costs O(1).
+func (w *warp) execCond(r kernel.Reg, a int) (taken bool, err error) {
+	if w.activeN == 0 {
+		return false, errNoActiveBr
+	}
+	if f, ok := w.execForm(r, a); ok && f.uniform() {
+		return f.Base != 0, nil
 	}
 	col := w.execColumn(r, a)
-	uniform = true
-	for l, on := range w.active {
-		if !on {
-			continue
+	for b := 0; b < w.blocks; b++ {
+		row := col[b*w.width : (b+1)*w.width]
+		any, v := false, false
+		for l, on := range w.active[:w.width] {
+			if !on {
+				continue
+			}
+			if t := row[l] != 0; !any {
+				v, any = t, true
+			} else if t != v {
+				w.trapBlock = b
+				return false, ErrDivergentLoop
+			}
 		}
-		v := col[l] != 0
-		if !any {
+		if b == 0 {
 			taken = v
-			any = true
 		} else if v != taken {
-			uniform = false
+			w.trapBlock = b
+			return false, errBlockVariant
 		}
 	}
-	return taken, uniform, any
+	return taken, nil
 }
 
 // execIfBegin opens an if region on condition register r, column base a,
 // for execDec and memo replay. It reports whether any active lane enters
 // the body, in which case it saves the mask and masks off the lanes whose
 // condition is zero, and whether the active lanes disagree. A uniform
-// symbolic condition masks no lane.
-func (w *warp) execIfBegin(r kernel.Reg, a int) (enter, divergent bool) {
-	if f, ok := w.execAffine(r, a); ok && f.Step == 0 {
+// symbolic condition masks no lane. The mask is a batch's: every block's
+// active lanes must agree with the first block's lane for lane, or the
+// region fails with errBlockVariant naming the first block that does not
+// (w.trapBlock).
+func (w *warp) execIfBegin(r kernel.Reg, a int) (enter, divergent bool, err error) {
+	f, sym := w.execForm(r, a)
+	if sym && f.uniform() {
 		if f.Base == 0 || w.activeN == 0 {
-			return false, false
+			return false, false, nil
 		}
 		w.pushMask()
-		return true, false
+		return true, false, nil
 	}
+	width := w.width
 	col := w.execColumn(r, a)
-	for l, on := range w.active {
+	if !sym || f.BStep != 0 {
+		// A form with no block step repeats block 0's lanes.
+		for b := 1; b < w.blocks; b++ {
+			row := col[b*width : (b+1)*width]
+			for l, on := range w.active[:width] {
+				if on && (row[l] != 0) != (col[l] != 0) {
+					w.trapBlock = b
+					return false, false, errBlockVariant
+				}
+			}
+		}
+	}
+	for l, on := range w.active[:width] {
 		if !on {
 			continue
 		}
@@ -66,31 +101,39 @@ func (w *warp) execIfBegin(r kernel.Reg, a int) (enter, divergent bool) {
 		}
 	}
 	if !enter {
-		return false, false
+		return false, false, nil
 	}
 	w.pushMask()
-	for l, on := range w.active {
+	for l, on := range w.active[:width] {
 		if on && col[l] == 0 {
 			w.active[l] = false
 			w.activeN--
 		}
 	}
-	return true, divergent
+	for b := 1; b < w.blocks; b++ {
+		copy(w.active[b*width:(b+1)*width], w.active[:width])
+	}
+	return true, divergent, nil
 }
 
 // Warp memory accesses
 //
 // Every access resolves its address through execAccess, for the scheduled
-// interpreter and memo replay alike. A fully active warp's address is
-// range-checked and classified by execResolve: a symbolic address is a
-// contiguous run at step 1 and a broadcast at step 0, checked from its
-// first address in O(1); any other address column is written out and
-// classified by execClassify. A run spans width distinct banks and at most
+// interpreter and memo replay alike; in a batch each block's lanes address
+// global memory or the block's own shared memory. Every block is checked
+// before any data moves, so a trap leaves memory and registers as they
+// were. A fully active warp's address is range-checked and classified: a
+// symbolic address is a contiguous run at step 1 and a broadcast at step 0
+// in every block, checked from each block's first address in O(1), and
+// global runs whose block step is the run length abut into one run across
+// the batch; any other address column is written out and classified block
+// by block by execClassify. A run spans width distinct banks and at most
 // two blocks and moves as one copy; a broadcast hits one bank and one
 // block and loads as one fill. Every other pattern, and every partially
-// masked warp, is gathered into w.addrs (execGather) and priced by the
-// per-lane counters (conflictDegree, execTransactions). All exec* helpers
-// are under the atgpu-vet hotalloc contract: they must not allocate.
+// masked warp, is gathered into w.addrs (execGather) and, on a scheduled
+// warp, priced by the per-lane counters (conflictDegree,
+// execTransactions). All exec* helpers are under the atgpu-vet hotalloc
+// contract: they must not allocate.
 
 // accessKind is the pattern of a fully active warp's address column.
 type accessKind uint8
@@ -159,89 +202,198 @@ func execAffineKind(f kernel.Affine, width int) (accessKind, bool) {
 	return accessScattered, false
 }
 
-// execResolve range-checks and classifies the address register of in, a
-// fully active access to a memory of size words, returning the pattern,
-// lane 0's address and the first lane out of range, or -1. A symbolic run
-// or broadcast is never written out; any other address is, and a
-// scattered access moves through its column.
-func (w *warp) execResolve(in *kernel.DInstr, size int) (kind accessKind, a0 kernel.Word, bad int) {
-	if f, ok := w.execAffine(in.Ra, int(in.A)); ok {
-		if kind, ok := execAffineKind(f, w.width); ok {
-			return kind, f.Base, execPatternBad(kind, f.Base, w.width, size)
+// execAccess range-checks the load or store in against each block's
+// memory and moves its data, for execGlobal, execShared and memo replay.
+// mem is global memory of size words (stride 0), or for a shared access
+// the blocks' shared memories of size words each, stride words apart. A
+// fully active warp resolves its symbolic address or classifies its
+// written-out address column; when price is set a scattered one is also
+// gathered into w.addrs, which the per-lane pricing reads. A masked warp
+// is always gathered and reports accessScattered. It returns block 0's
+// pattern and lane 0 address for pricing, or the range trap of the first
+// block out of range (w.trapBlock), in which case nothing has moved.
+func (w *warp) execAccess(in *kernel.DInstr, mem []kernel.Word, size, stride int, price bool) (kind accessKind, a0 kernel.Word, err error) {
+	if w.activeN < w.width {
+		if bad := execGather(w, in.Ra, int(in.A), size, stride); bad >= 0 {
+			return accessScattered, 0, w.execRangeTrap(in.Op, bad, w.regs[int(in.A)+bad], size)
+		}
+		w.execMoveGathered(in, mem)
+		return accessScattered, 0, nil
+	}
+	if f, ok := w.execForm(in.Ra, int(in.A)); ok {
+		if kind, ok := execAffineKind(f.Affine, w.width); ok {
+			if bad := execPatternBad(kind, f.Base, w.width, size); bad >= 0 {
+				return kind, f.Base, w.execRangeTrap(in.Op, bad, f.Lane(bad), size)
+			}
+			for b := 1; b < w.blocks; b++ {
+				a0 := f.row(b).Base
+				if bad := execPatternBad(kind, a0, w.width, size); bad >= 0 {
+					return kind, f.Base, w.execRangeTrap(in.Op, b*w.width+bad, a0+f.Step*kernel.Word(bad), size)
+				}
+			}
+			w.execMoveForm(in, mem, stride, kind, f)
+			return kind, f.Base, nil
 		}
 	}
 	ac := w.execColumn(in.Ra, int(in.A))
-	kind, bad = execClassify(ac, size)
-	return kind, ac[0], bad
+	var kinds [memoBatchBlocks]accessKind
+	for b := 0; b < w.blocks; b++ {
+		lo := b * w.width
+		k, bad := execClassify(ac[lo:lo+w.width], size)
+		if bad >= 0 {
+			return k, ac[lo], w.execRangeTrap(in.Op, lo+bad, ac[lo+bad], size)
+		}
+		kinds[b] = k
+	}
+	kind, a0 = kinds[0], ac[0]
+	if price && kind == accessScattered {
+		execGather(w, in.Ra, int(in.A), size, stride)
+	}
+	w.execMoveColumn(in, mem, stride, kinds[:w.blocks], ac)
+	return kind, a0, nil
 }
 
-// execMove moves the fully active access in, resolved in range by
-// execResolve, to or from mem: a run is one copy, a broadcast load leaves
-// the destination uniform in O(1) and a broadcast store writes the last
-// lane's value (lanes land in ascending order, so the highest lane's value
-// stays), and a scattered access moves lane by lane through its
-// written-out address column.
-func (w *warp) execMove(in *kernel.DInstr, mem []kernel.Word, kind accessKind, a0 kernel.Word) {
-	width := w.width
-	a := int(in.A)
-	if in.Op == kernel.OpLdGlobal || in.Op == kernel.OpLdShared {
+// isLoad reports a load (else a store) of a memory instruction.
+func isLoad(op kernel.Op) bool { return op == kernel.OpLdGlobal || op == kernel.OpLdShared }
+
+// execMoveForm moves the fully active access in, whose symbolic address f
+// is in range as kind in every block, to or from mem (blocks stride words
+// apart). A scheduled warp's run, and global runs that abut (block step =
+// width), are one copy; a broadcast load that every block reads from one
+// word, a scheduled warp's included, leaves the destination uniform in
+// O(1), and any other broadcast load leaves each block's word in the
+// block's lane 0 (formRows).
+func (w *warp) execMoveForm(in *kernel.DInstr, mem []kernel.Word, stride int, kind accessKind, f batchAffine) {
+	run := kind == accessContiguous && (w.blocks == 1 || stride == 0 && f.BStep == kernel.Word(w.width))
+	if isLoad(in.Op) {
 		d := int(in.D)
-		dst := w.regs[d : d+width : d+width]
-		switch kind {
-		case accessContiguous:
-			copy(dst, mem[a0:a0+kernel.Word(width)])
-		case accessBroadcast:
-			w.execSetAffine(in.Rd, d, kernel.Uniform(mem[a0]))
+		switch {
+		case kind == accessBroadcast && (w.blocks == 1 || stride == 0 && f.BStep == 0):
+			w.execSetForm(in.Rd, d, batchAffine{Affine: kernel.Uniform(mem[f.Base])})
 			return
+		case kind == accessBroadcast:
+			for b := 0; b < w.blocks; b++ {
+				w.regs[d+b*w.width] = mem[b*stride+int(f.row(b).Base)]
+			}
+			w.form[in.Rd] = formRows
+			return
+		case run:
+			copy(w.regs[d:d+w.lanes], mem[f.Base:])
 		default:
-			// dst may be the address column: lane l reads it first.
-			for l, addr := range w.regs[a : a+width : a+width] {
-				dst[l] = mem[addr]
+			for b := 0; b < w.blocks; b++ {
+				w.execMoveBlock(in, mem[b*stride:], b, kind, f.row(b).Base)
 			}
 		}
 		w.execWrote(in.Rd)
 		return
 	}
 	src := w.execColumn(in.Rb, int(in.B))
+	if run {
+		copy(mem[f.Base:], src)
+		return
+	}
+	for b := 0; b < w.blocks; b++ {
+		w.execMoveBlock(in, mem[b*stride:], b, kind, f.row(b).Base)
+	}
+}
+
+// execMoveColumn moves the fully active access in, whose written-out
+// address column ac is in range as kinds[b] in block b, to or from mem
+// (blocks stride words apart). A scheduled warp's broadcast load leaves
+// the destination uniform in O(1).
+func (w *warp) execMoveColumn(in *kernel.DInstr, mem []kernel.Word, stride int, kinds []accessKind, ac []kernel.Word) {
+	load := isLoad(in.Op)
+	if !load {
+		w.execColumn(in.Rb, int(in.B))
+	} else if w.blocks == 1 && kinds[0] == accessBroadcast {
+		w.execSetForm(in.Rd, int(in.D), batchAffine{Affine: kernel.Uniform(mem[ac[0]])})
+		return
+	}
+	for b, kind := range kinds {
+		// ac may be the destination: block b reads its first address
+		// before its own lanes are loaded.
+		w.execMoveBlock(in, mem[b*stride:], b, kind, ac[b*w.width])
+	}
+	if load {
+		w.execWrote(in.Rd)
+	}
+}
+
+// execMoveBlock moves block b's lanes of the fully active access in, in
+// range as kind from a0, to or from m, the block's memory: a run is one
+// copy, a broadcast load fills the lanes and a broadcast store writes the
+// last lane's value (lanes land in ascending order, so the highest lane's
+// value stays), and a scattered access moves lane by lane through its
+// written-out address column. A store's source must be written out.
+func (w *warp) execMoveBlock(in *kernel.DInstr, m []kernel.Word, b int, kind accessKind, a0 kernel.Word) {
+	width, lo := w.width, b*w.width
+	if isLoad(in.Op) {
+		d := int(in.D) + lo
+		dst := w.regs[d : d+width : d+width]
+		switch kind {
+		case accessContiguous:
+			copy(dst, m[a0:])
+		case accessBroadcast:
+			v := m[a0]
+			for l := range dst {
+				dst[l] = v
+			}
+		default:
+			// dst may be the address column: lane l reads it first.
+			a := int(in.A) + lo
+			for l, addr := range w.regs[a : a+width : a+width] {
+				dst[l] = m[addr]
+			}
+		}
+		return
+	}
+	s := int(in.B) + lo
+	src := w.regs[s : s+width : s+width]
 	switch kind {
 	case accessContiguous:
-		copy(mem[a0:], src)
+		copy(m[a0:], src)
 	case accessBroadcast:
-		mem[a0] = src[width-1]
+		m[a0] = src[width-1]
 	default:
+		a := int(in.A) + lo
 		for l, addr := range w.regs[a : a+width : a+width] {
-			mem[addr] = src[l]
+			m[addr] = src[l]
 		}
 	}
 }
 
 // execGather range-checks the active lanes' addresses in register r,
-// column base aBase, against a memory of size words and gathers them into
-// w.addrs, -1 marking an inactive lane. It returns the first out-of-range
-// lane, or -1.
-func execGather(w *warp, r kernel.Reg, aBase, size int) int {
+// column base aBase, against each block's memory of size words and
+// gathers them into w.addrs as indexes into the blocks' memories, stride
+// words apart, -1 marking an inactive lane. It returns the first
+// out-of-range lane of the column, or -1.
+func execGather(w *warp, r kernel.Reg, aBase, size, stride int) int {
 	ac := w.execColumn(r, aBase)
-	for l, on := range w.active {
-		if !on {
-			w.addrs[l] = -1
-			continue
+	for b := 0; b < w.blocks; b++ {
+		lo, off := b*w.width, b*stride
+		for l, on := range w.active[:w.width] {
+			if !on {
+				w.addrs[lo+l] = -1
+				continue
+			}
+			addr := ac[lo+l]
+			if uint64(addr) >= uint64(size) {
+				return lo + l
+			}
+			w.addrs[lo+l] = int(addr) + off
 		}
-		addr := ac[l]
-		if uint64(addr) >= uint64(size) {
-			return l
-		}
-		w.addrs[l] = int(addr)
 	}
 	return -1
 }
 
 // execMoveGathered moves the gathered access in lane by lane in ascending
-// order: each lane with an address in w.addrs loads into Rd, whose masked
+// order: each lane with an index in w.addrs loads into Rd, whose masked
 // lanes keep their values, or stores from Rb.
 func (w *warp) execMoveGathered(in *kernel.DInstr, mem []kernel.Word) {
-	if in.Op == kernel.OpLdGlobal || in.Op == kernel.OpLdShared {
+	addrs := w.addrs[:w.lanes]
+	if isLoad(in.Op) {
 		dc := w.execColumn(in.Rd, int(in.D))
-		for l, a := range w.addrs {
+		for l, a := range addrs {
 			if a >= 0 {
 				dc[l] = mem[a]
 			}
@@ -250,38 +402,18 @@ func (w *warp) execMoveGathered(in *kernel.DInstr, mem []kernel.Word) {
 		return
 	}
 	sc := w.execColumn(in.Rb, int(in.B))
-	for l, a := range w.addrs {
+	for l, a := range addrs {
 		if a >= 0 {
 			mem[a] = sc[l]
 		}
 	}
 }
 
-// execAccess range-checks the warp-wide load or store in against mem and
-// moves its data, for execGlobal, execShared and memo replay. A fully
-// active warp resolves through execResolve; when price is set a scattered
-// one is also gathered into w.addrs, which the per-lane pricing reads. A
-// masked warp is always gathered and reports accessScattered. It returns
-// the pattern and lane 0's address for pricing, or the range trap, in
-// which case nothing has moved.
-func (w *warp) execAccess(in *kernel.DInstr, mem []kernel.Word, price bool) (kind accessKind, a0 kernel.Word, err error) {
-	size := len(mem)
-	if w.activeN == w.width {
-		kind, a0, bad := w.execResolve(in, size)
-		if bad >= 0 {
-			return kind, a0, execRangeErr(in.Op, bad, w.execColumn(in.Ra, int(in.A))[bad], size)
-		}
-		if price && kind == accessScattered {
-			execGather(w, in.Ra, int(in.A), size)
-		}
-		w.execMove(in, mem, kind, a0)
-		return kind, a0, nil
-	}
-	if bad := execGather(w, in.Ra, int(in.A), size); bad >= 0 {
-		return accessScattered, 0, execRangeErr(in.Op, bad, w.regs[int(in.A)+bad], size)
-	}
-	w.execMoveGathered(in, mem)
-	return accessScattered, 0, nil
+// execRangeTrap records the block of column lane i, whose address addr
+// lies outside a memory of size words, and returns the access's trap.
+func (w *warp) execRangeTrap(op kernel.Op, i int, addr kernel.Word, size int) error {
+	w.trapBlock = i / w.width
+	return execRangeErr(op, i%w.width, addr, size)
 }
 
 // execRangeErr is the trap of a load or store in whose lane l addresses
@@ -308,7 +440,8 @@ func sharedRangeErr(op kernel.Op, l int, addr kernel.Word, size int) error {
 // puts the warp to sleep for the transaction latency.
 func (ls *launchState) execGlobal(w *warp, in *kernel.DInstr) error {
 	op := in.Op
-	kind, a0, err := w.execAccess(in, ls.d.global.Raw(), true)
+	global := ls.d.global.Raw()
+	kind, a0, err := w.execAccess(in, global, len(global), 0, true)
 	if err != nil {
 		return err
 	}
@@ -407,7 +540,7 @@ func (ls *launchState) execTransactions(w *warp, kind accessKind, a0 kernel.Word
 // execShared performs a warp-wide shared memory access with bank-conflict
 // analysis and optional serialisation.
 func (ls *launchState) execShared(w *warp, in *kernel.DInstr) error {
-	kind, _, err := w.execAccess(in, w.shared.Raw(), true)
+	kind, _, err := w.execAccess(in, w.shared, w.sharedWords, w.sharedWords, true)
 	if err != nil {
 		return err
 	}

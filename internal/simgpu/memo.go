@@ -3,8 +3,10 @@ package simgpu
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/maphash"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -36,9 +38,11 @@ import (
 // period's additive statistics, and (c) replays the K*d elided blocks
 // through a data-only interpreter so global memory ends byte-identical
 // (certificate disjointness makes the replay order irrelevant, so the
-// replay runs on several goroutines). Timing, counters, and memory match
-// full simulation exactly; the differential tests pin this, and observe
-// gives the argument.
+// replay runs on several goroutines). Replay runs the blocks in batches
+// of consecutive blocks, one decoded instruction at a time for the whole
+// batch (replayBatch), since the certificate gives them one trace. Timing,
+// counters, and memory match full simulation exactly; the differential
+// tests pin this, and observe gives the argument.
 //
 // Memoization never engages when a tracer is attached (traces carry
 // per-block detail), when site collection is on, when a fault injector is
@@ -54,6 +58,11 @@ const (
 	// memoReplayMinChunk is the fewest elided blocks one replay goroutine
 	// takes; a shorter replay runs serially.
 	memoReplayMinChunk = 16
+	// memoBatchBlocks is the most blocks a replay batch runs side by side
+	// (a power of two), and memoBatchWords the register and shared words
+	// a batch may hold.
+	memoBatchBlocks = 8
+	memoBatchWords  = 1 << 15
 )
 
 // memoSnap is one recorded scheduler fingerprint.
@@ -71,6 +80,8 @@ type memoState struct {
 	enc   []byte
 	count int
 	off   bool
+	// split is the certificate's block split t, or 0 (see Certifier).
+	split int
 
 	// Applied skip, consumed by finishMemo.
 	applied      bool
@@ -236,28 +247,59 @@ func (ls *launchState) finishMemo() error {
 	return ls.memoReplay(m.replayFrom, ls.numBlocks)
 }
 
-// memoReplay runs blocks [from, to) through the data-only interpreter so
-// their register-file-to-memory effects land exactly as full simulation
-// would have produced them. The certificate guarantees the blocks' global
-// writes are disjoint from each other and from the simulated blocks', so
-// replay order is irrelevant: the range is split into up to GOMAXPROCS
-// contiguous chunks of at least memoReplayMinChunk blocks, each replayed on
-// its own warp. A failure reports the lowest failing block, the one a
-// serial replay would have stopped at.
+// batchBlocks returns how many blocks one replay batch of prog holds at
+// warp width width: memoBatchBlocks, or the largest power of two that
+// keeps a batch's registers and shared memory within memoBatchWords. A
+// power of two divides the block splits of the paper's power-of-two
+// tilings, so batches cut at its multiples stay whole.
+func batchBlocks(prog *kernel.Program, width int) int {
+	perBlock := max(1, prog.NumRegs*width+prog.SharedWords)
+	fit := max(1, min(memoBatchBlocks, memoBatchWords/perBlock))
+	return 1 << (bits.Len(uint(fit)) - 1)
+}
+
+// idleBatchWarps holds replay batch warps between launches for every
+// device in the process, one pool per warp shape: a batch warp outlives
+// the device, the Runner and the atgpud job that first needed it. A pool
+// keeps every warp put back, which is at most the chunks of the launches
+// that replayed at once; the registry's workloads have a few shapes per
+// preset.
+var idleBatchWarps struct {
+	sync.Mutex
+	pools warpPools
+}
+
+// memoReplay runs blocks [from, to) through the data-only batch
+// interpreter so their register-file-to-memory effects land exactly as
+// full simulation would have produced them. The certificate guarantees
+// the blocks' global writes are disjoint from each other and from the
+// simulated blocks', so replay order is irrelevant: the range is split
+// into up to GOMAXPROCS contiguous chunks of at least memoReplayMinChunk
+// blocks, cut at multiples of the batch size, each replayed on its own
+// batch warp (idleBatchWarps). A failure reports the lowest failing block,
+// the one a serial replay would have stopped at.
 func (ls *launchState) memoReplay(from, to int) error {
-	n := to - from
-	warps := make([]*warp, max(1, min(runtime.GOMAXPROCS(0), n/memoReplayMinChunk)))
-	for i := range warps {
-		w, err := ls.acquire()
-		if err != nil {
-			return err
-		}
-		if i > 0 {
-			w.addrs = make([]int, ls.width) // chunks run concurrently
-		}
-		warps[i] = w
+	batch := batchBlocks(ls.prog, ls.width)
+	dec, err := ls.d.decoded(ls.prog, batch*ls.width)
+	if err != nil {
+		return err
 	}
-	k := len(warps)
+	n := to - from
+	k := max(1, min(runtime.GOMAXPROCS(0), n/memoReplayMinChunk))
+	warps := make([]*warp, k)
+	cuts := make([]int, k+1)
+	idleBatchWarps.Lock()
+	pool := idleBatchWarps.pools.of(warpShape{ls.width, batch, ls.prog.NumRegs, ls.prog.SharedWords})
+	for i := range warps {
+		if m := len(pool.free); m > 0 {
+			warps[i], pool.free = pool.free[m-1], pool.free[:m-1]
+		} else {
+			warps[i] = newWarp(pool.shape)
+		}
+		cuts[i] = max(from, (from+i*n/k)/batch*batch)
+	}
+	idleBatchWarps.Unlock()
+	cuts[k] = to
 	errs := make([]error, k)
 	// Settle global memory's pending zeroes here, so the chunks' Raw
 	// calls only read (see mem.NewGlobalReusing).
@@ -267,7 +309,7 @@ func (ls *launchState) memoReplay(from, to int) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = ls.replayWith(warps[i], from+i*n/k, from+(i+1)*n/k)
+			errs[i] = ls.replayWith(warps[i], dec, batch, cuts[i], cuts[i+1])
 		}(i)
 	}
 	// Chunk 0 runs on the calling goroutine, which would only wait. The
@@ -275,10 +317,12 @@ func (ls *launchState) memoReplay(from, to int) error {
 	// would otherwise resume on that chunk's thread, and the rest of the
 	// run with it, on a CPU that may be slower.
 	runtime.LockOSThread()
-	errs[0] = ls.replayWith(warps[0], from, from+n/k)
+	errs[0] = ls.replayWith(warps[0], dec, batch, cuts[0], cuts[1])
 	wg.Wait()
 	runtime.UnlockOSThread()
-	ls.freeWarps = append(ls.freeWarps, warps...)
+	idleBatchWarps.Lock()
+	pool.free = append(pool.free, warps...)
+	idleBatchWarps.Unlock()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -287,50 +331,63 @@ func (ls *launchState) memoReplay(from, to int) error {
 	return nil
 }
 
-// replayWith replays blocks [from, to) in order on w, stopping at the
-// first failure. It writes nothing but w and global memory, so disjoint
-// ranges may run concurrently.
-func (ls *launchState) replayWith(w *warp, from, to int) error {
-	for blk := from; blk < to; blk++ {
-		w.reset(blk)
-		if err := ls.replayBlock(w); err != nil {
-			return fmt.Errorf("%w: kernel %s block %d pc %d (memo replay): %w",
-				ErrKernelTrap, ls.prog.Name, blk, w.pc, err)
+// replayWith replays blocks [from, to) on w batch by batch, stopping at
+// the first failure. A batch holds up to batch consecutive blocks and
+// spans no multiple of batch or of the certificate's block split t, so
+// its blocks share their quotient by t and a block index divided or
+// reduced by t keeps a symbolic form across the batch. It writes nothing
+// but w and global memory, so disjoint ranges may run concurrently.
+func (ls *launchState) replayWith(w *warp, dec *kernel.Decoded, batch, from, to int) error {
+	t := ls.memo.split
+	for first := from; first < to; {
+		end := min(to, (first/batch+1)*batch)
+		if t > 0 {
+			end = min(end, (first/t+1)*t)
 		}
+		if err := ls.replayBatch(w, dec, first, end-first); err != nil {
+			return err
+		}
+		first = end
 	}
 	return nil
 }
 
-// replayBlock executes one block's decoded trace for data effects only: no
-// statistics, no latencies, no scheduling. Control flow, traps and memory
-// bounds behave exactly as in execDec, through the same exec* helpers. The
-// instruction budget is bounded by the longest trace the real simulation
-// observed — the certificate proves all blocks trace identically, so
-// exceeding it means the certificate was wrong and the launch fails loudly
-// rather than diverge silently.
-func (ls *launchState) replayBlock(w *warp) error {
-	ins := ls.dec.Ins
+// replayBatch executes blocks [first, first+blocks) side by side on w
+// for data effects only: no statistics, no latencies, no scheduling, and
+// one decoded instruction at a time for the whole batch (dec holds the
+// column bases of w's registers). Control flow, traps and memory bounds
+// behave exactly as in execDec, through the same exec* helpers.
+//
+// The certificate proves the blocks trace identically, so the batch
+// shares one pc and one SIMT mask; a control condition that differs
+// between its blocks, or a trace longer than the longest the real
+// simulation observed (the instruction budget), means the certificate was
+// wrong, and the launch fails loudly rather than diverge silently. A trap
+// in a block above the first shrinks the batch to the blocks below it,
+// which run on from the trapping instruction (nothing moved there), and
+// is reported only if none of them fails: the error names the lowest
+// failing block, as a block-by-block replay would.
+func (ls *launchState) replayBatch(w *warp, dec *kernel.Decoded, first, blocks int) error {
+	w.reset(first, blocks)
+	ins := dec.Ins
 	budget := ls.stats.MaxWarpInstrs
+	var pending error
 	pc := 0
 	var instrs int64
 	for {
 		if pc < 0 || pc >= len(ins) {
-			w.pc = pc
-			return errPCRange
+			return ls.replayErr(first, pc, errPCRange)
 		}
 		if instrs >= budget {
-			w.pc = pc
-			return fmt.Errorf("memo replay exceeded %d instructions (certificate violated)", budget)
+			return ls.replayErr(first, pc, fmt.Errorf("memo replay exceeded %d instructions (certificate violated)", budget))
 		}
 		in := &ins[pc]
 		instrs++
 
+		var err error
 		switch in.Op {
 		case kernel.OpLdGlobal, kernel.OpStGlobal, kernel.OpLdShared, kernel.OpStShared:
-			if err := ls.replayMem(w, in); err != nil {
-				w.pc = pc
-				return err
-			}
+			err = ls.replayMem(w, in)
 
 		case kernel.OpBarrier:
 			// data-free
@@ -340,53 +397,59 @@ func (ls *launchState) replayBlock(w *warp) error {
 			continue
 
 		case kernel.OpBrNZ:
-			taken, uniform, any := w.execCond(in.Ra, int(in.A))
-			if !any {
-				w.pc = pc
-				return errNoActiveBr
-			}
-			if !uniform {
-				w.pc = pc
-				return ErrDivergentLoop
-			}
-			if taken {
+			var taken bool
+			if taken, err = w.execCond(in.Ra, int(in.A)); err == nil && taken {
 				pc = int(in.Target)
 				continue
 			}
 
 		case kernel.OpIfBegin:
-			if enter, _ := w.execIfBegin(in.Ra, int(in.A)); !enter {
+			var enter bool
+			if enter, _, err = w.execIfBegin(in.Ra, int(in.A)); err == nil && !enter {
 				pc = int(in.Target)
 				continue
 			}
 
 		case kernel.OpIfEnd:
 			if !w.popMask() {
-				w.pc = pc
-				return errMaskPop
+				err = errMaskPop
 			}
 
 		case kernel.OpHalt:
-			return nil
+			return pending
 
 		default:
-			if err := ls.execALU(w, in); err != nil {
-				w.pc = pc
+			err = ls.execALU(w, in)
+		}
+		if err != nil {
+			j := w.trapBlock
+			if err = ls.replayErr(first+j, pc, err); j == 0 || errors.Is(err, errBlockVariant) {
 				return err
 			}
+			pending = err
+			w.setBlocks(j)
+			w.trapBlock = 0
+			instrs--
+			continue
 		}
 		pc++
 	}
 }
 
-// replayMem moves one memory instruction's data for replayBlock through
-// the interpreter's execAccess, with its bounds checks and trap text but
-// without pricing.
+// replayMem moves one memory instruction's data for replayBatch through
+// execAccess, with its bounds checks and trap text but without pricing.
 func (ls *launchState) replayMem(w *warp, in *kernel.DInstr) error {
-	mem := ls.d.global.Raw()
 	if in.Op == kernel.OpLdShared || in.Op == kernel.OpStShared {
-		mem = w.shared.Raw()
+		_, _, err := w.execAccess(in, w.shared, w.sharedWords, w.sharedWords, false)
+		return err
 	}
-	_, _, err := w.execAccess(in, mem, false)
+	global := ls.d.global.Raw()
+	_, _, err := w.execAccess(in, global, len(global), 0, false)
 	return err
+}
+
+// replayErr is the launch error of a replay trap err in block blk at pc.
+func (ls *launchState) replayErr(blk, pc int, err error) error {
+	return fmt.Errorf("%w: kernel %s block %d pc %d (memo replay): %w",
+		ErrKernelTrap, ls.prog.Name, blk, pc, err)
 }

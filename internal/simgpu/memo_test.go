@@ -2,6 +2,7 @@ package simgpu
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -36,7 +37,7 @@ func uniformKernel(t *testing.T, b, n int) *kernel.Program {
 
 // alwaysUniform stands in for the analyzer's certificate in package-internal
 // tests (the kernels used here are uniform by construction).
-func alwaysUniform(*kernel.Program, Config, int) bool { return true }
+var alwaysUniform = UniformProver(func(*kernel.Program, Config, int) bool { return true })
 
 func memoConfig(n int) Config {
 	cfg := GTX650()
@@ -88,14 +89,58 @@ func vecaddSharedKernel(t *testing.T, b, n int) *kernel.Program {
 	return prog
 }
 
+// splitUniform certifies every launch and hands over the block split t,
+// as the analyzer does for a kernel that divides the block index by t.
+type splitUniform int
+
+func (t splitUniform) Certify(*kernel.Program, Config, int) (int, bool) { return int(t), true }
+
+// gridKernel builds a tile grid tiles wide over blocks of b lanes: block
+// k is tile (k / tiles, k % tiles), whose lanes load the word of input
+// tile (row, col), add 1000·row + col, pass the sum through shared
+// memory and store it n words further on, all lanes but the last (a mask
+// every block shares). The tile coordinates come from divi and modi of
+// the block index, so a replay batch keeps them symbolic only where its
+// blocks share a row.
+func gridKernel(t *testing.T, b, n, tiles int) *kernel.Program {
+	t.Helper()
+	kb := kernel.NewBuilder("memo-grid", b)
+	j, blk, row, col := kb.Reg("lane"), kb.Reg("block"), kb.Reg("row"), kb.Reg("col")
+	idx, val, tmp := kb.Reg("idx"), kb.Reg("val"), kb.Reg("tmp")
+	kb.LaneID(j)
+	kb.BlockID(blk)
+	kb.Div(row, blk, kernel.Imm(int64(tiles)))
+	kb.Mod(col, blk, kernel.Imm(int64(tiles)))
+	kb.Mul(idx, row, kernel.Imm(int64(tiles*b)))
+	kb.Mul(tmp, col, kernel.Imm(int64(b)))
+	kb.Add(idx, idx, kernel.R(tmp))
+	kb.Add(idx, idx, kernel.R(j))
+	kb.LdGlobal(val, idx)
+	kb.Mul(tmp, row, kernel.Imm(1000))
+	kb.Add(val, val, kernel.R(tmp))
+	kb.Add(val, val, kernel.R(col))
+	kb.StShared(j, val)
+	kb.LdShared(val, j)
+	kb.Slt(tmp, j, kernel.Imm(int64(b-1)))
+	kb.IfDo(tmp, func() {
+		kb.Add(idx, idx, kernel.Imm(int64(n)))
+		kb.StGlobal(idx, val)
+	})
+	prog, err := kb.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return prog
+}
+
 // TestMemoMatchesFullSimulation runs each kernel on a memoizing and a
 // plain device and requires memory, KernelStats and time to match
-// exactly. The vecadd cases drive replay through shared loads and stores:
-// all-active in every block, or with the last block's tail masked (n not
-// a multiple of the warp width). A masked tail breaks block uniformity —
-// the last block issues fewer lane ops and transactions than the period
-// memo scales in — so analyze.BlockUniform refuses that kernel and only
-// its memory, which replay's masked path writes, is required to match.
+// exactly. The vecadd cases drive replay through shared loads and stores
+// in every block. A masked tail (n not a multiple of the warp width)
+// breaks block uniformity — the last block masks lanes no other block
+// does — so analyze.BlockUniform refuses that kernel; handed a
+// certificate anyway, replay must fail loudly rather than batch the last
+// block with blocks whose mask differs.
 //
 // The residue cases sweep the launch size on every preset, with a shared
 // footprint of half an SM so two blocks are resident per SM and the
@@ -103,6 +148,14 @@ func vecaddSharedKernel(t *testing.T, b, n int) *kernel.Program {
 // blocks it schedules are the recurrence point plus remaining mod d: the
 // sweep must run at least 2·d sizes past the first skip and schedule d
 // distinct counts, so that every residue, 0 included, is checked.
+//
+// The grid cases run a tile grid 12 tiles wide, certified with block
+// split t = 12, on every preset: replay batches stop at multiples of the
+// batch size (4 or 8 here) and of 12, and the sizes must include one
+// whose replayed range starts and ends inside a batch and crosses a
+// multiple of 12. Certified without the split, the batches straddle tile
+// rows, and the quotients that differ within a batch are written out
+// lane by lane.
 func TestMemoMatchesFullSimulation(t *testing.T) {
 	type launch struct {
 		prog                *kernel.Program
@@ -121,18 +174,24 @@ func TestMemoMatchesFullSimulation(t *testing.T) {
 		// residue: blocks runs until every residue of remaining mod d
 		// has been checked.
 		residue bool
+		// split is the certificate's block split, 0 for none; midBatch
+		// requires a size whose replayed range starts and ends inside a
+		// batch and crosses a multiple of split.
+		split    int
+		midBatch bool
 	}
+	const gridTiles = 12
 	cases := []memoCase{
-		{"global", GTX650(), []int{512}, func(b, blocks int) launch {
+		{name: "global", cfg: GTX650(), blocks: []int{512}, kernel: func(b, blocks int) launch {
 			n := b * blocks
 			return launch{uniformKernel(t, b, n), 2 * n, n}
-		}, true, false},
-		{"vecadd-shared", GTX650(), []int{512}, vecadd, true, false},
+		}, uniform: true},
+		{name: "vecadd-shared", cfg: GTX650(), blocks: []int{512}, kernel: vecadd, uniform: true},
 		// n = 511·32 + 7: 512 blocks, 7 active lanes in the last.
-		{"vecadd-shared-masked-tail", GTX650(), []int{512}, func(b, blocks int) launch {
+		{name: "vecadd-shared-masked-tail", cfg: GTX650(), blocks: []int{512}, kernel: func(b, blocks int) launch {
 			n := (blocks-1)*b + 7
 			return launch{vecaddSharedKernel(t, b, n), 3 * n, 2 * n}
-		}, false, false},
+		}},
 	}
 	for _, cfg := range append(Presets(), Tiny()) {
 		// The period is about two blocks per SM; the sweep stops as soon
@@ -142,18 +201,32 @@ func TestMemoMatchesFullSimulation(t *testing.T) {
 			sizes = append(sizes, blocks)
 		}
 		half := cfg.SharedWords / 2
-		cases = append(cases, memoCase{"residues/" + cfg.Name, cfg, sizes, func(b, blocks int) launch {
+		cases = append(cases, memoCase{name: "residues/" + cfg.Name, cfg: cfg, blocks: sizes, kernel: func(b, blocks int) launch {
 			l := vecadd(b, blocks)
 			p := *l.prog
 			p.SharedWords = half
 			l.prog = &p
 			return l
-		}, true, true})
+		}, uniform: true, residue: true})
+		var grid []int
+		for blocks := max(16*cfg.NumSMs, 4*memoMinBlocks) + 1; len(grid) < 6; blocks += 5 {
+			grid = append(grid, blocks)
+		}
+		gridLaunch := func(b, blocks int) launch {
+			n := b * blocks
+			p := *gridKernel(t, b, n, gridTiles)
+			p.SharedWords = half
+			return launch{&p, 2 * n, n}
+		}
+		cases = append(cases,
+			memoCase{name: "grid/" + cfg.Name, cfg: cfg, blocks: grid, kernel: gridLaunch, uniform: true, split: gridTiles, midBatch: true},
+			// Without the split, batches of 8 straddle rows of 12 tiles.
+			memoCase{name: "grid-unsplit/" + cfg.Name, cfg: cfg, blocks: grid, kernel: gridLaunch, uniform: true})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.cfg.WarpWidth
-			run := func(l launch, blocks int, withProver bool) (KernelResult, []kernel.Word, int64, int64) {
+			run := func(l launch, blocks int, withProver bool) (KernelResult, []kernel.Word, int64, int64, error) {
 				cfg := tc.cfg
 				cfg.GlobalWords = l.globalWords
 				dev, err := New(cfg)
@@ -161,38 +234,55 @@ func TestMemoMatchesFullSimulation(t *testing.T) {
 					t.Fatalf("New: %v", err)
 				}
 				if withProver {
-					dev.SetUniformProver(alwaysUniform)
+					var c Certifier = alwaysUniform
+					if tc.split > 0 {
+						c = splitUniform(tc.split)
+					}
+					dev.SetUniformProver(c)
 				}
 				raw := dev.Global().Raw()
 				for i := 0; i < l.inputs; i++ {
 					raw[i] = int64(i * 3)
 				}
 				res, err := dev.Launch(l.prog, blocks)
-				if err != nil {
-					t.Fatalf("%d blocks: Launch: %v", blocks, err)
-				}
 				out := append([]kernel.Word(nil), dev.Global().Raw()...)
-				return res, out, dev.MemoSkips(), dev.memoElided
+				return res, out, dev.MemoSkips(), dev.memoElided, err
 			}
 
 			firstSkip, prevElided, period, last := 0, int64(0), int64(0), 0
 			scheduled := map[int]bool{}
+			midBatch := false
 			for _, blocks := range tc.blocks {
 				if tc.residue && period > 0 && last-firstSkip+1 >= 2*int(period) {
 					break
 				}
 				last = blocks
 				l := tc.kernel(b, blocks)
-				full, fullMem, fullSkips, _ := run(l, blocks, false)
-				memo, memoMem, memoSkips, elided := run(l, blocks, true)
+				full, fullMem, fullSkips, _, err := run(l, blocks, false)
+				if err != nil {
+					t.Fatalf("%d blocks: full simulation: %v", blocks, err)
+				}
+				memo, memoMem, memoSkips, elided, err := run(l, blocks, true)
+				if !tc.uniform {
+					// Only the last block's mask differs, so the batch
+					// holding it fails, naming it.
+					want := fmt.Sprintf("block %d pc", blocks-1)
+					if !errors.Is(err, ErrKernelTrap) || !errors.Is(err, errBlockVariant) || !strings.Contains(err.Error(), want) {
+						t.Fatalf("%d blocks: memo launch err = %v, want a certificate violation at %q", blocks, err, want)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%d blocks: Launch: %v", blocks, err)
+				}
 
 				if fullSkips != 0 {
 					t.Fatalf("%d blocks: prover-less device memoized %d launches", blocks, fullSkips)
 				}
-				if tc.uniform && full.Stats != memo.Stats {
+				if full.Stats != memo.Stats {
 					t.Errorf("%d blocks: stats diverge:\nfull: %+v\nmemo: %+v", blocks, full.Stats, memo.Stats)
 				}
-				if tc.uniform && full.Time != memo.Time {
+				if full.Time != memo.Time {
 					t.Errorf("%d blocks: time diverges: full %v, memo %v", blocks, full.Time, memo.Time)
 				}
 				for i := range fullMem {
@@ -200,10 +290,16 @@ func TestMemoMatchesFullSimulation(t *testing.T) {
 						t.Fatalf("%d blocks: global[%d] diverges: full %d, memo %d", blocks, i, fullMem[i], memoMem[i])
 					}
 				}
+				batch := batchBlocks(l.prog, b)
+				if from := blocks - int(elided); tc.split > 0 && elided > 0 &&
+					from%batch != 0 && blocks%batch != 0 &&
+					(from/tc.split+1)*tc.split < blocks {
+					midBatch = true
+				}
 				switch {
 				case !tc.residue:
 					if memoSkips != 1 {
-						t.Fatalf("memoizing device engaged %d times, want 1", memoSkips)
+						t.Fatalf("%d blocks: memoizing device engaged %d times, want 1", blocks, memoSkips)
 					}
 				case memoSkips == 0:
 					if firstSkip > 0 {
@@ -222,6 +318,9 @@ func TestMemoMatchesFullSimulation(t *testing.T) {
 					prevElided = elided
 					scheduled[blocks-int(elided)] = true
 				}
+			}
+			if tc.midBatch && !midBatch {
+				t.Errorf("no size in %v replays a range that starts and ends inside a batch and crosses a multiple of %d", tc.blocks, tc.split)
 			}
 			if !tc.residue {
 				return
@@ -342,59 +441,192 @@ func TestMemoReplayConcurrentMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestMemoReplayConcurrentReportsLowestBlock: a kernel that breaks the
-// certificate it was handed — every block from 200 on loads out of range —
-// fails in replay (blocks 0–63 are simulated: the schedule first recurs
-// at block 64, with period 32, and all 14 periods left are skipped). Each
-// concurrent chunk fails at its own first block, so the error must be the
-// lowest one, with the block, pc and text a serial replay reports.
+// TestMemoReplayConcurrentReportsLowestBlock: kernels that break the
+// certificate they were handed fail in replay (blocks 0–63 are simulated:
+// the schedule first recurs at block 64, with period 32, and all 14
+// periods left are skipped), and the error must be the lowest failing
+// block's, with the block, pc and text a block-by-block replay reports,
+// whether the replay runs on one goroutine or on several, each failing at
+// its own first block. In the first kernel every block from 200 on loads
+// out of range. In the second, blocks from 205 on do, while block 202
+// stores out of range later in the trace: in the batch of blocks 200–207
+// the higher blocks trap first, and the error must still be block 202's.
 func TestMemoReplayConcurrentReportsLowestBlock(t *testing.T) {
-	const b, blocks, bad = 32, 512, 200
+	const b, blocks = 32, 512
 	n := b * blocks
-	kb := kernel.NewBuilder("memo-oob", 0)
-	j := kb.Reg("lane")
-	blk := kb.Reg("block")
-	idx := kb.Reg("idx")
-	off := kb.Reg("off")
-	kb.LaneID(j)
-	kb.BlockID(blk)
-	kb.Mul(idx, blk, kernel.Imm(b))
-	kb.Add(idx, idx, kernel.R(j))
-	// off = 2n·(blk ≥ bad): past global memory from block bad on.
-	kb.Slt(off, blk, kernel.Imm(bad))
-	kb.Seq(off, off, kernel.Imm(0))
-	kb.Mul(off, off, kernel.Imm(int64(2*n)))
-	kb.Add(off, off, kernel.R(idx))
-	kb.LdGlobal(off, off)
-	kb.StGlobal(idx, off)
-	prog, err := kb.Build()
-	if err != nil {
-		t.Fatalf("build: %v", err)
+	cases := []struct {
+		name string
+		// loadFrom is the first block whose load is out of range;
+		// storeAt, if not 0, the one block whose store is.
+		loadFrom, storeAt int
+		want              string
+	}{
+		{"load-from-200", 200, 0, "block 200 pc 8 (memo replay): address out of range: global ld.global lane 0 addr 39168 (G=32768)"},
+		{"later-trap-in-lower-block", 205, 202, "block 202 pc 12 (memo replay): address out of range: global st.global lane 0 addr 39232 (G=32768)"},
 	}
-	launch := func() error {
-		dev, err := New(memoConfig(n))
+	for _, tc := range cases {
+		kb := kernel.NewBuilder("memo-oob", 0)
+		j := kb.Reg("lane")
+		blk := kb.Reg("block")
+		idx := kb.Reg("idx")
+		off := kb.Reg("off")
+		kb.LaneID(j)
+		kb.BlockID(blk)
+		kb.Mul(idx, blk, kernel.Imm(b))
+		kb.Add(idx, idx, kernel.R(j))
+		// off = 2n·(blk ≥ loadFrom): past global memory from that block on.
+		kb.Slt(off, blk, kernel.Imm(int64(tc.loadFrom)))
+		kb.Seq(off, off, kernel.Imm(0))
+		kb.Mul(off, off, kernel.Imm(int64(2*n)))
+		kb.Add(off, off, kernel.R(idx))
+		kb.LdGlobal(off, off)
+		if tc.storeAt != 0 {
+			// idx += 2n·(blk == storeAt).
+			at := kb.Reg("at")
+			kb.Seq(at, blk, kernel.Imm(int64(tc.storeAt)))
+			kb.Mul(at, at, kernel.Imm(int64(2*n)))
+			kb.Add(idx, idx, kernel.R(at))
+		}
+		kb.StGlobal(idx, off)
+		prog, err := kb.Build()
 		if err != nil {
-			t.Fatalf("New: %v", err)
+			t.Fatalf("build: %v", err)
+		}
+		launch := func() error {
+			dev, err := New(memoConfig(n))
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			dev.SetUniformProver(alwaysUniform)
+			_, err = dev.Launch(prog, blocks)
+			if dev.MemoSkips() != 1 || dev.memoElided != blocks-64 {
+				t.Fatalf("%s: memoization engaged %d times, replaying %d blocks; want 1, replaying %d",
+					tc.name, dev.MemoSkips(), dev.memoElided, blocks-64)
+			}
+			return err
+		}
+		var serial, concurrent error
+		withProcs(1, func() { serial = launch() })
+		withProcs(4, func() { concurrent = launch() })
+		if !errors.Is(serial, ErrKernelTrap) || !strings.HasSuffix(serial.Error(), tc.want) {
+			t.Fatalf("%s: serial replay err = %v, want a memo-replay trap ending %q", tc.name, serial, tc.want)
+		}
+		if concurrent == nil || concurrent.Error() != serial.Error() {
+			t.Errorf("%s: concurrent replay err = %v\nwant the serial one: %v", tc.name, concurrent, serial)
+		}
+	}
+}
+
+// TestMemoReplayFailsOnBlockVariantControl: a batch shares one pc and one
+// SIMT mask, so a kernel whose if-condition or loop trip count differs
+// between blocks breaks the certificate it was handed, and replay must
+// fail the launch as a certificate violation, not diverge silently, while
+// full simulation runs it.
+func TestMemoReplayFailsOnBlockVariantControl(t *testing.T) {
+	const b, blocks = 32, 512
+	n := b * blocks
+	// Blocks 0–63, which the scheduler runs before memoization engages,
+	// all take one path; blocks from 300 on take another.
+	cases := map[string]func(kb *kernel.Builder, blk, val kernel.Reg){
+		"if": func(kb *kernel.Builder, blk, val kernel.Reg) {
+			c := kb.Reg("late")
+			kb.Slt(c, blk, kernel.Imm(300))
+			kb.IfDo(c, func() { kb.Const(val, 1) })
+		},
+		"loop": func(kb *kernel.Builder, blk, val kernel.Reg) {
+			trips := kb.Reg("trips")
+			kb.Slt(trips, blk, kernel.Imm(300))
+			kb.Add(trips, trips, kernel.Imm(1))
+			kb.ForDo(kernel.Imm(0), kernel.R(trips), 1, func(kernel.Reg) {
+				kb.Add(val, val, kernel.Imm(1))
+			})
+		},
+	}
+	for name, body := range cases {
+		kb := kernel.NewBuilder("memo-variant-"+name, 0)
+		j, blk, idx, val := kb.Reg("lane"), kb.Reg("block"), kb.Reg("idx"), kb.Reg("val")
+		kb.LaneID(j)
+		kb.BlockID(blk)
+		kb.Mul(idx, blk, kernel.Imm(b))
+		kb.Add(idx, idx, kernel.R(j))
+		kb.Const(val, 0)
+		body(kb, blk, val)
+		kb.StGlobal(idx, val)
+		prog, err := kb.Build()
+		if err != nil {
+			t.Fatalf("%s: build: %v", name, err)
+		}
+		for _, withProver := range []bool{false, true} {
+			dev, err := New(memoConfig(n))
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			if withProver {
+				dev.SetUniformProver(alwaysUniform)
+			}
+			_, err = dev.Launch(prog, blocks)
+			switch {
+			case !withProver && err != nil:
+				t.Fatalf("%s: full simulation: %v", name, err)
+			case withProver && dev.MemoSkips() != 1:
+				t.Fatalf("%s: memoization engaged %d times, want 1", name, dev.MemoSkips())
+			case withProver && (!errors.Is(err, errBlockVariant) || !strings.Contains(err.Error(), "(memo replay): condition differs between batched blocks (certificate violated)")):
+				t.Fatalf("%s: memo launch err = %v, want a certificate violation in replay", name, err)
+			}
+		}
+	}
+}
+
+// TestMemoWarpsReusedAcrossDevices: devices built one after another on
+// one Scratch, as a Runner's sweep points are, take their scheduled warps
+// from it and leave them there, memoized launches included, so only the
+// first launch allocates them. Batch warps go back to their process-wide
+// pool, not to the Scratch.
+func TestMemoWarpsReusedAcrossDevices(t *testing.T) {
+	const b, blocks = 32, 512
+	n := b * blocks
+	prog := vecaddSharedKernel(t, b, n)
+	var s Scratch
+	pooled := func() map[*warp]bool {
+		ws := map[*warp]bool{}
+		for _, p := range s.pools {
+			for _, w := range p.free {
+				ws[w] = true
+			}
+		}
+		return ws
+	}
+	var first map[*warp]bool
+	for i := 0; i < 3; i++ {
+		cfg := GTX650()
+		cfg.GlobalWords = 3 * n
+		dev, err := NewReusing(cfg, &s)
+		if err != nil {
+			t.Fatal(err)
 		}
 		dev.SetUniformProver(alwaysUniform)
-		_, err = dev.Launch(prog, blocks)
-		if dev.MemoSkips() != 1 || dev.memoElided != blocks-64 {
-			t.Fatalf("memoization engaged %d times, replaying %d blocks; want 1, replaying %d",
-				dev.MemoSkips(), dev.memoElided, blocks-64)
+		if _, err := dev.Launch(prog, blocks); err != nil {
+			t.Fatalf("device %d: %v", i, err)
 		}
-		return err
-	}
-	var serial, concurrent error
-	withProcs(1, func() { serial = launch() })
-	withProcs(4, func() { concurrent = launch() })
-	if !errors.Is(serial, ErrKernelTrap) || !strings.Contains(serial.Error(), "memo replay") {
-		t.Fatalf("serial replay err = %v, want a memo-replay trap", serial)
-	}
-	if want := "block 200 pc"; !strings.Contains(serial.Error(), want) {
-		t.Fatalf("serial replay err = %v, want it at %q", serial, want)
-	}
-	if concurrent == nil || concurrent.Error() != serial.Error() {
-		t.Errorf("concurrent replay err = %v\nwant the serial one: %v", concurrent, serial)
+		if dev.MemoSkips() != 1 {
+			t.Fatalf("device %d: memoization engaged %d times, want 1", i, dev.MemoSkips())
+		}
+		got := pooled()
+		if len(s.pools) != 1 {
+			t.Fatalf("device %d: %d warp pools after a memoized launch, want 1 (scheduled warps)", i, len(s.pools))
+		}
+		if i == 0 {
+			first = got
+			continue
+		}
+		if len(got) != len(first) {
+			t.Fatalf("device %d: %d pooled warps, want the first device's %d", i, len(got), len(first))
+		}
+		for w := range got {
+			if !first[w] {
+				t.Fatalf("device %d allocated a warp instead of reusing one", i)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package simgpu
 
 import (
 	"atgpu/internal/kernel"
-	"atgpu/internal/mem"
 )
 
 // wState is the scheduling state of a warp.
@@ -17,10 +16,18 @@ const (
 // warp is one resident thread block's execution state. In the ATGPU model a
 // thread block is exactly one warp: the b cores Cᵢ of a multiprocessor
 // executing "the same set of instructions at the same time (in lockstep)".
+//
+// Memo replay runs a batch of consecutive blocks on one warp (memo.go):
+// every register holds a column of width lanes per block, blocks side by
+// side, and every block has its own shared memory, while the pc and the
+// SIMT mask are the batch's. A scheduled warp is a batch of one block.
 type warp struct {
-	blockID int
+	blockID int // the block, or a batch's first block
 	pc      int
 	state   wState
+	// fresh is the form execSetForm leaves: formStale when the column has
+	// lanes past the anchors, else formAffine.
+	fresh   regForm
 	readyAt int64 // cycle at which a waiting warp becomes ready
 	instrs  int64 // warp-instructions issued by this block
 	atomSer int64 // Σ(degree−1) over this block's atomic accesses
@@ -30,73 +37,116 @@ type warp struct {
 	smIdx    int
 	traceIdx int
 
-	// regs is the flattened per-lane register file: register r of lane l
-	// is regs[int(r)*width + l].
-	regs []kernel.Word
-	// form is each register's symbolic state; see regForm.
-	form  [256]regForm
-	width int
-	// active is the SIMT mask; lanes masked off by an if.begin stay
-	// inactive until the matching if.end. activeN caches the number of
-	// true entries — it is maintained by reset/popMask and by the if.begin
-	// handlers, the only places the mask changes.
-	active  []bool
+	// The fields every instruction reads sit together, ahead of form.
+	width  int
+	blocks int
+	lanes  int
+	// activeN caches the number of true entries of active among one
+	// block's lanes — it is maintained by reset/popMask and by the
+	// if.begin handlers, the only places the mask changes.
 	activeN int
+	// regs is the flattened register file: lane l of block b of register
+	// r is regs[int(r)*stride + b*width + l], stride being the lanes the
+	// warp's shape holds per register. A register's column is its first
+	// lanes = blocks·width words.
+	regs []kernel.Word
+	// active is the SIMT mask, one entry per lane the shape holds: every
+	// block's lanes carry the same mask. Lanes masked off by an if.begin
+	// stay inactive until the matching if.end, so with no if region open
+	// (maskDepth 0) every entry is true.
+	active []bool
+	// form is each register's symbolic state; see regForm.
+	form [256]regForm
+
 	// maskStack saves outer masks across nested if regions; maskDepth is
 	// the live depth (entries above it are reusable storage).
 	maskStack [][]bool
 	maskDepth int
 
-	// shared is the block's shared-memory allocation.
-	shared *mem.Shared
+	// shared is the blocks' shared memory: block b's sharedWords words
+	// start at b·sharedWords.
+	shared      []kernel.Word
+	sharedWords int
 
-	// addrs is scratch for gathering a warp-wide address vector. It is
-	// not the warp's own: acquire points it at the launch's, which the
-	// warps share because a launch issues one instruction at a time, and
-	// each concurrent memo replay chunk gets one of its own.
+	// addrs is scratch for gathering an address column. A scheduled
+	// warp's is not its own: acquire points it at the launch's, which the
+	// warps share because a launch issues one instruction at a time. A
+	// batch warp has its own, one entry per lane of the column.
 	addrs []int
+
+	// trapBlock is the batch block, counted from the first, whose lanes
+	// raised the trap an exec helper just returned; 0 on a scheduled warp.
+	trapBlock int
 }
 
-func newWarp(width, numRegs, sharedWords int) (*warp, error) {
-	sh, err := mem.NewShared(sharedWords, width)
-	if err != nil {
-		return nil, err
+// newWarp allocates a warp of shape.
+func newWarp(shape warpShape) *warp {
+	stride := shape.blocks * shape.width
+	w := &warp{
+		width:       shape.width,
+		regs:        make([]kernel.Word, shape.regs*stride),
+		active:      make([]bool, stride),
+		shared:      make([]kernel.Word, shape.blocks*shape.shared),
+		sharedWords: shape.shared,
 	}
-	return &warp{
-		width:  width,
-		regs:   make([]kernel.Word, numRegs*width),
-		active: make([]bool, width),
-		shared: sh,
-	}, nil
+	for i := range w.active {
+		w.active[i] = true
+	}
+	if shape.blocks > 1 {
+		w.addrs = make([]int, stride)
+	}
+	return w
 }
 
-// reset prepares the warp to run block blockID from a clean state:
-// every register the uniform 0, zeroed shared memory, full mask, pc 0.
-// Only lanes 0 and 1 of each register are cleared; the rest are stale.
-func (w *warp) reset(blockID int) {
+// stride returns the lanes the warp holds per register.
+func (w *warp) stride() int { return len(w.active) }
+
+// reset prepares the warp to run blocks consecutive blocks from blockID
+// from a clean state: every register the uniform 0, zeroed shared memory,
+// full mask, pc 0. Only a register's anchor lanes (see execForm) are
+// cleared; the rest are stale.
+func (w *warp) reset(blockID, blocks int) {
 	w.blockID = blockID
 	w.pc = 0
 	w.state = wReady
 	w.readyAt = 0
 	w.instrs = 0
 	w.atomSer = 0
-	initial := formAffine
-	if w.width > 2 {
-		initial = formStale
-	}
-	for base, r := 0, 0; base < len(w.regs); base, r = base+w.width, r+1 {
+	w.trapBlock = 0
+	w.setBlocks(blocks)
+	initial := w.fresh
+	stride := w.stride()
+	for base, r := 0, 0; base < len(w.regs); base, r = base+stride, r+1 {
 		w.regs[base] = 0
 		if w.width > 1 {
 			w.regs[base+1] = 0
 		}
+		if blocks > 1 {
+			w.regs[base+w.width] = 0
+		}
 		w.form[r] = initial
 	}
-	for i := range w.active {
-		w.active[i] = true
+	if w.maskDepth > 0 {
+		// The last run ended inside an if region.
+		for i := range w.active {
+			w.active[i] = true
+		}
+		w.maskDepth = 0
 	}
-	w.activeN = len(w.active)
-	w.maskDepth = 0
-	w.shared.Zero()
+	w.activeN = w.width
+	clear(w.shared[:blocks*w.sharedWords])
+}
+
+// setBlocks sets how many blocks the warp runs. Shrinking a batch keeps the
+// first blocks' state exactly: their registers, forms, shared memory and
+// mask all lie in the prefix.
+func (w *warp) setBlocks(blocks int) {
+	w.blocks = blocks
+	w.lanes = blocks * w.width
+	w.fresh = formAffine
+	if w.lanes > 2 {
+		w.fresh = formStale
+	}
 }
 
 // pushMask saves the current mask, reusing stack storage when available.
@@ -117,7 +167,7 @@ func (w *warp) popMask() bool {
 	w.maskDepth--
 	copy(w.active, w.maskStack[w.maskDepth])
 	n := 0
-	for _, a := range w.active {
+	for _, a := range w.active[:w.width] {
 		if a {
 			n++
 		}
@@ -126,27 +176,58 @@ func (w *warp) popMask() bool {
 	return true
 }
 
-// regForm is the form a register's column is in.
+// regForm is the form a register's column is in: two bits, whether the
+// register has a symbolic form and whether lanes are left to write out.
 type regForm uint8
 
 const (
 	// formFlat: every lane of the column holds its value, and the register
 	// has no symbolic form.
-	formFlat regForm = iota
-	// formAffine: the register is lane-affine. Lanes 0 and 1 of its column
-	// hold their values v0 and v1, and lane l holds v0 + (v1−v0)·l (on a
-	// one-lane warp, just v0). Every lane is written out.
-	formAffine
-	// formStale: as formAffine, but the lanes from 2 up are not written
-	// out yet. execColumn writes them out before anything reads the column
-	// lane by lane.
-	formStale
+	formFlat regForm = 0
+	// formUnwritten marks a column with lanes not written out yet:
+	// execColumn writes them out before anything reads the column lane by
+	// lane.
+	formUnwritten regForm = 1
+	// formSymbolic marks a register with a symbolic form (see execForm),
+	// held in its anchor lanes.
+	formSymbolic regForm = 2
+	// formAffine: symbolic, every lane written out.
+	formAffine = formSymbolic
+	// formStale: symbolic, the lanes past the anchors not written out.
+	formStale = formSymbolic | formUnwritten
+	// formRows: in a batch, every block's lanes hold one value, kept in
+	// the block's lane 0; the other lanes are not written out. It has no
+	// symbolic form: a broadcast load from shared memory leaves it, one
+	// word per block.
+	formRows = formUnwritten
 )
 
-// execAffine returns register r's symbolic form, column base base, or
-// false when it has none.
+// batchAffine is a register in symbolic form across a batch: lane l of
+// block b holds Base + Step·l + BStep·b in wrapping arithmetic. On a
+// scheduled warp BStep is 0.
+type batchAffine struct {
+	kernel.Affine // block 0's lanes
+	BStep         kernel.Word
+}
+
+// row returns block b's lanes.
+func (f batchAffine) row(b int) kernel.Affine {
+	return kernel.Affine{Base: f.Base + f.BStep*kernel.Word(b), Step: f.Step}
+}
+
+// col returns lane l across the blocks.
+func (f batchAffine) col(l int) kernel.Affine {
+	return kernel.Affine{Base: f.Base + f.Step*kernel.Word(l), Step: f.BStep}
+}
+
+// uniform reports a value that is the same on every lane of every block.
+func (f batchAffine) uniform() bool { return f.Step == 0 && f.BStep == 0 }
+
+// execAffine returns register r's symbolic form along the lanes of block
+// 0, column base base, or false when it has none: lanes 0 and 1 of its
+// column hold their values (on a one-lane warp, lane 0 alone).
 func (w *warp) execAffine(r kernel.Reg, base int) (kernel.Affine, bool) {
-	if w.form[r] == formFlat {
+	if w.form[r]&formSymbolic == 0 {
 		return kernel.Affine{}, false
 	}
 	v0 := w.regs[base]
@@ -156,28 +237,69 @@ func (w *warp) execAffine(r kernel.Reg, base int) (kernel.Affine, bool) {
 	return kernel.Affine{Base: v0, Step: w.regs[base+1] - v0}, true
 }
 
+// execForm returns register r's symbolic form across the batch, read from
+// its anchor lanes — lanes 0 and 1 of block 0 and lane 0 of block 1 — or
+// false when it has none.
+func (w *warp) execForm(r kernel.Reg, base int) (batchAffine, bool) {
+	if w.form[r]&formSymbolic == 0 {
+		return batchAffine{}, false
+	}
+	v0 := w.regs[base]
+	f := batchAffine{Affine: kernel.Uniform(v0)}
+	if w.width > 1 {
+		f.Step = w.regs[base+1] - v0
+	}
+	if w.blocks > 1 {
+		f.BStep = w.regs[base+w.width] - v0
+	}
+	return f, true
+}
+
 // execSetAffine gives register r, column base base, the value f on every
-// lane in O(1): it stores lanes 0 and 1 and leaves the rest stale.
+// lane of a scheduled warp in O(1): it stores lanes 0 and 1 and leaves the
+// rest stale. A batch needs execSetForm, which also stores the block step.
 func (w *warp) execSetAffine(r kernel.Reg, base int, f kernel.Affine) {
 	w.regs[base] = f.Base
-	w.form[r] = formAffine
 	if w.width > 1 {
 		w.regs[base+1] = f.Base + f.Step
-		if w.width > 2 {
-			w.form[r] = formStale
-		}
+	}
+	w.form[r] = w.fresh
+}
+
+// execSetForm gives register r, column base base, the value f on every
+// lane of every block in O(1): it stores the anchor lanes and leaves the
+// rest stale.
+func (w *warp) execSetForm(r kernel.Reg, base int, f batchAffine) {
+	w.execSetAffine(r, base, f.Affine)
+	if w.blocks > 1 {
+		w.regs[base+w.width] = f.Base + f.BStep
 	}
 }
 
 // execColumn returns register r's column, column base base, written out.
 func (w *warp) execColumn(r kernel.Reg, base int) []kernel.Word {
-	col := w.regs[base : base+w.width : base+w.width]
-	if w.form[r] == formStale {
-		v0 := col[0]
-		kernel.Affine{Base: v0, Step: col[1] - v0}.Column(col)
-		w.form[r] = formAffine
+	if w.form[r]&formUnwritten != 0 {
+		w.execWriteOut(r, base)
 	}
-	return col
+	return w.regs[base : base+w.lanes]
+}
+
+// execWriteOut writes the unwritten lanes of register r, column base
+// base, out: from its symbolic form, or each block's lane 0 across its
+// lanes.
+func (w *warp) execWriteOut(r kernel.Reg, base int) {
+	f, sym := w.execForm(r, base)
+	for b := 0; b < w.blocks; b++ {
+		row := w.regs[base+b*w.width : base+(b+1)*w.width]
+		if sym {
+			f.row(b).Column(row)
+			continue
+		}
+		for l := range row {
+			row[l] = row[0]
+		}
+	}
+	w.form[r] &^= formUnwritten
 }
 
 // execWrote records that register r's column was just written lane by

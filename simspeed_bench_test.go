@@ -1,8 +1,8 @@
 package atgpu
 
 // BenchmarkSimSpeed measures raw simulator throughput on a block-uniform
-// saxpy kernel (y[i] = a·x[i] + y[i]) in two arms, plus one shared-memory
-// arm:
+// saxpy kernel (y[i] = a·x[i] + y[i]) in two arms, plus two shared-memory
+// arms:
 //
 //	decoded:        the decoded-IR interpreter, memoization off
 //	decoded-memo:   decoded IR plus analyzer-certified block memoization
@@ -11,6 +11,10 @@ package atgpu
 //	                its 16 blocks are under the memo threshold (64) anyway:
 //	                every block runs through the scheduler's shared-memory
 //	                path
+//	decoded-memo-shared: the tiled matmul kernel at n = simSpeedMemoMatMulN
+//	                with analyze.Prover: 8 of its 64 blocks are scheduled
+//	                and 56 replayed in batches aligned to the certificate's
+//	                block split t = 8, through the batches' shared memory
 //
 // Each saxpy op simulates one full launch of simSpeedBlocks thread blocks
 // on the GTX650 preset; divide ns/op by simSpeedBlocks for ns per simulated
@@ -34,6 +38,8 @@ const (
 	// simSpeedMatMulN is the decoded-shared arm's matrix side: 16 blocks
 	// of 32×32 tiles.
 	simSpeedMatMulN = 128
+	// simSpeedMemoMatMulN is the decoded-memo-shared arm's: 64 blocks.
+	simSpeedMemoMatMulN = 256
 )
 
 // saxpyKernel builds y[idx] = a·x[idx] + y[idx], idx = blk·b + lane.
@@ -64,7 +70,7 @@ func saxpyKernel(b *testing.B, width int, alpha int64, baseX, baseY int) *kernel
 	return prog
 }
 
-func simSpeedDevice(b *testing.B, prover simgpu.UniformProver) *simgpu.Device {
+func simSpeedDevice(b *testing.B, prover simgpu.Certifier) *simgpu.Device {
 	b.Helper()
 	cfg := simgpu.GTX650()
 	cfg.GlobalWords = 1 << 20
@@ -86,24 +92,26 @@ func BenchmarkSimSpeed(b *testing.B) {
 	saxpy := func(b *testing.B, width int) (*kernel.Program, int) {
 		return saxpyKernel(b, width, 3, 0, simSpeedN), simSpeedBlocks
 	}
-	matmul := func(b *testing.B, width int) (*kernel.Program, int) {
-		b.Helper()
-		mm := algorithms.MatMul{N: simSpeedMatMulN}
-		nn := simSpeedMatMulN * simSpeedMatMulN
-		prog, err := mm.Kernel(width, 0, nn, 2*nn)
-		if err != nil {
-			b.Fatal(err)
+	matmulAt := func(n int) func(b *testing.B, width int) (*kernel.Program, int) {
+		return func(b *testing.B, width int) (*kernel.Program, int) {
+			b.Helper()
+			mm := algorithms.MatMul{N: n}
+			prog, err := mm.Kernel(width, 0, n*n, 2*n*n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return prog, mm.Blocks(width)
 		}
-		return prog, mm.Blocks(width)
 	}
 	arms := []struct {
 		name   string
-		prover simgpu.UniformProver
+		prover simgpu.Certifier
 		build  func(b *testing.B, width int) (*kernel.Program, int)
 	}{
 		{"decoded", nil, saxpy},
-		{"decoded-memo", analyze.UniformProver, saxpy},
-		{"decoded-shared", nil, matmul},
+		{"decoded-memo", analyze.Prover, saxpy},
+		{"decoded-shared", nil, matmulAt(simSpeedMatMulN)},
+		{"decoded-memo-shared", analyze.Prover, matmulAt(simSpeedMemoMatMulN)},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
@@ -117,7 +125,7 @@ func BenchmarkSimSpeed(b *testing.B) {
 			}
 			b.StopTimer()
 			if arm.prover != nil && dev.MemoSkips() == 0 {
-				b.Fatal("memoization never engaged in decoded-memo arm")
+				b.Fatalf("memoization never engaged in %s arm", arm.name)
 			}
 		})
 	}
