@@ -199,7 +199,7 @@ func runArm(t *testing.T, label string, base simgpu.Config, globalWords int, arm
 		t.Fatalf("New: %v", err)
 	}
 	if arm.prover {
-		dev.SetUniformProver(analyze.Prover)
+		dev.SetUniformProver(analyze.UniformProver)
 	}
 	eng, err := transfer.NewEngine(transfer.PCIeGen3x8Link(), transfer.Pinned)
 	if err != nil {
@@ -456,7 +456,7 @@ func TestTracedLaunchDisablesMemoExactly(t *testing.T) {
 			t.Fatalf("New: %v", err)
 		}
 		if prover {
-			dev.SetUniformProver(analyze.Prover)
+			dev.SetUniformProver(analyze.UniformProver)
 		}
 		eng, err := transfer.NewEngine(transfer.PCIeGen3x8Link(), transfer.Pinned)
 		if err != nil {

@@ -74,9 +74,6 @@ type UniformCert struct {
 	Blocks int   // launch size the certificate covers
 	Width  int   // warp width it was proved at
 	Instrs int64 // warp-instructions in the per-block trace
-	// Split is the block split t the proof divided the block index by
-	// (k = t·Q + R), or 0 when it needed none.
-	Split int
 }
 
 // affv is one lane value q·Q + r·R + c over the block grid, or Top. Top
@@ -205,29 +202,14 @@ func BlockUniform(prog *kernel.Program, width, globalWords, blocks int) (*Unifor
 	if err := u.checkDisjoint(); err != nil {
 		return nil, err
 	}
-	return &UniformCert{Blocks: blocks, Width: width, Instrs: u.instrs, Split: int(u.t)}, nil
+	return &UniformCert{Blocks: blocks, Width: width, Instrs: u.instrs}, nil
 }
 
-// Prover is BlockUniform as the simgpu.Certifier installed with
-// Device.SetUniformProver: with its verdict it hands over the
-// certificate's block split, to which memo replay aligns its batches.
-var Prover simgpu.Certifier = prover{}
-
-type prover struct{}
-
-func (prover) Certify(prog *kernel.Program, cfg simgpu.Config, blocks int) (split int, ok bool) {
-	c, err := BlockUniform(prog, cfg.WarpWidth, cfg.GlobalWords, blocks)
-	if err != nil {
-		return 0, false
-	}
-	return c.Split, true
-}
-
-// UniformProver is BlockUniform's verdict alone, a simgpu.UniformProver:
-// a device certified by it replays batches without the block split.
+// UniformProver adapts BlockUniform to the simgpu.UniformProver callback
+// installed with Device.SetUniformProver.
 func UniformProver(prog *kernel.Program, cfg simgpu.Config, blocks int) bool {
-	_, ok := Prover.Certify(prog, cfg, blocks)
-	return ok
+	_, err := BlockUniform(prog, cfg.WarpWidth, cfg.GlobalWords, blocks)
+	return err == nil
 }
 
 // start resets the machine to pc 0 of a block on the grid split by t (no

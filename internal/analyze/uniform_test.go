@@ -234,8 +234,7 @@ func matmulProgram(t *testing.T, n, w int) *kernel.Program {
 
 // TestBlockUniformCertifiesMatMul: the paper's tiled matmul splits the
 // block index into a tile row and column with divi/modi; the grid domain
-// certifies it at n = 8w and 16w on every preset, with the split t = n/w
-// on the certificate and in Prover's verdict.
+// certifies it at n = 8w and 16w on every 32-wide preset and on Tiny.
 func TestBlockUniformCertifiesMatMul(t *testing.T) {
 	for _, cfg := range simgpu.Presets() {
 		w := cfg.WarpWidth
@@ -250,19 +249,10 @@ func TestBlockUniformCertifiesMatMul(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s n=%d: BlockUniform refused matmul: %v", cfg.Name, n, err)
 			}
-			if cert.Blocks != blocks || cert.Instrs == 0 || cert.Split != n/w {
-				t.Errorf("%s n=%d: bad certificate %+v (want split %d)", cfg.Name, n, cert, n/w)
-			}
-			split, ok := Prover.Certify(prog, simgpu.Config{WarpWidth: w, GlobalWords: 3 * n * n}, blocks)
-			if !ok || split != n/w {
-				t.Errorf("%s n=%d: Prover hands over split %d (certified %v), want %d", cfg.Name, n, split, ok, n/w)
+			if cert.Blocks != blocks || cert.Instrs == 0 {
+				t.Errorf("%s n=%d: bad certificate %+v", cfg.Name, n, cert)
 			}
 		}
-	}
-	// A kernel that never divides the block index needs no split.
-	prog := buildVecAddLike(t, 32, 4096)
-	if cert, err := BlockUniform(prog, 32, 3*4096, 128); err != nil || cert.Split != 0 {
-		t.Errorf("vecadd-like: certificate %+v, err %v; want split 0", cert, err)
 	}
 }
 
@@ -456,7 +446,7 @@ func memoRun(t *testing.T, cfg simgpu.Config, prog *kernel.Program, blocks, inpu
 		t.Fatalf("New: %v", err)
 	}
 	if withProver {
-		dev.SetUniformProver(Prover)
+		dev.SetUniformProver(UniformProver)
 	}
 	raw := dev.Global().Raw()
 	for i := 0; i < inputs; i++ {
@@ -518,10 +508,10 @@ func TestMemoFallsBackToFullSimulationOnAtomics(t *testing.T) {
 // a memoizing device must leave global memory, KernelStats (cycles
 // included) and time byte-identical to a prover-less one on every preset
 // and the tiny one, at the first size with memoMinBlocks blocks (8 tiles
-// a side, the certificate's block split t = 8), and on GTX650 and tiny
-// also at 9 tiles a side, where replay batches of 8 blocks are cut at the
-// multiples of t = 9. GTX650 at n=256 must actually memoize (its
-// scheduler recurs with period 4 blocks).
+// a side), and on GTX650 and tiny also at 9 tiles a side, where replay
+// batches straddle tile rows, so a tile row index (blockid divided by 9)
+// differs inside a batch and replay writes its lanes out. GTX650 at n=256
+// must actually memoize (its scheduler recurs with period 4 blocks).
 func TestMemoMatMulMatchesFullSimulation(t *testing.T) {
 	for _, cfg := range append(simgpu.Presets(), simgpu.Tiny()) {
 		w := cfg.WarpWidth

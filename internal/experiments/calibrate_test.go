@@ -46,7 +46,7 @@ func TestCalibrateSizesDeviceToFootprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.SetUniformProver(analyze.Prover)
+		d.SetUniformProver(analyze.UniformProver)
 		eng, err := transfer.NewEngine(transfer.PCIeGen3x8Link(), cfg.Scheme)
 		if err != nil {
 			t.Fatal(err)

@@ -261,7 +261,7 @@ func Calibrate(cfg Config) (*transfer.Link, calibrate.Result, error) {
 	if err != nil {
 		return nil, calibrate.Result{}, err
 	}
-	dev.SetUniformProver(analyze.Prover)
+	dev.SetUniformProver(analyze.UniformProver)
 	eng, err := transfer.NewEngine(link, cfg.Scheme)
 	if err != nil {
 		return nil, calibrate.Result{}, err
@@ -360,7 +360,7 @@ func (r *Runner) newHostIn(s *pointScratch, footprint int, workload string, n, i
 	if err != nil {
 		return nil, err
 	}
-	dev.SetUniformProver(analyze.Prover)
+	dev.SetUniformProver(analyze.UniformProver)
 	eng, err := transfer.NewEngine(r.link, r.cfg.Scheme)
 	if err != nil {
 		return nil, err

@@ -9,17 +9,15 @@ import (
 )
 
 // pointScratch is the big buffers one sweep point works in: the backing
-// array of its device's global memory and the device's warps, and its
-// input vectors with the stream they are drawn from. A point takes a scratch buffer from its
+// array of its device's global memory, and its input vectors with the
+// stream they are drawn from. A point takes a scratch buffer from its
 // Runner's pool and returns it when done, so the next point reuses the
 // arrays instead of allocating fresh ones. An array grows to the largest
 // request it has seen and is replaced, never kept alongside, when it
 // grows, which bounds a Runner's retained memory by its concurrently
 // running points.
 type pointScratch struct {
-	// dev is the device storage: the global-memory array and the warps
-	// the point's devices retire.
-	dev simgpu.Scratch
+	global []mem.Word
 	// in holds the input vectors; inputWords is the length an input
 	// buffer grows to at least when it grows: the largest input of the
 	// sweep holding the scratch, 0 outside one.
@@ -33,18 +31,18 @@ type pointScratch struct {
 	out []mem.Word
 }
 
-// device builds a device for cfg on the set's device storage (see
-// simgpu.NewReusing), so the memory reads zero.
+// device builds a device for cfg whose global memory reuses the set's
+// array (see simgpu.NewReusing), so the memory reads zero.
 func (s *pointScratch) device(cfg simgpu.Config) (*simgpu.Device, error) {
 	s.growGlobal(cfg.GlobalWords)
-	return simgpu.NewReusing(cfg, &s.dev)
+	return simgpu.NewReusing(cfg, s.global)
 }
 
 // growGlobal replaces the global array by a words-long one if it is
 // shorter.
 func (s *pointScratch) growGlobal(words int) {
-	if words > cap(s.dev.Global) {
-		s.dev.Global = make([]mem.Word, words)
+	if words > cap(s.global) {
+		s.global = make([]mem.Word, words)
 	}
 }
 

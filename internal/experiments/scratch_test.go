@@ -57,8 +57,8 @@ func TestScratchReuseIsolated(t *testing.T) {
 				t.Fatalf("workers=%d %s: %d idle scratch buffers, want 1..%d", workers, workload, len(idle), workers)
 			}
 			for _, s := range idle {
-				if cap(s.dev.Global) != want {
-					t.Errorf("workers=%d %s: a buffer retains %d words, want %d", workers, workload, cap(s.dev.Global), want)
+				if cap(s.global) != want {
+					t.Errorf("workers=%d %s: a buffer retains %d words, want %d", workers, workload, cap(s.global), want)
 				}
 			}
 
@@ -90,10 +90,10 @@ func TestScratchReuseIsolated(t *testing.T) {
 		t.Fatalf("sweepGlobalWords = %d, want %d", largest, want)
 	}
 	s := r.scratch.get(largest, w.sweepInputWords(asc))
-	if cap(s.dev.Global) != largest {
-		t.Fatalf("a buffer taken for %d words holds %d", largest, cap(s.dev.Global))
+	if cap(s.global) != largest {
+		t.Fatalf("a buffer taken for %d words holds %d", largest, cap(s.global))
 	}
-	arrays := func() [3]*mem.Word { return [3]*mem.Word{&s.dev.Global[:1][0], &s.in[0][:1][0], &s.in[1][:1][0]} }
+	arrays := func() [3]*mem.Word { return [3]*mem.Word{&s.global[:1][0], &s.in[0][:1][0], &s.in[1][:1][0]} }
 	var first [3]*mem.Word
 	for i, n := range asc {
 		if _, err := r.sweepPoint(w, s, i, n); err != nil {

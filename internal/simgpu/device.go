@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"atgpu/internal/kernel"
@@ -28,21 +29,15 @@ type Device struct {
 	// on this device, per column width: the warp width, and memo replay's
 	// batch width (see memo.go).
 	decCache map[decKey]*kernel.Decoded
-	// scratch holds the global-memory array and the retired scheduled
-	// warps, one pool per warp shape, for later launches — and, for a
-	// device built by NewReusing, later devices — to reuse. A device runs
-	// one launch at a time, so the pools need no lock.
-	scratch *Scratch
-
 	// uniformProver, when set, certifies that every block of a program
 	// provably executes the same instruction trace modulo OpBlockID-derived
 	// addressing with cross-block-disjoint global writes (the BlockUniform
 	// certificate from internal/analyze, injected here as a callback
 	// because analyze imports simgpu). Certified launches are eligible for
 	// steady-state block memoization; see memo.go.
-	uniformProver Certifier
+	uniformProver UniformProver
 	// proverVerdicts caches certificate decisions per (program, blocks).
-	proverVerdicts map[proverKey]verdict
+	proverVerdicts map[proverKey]bool
 	// memoDisabled turns memoization off device-wide; the Host sets it
 	// while a fault injector is armed, since faults must observe every
 	// block individually.
@@ -53,36 +48,17 @@ type Device struct {
 	memoElided int64
 }
 
-// A Certifier decides the certificate that gates block memoization.
-// analyze.Prover is the canonical implementation.
-type Certifier interface {
-	// Certify reports whether every one of blocks thread blocks of prog
-	// provably executes the same instruction trace on cfg, with identical
-	// per-position transaction counts and latencies and mutually disjoint
-	// global writes. split is the certificate's block split t, when it
-	// proved the blocks alike by splitting the block index as t·Q + R
-	// (memo replay never batches blocks across a multiple of t), or 0.
-	Certify(prog *kernel.Program, cfg Config, blocks int) (split int, ok bool)
-}
-
-// UniformProver is a Certifier that hands over the verdict alone, with no
-// block split: analyze.UniformProver is one.
+// UniformProver is the certificate callback consulted before enabling block
+// memoization: it must return true only when every one of blocks thread
+// blocks of prog provably executes the same instruction trace on cfg, with
+// identical per-position transaction counts and latencies and mutually
+// disjoint global writes. analyze.UniformProver is the canonical
+// implementation.
 type UniformProver func(prog *kernel.Program, cfg Config, blocks int) bool
-
-// Certify returns p's verdict, with split 0.
-func (p UniformProver) Certify(prog *kernel.Program, cfg Config, blocks int) (int, bool) {
-	return 0, p(prog, cfg, blocks)
-}
 
 type proverKey struct {
 	prog   *kernel.Program
 	blocks int
-}
-
-// verdict is one cached Certify answer.
-type verdict struct {
-	split int
-	ok    bool
 }
 
 type decKey struct {
@@ -90,50 +66,62 @@ type decKey struct {
 	width int
 }
 
-// Scratch is storage that outlives a device: the global-memory array and
-// the retired scheduled warps. A device built by NewReusing takes both
-// from its Scratch and leaves its retired warps there, so a caller
-// building device after device — one at a time — on one Scratch
-// allocates them once. (Memo replay's batch warps have process-wide
-// pools; see idleBatchWarps.)
-type Scratch struct {
-	// Global is the backing array global memory reuses (see NewReusing).
-	Global []mem.Word
-	pools  warpPools
-}
-
 // warpShape is what a warp's storage depends on: the warp width, the
 // blocks it holds side by side (1 but for a replay batch), the register
 // count and the shared words of one block.
 type warpShape struct{ width, blocks, regs, shared int }
 
-// warpPool is the retired warps of one shape.
-type warpPool struct {
-	shape warpShape
-	free  []*warp
+// idleWarps holds retired warps between launches for every device in the
+// process, one sync.Pool per warp shape: a launch's scheduled warps and
+// memo replay's batch warps alike. A warp outlives the device, the Runner
+// and the atgpud job that first needed it, and the collector frees the
+// warps no launch has taken back since its last cycle but one, so a
+// process does not keep the warps of every shape it ever ran.
+var idleWarps struct {
+	sync.Mutex
+	pools map[warpShape]*sync.Pool
 }
 
-// warpPools is retired warps, one pool per shape.
-type warpPools []*warpPool
-
-// of returns the pool of warps of shape, creating it empty on first use.
-// There are few shapes, so a scan finds it. A pool stays where it is
-// while later shapes are added.
-func (ps *warpPools) of(shape warpShape) *warpPool {
-	for _, p := range *ps {
-		if p.shape == shape {
-			return p
+// idlePool returns the pool of idle warps of shape.
+func idlePool(shape warpShape) *sync.Pool {
+	idleWarps.Lock()
+	defer idleWarps.Unlock()
+	p := idleWarps.pools[shape]
+	if p == nil {
+		if idleWarps.pools == nil {
+			idleWarps.pools = make(map[warpShape]*sync.Pool)
 		}
+		p = new(sync.Pool)
+		idleWarps.pools[shape] = p
 	}
-	p := &warpPool{shape: shape}
-	*ps = append(*ps, p)
 	return p
 }
 
-// SetUniformProver installs the BlockUniform certifier that gates block
-// memoization. A nil prover (the default) disables memoization entirely;
-// launches are then always fully simulated.
-func (d *Device) SetUniformProver(p Certifier) { d.uniformProver = p }
+// takeWarps moves up to n idle warps of shape onto ws and returns it.
+func takeWarps(ws []*warp, shape warpShape, n int) []*warp {
+	p := idlePool(shape)
+	for ; n > 0; n-- {
+		w, ok := p.Get().(*warp)
+		if !ok {
+			break
+		}
+		ws = append(ws, w)
+	}
+	return ws
+}
+
+// putWarps returns ws, warps of shape, to the idle pool.
+func putWarps(shape warpShape, ws []*warp) {
+	p := idlePool(shape)
+	for _, w := range ws {
+		p.Put(w)
+	}
+}
+
+// SetUniformProver installs the BlockUniform certificate callback that
+// gates block memoization. A nil prover (the default) disables memoization
+// entirely; launches are then always fully simulated.
+func (d *Device) SetUniformProver(p UniformProver) { d.uniformProver = p }
 
 // MemoSkips reports how many launches on this device engaged block
 // memoization (used by tests and benches to prove engagement, or the lack
@@ -159,15 +147,14 @@ func (d *Device) decoded(prog *kernel.Program, width int) (*kernel.Decoded, erro
 }
 
 // certified consults (and caches) the uniform prover's verdict.
-func (d *Device) certified(prog *kernel.Program, blocks int) verdict {
+func (d *Device) certified(prog *kernel.Program, blocks int) bool {
 	k := proverKey{prog, blocks}
 	if v, ok := d.proverVerdicts[k]; ok {
 		return v
 	}
-	var v verdict
-	v.split, v.ok = d.uniformProver.Certify(prog, d.cfg, blocks)
+	v := d.uniformProver(prog, d.cfg, blocks)
 	if d.proverVerdicts == nil {
-		d.proverVerdicts = make(map[proverKey]verdict)
+		d.proverVerdicts = make(map[proverKey]bool)
 	}
 	d.proverVerdicts[k] = v
 	return v
@@ -190,22 +177,21 @@ var (
 )
 
 // New creates a device with cfg's global memory allocated.
-func New(cfg Config) (*Device, error) { return NewReusing(cfg, new(Scratch)) }
+func New(cfg Config) (*Device, error) { return NewReusing(cfg, nil) }
 
-// NewReusing creates a device on s: its global memory reuses s.Global's
-// backing array when it holds cfg.GlobalWords words (see
-// mem.NewGlobalReusing), and its launches reuse the warps retired into s.
-// The memory is cleared, so the device behaves exactly as one from New.
-// The caller must not touch s while the device is in use.
-func NewReusing(cfg Config, s *Scratch) (*Device, error) {
+// NewReusing creates a device whose global memory reuses buf's backing
+// array when it holds cfg.GlobalWords words (see mem.NewGlobalReusing):
+// the memory is cleared, so the device behaves exactly as one from New.
+// The caller must not touch buf while the device is in use.
+func NewReusing(cfg Config, buf []mem.Word) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g, err := mem.NewGlobalReusing(s.Global, cfg.GlobalWords, cfg.WarpWidth)
+	g, err := mem.NewGlobalReusing(buf, cfg.GlobalWords, cfg.WarpWidth)
 	if err != nil {
 		return nil, err
 	}
-	return &Device{cfg: cfg, global: g, arena: mem.NewArena(g), failedSMs: make([]bool, cfg.NumSMs), scratch: s}, nil
+	return &Device{cfg: cfg, global: g, arena: mem.NewArena(g), failedSMs: make([]bool, cfg.NumSMs)}, nil
 }
 
 // FailSM marks multiprocessor i as failed; subsequent launches run
@@ -299,9 +285,9 @@ type launchState struct {
 	// failed SMs the slots cover only the active multiprocessors, so
 	// trace and warp bookkeeping still report hardware indices.
 	smIDs []int
-	// freeWarps holds the retired warps of this launch's shape: the
-	// device's pool, taken at the start of the launch and given back at
-	// its end.
+	// freeWarps holds the retired warps of this launch's shape: taken
+	// from the idle pool at the start of the launch and given back at its
+	// end.
 	freeWarps []*warp
 	cycle     int64
 	stats     KernelStats
@@ -375,9 +361,6 @@ func (d *Device) LaunchTraced(prog *kernel.Program, numBlocks int, tr *Tracer) (
 		return KernelResult{}, err
 	}
 	ls.dec = dec
-	pool := d.scratch.pools.of(warpShape{ls.width, 1, prog.NumRegs, prog.SharedWords})
-	ls.freeWarps = pool.free
-	defer func() { pool.free = ls.freeWarps }()
 	for i := 0; i < d.cfg.NumSMs; i++ {
 		if d.failedSMs[i] {
 			continue
@@ -385,6 +368,11 @@ func (d *Device) LaunchTraced(prog *kernel.Program, numBlocks int, tr *Tracer) (
 		ls.sms = append(ls.sms, &smState{})
 		ls.smIDs = append(ls.smIDs, i)
 	}
+	// The launch holds at most occ warps per SM at once.
+	shape := ls.shape()
+	resident := min(numBlocks, occ*len(ls.sms))
+	ls.freeWarps = takeWarps(make([]*warp, 0, resident), shape, resident)
+	defer func() { putWarps(shape, ls.freeWarps) }()
 	ls.stats.OccupancyLimit = occ
 	if d.collectSites {
 		ls.sites = make([]SiteStat, len(prog.Instrs))
@@ -397,10 +385,9 @@ func (d *Device) LaunchTraced(prog *kernel.Program, numBlocks int, tr *Tracer) (
 	// analyzer-certified kernels, and never while faults are armed. Every
 	// disable condition falls back to plain full simulation.
 	if tr == nil && !d.collectSites && !d.memoDisabled &&
-		numBlocks >= memoMinBlocks && d.uniformProver != nil {
-		if v := d.certified(prog, numBlocks); v.ok {
-			ls.memo = &memoState{split: v.split}
-		}
+		numBlocks >= memoMinBlocks && d.uniformProver != nil &&
+		d.certified(prog, numBlocks) {
+		ls.memo = &memoState{}
 	}
 	if err := ls.run(occ); err != nil {
 		return KernelResult{}, err
@@ -563,10 +550,15 @@ func (ls *launchState) acquire() *warp {
 		w = ls.freeWarps[n-1]
 		ls.freeWarps = ls.freeWarps[:n-1]
 	} else {
-		w = newWarp(warpShape{ls.width, 1, ls.prog.NumRegs, ls.prog.SharedWords})
+		w = newWarp(ls.shape())
 	}
 	w.addrs = ls.addrs
 	return w
+}
+
+// shape is the shape of the launch's scheduled warps.
+func (ls *launchState) shape() warpShape {
+	return warpShape{ls.width, 1, ls.prog.NumRegs, ls.prog.SharedWords}
 }
 
 func (ls *launchState) recycle(w *warp) {

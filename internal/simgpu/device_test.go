@@ -2,6 +2,9 @@ package simgpu
 
 import (
 	"errors"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"atgpu/internal/kernel"
@@ -466,10 +469,11 @@ func TestSharedZeroedPerBlock(t *testing.T) {
 }
 
 // TestRetiredWarpsStartClean: a launch reuses the warps an earlier launch
-// of the same shape retired on the device, and they start clean — a
+// of the same shape retired to the idle pool, and they start clean — a
 // register the kernel never writes reads zero on every lane, and so does
 // shared memory — however the earlier kernel left them.
 func TestRetiredWarpsStartClean(t *testing.T) {
+	exactIdlePools(t)
 	d := newTiny(t)
 	dirty := storePerLane("dirty", 4, func(kb *kernel.Builder, out kernel.Reg) {
 		j, sq := kb.Reg(), kb.Reg()
@@ -484,28 +488,50 @@ func TestRetiredWarpsStartClean(t *testing.T) {
 		kb.LdShared(out, j)
 		kb.Add(out, out, kernel.R(unset))
 	})
+	shape := warpShape{d.cfg.WarpWidth, 1, dirty.NumRegs, dirty.SharedWords}
+	if c := (warpShape{d.cfg.WarpWidth, 1, clean.NumRegs, clean.SharedWords}); c != shape {
+		t.Fatalf("clean's warps are %+v, dirty's %+v", c, shape)
+	}
+	takeWarps(nil, shape, math.MaxInt) // drop what earlier tests left
 	runAndRead(t, d, dirty, 16, 64)
-	if len(d.scratch.pools) != 1 || len(d.scratch.pools[0].free) == 0 {
-		t.Fatalf("no retired warps pooled after the first launch: %+v", d.scratch.pools)
+	retired := takeWarps(nil, shape, math.MaxInt)
+	if len(retired) == 0 && !raceEnabled {
+		t.Fatal("no retired warps pooled after the first launch")
 	}
-	pooled := map[*warp]bool{}
-	for _, w := range d.scratch.pools[0].free {
-		pooled[w] = true
-	}
+	putWarps(shape, retired)
 	for i, v := range runAndRead(t, d, clean, 16, 64) {
 		if v != 0 {
 			t.Fatalf("thread %d saw a dirty register or shared word: %d", i, v)
 		}
 	}
-	if len(d.scratch.pools) != 1 || len(d.scratch.pools[0].free) != len(pooled) {
-		t.Fatalf("second launch left %d pools, %d warps; want 1 pool of the first launch's %d warps",
-			len(d.scratch.pools), len(d.scratch.pools[0].free), len(pooled))
+	if raceEnabled {
+		return
 	}
-	for _, w := range d.scratch.pools[0].free {
+	pooled := map[*warp]bool{}
+	for _, w := range retired {
+		pooled[w] = true
+	}
+	reused := takeWarps(nil, shape, math.MaxInt)
+	if len(reused) != len(pooled) {
+		t.Fatalf("second launch left %d idle warps; want the first launch's %d", len(reused), len(pooled))
+	}
+	for _, w := range reused {
 		if !pooled[w] {
 			t.Fatal("second launch allocated a warp instead of reusing a retired one")
 		}
 	}
+}
+
+// exactIdlePools makes the idle warp pools hand back exactly what was put
+// into them for the rest of test t: with one P no warp waits in another
+// P's slot, and with the collector off none is dropped.
+func exactIdlePools(t *testing.T) {
+	procs := runtime.GOMAXPROCS(1)
+	gc := debug.SetGCPercent(-1)
+	t.Cleanup(func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gc)
+	})
 }
 
 func TestDeviceReset(t *testing.T) {
@@ -539,7 +565,7 @@ func TestDeviceResetReusedMemory(t *testing.T) {
 		for i := range buf {
 			buf[i] = -1
 		}
-		d, err := NewReusing(cfg, &Scratch{Global: buf})
+		d, err := NewReusing(cfg, buf)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -127,9 +127,11 @@ func (w *warp) execIfBegin(r kernel.Reg, a int) (enter, divergent bool, err erro
 // in every block, checked from each block's first address in O(1), and
 // global runs whose block step is the run length abut into one run across
 // the batch; any other address column is written out and classified block
-// by block by execClassify. A run spans width distinct banks and at most
-// two blocks and moves as one copy; a broadcast hits one bank and one
-// block and loads as one fill. Every other pattern, and every partially
+// by block by execClassify. A one-block warp, every scheduled warp among
+// them, takes lane-only forms (execResolve), so the scheduled interpreter
+// pays nothing for the block axis. A run spans width distinct banks and
+// at most two blocks and moves as one copy; a broadcast hits one bank and
+// one block and loads as one fill. Every other pattern, and every partially
 // masked warp, is gathered into w.addrs (execGather) and, on a scheduled
 // warp, priced by the per-lane counters (conflictDegree,
 // execTransactions). All exec* helpers are under the atgpu-vet hotalloc
@@ -207,11 +209,12 @@ func execAffineKind(f kernel.Affine, width int) (accessKind, bool) {
 // mem is global memory of size words (stride 0), or for a shared access
 // the blocks' shared memories of size words each, stride words apart. A
 // fully active warp resolves its symbolic address or classifies its
-// written-out address column; when price is set a scattered one is also
-// gathered into w.addrs, which the per-lane pricing reads. A masked warp
-// is always gathered and reports accessScattered. It returns block 0's
-// pattern and lane 0 address for pricing, or the range trap of the first
-// block out of range (w.trapBlock), in which case nothing has moved.
+// written-out address column, a scheduled warp through execResolve and a
+// batch through execResolveBatch; when price is set a scattered one is
+// also gathered into w.addrs, which the per-lane pricing reads. A masked
+// warp is always gathered and reports accessScattered. It returns block
+// 0's pattern and lane 0 address for pricing, or the range trap of the
+// first block out of range (w.trapBlock), in which case nothing has moved.
 func (w *warp) execAccess(in *kernel.DInstr, mem []kernel.Word, size, stride int, price bool) (kind accessKind, a0 kernel.Word, err error) {
 	if w.activeN < w.width {
 		if bad := execGather(w, in.Ra, int(in.A), size, stride); bad >= 0 {
@@ -220,12 +223,65 @@ func (w *warp) execAccess(in *kernel.DInstr, mem []kernel.Word, size, stride int
 		w.execMoveGathered(in, mem)
 		return accessScattered, 0, nil
 	}
+	if w.blocks > 1 {
+		return w.execAccessBatch(in, mem, size, stride, price)
+	}
+	kind, a0, bad, addr := w.execResolve(in, size)
+	if bad >= 0 {
+		return kind, a0, execRangeErr(in.Op, bad, addr, size)
+	}
+	if price && kind == accessScattered {
+		execGather(w, in.Ra, int(in.A), size, 0)
+	}
+	w.execMove(in, mem, kind, a0)
+	return kind, a0, nil
+}
+
+// execResolve range-checks and classifies the address register of in, a
+// fully active scheduled warp's access to a memory of size words,
+// returning the pattern, lane 0's address, and the first lane out of
+// range, or -1, with its address. A symbolic run or broadcast is never
+// written out; any other address is, and a scattered access moves through
+// its column.
+func (w *warp) execResolve(in *kernel.DInstr, size int) (kind accessKind, a0 kernel.Word, bad int, addr kernel.Word) {
+	if f, ok := w.execAffine(in.Ra, int(in.A)); ok {
+		if kind, ok := execAffineKind(f, w.width); ok {
+			bad = execPatternBad(kind, f.Base, w.width, size)
+			return kind, f.Base, bad, f.Lane(max(bad, 0))
+		}
+	}
+	ac := w.execColumn(in.Ra, int(in.A))
+	kind, bad = execClassify(ac, size)
+	return kind, ac[0], bad, ac[max(bad, 0)]
+}
+
+// execMove moves a fully active scheduled warp's access in, resolved in
+// range by execResolve, to or from mem: a broadcast load leaves the
+// destination uniform in O(1), and every other access moves as
+// execMoveBlock moves a block.
+func (w *warp) execMove(in *kernel.DInstr, mem []kernel.Word, kind accessKind, a0 kernel.Word) {
+	if !isLoad(in.Op) {
+		w.execColumn(in.Rb, int(in.B))
+		w.execMoveBlock(in, mem, 0, kind, a0)
+		return
+	}
+	if kind == accessBroadcast {
+		w.execSetAffine(in.Rd, int(in.D), kernel.Uniform(mem[a0]))
+		return
+	}
+	w.execMoveBlock(in, mem, 0, kind, a0)
+	w.execWrote(in.Rd)
+}
+
+// execAccessBatch is execAccess for a fully active batch of several
+// blocks: a symbolic address is a run or a broadcast in every block when
+// it is one in block 0, checked block by block from each block's first
+// address in O(1); any other address column is written out and
+// classified block by block.
+func (w *warp) execAccessBatch(in *kernel.DInstr, mem []kernel.Word, size, stride int, price bool) (kind accessKind, a0 kernel.Word, err error) {
 	if f, ok := w.execForm(in.Ra, int(in.A)); ok {
 		if kind, ok := execAffineKind(f.Affine, w.width); ok {
-			if bad := execPatternBad(kind, f.Base, w.width, size); bad >= 0 {
-				return kind, f.Base, w.execRangeTrap(in.Op, bad, f.Lane(bad), size)
-			}
-			for b := 1; b < w.blocks; b++ {
+			for b := 0; b < w.blocks; b++ {
 				a0 := f.row(b).Base
 				if bad := execPatternBad(kind, a0, w.width, size); bad >= 0 {
 					return kind, f.Base, w.execRangeTrap(in.Op, b*w.width+bad, a0+f.Step*kernel.Word(bad), size)
@@ -256,19 +312,18 @@ func (w *warp) execAccess(in *kernel.DInstr, mem []kernel.Word, size, stride int
 // isLoad reports a load (else a store) of a memory instruction.
 func isLoad(op kernel.Op) bool { return op == kernel.OpLdGlobal || op == kernel.OpLdShared }
 
-// execMoveForm moves the fully active access in, whose symbolic address f
-// is in range as kind in every block, to or from mem (blocks stride words
-// apart). A scheduled warp's run, and global runs that abut (block step =
-// width), are one copy; a broadcast load that every block reads from one
-// word, a scheduled warp's included, leaves the destination uniform in
-// O(1), and any other broadcast load leaves each block's word in the
-// block's lane 0 (formRows).
+// execMoveForm moves a batch's fully active access in, whose symbolic
+// address f is in range as kind in every block, to or from mem (blocks
+// stride words apart). Global runs that abut (block step = width) are one
+// copy; a broadcast load that every block reads from one word leaves the
+// destination uniform in O(1), and any other broadcast load leaves each
+// block's word in the block's lane 0 (formRows).
 func (w *warp) execMoveForm(in *kernel.DInstr, mem []kernel.Word, stride int, kind accessKind, f batchAffine) {
-	run := kind == accessContiguous && (w.blocks == 1 || stride == 0 && f.BStep == kernel.Word(w.width))
+	run := kind == accessContiguous && stride == 0 && f.BStep == kernel.Word(w.width)
 	if isLoad(in.Op) {
 		d := int(in.D)
 		switch {
-		case kind == accessBroadcast && (w.blocks == 1 || stride == 0 && f.BStep == 0):
+		case kind == accessBroadcast && stride == 0 && f.BStep == 0:
 			w.execSetForm(in.Rd, d, batchAffine{Affine: kernel.Uniform(mem[f.Base])})
 			return
 		case kind == accessBroadcast:
@@ -297,17 +352,13 @@ func (w *warp) execMoveForm(in *kernel.DInstr, mem []kernel.Word, stride int, ki
 	}
 }
 
-// execMoveColumn moves the fully active access in, whose written-out
-// address column ac is in range as kinds[b] in block b, to or from mem
-// (blocks stride words apart). A scheduled warp's broadcast load leaves
-// the destination uniform in O(1).
+// execMoveColumn moves a batch's fully active access in, whose
+// written-out address column ac is in range as kinds[b] in block b, to or
+// from mem (blocks stride words apart).
 func (w *warp) execMoveColumn(in *kernel.DInstr, mem []kernel.Word, stride int, kinds []accessKind, ac []kernel.Word) {
 	load := isLoad(in.Op)
 	if !load {
 		w.execColumn(in.Rb, int(in.B))
-	} else if w.blocks == 1 && kinds[0] == accessBroadcast {
-		w.execSetForm(in.Rd, int(in.D), batchAffine{Affine: kernel.Uniform(mem[ac[0]])})
-		return
 	}
 	for b, kind := range kinds {
 		// ac may be the destination: block b reads its first address

@@ -80,8 +80,6 @@ type memoState struct {
 	enc   []byte
 	count int
 	off   bool
-	// split is the certificate's block split t, or 0 (see Certifier).
-	split int
 
 	// Applied skip, consumed by finishMemo.
 	applied      bool
@@ -250,23 +248,13 @@ func (ls *launchState) finishMemo() error {
 // batchBlocks returns how many blocks one replay batch of prog holds at
 // warp width width: memoBatchBlocks, or the largest power of two that
 // keeps a batch's registers and shared memory within memoBatchWords. A
-// power of two divides the block splits of the paper's power-of-two
-// tilings, so batches cut at its multiples stay whole.
+// power of two divides every power-of-two tile row at least as long, so
+// batches cut at its multiples stay inside the rows of the paper's
+// tilings (see replayWith).
 func batchBlocks(prog *kernel.Program, width int) int {
 	perBlock := max(1, prog.NumRegs*width+prog.SharedWords)
 	fit := max(1, min(memoBatchBlocks, memoBatchWords/perBlock))
 	return 1 << (bits.Len(uint(fit)) - 1)
-}
-
-// idleBatchWarps holds replay batch warps between launches for every
-// device in the process, one pool per warp shape: a batch warp outlives
-// the device, the Runner and the atgpud job that first needed it. A pool
-// keeps every warp put back, which is at most the chunks of the launches
-// that replayed at once; the registry's workloads have a few shapes per
-// preset.
-var idleBatchWarps struct {
-	sync.Mutex
-	pools warpPools
 }
 
 // memoReplay runs blocks [from, to) through the data-only batch
@@ -276,7 +264,7 @@ var idleBatchWarps struct {
 // simulated blocks', so replay order is irrelevant: the range is split
 // into up to GOMAXPROCS contiguous chunks of at least memoReplayMinChunk
 // blocks, cut at multiples of the batch size, each replayed on its own
-// batch warp (idleBatchWarps). A failure reports the lowest failing block,
+// batch warp from the idle pool. A failure reports the lowest failing block,
 // the one a serial replay would have stopped at.
 func (ls *launchState) memoReplay(from, to int) error {
 	batch := batchBlocks(ls.prog, ls.width)
@@ -286,19 +274,16 @@ func (ls *launchState) memoReplay(from, to int) error {
 	}
 	n := to - from
 	k := max(1, min(runtime.GOMAXPROCS(0), n/memoReplayMinChunk))
-	warps := make([]*warp, k)
+	shape := warpShape{ls.width, batch, ls.prog.NumRegs, ls.prog.SharedWords}
+	warps := takeWarps(make([]*warp, 0, k), shape, k)
+	for len(warps) < k {
+		warps = append(warps, newWarp(shape))
+	}
+	defer putWarps(shape, warps)
 	cuts := make([]int, k+1)
-	idleBatchWarps.Lock()
-	pool := idleBatchWarps.pools.of(warpShape{ls.width, batch, ls.prog.NumRegs, ls.prog.SharedWords})
-	for i := range warps {
-		if m := len(pool.free); m > 0 {
-			warps[i], pool.free = pool.free[m-1], pool.free[:m-1]
-		} else {
-			warps[i] = newWarp(pool.shape)
-		}
+	for i := range k {
 		cuts[i] = max(from, (from+i*n/k)/batch*batch)
 	}
-	idleBatchWarps.Unlock()
 	cuts[k] = to
 	errs := make([]error, k)
 	// Settle global memory's pending zeroes here, so the chunks' Raw
@@ -320,9 +305,6 @@ func (ls *launchState) memoReplay(from, to int) error {
 	errs[0] = ls.replayWith(warps[0], dec, batch, cuts[0], cuts[1])
 	wg.Wait()
 	runtime.UnlockOSThread()
-	idleBatchWarps.Lock()
-	pool.free = append(pool.free, warps...)
-	idleBatchWarps.Unlock()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -333,17 +315,15 @@ func (ls *launchState) memoReplay(from, to int) error {
 
 // replayWith replays blocks [from, to) on w batch by batch, stopping at
 // the first failure. A batch holds up to batch consecutive blocks and
-// spans no multiple of batch or of the certificate's block split t, so
-// its blocks share their quotient by t and a block index divided or
-// reduced by t keeps a symbolic form across the batch. It writes nothing
-// but w and global memory, so disjoint ranges may run concurrently.
+// spans no multiple of batch, so it straddles no tile row of a tiling
+// whose row of t tiles is a multiple of batch long, and a tile index
+// blockid/t or blockid%t keeps a symbolic form. Where a batch does
+// straddle a row the quotient differs within it and is written out lane
+// by lane, so the data stay exact. It writes nothing but w and global
+// memory, so disjoint ranges may run concurrently.
 func (ls *launchState) replayWith(w *warp, dec *kernel.Decoded, batch, from, to int) error {
-	t := ls.memo.split
 	for first := from; first < to; {
 		end := min(to, (first/batch+1)*batch)
-		if t > 0 {
-			end = min(end, (first/t+1)*t)
-		}
 		if err := ls.replayBatch(w, dec, first, end-first); err != nil {
 			return err
 		}

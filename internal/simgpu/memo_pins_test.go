@@ -46,7 +46,7 @@ func TestMemoElidedBlockPins(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: New: %v", tc.name, err)
 		}
-		dev.SetUniformProver(analyze.Prover)
+		dev.SetUniformProver(analyze.UniformProver)
 		if _, err := dev.Launch(prog, int(tc.blocks)); err != nil {
 			t.Fatalf("%s: Launch: %v", tc.name, err)
 		}

@@ -3,6 +3,7 @@ package simgpu
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -89,12 +90,6 @@ func vecaddSharedKernel(t *testing.T, b, n int) *kernel.Program {
 	return prog
 }
 
-// splitUniform certifies every launch and hands over the block split t,
-// as the analyzer does for a kernel that divides the block index by t.
-type splitUniform int
-
-func (t splitUniform) Certify(*kernel.Program, Config, int) (int, bool) { return int(t), true }
-
 // gridKernel builds a tile grid tiles wide over blocks of b lanes: block
 // k is tile (k / tiles, k % tiles), whose lanes load the word of input
 // tile (row, col), add 1000·row + col, pass the sum through shared
@@ -149,13 +144,11 @@ func gridKernel(t *testing.T, b, n, tiles int) *kernel.Program {
 // sweep must run at least 2·d sizes past the first skip and schedule d
 // distinct counts, so that every residue, 0 included, is checked.
 //
-// The grid cases run a tile grid 12 tiles wide, certified with block
-// split t = 12, on every preset: replay batches stop at multiples of the
-// batch size (4 or 8 here) and of 12, and the sizes must include one
-// whose replayed range starts and ends inside a batch and crosses a
-// multiple of 12. Certified without the split, the batches straddle tile
-// rows, and the quotients that differ within a batch are written out
-// lane by lane.
+// The grid cases run a tile grid 12 tiles wide on every preset: replay
+// batches of 4 or 8 blocks straddle tile rows, so the row and column
+// indices (blockid divided and reduced by 12) differ within a batch and
+// are written out lane by lane, and the sizes must include one whose
+// replayed range starts and ends inside a batch and crosses a row.
 func TestMemoMatchesFullSimulation(t *testing.T) {
 	type launch struct {
 		prog                *kernel.Program
@@ -174,11 +167,9 @@ func TestMemoMatchesFullSimulation(t *testing.T) {
 		// residue: blocks runs until every residue of remaining mod d
 		// has been checked.
 		residue bool
-		// split is the certificate's block split, 0 for none; midBatch
-		// requires a size whose replayed range starts and ends inside a
-		// batch and crosses a multiple of split.
-		split    int
-		midBatch bool
+		// row, when set, requires a size whose replayed range starts and
+		// ends inside a batch and crosses a multiple of row.
+		row int
 	}
 	const gridTiles = 12
 	cases := []memoCase{
@@ -218,10 +209,7 @@ func TestMemoMatchesFullSimulation(t *testing.T) {
 			p.SharedWords = half
 			return launch{&p, 2 * n, n}
 		}
-		cases = append(cases,
-			memoCase{name: "grid/" + cfg.Name, cfg: cfg, blocks: grid, kernel: gridLaunch, uniform: true, split: gridTiles, midBatch: true},
-			// Without the split, batches of 8 straddle rows of 12 tiles.
-			memoCase{name: "grid-unsplit/" + cfg.Name, cfg: cfg, blocks: grid, kernel: gridLaunch, uniform: true})
+		cases = append(cases, memoCase{name: "grid/" + cfg.Name, cfg: cfg, blocks: grid, kernel: gridLaunch, uniform: true, row: gridTiles})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -234,11 +222,7 @@ func TestMemoMatchesFullSimulation(t *testing.T) {
 					t.Fatalf("New: %v", err)
 				}
 				if withProver {
-					var c Certifier = alwaysUniform
-					if tc.split > 0 {
-						c = splitUniform(tc.split)
-					}
-					dev.SetUniformProver(c)
+					dev.SetUniformProver(alwaysUniform)
 				}
 				raw := dev.Global().Raw()
 				for i := 0; i < l.inputs; i++ {
@@ -291,9 +275,9 @@ func TestMemoMatchesFullSimulation(t *testing.T) {
 					}
 				}
 				batch := batchBlocks(l.prog, b)
-				if from := blocks - int(elided); tc.split > 0 && elided > 0 &&
+				if from := blocks - int(elided); tc.row > 0 && elided > 0 &&
 					from%batch != 0 && blocks%batch != 0 &&
-					(from/tc.split+1)*tc.split < blocks {
+					(from/tc.row+1)*tc.row < blocks {
 					midBatch = true
 				}
 				switch {
@@ -319,8 +303,8 @@ func TestMemoMatchesFullSimulation(t *testing.T) {
 					scheduled[blocks-int(elided)] = true
 				}
 			}
-			if tc.midBatch && !midBatch {
-				t.Errorf("no size in %v replays a range that starts and ends inside a batch and crosses a multiple of %d", tc.blocks, tc.split)
+			if tc.row > 0 && !midBatch {
+				t.Errorf("no size in %v replays a range that starts and ends inside a batch and crosses a multiple of %d", tc.blocks, tc.row)
 			}
 			if !tc.residue {
 				return
@@ -577,30 +561,38 @@ func TestMemoReplayFailsOnBlockVariantControl(t *testing.T) {
 	}
 }
 
-// TestMemoWarpsReusedAcrossDevices: devices built one after another on
-// one Scratch, as a Runner's sweep points are, take their scheduled warps
-// from it and leave them there, memoized launches included, so only the
-// first launch allocates them. Batch warps go back to their process-wide
-// pool, not to the Scratch.
+// TestMemoWarpsReusedAcrossDevices: devices built one after another, as
+// a Runner's sweep points are, take their scheduled warps and their
+// replay batch warps from the idle pools and put them back, so only the
+// first memoized launch allocates any.
 func TestMemoWarpsReusedAcrossDevices(t *testing.T) {
+	exactIdlePools(t)
 	const b, blocks = 32, 512
 	n := b * blocks
 	prog := vecaddSharedKernel(t, b, n)
-	var s Scratch
+	shapes := []warpShape{
+		{b, 1, prog.NumRegs, prog.SharedWords},
+		{b, batchBlocks(prog, b), prog.NumRegs, prog.SharedWords},
+	}
 	pooled := func() map[*warp]bool {
 		ws := map[*warp]bool{}
-		for _, p := range s.pools {
-			for _, w := range p.free {
+		for _, shape := range shapes {
+			idle := takeWarps(nil, shape, math.MaxInt)
+			for _, w := range idle {
 				ws[w] = true
 			}
+			putWarps(shape, idle)
 		}
 		return ws
+	}
+	for _, shape := range shapes {
+		takeWarps(nil, shape, math.MaxInt) // drop what earlier tests left
 	}
 	var first map[*warp]bool
 	for i := 0; i < 3; i++ {
 		cfg := GTX650()
 		cfg.GlobalWords = 3 * n
-		dev, err := NewReusing(cfg, &s)
+		dev, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -611,11 +603,14 @@ func TestMemoWarpsReusedAcrossDevices(t *testing.T) {
 		if dev.MemoSkips() != 1 {
 			t.Fatalf("device %d: memoization engaged %d times, want 1", i, dev.MemoSkips())
 		}
-		got := pooled()
-		if len(s.pools) != 1 {
-			t.Fatalf("device %d: %d warp pools after a memoized launch, want 1 (scheduled warps)", i, len(s.pools))
+		if raceEnabled {
+			continue
 		}
+		got := pooled()
 		if i == 0 {
+			if len(got) == 0 {
+				t.Fatal("the first memoized launch left no idle warps")
+			}
 			first = got
 			continue
 		}

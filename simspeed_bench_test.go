@@ -12,9 +12,10 @@ package atgpu
 //	                every block runs through the scheduler's shared-memory
 //	                path
 //	decoded-memo-shared: the tiled matmul kernel at n = simSpeedMemoMatMulN
-//	                with analyze.Prover: 8 of its 64 blocks are scheduled
-//	                and 56 replayed in batches aligned to the certificate's
-//	                block split t = 8, through the batches' shared memory
+//	                with analyze.UniformProver: 8 of its 64 blocks are
+//	                scheduled and 56 replayed in batches of 4, which stay
+//	                inside the tile rows of 8 blocks, through the batches'
+//	                shared memory
 //
 // Each saxpy op simulates one full launch of simSpeedBlocks thread blocks
 // on the GTX650 preset; divide ns/op by simSpeedBlocks for ns per simulated
@@ -70,7 +71,7 @@ func saxpyKernel(b *testing.B, width int, alpha int64, baseX, baseY int) *kernel
 	return prog
 }
 
-func simSpeedDevice(b *testing.B, prover simgpu.Certifier) *simgpu.Device {
+func simSpeedDevice(b *testing.B, prover simgpu.UniformProver) *simgpu.Device {
 	b.Helper()
 	cfg := simgpu.GTX650()
 	cfg.GlobalWords = 1 << 20
@@ -105,13 +106,13 @@ func BenchmarkSimSpeed(b *testing.B) {
 	}
 	arms := []struct {
 		name   string
-		prover simgpu.Certifier
+		prover simgpu.UniformProver
 		build  func(b *testing.B, width int) (*kernel.Program, int)
 	}{
 		{"decoded", nil, saxpy},
-		{"decoded-memo", analyze.Prover, saxpy},
+		{"decoded-memo", analyze.UniformProver, saxpy},
 		{"decoded-shared", nil, matmulAt(simSpeedMatMulN)},
-		{"decoded-memo-shared", analyze.Prover, matmulAt(simSpeedMemoMatMulN)},
+		{"decoded-memo-shared", analyze.UniformProver, matmulAt(simSpeedMemoMatMulN)},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
