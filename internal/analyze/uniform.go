@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"atgpu/internal/kernel"
 	"atgpu/internal/simgpu"
@@ -190,6 +191,7 @@ func BlockUniform(prog *kernel.Program, width, globalWords, blocks int) (*Unifor
 		active:      make([]bool, width),
 		res:         column{lanes: make([]affv, width)},
 	}
+	defer u.releaseShared()
 	u.start(0)
 	err := u.run()
 	if err == errRestart {
@@ -976,13 +978,31 @@ func (u *uniState) record(k runKey, c0 int64) error {
 	return nil
 }
 
+// idleShared holds the abstract shared memories of finished proofs, so a
+// sweep that proves a kernel per point does not allocate one each time:
+// the paper's matmul tracks 3072 words, 72 KB.
+var idleShared sync.Pool // of *[]affv
+
+// releaseShared returns the proof's abstract shared memory to idleShared.
+func (u *uniState) releaseShared() {
+	if s := u.shared; s != nil {
+		idleShared.Put(&s)
+	}
+}
+
 // execShared certifies one shared access: addresses must be concrete (so
 // the bank-conflict pattern is trivially block-invariant) and in bounds.
 // Shared contents are tracked as affine values — stores land in ascending
 // lane order exactly like the device, so later lanes win address conflicts.
 func (u *uniState) execShared(in kernel.Instr) error {
 	if u.shared == nil {
-		u.shared = make([]affv, u.prog.SharedWords)
+		n := u.prog.SharedWords
+		if p, ok := idleShared.Get().(*[]affv); ok && cap(*p) >= n {
+			u.shared = (*p)[:n]
+			clear(u.shared)
+		} else {
+			u.shared = make([]affv, n)
+		}
 	}
 	c := &u.regs[in.Ra]
 	size := int64(len(u.shared))

@@ -507,8 +507,7 @@ func TestMemoFallsBackToFullSimulationOnAtomics(t *testing.T) {
 // TestMemoMatMulMatchesFullSimulation: with the prover certifying matmul,
 // a memoizing device must leave global memory, KernelStats (cycles
 // included) and time byte-identical to a prover-less one on every preset
-// and the tiny one, at the first size with memoMinBlocks blocks (8 tiles
-// a side), and on GTX650 and tiny also at 9 tiles a side, where replay
+// and the tiny one, at 8 tiles a side (64 blocks), and on GTX650 and tiny also at 9 tiles a side, where replay
 // batches straddle tile rows, so a tile row index (blockid divided by 9)
 // differs inside a batch and replay writes its lanes out. GTX650 at n=256
 // must actually memoize (its scheduler recurs with period 4 blocks).

@@ -150,11 +150,26 @@ func BenchmarkSweepCold(b *testing.B) {
 }
 
 // BenchmarkSweepMatMul measures the default matmul sweep at one worker.
-// Only its n=256 launch has the 64 blocks memoization needs; the
-// scheduled interpreter — shared-memory tiles, warp pick — runs every
-// block of the smaller points and 8 of n=256's, and memo replay the
-// rest, so this is the bench that sees interpreter work.
+// Memoization fingerprints launches of three waves or more (GTX650 holds
+// a wave of 4 matmul blocks), so its n=128 and n=256 launches memoize;
+// the scheduled interpreter — shared-memory tiles, warp pick — runs every
+// block of the smaller points and 8 of each memoized launch's, and memo
+// replay the rest, so this is the bench that sees interpreter work.
 func BenchmarkSweepMatMul(b *testing.B) {
+	benchSweep(b, "matmul")
+}
+
+// BenchmarkSweepReduce measures the default reduce sweep (Figure 4,
+// n = 2¹⁶…2²²) at one worker. Every round memo replays but the last few,
+// and its tree levels are prefix-masked shared accesses, which replay
+// gathers lane by lane into the batch's shared slab.
+func BenchmarkSweepReduce(b *testing.B) {
+	benchSweep(b, "reduce")
+}
+
+// benchSweep times one default sweep of workload per op at one worker;
+// calibration runs once, outside the timed loop.
+func benchSweep(b *testing.B, workload string) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	r, err := NewRunner(cfg)
@@ -163,7 +178,7 @@ func BenchmarkSweepMatMul(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.RunMatMul(); err != nil {
+		if _, err := r.Sweep(workload); err != nil {
 			b.Fatal(err)
 		}
 	}

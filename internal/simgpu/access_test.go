@@ -125,10 +125,11 @@ func laneAffine(c []kernel.Word) (kernel.Affine, bool) {
 	return f, true
 }
 
-// memOf returns the memory the access targets and whether it is shared.
+// memOf returns the memory the access targets and whether it is shared:
+// a one-block warp's shared memory is its slab's first sharedWords words.
 func memOf(ls *launchState, w *warp, op kernel.Op) ([]kernel.Word, bool) {
 	if op == kernel.OpLdShared || op == kernel.OpStShared {
-		return w.shared, true
+		return w.shared[:w.sharedWords], true
 	}
 	return ls.d.global.Raw(), false
 }

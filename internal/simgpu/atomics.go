@@ -63,7 +63,7 @@ func (ls *launchState) execAtomShared(w *warp, in *kernel.DInstr) error {
 		w.pc++
 		return nil
 	}
-	if bad := execGather(w, in.Ra, aBase, ssize, 0); bad >= 0 {
+	if bad := execGather(w, in.Ra, aBase, ssize, true); bad >= 0 {
 		return sharedRangeErr(op, bad, w.regs[aBase+bad], ssize)
 	}
 
@@ -124,7 +124,7 @@ func (ls *launchState) execAtomGlobal(w *warp, in *kernel.DInstr) error {
 		w.pc++
 		return nil
 	}
-	if bad := execGather(w, in.Ra, aBase, gsize, 0); bad >= 0 {
+	if bad := execGather(w, in.Ra, aBase, gsize, false); bad >= 0 {
 		return globalRangeErr(op, bad, w.regs[aBase+bad], gsize)
 	}
 	nblocks := ls.execTransactions(w, accessScattered, 0)

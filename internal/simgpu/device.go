@@ -382,10 +382,11 @@ func (d *Device) LaunchTraced(prog *kernel.Program, numBlocks int, tr *Tracer) (
 		return KernelResult{Time: 0, Stats: ls.stats}, nil
 	}
 	// Block memoization: only for untraced, site-free launches of
-	// analyzer-certified kernels, and never while faults are armed. Every
-	// disable condition falls back to plain full simulation.
+	// analyzer-certified kernels of memoMinWaves waves, and never while
+	// faults are armed. Every disable condition falls back to plain full
+	// simulation.
 	if tr == nil && !d.collectSites && !d.memoDisabled &&
-		numBlocks >= memoMinBlocks && d.uniformProver != nil &&
+		numBlocks >= memoMinWaves*occ*len(ls.sms) && d.uniformProver != nil &&
 		d.certified(prog, numBlocks) {
 		ls.memo = &memoState{}
 	}

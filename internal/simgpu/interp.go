@@ -120,22 +120,24 @@ func (w *warp) execIfBegin(r kernel.Reg, a int) (enter, divergent bool, err erro
 //
 // Every access resolves its address through execAccess, for the scheduled
 // interpreter and memo replay alike; in a batch each block's lanes address
-// global memory or the block's own shared memory. Every block is checked
-// before any data moves, so a trap leaves memory and registers as they
-// were. A fully active warp's address is range-checked and classified: a
-// symbolic address is a contiguous run at step 1 and a broadcast at step 0
-// in every block, checked from each block's first address in O(1), and
-// global runs whose block step is the run length abut into one run across
-// the batch; any other address column is written out and classified block
-// by block by execClassify. A one-block warp, every scheduled warp among
-// them, takes lane-only forms (execResolve), so the scheduled interpreter
-// pays nothing for the block axis. A run spans width distinct banks and
-// at most two blocks and moves as one copy; a broadcast hits one bank and
-// one block and loads as one fill. Every other pattern, and every partially
-// masked warp, is gathered into w.addrs (execGather) and, on a scheduled
-// warp, priced by the per-lane counters (conflictDegree,
-// execTransactions). All exec* helpers are under the atgpu-vet hotalloc
-// contract: they must not allocate.
+// global memory or the block's own shared memory, a row-interleaved slab
+// (see warp.shared). Every block is checked before any data moves, so a
+// trap leaves memory and registers as they were. A fully active one-block
+// warp, every scheduled warp among them, takes lane-only forms
+// (execResolve), so the scheduled interpreter pays nothing for the block
+// axis: its address is range-checked and classified, a symbolic run at
+// step 1 or broadcast at step 0 in O(1) from its first address, any other
+// column by execClassify. A run spans width distinct banks and at most two
+// blocks and moves as one copy; a broadcast hits one bank and one block
+// and loads as one fill. A fully active batch whose address is a symbolic
+// run or broadcast moves through execMoveForm: global runs whose block
+// step is the run length, and shared runs at one aligned address in every
+// block, are one copy across the batch, other runs a copy or two per
+// block. Every other pattern, and every
+// partially masked warp, is gathered into w.addrs (execGather), lane by
+// lane, and on a scheduled warp priced by the per-lane counters
+// (conflictDegree, execTransactions). All exec* helpers are under the
+// atgpu-vet hotalloc contract: they must not allocate.
 
 // accessKind is the pattern of a fully active warp's address column.
 type accessKind uint8
@@ -206,35 +208,41 @@ func execAffineKind(f kernel.Affine, width int) (accessKind, bool) {
 
 // execAccess range-checks the load or store in against each block's
 // memory and moves its data, for execGlobal, execShared and memo replay.
-// mem is global memory of size words (stride 0), or for a shared access
-// the blocks' shared memories of size words each, stride words apart. A
-// fully active warp resolves its symbolic address or classifies its
-// written-out address column, a scheduled warp through execResolve and a
-// batch through execResolveBatch; when price is set a scattered one is
-// also gathered into w.addrs, which the per-lane pricing reads. A masked
-// warp is always gathered and reports accessScattered. It returns block
-// 0's pattern and lane 0 address for pricing, or the range trap of the
-// first block out of range (w.trapBlock), in which case nothing has moved.
-func (w *warp) execAccess(in *kernel.DInstr, mem []kernel.Word, size, stride int, price bool) (kind accessKind, a0 kernel.Word, err error) {
-	if w.activeN < w.width {
-		if bad := execGather(w, in.Ra, int(in.A), size, stride); bad >= 0 {
-			return accessScattered, 0, w.execRangeTrap(in.Op, bad, w.regs[int(in.A)+bad], size)
-		}
-		w.execMoveGathered(in, mem)
-		return accessScattered, 0, nil
+// mem is global memory of size words, or with shared set the warp's shared
+// slab, size words per block. A fully active scheduled warp resolves its
+// symbolic address or classifies its written-out address column through
+// execResolve; when price is set a scattered one is also gathered into
+// w.addrs, which the per-lane pricing reads. A masked warp is always
+// gathered and reports accessScattered, as does a batch (execAccessBatch),
+// which is never priced. It returns the pattern and lane 0 address for
+// pricing, or the range trap of the first block out of range
+// (w.trapBlock), in which case nothing has moved.
+func (w *warp) execAccess(in *kernel.DInstr, mem []kernel.Word, size int, shared, price bool) (kind accessKind, a0 kernel.Word, err error) {
+	if w.stride() > w.width {
+		return accessScattered, 0, w.execAccessBatch(in, mem, size, shared)
 	}
-	if w.blocks > 1 {
-		return w.execAccessBatch(in, mem, size, stride, price)
+	if w.activeN < w.width {
+		return accessScattered, 0, w.execAccessGathered(in, mem, size, shared)
 	}
 	kind, a0, bad, addr := w.execResolve(in, size)
 	if bad >= 0 {
 		return kind, a0, execRangeErr(in.Op, bad, addr, size)
 	}
 	if price && kind == accessScattered {
-		execGather(w, in.Ra, int(in.A), size, 0)
+		execGather(w, in.Ra, int(in.A), size, shared)
 	}
 	w.execMove(in, mem, kind, a0)
 	return kind, a0, nil
+}
+
+// execAccessGathered gathers the access in over the active lanes and moves
+// it lane by lane, or returns the range trap of its first lane out of range.
+func (w *warp) execAccessGathered(in *kernel.DInstr, mem []kernel.Word, size int, shared bool) error {
+	if bad := execGather(w, in.Ra, int(in.A), size, shared); bad >= 0 {
+		return w.execRangeTrap(in.Op, bad, w.regs[int(in.A)+bad], size)
+	}
+	w.execMoveGathered(in, mem)
+	return nil
 }
 
 // execResolve range-checks and classifies the address register of in, a
@@ -273,105 +281,117 @@ func (w *warp) execMove(in *kernel.DInstr, mem []kernel.Word, kind accessKind, a
 	w.execWrote(in.Rd)
 }
 
-// execAccessBatch is execAccess for a fully active batch of several
-// blocks: a symbolic address is a run or a broadcast in every block when
-// it is one in block 0, checked block by block from each block's first
-// address in O(1); any other address column is written out and
-// classified block by block.
-func (w *warp) execAccessBatch(in *kernel.DInstr, mem []kernel.Word, size, stride int, price bool) (kind accessKind, a0 kernel.Word, err error) {
-	if f, ok := w.execForm(in.Ra, int(in.A)); ok {
+// execAccessBatch is execAccess for a batch warp: a fully active batch
+// whose symbolic address is a run or a broadcast in block 0 is one in
+// every block, checked block by block from each block's first address in
+// O(1) and moved by execMoveForm; any other access is gathered.
+func (w *warp) execAccessBatch(in *kernel.DInstr, mem []kernel.Word, size int, shared bool) error {
+	if f, ok := w.execForm(in.Ra, int(in.A)); ok && w.activeN == w.width {
 		if kind, ok := execAffineKind(f.Affine, w.width); ok {
 			for b := 0; b < w.blocks; b++ {
 				a0 := f.row(b).Base
 				if bad := execPatternBad(kind, a0, w.width, size); bad >= 0 {
-					return kind, f.Base, w.execRangeTrap(in.Op, b*w.width+bad, a0+f.Step*kernel.Word(bad), size)
+					return w.execRangeTrap(in.Op, b*w.width+bad, a0+f.Step*kernel.Word(bad), size)
 				}
 			}
-			w.execMoveForm(in, mem, stride, kind, f)
-			return kind, f.Base, nil
+			w.execMoveForm(in, mem, shared, kind, f)
+			return nil
 		}
 	}
-	ac := w.execColumn(in.Ra, int(in.A))
-	var kinds [memoBatchBlocks]accessKind
-	for b := 0; b < w.blocks; b++ {
-		lo := b * w.width
-		k, bad := execClassify(ac[lo:lo+w.width], size)
-		if bad >= 0 {
-			return k, ac[lo], w.execRangeTrap(in.Op, lo+bad, ac[lo+bad], size)
-		}
-		kinds[b] = k
-	}
-	kind, a0 = kinds[0], ac[0]
-	if price && kind == accessScattered {
-		execGather(w, in.Ra, int(in.A), size, stride)
-	}
-	w.execMoveColumn(in, mem, stride, kinds[:w.blocks], ac)
-	return kind, a0, nil
+	return w.execAccessGathered(in, mem, size, shared)
 }
 
 // isLoad reports a load (else a store) of a memory instruction.
 func isLoad(op kernel.Op) bool { return op == kernel.OpLdGlobal || op == kernel.OpLdShared }
 
 // execMoveForm moves a batch's fully active access in, whose symbolic
-// address f is in range as kind in every block, to or from mem (blocks
-// stride words apart). Global runs that abut (block step = width) are one
-// copy; a broadcast load that every block reads from one word leaves the
-// destination uniform in O(1), and any other broadcast load leaves each
-// block's word in the block's lane 0 (formRows).
-func (w *warp) execMoveForm(in *kernel.DInstr, mem []kernel.Word, stride int, kind accessKind, f batchAffine) {
-	run := kind == accessContiguous && stride == 0 && f.BStep == kernel.Word(w.width)
-	if isLoad(in.Op) {
-		d := int(in.D)
-		switch {
-		case kind == accessBroadcast && stride == 0 && f.BStep == 0:
+// address f is in range as kind in every block, to or from mem: global
+// memory, or with shared set the batch's slab. A global broadcast load
+// that every block reads from one word leaves the destination uniform in
+// O(1), and any other broadcast load leaves each block's word in the
+// block's lane 0 (formRows). Global runs that abut (block step = width)
+// and shared runs at one width-aligned address in every block (block step
+// 0) each lie in one stretch of mem and move as one copy. Any other
+// global access moves block by block (execMoveBlock), and any other
+// shared one through execMoveSlab.
+func (w *warp) execMoveForm(in *kernel.DInstr, mem []kernel.Word, shared bool, kind accessKind, f batchAffine) {
+	width := w.width
+	load := isLoad(in.Op)
+	d := int(in.D)
+	if load && kind == accessBroadcast {
+		if !shared && f.BStep == 0 {
 			w.execSetForm(in.Rd, d, batchAffine{Affine: kernel.Uniform(mem[f.Base])})
 			return
-		case kind == accessBroadcast:
-			for b := 0; b < w.blocks; b++ {
-				w.regs[d+b*w.width] = mem[b*stride+int(f.row(b).Base)]
-			}
-			w.form[in.Rd] = formRows
-			return
-		case run:
-			copy(w.regs[d:d+w.lanes], mem[f.Base:])
-		default:
-			for b := 0; b < w.blocks; b++ {
-				w.execMoveBlock(in, mem[b*stride:], b, kind, f.row(b).Base)
-			}
 		}
-		w.execWrote(in.Rd)
+		for b := 0; b < w.blocks; b++ {
+			a := int(f.row(b).Base)
+			if shared {
+				a = w.slot(b, a)
+			}
+			w.regs[d+b*width] = mem[a]
+		}
+		w.form[in.Rd] = formRows
 		return
 	}
-	src := w.execColumn(in.Rb, int(in.B))
-	if run {
-		copy(mem[f.Base:], src)
-		return
+	var col []kernel.Word
+	if load {
+		col = w.regs[d : d+w.lanes]
+	} else {
+		col = w.execColumn(in.Rb, int(in.B))
 	}
-	for b := 0; b < w.blocks; b++ {
-		w.execMoveBlock(in, mem[b*stride:], b, kind, f.row(b).Base)
-	}
-}
-
-// execMoveColumn moves a batch's fully active access in, whose
-// written-out address column ac is in range as kinds[b] in block b, to or
-// from mem (blocks stride words apart).
-func (w *warp) execMoveColumn(in *kernel.DInstr, mem []kernel.Word, stride int, kinds []accessKind, ac []kernel.Word) {
-	load := isLoad(in.Op)
-	if !load {
-		w.execColumn(in.Rb, int(in.B))
-	}
-	for b, kind := range kinds {
-		// ac may be the destination: block b reads its first address
-		// before its own lanes are loaded.
-		w.execMoveBlock(in, mem[b*stride:], b, kind, ac[b*w.width])
+	run := kind == accessContiguous
+	switch {
+	case run && !shared && f.BStep == kernel.Word(width):
+		execCopy(load, col, mem[f.Base:])
+	case run && shared && f.BStep == 0 && f.Base%kernel.Word(width) == 0:
+		execCopy(load, col, mem[w.slot(0, int(f.Base)):])
+	case shared:
+		w.execMoveSlab(load, col, mem, kind, f)
+	default:
+		for b := 0; b < w.blocks; b++ {
+			w.execMoveBlock(in, mem, b, kind, f.row(b).Base)
+		}
 	}
 	if load {
 		w.execWrote(in.Rd)
 	}
 }
 
+// execMoveSlab moves a batch's shared run, or broadcast store, at symbolic
+// address f, in range in every block, between the register column col and
+// the slab mem, block by block: a run fills the rest of its first row and
+// the start of the next, and a broadcast store writes the block's last
+// lane, as lanes landing in ascending order leave it.
+func (w *warp) execMoveSlab(load bool, col, mem []kernel.Word, kind accessKind, f batchAffine) {
+	width := w.width
+	for b := 0; b < w.blocks; b++ {
+		a := int(f.row(b).Base)
+		c, i := col[b*width:(b+1)*width], w.slot(b, a)
+		if kind == accessBroadcast {
+			mem[i] = c[width-1]
+			continue
+		}
+		head := width - a%width
+		execCopy(load, c[:head], mem[i:i+head])
+		if head < width {
+			execCopy(load, c[head:], mem[i+head-width+w.stride():])
+		}
+	}
+}
+
+// execCopy copies a register column into m, or m into the column on a
+// load.
+func execCopy(load bool, col, m []kernel.Word) {
+	if load {
+		copy(col, m)
+		return
+	}
+	copy(m, col)
+}
+
 // execMoveBlock moves block b's lanes of the fully active access in, in
-// range as kind from a0, to or from m, the block's memory: a run is one
+// range as kind from a0, to or from m, global memory or a one-block warp's
+// shared memory: a run is one
 // copy, a broadcast load fills the lanes and a broadcast store writes the
 // last lane's value (lanes land in ascending order, so the highest lane's
 // value stays), and a scattered access moves lane by lane through its
@@ -415,13 +435,15 @@ func (w *warp) execMoveBlock(in *kernel.DInstr, m []kernel.Word, b int, kind acc
 
 // execGather range-checks the active lanes' addresses in register r,
 // column base aBase, against each block's memory of size words and
-// gathers them into w.addrs as indexes into the blocks' memories, stride
-// words apart, -1 marking an inactive lane. It returns the first
-// out-of-range lane of the column, or -1.
-func execGather(w *warp, r kernel.Reg, aBase, size, stride int) int {
+// gathers them into w.addrs, -1 marking an inactive lane: as they are for
+// global memory, and with shared set as indexes into the warp's shared
+// slab (slot). It returns the first out-of-range lane of the column, or
+// -1.
+func execGather(w *warp, r kernel.Reg, aBase, size int, shared bool) int {
 	ac := w.execColumn(r, aBase)
+	slab := shared && w.stride() > w.width
 	for b := 0; b < w.blocks; b++ {
-		lo, off := b*w.width, b*stride
+		lo := b * w.width
 		for l, on := range w.active[:w.width] {
 			if !on {
 				w.addrs[lo+l] = -1
@@ -431,7 +453,10 @@ func execGather(w *warp, r kernel.Reg, aBase, size, stride int) int {
 			if uint64(addr) >= uint64(size) {
 				return lo + l
 			}
-			w.addrs[lo+l] = int(addr) + off
+			w.addrs[lo+l] = int(addr)
+			if slab {
+				w.addrs[lo+l] = w.slot(b, int(addr))
+			}
 		}
 	}
 	return -1
@@ -492,7 +517,7 @@ func sharedRangeErr(op kernel.Op, l int, addr kernel.Word, size int) error {
 func (ls *launchState) execGlobal(w *warp, in *kernel.DInstr) error {
 	op := in.Op
 	global := ls.d.global.Raw()
-	kind, a0, err := w.execAccess(in, global, len(global), 0, true)
+	kind, a0, err := w.execAccess(in, global, len(global), false, true)
 	if err != nil {
 		return err
 	}
@@ -591,7 +616,7 @@ func (ls *launchState) execTransactions(w *warp, kind accessKind, a0 kernel.Word
 // execShared performs a warp-wide shared memory access with bank-conflict
 // analysis and optional serialisation.
 func (ls *launchState) execShared(w *warp, in *kernel.DInstr) error {
-	kind, _, err := w.execAccess(in, w.shared, w.sharedWords, w.sharedWords, true)
+	kind, _, err := w.execAccess(in, w.shared, w.sharedWords, true, true)
 	if err != nil {
 		return err
 	}

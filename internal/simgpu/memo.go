@@ -47,22 +47,43 @@ import (
 // Memoization never engages when a tracer is attached (traces carry
 // per-block detail), when site collection is on, when a fault injector is
 // armed, when the program is not certified, or when the launch is too small
-// to have a steady state worth skipping.
+// to have a steady state worth skipping: fewer than memoMinWaves waves,
+// a wave being the blocks the launch holds resident at once, active SMs
+// times occupancy (ℓ in the model's Expression (2)).
 
 const (
-	// memoMinBlocks is the smallest launch worth fingerprinting.
-	memoMinBlocks = 64
-	// memoMaxSnaps bounds the stored fingerprint set; exotic schedules
-	// that never recur within the budget give up and simulate fully.
-	memoMaxSnaps = 4096
+	// memoMinWaves is the fewest waves a launch needs to be fingerprinted.
+	// The first fingerprint is taken when the first wave starts retiring,
+	// a period must then be observed once, and a skip needs a whole period
+	// left: on every preset and in every default sweep the period found is
+	// one wave, so a launch of fewer than three waves never skips (GTX650
+	// reduce n=2048 and K40 matmul n=256 recur but have no period left), and
+	// fingerprinting it only costs the prover's certificate.
+	memoMinWaves = 3
+	// memoMaxSnapBytes bounds the fingerprint states one launch stores;
+	// a schedule that does not recur within it gives up and simulates
+	// fully. The largest store that found a period, across the default
+	// sweeps and calibration on every preset, is 0.8 MB (GTX1080
+	// calibration: 32 states of 25 KB); GTX650 finds its period within
+	// 20 KB, K40 within 148 KB. GTX1080 vecadd and reduce never recur, and
+	// a cap of 4096 states let each of those launches store 106 MB before
+	// giving up. 4 MB keeps 5× headroom over the largest store that
+	// recurred and bounds what one that does not recur wastes.
+	memoMaxSnapBytes = 4 << 20
 	// memoReplayMinChunk is the fewest elided blocks one replay goroutine
 	// takes; a shorter replay runs serially.
 	memoReplayMinChunk = 16
-	// memoBatchBlocks is the most blocks a replay batch runs side by side
-	// (a power of two), and memoBatchWords the register and shared words
-	// a batch may hold.
-	memoBatchBlocks = 8
-	memoBatchWords  = 1 << 15
+	// memoBatchWords is the register and shared words a replay batch may
+	// hold, and memoBatchMax the most blocks it holds side by side: at 64
+	// blocks an instruction's dispatch is shared by 64 blocks' data work.
+	// memoBatchShort is the most blocks a short replay's batch holds: a
+	// batch grows past it only while the replay fills memoBatchRuns whole
+	// batches, so that a launch which elides a few dozen blocks (atgpud's
+	// n=4096 jobs elide 64) does not allocate a warp for more.
+	memoBatchWords = 1 << 15
+	memoBatchMax   = 64
+	memoBatchShort = 8
+	memoBatchRuns  = 16
 )
 
 // memoSnap is one recorded scheduler fingerprint.
@@ -78,7 +99,7 @@ type memoState struct {
 	snaps map[uint64][]memoSnap
 	seed  maphash.Seed
 	enc   []byte
-	count int
+	bytes int // the stored states' bytes
 	off   bool
 
 	// Applied skip, consumed by finishMemo.
@@ -97,10 +118,6 @@ func (m *memoState) observe(ls *launchState) {
 	}
 	remaining := ls.schedBlocks - ls.nextBlock
 	if remaining <= 0 {
-		return
-	}
-	if m.count >= memoMaxSnaps {
-		m.off = true
 		return
 	}
 	m.enc = encodeRelState(ls, m.enc[:0])
@@ -152,6 +169,10 @@ func (m *memoState) observe(ls *launchState) {
 		m.off = true
 		return
 	}
+	if m.bytes+len(m.enc) > memoMaxSnapBytes {
+		m.off = true
+		return
+	}
 	snap := memoSnap{
 		state:     append([]byte(nil), m.enc...),
 		cycle:     ls.cycle,
@@ -159,7 +180,7 @@ func (m *memoState) observe(ls *launchState) {
 		stats:     ls.stats,
 	}
 	m.snaps[key] = append(m.snaps[key], snap)
-	m.count++
+	m.bytes += len(snap.state)
 }
 
 // encodeRelState flattens everything the scheduler's future behaviour can
@@ -246,15 +267,16 @@ func (ls *launchState) finishMemo() error {
 }
 
 // batchBlocks returns how many blocks one replay batch of prog holds at
-// warp width width: memoBatchBlocks, or the largest power of two that
-// keeps a batch's registers and shared memory within memoBatchWords. A
-// power of two divides every power-of-two tile row at least as long, so
-// batches cut at its multiples stay inside the rows of the paper's
-// tilings (see replayWith).
-func batchBlocks(prog *kernel.Program, width int) int {
-	perBlock := max(1, prog.NumRegs*width+prog.SharedWords)
-	fit := max(1, min(memoBatchBlocks, memoBatchWords/perBlock))
-	return 1 << (bits.Len(uint(fit)) - 1)
+// warp width width when blocks are elided: the largest power of two that
+// keeps a batch's registers and shared slab within memoBatchWords, at most
+// memoBatchMax, and above memoBatchShort only while elided fills
+// memoBatchRuns batches. A power of two divides every power-of-two tile row
+// at least as long, so batches cut at its multiples stay inside the rows
+// of the paper's tilings (see replayWith).
+func batchBlocks(prog *kernel.Program, width, elided int) int {
+	perBlock := max(1, prog.NumRegs*width+(prog.SharedWords+width-1)/width*width)
+	fit := min(memoBatchWords/perBlock, memoBatchMax, max(memoBatchShort, elided/memoBatchRuns))
+	return 1 << (bits.Len(uint(max(1, fit))) - 1)
 }
 
 // memoReplay runs blocks [from, to) through the data-only batch
@@ -263,17 +285,18 @@ func batchBlocks(prog *kernel.Program, width int) int {
 // the blocks' global writes are disjoint from each other and from the
 // simulated blocks', so replay order is irrelevant: the range is split
 // into up to GOMAXPROCS contiguous chunks of at least memoReplayMinChunk
-// blocks, cut at multiples of the batch size, each replayed on its own
+// blocks and one batch, cut at multiples of the batch size (batchBlocks,
+// sized by the replay's length), each replayed on its own
 // batch warp from the idle pool. A failure reports the lowest failing block,
 // the one a serial replay would have stopped at.
 func (ls *launchState) memoReplay(from, to int) error {
-	batch := batchBlocks(ls.prog, ls.width)
+	n := to - from
+	batch := batchBlocks(ls.prog, ls.width, n)
 	dec, err := ls.d.decoded(ls.prog, batch*ls.width)
 	if err != nil {
 		return err
 	}
-	n := to - from
-	k := max(1, min(runtime.GOMAXPROCS(0), n/memoReplayMinChunk))
+	k := max(1, min(runtime.GOMAXPROCS(0), n/max(memoReplayMinChunk, batch)))
 	shape := warpShape{ls.width, batch, ls.prog.NumRegs, ls.prog.SharedWords}
 	warps := takeWarps(make([]*warp, 0, k), shape, k)
 	for len(warps) < k {
@@ -420,11 +443,11 @@ func (ls *launchState) replayBatch(w *warp, dec *kernel.Decoded, first, blocks i
 // execAccess, with its bounds checks and trap text but without pricing.
 func (ls *launchState) replayMem(w *warp, in *kernel.DInstr) error {
 	if in.Op == kernel.OpLdShared || in.Op == kernel.OpStShared {
-		_, _, err := w.execAccess(in, w.shared, w.sharedWords, w.sharedWords, false)
+		_, _, err := w.execAccess(in, w.shared, w.sharedWords, true, false)
 		return err
 	}
 	global := ls.d.global.Raw()
-	_, _, err := w.execAccess(in, global, len(global), 0, false)
+	_, _, err := w.execAccess(in, global, len(global), false, false)
 	return err
 }
 

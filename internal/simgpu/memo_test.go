@@ -128,6 +128,70 @@ func gridKernel(t *testing.T, b, n, tiles int) *kernel.Program {
 	return prog
 }
 
+// sharedMixKernel passes each block's input through shared memory in
+// every access shape replay treats apart: aligned runs, an unaligned run
+// and a reversed one, broadcasts that read one address of each block's own
+// memory and one whose address steps by block (both formRows), a
+// scattered column, and reduce's prefix-masked tree levels. It reads
+// input at 0 and writes n words further on.
+func sharedMixKernel(t *testing.T, b, n int) *kernel.Program {
+	t.Helper()
+	kb := kernel.NewBuilder("memo-shared-mix", 3*b)
+	j, blk, idx, val, addr, tmp := kb.Reg("lane"), kb.Reg("block"), kb.Reg("idx"), kb.Reg("val"), kb.Reg("addr"), kb.Reg("tmp")
+	lt, other, sum := kb.Reg("lt"), kb.Reg("other"), kb.Reg("sum")
+	kb.LaneID(j)
+	kb.BlockID(blk)
+	kb.Mul(idx, blk, kernel.Imm(int64(b)))
+	kb.Add(idx, idx, kernel.R(j))
+	kb.LdGlobal(val, idx)
+	kb.StShared(j, val) // aligned run at 0
+	kb.Add(addr, j, kernel.Imm(int64(b+3)))
+	kb.StShared(addr, idx) // unaligned run at b+3
+	kb.Barrier()
+	kb.Const(addr, 5)
+	kb.LdShared(tmp, addr) // each block's word 5
+	kb.Add(val, val, kernel.R(tmp))
+	kb.Mod(addr, blk, kernel.Imm(64))
+	kb.LdShared(tmp, addr) // word blk mod 64 of each block
+	kb.Mul(tmp, tmp, kernel.Imm(7))
+	kb.Add(val, val, kernel.R(tmp))
+	kb.Mul(addr, j, kernel.Imm(5))
+	kb.Mod(addr, addr, kernel.Imm(int64(b)))
+	kb.LdShared(tmp, addr) // scattered
+	kb.Add(val, val, kernel.R(tmp))
+	kb.Const(addr, int64(2*b+2))
+	kb.Sub(addr, addr, kernel.R(j))
+	kb.LdShared(tmp, addr) // reversed, unaligned
+	kb.Mul(tmp, tmp, kernel.Imm(3))
+	kb.Add(val, val, kernel.R(tmp))
+	kb.Barrier()
+	kb.StShared(j, val)
+	kb.Barrier()
+	for stride := b / 2; stride >= 1; stride /= 2 {
+		kb.Slt(lt, j, kernel.Imm(int64(stride)))
+		kb.IfDo(lt, func() {
+			kb.Add(other, j, kernel.Imm(int64(stride)))
+			kb.LdShared(val, j)
+			kb.LdShared(sum, other)
+			kb.Add(val, val, kernel.R(sum))
+			kb.StShared(j, val)
+		})
+		kb.Barrier()
+	}
+	kb.Add(addr, j, kernel.Imm(int64(b+3)))
+	kb.LdShared(val, addr) // unaligned run
+	kb.Const(addr, 0)
+	kb.LdShared(tmp, addr) // the block's sum
+	kb.Add(val, val, kernel.R(tmp))
+	kb.Add(addr, idx, kernel.Imm(int64(n)))
+	kb.StGlobal(addr, val)
+	prog, err := kb.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return prog
+}
+
 // TestMemoMatchesFullSimulation runs each kernel on a memoizing and a
 // plain device and requires memory, KernelStats and time to match
 // exactly. The vecadd cases drive replay through shared loads and stores
@@ -170,6 +234,8 @@ func TestMemoMatchesFullSimulation(t *testing.T) {
 		// row, when set, requires a size whose replayed range starts and
 		// ends inside a batch and crosses a multiple of row.
 		row int
+		// widest requires replay batches of memoBatchMax blocks.
+		widest bool
 	}
 	const gridTiles = 12
 	cases := []memoCase{
@@ -178,6 +244,11 @@ func TestMemoMatchesFullSimulation(t *testing.T) {
 			return launch{uniformKernel(t, b, n), 2 * n, n}
 		}, uniform: true},
 		{name: "vecadd-shared", cfg: GTX650(), blocks: []int{512}, kernel: vecadd, uniform: true},
+		// Long enough a replay for the widest batch.
+		{name: "shared-mix", cfg: GTX650(), blocks: []int{1200, 1237}, kernel: func(b, blocks int) launch {
+			n := b * blocks
+			return launch{sharedMixKernel(t, b, n), 2 * n, n}
+		}, uniform: true, widest: true},
 		// n = 511·32 + 7: 512 blocks, 7 active lanes in the last.
 		{name: "vecadd-shared-masked-tail", cfg: GTX650(), blocks: []int{512}, kernel: func(b, blocks int) launch {
 			n := (blocks-1)*b + 7
@@ -185,13 +256,16 @@ func TestMemoMatchesFullSimulation(t *testing.T) {
 		}},
 	}
 	for _, cfg := range append(Presets(), Tiny()) {
-		// The period is about two blocks per SM; the sweep stops as soon
-		// as it has covered 2·d sizes past the first skip.
+		// Two blocks fit an SM, and the period is a wave of them; the
+		// sweep starts a wave below the smallest launch memoization
+		// fingerprints and stops as soon as it has covered 2·d sizes past
+		// the first skip.
+		half := cfg.SharedWords / 2
+		wave := cfg.Occupancy(half) * cfg.NumSMs
 		var sizes []int
-		for blocks := memoMinBlocks; blocks <= memoMinBlocks+16*cfg.NumSMs; blocks++ {
+		for blocks := (memoMinWaves - 1) * wave; blocks <= (memoMinWaves+3)*wave; blocks++ {
 			sizes = append(sizes, blocks)
 		}
-		half := cfg.SharedWords / 2
 		cases = append(cases, memoCase{name: "residues/" + cfg.Name, cfg: cfg, blocks: sizes, kernel: func(b, blocks int) launch {
 			l := vecadd(b, blocks)
 			p := *l.prog
@@ -200,7 +274,7 @@ func TestMemoMatchesFullSimulation(t *testing.T) {
 			return l
 		}, uniform: true, residue: true})
 		var grid []int
-		for blocks := max(16*cfg.NumSMs, 4*memoMinBlocks) + 1; len(grid) < 6; blocks += 5 {
+		for blocks := max(16*cfg.NumSMs, 256) + 1; len(grid) < 6; blocks += 5 {
 			grid = append(grid, blocks)
 		}
 		gridLaunch := func(b, blocks int) launch {
@@ -274,7 +348,10 @@ func TestMemoMatchesFullSimulation(t *testing.T) {
 						t.Fatalf("%d blocks: global[%d] diverges: full %d, memo %d", blocks, i, fullMem[i], memoMem[i])
 					}
 				}
-				batch := batchBlocks(l.prog, b)
+				batch := batchBlocks(l.prog, b, int(elided))
+				if tc.widest && batch != memoBatchMax {
+					t.Fatalf("%d blocks: %d elided blocks replay in batches of %d, want %d", blocks, elided, batch, memoBatchMax)
+				}
 				if from := blocks - int(elided); tc.row > 0 && elided > 0 &&
 					from%batch != 0 && blocks%batch != 0 &&
 					(from/tc.row+1)*tc.row < blocks {
@@ -570,9 +647,11 @@ func TestMemoWarpsReusedAcrossDevices(t *testing.T) {
 	const b, blocks = 32, 512
 	n := b * blocks
 	prog := vecaddSharedKernel(t, b, n)
+	// Blocks 0–63 are simulated (a warm-up wave of 32 and one period).
+	const elided = blocks - 64
 	shapes := []warpShape{
 		{b, 1, prog.NumRegs, prog.SharedWords},
-		{b, batchBlocks(prog, b), prog.NumRegs, prog.SharedWords},
+		{b, batchBlocks(prog, b, elided), prog.NumRegs, prog.SharedWords},
 	}
 	pooled := func() map[*warp]bool {
 		ws := map[*warp]bool{}
@@ -600,8 +679,8 @@ func TestMemoWarpsReusedAcrossDevices(t *testing.T) {
 		if _, err := dev.Launch(prog, blocks); err != nil {
 			t.Fatalf("device %d: %v", i, err)
 		}
-		if dev.MemoSkips() != 1 {
-			t.Fatalf("device %d: memoization engaged %d times, want 1", i, dev.MemoSkips())
+		if dev.MemoSkips() != 1 || dev.memoElided != elided {
+			t.Fatalf("device %d: memoization engaged %d times, replaying %d blocks; want 1, replaying %d", i, dev.MemoSkips(), dev.memoElided, elided)
 		}
 		if raceEnabled {
 			continue
@@ -654,21 +733,64 @@ func TestMemoDisabledByTracerSitesAndFaults(t *testing.T) {
 	}
 }
 
+// TestBatchBlocks pins replay batch sizes at warp width 32: a vecadd or
+// reduce block (9 or 11 registers and 96 or 32 shared words, 384 words)
+// replays 8 at a time when its launch elides 64 blocks, as atgpud's
+// n=4096 jobs do, and 64 at a time when it elides thousands; a matmul
+// block (34 registers and 3072 shared words) 4 at a time however many;
+// and a block too big for the budget one at a time.
+func TestBatchBlocks(t *testing.T) {
+	for _, tc := range []struct {
+		regs, shared, elided, want int
+	}{
+		{9, 96, 64, memoBatchShort},
+		{11, 32, 64, memoBatchShort},
+		{9, 96, 16 * 16, 16},
+		{9, 96, 16*64 - 1, 32},
+		{9, 96, 3040, memoBatchMax},
+		{11, 32, 65472, memoBatchMax},
+		{34, 3072, 8, 4},
+		{34, 3072, 65536, 4},
+		{1, 1 << 15, 4096, 1},
+	} {
+		prog := &kernel.Program{NumRegs: tc.regs, SharedWords: tc.shared}
+		if got := batchBlocks(prog, 32, tc.elided); got != tc.want {
+			t.Errorf("%d registers, %d shared words, %d elided: batches of %d, want %d", tc.regs, tc.shared, tc.elided, got, tc.want)
+		}
+	}
+}
+
+// TestMemoSmallLaunchNotEligible: memoization fingerprints a launch of
+// memoMinWaves waves or more and no smaller one, a wave being what the
+// launch holds resident at once (here 2 SMs × 16 blocks). A launch of
+// exactly three waves skips its last.
 func TestMemoSmallLaunchNotEligible(t *testing.T) {
 	const b = 32
-	blocks := memoMinBlocks - 1
-	n := b * blocks
-	prog := uniformKernel(t, b, n)
-	dev, err := New(memoConfig(n))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	dev.SetUniformProver(alwaysUniform)
-	if _, err := dev.Launch(prog, blocks); err != nil {
-		t.Fatalf("launch: %v", err)
-	}
-	if got := dev.MemoSkips(); got != 0 {
-		t.Errorf("memoization engaged on %d blocks (min %d)", blocks, memoMinBlocks)
+	cfg := GTX650()
+	wave := cfg.NumSMs * cfg.MaxBlocksPerSM
+	for _, tc := range []struct {
+		blocks        int
+		skips, elided int64
+		proved        bool
+	}{
+		{memoMinWaves*wave - 1, 0, 0, false},
+		{memoMinWaves * wave, 1, int64(wave), true},
+	} {
+		n := b * tc.blocks
+		prog := uniformKernel(t, b, n)
+		dev, err := New(memoConfig(n))
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		proved := false
+		dev.SetUniformProver(func(*kernel.Program, Config, int) bool { proved = true; return true })
+		if _, err := dev.Launch(prog, tc.blocks); err != nil {
+			t.Fatalf("%d blocks: launch: %v", tc.blocks, err)
+		}
+		if dev.MemoSkips() != tc.skips || dev.memoElided != tc.elided || proved != tc.proved {
+			t.Errorf("%d blocks (wave %d): memoization engaged %d times, replaying %d blocks, prover asked %v; want %d, %d, %v",
+				tc.blocks, wave, dev.MemoSkips(), dev.memoElided, proved, tc.skips, tc.elided, tc.proved)
+		}
 	}
 }
 

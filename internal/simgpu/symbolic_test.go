@@ -103,11 +103,12 @@ func formColumn(f batchAffine, form, width, blocks int) []kernel.Word {
 	return col
 }
 
-// newSymWarp returns a warp of regs registers running blocks blocks of
-// width lanes from block first, and the column base of register r.
-func newSymWarp(width, blocks, regs, first int) (*warp, func(r kernel.Reg) int32) {
-	w := newWarp(warpShape{width, blocks, regs, 0})
-	w.addrs = make([]int, width*blocks)
+// newSymWarp returns a warp of regs registers and shared shared words per
+// block, shaped for slab blocks and running blocks of them from block
+// first, and the column base of register r.
+func newSymWarp(width, slab, blocks, regs, shared, first int) (*warp, func(r kernel.Reg) int32) {
+	w := newWarp(warpShape{width, slab, regs, shared})
+	w.addrs = make([]int, width*slab)
 	w.reset(first, blocks)
 	return w, func(r kernel.Reg) int32 { return int32(int(r) * w.stride()) }
 }
@@ -140,7 +141,7 @@ func checkSymbolicALU(t *testing.T, c symCase) (symbolic bool) {
 	width, blocks := c.width, c.blocks
 	lanes := width * blocks
 	ls := &launchState{width: width, numBlocks: symNumBlocks}
-	w, base := newSymWarp(width, blocks, int(symRegs), symBlockID)
+	w, base := newSymWarp(width, blocks, blocks, int(symRegs), 0, symBlockID)
 	rd := [aliasCount]kernel.Reg{symD, symA, symB}[c.alias]
 	in := &kernel.DInstr{
 		Op: c.op, Rd: rd, Ra: symA, Rb: symB,
@@ -232,8 +233,9 @@ var symFormPairs = [][2]int{
 // operands. It also checks that the symbolic path is exercised: every
 // opcode gives a symbolic result on uniform operands, and the geometry
 // opcodes and every opcode with a Sym rule on affine ones. The block axis
-// runs the same checks on batches of 1, 3 and 8 blocks with operands that
-// step along the blocks (checkSymbolicBatches), and the quotient rules run
+// runs the same checks on batches of 1, 3, 8 and memoBatchMax blocks with
+// operands that step along the blocks (checkSymbolicBatches), and the
+// quotient rules run
 // on the divisors and dividends where they are easiest to get wrong
 // (checkSymbolicQuotient).
 func TestSymbolicALU(t *testing.T) {
@@ -284,10 +286,11 @@ func TestSymbolicALU(t *testing.T) {
 }
 
 // checkSymbolicBatches steps every execALU opcode on batches: widths 1, 7
-// and 32 by 1, 3 and 8 blocks, on random operands whose bases and steps
-// along both axes come from symEdgeWords and small words (a third of them
-// affine in the column index), in random forms and aliasing. It requires, at 3 and 8 blocks, a symbolic result on
-// operands that step along the blocks from every geometry opcode and
+// and 32 by 1, 3, 8 and memoBatchMax blocks, on random operands whose
+// bases and steps along both axes come from symEdgeWords and small words
+// (a third of them affine in the column index), in random forms and
+// aliasing. It requires, on batches of several blocks, a symbolic result
+// on operands that step along the blocks from every geometry opcode and
 // every opcode with a Sym rule.
 func checkSymbolicBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
@@ -302,7 +305,7 @@ func checkSymbolicBatches(t *testing.T) {
 		sem := op.Semantics()
 		blockAxis := 0
 		for _, width := range []int{1, 7, 32} {
-			for _, blocks := range []int{1, 3, 8} {
+			for _, blocks := range []int{1, 3, 8, memoBatchMax} {
 				// Every third operand is affine in the column index
 				// b·width + l, as blockid·blockdim + laneid is.
 				operand := func() batchAffine {
@@ -386,31 +389,42 @@ func checkSymbolicQuotient(t *testing.T) {
 }
 
 // TestSymbolicAddress checks execAccess on an address register in
-// symbolic form against the same access on the written-out column: the
-// same pattern, lane 0 address, trap text and trapping block, loaded
-// registers and memory, on runs and broadcasts in range, off either end
-// and at negative bases, on strides the rule leaves to execClassify, and
-// on batches of 3 and 8 blocks whose block step abuts the runs, overlaps
-// them, reverses them or wraps. A run or broadcast is resolved without
-// writing the register out.
+// symbolic form against the same access on the written-out column, and
+// both against the access written out lane by lane over each block's own
+// memory (refAccess): the same pattern, lane 0 address, trap text and
+// trapping block, loaded registers and memory, on runs and broadcasts in
+// range, off either end and at negative bases, on strides the rule leaves
+// to execClassify, and on batches of 3, 8 and memoBatchMax blocks whose
+// block step abuts the runs, overlaps them, reverses them or wraps. Shared
+// accesses run on the batch's row-interleaved slab, aligned and not, and
+// on a batch shorter than its slab (a tail batch). A run or broadcast is
+// resolved without writing the register out.
 func TestSymbolicAddress(t *testing.T) {
 	for _, width := range []int{1, 7, 32} {
-		for _, blocks := range []int{1, 3, 8} {
-			size := 4*width*blocks + 3
-			wd, sz := kernel.Word(width), kernel.Word(size)
-			bases := []kernel.Word{0, 1, 5, sz - wd, sz - wd + 1, sz - 1, sz, sz + 7, -1, -wd, -wd + 1,
-				math.MinInt64, math.MaxInt64, math.MaxInt64 - wd + 2}
-			steps := []kernel.Word{0, 1, -1, 2, wd, math.MinInt64, math.MaxInt64}
-			bsteps := []kernel.Word{0}
-			if blocks > 1 {
-				bsteps = []kernel.Word{0, wd, 1, -wd, 2 * wd, math.MinInt64}
-			}
-			for _, op := range []kernel.Op{kernel.OpLdGlobal, kernel.OpStGlobal} {
-				for _, base := range bases {
-					for _, step := range steps {
-						for _, bstep := range bsteps {
-							f := batchAffine{Affine: kernel.Affine{Base: base, Step: step}, BStep: bstep}
-							checkSymbolicAddress(t, op, f, width, blocks, size)
+		for _, slab := range []int{1, 3, 8, memoBatchMax} {
+			for _, blocks := range []int{slab, min(slab, 3) - 1} {
+				if blocks == 0 {
+					continue
+				}
+				for _, op := range []kernel.Op{kernel.OpLdGlobal, kernel.OpStGlobal, kernel.OpLdShared, kernel.OpStShared} {
+					size := 4*width*slab + 3
+					if op == kernel.OpLdShared || op == kernel.OpStShared {
+						size = 4*width + 3
+					}
+					wd, sz := kernel.Word(width), kernel.Word(size)
+					bases := []kernel.Word{0, 1, 5, wd, 2*wd + 1, sz - wd, sz - wd + 1, sz - 1, sz, sz + 7, -1, -wd, -wd + 1,
+						math.MinInt64, math.MaxInt64, math.MaxInt64 - wd + 2}
+					steps := []kernel.Word{0, 1, -1, 2, wd, math.MinInt64, math.MaxInt64}
+					bsteps := []kernel.Word{0}
+					if blocks > 1 {
+						bsteps = []kernel.Word{0, wd, 1, -wd, 2 * wd, math.MinInt64}
+					}
+					for _, base := range bases {
+						for _, step := range steps {
+							for _, bstep := range bsteps {
+								f := batchAffine{Affine: kernel.Affine{Base: base, Step: step}, BStep: bstep}
+								checkSymbolicAddress(t, op, f, width, slab, blocks, size)
+							}
 						}
 					}
 				}
@@ -419,27 +433,82 @@ func TestSymbolicAddress(t *testing.T) {
 	}
 }
 
-// checkSymbolicAddress runs op at address f on a batch of blocks blocks
-// of width lanes over a global memory of size words, once with f in
-// symbolic form and once written out, and compares the two.
-func checkSymbolicAddress(t *testing.T, op kernel.Op, f batchAffine, width, blocks, size int) {
+// symMemory returns the test's memory for an access of op by blocks
+// blocks over size words each: one global memory, or one shared memory
+// per block, each word distinct.
+func symMemory(op kernel.Op, blocks, size int) [][]kernel.Word {
+	if op == kernel.OpLdGlobal || op == kernel.OpStGlobal {
+		blocks = 1
+	}
+	mems := make([][]kernel.Word, blocks)
+	for b := range mems {
+		mems[b] = make([]kernel.Word, size)
+		for i := range mems[b] {
+			mems[b][i] = kernel.Word(1000 + 100000*b + i)
+		}
+	}
+	return mems
+}
+
+// refAccess applies op at the written-out address column ac, source
+// column src, lane by lane in ascending block and lane order to mems (one
+// memory shared by every block, or one per block), width lanes per block.
+// It returns the loaded column and the trap and its block, checked over
+// every lane before anything moves.
+func refAccess(op kernel.Op, ac, src []kernel.Word, mems [][]kernel.Word, width, size int) (dst []kernel.Word, err string, trapBlock int) {
+	mem := func(b int) []kernel.Word { return mems[min(b, len(mems)-1)] }
+	for i, a := range ac {
+		if uint64(a) >= uint64(size) {
+			return nil, execRangeErr(op, i%width, a, size).Error(), i / width
+		}
+	}
+	dst = make([]kernel.Word, len(ac))
+	for i, a := range ac {
+		if isLoad(op) {
+			dst[i] = mem(i / width)[a]
+		} else {
+			mem(i / width)[a] = src[i]
+		}
+	}
+	return dst, "", 0
+}
+
+// checkSymbolicAddress runs op at address f on a batch of blocks blocks of
+// width lanes, shaped for slab blocks, over memories of size words, once
+// with f in symbolic form and once written out, and compares both with
+// refAccess. A shared slab is laid out by its definition: word a of block
+// b at (a/width)·slab·width + b·width + a%width.
+func checkSymbolicAddress(t *testing.T, op kernel.Op, f batchAffine, width, slab, blocks, size int) {
 	t.Helper()
+	shared := op == kernel.OpLdShared || op == kernel.OpStShared
+	at := func(b, a int) int { return a/width*slab*width + b*width + a%width }
 	type outcome struct {
 		kind      accessKind
 		a0        kernel.Word
 		err       string
 		trapBlock int
-		dst, mem  []kernel.Word
+		dst       []kernel.Word
+		mems      [][]kernel.Word
+	}
+	src := make([]kernel.Word, width*blocks)
+	for i := range src {
+		src[i] = kernel.Word(-1 - i)
 	}
 	run := func(symbolic bool) (outcome, *warp) {
-		w, base := newSymWarp(width, blocks, 3, 0)
-		mem := make([]kernel.Word, size)
-		for i := range mem {
-			mem[i] = kernel.Word(1000 + i)
+		sharedWords := 0
+		if shared {
+			sharedWords = size
 		}
-		src := make([]kernel.Word, width*blocks)
-		for i := range src {
-			src[i] = kernel.Word(-1 - i)
+		w, base := newSymWarp(width, slab, blocks, 3, sharedWords, 0)
+		mems := symMemory(op, blocks, size)
+		mem := mems[0]
+		if shared {
+			mem = w.shared
+			for b := range mems {
+				for a, v := range mems[b] {
+					mem[at(b, a)] = v
+				}
+			}
 		}
 		w.setColumn(2, src)
 		if symbolic {
@@ -448,27 +517,44 @@ func checkSymbolicAddress(t *testing.T, op kernel.Op, f batchAffine, width, bloc
 			w.setColumn(0, formColumn(f, formSetFlat, width, blocks))
 		}
 		in := &kernel.DInstr{Op: op, Rd: 1, Ra: 0, Rb: 2, D: base(1), A: base(0), B: base(2)}
-		kind, a0, err := w.execAccess(in, mem, size, 0, false)
-		o := outcome{kind: kind, a0: a0, trapBlock: w.trapBlock, mem: mem}
+		kind, a0, err := w.execAccess(in, mem, size, shared, false)
+		o := outcome{kind: kind, a0: a0, trapBlock: w.trapBlock, mems: mems}
+		if shared {
+			for b := range mems {
+				for a := range mems[b] {
+					mems[b][a] = mem[at(b, a)]
+				}
+			}
+		}
 		if err != nil {
 			o.err = err.Error()
 			o.kind, o.a0 = 0, 0 // unspecified on a trap
-		} else {
+		} else if isLoad(op) {
 			o.dst = append([]kernel.Word(nil), w.execColumn(1, int(base(1)))...)
 		}
 		return o, w
 	}
 	sym, w := run(true)
 	flat, _ := run(false)
-	name := fmt.Sprintf("width=%d blocks=%d size=%d %v %+v", width, blocks, size, op, f)
-	if sym.err != flat.err || sym.trapBlock != flat.trapBlock {
-		t.Fatalf("%s: symbolic trap %q in block %d, written out %q in block %d", name, sym.err, sym.trapBlock, flat.err, flat.trapBlock)
+	ref := outcome{mems: symMemory(op, blocks, size)}
+	ref.dst, ref.err, ref.trapBlock = refAccess(op, formColumn(f, formSetFlat, width, blocks), src, ref.mems, width, size)
+	if ref.err != "" || !isLoad(op) {
+		ref.dst = nil
 	}
-	if blocks == 1 && (sym.kind != flat.kind || sym.a0 != flat.a0) {
+	name := fmt.Sprintf("width=%d blocks=%d of %d size=%d %v %+v", width, blocks, slab, size, op, f)
+	for _, o := range []struct {
+		name string
+		outcome
+	}{{"symbolic", sym}, {"written out", flat}} {
+		if o.err != ref.err || o.trapBlock != ref.trapBlock {
+			t.Fatalf("%s: %s trap %q in block %d, want %q in block %d", name, o.name, o.err, o.trapBlock, ref.err, ref.trapBlock)
+		}
+		if !slices.Equal(o.dst, ref.dst) || !slices.EqualFunc(o.mems, ref.mems, slices.Equal) {
+			t.Fatalf("%s: %s registers/memory differ from the lane-by-lane access:\n%v %v\n%v %v", name, o.name, o.dst, o.mems, ref.dst, ref.mems)
+		}
+	}
+	if slab == 1 && (sym.kind != flat.kind || sym.a0 != flat.a0) {
 		t.Fatalf("%s: symbolic (kind %d, a0 %d), written out (kind %d, a0 %d)", name, sym.kind, sym.a0, flat.kind, flat.a0)
-	}
-	if !slices.Equal(sym.dst, flat.dst) || !slices.Equal(sym.mem, flat.mem) {
-		t.Fatalf("%s: symbolic registers/memory differ from written out:\n%v %v\n%v %v", name, sym.dst, sym.mem, flat.dst, flat.mem)
 	}
 	if _, ok := execAffineKind(f.Affine, width); ok && width*blocks > 2 && w.form[0] != formStale {
 		t.Fatalf("%s: a run or broadcast was written out", name)
@@ -501,7 +587,7 @@ func FuzzSymbolicALU(f *testing.F) {
 		}
 		checkSymbolicALU(t, symCase{
 			width:  1 + int(width)%32,
-			blocks: 1 + int(blocks)%memoBatchBlocks,
+			blocks: 1 + int(blocks)%memoBatchMax,
 			op:     op,
 			a:      batchAffine{Affine: kernel.Affine{Base: aBase, Step: aStep}, BStep: aBStep},
 			b:      b,

@@ -1,6 +1,8 @@
 package simgpu
 
 import (
+	"math/bits"
+
 	"atgpu/internal/kernel"
 )
 
@@ -19,8 +21,9 @@ const (
 //
 // Memo replay runs a batch of consecutive blocks on one warp (memo.go):
 // every register holds a column of width lanes per block, blocks side by
-// side, and every block has its own shared memory, while the pc and the
-// SIMT mask are the batch's. A scheduled warp is a batch of one block.
+// side, and every block has its own shared memory, row-interleaved in one
+// slab, while the pc and the SIMT mask are the batch's. A scheduled warp
+// is a batch of one block.
 type warp struct {
 	blockID int // the block, or a batch's first block
 	pc      int
@@ -63,10 +66,17 @@ type warp struct {
 	maskStack [][]bool
 	maskDepth int
 
-	// shared is the blocks' shared memory: block b's sharedWords words
-	// start at b·sharedWords.
+	// shared is the blocks' shared memory, one slab of rows of width
+	// words per block, blocks side by side: word a of block b is
+	// shared[(a/width)·stride + b·width + a%width] (slot), stride being
+	// width times the blocks the shape holds. A shared run at one aligned
+	// address in every block is then one copy across the batch, as a
+	// register column is; on a one-block shape the slot is the address.
 	shared      []kernel.Word
 	sharedWords int
+	// rowShift is log2(width) when width is a power of two, else -1: slot
+	// then splits an address with a shift and a mask, not two divisions.
+	rowShift int
 
 	// addrs is scratch for gathering an address column. A scheduled
 	// warp's is not its own: acquire points it at the launch's, which the
@@ -86,8 +96,12 @@ func newWarp(shape warpShape) *warp {
 		width:       shape.width,
 		regs:        make([]kernel.Word, shape.regs*stride),
 		active:      make([]bool, stride),
-		shared:      make([]kernel.Word, shape.blocks*shape.shared),
+		shared:      make([]kernel.Word, (shape.shared+shape.width-1)/shape.width*stride),
 		sharedWords: shape.shared,
+		rowShift:    -1,
+	}
+	if shape.width&(shape.width-1) == 0 {
+		w.rowShift = bits.TrailingZeros(uint(shape.width))
 	}
 	for i := range w.active {
 		w.active[i] = true
@@ -98,8 +112,18 @@ func newWarp(shape warpShape) *warp {
 	return w
 }
 
-// stride returns the lanes the warp holds per register.
+// stride returns the lanes the warp holds per register, and the words of
+// one row of its shared slab.
 func (w *warp) stride() int { return len(w.active) }
+
+// slot returns the index in w.shared of block b's shared word a, in
+// range (see shared).
+func (w *warp) slot(b, a int) int {
+	if s := w.rowShift; s >= 0 {
+		return a>>s*w.stride() + b*w.width + a&(w.width-1)
+	}
+	return a/w.width*w.stride() + b*w.width + a%w.width
+}
 
 // reset prepares the warp to run blocks consecutive blocks from blockID
 // from a clean state: every register the uniform 0, zeroed shared memory,
@@ -134,7 +158,7 @@ func (w *warp) reset(blockID, blocks int) {
 		w.maskDepth = 0
 	}
 	w.activeN = w.width
-	clear(w.shared[:blocks*w.sharedWords])
+	clear(w.shared)
 }
 
 // setBlocks sets how many blocks the warp runs. Shrinking a batch keeps the
