@@ -116,11 +116,15 @@ func BenchmarkSweepWorkers(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
+			var work sweepWork
 			for i := 0; i < b.N; i++ {
-				if _, err := r.RunVecAdd(); err != nil {
+				d, err := r.RunVecAdd()
+				if err != nil {
 					b.Fatal(err)
 				}
+				work.add(d)
 			}
+			work.report(b)
 		})
 	}
 }
@@ -138,31 +142,38 @@ func BenchmarkSweepCold(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
+	var work sweepWork
 	for i := 0; i < b.N; i++ {
 		cold, err := NewRunnerCalibrated(cfg, r.link, r.calib)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := cold.RunVecAdd(); err != nil {
+		d, err := cold.RunVecAdd()
+		if err != nil {
 			b.Fatal(err)
 		}
+		work.add(d)
 	}
+	work.report(b)
 }
 
 // BenchmarkSweepMatMul measures the default matmul sweep at one worker.
-// Memoization fingerprints launches of three waves or more (GTX650 holds
-// a wave of 4 matmul blocks), so its n=128 and n=256 launches memoize;
-// the scheduled interpreter — shared-memory tiles, warp pick — runs every
-// block of the smaller points and 8 of each memoized launch's, and memo
-// replay the rest, so this is the bench that sees interpreter work.
+// Memoization engages on launches of three waves or more (GTX650 holds a
+// wave of 4 matmul blocks), so its n=128 and n=256 launches memoize: the
+// interpreter runs block 0 of each alone, the scheduler times them over
+// cursor warps, and memo replay moves the other blocks' data. The
+// scheduled interpreter — shared-memory tiles, warp pick — still runs
+// every block of the n=32 and n=64 points, so this is the bench that sees
+// interpreter work.
 func BenchmarkSweepMatMul(b *testing.B) {
 	benchSweep(b, "matmul")
 }
 
 // BenchmarkSweepReduce measures the default reduce sweep (Figure 4,
-// n = 2¹⁶…2²²) at one worker. Every round memo replays but the last few,
-// and its tree levels are prefix-masked shared accesses, which replay
-// gathers lane by lane into the batch's shared slab.
+// n = 2¹⁶…2²²) at one worker. Every round memoizes but the last few, so
+// replay moves every block's data but block 0's, and its tree levels are
+// prefix-masked shared accesses, which replay gathers lane by lane into
+// the batch's shared slab.
 func BenchmarkSweepReduce(b *testing.B) {
 	benchSweep(b, "reduce")
 }
@@ -177,11 +188,44 @@ func benchSweep(b *testing.B, workload string) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
+	var work sweepWork
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Sweep(workload); err != nil {
+		d, err := r.Sweep(workload)
+		if err != nil {
 			b.Fatal(err)
 		}
+		work.add(d)
 	}
+	work.report(b)
+}
+
+// sweepWork sums the simulated work of a benchmark's sweeps, so that the
+// bench output shows the work the time bought is unchanged.
+type sweepWork struct {
+	ops                    int
+	cycles, instrs, elided int64
+}
+
+// add folds in the points of one sweep.
+func (s *sweepWork) add(d *WorkloadData) {
+	s.ops++
+	for _, pt := range d.Points {
+		s.cycles += pt.Stats.Cycles
+		s.instrs += pt.Stats.InstructionsIssued
+		s.elided += pt.MemoElided
+	}
+}
+
+// report reports the sums per sweep: simulated cycles, warp-instructions
+// issued and blocks whose timing memoization skipped.
+func (s *sweepWork) report(b *testing.B) {
+	if s.ops == 0 {
+		return
+	}
+	n := float64(s.ops)
+	b.ReportMetric(float64(s.cycles)/n, "sim-cycles/op")
+	b.ReportMetric(float64(s.instrs)/n, "warp-instrs/op")
+	b.ReportMetric(float64(s.elided)/n, "memo-elided/op")
 }
 
 // BenchmarkLint measures the static analysis of one kernel launch on the

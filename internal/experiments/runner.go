@@ -445,6 +445,10 @@ type WorkloadPoint struct {
 	// do not move.
 	Rounds int                `json:"-"`
 	Stats  simgpu.KernelStats `json:"-"`
+	// MemoElided is how many blocks the point's launches skipped the
+	// timing of by block memoization (simgpu.Device.MemoElided), for the
+	// benchmarks to report; like Stats it stays out of the records.
+	MemoElided int64 `json:"-"`
 }
 
 // Degraded reports whether the point needed any fault recovery.
@@ -883,6 +887,7 @@ func (pt *WorkloadPoint) observe(h *simgpu.Host) {
 
 	pt.Rounds = rep.Rounds
 	pt.Stats = rep.Stats
+	pt.MemoElided = h.Device().MemoElided()
 	pt.Transfers = rep.Transfers
 	pt.Resilience = rep.Resilience
 	for _, ev := range h.FaultEvents() {

@@ -19,6 +19,13 @@ func TestParseBenchLine(t *testing.T) {
 		t.Fatalf("benchmem zeros lost: %+v", mem)
 	}
 
+	// Metrics a benchmark reports itself sit between ns/op and B/op.
+	extra, ok := ParseBenchLine("BenchmarkSweepMatMul-2  2  93214567 ns/op  56.00 memo-elided/op  1234567 sim-cycles/op  890123 warp-instrs/op  7654321 B/op  4321 allocs/op")
+	if !ok || extra.Name != "BenchmarkSweepMatMul" || extra.Procs != 2 || extra.Runs != 2 || extra.NsOp != 93214567 ||
+		extra.BytesOp == nil || *extra.BytesOp != 7654321 || extra.AllocsOp == nil || *extra.AllocsOp != 4321 {
+		t.Fatalf("line with extra metrics parsed = %+v ok=%v", extra, ok)
+	}
+
 	for _, bad := range []string{"", "PASS", "ok  \tatgpu\t1.2s", "Benchmark nope"} {
 		if _, ok := ParseBenchLine(bad); ok {
 			t.Fatalf("accepted %q", bad)

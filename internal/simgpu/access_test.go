@@ -71,7 +71,6 @@ func newAccessRig(t *testing.T, c accessCase) (*launchState, *warp) {
 		sites:        make([]SiteStat, 1),
 	}
 	w := newWarp(warpShape{width, 1, rigRegs, sharedWords})
-	w.addrs = make([]int, width)
 	w.reset(0, 1)
 	for i := range w.shared {
 		w.shared[i] = kernel.Word(2000 + i)
@@ -252,13 +251,8 @@ func checkAccessAgainst(t *testing.T, c accessCase, wantRegs, wantMem []kernel.W
 
 	// The scheduled interpreter.
 	ls, w := newAccessRig(t, c)
-	var err error
 	shared := c.op == kernel.OpLdShared || c.op == kernel.OpStShared
-	if shared {
-		err = ls.execShared(w, in)
-	} else {
-		err = ls.execGlobal(w, in)
-	}
+	err := issueAccess(ls, w, in)
 	raw, _ := memOf(ls, w, c.op)
 	compare("exec", err, w, raw)
 	if wantTrap == "" {
@@ -288,6 +282,21 @@ func checkAccessAgainst(t *testing.T, c accessCase, wantRegs, wantMem []kernel.W
 	err = ls.replayMem(w, in)
 	raw, _ = memOf(ls, w, c.op)
 	compare("replay", err, w, raw)
+}
+
+// issueAccess issues the memory instruction in on w as the scheduled
+// interpreter does: execShared or execGlobal moves and prices it, and
+// execCharge charges the cost.
+func issueAccess(ls *launchState, w *warp, in *kernel.DInstr) error {
+	price := ls.execGlobal
+	if in.Op == kernel.OpLdShared || in.Op == kernel.OpStShared {
+		price = ls.execShared
+	}
+	c, err := price(w, in)
+	if err == nil {
+		ls.execCharge(w, c)
+	}
+	return err
 }
 
 // laneAddrs returns width addresses f(l).
@@ -393,16 +402,13 @@ func checkBroadcastLoadUniform(t *testing.T, width int) {
 			for _, path := range []string{"exec", "replay"} {
 				name := fmt.Sprintf("width=%d/%s/rd=r%d/%s", width, op, rd, path)
 				ls, w := newAccessRig(t, c)
-				raw, shared := memOf(ls, w, op)
+				raw, _ := memOf(ls, w, op)
 				want := raw[addr]
 				var err error
-				switch {
-				case path == "replay":
+				if path == "replay" {
 					err = ls.replayMem(w, in)
-				case shared:
-					err = ls.execShared(w, in)
-				default:
-					err = ls.execGlobal(w, in)
+				} else {
+					err = issueAccess(ls, w, in)
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -481,7 +487,8 @@ func TestExecDecCoversEveryOpcode(t *testing.T) {
 			D: rigDst * width, A: rigAddr * width, B: rigSrc * width,
 			Imm: kernel.AtomGlobal, Sem: op.Semantics(),
 		}}}
-		return w, ls.execDec(w)
+		_, err := ls.execDec(w)
+		return w, err
 	}
 	for op := kernel.Op(0); op.Valid(); op++ {
 		if _, err := step(op, nil); errors.Is(err, errBadOpcode) {

@@ -49,22 +49,22 @@ func execAtomRMW(w *warp, in *kernel.DInstr, mem []kernel.Word) {
 	w.execWrote(in.Rd)
 }
 
-// execAtomShared performs a warp-wide shared-memory atomic. The
-// serialisation degree is the maximum per-bank request count — atomics get
-// no broadcast exemption: even lanes hitting the same word must replay the
-// bank sequentially — and the access always costs degree shared latencies.
-// Advances pc itself on every path.
-func (ls *launchState) execAtomShared(w *warp, in *kernel.DInstr) error {
+// execAtomShared performs a warp-wide shared-memory atomic and prices it
+// by its serialisation degree, the maximum per-bank request count —
+// atomics get no broadcast exemption: even lanes hitting the same word
+// must replay the bank sequentially — so the access always costs degree
+// shared latencies (execChargeKind). Advances pc itself on every path.
+func (ls *launchState) execAtomShared(w *warp, in *kernel.DInstr) (issueCost, error) {
 	width := ls.width
 	op, aBase := in.Op, int(in.A)
 	ssize := w.sharedWords
 
 	if w.activeN == 0 {
 		w.pc++
-		return nil
+		return issueCost{}, nil
 	}
 	if bad := execGather(w, in.Ra, aBase, ssize, true); bad >= 0 {
-		return sharedRangeErr(op, bad, w.regs[aBase+bad], ssize)
+		return issueCost{}, sharedRangeErr(op, bad, w.regs[aBase+bad], ssize)
 	}
 
 	// Per-bank request counts; no broadcast exemption for atomics.
@@ -83,13 +83,6 @@ func (ls *launchState) execAtomShared(w *warp, in *kernel.DInstr) error {
 			degree = counts[bk]
 		}
 	}
-
-	ls.stats.AtomicAccesses++
-	ls.stats.AtomicSerialisations += int64(degree - 1)
-	if degree > ls.stats.MaxAtomicDegree {
-		ls.stats.MaxAtomicDegree = degree
-	}
-	w.atomSer += int64(degree - 1)
 	if ls.sites != nil {
 		s := &ls.sites[w.pc]
 		s.Accesses++
@@ -102,19 +95,16 @@ func (ls *launchState) execAtomShared(w *warp, in *kernel.DInstr) error {
 	}
 
 	execAtomRMW(w, in, w.shared)
-
-	w.state = wWaiting
-	w.readyAt = ls.cycle + int64(ls.d.cfg.SharedLatencyCycles)*int64(degree)
 	w.pc++
-	return nil
+	return issueCost{kind: costAtomShared, degree: int32(degree)}, nil
 }
 
-// execAtomGlobal performs a warp-wide global-memory atomic. Coalescing
-// still applies (distinct width-word blocks cost transactions), and on top
-// of it conflicting lanes targeting the same address serialise: the access
-// costs (degree−1) extra transaction serialisations. Advances pc itself on
-// every path.
-func (ls *launchState) execAtomGlobal(w *warp, in *kernel.DInstr) error {
+// execAtomGlobal performs a warp-wide global-memory atomic and prices it.
+// Coalescing still applies (distinct width-word blocks cost transactions),
+// and on top of it conflicting lanes targeting the same address
+// serialise: the access costs (degree−1) extra transaction serialisations
+// (execChargeKind). Advances pc itself on every path.
+func (ls *launchState) execAtomGlobal(w *warp, in *kernel.DInstr) (issueCost, error) {
 	width := ls.width
 	op, aBase := in.Op, int(in.A)
 	g := ls.d.global
@@ -122,10 +112,10 @@ func (ls *launchState) execAtomGlobal(w *warp, in *kernel.DInstr) error {
 
 	if w.activeN == 0 {
 		w.pc++
-		return nil
+		return issueCost{}, nil
 	}
 	if bad := execGather(w, in.Ra, aBase, gsize, false); bad >= 0 {
-		return globalRangeErr(op, bad, w.regs[aBase+bad], gsize)
+		return issueCost{}, globalRangeErr(op, bad, w.regs[aBase+bad], gsize)
 	}
 	nblocks := ls.execTransactions(w, accessScattered, 0)
 
@@ -145,13 +135,6 @@ func (ls *launchState) execAtomGlobal(w *warp, in *kernel.DInstr) error {
 			degree = c
 		}
 	}
-
-	ls.stats.AtomicAccesses++
-	ls.stats.AtomicSerialisations += int64(degree - 1)
-	if degree > ls.stats.MaxAtomicDegree {
-		ls.stats.MaxAtomicDegree = degree
-	}
-	w.atomSer += int64(degree - 1)
 	if ls.sites != nil {
 		s := &ls.sites[w.pc]
 		s.Accesses++
@@ -172,22 +155,6 @@ func (ls *launchState) execAtomGlobal(w *warp, in *kernel.DInstr) error {
 	}
 
 	execAtomRMW(w, in, g.Raw())
-
-	lat := int64(ls.d.cfg.GlobalLatencyCycles) +
-		int64(nblocks-1)*int64(ls.d.cfg.ExtraTransactionCycles) +
-		int64(degree-1)*int64(ls.d.cfg.ExtraTransactionCycles)
-	w.state = wWaiting
-	w.readyAt = ls.cycle + lat
-	if svc := int64(ls.d.cfg.MemServiceCycles); svc > 0 {
-		start := ls.memFree
-		if ls.cycle > start {
-			start = ls.cycle
-		}
-		ls.memFree = start + int64(nblocks)*svc
-		if ls.memFree > w.readyAt {
-			w.readyAt = ls.memFree
-		}
-	}
 	w.pc++
-	return nil
+	return issueCost{kind: costAtomGlobal, trans: int32(nblocks), degree: int32(degree)}, nil
 }

@@ -42,8 +42,8 @@ type Device struct {
 	// while a fault injector is armed, since faults must observe every
 	// block individually.
 	memoDisabled bool
-	// memoSkips counts launches on which block memoization engaged, and
-	// memoElided the blocks those launches replayed instead of scheduling.
+	// memoSkips counts launches on which block memoization skipped
+	// periods, and memoElided the blocks whose timing those skips elided.
 	memoSkips  int64
 	memoElided int64
 }
@@ -72,11 +72,12 @@ type decKey struct {
 type warpShape struct{ width, blocks, regs, shared int }
 
 // idleWarps holds retired warps between launches for every device in the
-// process, one sync.Pool per warp shape: a launch's scheduled warps and
-// memo replay's batch warps alike. A warp outlives the device, the Runner
-// and the atgpud job that first needed it, and the collector frees the
-// warps no launch has taken back since its last cycle but one, so a
-// process does not keep the warps of every shape it ever ran.
+// process, one sync.Pool per warp shape: a launch's scheduled warps, a
+// memoized launch's cursor warps and memo replay's batch warps alike. A
+// warp outlives the device, the Runner and the atgpud job that first
+// needed it, and the collector frees the warps no launch has taken back
+// since its last cycle but one, so a process does not keep the warps of
+// every shape it ever ran.
 var idleWarps struct {
 	sync.Mutex
 	pools map[warpShape]*sync.Pool
@@ -95,6 +96,14 @@ func idlePool(shape warpShape) *sync.Pool {
 		idleWarps.pools[shape] = p
 	}
 	return p
+}
+
+// takeWarp returns an idle warp of shape, or a new one.
+func takeWarp(shape warpShape) *warp {
+	if w, ok := idlePool(shape).Get().(*warp); ok {
+		return w
+	}
+	return newWarp(shape)
 }
 
 // takeWarps moves up to n idle warps of shape onto ws and returns it.
@@ -127,6 +136,11 @@ func (d *Device) SetUniformProver(p UniformProver) { d.uniformProver = p }
 // memoization (used by tests and benches to prove engagement, or the lack
 // of it under fault injection).
 func (d *Device) MemoSkips() int64 { return d.memoSkips }
+
+// MemoElided reports how many blocks this device's memoized launches
+// skipped the timing of: the blocks of their skipped periods, whose cycles
+// and counters were scaled in from one observed period.
+func (d *Device) MemoElided() int64 { return d.memoElided }
 
 // decoded returns the cached decoded form of prog for columns of width
 // lanes, decoding on first use.
@@ -271,10 +285,10 @@ type launchState struct {
 	prog  *kernel.Program
 	width int
 	// numBlocks is H, the logical launch size (what OpNumBlocks reads).
-	// schedBlocks is how many blocks the scheduler actually simulates; it
+	// schedBlocks is how many blocks the scheduler actually times; it
 	// starts equal to numBlocks and is reduced when a steady-state period
 	// skip is applied (memo.go), with the elided blocks' statistics scaled
-	// in and their data effects replayed after the run.
+	// in after the run.
 	numBlocks   int
 	schedBlocks int
 	nextBlock   int
@@ -300,11 +314,9 @@ type launchState struct {
 	// tracer records scheduling events when non-nil.
 	tracer *Tracer
 
-	// addrs is scratch for gathering a warp's addresses (see warp.addrs);
 	// bankCounts is scratch for shared-memory conflict analysis;
-	// blockScratch is scratch for global coalescing analysis. All are
+	// blockScratch is scratch for global coalescing analysis. Both are
 	// sized from the launch width.
-	addrs        []int
 	bankCounts   []int
 	blockScratch []int
 
@@ -316,8 +328,11 @@ type launchState struct {
 	dec *kernel.Decoded
 
 	// memo holds steady-state period detection for analyzer-certified
-	// uniform launches; nil when memoization is not eligible.
-	memo *memoState
+	// uniform launches; nil when memoization is not eligible. A memoized
+	// launch schedules cursor warps, which step through block 0's cost
+	// trace in scratch instead of running the interpreter (memo.go).
+	memo    *memoState
+	scratch *memoScratch
 }
 
 // Launch runs numBlocks thread blocks of prog to completion and returns the
@@ -351,7 +366,6 @@ func (d *Device) LaunchTraced(prog *kernel.Program, numBlocks int, tr *Tracer) (
 		schedBlocks:  numBlocks,
 		sms:          make([]*smState, 0, d.ActiveSMs()),
 		smIDs:        make([]int, 0, d.ActiveSMs()),
-		addrs:        make([]int, d.cfg.WarpWidth),
 		bankCounts:   make([]int, d.cfg.WarpWidth),
 		blockScratch: make([]int, d.cfg.WarpWidth),
 		tracer:       tr,
@@ -368,6 +382,15 @@ func (d *Device) LaunchTraced(prog *kernel.Program, numBlocks int, tr *Tracer) (
 		ls.sms = append(ls.sms, &smState{})
 		ls.smIDs = append(ls.smIDs, i)
 	}
+	// Block memoization: only for untraced, site-free launches of
+	// analyzer-certified kernels of memoMinWaves waves, and never while
+	// faults are armed. Every disable condition falls back to plain full
+	// simulation.
+	if tr == nil && !d.collectSites && !d.memoDisabled &&
+		numBlocks >= memoMinWaves*occ*len(ls.sms) && d.uniformProver != nil &&
+		d.certified(prog, numBlocks) {
+		ls.memo = &memoState{}
+	}
 	// The launch holds at most occ warps per SM at once.
 	shape := ls.shape()
 	resident := min(numBlocks, occ*len(ls.sms))
@@ -381,19 +404,12 @@ func (d *Device) LaunchTraced(prog *kernel.Program, numBlocks int, tr *Tracer) (
 	if numBlocks == 0 {
 		return KernelResult{Time: 0, Stats: ls.stats}, nil
 	}
-	// Block memoization: only for untraced, site-free launches of
-	// analyzer-certified kernels of memoMinWaves waves, and never while
-	// faults are armed. Every disable condition falls back to plain full
-	// simulation.
-	if tr == nil && !d.collectSites && !d.memoDisabled &&
-		numBlocks >= memoMinWaves*occ*len(ls.sms) && d.uniformProver != nil &&
-		d.certified(prog, numBlocks) {
-		ls.memo = &memoState{}
+	if ls.memo != nil {
+		err = ls.runMemo(occ)
+	} else {
+		err = ls.run(occ)
 	}
-	if err := ls.run(occ); err != nil {
-		return KernelResult{}, err
-	}
-	if err := ls.finishMemo(); err != nil {
+	if err != nil {
 		return KernelResult{}, err
 	}
 	ls.stats.Cycles = ls.cycle
@@ -464,9 +480,14 @@ func (ls *launchState) run(occ int) error {
 				continue
 			}
 			issuedAny = true
-			if err := ls.execDec(w); err != nil {
-				return fmt.Errorf("%w: kernel %s block %d pc %d: %w",
-					ErrKernelTrap, ls.prog.Name, w.blockID, w.pc, err)
+			if ls.memo != nil {
+				ls.execCursor(w)
+			} else {
+				c, err := ls.execDec(w)
+				if err != nil {
+					return ls.trapErr(w, err)
+				}
+				ls.execCharge(w, c)
 			}
 			if w.state == wDone {
 				sm.retire(w)
@@ -543,23 +564,38 @@ func (ls *launchState) refill(occ int) {
 	}
 }
 
-// acquire returns a retired warp of the launch's shape, or a new one,
-// gathering into the launch's address scratch.
+// acquire returns a retired warp of the launch's shape, or a new one.
 func (ls *launchState) acquire() *warp {
-	var w *warp
 	if n := len(ls.freeWarps); n > 0 {
-		w = ls.freeWarps[n-1]
+		w := ls.freeWarps[n-1]
 		ls.freeWarps = ls.freeWarps[:n-1]
-	} else {
-		w = newWarp(ls.shape())
+		return w
 	}
-	w.addrs = ls.addrs
-	return w
+	return newWarp(ls.shape())
 }
 
-// shape is the shape of the launch's scheduled warps.
+// cursorShape is the shape of a cursor warp: it holds no block, so no
+// lanes, registers or shared memory.
+var cursorShape = warpShape{width: 1}
+
+// shape is the shape of the launch's scheduled warps: cursor warps on a
+// memoized launch, else one block each.
 func (ls *launchState) shape() warpShape {
+	if ls.memo != nil {
+		return cursorShape
+	}
+	return ls.blockShape()
+}
+
+// blockShape is the shape of a warp that runs one block of the launch.
+func (ls *launchState) blockShape() warpShape {
 	return warpShape{ls.width, 1, ls.prog.NumRegs, ls.prog.SharedWords}
+}
+
+// trapErr is the launch error of trap err raised by w's block at its pc.
+func (ls *launchState) trapErr(w *warp, err error) error {
+	return fmt.Errorf("%w: kernel %s block %d pc %d: %w",
+		ErrKernelTrap, ls.prog.Name, w.blockID, w.pc, err)
 }
 
 func (ls *launchState) recycle(w *warp) {

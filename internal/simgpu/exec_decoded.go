@@ -15,79 +15,195 @@ import (
 // The test-only reference stepper in internal/algorithms is its
 // differential oracle.
 
-// execDec issues exactly one warp-instruction for w from the decoded
-// program. All active lanes execute the instruction in lockstep; control
-// flow manipulates the mask per the SIMT rules in the package comment.
-func (ls *launchState) execDec(w *warp) error {
+// execDec executes w's next instruction from the decoded program and
+// prices it, charging nothing (execCharge does): all active lanes execute
+// the instruction in lockstep, and control flow manipulates the mask per
+// the SIMT rules in the package comment. Every case advances pc itself;
+// the cost's lanes are the lanes active at issue.
+func (ls *launchState) execDec(w *warp) (c issueCost, err error) {
 	ins := ls.dec.Ins
 	if w.pc < 0 || w.pc >= len(ins) {
-		return errPCRange
+		return c, errPCRange
 	}
 	in := &ins[w.pc]
 	w.instrs++
-	ls.stats.InstructionsIssued++
-	ls.stats.LaneOps += int64(w.activeN)
+	lanes := int32(w.activeN)
 
 	switch in.Op {
 	case kernel.OpLdGlobal, kernel.OpStGlobal:
-		// advances pc itself on every path
-		return ls.execGlobal(w, in)
+		c, err = ls.execGlobal(w, in)
 
 	case kernel.OpLdShared, kernel.OpStShared:
-		// advances pc itself on every path
-		return ls.execShared(w, in)
+		c, err = ls.execShared(w, in)
 
 	case kernel.OpAtomAdd, kernel.OpAtomMax, kernel.OpAtomExch, kernel.OpAtomCAS:
-		// both advance pc themselves on every path
 		if in.Imm == kernel.AtomGlobal {
-			return ls.execAtomGlobal(w, in)
+			c, err = ls.execAtomGlobal(w, in)
+		} else {
+			c, err = ls.execAtomShared(w, in)
 		}
-		return ls.execAtomShared(w, in)
 
 	case kernel.OpBarrier:
-		ls.stats.Barriers++
+		c.kind = costBarrier
+		w.pc++
 
 	case kernel.OpJump:
 		w.pc = int(in.Target)
-		return nil
 
 	case kernel.OpBrNZ:
-		taken, err := w.execCond(in.Ra, int(in.A))
-		if err != nil {
-			return err
-		}
-		if taken {
-			w.pc = int(in.Target)
-			return nil
+		var taken bool
+		if taken, err = w.execCond(in.Ra, int(in.A)); err == nil {
+			w.pc = execNext(w.pc, taken, in)
 		}
 
 	case kernel.OpIfBegin:
 		enter, divergent, _ := w.execIfBegin(in.Ra, int(in.A)) // one block: no variance
 		if divergent {
-			ls.stats.DivergentBranches++
+			c.kind = costDivergent
 		}
-		if !enter {
-			w.pc = int(in.Target)
-			return nil
-		}
+		w.pc = execNext(w.pc, !enter, in)
 
 	case kernel.OpIfEnd:
 		if !w.popMask() {
-			return errMaskPop
+			return c, errMaskPop
 		}
+		w.pc++
 
 	case kernel.OpHalt:
-		w.state = wDone
-		return nil
+		c.kind = costHalt
 
 	default:
-		if err := ls.execALU(w, in); err != nil {
-			return err
+		if err = ls.execALU(w, in); err == nil {
+			w.pc++
 		}
 	}
+	c.lanes = lanes
+	return c, err
+}
 
+// execNext returns the pc after the branch in at pc: its target when jump
+// is set, else the next instruction.
+func execNext(pc int, jump bool, in *kernel.DInstr) int {
+	if jump {
+		return int(in.Target)
+	}
+	return pc + 1
+}
+
+// costKind is which counters an issue charges beyond the issue itself.
+type costKind uint8
+
+const (
+	costIssue      costKind = iota // the issue slot only
+	costBarrier                    // a barrier
+	costDivergent                  // an if.begin whose active lanes split
+	costHalt                       // the block retires
+	costGlobal                     // a global load or store
+	costShared                     // a shared load or store
+	costAtomShared                 // a shared atomic
+	costAtomGlobal                 // a global atomic
+)
+
+// issueCost is what one warp-instruction issue costs, as execDec prices
+// it: the facts the timing rules read, and nothing of the data. The
+// BlockUniform certificate proves every block of a launch issues the same
+// sequence of costs, so a memoized launch times every block by stepping
+// block 0's recorded costs (execCursor). Four fields keep it in registers
+// from execDec to execCharge.
+type issueCost struct {
+	// lanes are the lanes active at issue.
+	lanes int32
+	// trans is l, the memory blocks a global access or atomic touches; 0
+	// for every other issue.
+	trans int32
+	// degree is a shared access's conflict degree or an atomic's
+	// serialisation degree.
+	degree int32
+	kind   costKind
+}
+
+// execCharge charges w the issue cost c at the current cycle. It and
+// execChargeKind are the one place the timing rules live, for the
+// scheduled interpreter and the cursor step alike. An issue that costs the
+// slot only, the common case, needs no more, and execCharge is small
+// enough to inline into both.
+func (ls *launchState) execCharge(w *warp, c issueCost) {
+	ls.stats.InstructionsIssued++
+	ls.stats.LaneOps += int64(c.lanes)
+	if c.kind != costIssue {
+		ls.execChargeKind(w, c)
+	}
+}
+
+// execChargeKind charges the counters of c's kind and, for a memory
+// access, the wait: its latency, behind the device-wide memory controller
+// for a global one.
+func (ls *launchState) execChargeKind(w *warp, c issueCost) {
+	switch c.kind {
+	case costBarrier:
+		ls.stats.Barriers++
+		return
+	case costDivergent:
+		ls.stats.DivergentBranches++
+		return
+	case costHalt:
+		w.state = wDone
+		return
+	}
+	cfg := &ls.d.cfg
+	extra := int64(cfg.ExtraTransactionCycles)
+	var lat int64
+	switch c.kind {
+	case costGlobal:
+		ls.stats.GlobalAccesses++
+		ls.stats.GlobalTransactions += int64(c.trans)
+		if c.trans > 1 {
+			ls.stats.UncoalescedAccesses++
+		}
+		lat = int64(cfg.GlobalLatencyCycles) + int64(c.trans-1)*extra
+	case costShared:
+		ls.stats.SharedAccesses++
+		if c.degree > 1 {
+			ls.stats.BankConflicts++
+			ls.stats.MaxConflictDegree = max(ls.stats.MaxConflictDegree, int(c.degree))
+		}
+		lat = int64(cfg.SharedLatencyCycles)
+		if cfg.SerialiseBankConflicts && c.degree > 1 {
+			lat *= int64(c.degree)
+		}
+	case costAtomShared, costAtomGlobal:
+		ser := int64(c.degree - 1)
+		ls.stats.AtomicAccesses++
+		ls.stats.AtomicSerialisations += ser
+		ls.stats.MaxAtomicDegree = max(ls.stats.MaxAtomicDegree, int(c.degree))
+		w.atomSer += ser
+		// Conflicting lanes replay: degree shared latencies, or degree−1
+		// extra transactions on top of the coalesced global access.
+		lat = int64(cfg.SharedLatencyCycles) * int64(c.degree)
+		if c.kind == costAtomGlobal {
+			lat = int64(cfg.GlobalLatencyCycles) + int64(c.trans-1)*extra + ser*extra
+		}
+	}
+	w.state = wWaiting
+	w.readyAt = ls.cycle + lat
+	// Bandwidth: the device-wide controller serialises transactions at
+	// MemServiceCycles apiece; a warp's request completes no earlier than
+	// the controller drains it, so saturated DRAM backs up into warp
+	// stalls that concurrency cannot hide.
+	if svc := int64(cfg.MemServiceCycles); svc > 0 && c.trans > 0 {
+		ls.memFree = max(ls.memFree, ls.cycle) + int64(c.trans)*svc
+		w.readyAt = max(w.readyAt, ls.memFree)
+	}
+}
+
+// execCursor issues cursor warp w's next instruction: it charges the cost
+// block 0 recorded at w's position in the trace, which is w's pc.
+func (ls *launchState) execCursor(w *warp) {
+	s := ls.scratch
+	c := s.costs[s.trace[w.pc]]
 	w.pc++
-	return nil
+	w.instrs++
+	ls.execCharge(w, c)
 }
 
 // execALU evaluates one decoded compute instruction (everything that only

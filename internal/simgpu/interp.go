@@ -512,26 +512,21 @@ func sharedRangeErr(op kernel.Op, l int, addr kernel.Word, size int) error {
 }
 
 // execGlobal performs a warp-wide global memory access: checks the active
-// lanes' addresses, counts coalesced transactions, moves the data, and
-// puts the warp to sleep for the transaction latency.
-func (ls *launchState) execGlobal(w *warp, in *kernel.DInstr) error {
+// lanes' addresses, moves the data and prices the access by its coalesced
+// transactions (execChargeKind turns them into the wait). Advances pc
+// itself on every path.
+func (ls *launchState) execGlobal(w *warp, in *kernel.DInstr) (issueCost, error) {
 	op := in.Op
 	global := ls.d.global.Raw()
 	kind, a0, err := w.execAccess(in, global, len(global), false, true)
 	if err != nil {
-		return err
+		return issueCost{}, err
 	}
 	nblocks := ls.execTransactions(w, kind, a0)
 	if nblocks == 0 {
 		// Fully masked access: costs the issue slot only.
 		w.pc++
-		return nil
-	}
-
-	ls.stats.GlobalAccesses++
-	ls.stats.GlobalTransactions += int64(nblocks)
-	if nblocks > 1 {
-		ls.stats.UncoalescedAccesses++
+		return issueCost{}, nil
 	}
 	if ls.sites != nil {
 		s := &ls.sites[w.pc]
@@ -547,27 +542,8 @@ func (ls *launchState) execGlobal(w *warp, in *kernel.DInstr) error {
 	if ls.tracer != nil {
 		ls.tracer.onMem(w.blockID, w.smIdx, ls.cycle, nblocks, op == kernel.OpStGlobal)
 	}
-
-	lat := int64(ls.d.cfg.GlobalLatencyCycles) +
-		int64(nblocks-1)*int64(ls.d.cfg.ExtraTransactionCycles)
-	w.state = wWaiting
-	w.readyAt = ls.cycle + lat
-	// Bandwidth: the device-wide controller serialises transactions at
-	// MemServiceCycles apiece; a warp's request completes no earlier than
-	// the controller drains it, so saturated DRAM backs up into warp
-	// stalls that concurrency cannot hide.
-	if svc := int64(ls.d.cfg.MemServiceCycles); svc > 0 {
-		start := ls.memFree
-		if ls.cycle > start {
-			start = ls.cycle
-		}
-		ls.memFree = start + int64(nblocks)*svc
-		if ls.memFree > w.readyAt {
-			w.readyAt = ls.memFree
-		}
-	}
 	w.pc++
-	return nil
+	return issueCost{kind: costGlobal, trans: int32(nblocks)}, nil
 }
 
 // execTransactions returns l, the distinct width-word memory blocks a
@@ -613,16 +589,17 @@ func (ls *launchState) execTransactions(w *warp, kind accessKind, a0 kernel.Word
 	return nblocks
 }
 
-// execShared performs a warp-wide shared memory access with bank-conflict
-// analysis and optional serialisation.
-func (ls *launchState) execShared(w *warp, in *kernel.DInstr) error {
+// execShared performs a warp-wide shared memory access and prices it by
+// its bank-conflict degree (execChargeKind turns it into the wait).
+// Advances pc itself on every path.
+func (ls *launchState) execShared(w *warp, in *kernel.DInstr) (issueCost, error) {
 	kind, _, err := w.execAccess(in, w.shared, w.sharedWords, true, true)
 	if err != nil {
-		return err
+		return issueCost{}, err
 	}
 	if w.activeN == 0 {
 		w.pc++
-		return nil
+		return issueCost{}, nil
 	}
 	var degree int
 	switch kind {
@@ -639,14 +616,6 @@ func (ls *launchState) execShared(w *warp, in *kernel.DInstr) error {
 	default:
 		degree = ls.conflictDegree(w) // reads w.addrs
 	}
-
-	ls.stats.SharedAccesses++
-	if degree > 1 {
-		ls.stats.BankConflicts++
-		if degree > ls.stats.MaxConflictDegree {
-			ls.stats.MaxConflictDegree = degree
-		}
-	}
 	if ls.sites != nil {
 		s := &ls.sites[w.pc]
 		s.Accesses++
@@ -657,15 +626,8 @@ func (ls *launchState) execShared(w *warp, in *kernel.DInstr) error {
 			s.MaxDegree = degree
 		}
 	}
-
-	lat := int64(ls.d.cfg.SharedLatencyCycles)
-	if ls.d.cfg.SerialiseBankConflicts && degree > 1 {
-		lat *= int64(degree)
-	}
-	w.state = wWaiting
-	w.readyAt = ls.cycle + lat
 	w.pc++
-	return nil
+	return issueCost{kind: costShared, degree: int32(degree)}, nil
 }
 
 // conflictDegree computes the serialisation factor of the gathered shared

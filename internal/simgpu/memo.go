@@ -8,7 +8,9 @@ import (
 	"hash/maphash"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"atgpu/internal/kernel"
 )
@@ -18,38 +20,48 @@ import (
 // For a kernel carrying the analyzer's BlockUniform certificate, every
 // thread block issues the same instruction trace with the same per-position
 // transaction counts and latencies, and the blocks' global writes are
-// mutually disjoint. Under those guarantees the scheduler — warp states,
-// round-robin pointers, the shared memory-controller horizon — is a
-// deterministic function of its *relative* state: each warp's trace
-// position, its readiness offset from the current cycle, and its block's
-// offset from the refill frontier. Absolute block IDs and register contents
-// cannot influence it.
+// mutually disjoint. So a block's timing is a function of that trace alone,
+// and its data effects are independent of every other block's. The device
+// takes the two apart (runMemo):
 //
-// The device exploits this by fingerprinting the relative scheduler state
-// at block-retire boundaries. When a fingerprint recurs, the launch has
-// entered a steady state with period T cycles and d blocks: every further T
-// cycles the scheduler returns to the same relative state having placed d
-// more blocks and accrued the same statistics delta. With r blocks left,
-// the launch skips all K = r/d whole periods that fit: it (a) shrinks the
-// scheduler's block budget by K*d so the simulation proceeds — unmodified,
-// on real data — from the warmup and the one period that revealed the
-// steady state straight into the drain tail full simulation would run
-// after those K periods, (b) afterwards adds K*T cycles and K times the
-// period's additive statistics, and (c) replays the K*d elided blocks
-// through a data-only interpreter so global memory ends byte-identical
-// (certificate disjointness makes the replay order irrelevant, so the
-// replay runs on several goroutines). Replay runs the blocks in batches
-// of consecutive blocks, one decoded instruction at a time for the whole
-// batch (replayBatch), since the certificate gives them one trace. Timing,
-// counters, and memory match full simulation exactly; the differential
-// tests pin this, and observe gives the argument.
+//   - Block 0 runs alone first, through the interpreter, moving its data
+//     and recording each issue's cost (issueCost) into a cost trace.
+//   - Blocks 1…H−1 replay their data on a batch queue (replayQueue), on
+//     GOMAXPROCS goroutines: consecutive blocks side by side, one decoded
+//     instruction at a time for the whole batch (replayBatch), with no
+//     statistics, latencies or scheduling. Certificate disjointness makes
+//     the order irrelevant.
+//   - Meanwhile the calling goroutine times the launch: the unchanged
+//     scheduler runs cursor warps, which step through the cost trace and
+//     charge each cost through execCharge, the scheduled interpreter's own
+//     timing rules, and do no register or memory work. When timing ends,
+//     the calling goroutine joins the replay queue.
+//
+// The scheduler — warp states, round-robin pointers, the shared
+// memory-controller horizon — is then a deterministic function of its
+// *relative* state: each warp's trace position, its readiness offset from
+// the current cycle, and its block's offset from the refill frontier.
+// Absolute block IDs and register contents cannot influence it. The
+// timing pass fingerprints that relative state at block-retire boundaries.
+// When a fingerprint recurs, the launch has entered a steady state with
+// period T cycles and d blocks: every further T cycles the scheduler
+// returns to the same relative state having placed d more blocks and
+// accrued the same statistics delta. With r blocks left, the timing pass
+// skips all K = r/d whole periods that fit: it (a) shrinks the scheduler's
+// block budget by K*d so the timing proceeds from the warmup and the one
+// period that revealed the steady state straight into the drain tail full
+// simulation would run after those K periods, and (b) afterwards adds K*T
+// cycles and K times the period's additive statistics. Timing, counters,
+// and memory match full simulation exactly; the differential tests pin
+// this, and observe gives the argument.
 //
 // Memoization never engages when a tracer is attached (traces carry
 // per-block detail), when site collection is on, when a fault injector is
 // armed, when the program is not certified, or when the launch is too small
 // to have a steady state worth skipping: fewer than memoMinWaves waves,
 // a wave being the blocks the launch holds resident at once, active SMs
-// times occupancy (ℓ in the model's Expression (2)).
+// times occupancy (ℓ in the model's Expression (2)). Those launches run
+// every block through the scheduled interpreter.
 
 const (
 	// memoMinWaves is the fewest waves a launch needs to be fingerprinted.
@@ -61,8 +73,8 @@ const (
 	// fingerprinting it only costs the prover's certificate.
 	memoMinWaves = 3
 	// memoMaxSnapBytes bounds the fingerprint states one launch stores;
-	// a schedule that does not recur within it gives up and simulates
-	// fully. The largest store that found a period, across the default
+	// a schedule that does not recur within it gives up and times every
+	// block. The largest store that found a period, across the default
 	// sweeps and calibration on every preset, is 0.8 MB (GTX1080
 	// calibration: 32 states of 25 KB); GTX650 finds its period within
 	// 20 KB, K40 within 148 KB. GTX1080 vecadd and reduce never recur, and
@@ -70,9 +82,6 @@ const (
 	// giving up. 4 MB keeps 5× headroom over the largest store that
 	// recurred and bounds what one that does not recur wastes.
 	memoMaxSnapBytes = 4 << 20
-	// memoReplayMinChunk is the fewest elided blocks one replay goroutine
-	// takes; a shorter replay runs serially.
-	memoReplayMinChunk = 16
 	// memoBatchWords is the register and shared words a replay batch may
 	// hold, and memoBatchMax the most blocks it holds side by side: at 64
 	// blocks an instruction's dispatch is shared by 64 blocks' data work.
@@ -107,7 +116,6 @@ type memoState struct {
 	periods      int64
 	periodCycles int64
 	delta        KernelStats
-	replayFrom   int
 }
 
 // observe fingerprints the scheduler's relative state at a retire boundary
@@ -157,7 +165,6 @@ func (m *memoState) observe(ls *launchState) {
 		m.periodCycles = ls.cycle - s.cycle
 		m.delta = diffAdditive(ls.stats, s.stats)
 		ls.schedBlocks -= int(k) * d
-		m.replayFrom = ls.schedBlocks
 		ls.d.memoSkips++
 		ls.d.memoElided += k * int64(d)
 		return
@@ -186,9 +193,10 @@ func (m *memoState) observe(ls *launchState) {
 // encodeRelState flattens everything the scheduler's future behaviour can
 // depend on, relative to the current cycle and refill frontier: per-SM
 // round-robin pointers and resident warps (block offset, trace position,
-// state, readiness offset) plus the memory-controller horizon. Register
-// contents and absolute block IDs are deliberately excluded — the
-// BlockUniform certificate proves they cannot steer scheduling. The words
+// state, readiness offset) plus the memory-controller horizon; a cursor
+// warp's pc is its trace position. Register contents and absolute block
+// IDs are deliberately excluded — the BlockUniform certificate proves they
+// cannot steer scheduling. The words
 // are appended to enc as little-endian bytes, so a fingerprint hashes in
 // one maphash.Bytes call.
 func encodeRelState(ls *launchState, enc []byte) []byte {
@@ -253,17 +261,211 @@ func (s *KernelStats) addScaled(d KernelStats, k int64) {
 	s.BlocksExecuted += k * d.BlocksExecuted
 }
 
-// finishMemo applies a recorded period skip after the (shrunken) simulation
-// completes: scale in the skipped periods' time and counters, then replay
-// the elided blocks' data effects.
-func (ls *launchState) finishMemo() error {
+// finishMemo applies a recorded period skip after the (shrunken) timing
+// pass completes: scale in the skipped periods' time and counters.
+func (ls *launchState) finishMemo() {
 	m := ls.memo
-	if m == nil || !m.applied {
-		return nil
+	if !m.applied {
+		return
 	}
 	ls.cycle += m.periods * m.periodCycles
 	ls.stats.addScaled(m.delta, m.periods)
-	return ls.memoReplay(m.replayFrom, ls.numBlocks)
+}
+
+// memoScratch is what a memoized launch needs beyond its warps: block 0's
+// cost trace — the distinct costs it issued, and its issues in order as
+// indexes into them — and the replay queue.
+type memoScratch struct {
+	costs []issueCost
+	trace []uint32
+	queue replayQueue
+}
+
+// memoScratches holds idle memo scratch for every device in the process.
+// It is a free list, not a sync.Pool: a pool's per-P caches miss whenever
+// a launch runs on another P than the launch that put the scratch back,
+// and the trace would be allocated afresh.
+var memoScratches struct {
+	sync.Mutex
+	idle []*memoScratch
+}
+
+// takeMemoScratch returns idle memo scratch, or new scratch.
+func takeMemoScratch() *memoScratch {
+	memoScratches.Lock()
+	defer memoScratches.Unlock()
+	if n := len(memoScratches.idle); n > 0 {
+		s := memoScratches.idle[n-1]
+		memoScratches.idle = memoScratches.idle[:n-1]
+		return s
+	}
+	return new(memoScratch)
+}
+
+// putMemoScratch empties s and returns it to the free list.
+func putMemoScratch(s *memoScratch) {
+	s.costs, s.trace = s.costs[:0], s.trace[:0]
+	memoScratches.Lock()
+	defer memoScratches.Unlock()
+	memoScratches.idle = append(memoScratches.idle, s)
+}
+
+// runMemo runs a memoized launch of occupancy occ: it records block 0's
+// cost trace, starts the data replay of blocks 1…H−1, times the launch
+// over cursor warps meanwhile, and joins the replay. A trap in block 0 is
+// reported as the scheduled interpreter reports one; a replay failure
+// names the lowest failing block.
+func (ls *launchState) runMemo(occ int) error {
+	ls.scratch = takeMemoScratch()
+	defer func() {
+		putMemoScratch(ls.scratch)
+		ls.scratch = nil
+	}()
+	if err := ls.record(); err != nil {
+		return err
+	}
+	q, err := ls.startReplay()
+	if err != nil {
+		return err
+	}
+	err = ls.run(occ)
+	ls.finishMemo()
+	if rerr := q.join(); rerr != nil {
+		return rerr
+	}
+	return err
+}
+
+// record runs block 0 alone to its halt through execDec, moving its data
+// and appending each issue's cost to the trace.
+func (ls *launchState) record() error {
+	shape := ls.blockShape()
+	w := takeWarp(shape)
+	defer idlePool(shape).Put(w)
+	w.reset(0, 1)
+	s := ls.scratch
+	for {
+		c, err := ls.execDec(w)
+		if err != nil {
+			return ls.trapErr(w, err)
+		}
+		i := slices.Index(s.costs, c)
+		if i < 0 {
+			i = len(s.costs)
+			s.costs = append(s.costs, c)
+		}
+		s.trace = append(s.trace, uint32(i))
+		if c.kind == costHalt {
+			return nil
+		}
+	}
+}
+
+// replayQueue hands a memoized launch's replay batches, in ascending block
+// order, to the goroutines that replay them: blocks [from, to) in batches
+// of batch blocks, cut at multiples of batch (see drain).
+type replayQueue struct {
+	ls       *launchState
+	dec      *kernel.Decoded
+	shape    warpShape
+	batch    int
+	from, to int
+	budget   int64
+
+	next atomic.Int64 // index of the next batch to hand out
+	// stop is set once a batch failed: every batch handed out after it
+	// lies above it, and cannot name a lower block.
+	stop  atomic.Bool
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	errAt int // first block of the lowest failed batch, or to
+	err   error
+}
+
+// startReplay queues blocks 1…H−1 for data replay, batched by
+// batchBlocks, with block 0's instruction count as each batch's budget,
+// and starts GOMAXPROCS−1 goroutines on the queue, or fewer when there are
+// fewer batches; join runs the calling goroutine on it too.
+func (ls *launchState) startReplay() (*replayQueue, error) {
+	from, to := 1, ls.numBlocks
+	batch := batchBlocks(ls.prog, ls.width, to-from)
+	dec, err := ls.d.decoded(ls.prog, batch*ls.width)
+	if err != nil {
+		return nil, err
+	}
+	q := &ls.scratch.queue
+	q.ls, q.dec, q.batch, q.from, q.to = ls, dec, batch, from, to
+	q.shape = warpShape{ls.width, batch, ls.prog.NumRegs, ls.prog.SharedWords}
+	q.budget = int64(len(ls.scratch.trace))
+	q.next.Store(int64(from / batch))
+	q.stop.Store(false)
+	q.errAt, q.err = to, nil
+	// Settle global memory's pending zeroes here, so the replay's Raw
+	// calls only read (see mem.NewGlobalReusing).
+	ls.d.global.Raw()
+	batches := (to-1)/batch - from/batch + 1
+	for range min(runtime.GOMAXPROCS(0), batches) - 1 {
+		q.wg.Add(1)
+		go q.work()
+	}
+	return q, nil
+}
+
+// work drains the queue on a goroutine of its own.
+func (q *replayQueue) work() {
+	defer q.wg.Done()
+	q.drain()
+}
+
+// drain replays batches from the queue on a batch warp from the idle pool
+// until none is left or one has failed. A batch holds up to batch
+// consecutive blocks and spans no multiple of batch, so it straddles no
+// tile row of a tiling whose row of t tiles is a multiple of batch long,
+// and a tile index blockid/t or blockid%t keeps a symbolic form. Where a
+// batch does straddle a row the quotient differs within it and is written
+// out lane by lane, so the data stay exact. A batch writes nothing but its
+// warp and global memory, so batches run concurrently.
+func (q *replayQueue) drain() {
+	w := takeWarp(q.shape)
+	defer idlePool(q.shape).Put(w)
+	for !q.stop.Load() {
+		i := int(q.next.Add(1) - 1)
+		first, end := max(q.from, i*q.batch), min(q.to, (i+1)*q.batch)
+		if first >= end {
+			return
+		}
+		if err := q.ls.replayBatch(w, q.dec, q.budget, first, end-first); err != nil {
+			q.fail(first, err)
+		}
+	}
+}
+
+// fail records err from the batch from block first and stops the queue.
+// The lowest batch's error wins: it is the one a serial replay would have
+// stopped at.
+func (q *replayQueue) fail(first int, err error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if first < q.errAt {
+		q.errAt, q.err = first, err
+	}
+	q.stop.Store(true)
+}
+
+// join runs the calling goroutine on the queue until it is empty, waits
+// for the queue's other goroutines and returns the lowest failing block's
+// error. The caller keeps its OS
+// thread: readied by the last goroutine to finish, it would otherwise
+// resume on that goroutine's thread, and the rest of the run with it, on a
+// CPU that may be slower.
+func (q *replayQueue) join() error {
+	runtime.LockOSThread()
+	q.drain()
+	q.wg.Wait()
+	runtime.UnlockOSThread()
+	err := q.err
+	q.ls, q.dec, q.err = nil, nil, nil
+	return err
 }
 
 // batchBlocks returns how many blocks one replay batch of prog holds at
@@ -272,87 +474,11 @@ func (ls *launchState) finishMemo() error {
 // memoBatchMax, and above memoBatchShort only while elided fills
 // memoBatchRuns batches. A power of two divides every power-of-two tile row
 // at least as long, so batches cut at its multiples stay inside the rows
-// of the paper's tilings (see replayWith).
+// of the paper's tilings (see replayQueue.drain).
 func batchBlocks(prog *kernel.Program, width, elided int) int {
 	perBlock := max(1, prog.NumRegs*width+(prog.SharedWords+width-1)/width*width)
 	fit := min(memoBatchWords/perBlock, memoBatchMax, max(memoBatchShort, elided/memoBatchRuns))
 	return 1 << (bits.Len(uint(max(1, fit))) - 1)
-}
-
-// memoReplay runs blocks [from, to) through the data-only batch
-// interpreter so their register-file-to-memory effects land exactly as
-// full simulation would have produced them. The certificate guarantees
-// the blocks' global writes are disjoint from each other and from the
-// simulated blocks', so replay order is irrelevant: the range is split
-// into up to GOMAXPROCS contiguous chunks of at least memoReplayMinChunk
-// blocks and one batch, cut at multiples of the batch size (batchBlocks,
-// sized by the replay's length), each replayed on its own
-// batch warp from the idle pool. A failure reports the lowest failing block,
-// the one a serial replay would have stopped at.
-func (ls *launchState) memoReplay(from, to int) error {
-	n := to - from
-	batch := batchBlocks(ls.prog, ls.width, n)
-	dec, err := ls.d.decoded(ls.prog, batch*ls.width)
-	if err != nil {
-		return err
-	}
-	k := max(1, min(runtime.GOMAXPROCS(0), n/max(memoReplayMinChunk, batch)))
-	shape := warpShape{ls.width, batch, ls.prog.NumRegs, ls.prog.SharedWords}
-	warps := takeWarps(make([]*warp, 0, k), shape, k)
-	for len(warps) < k {
-		warps = append(warps, newWarp(shape))
-	}
-	defer putWarps(shape, warps)
-	cuts := make([]int, k+1)
-	for i := range k {
-		cuts[i] = max(from, (from+i*n/k)/batch*batch)
-	}
-	cuts[k] = to
-	errs := make([]error, k)
-	// Settle global memory's pending zeroes here, so the chunks' Raw
-	// calls only read (see mem.NewGlobalReusing).
-	ls.d.global.Raw()
-	var wg sync.WaitGroup
-	for i := 1; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = ls.replayWith(warps[i], dec, batch, cuts[i], cuts[i+1])
-		}(i)
-	}
-	// Chunk 0 runs on the calling goroutine, which would only wait. The
-	// caller keeps its OS thread: readied by the last chunk to finish, it
-	// would otherwise resume on that chunk's thread, and the rest of the
-	// run with it, on a CPU that may be slower.
-	runtime.LockOSThread()
-	errs[0] = ls.replayWith(warps[0], dec, batch, cuts[0], cuts[1])
-	wg.Wait()
-	runtime.UnlockOSThread()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replayWith replays blocks [from, to) on w batch by batch, stopping at
-// the first failure. A batch holds up to batch consecutive blocks and
-// spans no multiple of batch, so it straddles no tile row of a tiling
-// whose row of t tiles is a multiple of batch long, and a tile index
-// blockid/t or blockid%t keeps a symbolic form. Where a batch does
-// straddle a row the quotient differs within it and is written out lane
-// by lane, so the data stay exact. It writes nothing but w and global
-// memory, so disjoint ranges may run concurrently.
-func (ls *launchState) replayWith(w *warp, dec *kernel.Decoded, batch, from, to int) error {
-	for first := from; first < to; {
-		end := min(to, (first/batch+1)*batch)
-		if err := ls.replayBatch(w, dec, first, end-first); err != nil {
-			return err
-		}
-		first = end
-	}
-	return nil
 }
 
 // replayBatch executes blocks [first, first+blocks) side by side on w
@@ -363,17 +489,16 @@ func (ls *launchState) replayWith(w *warp, dec *kernel.Decoded, batch, from, to 
 //
 // The certificate proves the blocks trace identically, so the batch
 // shares one pc and one SIMT mask; a control condition that differs
-// between its blocks, or a trace longer than the longest the real
-// simulation observed (the instruction budget), means the certificate was
-// wrong, and the launch fails loudly rather than diverge silently. A trap
+// between its blocks, or a trace longer than block 0's (budget
+// instructions), means the certificate was wrong, and the launch fails
+// loudly rather than diverge silently. A trap
 // in a block above the first shrinks the batch to the blocks below it,
 // which run on from the trapping instruction (nothing moved there), and
 // is reported only if none of them fails: the error names the lowest
 // failing block, as a block-by-block replay would.
-func (ls *launchState) replayBatch(w *warp, dec *kernel.Decoded, first, blocks int) error {
+func (ls *launchState) replayBatch(w *warp, dec *kernel.Decoded, budget int64, first, blocks int) error {
 	w.reset(first, blocks)
 	ins := dec.Ins
-	budget := ls.stats.MaxWarpInstrs
 	var pending error
 	pc := 0
 	var instrs int64

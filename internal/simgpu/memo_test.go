@@ -503,15 +503,19 @@ func TestMemoReplayConcurrentMatchesSerial(t *testing.T) {
 }
 
 // TestMemoReplayConcurrentReportsLowestBlock: kernels that break the
-// certificate they were handed fail in replay (blocks 0–63 are simulated:
-// the schedule first recurs at block 64, with period 32, and all 14
-// periods left are skipped), and the error must be the lowest failing
-// block's, with the block, pc and text a block-by-block replay reports,
-// whether the replay runs on one goroutine or on several, each failing at
-// its own first block. In the first kernel every block from 200 on loads
-// out of range. In the second, blocks from 205 on do, while block 202
-// stores out of range later in the trace: in the batch of blocks 200–207
+// certificate they were handed fail in replay, which moves the data of
+// every block but block 0 whatever the timing pass skips (here the
+// schedule first recurs at block 64, with period 32, and all 14 periods
+// left are skipped), and the error must be the lowest failing block's,
+// with the block, pc and text a block-by-block replay reports, whether the
+// replay runs on one goroutine or on several goroutines taking batches
+// from one queue. In the first kernel every block from 200 on loads out
+// of range. In the second, blocks from 205 on do, while block 202 stores
+// out of range later in the trace: in the batch holding blocks 200–207
 // the higher blocks trap first, and the error must still be block 202's.
+// In the third every block from 40 on loads out of range: block 40 lies
+// below the recurrence, among the blocks whose timing the scheduler
+// steps, and its trap is still replay's.
 func TestMemoReplayConcurrentReportsLowestBlock(t *testing.T) {
 	const b, blocks = 32, 512
 	n := b * blocks
@@ -524,6 +528,7 @@ func TestMemoReplayConcurrentReportsLowestBlock(t *testing.T) {
 	}{
 		{"load-from-200", 200, 0, "block 200 pc 8 (memo replay): address out of range: global ld.global lane 0 addr 39168 (G=32768)"},
 		{"later-trap-in-lower-block", 205, 202, "block 202 pc 12 (memo replay): address out of range: global st.global lane 0 addr 39232 (G=32768)"},
+		{"load-from-40", 40, 0, "block 40 pc 8 (memo replay): address out of range: global ld.global lane 0 addr 34048 (G=32768)"},
 	}
 	for _, tc := range cases {
 		kb := kernel.NewBuilder("memo-oob", 0)
@@ -561,7 +566,7 @@ func TestMemoReplayConcurrentReportsLowestBlock(t *testing.T) {
 			dev.SetUniformProver(alwaysUniform)
 			_, err = dev.Launch(prog, blocks)
 			if dev.MemoSkips() != 1 || dev.memoElided != blocks-64 {
-				t.Fatalf("%s: memoization engaged %d times, replaying %d blocks; want 1, replaying %d",
+				t.Fatalf("%s: memoization engaged %d times, eliding %d blocks; want 1, eliding %d",
 					tc.name, dev.MemoSkips(), dev.memoElided, blocks-64)
 			}
 			return err
@@ -586,8 +591,8 @@ func TestMemoReplayConcurrentReportsLowestBlock(t *testing.T) {
 func TestMemoReplayFailsOnBlockVariantControl(t *testing.T) {
 	const b, blocks = 32, 512
 	n := b * blocks
-	// Blocks 0–63, which the scheduler runs before memoization engages,
-	// all take one path; blocks from 300 on take another.
+	// Block 0, whose cost trace times the launch, and every block up to
+	// 299 take one path; blocks from 300 on take another.
 	cases := map[string]func(kb *kernel.Builder, blk, val kernel.Reg){
 		"if": func(kb *kernel.Builder, blk, val kernel.Reg) {
 			c := kb.Reg("late")
@@ -639,19 +644,20 @@ func TestMemoReplayFailsOnBlockVariantControl(t *testing.T) {
 }
 
 // TestMemoWarpsReusedAcrossDevices: devices built one after another, as
-// a Runner's sweep points are, take their scheduled warps and their
-// replay batch warps from the idle pools and put them back, so only the
-// first memoized launch allocates any.
+// a Runner's sweep points are, take the warp that records block 0, their
+// cursor warps and their replay batch warps from the idle pools and put
+// them back, so only the first memoized launch allocates any.
 func TestMemoWarpsReusedAcrossDevices(t *testing.T) {
 	exactIdlePools(t)
 	const b, blocks = 32, 512
 	n := b * blocks
 	prog := vecaddSharedKernel(t, b, n)
-	// Blocks 0–63 are simulated (a warm-up wave of 32 and one period).
+	// Blocks 0–63 are timed (a warm-up wave of 32 and one period).
 	const elided = blocks - 64
 	shapes := []warpShape{
 		{b, 1, prog.NumRegs, prog.SharedWords},
-		{b, batchBlocks(prog, b, elided), prog.NumRegs, prog.SharedWords},
+		cursorShape,
+		{b, batchBlocks(prog, b, blocks-1), prog.NumRegs, prog.SharedWords},
 	}
 	pooled := func() map[*warp]bool {
 		ws := map[*warp]bool{}
@@ -680,7 +686,7 @@ func TestMemoWarpsReusedAcrossDevices(t *testing.T) {
 			t.Fatalf("device %d: %v", i, err)
 		}
 		if dev.MemoSkips() != 1 || dev.memoElided != elided {
-			t.Fatalf("device %d: memoization engaged %d times, replaying %d blocks; want 1, replaying %d", i, dev.MemoSkips(), dev.memoElided, elided)
+			t.Fatalf("device %d: memoization engaged %d times, eliding %d blocks; want 1, eliding %d", i, dev.MemoSkips(), dev.memoElided, elided)
 		}
 		if raceEnabled {
 			continue
@@ -788,7 +794,7 @@ func TestMemoSmallLaunchNotEligible(t *testing.T) {
 			t.Fatalf("%d blocks: launch: %v", tc.blocks, err)
 		}
 		if dev.MemoSkips() != tc.skips || dev.memoElided != tc.elided || proved != tc.proved {
-			t.Errorf("%d blocks (wave %d): memoization engaged %d times, replaying %d blocks, prover asked %v; want %d, %d, %v",
+			t.Errorf("%d blocks (wave %d): memoization engaged %d times, eliding %d blocks, prover asked %v; want %d, %d, %v",
 				tc.blocks, wave, dev.MemoSkips(), dev.memoElided, proved, tc.skips, tc.elided, tc.proved)
 		}
 	}

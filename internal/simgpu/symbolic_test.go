@@ -108,7 +108,6 @@ func formColumn(f batchAffine, form, width, blocks int) []kernel.Word {
 // first, and the column base of register r.
 func newSymWarp(width, slab, blocks, regs, shared, first int) (*warp, func(r kernel.Reg) int32) {
 	w := newWarp(warpShape{width, slab, regs, shared})
-	w.addrs = make([]int, width*slab)
 	w.reset(first, blocks)
 	return w, func(r kernel.Reg) int32 { return int32(int(r) * w.stride()) }
 }

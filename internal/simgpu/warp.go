@@ -78,10 +78,8 @@ type warp struct {
 	// then splits an address with a shift and a mask, not two divisions.
 	rowShift int
 
-	// addrs is scratch for gathering an address column. A scheduled
-	// warp's is not its own: acquire points it at the launch's, which the
-	// warps share because a launch issues one instruction at a time. A
-	// batch warp has its own, one entry per lane of the column.
+	// addrs is scratch for gathering an address column, one entry per
+	// lane the shape holds.
 	addrs []int
 
 	// trapBlock is the batch block, counted from the first, whose lanes
@@ -99,15 +97,13 @@ func newWarp(shape warpShape) *warp {
 		shared:      make([]kernel.Word, (shape.shared+shape.width-1)/shape.width*stride),
 		sharedWords: shape.shared,
 		rowShift:    -1,
+		addrs:       make([]int, stride),
 	}
 	if shape.width&(shape.width-1) == 0 {
 		w.rowShift = bits.TrailingZeros(uint(shape.width))
 	}
 	for i := range w.active {
 		w.active[i] = true
-	}
-	if shape.blocks > 1 {
-		w.addrs = make([]int, stride)
 	}
 	return w
 }

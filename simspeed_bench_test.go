@@ -12,8 +12,9 @@ package atgpu
 //	                every block runs through the scheduler's shared-memory
 //	                path
 //	decoded-memo-shared: the tiled matmul kernel at n = simSpeedMemoMatMulN
-//	                with analyze.UniformProver: 8 of its 64 blocks are
-//	                scheduled and 56 replayed in batches of 4, which stay
+//	                with analyze.UniformProver: block 0 runs the
+//	                interpreter, cursors time 8 of its 64 blocks and
+//	                skip 56, and 63 replay in batches of 4, which stay
 //	                inside the tile rows of 8 blocks, through the batches'
 //	                shared memory
 //
