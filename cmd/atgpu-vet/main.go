@@ -3,9 +3,7 @@
 // packages, no map iteration feeding ordered output anywhere, no
 // unguarded goroutine launches (missing recover/sched.Protect) in the
 // daemon's long-running packages, no append/make allocation in the
-// simulator's per-step hot path (exec*/replay* functions), and opcode
-// parity — every kernel.Op* handled by the legacy interpreter, the
-// decoded interpreter, and the static analyzer.
+// simulator's per-step hot path (exec*/replay* functions).
 //
 // Usage:
 //
@@ -59,18 +57,14 @@ func check(args []string) ([]vet.Diagnostic, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	parity := vet.NewOpParity()
 	var ds []vet.Diagnostic
 	for _, path := range files {
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
-		ip := importPath(module, root, path)
-		ds = append(ds, vet.CheckFile(fset, f, ip)...)
-		parity.AddFile(fset, f, ip)
+		ds = append(ds, vet.CheckFile(fset, f, importPath(module, root, path))...)
 	}
-	ds = append(ds, parity.Diagnostics()...)
 	sort.Slice(ds, func(i, j int) bool {
 		if ds[i].Pos.Filename != ds[j].Pos.Filename {
 			return ds[i].Pos.Filename < ds[j].Pos.Filename

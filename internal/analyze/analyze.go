@@ -84,6 +84,27 @@ func (a *analysis) site(pc int, op kernel.Op) *Site {
 	return s
 }
 
+// newAnalysis prepares the launch state of an analysis of prog, one site
+// accumulator per memory or atomic instruction.
+func newAnalysis(prog *kernel.Program, opt Options) *analysis {
+	a := &analysis{
+		prog:    prog,
+		opt:     opt,
+		seen:    make(map[findKey]struct{}),
+		siteOf:  make([]int32, len(prog.Instrs)),
+		precise: true,
+	}
+	n := int32(0)
+	for pc, in := range prog.Instrs {
+		if in.Op.IsMemory() || in.Op.IsAtomic() {
+			n++
+			a.siteOf[pc] = n
+		}
+	}
+	a.sites = make([]Site, n)
+	return a
+}
+
 // Program statically analyses one launch of prog with opt.Blocks thread
 // blocks on opt.Machine. It returns an error only for malformed inputs (an
 // invalid program, width, or block count); everything the analyzers have to
@@ -103,22 +124,7 @@ func Program(prog *kernel.Program, opt Options) (*Report, error) {
 		return nil, ErrBadBlocks
 	}
 
-	a := &analysis{
-		prog:    prog,
-		opt:     opt,
-		seen:    make(map[findKey]struct{}),
-		siteOf:  make([]int32, len(prog.Instrs)),
-		precise: true,
-	}
-	n := int32(0)
-	for pc, in := range prog.Instrs {
-		if in.Op.IsMemory() || in.Op.IsAtomic() {
-			n++
-			a.siteOf[pc] = n
-		}
-	}
-	a.sites = make([]Site, n)
-
+	a := newAnalysis(prog, opt)
 	rep := &Report{
 		Kernel: prog.Name,
 		Width:  opt.Machine.Width,

@@ -28,9 +28,9 @@ func (b *blockRun) execAtom(in kernel.Instr) bool {
 func atomV(op kernel.Op, old, v, cmp V) V {
 	switch op {
 	case kernel.OpAtomAdd:
-		return vAdd(old, v)
+		return vTransfer(kernel.OpAdd.Semantics(), old, v)
 	case kernel.OpAtomMax:
-		return vMax(old, v)
+		return vTransfer(kernel.OpMax.Semantics(), old, v)
 	case kernel.OpAtomExch:
 		return v
 	default: // OpAtomCAS

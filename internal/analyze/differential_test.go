@@ -396,3 +396,62 @@ func TestDifferentialBreadth(t *testing.T) {
 		}
 	})
 }
+
+// TestDifferentialNegatedLoad analyses a one-block kernel that negates a
+// loaded word and branches on the result, then runs it on 0/1-alternating
+// data, where the branch diverges. The loaded word is unknown to the
+// analysis, so x / −1 and x · −1 span the full range (MinInt64 · −1 wraps
+// to MinInt64): a report that claims Precise must match every observed
+// counter, the divergent branch included.
+func TestDifferentialNegatedLoad(t *testing.T) {
+	variants := []struct {
+		name   string
+		negate func(kb *kernel.Builder, cond, x kernel.Reg)
+	}{
+		{"divi", func(kb *kernel.Builder, cond, x kernel.Reg) { kb.Div(cond, x, kernel.Imm(-1)) }},
+		{"muli-slt", func(kb *kernel.Builder, cond, x kernel.Reg) {
+			kb.Mul(cond, x, kernel.Imm(-1))
+			kb.Slt(cond, cond, kernel.Imm(0))
+		}},
+	}
+	for _, v := range variants {
+		name, negate := v.name, v.negate
+		t.Run(name, func(t *testing.T) {
+			kb := kernel.NewBuilder("negated-load-"+name, 0)
+			lane, x, cond := kb.Reg("lane"), kb.Reg("x"), kb.Reg("cond")
+			kb.LaneID(lane)
+			kb.LdGlobal(x, lane)
+			negate(kb, cond, x)
+			kb.IfDo(cond, func() {
+				kb.Add(lane, lane, kernel.Imm(64))
+				kb.StGlobal(lane, cond)
+			})
+			prog := kb.MustBuild()
+
+			cfg := simgpu.GTX650()
+			cfg.GlobalWords = 128
+			dev, err := simgpu.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < cfg.WarpWidth; i++ {
+				dev.Global().Raw()[i] = int64(i % 2)
+			}
+			res, err := dev.Launch(prog, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.DivergentBranches == 0 {
+				t.Fatal("alternating data did not diverge the branch")
+			}
+			rep, err := analyze.Program(prog, analyze.Options{Machine: analyze.FromConfig(cfg), Blocks: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Precise {
+				t.Errorf("analysis claims Precise on a branch over loaded data")
+				checkStats(t, prog.Name, 1, rep.Stats, res.Stats)
+			}
+		})
+	}
+}

@@ -15,8 +15,10 @@ import (
 // (col); a per-lane write drops the form (dst). On a fully must-active
 // block compute ops, launch geometry, uniform branches and the addresses
 // of memory accesses run on the forms in O(1) (or O(width) integer work
-// for an access); everything else writes the forms out and runs the
-// per-lane code, which the forms must equal lane for lane.
+// for an access); under a partial mask a compute op whose result has a
+// form writes it out to the active lanes; everything else writes the
+// forms out and runs the per-lane code, which the forms must equal lane
+// for lane.
 
 // formKind is the form a register's lanes are in.
 type formKind uint8
@@ -64,41 +66,23 @@ func (r regForm) affine() (kernel.Affine, bool) {
 	return kernel.Affine{}, false
 }
 
-// vCompute is one lane's abstract result of the compute opcode op from its
-// Ra interval a and second operand b (Rb, or known(Imm) for an immediate
-// form), exactly as the per-lane interpreter computes it. A divisor must
-// not contain 0: the interpreter reports those lanes instead.
-func vCompute(op kernel.Op, a, b V) V {
-	switch op {
-	case kernel.OpDiv, kernel.OpDivI:
-		return vDiv(a, b)
-	case kernel.OpMod, kernel.OpModI:
-		return vMod(a, b)
-	}
-	if op.Semantics().Imm {
-		return vALUImm(op, a, b.Lo)
-	}
-	return vALU(op, a, b)
-}
-
-// formCompute evaluates the compute opcode op on operand forms a and b (b
-// uniformForm(known(Imm)) for an immediate form) over a fully must-active
-// warp of width lanes, or returns false when the result has no form.
-// Uniform operands evaluate vCompute once. Known lane-affine operands go
-// through the opcode's kernel.Sem.Symbolic, the simulator's own rules: on
-// known lanes vCompute is the opcode's wrapping Lane function, so the
-// rules' exactness carries over. A divisor that may be 0 has no form (the
-// per-lane path reports it).
-func formCompute(op kernel.Op, a, b *regForm, width int) (regForm, bool) {
+// formCompute evaluates the compute opcode with semantics sem on operand
+// forms a and b (b uniformForm(known(Imm)) for an immediate form) on every
+// lane of a warp of width lanes, or returns false when the result has no
+// form. Uniform operands apply the opcode's interval transfer once.
+// Known lane-affine operands go through sem.Symbolic, the simulator's own
+// rules: on known lanes the transfer is the opcode's wrapping Lane
+// function, so the rules' exactness carries over. A divisor that may be 0
+// has no form (the per-lane path reports it).
+func formCompute(sem *kernel.Sem, a, b *regForm, width int) (regForm, bool) {
 	if a.kind == formColumn || b.kind == formColumn {
 		return regForm{}, false
 	}
-	sem := op.Semantics()
 	if sem.Trap && (b.kind != formUniform || b.v.contains(0)) {
 		return regForm{}, false
 	}
 	if a.kind == formUniform && b.kind == formUniform {
-		return uniformForm(vCompute(op, a.v, b.v)), true
+		return uniformForm(vTransfer(sem, a.v, b.v)), true
 	}
 	fa, ok := a.affine()
 	if !ok {
@@ -113,6 +97,14 @@ func formCompute(op kernel.Op, a, b *regForm, width int) (regForm, bool) {
 		return regForm{}, false
 	}
 	return affineForm(d, width), true
+}
+
+// lane returns lane l's interval under the form (not formColumn).
+func (r regForm) lane(l int) V {
+	if r.kind == formAffine {
+		return known(r.f.Lane(l))
+	}
+	return r.v
 }
 
 // col writes register r's form out into b.regs, if it is not already, and

@@ -43,11 +43,13 @@ func (c formCase) String() string {
 }
 
 // checkFormCompute runs c through formCompute and, when it gives a form,
-// checks the form written out against vCompute lane by lane on the
-// written-out operands. It reports whether the form path answered.
+// checks the form written out against the opcode's interval transfer lane
+// by lane on the written-out operands. It reports whether the form path
+// answered.
 func checkFormCompute(t *testing.T, c formCase) bool {
 	t.Helper()
-	d, ok := formCompute(c.op, &c.a, &c.b, c.width)
+	sem := c.op.Semantics()
+	d, ok := formCompute(sem, &c.a, &c.b, c.width)
 	if !ok {
 		return false
 	}
@@ -56,22 +58,14 @@ func checkFormCompute(t *testing.T, c formCase) bool {
 	}
 	for l := 0; l < c.width; l++ {
 		av, bv := c.a.lane(l), c.b.lane(l)
-		if c.op.Semantics().Trap && bv.contains(0) {
+		if sem.Trap && bv.contains(0) {
 			t.Fatalf("%v: form given for a divisor containing 0 on lane %d", c, l)
 		}
-		if got, want := d.lane(l), vCompute(c.op, av, bv); got != want {
+		if got, want := d.lane(l), vTransfer(sem, av, bv); got != want {
 			t.Fatalf("%v: lane %d: form %+v gives %+v, per-lane %+v", c, l, d, got, want)
 		}
 	}
 	return true
-}
-
-// lane returns lane l's interval under the form (not formColumn).
-func (r regForm) lane(l int) V {
-	if r.kind == formAffine {
-		return known(r.f.Lane(l))
-	}
-	return r.v
 }
 
 // formOperands are the operand forms TestFormCompute combines: known
@@ -96,9 +90,9 @@ func formOperands(width int) []regForm {
 
 // TestFormCompute runs every opcode formCompute evaluates on known uniform,
 // lane-affine and interval operands at widths 1, 7 and 32, and checks the
-// result against the per-lane interpreter's vCompute. It also checks that
-// the form path is exercised: every opcode answers on uniform operands,
-// and every opcode with a Sym rule on lane-affine ones.
+// result against the per-lane interpreter's interval transfer. It also
+// checks that the form path is exercised: every opcode answers on uniform
+// operands, and every opcode with a Sym rule on lane-affine ones.
 func TestFormCompute(t *testing.T) {
 	for _, op := range formOps() {
 		sem := op.Semantics()
@@ -137,8 +131,7 @@ func TestFormCompute(t *testing.T) {
 // FuzzAnalyzeForms decodes a formCompute step from the fuzz input — the
 // opcode, the warp width, and each operand's form (an interval uniform on
 // every lane, or a known base + step·lane) and values — and checks it
-// against the per-lane vALU/vALUImm/vDiv/vMod result, as TestFormCompute
-// does.
+// against the per-lane interval transfer, as TestFormCompute does.
 func FuzzAnalyzeForms(f *testing.F) {
 	ops := formOps()
 	n := len(formEdgeWords)

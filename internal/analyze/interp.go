@@ -214,73 +214,6 @@ func (b *blockRun) run() bool {
 				}
 			}
 
-		case kernel.OpAdd, kernel.OpSub, kernel.OpMul, kernel.OpMin, kernel.OpMax,
-			kernel.OpAnd, kernel.OpOr, kernel.OpXor, kernel.OpShl, kernel.OpShr,
-			kernel.OpSlt, kernel.OpSle, kernel.OpSeq, kernel.OpSne:
-			if b.computeForm(&in, &b.forms[in.Rb]) {
-				break
-			}
-			ra, rb := b.col(in.Ra), b.col(in.Rb)
-			d := b.dst(in.Rd)
-			for l := 0; l < b.mayEnd; l++ {
-				if on(b.may, l) {
-					b.setLane(d+l, l, vALU(in.Op, b.regs[ra+l], b.regs[rb+l]))
-				}
-			}
-
-		case kernel.OpDiv, kernel.OpMod:
-			if b.computeForm(&in, &b.forms[in.Rb]) {
-				break
-			}
-			if !b.execDivMod(in) {
-				return false
-			}
-
-		case kernel.OpAddI, kernel.OpMulI, kernel.OpShlI, kernel.OpShrI, kernel.OpAndI,
-			kernel.OpSltI, kernel.OpSleI, kernel.OpSeqI, kernel.OpSneI:
-			if b.computeForm(&in, &regForm{kind: formUniform, v: known(in.Imm)}) {
-				break
-			}
-			ra := b.col(in.Ra)
-			d := b.dst(in.Rd)
-			for l := 0; l < b.mayEnd; l++ {
-				if on(b.may, l) {
-					b.setLane(d+l, l, vALUImm(in.Op, b.regs[ra+l], in.Imm))
-				}
-			}
-
-		case kernel.OpDivI, kernel.OpModI:
-			if b.computeForm(&in, &regForm{kind: formUniform, v: known(in.Imm)}) {
-				break
-			}
-			// The device traps a zero immediate divisor only on an active
-			// lane — masked lanes are exempt, exactly like the
-			// register-divisor form handled by execDivMod.
-			ra := b.col(in.Ra)
-			d := b.dst(in.Rd)
-			for l := 0; l < b.mayEnd; l++ {
-				if !on(b.may, l) {
-					continue
-				}
-				if in.Imm == 0 {
-					if on(b.must, l) {
-						a.reportf(Finding{Analyzer: AnalyzerBounds, Severity: SevError, PC: b.pc, Block: b.blockID, Lanes: []int{l}},
-							"division by constant zero in lane %d traps the kernel", l)
-						return false
-					}
-					a.precise = false
-					a.reportf(Finding{Analyzer: AnalyzerBounds, Severity: SevWarning, PC: b.pc, Block: b.blockID, Lanes: []int{l}},
-						"possible division by constant zero (lane %d may be active)", l)
-					b.setLane(d+l, l, top)
-					continue
-				}
-				if in.Op == kernel.OpDivI {
-					b.setLane(d+l, l, vDiv(b.regs[ra+l], known(in.Imm)))
-				} else {
-					b.setLane(d+l, l, vMod(b.regs[ra+l], known(in.Imm)))
-				}
-			}
-
 		case kernel.OpLaneID:
 			if b.allMust {
 				b.forms[in.Rd] = affineForm(kernel.Affine{Step: 1}, b.width)
@@ -368,9 +301,15 @@ func (b *blockRun) run() bool {
 			return true
 
 		default:
-			a.reportf(Finding{Analyzer: AnalyzerExec, Severity: SevError, PC: b.pc, Block: b.blockID},
-				"undefined opcode %v", in.Op)
-			return false
+			sem := in.Op.Semantics()
+			if sem == nil {
+				a.reportf(Finding{Analyzer: AnalyzerExec, Severity: SevError, PC: b.pc, Block: b.blockID},
+					"undefined opcode %v", in.Op)
+				return false
+			}
+			if !b.execCompute(&in, sem) {
+				return false
+			}
 		}
 		b.pc++
 	}
@@ -391,49 +330,83 @@ func (b *blockRun) broadcast(rd kernel.Reg, v V) {
 	}
 }
 
-// computeForm runs the compute instruction in on the operand forms, its
-// second operand's form being sb, when the block is fully must-active and
-// the result has a form (formCompute). It returns false, having changed
-// nothing, when the instruction must run lane by lane.
-func (b *blockRun) computeForm(in *kernel.Instr, sb *regForm) bool {
-	if !b.allMust {
-		return false
+// execCompute runs a compute instruction with semantics sem. When the
+// result has a form (formCompute), a fully must-active block keeps it and
+// any other writes it out to the active lanes; otherwise the instruction
+// runs lane by lane through the opcode's interval transfer. A lane whose
+// divisor may be 0 is reported instead; it returns false when that lane
+// traps the launch.
+func (b *blockRun) execCompute(in *kernel.Instr, sem *kernel.Sem) bool {
+	imm := uniformForm(known(in.Imm))
+	sb := &imm
+	if !sem.Imm {
+		sb = &b.forms[in.Rb]
 	}
-	f, ok := formCompute(in.Op, &b.forms[in.Ra], sb, b.width)
-	if ok {
-		b.forms[in.Rd] = f
+	if f, ok := formCompute(sem, &b.forms[in.Ra], sb, b.width); ok {
+		if b.allMust {
+			b.forms[in.Rd] = f
+			return true
+		}
+		d := b.dst(in.Rd)
+		for l := 0; l < b.mayEnd; l++ {
+			if on(b.may, l) {
+				b.setLane(d+l, l, f.lane(l))
+			}
+		}
+		return true
 	}
-	return ok
-}
-
-// execDivMod handles three-register division, reporting definite and
-// possible zero divisors.
-func (b *blockRun) execDivMod(in kernel.Instr) bool {
-	a := b.a
-	ra, rb := b.col(in.Ra), b.col(in.Rb)
+	// The class's rule is chosen once; the loop spells out vTransfer so
+	// that a lane costs one call through the lane function or the rule.
+	rule, lane, trap := absRules[sem.Class], sem.Lane, sem.Trap
+	ra, rb := b.col(in.Ra), -1
+	if !sem.Imm {
+		rb = b.col(in.Rb)
+	}
 	d := b.dst(in.Rd)
+	y := imm.v
 	for l := 0; l < b.mayEnd; l++ {
 		if !on(b.may, l) {
 			continue
 		}
-		dv := b.regs[rb+l]
-		if dv.contains(0) {
-			if dv.IsKnown() && on(b.must, l) {
-				a.reportf(Finding{Analyzer: AnalyzerBounds, Severity: SevError, PC: b.pc, Block: b.blockID, Lanes: []int{l}},
-					"division by zero in lane %d traps the kernel", l)
+		if rb >= 0 {
+			y = b.regs[rb+l]
+		}
+		x, v := b.regs[ra+l], top
+		switch {
+		case trap && y.contains(0):
+			if !b.zeroDivisor(sem.Imm, l, y) {
 				return false
 			}
-			a.precise = false
-			a.reportf(Finding{Analyzer: AnalyzerBounds, Severity: SevWarning, PC: b.pc, Block: b.blockID, Lanes: []int{l}},
-				"possible division by zero (lane %d divisor in [%d, %d])", l, dv.Lo, dv.Hi)
-			b.setLane(d+l, l, top)
-			continue
+		case x.IsKnown() && y.IsKnown():
+			v = known(lane(x.Lo, y.Lo))
+		default:
+			v = rule(sem, x, y)
 		}
-		if in.Op == kernel.OpDiv {
-			b.setLane(d+l, l, vDiv(b.regs[ra+l], dv))
+		b.setLane(d+l, l, v)
+	}
+	return true
+}
+
+// zeroDivisor reports lane l's divisor y, which may be 0; imm says it is
+// the instruction's immediate. The device traps a zero divisor only on an
+// active lane, so it returns false, the launch trapping, only for a known
+// zero on a lane that must run.
+func (b *blockRun) zeroDivisor(imm bool, l int, y V) bool {
+	f := Finding{Analyzer: AnalyzerBounds, Severity: SevError, PC: b.pc, Block: b.blockID, Lanes: []int{l}}
+	if y.IsKnown() && on(b.must, l) {
+		if imm {
+			b.a.reportf(f, "division by constant zero in lane %d traps the kernel", l)
 		} else {
-			b.setLane(d+l, l, vMod(b.regs[ra+l], dv))
+			b.a.reportf(f, "division by zero in lane %d traps the kernel", l)
 		}
+		return false
+	}
+	b.a.precise = false
+	f.Severity = SevWarning
+	if imm {
+		b.a.reportf(f, "possible division by constant zero (lane %d may be active)", l)
+	} else {
+		b.a.reportf(f, "possible division by zero (lane %d divisor in [%d, %d])", l, y.Lo, y.Hi)
 	}
 	return true
 }

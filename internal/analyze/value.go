@@ -68,136 +68,79 @@ func (v V) truth() truth {
 	return truthUnknown
 }
 
-// --- checked interval arithmetic ---------------------------------------------
+// --- interval transfer -----------------------------------------------------
 
-func addOv(a, b int64) (int64, bool) {
-	s := a + b
-	if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {
-		return 0, true
-	}
-	return s, false
+// absRules holds each abstract class's rule: the interval of Lane over
+// every pair of operands drawn from a and b, which are not both known.
+var absRules = [...]func(s *kernel.Sem, a, b V) V{
+	kernel.AbsCorner:  vCorner,
+	kernel.AbsCornerA: vCornerA,
+	kernel.AbsMod:     vMod,
+	kernel.AbsAnd:     vAnd,
+	kernel.AbsOrXor:   vOrXor,
+	kernel.AbsEq:      vEq,
 }
 
-func subOv(a, b int64) (int64, bool) {
-	d := a - b
-	if (b < 0 && d < a) || (b > 0 && d > a) {
-		return 0, true
-	}
-	return d, false
-}
-
-func mulOv(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, false
-	}
-	p := a * b
-	if p/b != a {
-		return 0, true
-	}
-	return p, false
-}
-
-func vAdd(a, b V) V {
+// vTransfer is the interval transfer of the compute opcode whose
+// semantics is s, derived from s: the result interval on the Ra interval a
+// and the second operand b (the Rb interval, or known(Imm) for an
+// immediate form). Known operands give Lane itself, exact and wrapping;
+// others go to the rule of the opcode's abstract class, which collapses to
+// top wherever Lane may wrap.
+func vTransfer(s *kernel.Sem, a, b V) V {
 	if a.IsKnown() && b.IsKnown() {
-		return known(a.Lo + b.Lo) // wrapping, exactly like the ALU
+		return known(s.Lane(a.Lo, b.Lo))
 	}
-	lo, of1 := addOv(a.Lo, b.Lo)
-	hi, of2 := addOv(a.Hi, b.Hi)
-	if of1 || of2 {
-		return top
-	}
-	return V{lo, hi}
+	return absRules[s.Class](s, a, b)
 }
 
-func vSub(a, b V) V {
-	if a.IsKnown() && b.IsKnown() {
-		return known(a.Lo - b.Lo)
-	}
-	lo, of1 := subOv(a.Lo, b.Hi)
-	hi, of2 := subOv(a.Hi, b.Lo)
-	if of1 || of2 {
-		return top
-	}
-	return V{lo, hi}
-}
-
-func vMul(a, b V) V {
-	if a.IsKnown() && b.IsKnown() {
-		return known(a.Lo * b.Lo)
-	}
-	lo := int64(math.MaxInt64)
-	hi := int64(math.MinInt64)
-	for _, x := range [2]int64{a.Lo, a.Hi} {
-		for _, y := range [2]int64{b.Lo, b.Hi} {
-			p, of := mulOv(x, y)
-			if of {
+// vCorner bounds an AbsCorner lane function by its values at the four
+// corners of the operand box; a corner whose exact value overflows means
+// Lane wraps inside the box, and gives top.
+func vCorner(s *kernel.Sem, a, b V) V {
+	r := V{math.MaxInt64, math.MinInt64}
+	for i := 0; i < 4; i++ {
+		x, y := a.Lo, b.Lo
+		if i&1 != 0 {
+			x = a.Hi
+		}
+		if i&2 != 0 {
+			y = b.Hi
+		}
+		var v int64
+		if s.Checked == nil {
+			v = s.Lane(x, y)
+		} else {
+			var of bool
+			if v, of = s.Checked(x, y); of {
 				return top
 			}
-			if p < lo {
-				lo = p
-			}
-			if p > hi {
-				hi = p
-			}
 		}
+		r = V{min(r.Lo, v), max(r.Hi, v)}
 	}
-	return V{lo, hi}
+	return r
 }
 
-// vDiv assumes the divisor cannot be zero (the interpreter reports possible
-// division by zero before calling it and substitutes top on that path).
-func vDiv(a, b V) V {
-	if a.IsKnown() && b.IsKnown() && b.Lo != 0 {
-		return known(a.Lo / b.Lo)
+// vCornerA bounds an AbsCornerA lane function by its values at a's ends,
+// for a known b.
+func vCornerA(s *kernel.Sem, a, b V) V {
+	if !b.IsKnown() {
+		return top
 	}
-	if b.IsKnown() && b.Lo != 0 {
-		// x/d truncates toward zero and is monotone in x for fixed d.
-		if b.Lo > 0 {
-			return V{a.Lo / b.Lo, a.Hi / b.Lo}
-		}
-		return V{a.Hi / b.Lo, a.Lo / b.Lo}
-	}
-	return top
+	return vCorner(s, a, b)
 }
 
-func vMod(a, b V) V {
-	if a.IsKnown() && b.IsKnown() && b.Lo != 0 {
-		return known(a.Lo % b.Lo)
-	}
+// vMod bounds the remainder by a known positive divisor m: within
+// [0, m−1] for a non-negative dividend, else within ±(m−1).
+func vMod(_ *kernel.Sem, a, b V) V {
 	if b.IsKnown() && b.Lo > 0 {
 		m := b.Lo
 		if a.Lo >= 0 {
-			hi := m - 1
-			if a.Hi < hi {
-				hi = a.Hi
-			}
-			return V{0, hi}
+			return V{0, min(m-1, a.Hi)}
 		}
 		return V{-(m - 1), m - 1}
 	}
 	return top
-}
-
-func vMin(a, b V) V {
-	lo, hi := a.Lo, a.Hi
-	if b.Lo < lo {
-		lo = b.Lo
-	}
-	if b.Hi < hi {
-		hi = b.Hi
-	}
-	return V{lo, hi}
-}
-
-func vMax(a, b V) V {
-	lo, hi := a.Lo, a.Hi
-	if b.Lo > lo {
-		lo = b.Lo
-	}
-	if b.Hi > hi {
-		hi = b.Hi
-	}
-	return V{lo, hi}
 }
 
 // bitCeil returns the all-ones mask covering every bit of h (h ≥ 0).
@@ -209,13 +152,9 @@ func bitCeil(h int64) int64 {
 	return m
 }
 
-func vAnd(a, b V) V {
-	if a.IsKnown() && b.IsKnown() {
-		return known(a.Lo & b.Lo)
-	}
-	// x & m with 0 ≤ m bounds the result to [0, m] when x ≥ 0 is not even
-	// needed: AND with a non-negative value cannot exceed it, and cannot go
-	// negative unless both operands are negative.
+// vAnd: AND with a non-negative value cannot exceed it, and cannot go
+// negative unless both operands are negative.
+func vAnd(_ *kernel.Sem, a, b V) V {
 	if b.IsKnown() && b.Lo >= 0 {
 		return V{0, b.Lo}
 	}
@@ -223,159 +162,25 @@ func vAnd(a, b V) V {
 		return V{0, a.Lo}
 	}
 	if a.Lo >= 0 && b.Lo >= 0 {
-		hi := a.Hi
-		if b.Hi < hi {
-			hi = b.Hi
-		}
-		return V{0, hi}
+		return V{0, min(a.Hi, b.Hi)}
 	}
 	return top
 }
 
-func vOrXor(a, b V) V {
+// vOrXor: OR and XOR of non-negative values set no bit above the larger
+// one's highest.
+func vOrXor(_ *kernel.Sem, a, b V) V {
 	if a.Lo >= 0 && b.Lo >= 0 {
-		h := a.Hi
-		if b.Hi > h {
-			h = b.Hi
-		}
-		return V{0, bitCeil(h)}
+		return V{0, bitCeil(max(a.Hi, b.Hi))}
 	}
 	return top
 }
 
-func vShl(a, b V) V {
-	if b.IsKnown() {
-		s := uint(b.Lo & 63)
-		if a.IsKnown() {
-			return known(a.Lo << s)
-		}
-		lo := a.Lo << s
-		hi := a.Hi << s
-		if lo>>s == a.Lo && hi>>s == a.Hi && lo <= hi {
-			return V{lo, hi}
-		}
-	}
-	return top
-}
-
-func vShr(a, b V) V {
-	if b.IsKnown() {
-		s := uint(b.Lo & 63)
-		// Arithmetic right shift is monotone in the shifted value.
-		return V{a.Lo >> s, a.Hi >> s}
-	}
-	return top
-}
-
-func b2v(b bool) V {
-	if b {
-		return known(1)
-	}
-	return known(0)
-}
-
-var vBool = V{0, 1}
-
-func vSlt(a, b V) V {
-	if a.Hi < b.Lo {
-		return known(1)
-	}
-	if a.Lo >= b.Hi {
-		// every a ≥ every b ⇒ a < b is false
-		return known(0)
-	}
-	return vBool
-}
-
-func vSle(a, b V) V {
-	if a.Hi <= b.Lo {
-		return known(1)
-	}
-	if a.Lo > b.Hi {
-		return known(0)
-	}
-	return vBool
-}
-
-func vSeq(a, b V) V {
-	if a.IsKnown() && b.IsKnown() {
-		return b2v(a.Lo == b.Lo)
-	}
+// vEq: disjoint operands are unequal on every pair, so Lane answers at
+// any one of them.
+func vEq(s *kernel.Sem, a, b V) V {
 	if a.Hi < b.Lo || b.Hi < a.Lo {
-		return known(0)
+		return known(s.Lane(a.Lo, b.Lo))
 	}
-	return vBool
-}
-
-func vSne(a, b V) V {
-	s := vSeq(a, b)
-	if s.IsKnown() {
-		return b2v(s.Lo == 0)
-	}
-	return vBool
-}
-
-// vALU mirrors the simulator's three-register ALU over abstract values.
-func vALU(op kernel.Op, a, b V) V {
-	switch op {
-	case kernel.OpAdd:
-		return vAdd(a, b)
-	case kernel.OpSub:
-		return vSub(a, b)
-	case kernel.OpMul:
-		return vMul(a, b)
-	case kernel.OpMin:
-		return vMin(a, b)
-	case kernel.OpMax:
-		return vMax(a, b)
-	case kernel.OpAnd:
-		return vAnd(a, b)
-	case kernel.OpOr, kernel.OpXor:
-		if a.IsKnown() && b.IsKnown() {
-			if op == kernel.OpOr {
-				return known(a.Lo | b.Lo)
-			}
-			return known(a.Lo ^ b.Lo)
-		}
-		return vOrXor(a, b)
-	case kernel.OpShl:
-		return vShl(a, b)
-	case kernel.OpShr:
-		return vShr(a, b)
-	case kernel.OpSlt:
-		return vSlt(a, b)
-	case kernel.OpSle:
-		return vSle(a, b)
-	case kernel.OpSeq:
-		return vSeq(a, b)
-	case kernel.OpSne:
-		return vSne(a, b)
-	}
-	return top
-}
-
-// vALUImm mirrors the simulator's register-immediate ALU.
-func vALUImm(op kernel.Op, a V, imm int64) V {
-	k := known(imm)
-	switch op {
-	case kernel.OpAddI:
-		return vAdd(a, k)
-	case kernel.OpMulI:
-		return vMul(a, k)
-	case kernel.OpShlI:
-		return vShl(a, k)
-	case kernel.OpShrI:
-		return vShr(a, k)
-	case kernel.OpAndI:
-		return vAnd(a, k)
-	case kernel.OpSltI:
-		return vSlt(a, k)
-	case kernel.OpSleI:
-		return vSle(a, k)
-	case kernel.OpSeqI:
-		return vSeq(a, k)
-	case kernel.OpSneI:
-		return vSne(a, k)
-	}
-	return top
+	return V{0, 1}
 }

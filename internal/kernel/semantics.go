@@ -1,12 +1,16 @@
 package kernel
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Sem is the executable semantics of one compute opcode: an instruction
 // that only reads and writes the register file. Every reader of compute
 // semantics — the simulator's interpreter and memo replay, the BlockUniform
-// prover's concrete math and the pseudocode constant folder — evaluates
-// the opcode through its Sem, so each opcode's meaning is written once.
+// prover's concrete math, the pseudocode constant folder and the static
+// analyzer's interval transfer — evaluates the opcode through its Sem, so
+// each opcode's meaning is written once.
 type Sem struct {
 	// Lane is one lane's result from its Ra value a and the second
 	// operand b: the lane's Rb value, or the instruction's Imm when Imm is
@@ -35,7 +39,42 @@ type Sem struct {
 	// Commutes reports that Lane(a, b) == Lane(b, a), so a register
 	// opcode's Twin also serves a uniform first operand.
 	Commutes bool
+	// Class is the opcode's abstract class: how an interval analysis
+	// bounds Lane over operand intervals (see AbsClass).
+	Class AbsClass
+	// Checked is Lane computed over the integers, with overflow true
+	// when the exact result does not fit a Word and Lane wraps. It is
+	// nil for an opcode whose Lane never wraps.
+	Checked func(a, b Word) (d Word, overflow bool)
 }
+
+// AbsClass names the rule by which an interval analysis bounds an
+// opcode's Lane over every pair of operands drawn from two intervals.
+// Every compute opcode has one; init rejects an entry without.
+type AbsClass uint8
+
+const (
+	absNone AbsClass = iota
+	// AbsCorner: Lane is monotone in each operand separately wherever
+	// Checked reports no overflow, so over an operand box its extremes
+	// lie at the four corners, and where no corner overflows nothing in
+	// between does (add, sub, mul, min, max, slt, sle, their immediate
+	// twins, const and mov).
+	AbsCorner
+	// AbsCornerA: for each fixed second operand, Lane is monotone in
+	// the first, as AbsCorner along a; a second operand that is not
+	// known bounds nothing (shifts, by a masked amount, and division).
+	AbsCornerA
+	// AbsMod: the remainder, bounded by a known positive divisor.
+	AbsMod
+	// AbsAnd: bitwise and, bounded by a non-negative operand.
+	AbsAnd
+	// AbsOrXor: bitwise or and xor, bounded by the operands' bit width
+	// when both are non-negative.
+	AbsOrXor
+	// AbsEq: Lane depends only on whether a == b (seq, sne).
+	AbsEq
+)
 
 // Affine is a register column in symbolic form: lane l holds
 // Base + Step·l in the wrapping two's-complement arithmetic of every lane
@@ -136,67 +175,67 @@ var nonCompute = []Op{
 // re-slice their inputs to len(d) so the compiler drops the per-lane
 // bounds checks.
 var semTable = [opCount]Sem{
-	OpConst: immSem(func(_, b Word) Word { return b }, func(d, _, _ []Word, v Word) {
+	OpConst: class(AbsCorner, immSem(func(_, b Word) Word { return b }, func(d, _, _ []Word, v Word) {
 		for l := range d {
 			d[l] = v
 		}
-	}),
-	OpMov: sym(regSem(func(a, _ Word) Word { return a }, func(d, a, _ []Word, _ Word) { copy(d, a) }), symMov),
+	})),
+	OpMov: class(AbsCorner, sym(regSem(func(a, _ Word) Word { return a }, func(d, a, _ []Word, _ Word) { copy(d, a) }), symMov)),
 
-	OpAdd: sym(commutes(regSem(add, func(d, a, b []Word, _ Word) {
+	OpAdd: class(AbsCorner, checked(addOv, sym(commutes(regSem(add, func(d, a, b []Word, _ Word) {
 		a, b = a[:len(d)], b[:len(d)]
 		for l := range d {
 			d[l] = a[l] + b[l]
 		}
-	})), symAdd),
-	OpSub: sym(regSem(func(a, b Word) Word { return a - b }, func(d, a, b []Word, _ Word) {
+	})), symAdd))),
+	OpSub: class(AbsCorner, checked(subOv, sym(regSem(func(a, b Word) Word { return a - b }, func(d, a, b []Word, _ Word) {
 		a, b = a[:len(d)], b[:len(d)]
 		for l := range d {
 			d[l] = a[l] - b[l]
 		}
-	}), symSub),
-	OpMul: sym(commutes(regSem(mul, func(d, a, b []Word, _ Word) {
+	}), symSub))),
+	OpMul: class(AbsCorner, checked(mulOv, sym(commutes(regSem(mul, func(d, a, b []Word, _ Word) {
 		a, b = a[:len(d)], b[:len(d)]
 		for l := range d {
 			d[l] = a[l] * b[l]
 		}
-	})), symMul),
-	OpDiv: trap(regSem(div, nil)),
-	OpMod: trap(regSem(mod, nil)),
-	OpMin: commutes(regSem(func(a, b Word) Word { return min(a, b) }, nil)),
-	OpMax: commutes(regSem(func(a, b Word) Word { return max(a, b) }, nil)),
-	OpAnd: commutes(regSem(and, nil)),
-	OpOr:  commutes(regSem(func(a, b Word) Word { return a | b }, nil)),
-	OpXor: commutes(regSem(func(a, b Word) Word { return a ^ b }, nil)),
-	OpShl: regSem(shl, nil),
-	OpShr: regSem(shr, nil),
+	})), symMul))),
+	OpDiv: class(AbsCornerA, checked(divOv, trap(regSem(div, nil)))),
+	OpMod: class(AbsMod, trap(regSem(mod, nil))),
+	OpMin: class(AbsCorner, commutes(regSem(func(a, b Word) Word { return min(a, b) }, nil))),
+	OpMax: class(AbsCorner, commutes(regSem(func(a, b Word) Word { return max(a, b) }, nil))),
+	OpAnd: class(AbsAnd, commutes(regSem(and, nil))),
+	OpOr:  class(AbsOrXor, commutes(regSem(func(a, b Word) Word { return a | b }, nil))),
+	OpXor: class(AbsOrXor, commutes(regSem(func(a, b Word) Word { return a ^ b }, nil))),
+	OpShl: class(AbsCornerA, checked(shlOv, regSem(shl, nil))),
+	OpShr: class(AbsCornerA, regSem(shr, nil)),
 
-	OpAddI: sym(immSem(add, func(d, a, _ []Word, v Word) {
+	OpAddI: class(AbsCorner, checked(addOv, sym(immSem(add, func(d, a, _ []Word, v Word) {
 		a = a[:len(d)]
 		for l := range d {
 			d[l] = a[l] + v
 		}
-	}), symAdd),
-	OpMulI: sym(immSem(mul, func(d, a, _ []Word, v Word) {
+	}), symAdd))),
+	OpMulI: class(AbsCorner, checked(mulOv, sym(immSem(mul, func(d, a, _ []Word, v Word) {
 		a = a[:len(d)]
 		for l := range d {
 			d[l] = a[l] * v
 		}
-	}), symMul),
-	OpDivI: sym(trap(immSem(div, nil)), symDiv),
-	OpModI: sym(trap(immSem(mod, nil)), symMod),
-	OpShlI: immSem(shl, nil),
-	OpShrI: immSem(shr, nil),
-	OpAndI: immSem(and, nil),
+	}), symMul))),
+	OpDivI: class(AbsCornerA, checked(divOv, sym(trap(immSem(div, nil)), symDiv))),
+	OpModI: class(AbsMod, sym(trap(immSem(mod, nil)), symMod)),
+	OpShlI: class(AbsCornerA, checked(shlOv, immSem(shl, nil))),
+	OpShrI: class(AbsCornerA, immSem(shr, nil)),
+	OpAndI: class(AbsAnd, immSem(and, nil)),
 
-	OpSlt:  sym(regSem(slt, nil), symOrdered(slt)),
-	OpSle:  sym(regSem(sle, nil), symOrdered(sle)),
-	OpSeq:  commutes(regSem(seq, nil)),
-	OpSne:  commutes(regSem(sne, nil)),
-	OpSltI: sym(immSem(slt, nil), symOrdered(slt)),
-	OpSleI: sym(immSem(sle, nil), symOrdered(sle)),
-	OpSeqI: immSem(seq, nil),
-	OpSneI: immSem(sne, nil),
+	OpSlt:  class(AbsCorner, sym(regSem(slt, nil), symOrdered(slt))),
+	OpSle:  class(AbsCorner, sym(regSem(sle, nil), symOrdered(sle))),
+	OpSeq:  class(AbsEq, commutes(regSem(seq, nil))),
+	OpSne:  class(AbsEq, commutes(regSem(sne, nil))),
+	OpSltI: class(AbsCorner, sym(immSem(slt, nil), symOrdered(slt))),
+	OpSleI: class(AbsCorner, sym(immSem(sle, nil), symOrdered(sle))),
+	OpSeqI: class(AbsEq, immSem(seq, nil)),
+	OpSneI: class(AbsEq, immSem(sne, nil)),
 }
 
 // The lane functions shared by a register form and its immediate form.
@@ -233,6 +272,40 @@ func b2w(b bool) Word {
 	return 0
 }
 
+// The checked lane functions: the exact result and whether it overflows
+// a Word, where the lane function wraps.
+func addOv(a, b Word) (Word, bool) {
+	s := a + b
+	return s, (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0)
+}
+
+func subOv(a, b Word) (Word, bool) {
+	d := a - b
+	return d, (b < 0 && d < a) || (b > 0 && d > a)
+}
+
+// mulOv checks MinInt64 · −1 apart: the product wraps back to MinInt64,
+// and dividing it by either factor gives the other back.
+func mulOv(a, b Word) (Word, bool) {
+	if a == 0 || b == 0 {
+		return 0, false
+	}
+	p := a * b
+	return p, p/b != a || a == -1 && b == math.MinInt64 || b == -1 && a == math.MinInt64
+}
+
+// divOv is div over the integers: only MinInt64 / −1 = 2⁶³ overflows.
+func divOv(a, b Word) (Word, bool) {
+	return div(a, b), a == math.MinInt64 && b == -1
+}
+
+// shlOv is shl over the integers: a·2^s overflows when shifting back
+// does not restore a.
+func shlOv(a, b Word) (Word, bool) {
+	d := shl(a, b)
+	return d, d>>uint(b&63) != a
+}
+
 // regSem builds a register-operand entry; a nil col derives the column form
 // from lane.
 func regSem(lane func(a, b Word) Word, col func(d, a, b []Word, imm Word)) Sem {
@@ -262,6 +335,17 @@ func immSem(lane func(a, b Word) Word, col func(d, a, b []Word, imm Word)) Sem {
 
 func trap(s Sem) Sem {
 	s.Trap = true
+	return s
+}
+
+func class(c AbsClass, s Sem) Sem {
+	s.Class = c
+	return s
+}
+
+// checked gives an entry whose lane function can wrap its checked form.
+func checked(ov func(a, b Word) (Word, bool), s Sem) Sem {
+	s.Checked = ov
 	return s
 }
 
@@ -375,36 +459,42 @@ func sharedQuotient(a, b Affine, width int) (Word, bool) {
 // false when it does not fit a Word. When it fits, no lane wraps: f is
 // monotone across the lanes, lying between Base and Last.
 func (f Affine) Last(width int) (Word, bool) {
-	n := Word(width - 1)
-	p := f.Step * n
-	if n != 0 && p/n != f.Step {
+	p, of := mulOv(f.Step, Word(width-1))
+	if of {
 		return 0, false
 	}
-	v := f.Base + p
-	if (p > 0 && v < f.Base) || (p < 0 && v > f.Base) {
-		return 0, false
-	}
-	return v, true
+	v, of := addOv(f.Base, p)
+	return v, !of
 }
 
-// init links the immediate twins and checks that every opcode is either a
-// compute opcode with a complete table entry or on the non-compute list,
-// never both.
+// init links the immediate twins and checks the table.
 func init() {
 	for _, p := range immTwins {
 		semTable[p[0]].Twin = &semTable[p[1]]
 	}
+	if err := checkTable(&semTable); err != nil {
+		panic(err)
+	}
+}
+
+// checkTable checks that every opcode is either a compute opcode with a
+// complete table entry, abstract class included, or on the non-compute
+// list, never both.
+func checkTable(t *[opCount]Sem) error {
 	var listed [opCount]bool
 	for _, o := range nonCompute {
 		listed[o] = true
 	}
 	for o := Op(0); o < opCount; o++ {
-		s := &semTable[o]
+		s := &t[o]
 		switch {
-		case listed[o] && (s.Lane != nil || s.Column != nil):
-			panic(fmt.Sprintf("kernel: non-compute opcode %v has a semantics entry", o))
+		case listed[o] && (s.Lane != nil || s.Column != nil || s.Class != absNone):
+			return fmt.Errorf("kernel: non-compute opcode %v has a semantics entry", o)
 		case !listed[o] && (s.Lane == nil || s.Column == nil):
-			panic(fmt.Sprintf("kernel: opcode %v has no semantics entry and is not listed as non-compute", o))
+			return fmt.Errorf("kernel: opcode %v has no semantics entry and is not listed as non-compute", o)
+		case !listed[o] && s.Class == absNone:
+			return fmt.Errorf("kernel: compute opcode %v has no abstract class", o)
 		}
 	}
+	return nil
 }

@@ -2,7 +2,9 @@ package kernel
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -37,6 +39,72 @@ func TestEveryOpcodeClassified(t *testing.T) {
 	}
 	if opCount.Semantics() != nil || Op(255).Semantics() != nil {
 		t.Error("out-of-range opcode has semantics")
+	}
+}
+
+// TestCheckTableRejectsUnclassified feeds the init check copies of the
+// table: a compute opcode without an abstract class, or a non-compute
+// opcode with one, is rejected.
+func TestCheckTableRejectsUnclassified(t *testing.T) {
+	if err := checkTable(&semTable); err != nil {
+		t.Fatalf("the table fails its own check: %v", err)
+	}
+	for _, o := range computeOps() {
+		tab := semTable
+		tab[o].Class = absNone
+		if err := checkTable(&tab); err == nil || !strings.Contains(err.Error(), "no abstract class") {
+			t.Errorf("%v without a class: %v", o, err)
+		}
+	}
+	for _, o := range nonCompute {
+		tab := semTable
+		tab[o].Class = AbsCorner
+		if err := checkTable(&tab); err == nil {
+			t.Errorf("non-compute %v with a class passed", o)
+		}
+	}
+}
+
+// TestCheckedMatchesIntegers checks every checked lane function against
+// the integers (math/big) on the edge words: overflow is reported exactly
+// when the integer result does not fit a Word, and otherwise the result
+// is Lane's.
+func TestCheckedMatchesIntegers(t *testing.T) {
+	exact := map[Op]func(z, a, b *big.Int, shift uint) *big.Int{
+		OpAdd: func(z, a, b *big.Int, _ uint) *big.Int { return z.Add(a, b) },
+		OpSub: func(z, a, b *big.Int, _ uint) *big.Int { return z.Sub(a, b) },
+		OpMul: func(z, a, b *big.Int, _ uint) *big.Int { return z.Mul(a, b) },
+		OpDiv: func(z, a, b *big.Int, _ uint) *big.Int {
+			if b.Sign() == 0 {
+				return z.SetInt64(0)
+			}
+			return z.Quo(a, b)
+		},
+		OpShl: func(z, a, _ *big.Int, shift uint) *big.Int { return z.Lsh(a, shift) },
+	}
+	for o, tw := range map[Op]Op{OpAdd: OpAddI, OpMul: OpMulI, OpDiv: OpDivI, OpShl: OpShlI} {
+		exact[tw] = exact[o]
+	}
+	var z, ba, bb big.Int
+	for _, o := range computeOps() {
+		s := o.Semantics()
+		if s.Checked == nil {
+			continue
+		}
+		f := exact[o]
+		if f == nil {
+			t.Errorf("%v: checked lane function with no integer reference", o)
+			continue
+		}
+		for _, a := range edgeWords {
+			for _, b := range edgeWords {
+				d, of := s.Checked(a, b)
+				want := f(&z, ba.SetInt64(a), bb.SetInt64(b), uint(b&63))
+				if of == want.IsInt64() || !of && d != s.Lane(a, b) {
+					t.Errorf("%v(%d, %d) = %d, overflow %v; integer result %v, Lane %d", o, a, b, d, of, want, s.Lane(a, b))
+				}
+			}
+		}
 	}
 }
 

@@ -1,14 +1,12 @@
 // Package vet implements the repo's custom static checks, run by
-// cmd/atgpu-vet next to the standard toolchain linters. Five invariants
+// cmd/atgpu-vet next to the standard toolchain linters. Four invariants
 // are enforced. The first two guard the determinism contract the
 // simulator, sweeps and goldens rely on (sweep output must be
 // byte-identical for any worker count, and simulated time must never
 // observe the wall clock); the third guards the daemon's survival
 // contract (a panic in a worker must become a failed job, never a dead
 // process); the fourth guards the simulator's per-instruction hot path
-// (zero allocation per simulated step); the fifth (opparity, see
-// opparity.go) guards the analyzer's opcode coverage — every opcode
-// declared in internal/kernel must be handled by its transfer functions:
+// (zero allocation per simulated step):
 //
 //   - notime: deterministic packages (timeline, simgpu, transfer,
 //     experiments, results) must not read the wall clock (time.Now,
@@ -32,12 +30,6 @@
 //     run once per warp step — billions of times per sweep — so even a
 //     byte of garbage per call dominates the profile; anything they need
 //     must be preallocated at launch setup.
-//
-//   - opparity: every kernel.Op* constant must be mentioned by the
-//     analyzer's abstract interpreter (analyze/interp.go). Go switches
-//     are not exhaustive, so a new opcode missed there compiles cleanly
-//     and mispredicts silently. The simulator's compute opcodes run
-//     through the kernel semantics table, whose init check covers them.
 //
 // The checks are syntactic: they parse with go/parser only, so they run
 // without build metadata and never depend on non-stdlib analysis

@@ -228,13 +228,11 @@ func execPass(n int) []int { return make([]int, n) }
 	}
 }
 
-// TestRepoInvariantsHold runs every pass — the single-file checks and the
-// cross-file opparity sweep — over this repository's own non-test sources,
-// the same sweep CI performs with atgpu-vet, so a violation fails here
-// first, with the diagnostic text in the log.
+// TestRepoInvariantsHold runs every pass over this repository's own
+// non-test sources, the same sweep CI performs with atgpu-vet, so a
+// violation fails here first, with the diagnostic text in the log.
 func TestRepoInvariantsHold(t *testing.T) {
 	fset := token.NewFileSet()
-	parity := NewOpParity()
 	root := "../.."
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -265,22 +263,10 @@ func TestRepoInvariantsHold(t *testing.T) {
 		for _, d := range CheckFile(fset, f, importPath) {
 			t.Errorf("%s", d)
 		}
-		parity.AddFile(fset, f, importPath)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, d := range parity.Diagnostics() {
-		t.Errorf("%s", d)
-	}
-	// The sweep must actually have seen the universe and the arena — a
-	// silent rename of the dispatch file would otherwise disarm the pass.
-	if got := len(parity.universe); got < 40 {
-		t.Errorf("opcode universe has %d entries; the kernel package sweep looks broken", got)
-	}
-	if parity.mentions == nil {
-		t.Errorf("opparity never saw its arena %s — the dispatch file moved or was renamed", opArena)
 	}
 }
 
@@ -384,118 +370,4 @@ func work() {}
 `
 	ds := checkSrc(t, "atgpu/internal/service", src)
 	wantDiags(t, ds, [2]interface{}{"gorecover", 6})
-}
-
-// parityFromSrcs builds an OpParity from (filename, importPath, src)
-// triples, so the cross-file pass can be exercised on synthetic arenas.
-func parityFromSrcs(t *testing.T, files []struct{ name, importPath, src string }) *OpParity {
-	t.Helper()
-	fset := token.NewFileSet()
-	p := NewOpParity()
-	for _, file := range files {
-		f, err := parser.ParseFile(fset, file.name, file.src, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.AddFile(fset, f, file.importPath)
-	}
-	return p
-}
-
-const opParityKernelSrc = `package kernel
-
-type Op uint8
-
-const (
-	OpNop Op = iota
-	OpAdd
-	OpAtomAdd
-	opCount // sentinel; must not enter the universe
-)
-`
-
-func TestOpParityFlagsMissingHandlers(t *testing.T) {
-	p := parityFromSrcs(t, []struct{ name, importPath, src string }{
-		{"instr.go", "atgpu/internal/kernel", opParityKernelSrc},
-		{"interp.go", "atgpu/internal/analyze", `package analyze
-
-import "atgpu/internal/kernel"
-
-func run(op kernel.Op) {
-	switch op {
-	case kernel.OpNop: // OpAdd and OpAtomAdd missing
-	}
-}
-`},
-	})
-	ds := p.Diagnostics()
-	if len(ds) != 2 {
-		t.Fatalf("got %d diagnostics, want 2: %v", len(ds), ds)
-	}
-	for _, d := range ds {
-		if d.Pass != "opparity" {
-			t.Errorf("pass = %q, want opparity", d.Pass)
-		}
-	}
-	wantMsgs := []string{
-		"OpAdd has no handler in the analyzer",
-		"OpAtomAdd has no handler in the analyzer",
-	}
-	for i, want := range wantMsgs {
-		if !strings.Contains(ds[i].Msg, want) {
-			t.Errorf("diagnostic %d = %q, want it to mention %q", i, ds[i].Msg, want)
-		}
-	}
-	// Diagnostics anchor at the opcode's declaration in the kernel package.
-	if ds[0].Pos.Filename != "instr.go" {
-		t.Errorf("diagnostic anchored at %s, want instr.go", ds[0].Pos.Filename)
-	}
-}
-
-func TestOpParityCleanWhenAllArenasCover(t *testing.T) {
-	p := parityFromSrcs(t, []struct{ name, importPath, src string }{
-		{"instr.go", "atgpu/internal/kernel", opParityKernelSrc},
-		{"interp.go", "atgpu/internal/analyze", `package analyze
-
-import "atgpu/internal/kernel"
-
-func dispatch(op kernel.Op) {
-	switch op {
-	case kernel.OpNop, kernel.OpAdd, kernel.OpAtomAdd:
-	}
-}
-`},
-	})
-	if ds := p.Diagnostics(); len(ds) != 0 {
-		t.Fatalf("full coverage flagged: %v", ds)
-	}
-}
-
-// TestOpParityIgnoresNonArenaFiles pins the scoping: opcode mentions in
-// other files do not satisfy the arena requirement — the simulator's
-// files among them, whose coverage comes from the kernel semantics table —
-// and an arena never seen produces no diagnostics (partial sweeps stay
-// quiet).
-func TestOpParityIgnoresNonArenaFiles(t *testing.T) {
-	p := parityFromSrcs(t, []struct{ name, importPath, src string }{
-		{"instr.go", "atgpu/internal/kernel", opParityKernelSrc},
-		{"helper.go", "atgpu/internal/analyze", `package analyze
-
-import "atgpu/internal/kernel"
-
-func helper(op kernel.Op) bool { return op == kernel.OpAtomAdd }
-`},
-		{"interp.go", "atgpu/internal/simgpu", `package simgpu
-
-import "atgpu/internal/kernel"
-
-func exec(op kernel.Op) bool { return op == kernel.OpAdd }
-`},
-	})
-	if ds := p.Diagnostics(); len(ds) != 0 {
-		t.Fatalf("sweep without arena files produced diagnostics: %v", ds)
-	}
-	if p.mentions != nil {
-		t.Fatalf("non-arena file registered as the arena: %v", p.mentions)
-	}
 }
