@@ -1,6 +1,8 @@
 package algorithms
 
 import (
+	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -203,6 +205,55 @@ func TestTopKDuplicates(t *testing.T) {
 	want := []Word{7, 7, 7, 7}
 	if !equalWords(sortedCopy(got), want) {
 		t.Fatalf("got multiset %v want %v", sortedCopy(got), want)
+	}
+}
+
+// topKInsertion is the insertion-sort reference TopKReference replaced:
+// the test oracle for its sort.
+func topKInsertion(in []Word, k int) []Word {
+	sorted := append([]Word(nil), in...)
+	for i := 1; i < len(sorted); i++ {
+		for p := i; p > 0 && sorted[p] > sorted[p-1]; p-- {
+			sorted[p], sorted[p-1] = sorted[p-1], sorted[p]
+		}
+	}
+	out := make([]Word, k)
+	for i := range out {
+		out[i] = TopKSentinel
+		if i < len(sorted) {
+			out[i] = sorted[i]
+		}
+	}
+	return out
+}
+
+// TestTopKReferenceMatchesInsertionSort checks the sorted reference against
+// the insertion-sort oracle on random inputs with duplicates, negatives,
+// the sentinel itself, and fewer values than slots.
+func TestTopKReferenceMatchesInsertionSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n, k := rng.Intn(40), 1+rng.Intn(12)
+		in := make([]Word, n)
+		for i := range in {
+			switch rng.Intn(8) {
+			case 0:
+				in[i] = TopKSentinel
+			case 1:
+				in[i] = math.MinInt64 + Word(rng.Intn(3))
+			case 2:
+				in[i] = math.MaxInt64 - Word(rng.Intn(3))
+			default:
+				in[i] = Word(rng.Intn(21) - 10)
+			}
+		}
+		got, err := TopKReference(in, k)
+		if err != nil {
+			t.Fatalf("n=%d k=%d: %v", n, k, err)
+		}
+		if want := topKInsertion(in, k); !equalWords(got, want) {
+			t.Fatalf("n=%d k=%d in=%v: got %v, insertion sort %v", n, k, in, got, want)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package algorithms
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"atgpu/internal/core"
 	"atgpu/internal/kernel"
@@ -191,14 +193,8 @@ func TopKReference(in []Word, k int) ([]Word, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: k=%d", ErrBadSize, k)
 	}
-	sorted := make([]Word, len(in))
-	copy(sorted, in)
-	// Insertion sort descending; reference inputs are small.
-	for i := 1; i < len(sorted); i++ {
-		for p := i; p > 0 && sorted[p] > sorted[p-1]; p-- {
-			sorted[p], sorted[p-1] = sorted[p-1], sorted[p]
-		}
-	}
+	sorted := slices.Clone(in)
+	slices.SortFunc(sorted, func(a, b Word) int { return cmp.Compare(b, a) })
 	out := make([]Word, k)
 	for i := range out {
 		if i < len(sorted) {

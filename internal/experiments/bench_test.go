@@ -202,8 +202,8 @@ func benchSweep(b *testing.B, workload string) {
 // sweepWork sums the simulated work of a benchmark's sweeps, so that the
 // bench output shows the work the time bought is unchanged.
 type sweepWork struct {
-	ops                    int
-	cycles, instrs, elided int64
+	ops                              int
+	cycles, instrs, elided, launches int64
 }
 
 // add folds in the points of one sweep.
@@ -213,11 +213,12 @@ func (s *sweepWork) add(d *WorkloadData) {
 		s.cycles += pt.Stats.Cycles
 		s.instrs += pt.Stats.InstructionsIssued
 		s.elided += pt.MemoElided
+		s.launches += int64(pt.Launches)
 	}
 }
 
 // report reports the sums per sweep: simulated cycles, warp-instructions
-// issued and blocks whose timing memoization skipped.
+// issued, blocks whose timing memoization skipped, and kernel launches.
 func (s *sweepWork) report(b *testing.B) {
 	if s.ops == 0 {
 		return
@@ -226,6 +227,7 @@ func (s *sweepWork) report(b *testing.B) {
 	b.ReportMetric(float64(s.cycles)/n, "sim-cycles/op")
 	b.ReportMetric(float64(s.instrs)/n, "warp-instrs/op")
 	b.ReportMetric(float64(s.elided)/n, "memo-elided/op")
+	b.ReportMetric(float64(s.launches)/n, "launches/op")
 }
 
 // BenchmarkLint measures the static analysis of one kernel launch on the

@@ -449,6 +449,10 @@ type WorkloadPoint struct {
 	// timing of by block memoization (simgpu.Device.MemoElided), for the
 	// benchmarks to report; like Stats it stays out of the records.
 	MemoElided int64 `json:"-"`
+	// Launches is how many kernel launches the point made
+	// (simgpu.Host.Launches), for the benchmarks to report; it stays out
+	// of the records too.
+	Launches int `json:"-"`
 }
 
 // Degraded reports whether the point needed any fault recovery.
@@ -888,6 +892,7 @@ func (pt *WorkloadPoint) observe(h *simgpu.Host) {
 	pt.Rounds = rep.Rounds
 	pt.Stats = rep.Stats
 	pt.MemoElided = h.Device().MemoElided()
+	pt.Launches = h.Launches()
 	pt.Transfers = rep.Transfers
 	pt.Resilience = rep.Resilience
 	for _, ev := range h.FaultEvents() {

@@ -238,6 +238,19 @@ var semTable = [opCount]Sem{
 	OpSneI: class(AbsEq, immSem(sne, nil)),
 }
 
+// MulAdd runs the pair mul t, x, y; add acc, acc, t over one block's
+// fully active lanes, where x holds v on every lane, in one pass: OpMulI's
+// column t[l] = y[l]·v, then OpAdd's column acc[l] += t[l]. t is written,
+// as the pair leaves it. t may be y; acc must be neither.
+func MulAdd(t, acc, y []Word, v Word) {
+	acc, y = acc[:len(t)], y[:len(t)]
+	for l := range t {
+		p := y[l] * v
+		t[l] = p
+		acc[l] += p
+	}
+}
+
 // The lane functions shared by a register form and its immediate form.
 // Shift amounts are masked to [0,63]; Go's truncating division already
 // gives MinInt64 / -1 = MinInt64 and MinInt64 % -1 = 0.

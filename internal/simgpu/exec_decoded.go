@@ -278,10 +278,10 @@ func (ls *launchState) execALU(w *warp, in *kernel.DInstr) error {
 			}
 		}
 	}
-	ac := w.execColumn(in.Ra, int(in.A))
+	ac := w.execRead(in.Ra, int(in.A))
 	bc := ac // unused by an immediate form
 	if !sem.Imm {
-		bc = w.execColumn(in.Rb, int(in.B))
+		bc = w.execRead(in.Rb, int(in.B))
 	}
 	if full && !sem.Trap {
 		sem.Column(w.regs[d:d+len(ac)], ac, bc, in.Imm) // the common case
@@ -331,9 +331,9 @@ func (w *warp) execBatchForms(in *kernel.DInstr, sem *kernel.Sem) (done bool, er
 	dc := w.regs[d : d+w.lanes]
 	switch {
 	case bok && b.uniform():
-		twin.Column(dc, w.execColumn(in.Ra, int(in.A)), nil, b.Base)
+		twin.Column(dc, w.execRead(in.Ra, int(in.A)), nil, b.Base)
 	case aok && a.uniform() && sem.Commutes:
-		twin.Column(dc, w.execColumn(in.Rb, int(in.B)), nil, a.Base)
+		twin.Column(dc, w.execRead(in.Rb, int(in.B)), nil, a.Base)
 	case !sem.Imm && w.form[in.Rb] == formRows:
 		w.execRowsTwin(twin, in, in.Ra, int(in.A), int(in.B))
 	case w.form[in.Ra] == formRows && sem.Commutes:
@@ -350,13 +350,47 @@ func (w *warp) execBatchForms(in *kernel.DInstr, sem *kernel.Sem) (done bool, er
 // the formRows operand at column base rows as the immediate, into in's
 // destination; the caller marks it written.
 func (w *warp) execRowsTwin(twin *kernel.Sem, in *kernel.DInstr, r kernel.Reg, base, rows int) {
-	col := w.execColumn(r, base)
+	col := w.execRead(r, base)
 	d := int(in.D)
 	for b := 0; b < w.blocks; b++ {
 		lo := b * w.width
 		v := w.regs[rows+lo] // read before the row is written: Rd may be this operand
 		twin.Column(w.regs[d+lo:d+lo+w.width], col[lo:lo+w.width], nil, v)
 	}
+}
+
+// execMulAdd runs the pair mul t, x, y; add acc, acc, t — mul and add —
+// on a fully active batch in one pass per block (kernel.MulAdd) when x or
+// y has one value per block (formRows), reporting whether it did. acc must
+// be none of t, x and y. t is written as the pair leaves it, so no later
+// reader needs to know the pair was fused; acc is written out first, so
+// the sum lands in its column, not in memory it views.
+func (w *warp) execMulAdd(mul, add *kernel.DInstr) bool {
+	acc := add.Rd
+	if w.activeN != w.width || add.Op != kernel.OpAdd || add.Ra != acc || add.Rb != mul.Rd ||
+		acc == mul.Rd || acc == mul.Ra || acc == mul.Rb {
+		return false
+	}
+	var rows int
+	var y []kernel.Word
+	switch {
+	case w.form[mul.Ra] == formRows:
+		rows, y = int(mul.A), w.execRead(mul.Rb, int(mul.B))
+	case w.form[mul.Rb] == formRows:
+		rows, y = int(mul.B), w.execRead(mul.Ra, int(mul.A))
+	default:
+		return false
+	}
+	ac := w.execColumn(acc, int(add.D))
+	t := int(mul.D)
+	for b := 0; b < w.blocks; b++ {
+		lo := b * w.width
+		v := w.regs[rows+lo] // read before the row is written: t may be x
+		kernel.MulAdd(w.regs[t+lo:t+lo+w.width], ac[lo:lo+w.width], y[lo:lo+w.width], v)
+	}
+	w.execWrote(mul.Rd)
+	w.execWrote(acc)
+	return true
 }
 
 // execSymbolic evaluates sem on operands a and b in symbolic form over a

@@ -34,7 +34,7 @@ func (w *warp) execCond(r kernel.Reg, a int) (taken bool, err error) {
 	if f, ok := w.execForm(r, a); ok && f.uniform() {
 		return f.Base != 0, nil
 	}
-	col := w.execColumn(r, a)
+	col := w.execRead(r, a)
 	for b := 0; b < w.blocks; b++ {
 		row := col[b*w.width : (b+1)*w.width]
 		any, v := false, false
@@ -77,7 +77,7 @@ func (w *warp) execIfBegin(r kernel.Reg, a int) (enter, divergent bool, err erro
 		return true, false, nil
 	}
 	width := w.width
-	col := w.execColumn(r, a)
+	col := w.execRead(r, a)
 	if !sym || f.BStep != 0 {
 		// A form with no block step repeats block 0's lanes.
 		for b := 1; b < w.blocks; b++ {
@@ -283,22 +283,53 @@ func (w *warp) execMove(in *kernel.DInstr, mem []kernel.Word, kind accessKind, a
 
 // execAccessBatch is execAccess for a batch warp: a fully active batch
 // whose symbolic address is a run or a broadcast in block 0 is one in
-// every block, checked block by block from each block's first address in
-// O(1) and moved by execMoveForm; any other access is gathered.
+// every block, range-checked by execBatchBad and moved by execMoveForm;
+// any other access is gathered, a store writing out every view of its
+// memory first.
 func (w *warp) execAccessBatch(in *kernel.DInstr, mem []kernel.Word, size int, shared bool) error {
 	if f, ok := w.execForm(in.Ra, int(in.A)); ok && w.activeN == w.width {
 		if kind, ok := execAffineKind(f.Affine, w.width); ok {
-			for b := 0; b < w.blocks; b++ {
-				a0 := f.row(b).Base
-				if bad := execPatternBad(kind, a0, w.width, size); bad >= 0 {
-					return w.execRangeTrap(in.Op, b*w.width+bad, a0+f.Step*kernel.Word(bad), size)
-				}
+			if i, addr := w.execBatchBad(kind, f, size); i >= 0 {
+				return w.execRangeTrap(in.Op, i, addr, size)
 			}
 			w.execMoveForm(in, mem, shared, kind, f)
 			return nil
 		}
 	}
+	if !isLoad(in.Op) {
+		w.execFlushViews(viewForm(shared), 0, len(mem))
+	}
 	return w.execAccessGathered(in, mem, size, shared)
+}
+
+// execBatchBad returns the first column lane at which a batch's run or
+// broadcast at symbolic address f leaves a memory of size words, with its
+// address, or -1. A block is in range exactly when its first address lies
+// in one interval, so when the blocks' first addresses do not wrap across
+// the batch they are monotone, and the first and last blocks in range put
+// every block between in range in O(1). Otherwise the blocks are checked
+// one by one, which also names the first block out of range.
+func (w *warp) execBatchBad(kind accessKind, f batchAffine, size int) (int, kernel.Word) {
+	if last, ok := f.col(0).Last(w.blocks); ok &&
+		execPatternBad(kind, f.Base, w.width, size) < 0 && execPatternBad(kind, last, w.width, size) < 0 {
+		return -1, 0
+	}
+	for b := 0; b < w.blocks; b++ {
+		a0 := f.row(b).Base
+		if bad := execPatternBad(kind, a0, w.width, size); bad >= 0 {
+			return b*w.width + bad, a0 + f.Step*kernel.Word(bad)
+		}
+	}
+	return -1, 0
+}
+
+// viewForm is the view form of a register reading shared memory's slab,
+// or global memory.
+func viewForm(shared bool) regForm {
+	if shared {
+		return formView
+	}
+	return formGlobalView
 }
 
 // isLoad reports a load (else a store) of a memory instruction.
@@ -311,9 +342,10 @@ func isLoad(op kernel.Op) bool { return op == kernel.OpLdGlobal || op == kernel.
 // O(1), and any other broadcast load leaves each block's word in the
 // block's lane 0 (formRows). Global runs that abut (block step = width)
 // and shared runs at one width-aligned address in every block (block step
-// 0) each lie in one stretch of mem and move as one copy. Any other
-// global access moves block by block (execMoveBlock), and any other
-// shared one through execMoveSlab.
+// 0) each lie in one stretch of mem: a load leaves the destination a view
+// of it in O(1), and a store is one copy. Any other global access moves
+// block by block (execMoveBlock), and any other shared one through
+// execMoveSlab. A store first writes out the views it overlaps.
 func (w *warp) execMoveForm(in *kernel.DInstr, mem []kernel.Word, shared bool, kind accessKind, f batchAffine) {
 	width := w.width
 	load := isLoad(in.Op)
@@ -333,27 +365,50 @@ func (w *warp) execMoveForm(in *kernel.DInstr, mem []kernel.Word, shared bool, k
 		w.form[in.Rd] = formRows
 		return
 	}
-	var col []kernel.Word
-	if load {
-		col = w.regs[d : d+w.lanes]
-	} else {
-		col = w.execColumn(in.Rb, int(in.B))
-	}
-	run := kind == accessContiguous
-	switch {
-	case run && !shared && f.BStep == kernel.Word(width):
-		execCopy(load, col, mem[f.Base:])
-	case run && shared && f.BStep == 0 && f.Base%kernel.Word(width) == 0:
-		execCopy(load, col, mem[w.slot(0, int(f.Base)):])
-	case shared:
-		w.execMoveSlab(load, col, mem, kind, f)
-	default:
-		for b := 0; b < w.blocks; b++ {
-			w.execMoveBlock(in, mem, b, kind, f.row(b).Base)
+	// o is the index in mem of the batch's one stretch, or -1.
+	o := -1
+	if kind == accessContiguous {
+		switch {
+		case !shared && f.BStep == kernel.Word(width):
+			o = int(f.Base)
+		case shared && f.BStep == 0 && f.Base%kernel.Word(width) == 0:
+			o = w.slot(0, int(f.Base))
 		}
 	}
 	if load {
+		switch {
+		case o >= 0:
+			if !shared {
+				w.global = mem
+			}
+			w.regs[d] = kernel.Word(o)
+			w.form[in.Rd] = viewForm(shared)
+			return
+		case shared:
+			w.execMoveSlab(true, w.regs[d:d+w.lanes], mem, kind, f)
+		default:
+			for b := 0; b < w.blocks; b++ {
+				w.execMoveBlock(in, mem, b, kind, f.row(b).Base)
+			}
+		}
 		w.execWrote(in.Rd)
+		return
+	}
+	lo, hi := 0, len(mem)
+	if o >= 0 {
+		lo, hi = o, o+w.lanes
+	}
+	w.execFlushViews(viewForm(shared), lo, hi)
+	switch {
+	case o >= 0:
+		copy(mem[o:], w.execRead(in.Rb, int(in.B)))
+	case shared:
+		w.execMoveSlab(false, w.execRead(in.Rb, int(in.B)), mem, kind, f)
+	default:
+		w.execColumn(in.Rb, int(in.B)) // execMoveBlock reads the source from w.regs
+		for b := 0; b < w.blocks; b++ {
+			w.execMoveBlock(in, mem, b, kind, f.row(b).Base)
+		}
 	}
 }
 
@@ -477,7 +532,7 @@ func (w *warp) execMoveGathered(in *kernel.DInstr, mem []kernel.Word) {
 		w.execWrote(in.Rd)
 		return
 	}
-	sc := w.execColumn(in.Rb, int(in.B))
+	sc := w.execRead(in.Rb, int(in.B))
 	for l, a := range addrs {
 		if a >= 0 {
 			mem[a] = sc[l]

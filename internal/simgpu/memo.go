@@ -85,11 +85,14 @@ const (
 	// memoBatchWords is the register and shared words a replay batch may
 	// hold, and memoBatchMax the most blocks it holds side by side: at 64
 	// blocks an instruction's dispatch is shared by 64 blocks' data work.
+	// 2¹⁷ words (1 MB) fit 8 matmul blocks at warp width 32, 4160 words
+	// each (34 registers and a 3072-word tile), so an n=256 launch's 63
+	// replayed blocks dispatch its trace 8 times, not 16.
 	// memoBatchShort is the most blocks a short replay's batch holds: a
 	// batch grows past it only while the replay fills memoBatchRuns whole
 	// batches, so that a launch which elides a few dozen blocks (atgpud's
 	// n=4096 jobs elide 64) does not allocate a warp for more.
-	memoBatchWords = 1 << 15
+	memoBatchWords = 1 << 17
 	memoBatchMax   = 64
 	memoBatchShort = 8
 	memoBatchRuns  = 16
@@ -498,6 +501,7 @@ func batchBlocks(prog *kernel.Program, width, elided int) int {
 // failing block, as a block-by-block replay would.
 func (ls *launchState) replayBatch(w *warp, dec *kernel.Decoded, budget int64, first, blocks int) error {
 	w.reset(first, blocks)
+	defer func() { w.global = nil }() // see warp.global
 	ins := dec.Ins
 	var pending error
 	pc := 0
@@ -545,6 +549,14 @@ func (ls *launchState) replayBatch(w *warp, dec *kernel.Decoded, budget int64, f
 
 		case kernel.OpHalt:
 			return pending
+
+		case kernel.OpMul:
+			if pc+1 < len(ins) && instrs < budget && w.execMulAdd(in, &ins[pc+1]) {
+				instrs++
+				pc += 2
+				continue
+			}
+			err = ls.execALU(w, in)
 
 		default:
 			err = ls.execALU(w, in)

@@ -745,8 +745,10 @@ func TestMemoDisabledByTracerSitesAndFaults(t *testing.T) {
 // reduce block (9 or 11 registers and 96 or 32 shared words, 384 words)
 // replays 8 at a time when its launch elides 64 blocks, as atgpud's
 // n=4096 jobs do, and 64 at a time when it elides thousands; a matmul
-// block (34 registers and 3072 shared words) 4 at a time however many;
-// and a block too big for the budget one at a time.
+// block (34 registers and 3072 shared words, 4160 words) 8 at a time when
+// its launch elides a few, as GTX650's n=256 launch does, and 16, the
+// budget's most, when it elides many; and a block too big for the budget
+// one at a time.
 func TestBatchBlocks(t *testing.T) {
 	for _, tc := range []struct {
 		regs, shared, elided, want int
@@ -757,9 +759,9 @@ func TestBatchBlocks(t *testing.T) {
 		{9, 96, 16*64 - 1, 32},
 		{9, 96, 3040, memoBatchMax},
 		{11, 32, 65472, memoBatchMax},
-		{34, 3072, 8, 4},
-		{34, 3072, 65536, 4},
-		{1, 1 << 15, 4096, 1},
+		{34, 3072, 8, 8},
+		{34, 3072, 65536, 16},
+		{1, 1 << 17, 4096, 1},
 	} {
 		prog := &kernel.Program{NumRegs: tc.regs, SharedWords: tc.shared}
 		if got := batchBlocks(prog, 32, tc.elided); got != tc.want {

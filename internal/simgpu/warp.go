@@ -85,6 +85,12 @@ type warp struct {
 	// trapBlock is the batch block, counted from the first, whose lanes
 	// raised the trap an exec helper just returned; 0 on a scheduled warp.
 	trapBlock int
+
+	// global is the global memory the warp's global views read (see
+	// formGlobalView), set by the load that makes one and cleared when
+	// its replay batch ends, so that an idle warp keeps no device's memory
+	// alive.
+	global []kernel.Word
 }
 
 // newWarp allocates a warp of shape.
@@ -196,8 +202,9 @@ func (w *warp) popMask() bool {
 	return true
 }
 
-// regForm is the form a register's column is in: two bits, whether the
-// register has a symbolic form and whether lanes are left to write out.
+// regForm is the form a register's column is in: whether the register
+// has a symbolic form, whether lanes are left to write out, and whether
+// its lanes are read in place from memory.
 type regForm uint8
 
 const (
@@ -220,6 +227,15 @@ const (
 	// symbolic form: a broadcast load from shared memory leaves it, one
 	// word per block.
 	formRows = formUnwritten
+	// formView: in a batch, the column is read in place from the shared
+	// slab, from the index held in the register's lane 0 on: a fully
+	// active load of a width-aligned run at one address in every block
+	// leaves it, the blocks' rows lying side by side in one slab row. Its
+	// lanes are not written out; execRead reads them where they lie.
+	formView = 4 | formUnwritten
+	// formGlobalView: formView over global memory (warp.global), left by a
+	// fully active load of runs that abut across the batch.
+	formGlobalView = 8 | formUnwritten
 )
 
 // batchAffine is a register in symbolic form across a batch: lane l of
@@ -304,10 +320,64 @@ func (w *warp) execColumn(r kernel.Reg, base int) []kernel.Word {
 	return w.regs[base : base+w.lanes]
 }
 
+// execRead returns register r's column, column base base, for reading
+// only: a view where it lies in memory, any other column written out.
+// It inlines, as execColumn does.
+func (w *warp) execRead(r kernel.Reg, base int) []kernel.Word {
+	if w.form[r]&formUnwritten != 0 {
+		return w.execReadUnwritten(r, base)
+	}
+	return w.regs[base : base+w.lanes]
+}
+
+// execReadUnwritten is execRead on a column with lanes not written out.
+func (w *warp) execReadUnwritten(r kernel.Reg, base int) []kernel.Word {
+	if m := w.execViewed(r, base); m != nil {
+		return m
+	}
+	w.execWriteOut(r, base)
+	return w.regs[base : base+w.lanes]
+}
+
+// execViewed returns the memory a view register r, column base base,
+// reads, or nil when r is not a view.
+func (w *warp) execViewed(r kernel.Reg, base int) []kernel.Word {
+	var m []kernel.Word
+	switch w.form[r] {
+	case formView:
+		m = w.shared
+	case formGlobalView:
+		m = w.global
+	default:
+		return nil
+	}
+	o := int(w.regs[base])
+	return m[o : o+w.lanes : o+w.lanes]
+}
+
+// execFlushViews writes out every view of form whose lanes overlap
+// indexes [lo, hi) of its memory: a store there is about to change them.
+func (w *warp) execFlushViews(form regForm, lo, hi int) {
+	stride := w.stride()
+	for r, base := 0, 0; base < len(w.regs); r, base = r+1, base+stride {
+		if w.form[r] != form {
+			continue
+		}
+		if o := int(w.regs[base]); o < hi && lo < o+w.lanes {
+			w.execWriteOut(kernel.Reg(r), base)
+		}
+	}
+}
+
 // execWriteOut writes the unwritten lanes of register r, column base
-// base, out: from its symbolic form, or each block's lane 0 across its
-// lanes.
+// base, out: from the memory it views, from its symbolic form, or each
+// block's lane 0 across its lanes.
 func (w *warp) execWriteOut(r kernel.Reg, base int) {
+	if m := w.execViewed(r, base); m != nil {
+		copy(w.regs[base:base+w.lanes], m)
+		w.form[r] = formFlat
+		return
+	}
 	f, sym := w.execForm(r, base)
 	for b := 0; b < w.blocks; b++ {
 		row := w.regs[base+b*w.width : base+(b+1)*w.width]
