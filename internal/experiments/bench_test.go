@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"atgpu/internal/analyze"
 	"atgpu/internal/simgpu"
 )
 
@@ -118,11 +119,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 			b.ResetTimer()
 			var work sweepWork
 			for i := 0; i < b.N; i++ {
-				d, err := r.RunVecAdd()
-				if err != nil {
-					b.Fatal(err)
-				}
-				work.add(d)
+				work.sweep(b, r, (*Runner).RunVecAdd)
 			}
 			work.report(b)
 		})
@@ -130,10 +127,12 @@ func BenchmarkSweepWorkers(b *testing.B) {
 }
 
 // BenchmarkSweepCold measures the same vecadd sweep at one worker on a new
-// Runner per op, the way an atgpud job or a one-shot CLI sweep runs it:
-// BenchmarkSweepWorkers repeats sweeps on one Runner, whose point scratch
-// buffers outlive each sweep. Calibration runs once, outside the timed
-// loop, and every op's Runner reuses it.
+// Runner per op, the way a one-shot CLI sweep runs it: BenchmarkSweepWorkers
+// repeats sweeps on one Runner, whose point scratch buffers outlive each
+// sweep, and whose launches after the first sweep are shape memo hits.
+// Each op's Runner has a shape memo of its own, so every launch is a
+// first sight. Calibration runs once, outside the timed loop, and every
+// op's Runner reuses it.
 func BenchmarkSweepCold(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
@@ -148,11 +147,8 @@ func BenchmarkSweepCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		d, err := cold.RunVecAdd()
-		if err != nil {
-			b.Fatal(err)
-		}
-		work.add(d)
+		cold.shapes = simgpu.NewShapeMemo(analyze.UniformProver)
+		work.sweep(b, cold, (*Runner).RunVecAdd)
 	}
 	work.report(b)
 }
@@ -189,12 +185,9 @@ func benchSweep(b *testing.B, workload string) {
 	}
 	b.ResetTimer()
 	var work sweepWork
+	sweep := func(r *Runner) (*WorkloadData, error) { return r.Sweep(workload) }
 	for i := 0; i < b.N; i++ {
-		d, err := r.Sweep(workload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		work.add(d)
+		work.sweep(b, r, sweep)
 	}
 	work.report(b)
 }
@@ -202,13 +195,20 @@ func benchSweep(b *testing.B, workload string) {
 // sweepWork sums the simulated work of a benchmark's sweeps, so that the
 // bench output shows the work the time bought is unchanged.
 type sweepWork struct {
-	ops                              int
-	cycles, instrs, elided, launches int64
+	ops                                    int
+	cycles, instrs, elided, launches, hits int64
 }
 
-// add folds in the points of one sweep.
-func (s *sweepWork) add(d *WorkloadData) {
+// sweep runs one sweep on r and folds in its points and the shape memo
+// hits it made.
+func (s *sweepWork) sweep(b *testing.B, r *Runner, run func(*Runner) (*WorkloadData, error)) {
+	hits := r.shapeMemo().Hits()
+	d, err := run(r)
+	if err != nil {
+		b.Fatal(err)
+	}
 	s.ops++
+	s.hits += r.shapeMemo().Hits() - hits
 	for _, pt := range d.Points {
 		s.cycles += pt.Stats.Cycles
 		s.instrs += pt.Stats.InstructionsIssued
@@ -218,7 +218,8 @@ func (s *sweepWork) add(d *WorkloadData) {
 }
 
 // report reports the sums per sweep: simulated cycles, warp-instructions
-// issued, blocks whose timing memoization skipped, and kernel launches.
+// issued, blocks whose timing memoization skipped, kernel launches, and
+// launches whose timing came from the shape memo.
 func (s *sweepWork) report(b *testing.B) {
 	if s.ops == 0 {
 		return
@@ -228,6 +229,7 @@ func (s *sweepWork) report(b *testing.B) {
 	b.ReportMetric(float64(s.instrs)/n, "warp-instrs/op")
 	b.ReportMetric(float64(s.elided)/n, "memo-elided/op")
 	b.ReportMetric(float64(s.launches)/n, "launches/op")
+	b.ReportMetric(float64(s.hits)/n, "memo-hits/op")
 }
 
 // BenchmarkLint measures the static analysis of one kernel launch on the

@@ -221,6 +221,25 @@ type Runner struct {
 	calib  calibrate.Result
 	// scratch holds the idle point scratch buffers (see pointScratch).
 	scratch scratchPool
+	// shapes, when set, is the shape memo of this runner's devices in
+	// place of the process's (sharedShapes); tests and benches that must
+	// see first-sight launches give a runner its own.
+	shapes *simgpu.ShapeMemo
+}
+
+// sharedShapes is the shape memo (simgpu.ShapeMemo) of every device the
+// package builds: sweep points and calibration alike, in every Runner of
+// the process, so a shape that comes back in a later sweep, a later
+// atgpud job or a later calibration is timed once. Its prover is
+// analyze.UniformProver.
+var sharedShapes = simgpu.NewShapeMemo(analyze.UniformProver)
+
+// shapeMemo returns the shape memo of the runner's devices.
+func (r *Runner) shapeMemo() *simgpu.ShapeMemo {
+	if r.shapes != nil {
+		return r.shapes
+	}
+	return sharedShapes
 }
 
 // NewRunner calibrates cost parameters on a throwaway device and returns a
@@ -261,7 +280,7 @@ func Calibrate(cfg Config) (*transfer.Link, calibrate.Result, error) {
 	if err != nil {
 		return nil, calibrate.Result{}, err
 	}
-	dev.SetUniformProver(analyze.UniformProver)
+	dev.SetShapeMemo(sharedShapes)
 	eng, err := transfer.NewEngine(link, cfg.Scheme)
 	if err != nil {
 		return nil, calibrate.Result{}, err
@@ -360,7 +379,7 @@ func (r *Runner) newHostIn(s *pointScratch, footprint int, workload string, n, i
 	if err != nil {
 		return nil, err
 	}
-	dev.SetUniformProver(analyze.UniformProver)
+	dev.SetShapeMemo(r.shapeMemo())
 	eng, err := transfer.NewEngine(r.link, r.cfg.Scheme)
 	if err != nil {
 		return nil, err

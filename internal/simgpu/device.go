@@ -29,15 +29,14 @@ type Device struct {
 	// on this device, per column width: the warp width, and memo replay's
 	// batch width (see memo.go).
 	decCache map[decKey]*kernel.Decoded
-	// uniformProver, when set, certifies that every block of a program
-	// provably executes the same instruction trace modulo OpBlockID-derived
-	// addressing with cross-block-disjoint global writes (the BlockUniform
-	// certificate from internal/analyze, injected here as a callback
-	// because analyze imports simgpu). Certified launches are eligible for
-	// steady-state block memoization; see memo.go.
-	uniformProver UniformProver
-	// proverVerdicts caches certificate decisions per (program, blocks).
-	proverVerdicts map[proverKey]bool
+	// shapes memoizes the BlockUniform verdicts of launch shapes and the
+	// timing of certified ones (shapes.go). Its prover certifies that
+	// every block of a program provably executes the same instruction
+	// trace modulo OpBlockID-derived addressing with cross-block-disjoint
+	// global writes (the BlockUniform certificate from internal/analyze,
+	// injected as a callback because analyze imports simgpu). Certified
+	// launches are memoized; see memo.go. Nil turns memoization off.
+	shapes *ShapeMemo
 	// memoDisabled turns memoization off device-wide; the Host sets it
 	// while a fault injector is armed, since faults must observe every
 	// block individually.
@@ -55,11 +54,6 @@ type Device struct {
 // disjoint global writes. analyze.UniformProver is the canonical
 // implementation.
 type UniformProver func(prog *kernel.Program, cfg Config, blocks int) bool
-
-type proverKey struct {
-	prog   *kernel.Program
-	blocks int
-}
 
 type decKey struct {
 	prog  *kernel.Program
@@ -128,18 +122,32 @@ func putWarps(shape warpShape, ws []*warp) {
 }
 
 // SetUniformProver installs the BlockUniform certificate callback that
-// gates block memoization. A nil prover (the default) disables memoization
-// entirely; launches are then always fully simulated.
-func (d *Device) SetUniformProver(p UniformProver) { d.uniformProver = p }
+// gates block memoization, with a shape memo of the device's own: its
+// verdicts and timings serve no other device. A nil prover (the default)
+// disables memoization entirely; launches are then always fully
+// simulated.
+func (d *Device) SetUniformProver(p UniformProver) {
+	d.shapes = nil
+	if p != nil {
+		d.shapes = NewShapeMemo(p)
+	}
+}
+
+// SetShapeMemo makes the device consult m, and m's prover, for its
+// launches; devices that share m share its verdicts and timings. A nil m
+// disables memoization, as a nil prover does.
+func (d *Device) SetShapeMemo(m *ShapeMemo) { d.shapes = m }
 
 // MemoSkips reports how many launches on this device engaged block
 // memoization (used by tests and benches to prove engagement, or the lack
-// of it under fault injection).
+// of it under fault injection). A shape memo hit adds the skips of the
+// launch that timed its shape, as if it had run again.
 func (d *Device) MemoSkips() int64 { return d.memoSkips }
 
 // MemoElided reports how many blocks this device's memoized launches
 // skipped the timing of: the blocks of their skipped periods, whose cycles
-// and counters were scaled in from one observed period.
+// and counters were scaled in from one observed period. A shape memo hit
+// adds the count of the launch that timed its shape.
 func (d *Device) MemoElided() int64 { return d.memoElided }
 
 // decoded returns the cached decoded form of prog for columns of width
@@ -158,20 +166,6 @@ func (d *Device) decoded(prog *kernel.Program, width int) (*kernel.Decoded, erro
 	}
 	d.decCache[k] = dec
 	return dec, nil
-}
-
-// certified consults (and caches) the uniform prover's verdict.
-func (d *Device) certified(prog *kernel.Program, blocks int) bool {
-	k := proverKey{prog, blocks}
-	if v, ok := d.proverVerdicts[k]; ok {
-		return v
-	}
-	v := d.uniformProver(prog, d.cfg, blocks)
-	if d.proverVerdicts == nil {
-		d.proverVerdicts = make(map[proverKey]bool)
-	}
-	d.proverVerdicts[k] = v
-	return v
 }
 
 // SetCollectSites toggles per-access-site memory counters on subsequent
@@ -358,6 +352,36 @@ func (d *Device) LaunchTraced(prog *kernel.Program, numBlocks int, tr *Tracer) (
 		return KernelResult{}, fmt.Errorf("%w: kernel %s wants %d words, M=%d",
 			ErrSharedExceeded, prog.Name, prog.SharedWords, d.cfg.SharedWords)
 	}
+	// Block memoization: only for untraced, site-free launches of
+	// certified kernels, and never while faults are armed. Every disable
+	// condition falls back to plain full simulation.
+	if numBlocks == 0 || tr != nil || d.collectSites || d.memoDisabled || d.shapes == nil {
+		return d.launch(prog, numBlocks, occ, tr, false)
+	}
+	big := numBlocks >= memoMinWaves*occ*d.ActiveSMs()
+	p := d.shapes.plan(prog, d.cfg, numBlocks, d.failedSMs, big)
+	if p.hit {
+		ls := &launchState{d: d, prog: prog, width: d.cfg.WarpWidth, numBlocks: numBlocks}
+		if ls.runHit(p.timing.stats.MaxWarpInstrs) == nil {
+			d.shapes.hits.Add(1)
+			d.memoSkips += p.timing.skips
+			d.memoElided += p.timing.elided
+			return d.result(p.timing.stats, nil), nil
+		}
+		// The miss path reports the failure as a launch that never hit.
+	}
+	skips, elided := d.memoSkips, d.memoElided
+	res, err := d.launch(prog, numBlocks, occ, nil, big && p.proof == proofCertified)
+	if err == nil {
+		d.shapes.store(p, shapeTiming{res.Stats, d.memoSkips - skips, d.memoElided - elided})
+	}
+	return res, err
+}
+
+// launch runs a launch of numBlocks blocks of prog at occupancy occ
+// through the scheduler: memoized (memo.go) when memoize is set, else
+// every block through the scheduled interpreter.
+func (d *Device) launch(prog *kernel.Program, numBlocks, occ int, tr *Tracer, memoize bool) (KernelResult, error) {
 	ls := &launchState{
 		d:            d,
 		prog:         prog,
@@ -382,13 +406,7 @@ func (d *Device) LaunchTraced(prog *kernel.Program, numBlocks int, tr *Tracer) (
 		ls.sms = append(ls.sms, &smState{})
 		ls.smIDs = append(ls.smIDs, i)
 	}
-	// Block memoization: only for untraced, site-free launches of
-	// analyzer-certified kernels of memoMinWaves waves, and never while
-	// faults are armed. Every disable condition falls back to plain full
-	// simulation.
-	if tr == nil && !d.collectSites && !d.memoDisabled &&
-		numBlocks >= memoMinWaves*occ*len(ls.sms) && d.uniformProver != nil &&
-		d.certified(prog, numBlocks) {
+	if memoize {
 		ls.memo = &memoState{}
 	}
 	// The launch holds at most occ warps per SM at once.
@@ -413,12 +431,17 @@ func (d *Device) LaunchTraced(prog *kernel.Program, numBlocks int, tr *Tracer) (
 		return KernelResult{}, err
 	}
 	ls.stats.Cycles = ls.cycle
-	secs := d.cfg.CyclesToSeconds(ls.cycle)
+	return d.result(ls.stats, ls.collectedSites()), nil
+}
+
+// result is the KernelResult of a launch with stats and sites.
+func (d *Device) result(stats KernelStats, sites []SiteStat) KernelResult {
+	secs := d.cfg.CyclesToSeconds(stats.Cycles)
 	return KernelResult{
 		Time:  time.Duration(secs * float64(time.Second)),
-		Stats: ls.stats,
-		Sites: ls.collectedSites(),
-	}, nil
+		Stats: stats,
+		Sites: sites,
+	}
 }
 
 // collectedSites compacts the per-pc site table into the touched sites,

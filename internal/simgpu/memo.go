@@ -57,20 +57,26 @@ import (
 //
 // Memoization never engages when a tracer is attached (traces carry
 // per-block detail), when site collection is on, when a fault injector is
-// armed, when the program is not certified, or when the launch is too small
-// to have a steady state worth skipping: fewer than memoMinWaves waves,
-// a wave being the blocks the launch holds resident at once, active SMs
-// times occupancy (ℓ in the model's Expression (2)). Those launches run
-// every block through the scheduled interpreter.
+// armed, or when the program is not certified. Nor does it at the first
+// sight of a launch too small to have a steady state worth skipping:
+// fewer than memoMinWaves waves, a wave being the blocks the launch holds
+// resident at once, active SMs times occupancy (ℓ in the model's
+// Expression (2)). Those launches run every block through the scheduled
+// interpreter. A certified shape that comes back after a launch of it has
+// been timed, small or not, is a shape memo hit (shapes.go): it replays
+// every block's data on the replay queue and takes the stored timing.
 
 const (
-	// memoMinWaves is the fewest waves a launch needs to be fingerprinted.
-	// The first fingerprint is taken when the first wave starts retiring,
-	// a period must then be observed once, and a skip needs a whole period
-	// left: on every preset and in every default sweep the period found is
-	// one wave, so a launch of fewer than three waves never skips (GTX650
-	// reduce n=2048 and K40 matmul n=256 recur but have no period left), and
-	// fingerprinting it only costs the prover's certificate.
+	// memoMinWaves is the fewest waves a launch needs to be proved and
+	// memoized at its shape's first sight. The first fingerprint is taken
+	// when the first wave starts retiring, a period must then be observed
+	// once, and a skip needs a whole period left: on every preset and in
+	// every default sweep the period found is one wave, so a launch of
+	// fewer than three waves never skips (GTX650 reduce n=2048 and K40
+	// matmul n=256 recur but have no period left). A certificate would
+	// still buy such a launch batch replay beside cursor timing, but the
+	// proof runs serially before the launch; so a smaller launch is proved
+	// only when its shape comes back, and that launch is a shape memo hit.
 	memoMinWaves = 3
 	// memoMaxSnapBytes bounds the fingerprint states one launch stores;
 	// a schedule that does not recur within it gives up and times every
@@ -327,7 +333,7 @@ func (ls *launchState) runMemo(occ int) error {
 	if err := ls.record(); err != nil {
 		return err
 	}
-	q, err := ls.startReplay()
+	q, err := ls.startReplay(1, int64(len(ls.scratch.trace)))
 	if err != nil {
 		return err
 	}
@@ -337,6 +343,22 @@ func (ls *launchState) runMemo(occ int) error {
 		return rerr
 	}
 	return err
+}
+
+// runHit replays every block's data, block 0 included, for a shape memo
+// hit (shapes.go) whose blocks each issue budget instructions: on the
+// replay queue, with the calling goroutine joining it at once.
+func (ls *launchState) runHit(budget int64) error {
+	ls.scratch = takeMemoScratch()
+	defer func() {
+		putMemoScratch(ls.scratch)
+		ls.scratch = nil
+	}()
+	q, err := ls.startReplay(0, budget)
+	if err != nil {
+		return err
+	}
+	return q.join()
 }
 
 // record runs block 0 alone to its halt through execDec, moving its data
@@ -385,12 +407,13 @@ type replayQueue struct {
 	err   error
 }
 
-// startReplay queues blocks 1…H−1 for data replay, batched by
-// batchBlocks, with block 0's instruction count as each batch's budget,
-// and starts GOMAXPROCS−1 goroutines on the queue, or fewer when there are
-// fewer batches; join runs the calling goroutine on it too.
-func (ls *launchState) startReplay() (*replayQueue, error) {
-	from, to := 1, ls.numBlocks
+// startReplay queues blocks from…H−1 for data replay, batched by
+// batchBlocks, with budget, the instructions one block issues, as each
+// batch's budget, and starts GOMAXPROCS−1 goroutines on the queue, or
+// fewer when there are fewer batches; join runs the calling goroutine on
+// it too.
+func (ls *launchState) startReplay(from int, budget int64) (*replayQueue, error) {
+	to := ls.numBlocks
 	batch := batchBlocks(ls.prog, ls.width, to-from)
 	dec, err := ls.d.decoded(ls.prog, batch*ls.width)
 	if err != nil {
@@ -399,7 +422,7 @@ func (ls *launchState) startReplay() (*replayQueue, error) {
 	q := &ls.scratch.queue
 	q.ls, q.dec, q.batch, q.from, q.to = ls, dec, batch, from, to
 	q.shape = warpShape{ls.width, batch, ls.prog.NumRegs, ls.prog.SharedWords}
-	q.budget = int64(len(ls.scratch.trace))
+	q.budget = budget
 	q.next.Store(int64(from / batch))
 	q.stop.Store(false)
 	q.errAt, q.err = to, nil

@@ -770,40 +770,6 @@ func TestBatchBlocks(t *testing.T) {
 	}
 }
 
-// TestMemoSmallLaunchNotEligible: memoization fingerprints a launch of
-// memoMinWaves waves or more and no smaller one, a wave being what the
-// launch holds resident at once (here 2 SMs × 16 blocks). A launch of
-// exactly three waves skips its last.
-func TestMemoSmallLaunchNotEligible(t *testing.T) {
-	const b = 32
-	cfg := GTX650()
-	wave := cfg.NumSMs * cfg.MaxBlocksPerSM
-	for _, tc := range []struct {
-		blocks        int
-		skips, elided int64
-		proved        bool
-	}{
-		{memoMinWaves*wave - 1, 0, 0, false},
-		{memoMinWaves * wave, 1, int64(wave), true},
-	} {
-		n := b * tc.blocks
-		prog := uniformKernel(t, b, n)
-		dev, err := New(memoConfig(n))
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		proved := false
-		dev.SetUniformProver(func(*kernel.Program, Config, int) bool { proved = true; return true })
-		if _, err := dev.Launch(prog, tc.blocks); err != nil {
-			t.Fatalf("%d blocks: launch: %v", tc.blocks, err)
-		}
-		if dev.MemoSkips() != tc.skips || dev.memoElided != tc.elided || proved != tc.proved {
-			t.Errorf("%d blocks (wave %d): memoization engaged %d times, eliding %d blocks, prover asked %v; want %d, %d, %v",
-				tc.blocks, wave, dev.MemoSkips(), dev.memoElided, proved, tc.skips, tc.elided, tc.proved)
-		}
-	}
-}
-
 // TestWideWarpGlobalAccess is the regression test for the execGlobal
 // coalescing scratch: at warp widths beyond 64 the old fixed [64]int
 // overflowed as soon as more than 64 distinct memory blocks were touched by

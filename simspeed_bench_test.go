@@ -121,6 +121,11 @@ func BenchmarkSimSpeed(b *testing.B) {
 			prog, blocks := arm.build(b, dev.Config().WarpWidth)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if arm.prover != nil {
+					// A fresh shape memo: every op memoizes the launch
+					// at its first sight rather than hitting.
+					dev.SetUniformProver(arm.prover)
+				}
 				if _, err := dev.Launch(prog, blocks); err != nil {
 					b.Fatal(err)
 				}
